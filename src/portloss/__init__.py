@@ -10,7 +10,6 @@ CLI.
 from .errors import (
     ConvergenceError,
     FitError,
-    MonotonicityError,
     MultipleRootsError,
     NoRootError,
     ParameterError,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "FitError",
-    "MonotonicityError",
     "MultipleRootsError",
     "NoRootError",
     "ParameterError",

@@ -392,7 +392,7 @@ def _density_sub_adaptive(l_senior, l_junior, scenario, quad):
     means cross the requested point, which is where all the mass of a large
     portfolio sits.  Falls back to a dense fixed rule when no crossing is
     found (the density is then dominated by slice tails)."""
-    from .limits import solve_u_junior, solve_u_senior, solve_z0
+    from .limits import _sub_u_roots, solve_z0
     from .errors import NoRootError, MultipleRootsError
     from .quadrature import chi2_log_weight
 
@@ -427,40 +427,37 @@ def _density_sub_adaptive(l_senior, l_junior, scenario, quad):
     gl_z, glw_z = np.polynomial.legendre.leggauss(16)
     n_zpan = 10
     z_edges = np.linspace(z_lo, z_hi, n_zpan + 1)
+    a, b = z_edges[:-1, None], z_edges[1:, None]
+    zc = (0.5 * (a + b) + 0.5 * (b - a) * gl_z).ravel()
+    zw = (0.5 * (b - a) * glw_z).ravel()
+    u_s, u_j = _sub_u_roots(l_senior, l_junior, zc, faces, params)
+    # nodes where a root is missing (NaN) or the slices sit far apart add nothing
+    with np.errstate(invalid="ignore"):
+        near = np.abs(u_s - u_j) <= 100.0 * sig_u
     gl_u, glw_u = np.polynomial.legendre.leggauss(16)
     n_upan = 6
     log_gauss_norm = 0.5 * math.log(n / (2.0 * math.pi))
     total = 0.0
-    for a, b in zip(z_edges[:-1], z_edges[1:]):
-        zc = 0.5 * (a + b) + 0.5 * (b - a) * gl_z
-        zw = 0.5 * (b - a) * glw_z
-        for z, wz in zip(zc, zw):
-            try:
-                us = solve_u_senior(l_senior, z, faces, params).u
-                uj = solve_u_junior(l_junior, z, faces, params).u
-            except (NoRootError, MultipleRootsError):
-                continue
-            if abs(us - uj) > 100.0 * sig_u:
-                continue
-            u_lo = min(us, uj) - span * sig_u
-            u_hi = max(us, uj) + span * sig_u
-            u_edges = np.linspace(u_lo, u_hi, n_upan + 1)
-            uc = (0.5 * (u_edges[:-1] + u_edges[1:])[:, None]
-                  + 0.5 * (u_edges[1:] - u_edges[:-1])[:, None] * gl_u[None, :]).ravel()
-            uw = (0.5 * (u_edges[1:] - u_edges[:-1])[:, None] * glw_u[None, :]).ravel()
-            t = gaussian_moment_terms(np.full_like(uc, z), uc, scenario)
-            logp, valid = _binormal_log_density(
-                l_senior - t.mean_senior, l_junior - t.mean_junior,
-                t.var_senior, t.var_junior, t.cross,
-            )
-            log_wt = (
-                chi2_log_weight(z, n)
-                + log_gauss_norm
-                - 0.5 * n * uc * uc
-            )
-            with np.errstate(under="ignore"):
-                vals = np.where(valid, np.exp(logp + log_wt), 0.0)
-            total += wz * float(np.dot(uw, vals))
+    for z, wz, us, uj in zip(zc[near], zw[near], u_s[near], u_j[near]):
+        u_lo = min(us, uj) - span * sig_u
+        u_hi = max(us, uj) + span * sig_u
+        u_edges = np.linspace(u_lo, u_hi, n_upan + 1)
+        uc = (0.5 * (u_edges[:-1] + u_edges[1:])[:, None]
+              + 0.5 * (u_edges[1:] - u_edges[:-1])[:, None] * gl_u[None, :]).ravel()
+        uw = (0.5 * (u_edges[1:] - u_edges[:-1])[:, None] * glw_u[None, :]).ravel()
+        t = gaussian_moment_terms(np.full_like(uc, z), uc, scenario)
+        logp, valid = _binormal_log_density(
+            l_senior - t.mean_senior, l_junior - t.mean_junior,
+            t.var_senior, t.var_junior, t.cross,
+        )
+        log_wt = (
+            chi2_log_weight(z, n)
+            + log_gauss_norm
+            - 0.5 * n * uc * uc
+        )
+        with np.errstate(under="ignore"):
+            vals = np.where(valid, np.exp(logp + log_wt), 0.0)
+        total += wz * float(np.dot(uw, vals))
     return total
 
 

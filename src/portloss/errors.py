@@ -50,10 +50,6 @@ class MultipleRootsError(PortlossError):
         self.roots = roots
 
 
-class MonotonicityError(PortlossError):
-    """A sampled monotonicity check on a solver bracket failed."""
-
-
 class UnsupportedDimensionError(PortlossError):
     """Tensor quadrature requested for more dimensions than supported."""
 

@@ -7,25 +7,38 @@ functions that solve mean = loss.  Evaluating a limit density therefore
 means root solving, not integration in u; only a z integral (at most)
 survives.
 
-All solvers use bracketed safeguarded Newton iterations with the exact
-closed-form derivatives of the conditional means.  Roots are searched on
-u in [-12, 12]/sqrt(N) and z in [1e-6, chi2 quantile 1 - 1e-10]; outside
-these brackets the weights are below anything that could move a six-digit
-result, and the density is treated as exactly zero.
+Every implicit equation goes through one solver, :func:`newton_bisect`:
+bracketed Newton steps with the exact closed-form derivatives of the
+conditional means, safeguarded by bisection.  It solves many independent
+equations at once, one per lane.  A lane is one (target loss, z) pair, so
+the u roots of a whole grid are one call on a (targets x z) table, and the
+senior/junior crossings of a subordinated grid are one outer call in z over
+all (cell, crossing) lanes.  Roots are searched on u in [-12, 12]/sqrt(N)
+and z in [1e-6, chi2 quantile 1 - 1e-10]; outside these brackets the
+weights are below anything that could move a six-digit result, and the
+density is treated as exactly zero.
+
+A lane whose target is out of reach holds NaN as its root and adds density
+0.  The one-point solvers (``solve_u_*``, ``solve_z0``) raise NoRootError
+there instead.  Losses out of range raise ParameterError.  ConvergenceError
+is raised when any lane exceeds the iteration budget or leaves a residual
+above 1e-10.  ``solve_z0`` and ``density_limit_subordinated`` raise
+MultipleRootsError when the senior and junior roots cross at several z;
+the subordinated grid writes density 0 with quality 1 for such a cell, and
+for a cell whose refinement loses a root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
 from .errors import (
     ConvergenceError,
-    MonotonicityError,
     MultipleRootsError,
     NoRootError,
     ParameterError,
@@ -37,7 +50,6 @@ from .moments import (
     junior_mean_target_dz,
     moment_plain,
     moment_plain_du,
-    moment_plain_dz,
     moment_senior,
     moment_senior_du,
     moment_senior_dz,
@@ -73,8 +85,9 @@ class ImplicitSolve:
     """Result of one implicit-function solve.
 
     Residuals of every defining equation are below 1e-10 and all roots lie
-    inside the search brackets; ``quality`` is 1.0 when a Jacobian factor
-    at the root is nearly singular (ridge of the density).
+    inside the search brackets; ``iterations`` counts the steps of the
+    outermost solve; ``quality`` is 1.0 when a Jacobian factor at the root
+    is nearly singular (ridge of the density).
     """
 
     targets: tuple
@@ -107,92 +120,158 @@ def newton_bisect(f, df, lo, hi, f_lo=None, f_hi=None, tol=1e-12, max_iter=200):
 
     The bracket must straddle a sign change.  Newton proposals that leave
     the bracket, or fail to shrink it quickly enough, are replaced by
-    bisection, so termination is guaranteed.  Returns (root, iterations).
+    bisection, so termination is guaranteed.
+
+    ``lo`` and ``hi``, and ``f_lo`` and ``f_hi`` when given, broadcast to
+    an array of independent lanes; f and df map an array of lane points to
+    lane values.  Each lane keeps its own bracket, Newton-or-bisect choice
+    and convergence test.  A lane that has stopped stays frozen at its root
+    while f and df are still evaluated on the whole array.
+
+    With float brackets the result is (root, iterations), and NoRootError
+    is raised when there is no sign change.  With array brackets it is
+    (roots, iterations) arrays, and a lane without a sign change, or where
+    f turns NaN, has root NaN.  ConvergenceError is raised when any lane is
+    still open after ``max_iter`` steps.
     """
-    f_lo = f(lo) if f_lo is None else f_lo
-    f_hi = f(hi) if f_hi is None else f_hi
-    if f_lo == 0.0:
-        return lo, 0
-    if f_hi == 0.0:
-        return hi, 0
-    if (f_lo > 0) == (f_hi > 0):
-        raise NoRootError(f"no sign change on [{lo}, {hi}]")
-    x = 0.5 * (lo + hi)
-    step_prev = abs(hi - lo)
-    for it in range(1, max_iter + 1):
-        fx = f(x)
-        if fx == 0.0:
-            return x, it
-        if (fx > 0) == (f_hi > 0):
-            hi, f_hi = x, fx
-        else:
-            lo, f_lo = x, fx
-        dfx = df(x)
-        use_newton = dfx != 0.0
-        if use_newton:
+    scalar = not isinstance(lo, np.ndarray) and not isinstance(hi, np.ndarray)
+    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
+    bracket = (lo, hi)
+    f_lo = np.broadcast_to(f(lo) if f_lo is None else f_lo, lo.shape)
+    f_hi = np.broadcast_to(f(hi) if f_hi is None else f_hi, lo.shape)
+    at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
+    sign_change = ((f_lo < 0.0) & (f_hi > 0.0)) | ((f_lo > 0.0) & (f_hi < 0.0))
+    lost = ~at_lo & ~at_hi & ~sign_change
+    live = ~at_lo & ~at_hi & sign_change
+    x = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+    iters = np.zeros(lo.shape, dtype=int)
+    step_prev = np.abs(hi - lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, max_iter + 1):
+            if not live.any():
+                break
+            fx = np.broadcast_to(f(x), x.shape)
+            dfx = df(x)
+            lost |= live & np.isnan(fx)
+            live &= ~np.isnan(fx)
+            iters = np.where(live, it, iters)
+            move = live & (fx != 0.0)
+            to_hi = move & ((fx > 0.0) == (f_hi > 0.0))
+            to_lo = move & ~to_hi
+            hi, f_hi = np.where(to_hi, x, hi), np.where(to_hi, fx, f_hi)
+            lo, f_lo = np.where(to_lo, x, lo), np.where(to_lo, fx, f_lo)
             step = fx / dfx
             x_new = x - step
             # reject steps that leave the bracket or stall
-            if not (lo < x_new < hi) or abs(step) > 0.5 * step_prev:
-                use_newton = False
-        if not use_newton:
-            x_new = 0.5 * (lo + hi)
-            step = x_new - x
-        step_prev = abs(step)
-        x = x_new
-        if abs(step) < tol * max(1.0, abs(x)) or (hi - lo) < tol * max(1.0, abs(x)):
-            return x, it
-    raise ConvergenceError(
-        f"root iteration did not converge in {max_iter} steps",
-        best_estimate=x,
-        error_bound=hi - lo,
+            newton = (
+                (dfx != 0.0) & (lo < x_new) & (x_new < hi)
+                & ~(np.abs(step) > 0.5 * step_prev)
+            )
+            mid = 0.5 * (lo + hi)
+            step = np.where(newton, step, mid - x)
+            x = np.where(move, np.where(newton, x_new, mid), x)
+            step_prev = np.where(move, np.abs(step), step_prev)
+            width = tol * np.maximum(1.0, np.abs(x))
+            live = move & ~((np.abs(step) < width) | ((hi - lo) < width))
+    if live.any():
+        k = np.flatnonzero(live)[0]
+        raise ConvergenceError(
+            f"root iteration did not converge in {max_iter} steps",
+            best_estimate=float(x.flat[k]),
+            error_bound=float((hi - lo).flat[k]),
+        )
+    roots = np.where(lost, np.nan, x)
+    if not scalar:
+        return roots, iters
+    if lost:
+        raise NoRootError(f"no sign change of f on [{bracket[0]}, {bracket[1]}]")
+    return float(roots), int(iters)
+
+
+# ---------------------------------------------------------------------------
+# u roots
+
+
+class _Mean(NamedTuple):
+    """A conditional mean loss m(z, u) with its exact partial derivatives."""
+
+    value: Callable
+    du: Callable
+    dz: Optional[Callable] = None
+
+
+def _senior_mean(faces, params) -> _Mean:
+    return _Mean(
+        lambda z, u: moment_senior(1, z, u, faces, params),
+        lambda z, u: moment_senior_du(1, z, u, faces, params),
+        lambda z, u: moment_senior_dz(1, z, u, faces, params),
     )
 
 
-def _check_monotone(g, lo, hi, label):
-    """32-point scan asserting the solver's monotonicity assumption."""
-    xs = np.linspace(lo, hi, 32)
-    vals = np.array([g(x) for x in xs])
-    scale = max(1e-12, float(np.max(np.abs(vals))))
-    if np.any(np.diff(vals) < -1e-12 * scale):
-        raise MonotonicityError(
-            f"{label} is not nondecreasing on the bracket; solver assumptions violated"
+def _junior_mean(faces, params) -> _Mean:
+    """Junior mean (wipeout + band)."""
+    return _Mean(
+        lambda z, u: junior_mean_target(z, u, faces, params),
+        lambda z, u: junior_mean_target_du(z, u, faces, params),
+        lambda z, u: junior_mean_target_dz(z, u, faces, params),
+    )
+
+
+def _plain_mean(face, params) -> _Mean:
+    return _Mean(
+        lambda z, u: moment_plain(1, z, u, face, params),
+        lambda z, u: moment_plain_du(1, z, u, face, params),
+    )
+
+
+def _u_roots(mean: _Mean, target, z, params):
+    """u solving mean(z, u) = target on every lane of broadcast (target, z),
+    and the iteration counts.  The mean is nondecreasing in u, so the root
+    is unique where it exists; lanes whose target lies outside the
+    attainable range on the u bracket hold NaN."""
+    lo, hi = u_bracket(params)
+    target, z = np.broadcast_arrays(np.asarray(target, dtype=float), np.asarray(z, dtype=float))
+    f = lambda u: mean.value(z, u) - target
+    f_lo, f_hi = f(lo), f(hi)
+    attainable = ((f_lo < 0.0) & (0.0 <= f_hi)) | ((f_lo <= 0.0) & (0.0 < f_hi))
+    u, iters = newton_bisect(
+        f,
+        lambda u: mean.du(z, u),
+        np.full(z.shape, lo),
+        np.full(z.shape, hi),
+        np.where(attainable, f_lo, np.nan),
+        np.where(attainable, f_hi, np.nan),
+    )
+    resid = np.abs(f(u))
+    if np.any(resid > _RESID_TOL):
+        k = np.flatnonzero(resid > _RESID_TOL)[0]
+        raise ConvergenceError(
+            f"u root residual {resid.flat[k]:.2e} above tolerance at target "
+            f"{target.flat[k]}, z={z.flat[k]}",
+            best_estimate=float(u.flat[k]),
+            error_bound=float(resid.flat[k]),
         )
+    return u, iters
 
 
-def _solve_u(target, z, mean_fn, dmean_fn, params, validate, label):
+def _solve_u(mean: _Mean, target, z, params, label) -> ImplicitSolve:
+    """One-lane u solve; NoRootError where the target is out of reach."""
     if not (z > 0):
         raise ParameterError(f"z must be > 0, got {z}")
-    lo, hi = u_bracket(params)
-    g = lambda u: float(mean_fn(z, u))
-    if validate:
-        _check_monotone(g, lo, hi, label)
-    f = lambda u: g(u) - target
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo < 0.0 <= f_hi or f_lo <= 0.0 < f_hi):
+    u, iters = _u_roots(mean, target, z, params)
+    if np.isnan(u):
         raise NoRootError(
-            f"{label} target {target} outside the attainable range "
-            f"[{g(lo):.3e}, {g(hi):.3e}] at z={z}; the limit density is 0 there"
+            f"{label} target {target} outside the attainable range at z={z}; "
+            "the limit density is 0 there"
         )
-    root, iters = newton_bisect(f, lambda u: float(dmean_fn(z, u)), lo, hi, f_lo, f_hi)
-    resid = abs(f(root))
-    if resid > _RESID_TOL:
-        raise ConvergenceError(
-            f"{label} residual {resid:.2e} above tolerance",
-            best_estimate=root,
-            error_bound=resid,
-        )
+    resid = abs(float(mean.value(z, u)) - target)
     return ImplicitSolve(
-        targets=(target,), residuals=(resid,), iterations=iters, u=root
+        targets=(target,), residuals=(resid,), iterations=int(iters), u=float(u)
     )
 
 
 def solve_u_senior(
-    l_senior: float,
-    z: float,
-    faces: SubordinationSpec,
-    params: MarketParams,
-    validate: bool = False,
+    l_senior: float, z: float, faces: SubordinationSpec, params: MarketParams
 ) -> ImplicitSolve:
     """u root of mean senior loss = l_senior at fixed z.
 
@@ -200,133 +279,153 @@ def solve_u_senior(
     unique when it exists; targets outside the attainable range raise
     NoRootError (the limit density is zero there).
     """
-    return _solve_u(
-        l_senior,
-        z,
-        lambda zz, uu: moment_senior(1, zz, uu, faces, params),
-        lambda zz, uu: moment_senior_du(1, zz, uu, faces, params),
-        params,
-        validate,
-        "senior mean",
-    )
+    return _solve_u(_senior_mean(faces, params), l_senior, z, params, "senior mean")
 
 
 def solve_u_junior(
-    l_junior: float,
-    z: float,
-    faces: SubordinationSpec,
-    params: MarketParams,
-    validate: bool = False,
+    l_junior: float, z: float, faces: SubordinationSpec, params: MarketParams
 ) -> ImplicitSolve:
     """u root of mean junior loss (wipeout + band) = l_junior at fixed z."""
-    return _solve_u(
-        l_junior,
-        z,
-        lambda zz, uu: junior_mean_target(zz, uu, faces, params),
-        lambda zz, uu: junior_mean_target_du(zz, uu, faces, params),
-        params,
-        validate,
-        "junior mean",
-    )
+    return _solve_u(_junior_mean(faces, params), l_junior, z, params, "junior mean")
 
 
-def solve_u_plain(
-    l: float,
-    z: float,
-    face: float,
-    params: MarketParams,
-    validate: bool = False,
-) -> ImplicitSolve:
+def solve_u_plain(l: float, z: float, face: float, params: MarketParams) -> ImplicitSolve:
     """u root of mean untranched loss = l at fixed z."""
-    return _solve_u(
-        l,
-        z,
-        lambda zz, uu: moment_plain(1, zz, uu, face, params),
-        lambda zz, uu: moment_plain_du(1, zz, uu, face, params),
-        params,
-        validate,
-        "plain mean",
-    )
+    return _solve_u(_plain_mean(face, params), l, z, params, "plain mean")
 
 
-def _du_dz(z, u, mean_dz, mean_du):
+def _plain_factor(targets, z, face, params):
+    """Plain-factor kernel on the (targets x z) table.
+
+    Returns the u roots of mean plain loss = target and the implicit weight
+    exp(gauss log weight of u) / |d mean / du| of each lane.  Lanes without
+    a root, and rows whose target is outside (0, 1), hold u NaN and weight
+    0; so do lanes whose Jacobian is below 1e-300.
+    """
+    targets = np.asarray(targets, dtype=float)
+    inside = (targets > 0.0) & (targets < 1.0)
+    mean = _plain_mean(face, params)
+    z = np.asarray(z, dtype=float)[None, :]
+    u, _ = _u_roots(mean, np.where(inside, targets, np.nan)[:, None], z, params)
+    du = np.abs(mean.du(z, u))
+    with np.errstate(invalid="ignore", under="ignore"):
+        weight = np.where(
+            du >= 1e-300, np.exp(_gauss_log_weight(u, params.n_fluct)) / du, 0.0
+        )
+    return u, weight
+
+
+# ---------------------------------------------------------------------------
+# senior/junior crossings
+
+
+def _sub_u_roots(l_senior, l_junior, z, faces, params):
+    """Senior and junior u roots on the lanes of broadcast (l_senior, z) and
+    (l_junior, z); NaN where a target is out of reach."""
+    u_s, _ = _u_roots(_senior_mean(faces, params), l_senior, z, params)
+    u_j, _ = _u_roots(_junior_mean(faces, params), l_junior, z, params)
+    return u_s, u_j
+
+
+def _du_dz(mean: _Mean, z, u):
     """Implicit-function slope du/dz along mean(z, u(z)) = const."""
-    den = float(mean_du(z, u))
-    if abs(den) < 1e-300:
-        return float("inf")
-    return -float(mean_dz(z, u)) / den
+    den = mean.du(z, u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(den) < 1e-300, np.inf, -mean.dz(z, u) / den)
 
 
-def _sep_fns(l_senior, l_junior, faces, params, validate=False):
-    """Closures for u_senior(z) - u_junior(z) and its z derivative."""
+_NONE, _LOST, _MULTIPLE, _FOUND = range(4)
+
+
+class _Crossings(NamedTuple):
+    """Per-cell outcome of the subordinated kernel, arrays of shape
+    (len(xs), len(ys)).  ``status`` is _NONE (no bracketed crossing),
+    _LOST (a u root vanished during refinement), _MULTIPLE (several
+    distinct crossings, listed in ``roots`` by cell) or _FOUND."""
+
+    status: np.ndarray
+    z0: np.ndarray
+    u_s: np.ndarray
+    u_j: np.ndarray
+    slope: np.ndarray
+    iterations: np.ndarray
+    roots: dict
+
+
+def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
+    """Subordinated kernel: the z where the senior u root of xs[i] meets the
+    junior u root of ys[j], for every cell (i, j).
+
+    u_senior(z) - u_junior(z) is tabulated on an n_scan-point z scan from
+    the two u tables; every bracketed sign change becomes a lane, and all
+    lanes are refined by one Newton call in z whose inner u solves run on
+    the lanes' current z.
+    """
+    xs, ys = np.atleast_1d(np.asarray(xs, dtype=float)), np.atleast_1d(np.asarray(ys, dtype=float))
+    senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
+    z_lo, z_hi = z_bracket(params)
+    zs = np.linspace(z_lo, z_hi, n_scan)
+    us_tab, uj_tab = _sub_u_roots(xs[:, None], ys[:, None], zs, faces, params)
+    # sign changes between feasible scan neighbours, one senior row at a
+    # time so that no array is sized cells x z
+    lanes = []
+    for i, row in enumerate(us_tab):
+        gap = row - uj_tab
+        feasible = ~np.isnan(gap)
+        j, k = np.nonzero(
+            feasible[:, :-1] & feasible[:, 1:] & (np.sign(gap[:, :-1]) != np.sign(gap[:, 1:]))
+        )
+        lanes.append((np.full(len(j), i), j, k, gap[j, k], gap[j, k + 1]))
+    li, lj, lk, fa, fb = (np.concatenate(c) for c in zip(*lanes))
+
+    last = {}
+
+    def roots_at(z):
+        # newton_bisect evaluates f and df on the same lane array each step
+        if last.get("z") is not z:
+            last.update(z=z, roots=_sub_u_roots(xs[li], ys[lj], z, faces, params))
+        return last["roots"]
 
     def sep(z):
-        us = solve_u_senior(l_senior, z, faces, params, validate=validate).u
-        uj = solve_u_junior(l_junior, z, faces, params, validate=validate).u
-        return us - uj
+        u_s, u_j = roots_at(z)
+        return u_s - u_j
 
     def sep_dz(z):
-        us = solve_u_senior(l_senior, z, faces, params).u
-        uj = solve_u_junior(l_junior, z, faces, params).u
-        ds = _du_dz(
-            z, us,
-            lambda zz, uu: moment_senior_dz(1, zz, uu, faces, params),
-            lambda zz, uu: moment_senior_du(1, zz, uu, faces, params),
-        )
-        dj = _du_dz(
-            z, uj,
-            lambda zz, uu: junior_mean_target_dz(zz, uu, faces, params),
-            lambda zz, uu: junior_mean_target_du(zz, uu, faces, params),
-        )
-        return ds - dj
+        u_s, u_j = roots_at(z)
+        return _du_dz(senior, z, u_s) - _du_dz(junior, z, u_j)
 
-    return sep, sep_dz
+    z_root, lane_iters = newton_bisect(sep, sep_dz, zs[lk], zs[lk + 1], fa, fb)
 
+    shape = (len(xs), len(ys))
+    status = np.full(shape, _NONE)
+    z0 = np.full(shape, np.nan)
+    iterations = np.zeros(shape, dtype=int)
+    np.add.at(iterations, (li, lj), lane_iters)
+    kept = {}
+    for i, j, z in zip(li, lj, z_root):
+        cell = kept.setdefault((i, j), [])
+        if np.isnan(z):
+            status[i, j] = _LOST
+        # an exact zero at a scan node flags both neighbours; keep one
+        elif not cell or abs(z - cell[-1]) > 1e-9 * (z_hi - z_lo):
+            cell.append(z)
+    roots = {}
+    for (i, j), cell in kept.items():
+        if status[i, j] == _LOST:
+            continue
+        if len(cell) > 1:
+            status[i, j] = _MULTIPLE
+            roots[(i, j)] = tuple(cell)
+        else:
+            status[i, j], z0[i, j] = _FOUND, cell[0]
 
-def _refine_crossings(l_senior, l_junior, crossings, z_span, faces, params, validate=False):
-    """Newton-refine every bracketed sign change; returns the single root
-    or raises MultipleRootsError (anomaly) on genuinely distinct roots."""
-    sep, sep_dz = _sep_fns(l_senior, l_junior, faces, params, validate=validate)
-    roots = []
-    total_iters = 0
-    for a, b, fa, fb in crossings:
-        z_root, iters = newton_bisect(sep, sep_dz, a, b, fa, fb)
-        total_iters += iters
-        # an exact zero at a scan node flags both neighbors; keep one
-        if not roots or abs(z_root - roots[-1]) > 1e-9 * z_span:
-            roots.append(z_root)
-    if len(roots) > 1:
-        raise MultipleRootsError(
-            f"{len(roots)} crossing points found for losses "
-            f"({l_senior}, {l_junior}); uniqueness assumption violated",
-            roots=tuple(roots),
-        )
-    z0 = roots[0]
-    sol_s = solve_u_senior(l_senior, z0, faces, params)
-    sol_j = solve_u_junior(l_junior, z0, faces, params)
-    u0 = 0.5 * (sol_s.u + sol_j.u)
-    slope = sep_dz(z0)
-    resid_sep = abs(sol_s.u - sol_j.u)
-    return ImplicitSolve(
-        targets=(l_senior, l_junior),
-        residuals=(sol_s.residuals[0], sol_j.residuals[0], resid_sep),
-        iterations=total_iters + sol_s.iterations + sol_j.iterations,
-        z0=z0,
-        u0=u0,
-        u_one=sol_s.u,
-        u_two=sol_j.u,
-        separation_slope=slope,
-        quality=1.0 if abs(slope) < _JAC_FLOOR else 0.0,
-    )
-
-
-def _bracket_crossings(zs, vals):
-    """Consecutive feasible scan pairs with a sign change."""
-    feasible = ~np.isnan(vals)
-    idx = np.flatnonzero(
-        feasible[:-1] & feasible[1:] & (np.sign(vals[:-1]) != np.sign(vals[1:]))
-    )
-    return [(zs[i], zs[i + 1], vals[i], vals[i + 1]) for i in idx], feasible
+    found = status == _FOUND
+    u_s, u_j, slope = (np.full(shape, np.nan) for _ in range(3))
+    fi, fj = np.nonzero(found)
+    u_s[found], u_j[found] = _sub_u_roots(xs[fi], ys[fj], z0[found], faces, params)
+    slope[found] = _du_dz(senior, z0[found], u_s[found]) - _du_dz(junior, z0[found], u_j[found])
+    status[found & (np.isnan(u_s) | np.isnan(u_j))] = _LOST
+    return _Crossings(status, z0, u_s, u_j, slope, iterations, roots)
 
 
 def solve_z0(
@@ -335,7 +434,6 @@ def solve_z0(
     faces: SubordinationSpec,
     params: MarketParams,
     n_scan: int = 96,
-    validate: bool = False,
 ) -> ImplicitSolve:
     """z at which the senior and junior u roots coincide.
 
@@ -344,27 +442,34 @@ def solve_z0(
     MultipleRootsError (anomaly, never silently resolved), none raise
     NoRootError (the limit density is zero at that loss pair).
     """
-    z_lo, z_hi = z_bracket(params)
-    zs = np.linspace(z_lo, z_hi, n_scan)
-    sep, _ = _sep_fns(l_senior, l_junior, faces, params, validate=validate)
-    vals = np.full(len(zs), np.nan)
-    for i, z in enumerate(zs):
-        try:
-            vals[i] = sep(z)
-        except NoRootError:
-            continue
-    crossings, feasible = _bracket_crossings(zs, vals)
-    if not feasible.any():
-        raise NoRootError(
-            f"no z in [{z_lo:.3g}, {z_hi:.3g}] makes both targets attainable"
+    cr = _sub_crossings(l_senior, l_junior, faces, params, n_scan)
+    status = cr.status[0, 0]
+    if status == _MULTIPLE:
+        roots = cr.roots[(0, 0)]
+        raise MultipleRootsError(
+            f"{len(roots)} crossing points found for losses "
+            f"({l_senior}, {l_junior}); uniqueness assumption violated",
+            roots=roots,
         )
-    if not crossings:
+    if status != _FOUND:
         raise NoRootError(
-            f"u roots never coincide for losses ({l_senior}, {l_junior}); "
-            "limit density is 0 there"
+            f"u roots never coincide for losses ({l_senior}, {l_junior}) on the "
+            "z bracket; limit density is 0 there"
         )
-    return _refine_crossings(
-        l_senior, l_junior, crossings, z_hi - z_lo, faces, params, validate=validate
+    z0, u_s, u_j = (float(a[0, 0]) for a in (cr.z0, cr.u_s, cr.u_j))
+    slope = float(cr.slope[0, 0])
+    resid_s = abs(float(moment_senior(1, z0, u_s, faces, params)) - l_senior)
+    resid_j = abs(float(junior_mean_target(z0, u_j, faces, params)) - l_junior)
+    return ImplicitSolve(
+        targets=(l_senior, l_junior),
+        residuals=(resid_s, resid_j, abs(u_s - u_j)),
+        iterations=int(cr.iterations[0, 0]),
+        z0=z0,
+        u0=0.5 * (u_s + u_j),
+        u_one=u_s,
+        u_two=u_j,
+        separation_slope=slope,
+        quality=1.0 if abs(slope) < _JAC_FLOOR else 0.0,
     )
 
 
@@ -372,30 +477,18 @@ def solve_z0(
 # limit densities
 
 
-def _density_at_crossing(sol: ImplicitSolve, faces, params):
-    """(density, quality) from a solved senior/junior crossing point."""
-    z0, u0 = sol.z0, sol.u0
-    du_s = abs(float(moment_senior_du(1, z0, u0, faces, params)))
-    du_j = abs(float(junior_mean_target_du(z0, u0, faces, params)))
-    slope = abs(sol.separation_slope)
-    quality = 1.0 if min(du_s, du_j, slope) < _JAC_FLOOR else sol.quality
-    log_w = chi2_log_weight(z0, params.n_fluct) + _gauss_log_weight(u0, params.n_fluct)
+def _density_at_crossing(z0, u0, slope, faces, params):
+    """(density, quality) arrays at solved senior/junior crossing points:
+    the (z, u) weight over the three Jacobian factors."""
+    du_s = np.abs(moment_senior_du(1, z0, u0, faces, params))
+    du_j = np.abs(junior_mean_target_du(z0, u0, faces, params))
+    slope = np.abs(slope)
     denom = du_s * du_j * slope
-    if denom == 0.0:
-        return float("inf"), 1.0
-    return math.exp(log_w) / denom, quality
-
-
-def _sub_point(l_senior, l_junior, faces, params, n_scan):
-    """(density, quality) of the subordinated limit at one point; (0, 0)
-    where no crossing exists."""
-    if not (0.0 <= l_senior <= 1.0 and 0.0 <= l_junior <= 1.0):
-        raise ParameterError("loss fractions must lie in [0, 1]")
-    try:
-        sol = solve_z0(l_senior, l_junior, faces, params, n_scan=n_scan)
-    except NoRootError:
-        return 0.0, 0.0
-    return _density_at_crossing(sol, faces, params)
+    log_w = chi2_log_weight(z0, params.n_fluct) + _gauss_log_weight(u0, params.n_fluct)
+    with np.errstate(divide="ignore", under="ignore"):
+        density = np.where(denom == 0.0, np.inf, np.exp(log_w) / denom)
+    near_singular = np.minimum(np.minimum(du_s, du_j), slope) < _JAC_FLOOR
+    return density, np.where(near_singular | (denom == 0.0), 1.0, 0.0)
 
 
 def density_limit_subordinated(
@@ -413,7 +506,14 @@ def density_limit_subordinated(
     the losses cannot be realized; near-singular Jacobians are reported
     through the grid quality flag, never clipped.
     """
-    return _sub_point(l_senior, l_junior, faces, params, n_scan)[0]
+    if not (0.0 <= l_senior <= 1.0 and 0.0 <= l_junior <= 1.0):
+        raise ParameterError("loss fractions must lie in [0, 1]")
+    try:
+        sol = solve_z0(l_senior, l_junior, faces, params, n_scan=n_scan)
+    except NoRootError:
+        return 0.0
+    density, _ = _density_at_crossing(sol.z0, sol.u0, sol.separation_slope, faces, params)
+    return float(density)
 
 
 def density_limit_equal_infinite(
@@ -431,19 +531,13 @@ def density_limit_equal_infinite(
     """
     if not (0.0 < l < 1.0):
         raise ParameterError(f"loss must lie strictly inside (0, 1), got {l}")
+    return float(_equal_infinite([l], face, params, quad)[0])
+
+
+def _equal_infinite(ls, face, params, quad):
     z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    total = 0.0
-    for zi, wi in zip(z, wz):
-        try:
-            u0 = solve_u_plain(l, float(zi), face, params).u
-        except NoRootError:
-            continue
-        du = abs(float(moment_plain_du(1, zi, u0, face, params)))
-        if du < 1e-300:
-            continue
-        # wz already carries the chi2 weight; add the Gaussian u factor
-        total += wi * math.exp(_gauss_log_weight(u0, params.n_fluct)) / du
-    return total
+    # wz carries the chi2 weight, the kernel the Gaussian u factor
+    return _plain_factor(ls, z, face, params)[1] @ wz
 
 
 def density_limit_finite_vs_infinite(
@@ -465,28 +559,30 @@ def density_limit_finite_vs_infinite(
         raise ParameterError(f"finite portfolio needs at least 2 obligors, got {r_one}")
     if not (0.0 <= l_one <= 1.0 and 0.0 < l_two < 1.0):
         raise ParameterError("losses out of range")
+    return float(_finite_vs_infinite([l_one], [l_two], r_one, face, params, quad)[0, 0])
+
+
+def _finite_vs_infinite(xs, ys, r_one, face, params, quad):
     z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    total = 0.0
-    for zi, wi in zip(z, wz):
-        try:
-            u0 = solve_u_plain(l_two, float(zi), face, params).u
-        except NoRootError:
-            continue
-        du = abs(float(moment_plain_du(1, zi, u0, face, params)))
-        if du < 1e-300:
-            continue
-        m1 = float(moment_plain(1, zi, u0, face, params))
-        m2 = float(moment_plain(2, zi, u0, face, params))
-        var = max(m2 - m1 * m1, 0.0) / r_one
-        if var < 1e-300:
-            continue
-        log_g = -0.5 * math.log(2.0 * math.pi * var) - 0.5 * (l_one - m1) ** 2 / var
-        total += (
-            wi
-            * math.exp(_gauss_log_weight(u0, params.n_fluct) + min(log_g, 700.0))
-            / du
+    u, weight = _plain_factor(ys, z, face, params)
+    m1 = moment_plain(1, z[None, :], u, face, params)
+    m2 = moment_plain(2, z[None, :], u, face, params)
+    var = np.maximum(m2 - m1 * m1, 0.0) / r_one
+    # lanes without a root or with a degenerate slice add exactly 0
+    ok = (weight > 0.0) & (var >= 1e-300)
+    w_eff = np.where(ok, weight * wz, 0.0)
+    m1, var = np.where(ok, m1, 0.0), np.where(ok, var, 1.0)
+    xs = np.asarray(xs, dtype=float)
+    vals = np.zeros((len(xs), len(w_eff)))
+    # one infinite-side loss at a time, so that no array is sized cells x z
+    for j in range(len(w_eff)):
+        log_g = (
+            -0.5 * np.log(2.0 * math.pi * var[j])[None, :]
+            - 0.5 * (xs[:, None] - m1[j][None, :]) ** 2 / var[j][None, :]
         )
-    return total
+        with np.errstate(under="ignore"):
+            vals[:, j] = np.exp(np.minimum(log_g, 700.0)) @ w_eff[j]
+    return vals
 
 
 def density_limit_two_markets(
@@ -504,46 +600,20 @@ def density_limit_two_markets(
         raise ParameterError("both markets must share the fluctuation parameter")
     if not (0.0 < l_one < 1.0 and 0.0 < l_two < 1.0):
         raise ParameterError("losses must lie strictly inside (0, 1)")
-    n = params_one.n_fluct
-    z, wz = chi2_nodes(n, quad.z_nodes)
-    total = 0.0
-    for zi, wi in zip(z, wz):
-        try:
-            u1 = solve_u_plain(l_one, float(zi), face_one, params_one).u
-            u2 = solve_u_plain(l_two, float(zi), face_two, params_two).u
-        except NoRootError:
-            continue
-        du1 = abs(float(moment_plain_du(1, zi, u1, face_one, params_one)))
-        du2 = abs(float(moment_plain_du(1, zi, u2, face_two, params_two)))
-        if min(du1, du2) < 1e-300:
-            continue
-        total += (
-            wi
-            * math.exp(_gauss_log_weight(u1, n) + _gauss_log_weight(u2, n))
-            / (du1 * du2)
-        )
-    return total
+    return float(
+        _two_markets([l_one], [l_two], face_one, face_two, params_one, params_two, quad)[0, 0]
+    )
+
+
+def _two_markets(xs, ys, face_one, face_two, params_one, params_two, quad):
+    z, wz = chi2_nodes(params_one.n_fluct, quad.z_nodes)
+    w_one = _plain_factor(xs, z, face_one, params_one)[1]
+    w_two = _plain_factor(ys, z, face_two, params_two)[1]
+    return np.einsum("ik,jk,k->ij", w_one, w_two, wz)
 
 
 # ---------------------------------------------------------------------------
 # grid builders
-
-
-def _u_root_table(solver, values, zs, faces, params) -> np.ndarray:
-    """u roots for every (target value, z) pair; NaN where unattainable.
-
-    Shared by the grid builders: the roots depend on one axis value and z
-    only, so solving once per row instead of once per cell cuts the solve
-    count by the grid size.
-    """
-    out = np.full((len(values), len(zs)), np.nan)
-    for i, l in enumerate(values):
-        for k, z in enumerate(zs):
-            try:
-                out[i, k] = solver(float(l), float(z), faces, params).u
-            except NoRootError:
-                continue
-    return out
 
 
 def limit_grid_subordinated(
@@ -555,26 +625,13 @@ def limit_grid_subordinated(
     n_scan: int = 96,
 ) -> DensityGrid:
     centers = cell_centers(n_cells, lo, hi)
-    z_lo, z_hi = z_bracket(params)
-    zs = np.linspace(z_lo, z_hi, n_scan)
-    us_tab = _u_root_table(solve_u_senior, centers, zs, faces, params)
-    uj_tab = _u_root_table(solve_u_junior, centers, zs, faces, params)
-    vals = np.zeros((len(centers), len(centers)))
-    qual = np.zeros_like(vals)
-    for i, x in enumerate(centers):
-        for j, y in enumerate(centers):
-            sep_vals = us_tab[i] - uj_tab[j]
-            crossings, feasible = _bracket_crossings(zs, sep_vals)
-            if not crossings:
-                continue
-            try:
-                sol = _refine_crossings(
-                    float(x), float(y), crossings, z_hi - z_lo, faces, params
-                )
-            except (NoRootError, MultipleRootsError):
-                vals[i, j], qual[i, j] = 0.0, 1.0
-                continue
-            vals[i, j], qual[i, j] = _density_at_crossing(sol, faces, params)
+    cr = _sub_crossings(centers, centers, faces, params, n_scan)
+    found = cr.status == _FOUND
+    vals = np.zeros(found.shape)
+    qual = np.where((cr.status == _LOST) | (cr.status == _MULTIPLE), 1.0, 0.0)
+    vals[found], qual[found] = _density_at_crossing(
+        cr.z0[found], 0.5 * (cr.u_s[found] + cr.u_j[found]), cr.slope[found], faces, params
+    )
     meta = {"kind": "limit_subordinated_joint"}
     return DensityGrid(axes=(centers, centers), values=vals, metadata=meta, quality=qual)
 
@@ -588,9 +645,9 @@ def limit_curve_equal_infinite(
     hi: float = 1.0 - 1e-3,
 ) -> DensityGrid:
     centers = cell_centers(n_cells, lo, hi)
-    vals = np.array(
-        [density_limit_equal_infinite(float(x), face, params, quad) for x in centers]
-    )
+    if not np.all((centers > 0.0) & (centers < 1.0)):
+        raise ParameterError("loss must lie strictly inside (0, 1)")
+    vals = _equal_infinite(centers, face, params, quad)
     meta = {"kind": "limit_equal_infinite", "support": "equal_loss_line"}
     return DensityGrid(axes=(centers,), values=vals, metadata=meta)
 
@@ -607,41 +664,7 @@ def limit_grid_finite_vs_infinite(
     if r_one < 2:
         raise ParameterError(f"finite portfolio needs at least 2 obligors, got {r_one}")
     centers = cell_centers(n_cells, lo, hi)
-    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    vals = np.zeros((len(centers), len(centers)))
-    # the implicit solve depends on the infinite-side loss only, so build
-    # the per-column node data once and sweep the finite axis vectorized
-    for j, y in enumerate(centers):
-        if not (0.0 < y < 1.0):
-            continue
-        w_eff, m1s, variances = [], [], []
-        for zi, wi in zip(z, wz):
-            try:
-                u0 = solve_u_plain(float(y), float(zi), face, params).u
-            except NoRootError:
-                continue
-            du = abs(float(moment_plain_du(1, zi, u0, face, params)))
-            if du < 1e-300:
-                continue
-            m1 = float(moment_plain(1, zi, u0, face, params))
-            m2 = float(moment_plain(2, zi, u0, face, params))
-            var = max(m2 - m1 * m1, 0.0) / r_one
-            if var < 1e-300:
-                continue
-            w_eff.append(wi * math.exp(_gauss_log_weight(u0, params.n_fluct)) / du)
-            m1s.append(m1)
-            variances.append(var)
-        if not w_eff:
-            continue
-        w_eff = np.asarray(w_eff)
-        m1s = np.asarray(m1s)
-        variances = np.asarray(variances)
-        log_g = (
-            -0.5 * np.log(2.0 * math.pi * variances)[None, :]
-            - 0.5 * (centers[:, None] - m1s[None, :]) ** 2 / variances[None, :]
-        )
-        with np.errstate(under="ignore"):
-            vals[:, j] = np.exp(np.minimum(log_g, 700.0)) @ w_eff
+    vals = _finite_vs_infinite(centers, centers, r_one, face, params, quad)
     meta = {"kind": "limit_finite_vs_infinite", "r_one": r_one}
     return DensityGrid(axes=(centers, centers), values=vals, metadata=meta)
 
@@ -658,29 +681,7 @@ def limit_grid_two_markets(
 ) -> DensityGrid:
     if params_one.n_fluct != params_two.n_fluct:
         raise ParameterError("both markets must share the fluctuation parameter")
-    n = params_one.n_fluct
     centers = cell_centers(n_cells, lo, hi)
-    z, wz = chi2_nodes(n, quad.z_nodes)
-
-    def axis_factor(face, params):
-        # per-axis implicit weight exp(gauss)/|du| at each (loss, z) node
-        fac = np.zeros((len(centers), len(z)))
-        for i, l in enumerate(centers):
-            if not (0.0 < l < 1.0):
-                continue
-            for k, zi in enumerate(z):
-                try:
-                    u0 = solve_u_plain(float(l), float(zi), face, params).u
-                except NoRootError:
-                    continue
-                du = abs(float(moment_plain_du(1, zi, u0, face, params)))
-                if du < 1e-300:
-                    continue
-                fac[i, k] = math.exp(_gauss_log_weight(u0, n)) / du
-        return fac
-
-    fac_one = axis_factor(face_one, params_one)
-    fac_two = axis_factor(face_two, params_two)
-    vals = np.einsum("ik,jk,k->ij", fac_one, fac_two, wz)
+    vals = _two_markets(centers, centers, face_one, face_two, params_one, params_two, quad)
     meta = {"kind": "limit_two_markets"}
     return DensityGrid(axes=(centers, centers), values=vals, metadata=meta)

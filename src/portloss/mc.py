@@ -27,7 +27,7 @@ import numpy as np
 from .engine import NoSubScenario, SubordinatedScenario, _creditor_weights
 from .errors import ParameterError, SamplerBudgetError, UndefinedCorrelationError
 from .grids import SCHEMA_VERSION
-from .params import MarketParams, MultiMarketParams, OverlapSpec, SubordinationSpec
+from .params import MarketParams, MultiMarketParams
 
 __all__ = [
     "McConfig",
@@ -36,7 +36,6 @@ __all__ = [
     "sample_compound_returns",
     "sample_wishart",
     "wishart_covariances",
-    "evaluate_losses",
     "estimate",
     "ks_compare",
 ]
@@ -255,36 +254,6 @@ def _portfolio_losses(v, scenario):
     wts = _creditor_weights(scenario)
     losses = l_ob @ wts.T
     return losses, n_def, np.zeros(v.shape[0], dtype=np.int64)
-
-
-def evaluate_losses(v_draws, structure, k_obligors: Optional[int] = None):
-    """Per-creditor portfolio losses in [0, 1] from terminal asset values.
-
-    ``structure`` may be a scenario object, a SubordinationSpec (equal
-    obligor weights) or an OverlapSpec.
-    """
-    v = np.atleast_2d(np.asarray(v_draws, dtype=float))
-    if isinstance(structure, (SubordinatedScenario, NoSubScenario)):
-        scenario = structure
-    elif isinstance(structure, SubordinationSpec):
-        scenario = SubordinatedScenario(
-            k_obligors=v.shape[1],
-            tranches=structure,
-            params=MarketParams(mu=0.0, rho=1.0, c=0.0, n_fluct=1, t_mat=1.0, v0=1.0),
-        )
-    elif isinstance(structure, OverlapSpec):
-        scenario = NoSubScenario(
-            k_obligors=v.shape[1],
-            params=MarketParams(mu=0.0, rho=1.0, c=0.0, n_fluct=1, t_mat=1.0, v0=1.0),
-            overlap=structure,
-        )
-    else:
-        raise ParameterError(f"unsupported structure {type(structure).__name__}")
-    if v.shape[1] != scenario.k_obligors:
-        raise ParameterError(
-            f"draws have {v.shape[1]} columns, scenario has {scenario.k_obligors} obligors"
-        )
-    return _portfolio_losses(v, scenario)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,105 @@ def test_ridge_density_drops_away_from_crest(market, faces):
     crest = density_limit_subordinated(0.0155, 0.4, faces, market)
     assert density_limit_subordinated(0.0125, 0.4, faces, market) < crest
     assert density_limit_subordinated(0.0185, 0.4, faces, market) < crest
+
+
+# ---------------------------------------------------------------------------
+# batched solver against the scalar loop it replaced
+
+
+def _scalar_newton_bisect(f, df, lo, hi, f_lo, f_hi, tol=1e-12, max_iter=200):
+    """The one-equation-at-a-time solver the batched newton_bisect replaced,
+    kept here as the reference for its tables."""
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    x = 0.5 * (lo + hi)
+    step_prev = abs(hi - lo)
+    for _ in range(max_iter):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (f_hi > 0):
+            hi, f_hi = x, fx
+        else:
+            lo, f_lo = x, fx
+        dfx = df(x)
+        use_newton = dfx != 0.0
+        if use_newton:
+            step = fx / dfx
+            x_new = x - step
+            if not (lo < x_new < hi) or abs(step) > 0.5 * step_prev:
+                use_newton = False
+        if not use_newton:
+            x_new = 0.5 * (lo + hi)
+            step = x_new - x
+        step_prev = abs(step)
+        x = x_new
+        if abs(step) < tol * max(1.0, abs(x)) or (hi - lo) < tol * max(1.0, abs(x)):
+            return x
+    raise AssertionError("reference solver did not converge")
+
+
+def _scalar_u_table(mean, mean_du, targets, zs, params):
+    """u roots of mean(z, u) = target, one (target, z) pair at a time; NaN
+    where the target is outside the attainable range."""
+    from portloss.limits import u_bracket
+
+    lo, hi = u_bracket(params)
+    out = np.full((len(targets), len(zs)), np.nan)
+    for i, target in enumerate(targets):
+        for k, z in enumerate(zs):
+            g = lambda u: float(mean(float(z), u))
+            f = lambda u: g(u) - float(target)
+            f_lo, f_hi = f(lo), f(hi)
+            if f_lo < 0.0 <= f_hi or f_lo <= 0.0 < f_hi:
+                out[i, k] = _scalar_newton_bisect(
+                    f, lambda u: float(mean_du(float(z), u)), lo, hi, f_lo, f_hi)
+    return out
+
+
+def test_batched_u_tables_match_scalar_loop(market, faces):
+    from portloss.grids import cell_centers
+    from portloss.limits import (
+        _junior_mean,
+        _plain_mean,
+        _senior_mean,
+        _u_roots,
+        z_bracket,
+    )
+    from portloss.quadrature import chi2_nodes
+
+    # the bundled ridge scenario's 61 x 96 tables and the equal-loss curve's
+    # 201 targets on 64 chi-square nodes
+    ridge_targets = cell_centers(61, 0.0, 0.6)
+    ridge_zs = np.linspace(*z_bracket(market), 96)
+    curve_targets = cell_centers(201, 1e-3, 1.0 - 1e-3)
+    curve_zs, _ = chi2_nodes(market.n_fluct, 64)
+    tables = [
+        (_senior_mean(faces, market), ridge_targets, ridge_zs),
+        (_junior_mean(faces, market), ridge_targets, ridge_zs),
+        (_plain_mean(75.0, market), curve_targets, curve_zs),
+    ]
+    for mean, targets, zs in tables:
+        want = _scalar_u_table(mean.value, mean.du, targets, zs, market)
+        got, _ = _u_roots(mean, targets[:, None], zs, market)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert 0 < np.isnan(want).sum() < want.size
+        found = ~np.isnan(want)
+        assert np.max(np.abs(got[found] - want[found])) <= 1e-12
+
+
+def test_newton_bisect_lanes_match_scalar_calls():
+    c = np.array([2.0, 0.5, 27.0, 10.0, 1e-3])
+    df = lambda x: 3.0 * x**2
+    # c = 27 puts its root exactly on the upper bracket end
+    roots, iters = newton_bisect(lambda x: x**3 - c, df, np.zeros_like(c), np.full_like(c, 3.0))
+    assert roots[2] == 3.0 and iters[2] == 0
+    for ci, root, it in zip(c, roots, iters):
+        want, want_it = newton_bisect(lambda x: x**3 - ci, df, 0.0, 3.0)
+        assert root == want and it == want_it
+    # a lane without a sign change holds NaN instead of raising
+    roots, _ = newton_bisect(lambda x: x**3 - np.array([2.0, 30.0]), df, 0.0, np.array([3.0, 3.0]))
+    assert roots[0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12) and np.isnan(roots[1])
