@@ -18,7 +18,6 @@ from .errors import (
     ScenarioError,
     SingularCovarianceError,
     UndefinedCorrelationError,
-    UnsupportedDimensionError,
 )
 from .params import (
     DefaultThreshold,
@@ -84,7 +83,6 @@ __all__ = [
     "ScenarioError",
     "SingularCovarianceError",
     "UndefinedCorrelationError",
-    "UnsupportedDimensionError",
     "DefaultThreshold",
     "MarketParams",
     "MultiMarketParams",

@@ -26,16 +26,6 @@ EXIT_REJECTED = 2
 EXIT_NUMERIC = 3
 
 
-def _default_workers() -> int:
-    env = os.environ.get("PORTLOSS_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _load_document(ref: str) -> dict:
     """A scenario reference is either a bundled id or a JSON file path."""
     bundled = bundled_scenarios()
@@ -88,7 +78,7 @@ def _cmd_run(args) -> int:
         return EXIT_REJECTED
     artifacts = []
     try:
-        artifacts = run_scenario(doc, out_dir=args.out_dir, workers=args.workers)
+        artifacts = run_scenario(doc, out_dir=args.out_dir)
     except ScenarioError as exc:
         _print_rejection(exc)
         return EXIT_REJECTED
@@ -133,7 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a scenario and write its artifacts")
+    run_p = sub.add_parser(
+        "run",
+        help="execute a scenario and write its artifacts",
+        description=(
+            "Execute a scenario and write its artifacts.  Exit codes: 0 "
+            "success, 2 scenario rejected, 3 numeric failure (an "
+            "error_report.json is written to the artifact directory)."
+        ),
+    )
     run_p.add_argument("scenario", help="bundled scenario id or JSON file path")
     run_p.add_argument(
         "--set",
@@ -142,12 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a scenario leaf via a dotted path (repeatable)",
     )
     run_p.add_argument("--out-dir", default=".", help="artifact directory")
-    run_p.add_argument(
-        "--workers",
-        type=int,
-        default=_default_workers(),
-        help="worker threads for grid evaluation (env: PORTLOSS_WORKERS)",
-    )
     run_p.set_defaults(func=_cmd_run)
 
     val_p = sub.add_parser(

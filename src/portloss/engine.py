@@ -7,9 +7,20 @@ objects are mixtures of those slices over the (z, u) quadrature rule.
 
 Two scenario flavours are supported.  A subordinated scenario tracks the
 joint (senior, junior) loss of one tranched portfolio.  A plain scenario
-tracks one or two creditors without tranching: either an explicit overlap
+tracks one or more creditors without tranching: either an explicit overlap
 pattern inside a single market, a per-creditor face matrix, or one creditor
 per market in a block-structured multi-market portfolio.
+
+Both flavours share one node table format, built once per (scenario,
+quadrature) and cached: weights w (n,), the conditional means of the B
+tracked losses (B, n) and their conditional covariances (B, B, n).  A
+tranched scenario has B = 2 (senior, junior).  Every fixed-rule density -
+one point, a 1-D or 2-D grid, a marginal - is one call of the mixture
+kernel :func:`_mixture_density` on a set of points.  The kernel evaluates the
+points in row-major chunks of at most ``_CHUNK_ELEMENTS`` point-node pairs:
+each chunk holds several (points x nodes) float arrays, so the budget bounds
+peak memory for any grid size.  Cell masses, moments and correlations read
+the same table.
 
 Numerical care points, all load-bearing:
   * densities are evaluated in log space and nodes whose conditional
@@ -25,13 +36,12 @@ Numerical care points, all load-bearing:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import gammaincinv, ndtr, ndtri
 
 from .errors import (
     ParameterError,
@@ -75,6 +85,7 @@ __all__ = [
 
 _VAR_FLOOR = 1e-300
 _LOG_CLIP = 700.0
+_CHUNK_ELEMENTS = 4.0e6  # point-node pairs per kernel chunk
 
 AnyParams = Union[MarketParams, MultiMarketParams]
 
@@ -99,6 +110,17 @@ class SubordinatedScenario:
             raise ParameterError("tranches must be a SubordinationSpec")
         if not isinstance(self.params, MarketParams):
             raise ParameterError("params must be MarketParams")
+
+    @property
+    def obligor_face(self) -> float:
+        """Total face per firm, senior plus junior."""
+        return self.tranches.f_total
+
+    @property
+    def tracked_losses(self) -> dict:
+        """``which`` key of each tracked loss, in node-table order, mapped
+        to its label."""
+        return {"senior": "senior", "junior": "junior"}
 
     @property
     def accuracy_warning(self) -> bool:
@@ -200,6 +222,12 @@ class NoSubScenario:
         return self.face
 
     @property
+    def tracked_losses(self) -> dict:
+        """Creditor number of each tracked loss, in node-table order, mapped
+        to its label."""
+        return {b: f"creditor_{b}" for b in range(1, self.n_creditors + 1)}
+
+    @property
     def accuracy_warning(self) -> bool:
         return self.k_obligors < 8
 
@@ -255,10 +283,41 @@ def gaussian_moment_terms(z, u, scenario: SubordinatedScenario) -> GaussianMomen
 
 
 @lru_cache(maxsize=16)
-def _sub_tables(scenario: SubordinatedScenario, quad: QuadratureSpec):
-    z, u, w = _flat_nodes(scenario.params, quad)
-    terms = gaussian_moment_terms(z, u, scenario)
-    return w, terms
+def _node_table(scenario, quad: QuadratureSpec):
+    """The mixture of conditional Gaussian slices over the flat node list:
+    weights w (n,), means of the tracked losses (B, n) and their covariance
+    components (B, B, n)."""
+    if isinstance(scenario, SubordinatedScenario):
+        z, u, w = _flat_nodes(scenario.params, quad)
+        t = gaussian_moment_terms(z, u, scenario)
+        means = np.stack([t.mean_senior, t.mean_junior])
+        cov = np.array([[t.var_senior, t.cross], [t.cross, t.var_junior]])
+        return w, means, cov
+    if isinstance(scenario.params, MultiMarketParams):
+        return _multimarket_table(scenario, quad)
+    params = scenario.params
+    z, u, w = _flat_nodes(params, quad)
+    if scenario.faces is not None:
+        mat = np.asarray(scenario.faces, dtype=float)
+        totals = mat.sum(axis=0)
+        wts = mat / mat.sum(axis=1, keepdims=True)
+        uniq, inv = np.unique(totals, return_inverse=True)
+        m1u = np.stack([moment_plain(1, z, u, f, params) for f in uniq])
+        m2u = np.stack([moment_plain(2, z, u, f, params) for f in uniq])
+        m1 = m1u[inv]  # (K, n)
+        var = np.maximum(m2u[inv] - m1 * m1, 0.0)
+        means = wts @ m1
+        cov = np.einsum("bk,ck,kn->bcn", wts, wts, var)
+        return w, means, cov
+    face = scenario.obligor_face
+    m1 = moment_plain(1, z, u, face, params)
+    m2 = moment_plain(2, z, u, face, params)
+    var = np.maximum(m2 - m1 * m1, 0.0)
+    gram = _weight_gram(scenario)
+    b = scenario.n_creditors
+    means = np.broadcast_to(m1, (b, len(m1))).copy()
+    cov = gram[:, :, None] * var[None, None, :]
+    return w, means, cov
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +424,67 @@ def _univariate_cell_masses(w, mean_x, var_x, edges_x):
     return np.asarray(w) @ np.diff(cdf, axis=1)
 
 
+def _cell_masses(table, edges_one, edges_two, gl_points=8):
+    """Cell masses of a node table: 1-D for one tracked loss, otherwise 2-D
+    over the first two."""
+    w, means, cov = table
+    edges_one = np.asarray(edges_one, dtype=float)
+    if len(means) == 1:
+        return _univariate_cell_masses(w, means[0], cov[0, 0], edges_one)
+    return _mixture_cell_masses(
+        w, means[0], cov[0, 0], means[1], cov[1, 1], cov[0, 1],
+        edges_one, np.asarray(edges_two, dtype=float), gl_points,
+    )
+
+
+def _mixture_density(points, w, means, cov):
+    """Mixture density at each row of ``points`` (P, B); returns (P,).
+
+    B = 2 uses the correlated bivariate slice.  Otherwise the slice
+    log-densities are summed over b, which is exact for B = 1 and for the
+    per-market layout (the only one with B > 2), whose conditional
+    covariance is diagonal.
+    """
+    points = np.asarray(points, dtype=float)
+    out = np.empty(len(points))
+    chunk = max(1, int(_CHUNK_ELEMENTS / max(1, len(w))))
+    for s in range(0, len(points), chunk):
+        d = [points[s : s + chunk, b, None] - means[b] for b in range(len(means))]
+        if len(d) == 2:
+            logp, valid = _binormal_log_density(d[0], d[1], cov[0, 0], cov[1, 1], cov[0, 1])
+        else:
+            logp, valid = _norm_log_density(d[0], cov[0, 0])
+            for b in range(1, len(d)):
+                logp_b, valid_b = _norm_log_density(d[b], cov[b, b])
+                logp, valid = logp + logp_b, valid & valid_b
+        with np.errstate(under="ignore"):
+            out[s : s + chunk] = np.where(valid, np.exp(logp), 0.0) @ w
+    return out
+
+
+def _point_density(point, scenario, quad):
+    return float(_mixture_density(np.atleast_2d(point), *_node_table(scenario, quad))[0])
+
+
+def _grid_density(table, centers, dims):
+    """Mixture density on the cartesian product of ``centers`` with itself
+    ``dims`` times, shape (len(centers),) * dims."""
+    axes = np.meshgrid(*([centers] * dims), indexing="ij")
+    points = np.stack([a.ravel() for a in axes], axis=-1)
+    return _mixture_density(points, *table).reshape(axes[0].shape)
+
+
+def _as_point(l, b):
+    arr = np.atleast_1d(np.asarray(l, dtype=float))
+    if arr.shape != (b,):
+        raise ParameterError(f"expected {b} loss component(s), got shape {arr.shape}")
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ParameterError(f"loss fractions must lie in [0, 1], got {arr}")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # subordinated densities
-
-
-def _check_loss_pair(l_senior, l_junior):
-    if not (0.0 <= l_senior <= 1.0 and 0.0 <= l_junior <= 1.0):
-        raise ParameterError(
-            f"loss fractions must lie in [0, 1], got ({l_senior}, {l_junior})"
-        )
-
-
-def _density_sub_fixed(l_senior, l_junior, scenario, quad):
-    w, t = _sub_tables(scenario, quad)
-    logp, valid = _binormal_log_density(
-        l_senior - t.mean_senior, l_junior - t.mean_junior,
-        t.var_senior, t.var_junior, t.cross,
-    )
-    with np.errstate(under="ignore"):
-        vals = np.where(valid, np.exp(logp), 0.0)
-    return float(np.dot(w, vals))
 
 
 def _density_sub_adaptive(l_senior, l_junior, scenario, quad):
@@ -399,10 +499,11 @@ def _density_sub_adaptive(l_senior, l_junior, scenario, quad):
     faces, params = scenario.tranches, scenario.params
     n = params.n_fluct
     dense = QuadratureSpec(z_nodes=max(quad.z_nodes, 128), u_nodes=max(quad.u_nodes, 128))
+    point = (l_senior, l_junior)
     try:
         sol = solve_z0(l_senior, l_junior, faces, params)
     except (NoRootError, MultipleRootsError):
-        return _density_sub_fixed(l_senior, l_junior, scenario, dense)
+        return _point_density(point, scenario, dense)
     z0, u0 = sol.z0, sol.u0
     t0 = gaussian_moment_terms(np.array([z0]), np.array([u0]), scenario)
     from .moments import junior_mean_target_du, moment_senior_du
@@ -410,20 +511,19 @@ def _density_sub_adaptive(l_senior, l_junior, scenario, quad):
     du_s = abs(float(moment_senior_du(1, z0, u0, faces, params)))
     du_j = abs(float(junior_mean_target_du(z0, u0, faces, params)))
     if du_s < 1e-300 or du_j < 1e-300:
-        return _density_sub_fixed(l_senior, l_junior, scenario, dense)
+        return _point_density(point, scenario, dense)
     sig_u = math.sqrt(
         float(t0.var_senior[0]) / du_s**2 + float(t0.var_junior[0]) / du_j**2
     )
     slope = abs(sol.separation_slope) if sol.separation_slope else 0.0
     sig_z = sig_u / slope if slope > 1e-300 else float("inf")
     span = 10.0
-    from scipy.stats import chi2 as _chi2
-
-    z_hi_all = float(_chi2.ppf(1.0 - 1e-12, n))
+    # chi-square(n) quantile at 1 - 1e-12
+    z_hi_all = float(2.0 * gammaincinv(n / 2.0, 1.0 - 1e-12))
     z_lo = max(1e-8, z0 - span * sig_z)
     z_hi = min(z_hi_all, z0 + span * sig_z)
     if not (z_hi > z_lo):
-        return _density_sub_fixed(l_senior, l_junior, scenario, dense)
+        return _point_density(point, scenario, dense)
     gl_z, glw_z = np.polynomial.legendre.leggauss(16)
     n_zpan = 10
     z_edges = np.linspace(z_lo, z_hi, n_zpan + 1)
@@ -473,10 +573,10 @@ def density_subordinated(
     (no defaults at all) is not part of the density and is reported by
     :func:`no_default_probability`.
     """
-    _check_loss_pair(l_senior, l_junior)
+    point = _as_point((l_senior, l_junior), 2)
     if quad.mode == "adaptive":
         return _density_sub_adaptive(l_senior, l_junior, scenario, quad)
-    return _density_sub_fixed(l_senior, l_junior, scenario, quad)
+    return _point_density(point, scenario, quad)
 
 
 def subordinated_cell_masses(
@@ -491,36 +591,7 @@ def subordinated_cell_masses(
     Outermost edges may be +-inf; with edges (-inf, ..., +inf) on both axes
     the masses sum to 1 up to machine rounding.
     """
-    w, t = _sub_tables(scenario, quad)
-    return _mixture_cell_masses(
-        w, t.mean_senior, t.var_senior, t.mean_junior, t.var_junior, t.cross,
-        edges_senior, edges_junior, gl_points,
-    )
-
-
-def _sub_grid_rows(scenario, quad, xs, ys):
-    out = np.empty((len(xs), len(ys)))
-    if quad.mode == "adaptive":
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = _density_sub_adaptive(x, y, scenario, quad)
-        return out
-    w, t = _sub_tables(scenario, quad)
-    chunk = max(1, int(4.0e6 / max(1, len(w))))
-    pts = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
-    for s in range(0, len(pts), chunk):
-        block = pts[s : s + chunk]
-        dx = np.array([xs[i] for i, _ in block])[:, None] - t.mean_senior[None, :]
-        dy = np.array([ys[j] for _, j in block])[:, None] - t.mean_junior[None, :]
-        logp, valid = _binormal_log_density(
-            dx, dy, t.var_senior[None, :], t.var_junior[None, :], t.cross[None, :]
-        )
-        with np.errstate(under="ignore"):
-            vals = np.where(valid, np.exp(logp), 0.0)
-        res = vals @ w
-        for k, (i, j) in enumerate(block):
-            out[i, j] = res[k]
-    return out
+    return _cell_masses(_node_table(scenario, quad), edges_senior, edges_junior, gl_points)
 
 
 def density_grid_subordinated(
@@ -529,21 +600,19 @@ def density_grid_subordinated(
     n_cells: int = 101,
     lo: float = 0.0,
     hi: float = 1.0,
-    workers: int = 1,
 ) -> DensityGrid:
-    """Joint density sampled at the centers of an n_cells x n_cells grid."""
+    """Joint density sampled at the centers of an n_cells x n_cells grid.
+
+    Adaptive mode builds its own localized rule per point, so it runs one
+    point at a time.
+    """
     centers = cell_centers(n_cells, lo, hi)
-    if workers and workers > 1:
-        blocks = np.array_split(np.arange(len(centers)), workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_sub_grid_rows, scenario, quad, centers[b], centers)
-                for b in blocks
-                if len(b)
-            ]
-            vals = np.vstack([f.result() for f in futs])
+    if quad.mode == "adaptive":
+        vals = np.array([
+            [_density_sub_adaptive(x, y, scenario, quad) for y in centers] for x in centers
+        ])
     else:
-        vals = _sub_grid_rows(scenario, quad, centers, centers)
+        vals = _grid_density(_node_table(scenario, quad), centers, 2)
     meta = {
         "kind": "subordinated_joint",
         "k_obligors": scenario.k_obligors,
@@ -568,32 +637,19 @@ def marginal_density(
     """Marginal density of one tracked loss on a 1-D grid.
 
     ``which`` is 'senior' or 'junior' for a tranched scenario and the
-    creditor number 1 or 2 for a plain two-creditor scenario.  Integrating
-    the conditional bivariate slice over the other coordinate is exact, so
-    each marginal is the mixture of that slice's own Gaussian.
+    creditor number for a plain scenario.  Integrating the conditional
+    slice over the other coordinates is exact, so each marginal is the
+    mixture of that slice's own Gaussian.
     """
-    if isinstance(scenario, SubordinatedScenario):
-        if which not in ("senior", "junior"):
-            raise ParameterError(f"which must be 'senior' or 'junior', got {which!r}")
-        w, t = _sub_tables(scenario, quad)
-        mean = t.mean_senior if which == "senior" else t.mean_junior
-        var = t.var_senior if which == "senior" else t.var_junior
-        label = which
-    else:
-        if which not in (1, 2) or which > scenario.n_creditors:
-            raise ParameterError(
-                f"which must be a creditor number <= {scenario.n_creditors}, got {which!r}"
-            )
-        w, means, cov = _nosub_tables(scenario, quad)
-        mean = means[which - 1]
-        var = cov[which - 1, which - 1]
-        label = f"creditor_{which}"
+    keys = tuple(scenario.tracked_losses)
+    if which not in keys:
+        raise ParameterError(f"which must be one of {keys}, got {which!r}")
+    b = keys.index(which)
+    w, means, cov = _node_table(scenario, quad)
     centers = cell_centers(n_cells, lo, hi)
-    logp, valid = _norm_log_density(centers[:, None] - mean[None, :], var[None, :])
-    with np.errstate(under="ignore"):
-        vals = np.where(valid, np.exp(logp), 0.0) @ w
+    vals = _mixture_density(centers[:, None], w, means[b : b + 1], cov[b : b + 1, b : b + 1])
     meta = {
-        "kind": f"marginal_{label}",
+        "kind": f"marginal_{scenario.tracked_losses[which]}",
         "k_obligors": scenario.k_obligors,
         "accuracy_warning": scenario.accuracy_warning,
     }
@@ -667,37 +723,6 @@ def _creditor_weights(scenario: NoSubScenario) -> np.ndarray:
     return np.full((scenario.n_creditors, k), 1.0 / k)
 
 
-@lru_cache(maxsize=16)
-def _nosub_tables(scenario: NoSubScenario, quad: QuadratureSpec):
-    """Flat node tables: weights w, creditor means (B, n) and covariance
-    components (B, B, n)."""
-    if isinstance(scenario.params, MultiMarketParams):
-        return _nosub_tables_multi(scenario, quad)
-    params = scenario.params
-    z, u, w = _flat_nodes(params, quad)
-    if scenario.faces is not None:
-        mat = np.asarray(scenario.faces, dtype=float)
-        totals = mat.sum(axis=0)
-        wts = mat / mat.sum(axis=1, keepdims=True)
-        uniq, inv = np.unique(totals, return_inverse=True)
-        m1u = np.stack([moment_plain(1, z, u, f, params) for f in uniq])
-        m2u = np.stack([moment_plain(2, z, u, f, params) for f in uniq])
-        m1 = m1u[inv]  # (K, n)
-        var = np.maximum(m2u[inv] - m1 * m1, 0.0)
-        means = wts @ m1
-        cov = np.einsum("bk,ck,kn->bcn", wts, wts, var)
-        return w, means, cov
-    face = scenario.obligor_face
-    m1 = moment_plain(1, z, u, face, params)
-    m2 = moment_plain(2, z, u, face, params)
-    var = np.maximum(m2 - m1 * m1, 0.0)
-    gram = _weight_gram(scenario)
-    b = scenario.n_creditors
-    means = np.broadcast_to(m1, (b, len(m1))).copy()
-    cov = gram[:, :, None] * var[None, None, :]
-    return w, means, cov
-
-
 def _multi_nodes(params: MultiMarketParams, quad: QuadratureSpec):
     """Shared-z nodes with a tensor Gauss grid over the per-market factors.
 
@@ -719,7 +744,7 @@ def _multi_nodes(params: MultiMarketParams, quad: QuadratureSpec):
     return zz, uu, ww
 
 
-def _nosub_tables_multi(scenario: NoSubScenario, quad: QuadratureSpec):
+def _multimarket_table(scenario: NoSubScenario, quad: QuadratureSpec):
     params: MultiMarketParams = scenario.params
     face = scenario.face
     zz, uu, ww = _multi_nodes(params, quad)
@@ -759,30 +784,6 @@ def _check_gram(scenario: NoSubScenario):
         )
 
 
-def _nosub_density_point(point, scenario, quad):
-    w, means, cov = _nosub_tables(scenario, quad)
-    b = scenario.n_creditors
-    if b == 1:
-        logp, valid = _norm_log_density(point[0] - means[0], cov[0, 0])
-    else:
-        logp, valid = _binormal_log_density(
-            point[0] - means[0], point[1] - means[1],
-            cov[0, 0], cov[1, 1], cov[0, 1],
-        )
-    with np.errstate(under="ignore"):
-        vals = np.where(valid, np.exp(logp), 0.0)
-    return float(np.dot(w, vals))
-
-
-def _as_point(l, b):
-    arr = np.atleast_1d(np.asarray(l, dtype=float))
-    if arr.shape != (b,):
-        raise ParameterError(f"expected {b} loss component(s), got shape {arr.shape}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ParameterError(f"loss fractions must lie in [0, 1], got {arr}")
-    return arr
-
-
 def density_nosub(
     l,
     scenario: NoSubScenario,
@@ -797,8 +798,7 @@ def density_nosub(
     if isinstance(scenario.params, MultiMarketParams):
         raise ParameterError("use density_nosub_multimarket for multi-market scenarios")
     _check_gram(scenario)
-    point = _as_point(l, scenario.n_creditors)
-    return _nosub_density_point(point, scenario, quad)
+    return _point_density(_as_point(l, scenario.n_creditors), scenario, quad)
 
 
 def density_nosub_multimarket(
@@ -810,20 +810,7 @@ def density_nosub_multimarket(
     loss vector for a block multi-market scenario."""
     if not isinstance(scenario.params, MultiMarketParams):
         raise ParameterError("scenario does not carry multi-market params")
-    point = _as_point(l, scenario.n_creditors)
-    if scenario.n_creditors > 2:
-        # product of independent conditional Gaussians, any beta
-        w, means, cov = _nosub_tables(scenario, quad)
-        total_logp = 0.0
-        valid = np.ones(len(w), dtype=bool)
-        for b in range(scenario.n_creditors):
-            logp, ok = _norm_log_density(point[b] - means[b], cov[b, b])
-            total_logp = total_logp + logp
-            valid &= ok
-        with np.errstate(under="ignore"):
-            vals = np.where(valid, np.exp(total_logp), 0.0)
-        return float(np.dot(w, vals))
-    return _nosub_density_point(point, scenario, quad)
+    return _point_density(_as_point(l, scenario.n_creditors), scenario, quad)
 
 
 def nosub_cell_masses(
@@ -835,15 +822,9 @@ def nosub_cell_masses(
 ) -> np.ndarray:
     """Cell masses of the continuous approximation for a plain scenario;
     1-D when the scenario has a single creditor."""
-    w, means, cov = _nosub_tables(scenario, quad)
-    if scenario.n_creditors == 1:
-        return _univariate_cell_masses(w, means[0], cov[0, 0], np.asarray(edges_one, float))
     if edges_two is None:
         edges_two = edges_one
-    return _mixture_cell_masses(
-        w, means[0], cov[0, 0], means[1], cov[1, 1], cov[0, 1],
-        np.asarray(edges_one, float), np.asarray(edges_two, float), gl_points,
-    )
+    return _cell_masses(_node_table(scenario, quad), edges_one, edges_two, gl_points)
 
 
 def density_grid_nosub(
@@ -858,36 +839,14 @@ def density_grid_nosub(
     b = scenario.n_creditors
     if b > 2:
         raise ParameterError("grids supported for at most 2 creditors")
-    w, means, cov = _nosub_tables(scenario, quad)
-    if b == 1:
-        logp, valid = _norm_log_density(centers[:, None] - means[0][None, :], cov[0, 0][None, :])
-        with np.errstate(under="ignore"):
-            vals = np.where(valid, np.exp(logp), 0.0) @ w
-        axes = (centers,)
-    else:
-        _check_gram(scenario)
-        vals = np.empty((len(centers), len(centers)))
-        chunk = max(1, int(4.0e6 / max(1, len(w))))
-        pts = [(i, j) for i in range(len(centers)) for j in range(len(centers))]
-        for s in range(0, len(pts), chunk):
-            block = pts[s : s + chunk]
-            dx = np.array([centers[i] for i, _ in block])[:, None] - means[0][None, :]
-            dy = np.array([centers[j] for _, j in block])[:, None] - means[1][None, :]
-            logp, valid = _binormal_log_density(
-                dx, dy, cov[0, 0][None, :], cov[1, 1][None, :], cov[0, 1][None, :]
-            )
-            with np.errstate(under="ignore"):
-                v = np.where(valid, np.exp(logp), 0.0)
-            res = v @ w
-            for k2, (i, j) in enumerate(block):
-                vals[i, j] = res[k2]
-        axes = (centers, centers)
+    _check_gram(scenario)
+    vals = _grid_density(_node_table(scenario, quad), centers, b)
     meta = {
         "kind": "plain_joint" if b == 2 else "plain_total",
         "k_obligors": scenario.k_obligors,
         "accuracy_warning": scenario.accuracy_warning,
     }
-    return DensityGrid(axes=axes, values=vals, metadata=meta)
+    return DensityGrid(axes=(centers,) * b, values=vals, metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +893,7 @@ def tail_probability(
     computed as a mixture of Gaussian tail masses."""
     if scenario.n_creditors != 1:
         raise ParameterError("tail_probability applies to single-creditor scenarios")
-    w, means, cov = _nosub_tables(scenario, quad)
+    w, means, cov = _node_table(scenario, quad)
     sx = np.sqrt(cov[0, 0])
     tail = 1.0 - norm_cdf_safe(threshold, means[0], sx)
     return float(np.dot(w, tail))
@@ -943,17 +902,9 @@ def tail_probability(
 def _analytic_pair_stats(scenario, quad):
     """(means, second moments, cross moment) of the tracked loss pair using
     the exact conditional decomposition."""
-    if isinstance(scenario, SubordinatedScenario):
-        w, t = _sub_tables(scenario, quad)
-        e1 = float(np.dot(w, t.mean_senior))
-        e2 = float(np.dot(w, t.mean_junior))
-        s1 = float(np.dot(w, t.mean_senior**2 + t.var_senior))
-        s2 = float(np.dot(w, t.mean_junior**2 + t.var_junior))
-        cross = float(np.dot(w, t.mean_senior * t.mean_junior + t.cross))
-        return (e1, e2), (s1, s2), cross
-    if scenario.n_creditors != 2:
+    w, means, cov = _node_table(scenario, quad)
+    if len(means) != 2:
         raise ParameterError("loss_correlation needs a pair of tracked losses")
-    w, means, cov = _nosub_tables(scenario, quad)
     e1 = float(np.dot(w, means[0]))
     e2 = float(np.dot(w, means[1]))
     s1 = float(np.dot(w, means[0] ** 2 + cov[0, 0]))
@@ -1018,21 +969,14 @@ def mass_accounting(
     edges_ext = np.linspace(0.0, 1.0, n_cells + 1)
     edges_ext[0] = -np.inf
     edges_ext[-1] = np.inf
-    if isinstance(scenario, SubordinatedScenario):
-        masses = subordinated_cell_masses(scenario, edges_ext, edges_ext, quad)
+    masses = _cell_masses(_node_table(scenario, quad), edges_ext, edges_ext)
+    if masses.ndim == 1:
+        origin = float(masses[0])
+        away = float(masses[1:].sum())
+    else:
         origin = float(masses[0, :].sum() + masses[1:, 0].sum())
         away = float(masses[1:, 1:].sum())
-        face_total = scenario.tranches.f_total
-    else:
-        if scenario.n_creditors == 1:
-            masses = nosub_cell_masses(scenario, edges_ext, quad=quad)
-            origin = float(masses[0])
-            away = float(masses[1:].sum())
-        else:
-            masses = nosub_cell_masses(scenario, edges_ext, edges_ext, quad=quad)
-            origin = float(masses[0, :].sum() + masses[1:, 0].sum())
-            away = float(masses[1:, 1:].sum())
-        face_total = scenario.obligor_face
+    face_total = scenario.obligor_face
     if face_total is None:
         raise ParameterError("mass accounting needs a common obligor face")
     p_nd = no_default_probability(scenario.k_obligors, face_total, scenario.params, quad)

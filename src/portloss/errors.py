@@ -18,7 +18,7 @@ class ParameterError(PortlossError, ValueError):
 
 
 class ConvergenceError(PortlossError):
-    """An adaptive integration did not reach its tolerance within budget.
+    """An iterative solve did not reach its tolerance within budget.
 
     Attributes
     ----------
@@ -48,10 +48,6 @@ class MultipleRootsError(PortlossError):
     def __init__(self, message: str, roots: tuple):
         super().__init__(message)
         self.roots = roots
-
-
-class UnsupportedDimensionError(PortlossError):
-    """Tensor quadrature requested for more dimensions than supported."""
 
 
 class SingularCovarianceError(PortlossError):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
+from scipy.special import gammaincinv
 
 from .errors import (
     ConvergenceError,
@@ -108,7 +108,9 @@ def u_bracket(params: MarketParams):
 
 
 def z_bracket(params: MarketParams):
-    return 1e-6, float(_chi2_dist.ppf(1.0 - 1e-10, params.n_fluct))
+    # the chi-square(N) quantile at 1 - 1e-10, as scipy.stats.chi2.ppf
+    # computes it, without importing scipy.stats
+    return 1e-6, float(2.0 * gammaincinv(params.n_fluct / 2.0, 1.0 - 1e-10))
 
 
 def _gauss_log_weight(u, n_fluct):

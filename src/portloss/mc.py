@@ -160,6 +160,15 @@ def sample_compound_returns(params: MarketParams, k: int, n: int, rng):
     return _compound_returns_single(params, k, n, rng)
 
 
+def _wishart_dof(n_fluct) -> int:
+    """Columns of the Wishart factor W: the fluctuation strength, which
+    must be a positive integer for this sampler."""
+    n_int = int(n_fluct)
+    if n_int != n_fluct or n_int < 1:
+        raise ParameterError("the Wishart sampler needs an integer fluctuation parameter")
+    return n_int
+
+
 def _wishart_returns(params: MarketParams, k: int, m: int, rng, antithetic=False):
     """Centered log-returns via an explicit Wishart covariance draw.
 
@@ -170,9 +179,7 @@ def _wishart_returns(params: MarketParams, k: int, m: int, rng, antithetic=False
     sqrt(1-c) off the uniform direction and sqrt(1-c+cK) along it.
     """
     n_fl = params.n_fluct
-    n_int = int(n_fl)
-    if n_int != n_fl or n_int < 1:
-        raise ParameterError("the Wishart sampler needs an integer fluctuation parameter")
+    n_int = _wishart_dof(n_fl)
     base = m // 2 if antithetic else m
     g = rng.standard_normal((base, k, n_int))
     eta = rng.standard_normal((base, n_int))

@@ -8,7 +8,7 @@ engine memoize per-node moment tables keyed by scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ParameterError
 
@@ -42,6 +42,10 @@ class MarketParams:
     v0: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
         if not (self.rho > 0):
             raise ParameterError(f"rho must be > 0, got {self.rho}")
         if not (0 <= self.c < 1):

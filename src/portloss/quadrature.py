@@ -4,8 +4,7 @@ Two weights appear everywhere in this package: a normalized chi-square
 density in the scale variable z over (0, inf), and a standardized Gaussian
 weight sqrt(N/(2 pi)) exp(-N u^2 / 2) in each common factor u over the real
 line.  Fixed rules map these onto generalized Gauss-Laguerre and
-Gauss-Hermite nodes; adaptive mode remaps to finite intervals and refines
-until a relative tolerance is met, reporting its best estimate if not.
+Gauss-Hermite nodes.
 
 Node and weight arrays are computed per (count, n_fluct) pair and reused;
 integrands are only ever evaluated lazily at the node sets.
@@ -20,20 +19,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, roots_genlaguerre
 
-from .errors import ConvergenceError, ParameterError, UnsupportedDimensionError
+from .errors import ParameterError
 
 __all__ = [
     "QuadratureSpec",
     "chi2_nodes",
     "gauss_nodes",
     "chi2_log_weight",
-    "integrate_chi2",
-    "integrate_gauss",
-    "integrate_gauss_multi",
 ]
-
-_MAX_PANELS = 512
-_TS_MAX_LEVEL = 12
 
 
 @dataclass(frozen=True)
@@ -41,8 +34,8 @@ class QuadratureSpec:
     """Integration settings shared by all analytic operations.
 
     mode 'fixed' uses the tensor rules with the given node counts; mode
-    'adaptive' refines until ``rel_tol``, raising ConvergenceError (which
-    carries the best estimate) on budget exhaustion.
+    'adaptive' lets the subordinated density build a localized rule around
+    each point.  ``rel_tol`` is validated but nothing reads it yet.
     """
 
     z_nodes: int = 64
@@ -83,131 +76,3 @@ def chi2_log_weight(z, n_fluct: float):
     z = np.asarray(z, dtype=float)
     half = n_fluct / 2.0
     return (half - 1.0) * np.log(z) - z / 2.0 - half * math.log(2.0) - gammaln(half)
-
-
-def _adaptive_panels(h, lo, hi, rel_tol, what):
-    """Greedy panel subdivision with embedded Gauss-Legendre error estimate.
-
-    ``h`` maps an array of points in (lo, hi) to integrand values.  Each
-    panel is estimated with 10- and 20-point rules; the worst panel is split
-    until the summed error estimate meets rel_tol or the budget runs out.
-    """
-    x10, w10 = np.polynomial.legendre.leggauss(10)
-    x20, w20 = np.polynomial.legendre.leggauss(20)
-
-    def panel(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        coarse = half * np.dot(w10, h(mid + half * x10))
-        fine = half * np.dot(w20, h(mid + half * x20))
-        return a, b, fine, abs(fine - coarse)
-
-    panels = [panel(lo, hi)]
-    while True:
-        total = math.fsum(p[2] for p in panels)
-        err = math.fsum(p[3] for p in panels)
-        if err <= rel_tol * max(abs(total), 1e-300):
-            return total
-        if len(panels) >= _MAX_PANELS:
-            raise ConvergenceError(
-                f"adaptive {what} integration: {len(panels)} panels, "
-                f"error {err:.3e} above tolerance",
-                best_estimate=total,
-                error_bound=err,
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _ = panels.pop(worst)
-        m = 0.5 * (a + b)
-        panels.append(panel(a, m))
-        panels.append(panel(m, b))
-
-
-def integrate_chi2(f, n_fluct: float, spec: QuadratureSpec) -> float:
-    """Integral of f(z) against the normalized chi-square(N) density.
-
-    Adaptive mode substitutes z = -2 ln s, which maps (0, inf) to the unit
-    interval and absorbs the exponential tail; robust for integrands with
-    localized structure such as the limit-density derivative factors.
-    """
-    if spec.mode == "fixed":
-        z, w = chi2_nodes(n_fluct, spec.z_nodes)
-        return float(np.dot(w, np.asarray(f(z), dtype=float)))
-
-    half = n_fluct / 2.0
-    lognorm = half * math.log(2.0) + gammaln(half)
-
-    def h(s):
-        z = -2.0 * np.log(s)
-        # weight * dz/ds = z^(N/2-1) e^(-z/2) / (2^(N/2) Gamma(N/2)) * 2/s,
-        # and e^(-z/2) = s cancels one power of s
-        jac = 2.0 * np.exp((half - 1.0) * np.log(z) - lognorm)
-        return jac * np.asarray(f(z), dtype=float)
-
-    eps = 1e-16  # s endpoints map to z = inf / z = 0, both weightless
-    return _adaptive_panels(h, eps, 1.0 - eps, spec.rel_tol, "chi-square")
-
-
-def _tanh_sinh(g, half_width, rel_tol):
-    """Tanh-sinh rule on (-half_width, half_width) with level doubling."""
-    t_max = 3.2  # |u'(t)| underflows beyond this
-    prev = None
-    for level in range(2, _TS_MAX_LEVEL + 1):
-        h = t_max / 2 ** (level - 1)
-        t = np.arange(-(2 ** (level - 1)), 2 ** (level - 1) + 1) * h
-        s = np.sinh(t) * (math.pi / 2.0)
-        x = half_width * np.tanh(s)
-        dx = half_width * (math.pi / 2.0) * np.cosh(t) / np.cosh(s) ** 2
-        total = h * float(np.dot(dx, np.asarray(g(x), dtype=float)))
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
-            return total
-        prev = total
-    raise ConvergenceError(
-        f"tanh-sinh integration did not converge in {_TS_MAX_LEVEL} levels",
-        best_estimate=total,
-        error_bound=abs(total - prev),
-    )
-
-
-def integrate_gauss(g, n_fluct: float, spec: QuadratureSpec) -> float:
-    """Integral of g(u) against sqrt(N/2pi) exp(-N u^2/2) over the line.
-
-    Adaptive mode truncates at |u| = 14/sqrt(N) (weight below 1e-42 there)
-    and applies tanh-sinh with level doubling.
-    """
-    if spec.mode == "fixed":
-        u, w = gauss_nodes(n_fluct, spec.u_nodes)
-        return float(np.dot(w, np.asarray(g(u), dtype=float)))
-
-    half_width = 14.0 / math.sqrt(n_fluct)
-    norm = math.sqrt(n_fluct / (2.0 * math.pi))
-
-    def weighted(u):
-        return norm * np.exp(-n_fluct * u * u / 2.0) * np.asarray(g(u), dtype=float)
-
-    return _tanh_sinh(weighted, half_width, spec.rel_tol)
-
-
-def integrate_gauss_multi(g, beta: int, n_fluct: float, spec: QuadratureSpec) -> float:
-    """Tensor-product Gaussian integral over beta common factors.
-
-    ``g`` must accept an array of shape (m, beta) and return m values.  The
-    node count grows as u_nodes**beta, so beta is capped at 4; beyond that
-    use the Monte Carlo oracle.
-    """
-    if not (1 <= beta <= 4):
-        raise UnsupportedDimensionError(
-            f"tensor quadrature supports beta in 1..4, got {beta}; "
-            "use the MC oracle for more markets"
-        )
-    u, w = gauss_nodes(n_fluct, spec.u_nodes)
-    grids = np.meshgrid(*([u] * beta), indexing="ij")
-    pts = np.stack([grid.ravel() for grid in grids], axis=-1)
-    wts = np.ones(pts.shape[0])
-    for axis in range(beta):
-        wts *= w[np.unravel_index(np.arange(pts.shape[0]), (len(u),) * beta)[axis]]
-    total = 0.0
-    chunk = 1 << 16
-    for i in range(0, pts.shape[0], chunk):  # fixed order, bit-reproducible
-        total += float(
-            np.dot(wts[i : i + chunk], np.asarray(g(pts[i : i + chunk]), dtype=float))
-        )
-    return total

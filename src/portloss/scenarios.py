@@ -18,6 +18,7 @@ import jsonschema
 
 from .errors import ParameterError, ScenarioError
 from .grids import SCHEMA_VERSION, DensityGrid, canonical_json, scenario_fingerprint
+from .mc import McConfig, _wishart_dof
 from .params import (
     MarketParams,
     MultiMarketParams,
@@ -533,6 +534,13 @@ def _market_params(block: dict) -> MarketParams:
     )
 
 
+def _filled_market(block: dict) -> dict:
+    """A ``markets`` entry with the default market under its fields."""
+    filled = dict(_DEFAULT_MARKET)
+    filled.update({k: v for k, v in block.items() if k != "k_obligors"})
+    return filled
+
+
 def _k_list(value):
     return [int(k) for k in (value if isinstance(value, list) else [value])]
 
@@ -543,14 +551,15 @@ def _feasibility(sc: dict):
     grid = sc.get("grid")
     if grid is not None and not (grid["hi"] > grid["lo"]):
         raise ScenarioError("grid needs hi > lo", pointer="/grid/hi")
-    try:
-        if "market" in sc:
-            _market_params(sc["market"])
-        for key in ("market_one", "market_two"):
-            if key in sc:
-                _market_params(sc[key])
-    except ParameterError as exc:
-        raise ScenarioError(str(exc), pointer="/market") from exc
+    for key in ("market", "market_one", "market_two"):
+        if key in sc:
+            _build(_market_params, sc[key], f"/{key}")
+    if "market" in sc.get("source", {}):
+        _build(_market_params, sc["source"]["market"], "/source/market")
+    for i, blk in enumerate(sc.get("markets", ())):
+        _build(_market_params, _filled_market(blk), f"/markets/{i}")
+    if "quadrature" in sc:
+        _build(_quad_spec, sc, "/quadrature")
     if mode in ("nosub", "mc-validate"):
         port = sc["portfolio"]
         layout = port.get("layout", "halves")
@@ -571,10 +580,7 @@ def _feasibility(sc: dict):
                     "overlap fractions exceed 1: r1 + r12 must be <= 1",
                     pointer="/portfolio/overlap",
                 )
-            try:
-                OverlapSpec(r1=ov["r1"], r12=ov["r12"], gamma=ov["gamma"], f0=ov["f0"])
-            except ParameterError as exc:
-                raise ScenarioError(str(exc), pointer="/portfolio/overlap") from exc
+            _build(lambda blk: OverlapSpec(**blk), ov, "/portfolio/overlap")
         for k in _k_list(port["k_obligors"]):
             if layout == "halves" and k % 2 != 0:
                 raise ScenarioError(
@@ -610,11 +616,25 @@ def _feasibility(sc: dict):
                 "antithetic sampling needs even n_samples and chunk_size",
                 pointer="/mc/antithetic",
             )
+    if "mc" in sc:
+        config = _build(lambda mc: McConfig(**mc), sc["mc"], "/mc")
+        samples = mode == "mc-validate" or sc.get("method") == "mc"
+        if samples and config.sampler == "wishart":
+            _build(_wishart_dof, sc["market"]["n_fluct"], "/market/n_fluct")
+
+
+def _build(make, arg, pointer: str):
+    """``make(arg)``, with a domain ParameterError turned into a
+    ScenarioError at ``pointer``."""
+    try:
+        return make(arg)
+    except ParameterError as exc:
+        raise ScenarioError(str(exc), pointer=pointer) from exc
 
 
 def estimate_cost(sc: dict) -> dict:
     """Crude work estimate: evaluation points, quadrature nodes per point,
-    MC samples and a wall-clock guess (single worker)."""
+    MC samples and a wall-clock guess."""
     mode = sc["mode"]
     grid = sc.get("grid", {"n_cells": 1})
     n_cells = grid.get("n_cells", 101)
@@ -891,7 +911,7 @@ def _nosub_scenario_for(sc: dict, k: int, params=None):
     return NoSubScenario(k_obligors=k, params=params, overlap=ov)
 
 
-def _run_subordinated(sc, out_dir, workers):
+def _run_subordinated(sc, out_dir):
     from .engine import SubordinatedScenario, density_grid_subordinated
 
     quad = _quad_spec(sc)
@@ -909,8 +929,7 @@ def _run_subordinated(sc, out_dir, workers):
     for k in ks:
         scen = SubordinatedScenario(k_obligors=k, tranches=tr, params=params)
         grid = density_grid_subordinated(
-            scen, quad, n_cells=grid_cfg["n_cells"], lo=grid_cfg["lo"], hi=grid_cfg["hi"],
-            workers=workers,
+            scen, quad, n_cells=grid_cfg["n_cells"], lo=grid_cfg["lo"], hi=grid_cfg["hi"]
         )
         path = os.path.join(out_dir, template.replace("{k}", str(k)))
         _write_grid(grid, sc, path)
@@ -918,7 +937,7 @@ def _run_subordinated(sc, out_dir, workers):
     return arts
 
 
-def _run_nosub(sc, out_dir, workers):
+def _run_nosub(sc, out_dir):
     from .engine import density_grid_nosub
 
     quad = _quad_spec(sc)
@@ -942,15 +961,13 @@ def _run_nosub(sc, out_dir, workers):
     return arts
 
 
-def _run_multimarket(sc, out_dir, workers):
+def _run_multimarket(sc, out_dir):
     from .engine import NoSubScenario, density_grid_nosub, tail_probability
 
     quad = _quad_spec(sc)
     blocks = []
     for blk in sc["markets"]:
-        filled = dict(_DEFAULT_MARKET)
-        filled.update({k: v for k, v in blk.items() if k != "k_obligors"})
-        blocks.append((_market_params(filled), blk["k_obligors"]))
+        blocks.append((_market_params(_filled_market(blk)), blk["k_obligors"]))
     params = MultiMarketParams(blocks=tuple(blocks))
     creditors = 1 if sc["creditors"] == "total" else params.beta
     scen = NoSubScenario(
@@ -969,7 +986,7 @@ def _run_multimarket(sc, out_dir, workers):
     return arts
 
 
-def _run_limit_subordinated(sc, out_dir, workers):
+def _run_limit_subordinated(sc, out_dir):
     from .limits import limit_grid_subordinated
 
     tr = SubordinationSpec(f_senior=sc["tranches"]["f_senior"], f_junior=sc["tranches"]["f_junior"])
@@ -984,7 +1001,7 @@ def _run_limit_subordinated(sc, out_dir, workers):
     return [_artifact(path, "density_grid", _grid_summary(grid) + f" flagged_cells={flagged}")]
 
 
-def _run_limit_equal(sc, out_dir, workers):
+def _run_limit_equal(sc, out_dir):
     from .limits import limit_curve_equal_infinite
 
     params = _market_params(sc["market"])
@@ -997,7 +1014,7 @@ def _run_limit_equal(sc, out_dir, workers):
     return [_artifact(path, "density_curve", _grid_summary(grid))]
 
 
-def _run_limit_fin_vs_inf(sc, out_dir, workers):
+def _run_limit_fin_vs_inf(sc, out_dir):
     from .limits import limit_grid_finite_vs_infinite
 
     params = _market_params(sc["market"])
@@ -1011,7 +1028,7 @@ def _run_limit_fin_vs_inf(sc, out_dir, workers):
     return [_artifact(path, "density_grid", _grid_summary(grid))]
 
 
-def _run_limit_two_markets(sc, out_dir, workers):
+def _run_limit_two_markets(sc, out_dir):
     from .limits import limit_grid_two_markets
 
     g = sc["grid"]
@@ -1025,7 +1042,7 @@ def _run_limit_two_markets(sc, out_dir, workers):
     return [_artifact(path, "density_grid", _grid_summary(grid))]
 
 
-def _run_no_default(sc, out_dir, workers):
+def _run_no_default(sc, out_dir):
     from .engine import no_default_probability
 
     quad = _quad_spec(sc)
@@ -1043,9 +1060,8 @@ def _run_no_default(sc, out_dir, workers):
     return [_artifact(path, "table", f"rows={len(rows)} p_nd range [{lo:.4g}, {hi:.4g}]")]
 
 
-def _run_correlation_sweep(sc, out_dir, workers):
+def _run_correlation_sweep(sc, out_dir):
     from .engine import loss_correlation
-    from .mc import McConfig
 
     quad = _quad_spec(sc)
     rows = []
@@ -1061,15 +1077,8 @@ def _run_correlation_sweep(sc, out_dir, workers):
             if sc["method"] == "analytic":
                 corr = loss_correlation(scen, method="analytic", quad=quad)
             else:
-                mc = sc["mc"]
-                cfg = McConfig(
-                    n_samples=mc["n_samples"],
-                    rng_seed=mc["rng_seed"] + int(round(1000 * c)) * 1000 + k,
-                    sampler=mc["sampler"],
-                    antithetic=mc["antithetic"],
-                    n_bins=mc["n_bins"],
-                    chunk_size=mc["chunk_size"],
-                )
+                seed = sc["mc"]["rng_seed"] + int(round(1000 * c)) * 1000 + k
+                cfg = McConfig(**dict(sc["mc"], rng_seed=seed))
                 corr = loss_correlation(scen, method="mc", mc_config=cfg)
             rows.append((float(c), int(k), float(corr)))
     path = os.path.join(out_dir, sc["outputs"]["table"])
@@ -1093,7 +1102,7 @@ def _load_returns_csv(path: str) -> np.ndarray:
     return data
 
 
-def _run_calibrate(sc, out_dir, workers):
+def _run_calibrate(sc, out_dir):
     from . import mc as mcmod
     from .calibration import ReturnSample, effective_correlation, fit_n
 
@@ -1129,7 +1138,7 @@ def _run_calibrate(sc, out_dir, workers):
     return [_artifact(path, "fit_report", f"n_hat={fit.n_hat:.3f} c_hat={c_txt}")]
 
 
-def _run_mc_validate(sc, out_dir, workers):
+def _run_mc_validate(sc, out_dir):
     from . import mc as mcmod
     from .engine import (
         SubordinatedScenario,
@@ -1139,15 +1148,7 @@ def _run_mc_validate(sc, out_dir, workers):
     )
 
     quad = _quad_spec(sc)
-    mc_cfg = sc["mc"]
-    config = mcmod.McConfig(
-        n_samples=mc_cfg["n_samples"],
-        rng_seed=mc_cfg["rng_seed"],
-        sampler=mc_cfg["sampler"],
-        antithetic=mc_cfg["antithetic"],
-        n_bins=mc_cfg["n_bins"],
-        chunk_size=mc_cfg["chunk_size"],
-    )
+    config = McConfig(**sc["mc"])
     k = sc["portfolio"]["k_obligors"]
     if "tranches" in sc:
         tr = SubordinationSpec(
@@ -1186,11 +1187,7 @@ def _run_mc_validate(sc, out_dir, workers):
     z = np.zeros_like(analytic)
     z[compare] = (p_mc[compare] - analytic[compare]) / se[compare]
     max_abs_z = float(np.max(np.abs(z))) if np.any(compare) else 0.0
-    if "tranches" in sc:
-        face_total = scen.tranches.f_total
-    else:
-        face_total = scen.obligor_face
-    p_nd = no_default_probability(k, face_total, scen.params, quad)
+    p_nd = no_default_probability(k, scen.obligor_face, scen.params, quad)
     z_nd = (run.p_no_default - p_nd) / max(run.p_no_default_se, 1e-15)
     payload = {
         "n_samples": n,
@@ -1238,7 +1235,7 @@ _RUNNERS = {
 }
 
 
-def run_scenario(doc: dict, out_dir: str = ".", workers: int = 1) -> list:
+def run_scenario(doc: dict, out_dir: str = ".") -> list:
     """Resolve and execute a scenario; returns artifact records.
 
     Each record has path, kind and a one-line summary.  Artifacts embed the
@@ -1246,4 +1243,4 @@ def run_scenario(doc: dict, out_dir: str = ".", workers: int = 1) -> list:
     """
     sc = resolve_scenario(doc)
     os.makedirs(out_dir, exist_ok=True)
-    return _RUNNERS[sc["mode"]](sc, out_dir, max(1, int(workers)))
+    return _RUNNERS[sc["mode"]](sc, out_dir)

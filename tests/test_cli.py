@@ -88,8 +88,31 @@ def test_numeric_failure_leaves_error_report(tmp_path, capsys):
     assert report["partial_artifacts"] == []
 
 
-def test_workers_flag_accepted(tmp_path, capsys):
-    rc = main(["run", "no_default_k_scan", "--out-dir", str(tmp_path),
-               "--workers", "2"])
-    assert rc == EXIT_OK
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "sets, pointer",
+    [
+        (["quadrature.z_nodes=4"], "/quadrature"),
+        (["quadrature.rel_tol=0.5"], "/quadrature"),
+        (['mc.sampler="wishart"', "market.n_fluct=6.5"], "/market/n_fluct"),
+    ],
+)
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, sets, pointer):
+    overrides = [arg for s in sets for arg in ("--set", s)]
+    for argv in (["validate"], ["run", "--out-dir", str(tmp_path)]):
+        rc = main(argv + ["mc_validate_halves_k100"] + overrides)
+        assert rc == EXIT_REJECTED
+        err = json.loads(capsys.readouterr().err)
+        assert err["pointer"] == pointer
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_market_rejected_with_pointer(tmp_path, capsys):
+    doc = {"mode": "no-default", "face": 75.0, "k_values": [1, 2],
+           "market": {"mu": float("nan")}}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)],
+                 ["run", str(path), "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == EXIT_REJECTED
+        err = json.loads(capsys.readouterr().err)
+        assert err["pointer"] == "/market"

@@ -309,3 +309,67 @@ def test_small_pool_warning_flag(k):
     par = MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=6, t_mat=1.0, v0=100.0)
     sc = NoSubScenario(k_obligors=k, params=par, face=75.0)
     assert sc.accuracy_warning == (k < 8)
+
+
+# ---------------------------------------------------------------------------
+# mixture kernel
+
+def _per_point_density(point, w, means, cov):
+    """Reference: one np.dot over the packed node table per point."""
+    if len(point) == 2:
+        dx, dy = point[0] - means[0], point[1] - means[1]
+        vx, vy, cxy = cov[0, 0], cov[1, 1], cov[0, 1]
+        slope = np.where(vx > 1e-300, cxy / np.where(vx > 0, vx, 1.0), 0.0)
+        vc = vy - slope * cxy
+        valid = (vx > 1e-300) & (vc > 1e-300)
+        vx, vc = np.where(valid, vx, 1.0), np.where(valid, vc, 1.0)
+        res = dy - slope * dx
+        logp = (-np.log(2.0 * np.pi) - 0.5 * (np.log(vx) + np.log(vc))
+                - 0.5 * (dx * dx / vx + res * res / vc))
+        logp = np.minimum(logp, 700.0)
+    else:
+        logp, valid = 0.0, True
+        for b, x in enumerate(point):
+            v = cov[b, b]
+            ok = v > 1e-300
+            v = np.where(ok, v, 1.0)
+            term = -0.5 * np.log(2.0 * np.pi * v) - 0.5 * (x - means[b]) ** 2 / v
+            logp, valid = logp + np.minimum(term, 700.0), valid & ok
+    with np.errstate(under="ignore"):
+        return float(np.dot(w, np.where(valid, np.exp(logp), 0.0)))
+
+
+def test_mixture_kernel_matches_per_point_reference(market, faces, halves, quad):
+    from portloss.engine import _node_table
+
+    def check(got, points, table):
+        want = np.array([_per_point_density(p, *table) for p in points])
+        np.testing.assert_allclose(np.ravel(got), want, rtol=1e-12, atol=0.0)
+
+    # 40 x 40 cells on 4096 nodes span two kernel chunks
+    sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    grid = density_grid_subordinated(sub, quad, n_cells=40, lo=0.0, hi=0.6)
+    xs, ys = grid.axes
+    check(grid.values, [(x, y) for x in xs for y in ys], _node_table(sub, quad))
+
+    pair = NoSubScenario(k_obligors=100, params=market, overlap=halves)
+    grid = density_grid_nosub(pair, quad, n_cells=40, lo=0.0, hi=0.6)
+    xs, ys = grid.axes
+    check(grid.values, [(x, y) for x in xs for y in ys], _node_table(pair, quad))
+
+    one = NoSubScenario(k_obligors=50, params=market, face=75.0)
+    grid = density_grid_nosub(one, quad, n_cells=60, lo=0.0, hi=0.6)
+    check(grid.values, [(x,) for x in grid.axes[0]], _node_table(one, quad))
+
+    w, means, cov = _node_table(sub, quad)
+    for b, which in enumerate(("senior", "junior")):
+        grid = marginal_density(which, sub, quad, n_cells=50, lo=0.0, hi=0.5)
+        check(grid.values, [(x,) for x in grid.axes[0]],
+              (w, means[b : b + 1], cov[b : b + 1, b : b + 1]))
+
+    small = QuadratureSpec(z_nodes=8, u_nodes=8)
+    mm = MultiMarketParams(blocks=((market, 10), (market, 20), (market, 30)))
+    per_market = NoSubScenario(k_obligors=60, params=mm, face=75.0, creditors=3)
+    point = (0.05, 0.1, 0.08)
+    check(density_nosub_multimarket(point, per_market, small), [point],
+          _node_table(per_market, small))

@@ -288,3 +288,27 @@ def test_newton_bisect_lanes_match_scalar_calls():
     # a lane without a sign change holds NaN instead of raising
     roots, _ = newton_bisect(lambda x: x**3 - np.array([2.0, 30.0]), df, 0.0, np.array([3.0, 3.0]))
     assert roots[0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12) and np.isnan(roots[1])
+
+
+def test_z_bracket_without_scipy_stats():
+    # importing the package must not pull in scipy.stats (about 0.9 s), and
+    # the chi-square quantile that replaces chi2.ppf must be the same number
+    import os
+    import subprocess
+    import sys
+
+    import portloss
+    from scipy.stats import chi2
+
+    from portloss.limits import z_bracket
+
+    src = os.path.dirname(os.path.dirname(portloss.__file__))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, portloss; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.strip() == "False"
+    for n in (1, 2, 3.5, 6, 6.5, 12, 40, 100.25):
+        params = MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=n, t_mat=1.0, v0=100.0)
+        assert z_bracket(params)[1] == chi2.ppf(1.0 - 1e-10, n)

@@ -108,3 +108,12 @@ def test_multimarket_requires_shared_fluctuation(market):
 def test_params_are_hashable(market, faces, halves):
     # the engine memoizes node tables keyed by frozen parameter objects
     {market: 1, faces: 2, halves: 3}
+
+
+@pytest.mark.parametrize("field", ["mu", "rho", "c", "n_fluct", "t_mat", "v0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_market_rejects_non_finite(field, value):
+    base = dict(mu=0.17, rho=0.35, c=0.28, n_fluct=6, t_mat=1.0, v0=100.0)
+    base[field] = value
+    with pytest.raises(ParameterError, match=field):
+        MarketParams(**base)

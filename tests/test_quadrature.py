@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from portloss import ConvergenceError, ParameterError, QuadratureSpec
-from portloss.quadrature import (
-    chi2_log_weight,
-    chi2_nodes,
-    gauss_nodes,
-    integrate_chi2,
-    integrate_gauss,
-    integrate_gauss_multi,
-)
-from portloss.errors import UnsupportedDimensionError
+from portloss import ParameterError, QuadratureSpec
+from portloss.quadrature import chi2_log_weight, chi2_nodes, gauss_nodes
 
 
 def test_spec_validation():
@@ -50,54 +42,3 @@ def test_chi2_log_weight_normalizes():
     assert val == pytest.approx(1.0, rel=1e-10)
     mean, _ = integrate.quad(lambda z: z * math.exp(chi2_log_weight(z, 6)), 0, np.inf)
     assert mean == pytest.approx(6.0, rel=1e-10)
-
-
-@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
-def test_integrate_chi2_known_values(mode):
-    spec = QuadratureSpec(mode=mode)
-    assert integrate_chi2(lambda z: np.ones_like(z), 6, spec) == pytest.approx(1.0, rel=1e-6)
-    assert integrate_chi2(lambda z: z, 6, spec) == pytest.approx(6.0, rel=1e-6)
-    # E[exp(-z/2)] = (1 + 1)^(-N/2) = 2^(-3) for N = 6
-    got = integrate_chi2(lambda z: np.exp(-z / 2.0), 6, spec)
-    assert got == pytest.approx(0.125, rel=1e-6)
-
-
-@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
-def test_integrate_gauss_known_values(mode):
-    spec = QuadratureSpec(mode=mode)
-    assert integrate_gauss(lambda u: np.ones_like(u), 6, spec) == pytest.approx(1.0, rel=1e-6)
-    assert integrate_gauss(lambda u: u**2, 6, spec) == pytest.approx(1.0 / 6.0, rel=1e-6)
-    # moment generating function at t = 1: exp(1/(2 N))
-    got = integrate_gauss(lambda u: np.exp(u), 6, spec)
-    assert got == pytest.approx(math.exp(1.0 / 12.0), rel=1e-6)
-
-
-def test_adaptive_localized_spike():
-    # narrow bump the 64-node fixed rule cannot see reliably
-    spike = lambda z: np.exp(-0.5 * ((z - 3.0) / 0.01) ** 2)
-    spec = QuadratureSpec(mode="adaptive", rel_tol=1e-6)
-    got = integrate_chi2(spike, 6, spec)
-    want, _ = integrate.quad(
-        lambda z: math.exp(chi2_log_weight(z, 6)) * spike(np.array(z)),
-        0, 40.0, points=[3.0], limit=200,
-    )
-    assert got == pytest.approx(want, rel=1e-5)
-
-
-def test_adaptive_budget_exhaustion_carries_estimate():
-    # pathological oscillation: the panel budget must run out
-    f = lambda z: np.sin(1e5 * z)
-    with pytest.raises(ConvergenceError) as exc:
-        integrate_chi2(f, 6, QuadratureSpec(mode="adaptive", rel_tol=1e-9))
-    assert exc.value.best_estimate is not None
-    assert exc.value.error_bound > 0
-
-
-def test_multi_factor_tensor_rule():
-    spec = QuadratureSpec(u_nodes=24)
-    got = integrate_gauss_multi(lambda p: p[:, 0] ** 2 * p[:, 1] ** 2, 2, 6, spec)
-    assert got == pytest.approx(1.0 / 36.0, rel=1e-10)
-    got = integrate_gauss_multi(lambda p: np.ones(p.shape[0]), 3, 6, spec)
-    assert got == pytest.approx(1.0, rel=1e-10)
-    with pytest.raises(UnsupportedDimensionError):
-        integrate_gauss_multi(lambda p: np.ones(p.shape[0]), 5, 6, spec)
