@@ -14,13 +14,28 @@ per market in a block-structured multi-market portfolio.
 Both flavours share one node table format, built once per (scenario,
 quadrature) and cached: weights w (n,), the conditional means of the B
 tracked losses (B, n) and their conditional covariances (B, B, n).  A
-tranched scenario has B = 2 (senior, junior).  Every fixed-rule density -
-one point, a 1-D or 2-D grid, a marginal - is one call of the mixture
-kernel :func:`_mixture_density` on a set of points.  The kernel evaluates the
-points in row-major chunks of at most ``_CHUNK_ELEMENTS`` point-node pairs:
-each chunk holds several (points x nodes) float arrays, so the budget bounds
-peak memory for any grid size.  Cell masses, moments and correlations read
-the same table.
+tranched scenario has B = 2 (senior, junior).
+
+The table is pruned where it is built: the lightest nodes whose weights
+sum to at most ``_PRUNE_MASS`` = 1e-14 are dropped and the rest are not
+renormalised.  Each slice is a probability law, so every cell mass, and
+the total mass, moves by at most 1e-14, and so do the means and second
+moments of losses in [0, 1].  At the default 64 x 64 rule about a quarter
+of the nodes remain.
+
+Every fixed-rule density - one point, a 1-D or 2-D grid, a marginal - is
+one call of the mixture kernel :func:`_mixture_density`, which takes one
+1-D array of loss values per tracked loss and returns the density on
+their cartesian product; a point is a call with one-element axes.  For
+B = 2 each slice factors as w phi(x) phi(y | x): the x factor is computed
+once per (x, node), and each x row then evaluates the conditional slices
+over all y and contracts them with that row's factors.  Pairs whose x
+factor underflows to exactly 0 are skipped, so each row evaluates only
+the slices whose window contains its x; a skipped term is below the
+smallest subnormal times its slice's conditional peak 1/sqrt(2 pi vc).
+Every intermediate holds at most ``_CHUNK_ELEMENTS`` elements, which
+bounds peak memory for any grid and rule size.  Cell masses, moments and
+correlations read the same table.
 
 Numerical care points, all load-bearing:
   * densities are evaluated in log space and nodes whose conditional
@@ -28,7 +43,7 @@ Numerical care points, all load-bearing:
     density cannot represent);
   * cell masses use a probability-space substitution per slice, so
     arbitrarily narrow slices are integrated exactly and total mass is
-    conserved to machine precision;
+    conserved to machine precision, apart from the pruned weight;
   * second moments never subtract nearly equal numbers: the exact
     conditional decomposition E[L_a L_b] = E[M1_a M1_b + Cov_ab] is used.
 """
@@ -85,7 +100,8 @@ __all__ = [
 
 _VAR_FLOOR = 1e-300
 _LOG_CLIP = 700.0
-_CHUNK_ELEMENTS = 4.0e6  # point-node pairs per kernel chunk
+_CHUNK_ELEMENTS = 4.0e6  # elements per kernel intermediate
+_PRUNE_MASS = 1e-14  # node weight dropped from every node table, at most
 
 AnyParams = Union[MarketParams, MultiMarketParams]
 
@@ -282,8 +298,7 @@ def gaussian_moment_terms(z, u, scenario: SubordinatedScenario) -> GaussianMomen
     return GaussianMomentTerms(mean_s, var_s, mean_j, var_j, cross)
 
 
-@lru_cache(maxsize=16)
-def _node_table(scenario, quad: QuadratureSpec):
+def _unpruned_table(scenario, quad: QuadratureSpec):
     """The mixture of conditional Gaussian slices over the flat node list:
     weights w (n,), means of the tracked losses (B, n) and their covariance
     components (B, B, n)."""
@@ -318,6 +333,29 @@ def _node_table(scenario, quad: QuadratureSpec):
     means = np.broadcast_to(m1, (b, len(m1))).copy()
     cov = gram[:, :, None] * var[None, None, :]
     return w, means, cov
+
+
+@lru_cache(maxsize=16)
+def _pruned_table(scenario, quad: QuadratureSpec):
+    """The node table without its lightest nodes, whose weights sum to at
+    most ``_PRUNE_MASS``, and a record of what was dropped.  The kept
+    weights are not renormalised."""
+    w, means, cov = _unpruned_table(scenario, quad)
+    order = np.argsort(w, kind="stable")
+    light = order[np.cumsum(w[order]) <= _PRUNE_MASS]
+    keep = np.ones(len(w), dtype=bool)
+    keep[light] = False
+    record = {
+        "nodes_used": int(keep.sum()),
+        "nodes_pruned": len(light),
+        "pruned_mass": float(w[light].sum()),
+    }
+    return (w[keep], means[:, keep], cov[:, :, keep]), record
+
+
+def _node_table(scenario, quad: QuadratureSpec):
+    """The pruned node table (w, means, cov) of a scenario."""
+    return _pruned_table(scenario, quad)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,41 +475,70 @@ def _cell_masses(table, edges_one, edges_two, gl_points=8):
     )
 
 
-def _mixture_density(points, w, means, cov):
-    """Mixture density at each row of ``points`` (P, B); returns (P,).
+def _mixture_density(axes, w, means, cov):
+    """Mixture density on the cartesian product of ``axes``, one 1-D array
+    of loss values per tracked loss; returns shape ``tuple(len(a) for a in
+    axes)``.
 
-    B = 2 uses the correlated bivariate slice.  Otherwise the slice
-    log-densities are summed over b, which is exact for B = 1 and for the
-    per-market layout (the only one with B > 2), whose conditional
-    covariance is diagonal.
+    B = 2 uses the correlated bivariate slice, factored as
+    w phi(x) phi(y | x).  Otherwise the slice log-densities are summed over
+    b, which is exact for B = 1 and for the per-market layout (the only one
+    with B > 2, at single points), whose conditional covariance is diagonal.
     """
-    points = np.asarray(points, dtype=float)
-    out = np.empty(len(points))
-    chunk = max(1, int(_CHUNK_ELEMENTS / max(1, len(w))))
-    for s in range(0, len(points), chunk):
-        d = [points[s : s + chunk, b, None] - means[b] for b in range(len(means))]
-        if len(d) == 2:
-            logp, valid = _binormal_log_density(d[0], d[1], cov[0, 0], cov[1, 1], cov[0, 1])
-        else:
-            logp, valid = _norm_log_density(d[0], cov[0, 0])
-            for b in range(1, len(d)):
-                logp_b, valid_b = _norm_log_density(d[b], cov[b, b])
-                logp, valid = logp + logp_b, valid & valid_b
+    axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
+    if len(axes) == 2:
+        return _pair_density(axes[0], axes[1], w, means, cov)
+    shape = tuple(len(a) for a in axes)
+    out = np.empty(shape)
+    chunk = max(1, int(_CHUNK_ELEMENTS / max(1, len(w) * math.prod(shape[1:]))))
+    for s in range(0, shape[0], chunk):
+        logp, valid = 0.0, True
+        for b, a in enumerate(axes):
+            part = a[s : s + chunk] if b == 0 else a
+            logp_b, valid_b = _norm_log_density(part[:, None] - means[b], cov[b, b])
+            # axis b of the product grid, nodes last
+            logp_b = logp_b.reshape([len(part) if d == b else 1 for d in range(len(axes))] + [-1])
+            logp, valid = logp + logp_b, valid & valid_b
         with np.errstate(under="ignore"):
             out[s : s + chunk] = np.where(valid, np.exp(logp), 0.0) @ w
     return out
 
 
+def _pair_density(xs, ys, w, means, cov):
+    """Bivariate mixture density on xs x ys.  The x factors w phi(x) come
+    once per (x, node); each x row then contracts its nonzero factors with
+    the conditional slices phi(y | x) over all of ys."""
+    vx, vy, cxy = cov[0, 0], cov[1, 1], cov[0, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(vx > _VAR_FLOOR, cxy / np.where(vx > 0, vx, 1.0), 0.0)
+        vc = vy - slope * cxy
+    valid = (vx > _VAR_FLOOR) & (vc > _VAR_FLOOR)
+    w, mx, my, vx, vc, slope = (a[valid] for a in (w, means[0], means[1], vx, vc, slope))
+    log_norm_x = -0.5 * np.log(2.0 * math.pi * vx)
+    log_norm_c = -0.5 * np.log(2.0 * math.pi * vc)
+    out = np.zeros((len(xs), len(ys)))
+    rows = max(1, int(_CHUNK_ELEMENTS / max(1, len(w))))
+    for s in range(0, len(xs), rows):
+        dx = xs[s : s + rows, None] - mx
+        with np.errstate(under="ignore"):
+            ax = w * np.exp(log_norm_x - 0.5 * dx * dx / vx)
+        for i in range(len(dx)):
+            live = np.flatnonzero(ax[i])
+            if not len(live):
+                continue
+            mean_c = my[live] + slope[live] * dx[i, live]
+            half_prec = 0.5 / vc[live]
+            cols = max(1, int(_CHUNK_ELEMENTS / len(live)))
+            for t in range(0, len(ys), cols):
+                res = ys[t : t + cols, None] - mean_c
+                with np.errstate(under="ignore"):
+                    slices = np.exp(log_norm_c[live] - res * res * half_prec)
+                out[s + i, t : t + cols] = slices @ ax[i, live]
+    return out
+
+
 def _point_density(point, scenario, quad):
-    return float(_mixture_density(np.atleast_2d(point), *_node_table(scenario, quad))[0])
-
-
-def _grid_density(table, centers, dims):
-    """Mixture density on the cartesian product of ``centers`` with itself
-    ``dims`` times, shape (len(centers),) * dims."""
-    axes = np.meshgrid(*([centers] * dims), indexing="ij")
-    points = np.stack([a.ravel() for a in axes], axis=-1)
-    return _mixture_density(points, *table).reshape(axes[0].shape)
+    return float(_mixture_density(point, *_node_table(scenario, quad)).ravel()[0])
 
 
 def _as_point(l, b):
@@ -589,7 +656,7 @@ def subordinated_cell_masses(
     """Probability mass of the continuous approximation in each grid cell.
 
     Outermost edges may be +-inf; with edges (-inf, ..., +inf) on both axes
-    the masses sum to 1 up to machine rounding.
+    the masses sum to 1 within ``_PRUNE_MASS``.
     """
     return _cell_masses(_node_table(scenario, quad), edges_senior, edges_junior, gl_points)
 
@@ -607,12 +674,14 @@ def density_grid_subordinated(
     point at a time.
     """
     centers = cell_centers(n_cells, lo, hi)
+    pruning = {}
     if quad.mode == "adaptive":
         vals = np.array([
             [_density_sub_adaptive(x, y, scenario, quad) for y in centers] for x in centers
         ])
     else:
-        vals = _grid_density(_node_table(scenario, quad), centers, 2)
+        table, pruning = _pruned_table(scenario, quad)
+        vals = _mixture_density((centers, centers), *table)
     meta = {
         "kind": "subordinated_joint",
         "k_obligors": scenario.k_obligors,
@@ -622,6 +691,7 @@ def density_grid_subordinated(
             "u_nodes": quad.u_nodes,
             "mode": quad.mode,
         },
+        **pruning,
     }
     return DensityGrid(axes=(centers, centers), values=vals, metadata=meta)
 
@@ -645,13 +715,14 @@ def marginal_density(
     if which not in keys:
         raise ParameterError(f"which must be one of {keys}, got {which!r}")
     b = keys.index(which)
-    w, means, cov = _node_table(scenario, quad)
+    (w, means, cov), pruning = _pruned_table(scenario, quad)
     centers = cell_centers(n_cells, lo, hi)
-    vals = _mixture_density(centers[:, None], w, means[b : b + 1], cov[b : b + 1, b : b + 1])
+    vals = _mixture_density((centers,), w, means[b : b + 1], cov[b : b + 1, b : b + 1])
     meta = {
         "kind": f"marginal_{scenario.tracked_losses[which]}",
         "k_obligors": scenario.k_obligors,
         "accuracy_warning": scenario.accuracy_warning,
+        **pruning,
     }
     return DensityGrid(axes=(centers,), values=vals, metadata=meta)
 
@@ -840,11 +911,13 @@ def density_grid_nosub(
     if b > 2:
         raise ParameterError("grids supported for at most 2 creditors")
     _check_gram(scenario)
-    vals = _grid_density(_node_table(scenario, quad), centers, b)
+    table, pruning = _pruned_table(scenario, quad)
+    vals = _mixture_density((centers,) * b, *table)
     meta = {
         "kind": "plain_joint" if b == 2 else "plain_total",
         "k_obligors": scenario.k_obligors,
         "accuracy_warning": scenario.accuracy_warning,
+        **pruning,
     }
     return DensityGrid(axes=(centers,) * b, values=vals, metadata=meta)
 

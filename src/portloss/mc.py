@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import NoSubScenario, SubordinatedScenario, _creditor_weights
+from .engine import SubordinatedScenario, _creditor_weights
 from .errors import ParameterError, SamplerBudgetError, UndefinedCorrelationError
 from .grids import SCHEMA_VERSION
 from .params import MarketParams, MultiMarketParams
@@ -169,6 +169,17 @@ def _wishart_dof(n_fluct) -> int:
     return n_int
 
 
+def _check_wishart_budget(k_obligors: int) -> None:
+    """The Wishart sampler draws a (K, N) block per sample, so it is
+    refused beyond ``_WISHART_K_BUDGET`` obligors; the compound sampler has
+    the same law."""
+    if k_obligors > _WISHART_K_BUDGET:
+        raise SamplerBudgetError(
+            f"K = {k_obligors} exceeds the Wishart budget of {_WISHART_K_BUDGET}; "
+            "use the compound sampler (identical in law)"
+        )
+
+
 def _wishart_returns(params: MarketParams, k: int, m: int, rng, antithetic=False):
     """Centered log-returns via an explicit Wishart covariance draw.
 
@@ -201,19 +212,14 @@ def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
     sampler there, it is the same law)."""
     if isinstance(params, MultiMarketParams):
         raise ParameterError("Wishart route implemented per market; use sample_compound")
-    if k_obligors > _WISHART_K_BUDGET:
-        raise SamplerBudgetError(
-            f"K = {k_obligors} exceeds the Wishart budget of {_WISHART_K_BUDGET}; "
-            "use sample_compound (identical in law)"
-        )
+    _check_wishart_budget(k_obligors)
     r = _wishart_returns(params, k_obligors, n, rng)
     return _returns_to_values(r, params)
 
 
 def wishart_covariances(params: MarketParams, k: int, n: int, rng):
     """Raw W W^T draws (n, k, k); test hook for ensemble-mean checks."""
-    if k > _WISHART_K_BUDGET:
-        raise SamplerBudgetError(f"K = {k} exceeds the Wishart budget")
+    _check_wishart_budget(k)
     n_int = int(params.n_fluct)
     g = rng.standard_normal((n, k, n_int))
     lam_perp = math.sqrt(1.0 - params.c)
@@ -395,9 +401,8 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
         raise ParameterError(
             "estimates need n_samples >= 10000 to be acceptance-grade"
         )
-    if isinstance(scenario, NoSubScenario) and scenario.k_obligors > _WISHART_K_BUDGET \
-            and config.sampler == "wishart":
-        raise SamplerBudgetError("K exceeds the Wishart budget; use the compound sampler")
+    if config.sampler == "wishart":
+        _check_wishart_budget(scenario.k_obligors)
     labels = _labels(scenario)
     b = len(labels)
     nb = config.n_bins

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 
 import numpy as np
 import jsonschema
 
-from .errors import ParameterError, ScenarioError
+from .errors import ParameterError, SamplerBudgetError, ScenarioError
 from .grids import SCHEMA_VERSION, DensityGrid, canonical_json, scenario_fingerprint
-from .mc import McConfig, _wishart_dof
+from .mc import McConfig, _check_wishart_budget, _wishart_dof
 from .params import (
     MarketParams,
     MultiMarketParams,
@@ -477,6 +478,24 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(p) for p in path)
 
 
+def _first_non_finite(node, path=()):
+    """Path to the first NaN or infinite number in a JSON document, or
+    None; JSON has no such numbers, so no artifact could embed them."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return None
+    for key, val in items:
+        found = _first_non_finite(val, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def _schema_check(doc, schema):
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
@@ -489,7 +508,8 @@ def resolve_scenario(doc: dict) -> dict:
     """Validate a scenario document and fill defaults.
 
     Returns a new fully populated document; raises ScenarioError with a
-    JSON pointer for schema violations and infeasible parameter blocks.
+    JSON pointer for schema violations, infeasible parameter blocks and
+    non-finite numbers.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object", pointer="/")
@@ -508,6 +528,9 @@ def resolve_scenario(doc: dict) -> dict:
     merged.setdefault("id", "custom")
     _schema_check(merged, _MODE_SCHEMAS[mode])
     _feasibility(merged)
+    bad = _first_non_finite(merged)
+    if bad is not None:
+        raise ScenarioError("numbers must be finite", pointer=_pointer(bad))
     return merged
 
 
@@ -621,14 +644,17 @@ def _feasibility(sc: dict):
         samples = mode == "mc-validate" or sc.get("method") == "mc"
         if samples and config.sampler == "wishart":
             _build(_wishart_dof, sc["market"]["n_fluct"], "/market/n_fluct")
+            key = "k_obligors" if mode == "mc-validate" else "k_values"
+            for k in _k_list(sc["portfolio"][key]):
+                _build(_check_wishart_budget, k, f"/portfolio/{key}")
 
 
 def _build(make, arg, pointer: str):
-    """``make(arg)``, with a domain ParameterError turned into a
-    ScenarioError at ``pointer``."""
+    """``make(arg)``, with a domain ParameterError or SamplerBudgetError
+    turned into a ScenarioError at ``pointer``."""
     try:
         return make(arg)
-    except ParameterError as exc:
+    except (ParameterError, SamplerBudgetError) as exc:
         raise ScenarioError(str(exc), pointer=pointer) from exc
 
 
@@ -1087,8 +1113,8 @@ def _run_correlation_sweep(sc, out_dir):
 
 
 def _load_returns_csv(path: str) -> np.ndarray:
-    with open(path) as fh:
-        first = fh.readline()
+    """The returns matrix of a CSV file with an optional header row; a file
+    that cannot be read as numbers is rejected at ``/source/path``."""
 
     def _numeric(tok):
         try:
@@ -1097,9 +1123,15 @@ def _load_returns_csv(path: str) -> np.ndarray:
         except ValueError:
             return False
 
-    skip = 0 if all(_numeric(t) for t in first.strip().split(",") if t) else 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    return data
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+        skip = 0 if all(_numeric(t) for t in first.strip().split(",") if t) else 1
+        return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(
+            f"cannot read returns from {path!r}: {exc}", pointer="/source/path"
+        ) from exc
 
 
 def _run_calibrate(sc, out_dir):

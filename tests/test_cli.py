@@ -116,3 +116,30 @@ def test_non_finite_market_rejected_with_pointer(tmp_path, capsys):
         assert main(argv) == EXIT_REJECTED
         err = json.loads(capsys.readouterr().err)
         assert err["pointer"] == "/market"
+
+
+@pytest.mark.parametrize(
+    "sets, pointer",
+    [
+        (["portfolio.face=NaN"], "/portfolio/face"),
+        (["portfolio.k_obligors=600", 'mc.sampler="wishart"'], "/portfolio/k_obligors"),
+    ],
+)
+def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
+    overrides = [arg for s in sets for arg in ("--set", s)]
+    for argv in (["validate"], ["run", "--out-dir", str(tmp_path)]):
+        assert main(argv + ["mc_validate_halves_k100"] + overrides) == EXIT_REJECTED
+        err = json.loads(capsys.readouterr().err)
+        assert err["pointer"] == pointer
+    assert not list(tmp_path.iterdir())
+
+
+def test_malformed_returns_csv_rejected(tmp_path, capsys):
+    csv = tmp_path / "returns.csv"
+    csv.write_text("a,b\n0.01,-0.02\n0.03,n/a\n")
+    doc = {"mode": "calibrate", "source": {"kind": "csv", "path": str(csv)}}
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_REJECTED
+    err = json.loads(capsys.readouterr().err)
+    assert err["pointer"] == "/source/path"

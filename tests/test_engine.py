@@ -373,3 +373,77 @@ def test_mixture_kernel_matches_per_point_reference(market, faces, halves, quad)
     point = (0.05, 0.1, 0.08)
     check(density_nosub_multimarket(point, per_market, small), [point],
           _node_table(per_market, small))
+
+
+# ---------------------------------------------------------------------------
+# node pruning
+
+def test_pruned_table_drops_at_most_prune_mass(market, faces, quad):
+    import math
+
+    from portloss.engine import _PRUNE_MASS, _node_table, _unpruned_table
+
+    sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    full = np.sort(_unpruned_table(sc, quad)[0])
+    kept = _node_table(sc, quad)[0]
+    dropped = len(full) - len(kept)
+    assert dropped > len(full) / 2
+    # the dropped nodes are the lightest ones
+    np.testing.assert_array_equal(np.sort(kept), full[dropped:])
+    assert 0.0 < math.fsum(full[:dropped]) <= _PRUNE_MASS
+
+
+def test_pruned_cell_masses_normalize(market, faces, quad):
+    sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    edges = np.linspace(0.0, 1.0, 51)
+    edges[0], edges[-1] = -np.inf, np.inf
+    total = subordinated_cell_masses(sc, edges, edges, quad).sum()
+    assert abs(total - 1.0) <= 5e-14
+
+
+def test_pruned_grid_matches_unpruned(market, faces, quad):
+    from portloss.engine import _mixture_density, _unpruned_table
+
+    sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    grid = density_grid_subordinated(sc, quad, n_cells=81, lo=0.0, hi=0.8)
+    want = _mixture_density(grid.axes, *_unpruned_table(sc, quad))
+    peak = want.max()
+    big = want > 1e-6 * peak
+    np.testing.assert_allclose(grid.values[big], want[big], rtol=1e-6, atol=0.0)
+    np.testing.assert_allclose(grid.values[~big], want[~big], rtol=0.0, atol=1e-9 * peak)
+
+
+def test_pair_kernel_chunking_and_unequal_axes(market, faces, quad, monkeypatch):
+    from portloss import engine
+
+    sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    table = engine._node_table(sc, quad)
+    xs, ys = np.linspace(0.0, 0.05, 7), np.linspace(0.02, 0.4, 23)
+    whole = engine._mixture_density((xs, ys), *table)
+    assert whole.shape == (7, 23)
+    # a budget of a few node rows splits both the x rows and the y columns
+    monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 3.0 * len(table[0]))
+    np.testing.assert_allclose(engine._mixture_density((xs, ys), *table), whole,
+                               rtol=1e-13, atol=0.0)
+    point = engine._mixture_density((xs[3:4], ys[5:6]), *table)
+    assert point[0, 0] == pytest.approx(whole[3, 5], rel=1e-13)
+
+
+def test_grids_record_pruning(market, faces, halves, quad, tmp_path):
+    import json
+
+    sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    pair = NoSubScenario(k_obligors=100, params=market, overlap=halves)
+    grids = [
+        density_grid_subordinated(sub, quad, n_cells=8),
+        density_grid_nosub(pair, quad, n_cells=8),
+        marginal_density("junior", sub, quad, n_cells=8),
+    ]
+    for grid in grids:
+        meta = grid.metadata
+        assert meta["nodes_used"] + meta["nodes_pruned"] == quad.z_nodes * quad.u_nodes
+        assert meta["nodes_pruned"] > 0
+        assert 0.0 < meta["pruned_mass"] <= 1e-14
+        assert json.loads(grid.to_json())["metadata"]["nodes_used"] == meta["nodes_used"]
+        grid.to_csv(tmp_path / "grid.csv")
+        assert "nodes" not in (tmp_path / "grid.csv").read_text()

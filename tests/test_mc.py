@@ -137,3 +137,10 @@ def test_run_serialization_deterministic(market, tmp_path):
     run.hist_to_csv(tmp_path / "h.csv")
     header = (tmp_path / "h.csv").read_text().splitlines()[0]
     assert header.startswith("bin_lo,bin_hi,")
+
+
+def test_wishart_budget_covers_tranched_pools(market):
+    sc = SubordinatedScenario(k_obligors=600, tranches=SubordinationSpec(37.0, 38.0),
+                              params=market)
+    with pytest.raises(SamplerBudgetError):
+        mc.estimate(sc, McConfig(n_samples=10_000, sampler="wishart"))
