@@ -1,8 +1,9 @@
 """Command-line front end: run, validate and list scenario files.
 
 Exit codes: 0 success, 2 schema/domain rejection, 3 numeric failure at run
-time.  Nonzero exits leave a machine-readable error report next to any
-partial artifacts.
+time.  ``run`` reports any other exception as exit 3 too, with its
+traceback in the error report.  Exit 3 leaves a machine-readable error
+report next to any partial artifacts.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .errors import PortlossError, ScenarioError
 from .scenarios import (
@@ -53,7 +55,7 @@ def _print_rejection(exc: ScenarioError, stream=None) -> None:
     print(json.dumps(diag, sort_keys=True), file=stream)
 
 
-def _write_error_report(out_dir: str, exc: Exception, artifacts) -> str:
+def _write_error_report(out_dir: str, exc: Exception, artifacts, trace=None) -> str:
     report = {
         "error": type(exc).__name__,
         "message": str(exc),
@@ -61,12 +63,21 @@ def _write_error_report(out_dir: str, exc: Exception, artifacts) -> str:
             dict(a, partial=True) for a in (artifacts or [])
         ],
     }
+    if trace is not None:
+        report["traceback"] = trace
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "error_report.json")
     with open(path, "w", newline="\n") as fh:
         fh.write(json.dumps(report, sort_keys=True, indent=1))
         fh.write("\n")
     return path
+
+
+def _numeric_failure(out_dir: str, exc: Exception, artifacts, trace=None) -> int:
+    path = _write_error_report(out_dir, exc, artifacts, trace)
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    print(f"report: {path}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def _cmd_run(args) -> int:
@@ -83,10 +94,9 @@ def _cmd_run(args) -> int:
         _print_rejection(exc)
         return EXIT_REJECTED
     except PortlossError as exc:
-        path = _write_error_report(args.out_dir, exc, artifacts)
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        print(f"report: {path}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numeric_failure(args.out_dir, exc, artifacts)
+    except Exception as exc:  # a defect: report it, never a bare traceback
+        return _numeric_failure(args.out_dir, exc, artifacts, traceback.format_exc())
     for art in artifacts:
         print(f"wrote {art['path']} [{art['kind']}] {art['summary']}")
     return EXIT_OK
@@ -128,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute a scenario and write its artifacts",
         description=(
             "Execute a scenario and write its artifacts.  Exit codes: 0 "
-            "success, 2 scenario rejected, 3 numeric failure (an "
-            "error_report.json is written to the artifact directory)."
+            "success, 2 scenario rejected, 3 numeric failure or internal "
+            "error (an error_report.json is written to the artifact "
+            "directory)."
         ),
     )
     run_p.add_argument("scenario", help="bundled scenario id or JSON file path")

@@ -9,22 +9,30 @@ keeping both lets every analytic result be validated against a sampler
 that shares no code with the closed forms.
 
 Estimation is streamed in fixed-size chunks with one spawned RNG stream
-per chunk, so results are bit-identical for a given McConfig regardless
-of how the chunks are scheduled.  Atom bookkeeping (zero-loss origin,
-axis lines, wipeout lattice) classifies samples by integer default counts,
-never by floating-point equality of losses.
+per chunk.  The chunks run on a thread pool: one thread per CPU, capped
+so that the chunks in flight hold at most ``engine._CHUNK_ELEMENTS``
+drawn elements, and never fewer than one.  Each chunk draws into scratch
+buffers that the calling thread allocated and computes its losses in
+place, and the partial statistics are reduced in chunk order, so results
+are bit-identical for a given McConfig whatever the thread count or
+scheduling.  Atom bookkeeping (zero-loss origin, axis lines, wipeout
+lattice) classifies samples by integer default counts, never by
+floating-point equality of losses.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .engine import SubordinatedScenario, _creditor_weights
+from .engine import _CHUNK_ELEMENTS, SubordinatedScenario, _creditor_weights
 from .errors import ParameterError, SamplerBudgetError, UndefinedCorrelationError
 from .grids import SCHEMA_VERSION
 from .params import MarketParams, MultiMarketParams
@@ -81,62 +89,62 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # samplers
+#
+# Every sampler writes into a caller-owned (m, K) array and draws its
+# normals straight into it, so drawing a chunk allocates nothing of size
+# (m, K).  With antithetic pairs the first half is drawn and the second
+# half is its exact mirror image: the pairs share z (and the Wishart G
+# block) and negate everything else.
 
 
-def _compound_returns_single(params: MarketParams, k: int, m: int, rng, antithetic=False):
-    """Centered log-returns (m, k) for one market; antithetic pairs share z
-    and mirror (u, eps)."""
-    base = m // 2 if antithetic else m
+def _compound_returns_single(out, params: MarketParams, rng, antithetic=False):
+    """Fill ``out`` (m, k) with centered log-returns for one market."""
+    base = out.shape[0] // 2 if antithetic else out.shape[0]
     z = rng.chisquare(params.n_fluct, size=base)
     u = rng.standard_normal(base) * np.sqrt(z / params.n_fluct)
-    eps = rng.standard_normal((base, k))
-    if antithetic:
-        z = np.concatenate([z, z])
-        u = np.concatenate([u, -u])
-        eps = np.concatenate([eps, -eps])
-    sq = params.rho * np.sqrt(z * (1.0 - params.c) * params.t_mat / params.n_fluct)
-    r = (
-        -math.sqrt(params.c * params.t_mat) * params.rho * u[:, None]
-        + sq[:, None] * eps
-    )
-    return r
+    r = rng.standard_normal(out=out[:base])
+    r *= (params.rho * np.sqrt(z * (1.0 - params.c) * params.t_mat / params.n_fluct))[:, None]
+    r += (-math.sqrt(params.c * params.t_mat) * params.rho * u)[:, None]
+    return _mirrored(out, base)
 
 
-def _compound_returns_multi(params: MultiMarketParams, m: int, rng, antithetic=False):
-    """Centered log-returns (m, k_total) with a shared z and one common
-    factor per market block."""
+def _compound_returns_multi(out, params: MultiMarketParams, rng, antithetic=False):
+    """Fill ``out`` (m, k_total) with centered log-returns, with a shared z
+    and one common factor per market block."""
     n = params.n_fluct
-    base = m // 2 if antithetic else m
+    base = out.shape[0] // 2 if antithetic else out.shape[0]
     z = rng.chisquare(n, size=base)
     u = rng.standard_normal((base, params.beta)) * np.sqrt(z / n)[:, None]
-    eps = rng.standard_normal((base, params.k_total))
-    if antithetic:
-        z = np.concatenate([z, z])
-        u = np.concatenate([u, -u])
-        eps = np.concatenate([eps, -eps])
-    out = np.empty((m, params.k_total))
+    eps = rng.standard_normal(out=out[:base])
     col = 0
     for idx, (mkt, k_l) in enumerate(params.blocks):
-        sq = mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n)
-        out[:, col : col + k_l] = (
-            -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx : idx + 1]
-            + sq[:, None] * eps[:, col : col + k_l]
-        )
+        r = eps[:, col : col + k_l]
+        r *= (mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n))[:, None]
+        r += -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx : idx + 1]
         col += k_l
+    return _mirrored(out, base)
+
+
+def _mirrored(out, base):
+    """``out`` with rows ``base:`` set to minus rows ``:base``; without
+    antithetic pairs base is the row count and nothing changes."""
+    if base < out.shape[0]:
+        np.negative(out[:base], out=out[base:])
     return out
 
 
-def _returns_to_values(r, params):
+def _values_in_place(r, params):
+    """Turn centered log-returns into terminal asset values, in place."""
     if isinstance(params, MultiMarketParams):
-        v = np.empty_like(r)
-        col = 0
-        for mkt, k_l in params.blocks:
-            v[:, col : col + k_l] = mkt.v0 * np.exp(
-                mkt.drift_adj * mkt.t_mat + r[:, col : col + k_l]
-            )
-            col += k_l
-        return v
-    return params.v0 * np.exp(params.drift_adj * params.t_mat + r)
+        ks = [k_l for _, k_l in params.blocks]
+        drift = np.repeat([mkt.drift_adj * mkt.t_mat for mkt, _ in params.blocks], ks)
+        v0 = np.repeat([mkt.v0 for mkt, _ in params.blocks], ks)
+    else:
+        drift, v0 = params.drift_adj * params.t_mat, params.v0
+    r += drift
+    np.exp(r, out=r)
+    r *= v0
+    return r
 
 
 def sample_compound(params, n: int, rng, k_obligors: Optional[int] = None):
@@ -146,18 +154,18 @@ def sample_compound(params, n: int, rng, k_obligors: Optional[int] = None):
     params carry their own block sizes.
     """
     if isinstance(params, MultiMarketParams):
-        r = _compound_returns_multi(params, n, rng)
+        r = _compound_returns_multi(np.empty((n, params.k_total)), params, rng)
     else:
         if k_obligors is None:
             raise ParameterError("k_obligors required with single-market params")
-        r = _compound_returns_single(params, k_obligors, n, rng)
-    return _returns_to_values(r, params)
+        r = _compound_returns_single(np.empty((n, k_obligors)), params, rng)
+    return _values_in_place(r, params)
 
 
 def sample_compound_returns(params: MarketParams, k: int, n: int, rng):
     """Centered log-returns (n, k) for one market; the calibration module
     fits on exactly these."""
-    return _compound_returns_single(params, k, n, rng)
+    return _compound_returns_single(np.empty((n, k)), params, rng)
 
 
 def _wishart_dof(n_fluct) -> int:
@@ -180,8 +188,9 @@ def _check_wishart_budget(k_obligors: int) -> None:
         )
 
 
-def _wishart_returns(params: MarketParams, k: int, m: int, rng, antithetic=False):
-    """Centered log-returns via an explicit Wishart covariance draw.
+def _wishart_returns(out, block, params: MarketParams, rng, antithetic=False):
+    """Fill ``out`` (m, k) with centered log-returns via an explicit
+    Wishart covariance draw; ``block`` is (m, k, N) scratch for G.
 
     W has independent columns of covariance Sigma/N, where Sigma is the
     mean return covariance rho^2 T [(1-c) I + c e e^T]; given W the return
@@ -189,21 +198,18 @@ def _wishart_returns(params: MarketParams, k: int, m: int, rng, antithetic=False
     G a (k, N) standard normal block, using that Sigma^(1/2) acts by
     sqrt(1-c) off the uniform direction and sqrt(1-c+cK) along it.
     """
-    n_fl = params.n_fluct
-    n_int = _wishart_dof(n_fl)
-    base = m // 2 if antithetic else m
-    g = rng.standard_normal((base, k, n_int))
-    eta = rng.standard_normal((base, n_int))
-    if antithetic:
-        eta = np.concatenate([eta, -eta])
-        g = np.concatenate([g, g])
-    x = np.einsum("mkn,mn->mk", g, eta)
+    k = out.shape[1]
+    base = out.shape[0] // 2 if antithetic else out.shape[0]
+    g = rng.standard_normal(out=block[:base])
+    eta = rng.standard_normal((base, _wishart_dof(params.n_fluct)))
+    x = np.einsum("mkn,mn->mk", g, eta, out=out[:base])
     lam_perp = math.sqrt(1.0 - params.c)
     lam_e = math.sqrt(1.0 - params.c + params.c * k)
     proj = x.mean(axis=1, keepdims=True)
-    y = lam_perp * x + (lam_e - lam_perp) * proj
-    scale = params.rho * math.sqrt(params.t_mat) / math.sqrt(n_fl)
-    return scale * y
+    x *= lam_perp
+    x += (lam_e - lam_perp) * proj
+    x *= params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct)
+    return _mirrored(out, base)
 
 
 def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
@@ -213,8 +219,9 @@ def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
     if isinstance(params, MultiMarketParams):
         raise ParameterError("Wishart route implemented per market; use sample_compound")
     _check_wishart_budget(k_obligors)
-    r = _wishart_returns(params, k_obligors, n, rng)
-    return _returns_to_values(r, params)
+    block = np.empty((n, k_obligors, _wishart_dof(params.n_fluct)))
+    r = _wishart_returns(np.empty((n, k_obligors)), block, params, rng)
+    return _values_in_place(r, params)
 
 
 def wishart_covariances(params: MarketParams, k: int, n: int, rng):
@@ -243,30 +250,39 @@ def _obligor_faces(scenario) -> np.ndarray:
     return np.full(scenario.k_obligors, scenario.obligor_face)
 
 
-def _portfolio_losses(v, scenario):
+def _portfolio_losses(v, scenario, spare, mask):
     """(losses (m, B), n_defaults (m,), n_full (m,)) from asset values.
 
-    n_full counts obligors whose value fell below the senior face
-    (subordinated scenarios only; zero otherwise).
+    Works in place: ``v`` is overwritten, and ``spare`` (float) and
+    ``mask`` (bool) are scratch of the same shape.  n_full counts obligors
+    whose value fell below the senior face (subordinated scenarios only;
+    zero otherwise).  The weighted sums use einsum, not BLAS: BLAS worker
+    threads keep spinning after each call and take cores from the chunk
+    threads.
     """
+    m = v.shape[0]
     if isinstance(scenario, SubordinatedScenario):
         tr = scenario.tranches
         if tr.f_senior > 0:
-            ls = np.maximum(1.0 - v / tr.f_senior, 0.0)
-            n_full = (v < tr.f_senior).sum(axis=1)
+            n_full = np.less(v, tr.f_senior, out=mask).sum(axis=1)
+            ls = np.divide(v, tr.f_senior, out=spare)
+            np.subtract(1.0, ls, out=ls)
+            l_senior = np.maximum(ls, 0.0, out=ls).mean(axis=1)
         else:
-            ls = np.zeros_like(v)
-            n_full = np.zeros(v.shape[0], dtype=np.int64)
-        lj = np.clip((tr.f_total - v) / tr.f_junior, 0.0, 1.0)
-        n_def = (v < tr.f_total).sum(axis=1)
-        losses = np.column_stack([ls.mean(axis=1), lj.mean(axis=1)])
-        return losses, n_def, n_full
+            n_full = np.zeros(m, dtype=np.int64)
+            l_senior = np.zeros(m)
+        n_def = np.less(v, tr.f_total, out=mask).sum(axis=1)
+        lj = np.subtract(tr.f_total, v, out=v)
+        lj /= tr.f_junior
+        l_junior = np.clip(lj, 0.0, 1.0, out=lj).mean(axis=1)
+        return np.column_stack([l_senior, l_junior]), n_def, n_full
     faces = _obligor_faces(scenario)
-    l_ob = np.maximum(1.0 - v / faces[None, :], 0.0)
-    n_def = (v < faces[None, :]).sum(axis=1)
-    wts = _creditor_weights(scenario)
-    losses = l_ob @ wts.T
-    return losses, n_def, np.zeros(v.shape[0], dtype=np.int64)
+    n_def = np.less(v, faces, out=mask).sum(axis=1)
+    l_ob = np.divide(v, faces, out=v)
+    np.subtract(1.0, l_ob, out=l_ob)
+    np.maximum(l_ob, 0.0, out=l_ob)
+    losses = np.einsum("mk,bk->mb", l_ob, _creditor_weights(scenario))
+    return losses, n_def, np.zeros(m, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -377,88 +393,130 @@ def _labels(scenario):
     return tuple(f"creditor_{i + 1}" for i in range(scenario.n_creditors))
 
 
-def _draw_chunk(scenario, cfg, chunk_index, m):
+class _Scratch:
+    """One worker slot's buffers for a chunk of up to ``rows`` samples."""
+
+    def __init__(self, rows: int, k: int, wishart_dof: int):
+        self.values = np.empty((rows, k))
+        self.spare = np.empty((rows, k))
+        self.mask = np.empty((rows, k), dtype=bool)
+        self.block = np.empty((rows, k, wishart_dof)) if wishart_dof else None
+
+
+def _draw_chunk(scenario, cfg, chunk_index, m, scratch):
+    """Asset values (m, K) of one chunk, drawn into ``scratch.values``."""
     rng = _chunk_rng(cfg.rng_seed, chunk_index)
     params = scenario.params
+    out = scratch.values[:m]
     if cfg.sampler == "wishart":
-        if isinstance(params, MultiMarketParams):
-            raise ParameterError("Wishart sampling is single-market; use the compound sampler")
-        r = _wishart_returns(params, scenario.k_obligors, m, rng, cfg.antithetic)
+        r = _wishart_returns(out, scratch.block[:m], params, rng, cfg.antithetic)
     elif isinstance(params, MultiMarketParams):
-        r = _compound_returns_multi(params, m, rng, cfg.antithetic)
+        r = _compound_returns_multi(out, params, rng, cfg.antithetic)
     else:
-        r = _compound_returns_single(params, scenario.k_obligors, m, rng, cfg.antithetic)
-    return _returns_to_values(r, params)
+        r = _compound_returns_single(out, params, rng, cfg.antithetic)
+    return _values_in_place(r, params)
+
+
+def _chunk_stats(scenario, cfg, chunk_index, m, scratch, edges):
+    """Partial statistics of one chunk, as a dict of summable counts and
+    sums, and its losses (m, B)."""
+    v = _draw_chunk(scenario, cfg, chunk_index, m, scratch)
+    losses, n_def, n_full = _portfolio_losses(v, scenario, scratch.spare[:m], scratch.mask[:m])
+    pa = 0.5 * (losses[: m // 2] + losses[m // 2 :]) if cfg.antithetic else losses
+    b = losses.shape[1]
+    stats = {
+        "sum1": losses.sum(axis=0),
+        "sum2": np.einsum("mb,mc->bc", losses, losses),
+        "pair_sum": pa.sum(axis=0),
+        "pair_sumsq": (pa * pa).sum(axis=0),
+        "hist1": np.array([np.histogram(col, bins=edges)[0] for col in losses.T]),
+        # a portfolio loss is exactly 0.0 iff no held obligor defaulted
+        # (sums of strictly positive terms cannot round to zero here)
+        "axis_zero": (losses == 0.0).sum(axis=0),
+        "n_origin": int((n_def == 0).sum()),
+        "tails": (losses > np.array(cfg.tail_thresholds)[:, None, None]).sum(axis=1),
+        "n_sub_viol": 0,
+        "n_lattice_bad": 0,
+    }
+    if b == 2:
+        stats["hist2"] = np.histogram2d(
+            losses[:, 0], losses[:, 1], bins=(edges, edges)
+        )[0].astype(np.int64)
+    if isinstance(scenario, SubordinatedScenario):
+        stats["n_sub_viol"] = int((losses[:, 0] > losses[:, 1]).sum())
+        on_lattice = (n_def - n_full) == 0
+        expected = n_full / scenario.k_obligors
+        stats["n_lattice_bad"] = int((on_lattice & (losses[:, 1] != expected)).sum())
+    return stats, losses
+
+
+def _pool_size(draw_elements: int, n_chunks: int) -> int:
+    """Chunk threads for ``estimate``: one per usable CPU, no more than
+    there are chunks, and no more than fit ``_CHUNK_ELEMENTS`` draw
+    elements in flight; at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_chunks, int(_CHUNK_ELEMENTS // draw_elements)))
 
 
 def estimate(scenario, config: McConfig = McConfig()) -> McRun:
     """Streamed Monte Carlo estimates for a scenario.
 
     Chunk boundaries and per-chunk RNG streams depend only on the config,
-    so outputs are bit-identical across runs and scheduling choices.
+    and the chunks' partial statistics are summed in chunk order on the
+    calling thread, so outputs are bit-identical across runs and thread
+    counts.  Chunks run on a thread pool, since numpy's generators and
+    large ufuncs release the GIL.  The calling thread allocates each pool
+    thread's scratch once, so that freed chunk temporaries do not pile up
+    in per-thread allocator arenas.
     """
     if config.n_samples < 10_000:
         raise ParameterError(
             "estimates need n_samples >= 10000 to be acceptance-grade"
         )
+    k = scenario.k_obligors
+    wishart_dof = 0
     if config.sampler == "wishart":
-        _check_wishart_budget(scenario.k_obligors)
+        _check_wishart_budget(k)
+        if isinstance(scenario.params, MultiMarketParams):
+            raise ParameterError("Wishart sampling is single-market; use the compound sampler")
+        wishart_dof = _wishart_dof(scenario.params.n_fluct)
     labels = _labels(scenario)
     b = len(labels)
-    nb = config.n_bins
-    edges = np.linspace(0.0, 1.0, nb + 1)
-    sum1 = np.zeros(b)
-    sum2 = np.zeros((b, b))
-    pair_sum = np.zeros(b)
-    pair_sumsq = np.zeros(b)
-    hist1 = np.zeros((b, nb), dtype=np.int64)
-    hist2 = np.zeros((nb, nb), dtype=np.int64) if b == 2 else None
-    axis_zero = np.zeros(b, dtype=np.int64)
-    n_origin = 0
-    n_sub_viol = 0
-    n_lattice_bad = 0
-    tail_counts = {t: np.zeros(b, dtype=np.int64) for t in config.tail_thresholds}
-    kept = [] if config.keep_samples else None
+    edges = np.linspace(0.0, 1.0, config.n_bins + 1)
     n = config.n_samples
-    cs = config.chunk_size
-    n_chunks = (n + cs - 1) // cs
-    for ci in range(n_chunks):
-        m = min(cs, n - ci * cs)
-        v = _draw_chunk(scenario, config, ci, m)
-        losses, n_def, n_full = _portfolio_losses(v, scenario)
-        sum1 += losses.sum(axis=0)
-        sum2 += losses.T @ losses
-        if config.antithetic:
-            pa = 0.5 * (losses[: m // 2] + losses[m // 2 :])
-        else:
-            pa = losses
-        pair_sum += pa.sum(axis=0)
-        pair_sumsq += (pa * pa).sum(axis=0)
-        for bi in range(b):
-            hist1[bi] += np.histogram(losses[:, bi], bins=edges)[0]
-        if hist2 is not None:
-            hist2 += np.histogram2d(losses[:, 0], losses[:, 1], bins=(edges, edges))[0].astype(np.int64)
-        # a portfolio loss is exactly 0.0 iff no held obligor defaulted
-        # (sums of strictly positive terms cannot round to zero here)
-        axis_zero += (losses == 0.0).sum(axis=0)
-        n_origin += int((n_def == 0).sum())
-        for t in config.tail_thresholds:
-            tail_counts[t] += (losses > t).sum(axis=0)
-        if isinstance(scenario, SubordinatedScenario):
-            n_sub_viol += int((losses[:, 0] > losses[:, 1]).sum())
-            on_lattice = (n_def - n_full) == 0
-            k = scenario.k_obligors
-            expected = n_full / k
-            n_lattice_bad += int(
-                (on_lattice & (losses[:, 1] != expected)).sum()
-            )
-        if kept is not None:
-            kept.append(losses)
-    mean = sum1 / n
-    cov = sum2 / n - np.outer(mean, mean)
+    rows = min(config.chunk_size, n)
+    n_chunks = (n + rows - 1) // rows
+    n_threads = _pool_size(rows * k * max(wishart_dof, 1), n_chunks)
+    slots = queue.SimpleQueue()
+    for _ in range(n_threads):
+        slots.put(_Scratch(rows, k, wishart_dof))
+
+    def run_chunk(ci):
+        scratch = slots.get()
+        try:
+            return _chunk_stats(scenario, config, ci, min(rows, n - ci * rows), scratch, edges)
+        finally:
+            slots.put(scratch)
+
+    totals = {}
+    kept = [] if config.keep_samples else None
+    pool = ThreadPoolExecutor(max_workers=n_threads, thread_name_prefix="portloss-mc")
+    try:
+        for stats, losses in pool.map(run_chunk, range(n_chunks)):
+            for key, val in stats.items():
+                totals[key] = totals[key] + val if key in totals else val
+            if kept is not None:
+                kept.append(losses)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    mean = totals["sum1"] / n
+    cov = totals["sum2"] / n - np.outer(mean, mean)
     n_units = n // 2 if config.antithetic else n
-    unit_mean = pair_sum / n_units
-    unit_var = np.maximum(pair_sumsq / n_units - unit_mean**2, 0.0)
+    unit_mean = totals["pair_sum"] / n_units
+    unit_var = np.maximum(totals["pair_sumsq"] / n_units - unit_mean**2, 0.0)
     mean_se = np.sqrt(unit_var / n_units)
     corr = corr_se = None
     if b == 2:
@@ -466,7 +524,7 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
         if v1 > 0.0 and v2 > 0.0:
             corr = float(cov[0, 1] / math.sqrt(v1 * v2))
             corr_se = (1.0 - corr**2) / math.sqrt(n_units)
-    p_nd = n_origin / n
+    p_nd = totals["n_origin"] / n
     return McRun(
         config=config,
         labels=labels,
@@ -478,13 +536,13 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
         corr_se=corr_se,
         p_no_default=p_nd,
         p_no_default_se=math.sqrt(max(p_nd * (1.0 - p_nd), 0.0) / n),
-        atom_axis=axis_zero / n,
+        atom_axis=totals["axis_zero"] / n,
         hist_edges=edges,
-        hist_1d=hist1 / n,
-        hist_2d=None if hist2 is None else hist2 / n,
-        tails={t: (tail_counts[t] / n).tolist() for t in config.tail_thresholds},
-        subordination_violations=n_sub_viol,
-        lattice_offenders=n_lattice_bad,
+        hist_1d=totals["hist1"] / n,
+        hist_2d=totals["hist2"] / n if b == 2 else None,
+        tails={t: (totals["tails"][i] / n).tolist() for i, t in enumerate(config.tail_thresholds)},
+        subordination_violations=totals["n_sub_viol"],
+        lattice_offenders=totals["n_lattice_bad"],
         samples=None if kept is None else np.vstack(kept),
     )
 

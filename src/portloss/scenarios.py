@@ -10,6 +10,7 @@ can be checked byte for byte.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -369,15 +370,15 @@ _DEFAULT_MARKET = {
     "v0": 100.0,
 }
 _DEFAULT_GRID = {"n_cells": 101, "lo": 0.0, "hi": 1.0}
-_DEFAULT_QUAD = {"z_nodes": 64, "u_nodes": 64, "mode": "fixed", "rel_tol": 1e-6}
-_DEFAULT_MC = {
-    "n_samples": 200_000,
-    "rng_seed": 0,
-    "sampler": "compound",
-    "antithetic": False,
-    "n_bins": 50,
-    "chunk_size": 8192,
-}
+
+
+def _field_defaults(cls, schema: dict) -> dict:
+    """The dataclass defaults of the fields a document may set."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name in schema["properties"]}
+
+
+_DEFAULT_QUAD = _field_defaults(QuadratureSpec, _QUAD_SCHEMA)
+_DEFAULT_MC = _field_defaults(McConfig, _MC_SCHEMA)
 
 _MODE_DEFAULTS = {
     "subordinated": {
@@ -398,7 +399,7 @@ _MODE_DEFAULTS = {
         "creditors": "per-market",
         "tails": [],
         "grid": _DEFAULT_GRID,
-        "quadrature": {"z_nodes": 64, "u_nodes": 24, "mode": "fixed", "rel_tol": 1e-6},
+        "quadrature": dict(_DEFAULT_QUAD, u_nodes=24),
         "outputs": {"density": "multimarket_density.csv"},
     },
     "limit-subordinated": {
@@ -571,9 +572,8 @@ def _k_list(value):
 def _feasibility(sc: dict):
     """Cross-field checks that the flat schema cannot express."""
     mode = sc["mode"]
-    grid = sc.get("grid")
-    if grid is not None and not (grid["hi"] > grid["lo"]):
-        raise ScenarioError("grid needs hi > lo", pointer="/grid/hi")
+    if "grid" in sc:
+        _check_increasing(sc["grid"], "lo", "hi", "/grid", "grid needs hi > lo")
     for key in ("market", "market_one", "market_two"):
         if key in sc:
             _build(_market_params, sc[key], f"/{key}")
@@ -629,9 +629,7 @@ def _feasibility(sc: dict):
         src = sc["source"]
         if src["kind"] == "csv" and "path" not in src:
             raise ScenarioError("csv source needs a path", pointer="/source/path")
-        fit = sc["fit"]
-        if not (fit["grid_hi"] > fit["grid_lo"]):
-            raise ScenarioError("fit grid needs grid_hi > grid_lo", pointer="/fit/grid_hi")
+        _check_increasing(sc["fit"], "grid_lo", "grid_hi", "/fit", "fit grid needs grid_hi > grid_lo")
     if mode == "mc-validate":
         mc = sc["mc"]
         if mc["antithetic"] and (mc["n_samples"] % 2 or mc["chunk_size"] % 2):
@@ -647,6 +645,16 @@ def _feasibility(sc: dict):
             key = "k_obligors" if mode == "mc-validate" else "k_values"
             for k in _k_list(sc["portfolio"][key]):
                 _build(_check_wishart_budget, k, f"/portfolio/{key}")
+
+
+def _check_increasing(block: dict, lo: str, hi: str, where: str, message: str):
+    """Require ``block[hi] > block[lo]``; a non-finite bound is rejected at
+    its own pointer first, since every comparison with NaN is false."""
+    for key in (lo, hi):
+        if not math.isfinite(block[key]):
+            raise ScenarioError("numbers must be finite", pointer=f"{where}/{key}")
+    if not block[hi] > block[lo]:
+        raise ScenarioError(message, pointer=f"{where}/{hi}")
 
 
 def _build(make, arg, pointer: str):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from portloss import scenarios
 from portloss.cli import EXIT_NUMERIC, EXIT_OK, EXIT_REJECTED, main
 
 
@@ -118,17 +119,24 @@ def test_non_finite_market_rejected_with_pointer(tmp_path, capsys):
         assert err["pointer"] == "/market"
 
 
+# the bundled scenario that holds each overridden block
+_SCENARIO_WITH = {"grid": "subordinated_k200", "fit": "calibrate_synthetic_base"}
+
+
 @pytest.mark.parametrize(
     "sets, pointer",
     [
         (["portfolio.face=NaN"], "/portfolio/face"),
         (["portfolio.k_obligors=600", 'mc.sampler="wishart"'], "/portfolio/k_obligors"),
+        (["grid.lo=NaN"], "/grid/lo"),
+        (["fit.grid_lo=NaN"], "/fit/grid_lo"),
     ],
 )
 def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
     overrides = [arg for s in sets for arg in ("--set", s)]
+    scenario = _SCENARIO_WITH.get(sets[0].split(".")[0], "mc_validate_halves_k100")
     for argv in (["validate"], ["run", "--out-dir", str(tmp_path)]):
-        assert main(argv + ["mc_validate_halves_k100"] + overrides) == EXIT_REJECTED
+        assert main(argv + [scenario] + overrides) == EXIT_REJECTED
         err = json.loads(capsys.readouterr().err)
         assert err["pointer"] == pointer
     assert not list(tmp_path.iterdir())
@@ -143,3 +151,19 @@ def test_malformed_returns_csv_rejected(tmp_path, capsys):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_REJECTED
     err = json.loads(capsys.readouterr().err)
     assert err["pointer"] == "/source/path"
+
+
+def test_unexpected_exception_is_exit_3_with_report(tmp_path, capsys, monkeypatch):
+    def broken_runner(sc, out_dir):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setitem(scenarios._RUNNERS, "no-default", broken_runner)
+    out_dir = tmp_path / "out"
+    assert main(["run", "no_default_k_scan", "--out-dir", str(out_dir)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "RuntimeError: injected defect" in err
+    assert "Traceback" not in err
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error"] == "RuntimeError"
+    assert report["message"] == "injected defect"
+    assert "broken_runner" in report["traceback"]

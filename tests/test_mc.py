@@ -1,5 +1,10 @@
 """Simulation oracle: determinism, atom classification, sampler agreement."""
 
+import math
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from portloss import (
     no_default_probability,
 )
 from portloss import mc
+from portloss.engine import _creditor_weights
 from portloss.errors import SamplerBudgetError
 
 
@@ -144,3 +150,210 @@ def test_wishart_budget_covers_tranched_pools(market):
                               params=market)
     with pytest.raises(SamplerBudgetError):
         mc.estimate(sc, McConfig(n_samples=10_000, sampler="wishart"))
+
+
+# ---------------------------------------------------------------------------
+# chunk pipeline: the in-place, threaded estimate against out-of-place
+# reference formulas and against itself at other thread counts
+
+
+def _ref_compound_single(params, k, m, rng, antithetic):
+    base = m // 2 if antithetic else m
+    z = rng.chisquare(params.n_fluct, size=base)
+    u = rng.standard_normal(base) * np.sqrt(z / params.n_fluct)
+    eps = rng.standard_normal((base, k))
+    if antithetic:
+        z, u, eps = np.concatenate([z, z]), np.concatenate([u, -u]), np.concatenate([eps, -eps])
+    sq = params.rho * np.sqrt(z * (1.0 - params.c) * params.t_mat / params.n_fluct)
+    return -math.sqrt(params.c * params.t_mat) * params.rho * u[:, None] + sq[:, None] * eps
+
+
+def _ref_compound_multi(params, m, rng, antithetic):
+    n = params.n_fluct
+    base = m // 2 if antithetic else m
+    z = rng.chisquare(n, size=base)
+    u = rng.standard_normal((base, params.beta)) * np.sqrt(z / n)[:, None]
+    eps = rng.standard_normal((base, params.k_total))
+    if antithetic:
+        z, u, eps = np.concatenate([z, z]), np.concatenate([u, -u]), np.concatenate([eps, -eps])
+    out = np.empty((m, params.k_total))
+    col = 0
+    for idx, (mkt, k_l) in enumerate(params.blocks):
+        sq = mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n)
+        out[:, col : col + k_l] = (
+            -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx : idx + 1]
+            + sq[:, None] * eps[:, col : col + k_l]
+        )
+        col += k_l
+    return out
+
+
+def _ref_wishart(params, k, m, rng, antithetic):
+    n_int = int(params.n_fluct)
+    base = m // 2 if antithetic else m
+    g = rng.standard_normal((base, k, n_int))
+    eta = rng.standard_normal((base, n_int))
+    if antithetic:
+        eta, g = np.concatenate([eta, -eta]), np.concatenate([g, g])
+    x = np.einsum("mkn,mn->mk", g, eta)
+    lam_perp = math.sqrt(1.0 - params.c)
+    lam_e = math.sqrt(1.0 - params.c + params.c * k)
+    y = lam_perp * x + (lam_e - lam_perp) * x.mean(axis=1, keepdims=True)
+    return params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct) * y
+
+
+def _ref_values(r, params):
+    if isinstance(params, MultiMarketParams):
+        v = np.empty_like(r)
+        col = 0
+        for mkt, k_l in params.blocks:
+            v[:, col : col + k_l] = mkt.v0 * np.exp(mkt.drift_adj * mkt.t_mat + r[:, col : col + k_l])
+            col += k_l
+        return v
+    return params.v0 * np.exp(params.drift_adj * params.t_mat + r)
+
+
+def _ref_draw(scenario, cfg, ci, m):
+    rng = mc._chunk_rng(cfg.rng_seed, ci)
+    p = scenario.params
+    if cfg.sampler == "wishart":
+        r = _ref_wishart(p, scenario.k_obligors, m, rng, cfg.antithetic)
+    elif isinstance(p, MultiMarketParams):
+        r = _ref_compound_multi(p, m, rng, cfg.antithetic)
+    else:
+        r = _ref_compound_single(p, scenario.k_obligors, m, rng, cfg.antithetic)
+    return _ref_values(r, p)
+
+
+def _ref_losses(v, scenario, weighted_sum):
+    """Losses and default counts as the serial pipeline computed them;
+    ``weighted_sum(l_ob, wts)`` forms the creditor losses."""
+    if isinstance(scenario, SubordinatedScenario):
+        tr = scenario.tranches
+        ls = np.maximum(1.0 - v / tr.f_senior, 0.0)
+        n_full = (v < tr.f_senior).sum(axis=1)
+        lj = np.clip((tr.f_total - v) / tr.f_junior, 0.0, 1.0)
+        n_def = (v < tr.f_total).sum(axis=1)
+        return np.column_stack([ls.mean(axis=1), lj.mean(axis=1)]), n_def, n_full
+    faces = mc._obligor_faces(scenario)
+    l_ob = np.maximum(1.0 - v / faces[None, :], 0.0)
+    n_def = (v < faces[None, :]).sum(axis=1)
+    losses = weighted_sum(l_ob, _creditor_weights(scenario))
+    return losses, n_def, np.zeros(v.shape[0], dtype=np.int64)
+
+
+def _blas_sum(l_ob, wts):
+    return l_ob @ wts.T
+
+
+def _einsum_sum(l_ob, wts):
+    return np.einsum("mk,bk->mb", l_ob, wts)
+
+
+_PIPELINE_CASES = ("compound", "wishart", "tranched_k200", "tranched_wishart", "antithetic",
+                   "antithetic_wishart", "keep_samples", "multimarket")
+
+
+def _pipeline_cases(market):
+    halves = _halves(market, 100)
+    tranched = SubordinatedScenario(
+        k_obligors=200, tranches=SubordinationSpec(37.0, 38.0), params=market)
+    mm = MultiMarketParams(blocks=((market, 10), (market, 14)))
+    multi = NoSubScenario(k_obligors=24, params=mm, face=75.0, creditors=2)
+    cfg = dict(n_samples=20_000, chunk_size=2048)
+    return {
+        "compound": (halves, McConfig(rng_seed=21, **cfg)),
+        "wishart": (halves, McConfig(rng_seed=22, sampler="wishart", **cfg)),
+        "tranched_k200": (tranched, McConfig(rng_seed=23, **cfg)),
+        "tranched_wishart": (tranched, McConfig(rng_seed=24, sampler="wishart", **cfg)),
+        "antithetic": (halves, McConfig(rng_seed=25, antithetic=True, **cfg)),
+        "antithetic_wishart": (halves, McConfig(rng_seed=26, sampler="wishart", antithetic=True, **cfg)),
+        "keep_samples": (tranched, McConfig(rng_seed=27, keep_samples=True, **cfg)),
+        "multimarket": (multi, McConfig(rng_seed=28, antithetic=True, **cfg)),
+    }
+
+
+@pytest.mark.parametrize("case", _PIPELINE_CASES)
+def test_in_place_chunks_match_reference_formulas(market, case):
+    scenario, cfg = _pipeline_cases(market)[case]
+    k = scenario.k_obligors
+    dof = int(market.n_fluct) if cfg.sampler == "wishart" else 0
+    n = cfg.n_samples
+    n_chunks = -(-n // cfg.chunk_size)
+    sum1 = np.zeros(2)
+    sum2 = np.zeros((2, 2))
+    hist = np.zeros((50, 50), dtype=np.int64)
+    n_origin = 0
+    edges = np.linspace(0.0, 1.0, cfg.n_bins + 1)
+    scratch = mc._Scratch(cfg.chunk_size, k, dof)  # reused, as a pool thread does
+    for ci in range(n_chunks):
+        m = min(cfg.chunk_size, n - ci * cfg.chunk_size)
+        v_ref = _ref_draw(scenario, cfg, ci, m)
+        v = mc._draw_chunk(scenario, cfg, ci, m, scratch)
+        np.testing.assert_array_equal(v, v_ref)
+        losses, n_def, n_full = mc._portfolio_losses(
+            v, scenario, scratch.spare[:m], scratch.mask[:m])
+        want, want_def, want_full = _ref_losses(v_ref, scenario, _einsum_sum)
+        np.testing.assert_array_equal(losses, want)
+        np.testing.assert_array_equal(n_def, want_def)
+        np.testing.assert_array_equal(n_full, want_full)
+        # the serial pipeline formed creditor losses with BLAS
+        blas, _, _ = _ref_losses(v_ref, scenario, _blas_sum)
+        np.testing.assert_allclose(losses, blas, rtol=1e-13, atol=0.0)
+        sum1 += want.sum(axis=0)
+        sum2 += want.T @ want
+        hist += np.histogram2d(want[:, 0], want[:, 1], bins=(edges, edges))[0].astype(np.int64)
+        n_origin += int((want_def == 0).sum())
+    run = mc.estimate(scenario, cfg)
+    mean = sum1 / n
+    cov = sum2 / n - np.outer(mean, mean)
+    np.testing.assert_array_equal(run.mean, mean)
+    np.testing.assert_array_equal(run.hist_2d, hist / n)
+    assert run.p_no_default == n_origin / n
+    # the b x b moment moved from BLAS to einsum: tolerance set beforehand
+    np.testing.assert_allclose(run.cov, cov, rtol=1e-13, atol=0.0)
+    assert run.corr == pytest.approx(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]), rel=1e-13)
+
+
+def test_thread_count_does_not_change_results(market, monkeypatch):
+    """One thread, then more threads than cores with a very short switch
+    interval: every case must serialize byte for byte the same."""
+    cases = _pipeline_cases(market)
+
+    def runs():
+        return {name: mc.estimate(sc, cfg) for name, (sc, cfg) in cases.items()}
+
+    monkeypatch.setattr(mc, "_pool_size", lambda draw_elements, n_chunks: 1)
+    serial = runs()
+    monkeypatch.setattr(mc, "_pool_size", lambda draw_elements, n_chunks: min(4, n_chunks))
+    threads_before = threading.active_count()
+    threaded, failures = {}, []
+
+    def stress():
+        try:
+            threaded.update(runs())
+        except BaseException as exc:  # handed to the test thread below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=stress, daemon=True)
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "threaded estimates did not finish within 300 s"
+    assert not failures, failures
+    assert threading.active_count() == threads_before
+    for name, run in serial.items():
+        assert threaded[name].to_json() == run.to_json(), name
+    np.testing.assert_array_equal(threaded["keep_samples"].samples, serial["keep_samples"].samples)
+    assert serial["keep_samples"].samples.shape == (20_000, 2)
+
+
+def test_pool_size_respects_the_element_budget():
+    cpus = len(os.sched_getaffinity(0))
+    assert mc._pool_size(8192 * 100 * 6, 25) == 1  # a Wishart chunk at K=100
+    assert mc._pool_size(8192 * 100, 25) == min(cpus, 4)
+    assert mc._pool_size(8192 * 100, 1) == 1
