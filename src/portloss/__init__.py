@@ -20,7 +20,6 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .params import (
-    DefaultThreshold,
     MarketParams,
     MultiMarketParams,
     OverlapSpec,
@@ -83,7 +82,6 @@ __all__ = [
     "ScenarioError",
     "SingularCovarianceError",
     "UndefinedCorrelationError",
-    "DefaultThreshold",
     "MarketParams",
     "MultiMarketParams",
     "OverlapSpec",

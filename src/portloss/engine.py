@@ -189,6 +189,8 @@ class NoSubScenario:
                 raise ParameterError("face conflicts with overlap.f0")
             if self.creditors not in (None, 2):
                 raise ParameterError("overlap layout has exactly 2 creditors")
+            if not (self.overlap.share_one > 0 and self.overlap.share_two > 0):
+                raise ParameterError("each creditor needs a positive share of the pool")
         elif self.faces is not None:
             if multi:
                 raise ParameterError("face-matrix layout requires single-market params")
@@ -761,18 +763,23 @@ def _weight_gram(scenario: NoSubScenario):
     return np.eye(scenario.n_creditors) / k  # per-creditor equal weights
 
 
+def _overlap_counts(overlap: OverlapSpec, k: int):
+    """Firm counts held by creditor one only and shared, out of ``k``."""
+    r1_n = int(round(overlap.r1 * k))
+    r12_n = int(round(overlap.r12 * k))
+    if abs(overlap.r1 * k - r1_n) > 1e-9 or abs(overlap.r12 * k - r12_n) > 1e-9:
+        raise ParameterError(
+            f"overlap fractions must resolve to whole firm counts for k_obligors={k}"
+        )
+    return r1_n, r12_n
+
+
 def _creditor_weights(scenario: NoSubScenario) -> np.ndarray:
     """Per-firm portfolio weights, shape (creditors, k_obligors)."""
     k = scenario.k_obligors
     if scenario.overlap is not None:
         ov = scenario.overlap
-        r1_n = int(round(ov.r1 * k))
-        r12_n = int(round(ov.r12 * k))
-        if abs(ov.r1 * k - r1_n) > 1e-9 or abs(ov.r12 * k - r12_n) > 1e-9:
-            raise ParameterError(
-                "overlap fractions must resolve to whole firm counts for "
-                f"k_obligors={k}"
-            )
+        r1_n, r12_n = _overlap_counts(ov, k)
         r2_n = k - r1_n - r12_n
         w = np.zeros((2, k))
         w[0, :r1_n] = 1.0
@@ -855,6 +862,14 @@ def _check_gram(scenario: NoSubScenario):
         )
 
 
+def _check_grid(scenario: NoSubScenario):
+    """Refuse a scenario that has no density grid: more than 2 creditors,
+    or a singular creditor pair."""
+    if scenario.n_creditors > 2:
+        raise ParameterError("grids supported for at most 2 creditors")
+    _check_gram(scenario)
+
+
 def density_nosub(
     l,
     scenario: NoSubScenario,
@@ -907,10 +922,8 @@ def density_grid_nosub(
 ) -> DensityGrid:
     """Creditor loss density on a grid (1-D or 2-D with two creditors)."""
     centers = cell_centers(n_cells, lo, hi)
+    _check_grid(scenario)
     b = scenario.n_creditors
-    if b > 2:
-        raise ParameterError("grids supported for at most 2 creditors")
-    _check_gram(scenario)
     table, pruning = _pruned_table(scenario, quad)
     vals = _mixture_density((centers,) * b, *table)
     meta = {

@@ -354,6 +354,16 @@ class _Crossings(NamedTuple):
     roots: dict
 
 
+def _check_ridge_faces(faces: SubordinationSpec):
+    """Refuse f_senior = 0: the senior loss is then identically 0, so the
+    pair has no joint limit density."""
+    if faces.f_senior == 0:
+        raise ParameterError(
+            "f_senior = 0 leaves the senior loss identically 0, so the pair "
+            "has no joint limit density"
+        )
+
+
 def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     """Subordinated kernel: the z where the senior u root of xs[i] meets the
     junior u root of ys[j], for every cell (i, j).
@@ -363,6 +373,7 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     lanes are refined by one Newton call in z whose inner u solves run on
     the lanes' current z.
     """
+    _check_ridge_faces(faces)
     xs, ys = np.atleast_1d(np.asarray(xs, dtype=float)), np.atleast_1d(np.asarray(ys, dtype=float))
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
     z_lo, z_hi = z_bracket(params)
@@ -638,6 +649,14 @@ def limit_grid_subordinated(
     return DensityGrid(axes=(centers, centers), values=vals, metadata=meta, quality=qual)
 
 
+def _open_unit_centers(n_cells: int, lo: float, hi: float) -> np.ndarray:
+    """Cell centers of the equal-loss curve, all strictly inside (0, 1)."""
+    centers = cell_centers(n_cells, lo, hi)
+    if not np.all((centers > 0.0) & (centers < 1.0)):
+        raise ParameterError("loss must lie strictly inside (0, 1)")
+    return centers
+
+
 def limit_curve_equal_infinite(
     face: float,
     params: MarketParams,
@@ -646,9 +665,7 @@ def limit_curve_equal_infinite(
     lo: float = 1e-3,
     hi: float = 1.0 - 1e-3,
 ) -> DensityGrid:
-    centers = cell_centers(n_cells, lo, hi)
-    if not np.all((centers > 0.0) & (centers < 1.0)):
-        raise ParameterError("loss must lie strictly inside (0, 1)")
+    centers = _open_unit_centers(n_cells, lo, hi)
     vals = _equal_infinite(centers, face, params, quad)
     meta = {"kind": "limit_equal_infinite", "support": "equal_loss_line"}
     return DensityGrid(axes=(centers,), values=vals, metadata=meta)

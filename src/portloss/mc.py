@@ -54,7 +54,14 @@ _WISHART_K_BUDGET = 500
 @dataclass(frozen=True)
 class McConfig:
     """Simulation settings; the full config (seed included) is echoed into
-    every serialized output so runs are reproducible."""
+    every serialized output so runs are reproducible.
+
+    The constructor owns every range: ``n_samples`` >= 10000 (fewer draws
+    are not acceptance-grade), ``rng_seed`` >= 0, ``n_bins`` in [2, 1000],
+    ``chunk_size`` >= 128, and even ``n_samples`` and ``chunk_size`` with
+    antithetic pairs.  Scenario documents state only the types, so an
+    ``mc`` block is accepted exactly when this constructor accepts it.
+    """
 
     n_samples: int = 200_000
     rng_seed: int = 0
@@ -66,14 +73,18 @@ class McConfig:
     keep_samples: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.n_samples, (int, np.integer)) and self.n_samples >= 1):
-            raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not (isinstance(self.n_samples, (int, np.integer)) and self.n_samples >= 10_000):
+            raise ParameterError(
+                f"n_samples must be >= 10000 to be acceptance-grade, got {self.n_samples}"
+            )
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ParameterError(f"rng_seed must be an integer >= 0, got {self.rng_seed}")
         if self.sampler not in ("compound", "wishart"):
             raise ParameterError(f"sampler must be 'compound' or 'wishart', got {self.sampler!r}")
-        if not (isinstance(self.n_bins, (int, np.integer)) and self.n_bins >= 2):
-            raise ParameterError("n_bins must be >= 2")
-        if not (isinstance(self.chunk_size, (int, np.integer)) and self.chunk_size >= 2):
-            raise ParameterError("chunk_size must be >= 2")
+        if not (isinstance(self.n_bins, (int, np.integer)) and 2 <= self.n_bins <= 1000):
+            raise ParameterError(f"n_bins must be in [2, 1000], got {self.n_bins}")
+        if not (isinstance(self.chunk_size, (int, np.integer)) and self.chunk_size >= 128):
+            raise ParameterError(f"chunk_size must be >= 128, got {self.chunk_size}")
         if self.antithetic and (self.n_samples % 2 or self.chunk_size % 2):
             raise ParameterError("antithetic sampling needs even n_samples and chunk_size")
         object.__setattr__(self, "tail_thresholds", tuple(float(t) for t in self.tail_thresholds))
@@ -472,10 +483,6 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
     thread's scratch once, so that freed chunk temporaries do not pile up
     in per-thread allocator arenas.
     """
-    if config.n_samples < 10_000:
-        raise ParameterError(
-            "estimates need n_samples >= 10000 to be acceptance-grade"
-        )
     k = scenario.k_obligors
     wishart_dof = 0
     if config.sampler == "wishart":

@@ -38,16 +38,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import ParameterError
-from .params import DefaultThreshold, MarketParams, SubordinationSpec
+from .params import MarketParams, SubordinationSpec
 
 __all__ = [
     "phi",
-    "phi_inv",
     "norm_pdf",
-    "default_threshold",
     "tau",
     "tau_du",
     "tau_dz",
@@ -60,7 +58,6 @@ __all__ = [
     "junior_mean_target_du",
     "junior_mean_target_dz",
     "moment_plain_du",
-    "moment_plain_dz",
 ]
 
 
@@ -73,11 +70,6 @@ def phi(x):
     return ndtr(x)
 
 
-def phi_inv(p):
-    """Inverse standard normal CDF, elementwise."""
-    return ndtri(p)
-
-
 def norm_pdf(x):
     """Standard normal density, elementwise."""
     x = np.asarray(x, dtype=float)
@@ -88,23 +80,6 @@ def _fhat(face, params: MarketParams, z):
     """Rescaled log default boundary; broadcasts over z."""
     z = np.asarray(z, dtype=float)
     return (math.log(face / params.v0) - params.drift_adj * params.t_mat) / np.sqrt(z)
-
-
-def default_threshold(face: float, params: MarketParams, z: float) -> DefaultThreshold:
-    """Transformed default boundary for one face value at one scale z.
-
-    Raises
-    ------
-    ParameterError
-        If face or z is not strictly positive.
-    """
-    if not (face > 0):
-        raise ParameterError(f"face must be > 0, got {face}")
-    if not (z > 0):
-        raise ParameterError(f"z must be > 0, got {z}")
-    return DefaultThreshold(
-        f_hat=float(_fhat(face, params, z)), face=face, params=params, z=z
-    )
 
 
 def _coeffs(params: MarketParams):
@@ -327,8 +302,3 @@ def moment_plain_du(j, z, u, face, params):
         raise ParameterError(f"face must be > 0, got {face}")
     return _kernel_du(j, 1.0, face, face, z, u, params)
 
-
-def moment_plain_dz(j, z, u, face, params):
-    if not (face > 0):
-        raise ParameterError(f"face must be > 0, got {face}")
-    return _kernel_dz(j, 1.0, face, face, z, u, params)

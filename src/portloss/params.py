@@ -8,7 +8,7 @@ engine memoize per-node moment tables keyed by scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 from .errors import ParameterError
 
@@ -141,6 +141,8 @@ class OverlapSpec:
     f0: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ParameterError(f"overlap fields must be finite, got {self}")
         if self.r1 < 0 or self.r12 < 0:
             raise ParameterError("overlap fractions must be >= 0")
         if self.r1 + self.r12 > 1 + 1e-12:
@@ -160,29 +162,3 @@ class OverlapSpec:
     @property
     def share_two(self) -> float:
         return 1.0 - self.share_one
-
-
-@dataclass(frozen=True)
-class DefaultThreshold:
-    """A transformed default boundary together with its ingredients.
-
-    ``f_hat`` is (ln(face/v0) - (mu - rho^2/2) T) / sqrt(z): the rescaled
-    log boundary an obligor's standardized terminal value is compared with.
-    """
-
-    f_hat: float
-    face: float
-    params: MarketParams = field(repr=False)
-    z: float
-
-    def __post_init__(self):
-        if not (self.face > 0):
-            raise ParameterError(f"face must be > 0, got {self.face}")
-        if not (self.z > 0):
-            raise ParameterError(f"z must be > 0, got {self.z}")
-        expected = (
-            math.log(self.face / self.params.v0)
-            - self.params.drift_adj * self.params.t_mat
-        ) / math.sqrt(self.z)
-        if not math.isclose(self.f_hat, expected, rel_tol=0, abs_tol=1e-12):
-            raise ParameterError("f_hat inconsistent with its components")

@@ -36,6 +36,11 @@ class QuadratureSpec:
     mode 'fixed' uses the tensor rules with the given node counts; mode
     'adaptive' lets the subordinated density build a localized rule around
     each point.  ``rel_tol`` is validated but nothing reads it yet.
+
+    The constructor owns every range: integer node counts in [8, 512] and
+    ``rel_tol`` in (0, 1e-3].  Scenario documents state only the types, so
+    a ``quadrature`` block is accepted exactly when this constructor
+    accepts it.
     """
 
     z_nodes: int = 64
@@ -44,8 +49,13 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.z_nodes < 8 or self.u_nodes < 8:
-            raise ParameterError("node counts must be >= 8")
+        if not (8 <= self.z_nodes <= 512 and 8 <= self.u_nodes <= 512):
+            raise ParameterError("node counts must be in [8, 512]")
+        if self.z_nodes % 1 or self.u_nodes % 1:
+            raise ParameterError("node counts must be integers")
+        # the rules need int counts; a document may spell one as 64.0
+        object.__setattr__(self, "z_nodes", int(self.z_nodes))
+        object.__setattr__(self, "u_nodes", int(self.u_nodes))
         if self.mode not in ("fixed", "adaptive"):
             raise ParameterError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
         if not (0 < self.rel_tol <= 1e-3):

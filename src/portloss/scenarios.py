@@ -1,10 +1,15 @@
 """Scenario documents: schema, validation, bundled recipes and the runner.
 
 A scenario is a JSON document selecting one computation mode plus its
-parameter blocks.  Validation is strict (unknown fields rejected, errors
-carry a JSON pointer); running a resolved scenario writes CSV/JSON
-artifacts that embed the resolved document and its fingerprint so a rerun
-can be checked byte for byte.
+parameter blocks.  Resolving a document merges the mode defaults under it,
+checks it against the mode schema and then builds it: each mode has one
+builder that turns the document into the domain objects its runner
+consumes.  The schema states only types for a block that becomes a
+domain object, whose constructor owns every range.  ``validate`` therefore
+builds exactly what ``run`` builds, and a domain error is reported at the
+JSON pointer of the block that supplied the value.  Running a resolved
+scenario writes CSV/JSON artifacts that embed the resolved document and
+its fingerprint so a rerun can be checked byte for byte.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import os
 import numpy as np
 import jsonschema
 
-from .errors import ParameterError, SamplerBudgetError, ScenarioError
+from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _overlap_counts
+from .errors import ParameterError, SamplerBudgetError, ScenarioError, SingularCovarianceError
 from .grids import SCHEMA_VERSION, DensityGrid, canonical_json, scenario_fingerprint
+from .limits import _check_ridge_faces, _open_unit_centers
 from .mc import McConfig, _check_wishart_budget, _wishart_dof
 from .params import (
     MarketParams,
@@ -54,85 +61,71 @@ MODES = (
 )
 
 _NUM = {"type": "number"}
+_INT = {"type": "integer"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 _FRAC = {"type": "number", "minimum": 0, "maximum": 1}
 
-_MARKET_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "mu": _NUM,
-        "rho": _POS,
-        "c": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "n_fluct": _POS,
-        "t_mat": _POS,
-        "v0": _POS,
-    },
-}
 
-_GRID_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "n_cells": {"type": "integer", "minimum": 2, "maximum": 2001},
-        "lo": _NONNEG,
-        "hi": _POS,
-    },
-}
-
-_QUAD_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "z_nodes": {"type": "integer", "minimum": 4, "maximum": 512},
-        "u_nodes": {"type": "integer", "minimum": 4, "maximum": 512},
-        "mode": {"enum": ["fixed", "adaptive"]},
-        "rel_tol": _POS,
-    },
-}
-
-_MC_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "n_samples": {"type": "integer", "minimum": 10000},
-        "rng_seed": {"type": "integer", "minimum": 0},
-        "sampler": {"enum": ["compound", "wishart"]},
-        "antithetic": {"type": "boolean"},
-        "n_bins": {"type": "integer", "minimum": 2, "maximum": 1000},
-        "chunk_size": {"type": "integer", "minimum": 128},
-    },
-}
-
-_OVERLAP_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "r1": _FRAC,
-        "r12": _FRAC,
-        "gamma": _FRAC,
-        "f0": _POS,
-    },
-    "required": ["r1", "r12", "gamma", "f0"],
-}
-
-_K_ONE_OR_MANY = {
-    "oneOf": [
-        _POSINT,
-        {"type": "array", "items": _POSINT, "minItems": 1},
-    ]
-}
-
-
-def _out_schema(*keys):
+def _block(props: dict, required=()) -> dict:
+    """Schema of an object with exactly these properties."""
     return {
         "type": "object",
         "additionalProperties": False,
-        "properties": {k: {"type": "string", "minLength": 1} for k in keys},
-        "required": list(keys),
+        "properties": props,
+        "required": list(required),
     }
+
+
+def _numbers(cls, required: bool) -> dict:
+    """Schema of a block of the numeric fields of ``cls``."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return _block(dict.fromkeys(names, _NUM), names if required else ())
+
+
+# Blocks that become a domain object state types only: MarketParams,
+# SubordinationSpec, OverlapSpec, QuadratureSpec, McConfig and the scenario
+# dataclasses own their ranges, and the builders report their errors.
+_MARKET_SCHEMA = _numbers(MarketParams, required=False)
+_TRANCHES_SCHEMA = _numbers(SubordinationSpec, required=True)
+_OVERLAP_SCHEMA = _numbers(OverlapSpec, required=True)
+_QUAD_SCHEMA = _block(
+    {"z_nodes": _INT, "u_nodes": _INT, "mode": {"enum": ["fixed", "adaptive"]}, "rel_tol": _NUM}
+)
+_MC_SCHEMA = _block(
+    {
+        "n_samples": _INT,
+        "rng_seed": _INT,
+        "sampler": {"enum": ["compound", "wishart"]},
+        "antithetic": {"type": "boolean"},
+        "n_bins": _INT,
+        "chunk_size": _INT,
+    }
+)
+_K_ONE_OR_MANY = {"oneOf": [_INT, {"type": "array", "items": _INT, "minItems": 1}]}
+
+
+def _plain_portfolio_schema(k_obligors: dict) -> dict:
+    """The ``portfolio`` block of the nosub and mc-validate modes."""
+    return _block(
+        {
+            "k_obligors": k_obligors,
+            "face": _NUM,
+            "layout": {"enum": ["single", "halves", "overlap"]},
+            "overlap": _OVERLAP_SCHEMA,
+        },
+        ["k_obligors"],
+    )
+
+
+_GRID_SCHEMA = _block(
+    {"n_cells": {"type": "integer", "minimum": 2, "maximum": 2001}, "lo": _NONNEG, "hi": _POS}
+)
+
+
+def _out_schema(*keys):
+    return _block({k: {"type": "string", "minLength": 1} for k in keys}, keys)
 
 
 def _doc_schema(extra_props, required):
@@ -143,30 +136,15 @@ def _doc_schema(extra_props, required):
         "mode": {"enum": list(MODES)},
     }
     props.update(extra_props)
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": props,
-        "required": ["schema_version", "mode"] + list(required),
-    }
+    return _block(props, ["schema_version", "mode"] + list(required))
 
 
 _MODE_SCHEMAS = {
     "subordinated": _doc_schema(
         {
             "market": _MARKET_SCHEMA,
-            "portfolio": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {"k_obligors": _K_ONE_OR_MANY},
-                "required": ["k_obligors"],
-            },
-            "tranches": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {"f_senior": _NONNEG, "f_junior": _POS},
-                "required": ["f_senior", "f_junior"],
-            },
+            "portfolio": _block({"k_obligors": _K_ONE_OR_MANY}, ["k_obligors"]),
+            "tranches": _TRANCHES_SCHEMA,
             "grid": _GRID_SCHEMA,
             "quadrature": _QUAD_SCHEMA,
             "outputs": _out_schema("density"),
@@ -176,17 +154,7 @@ _MODE_SCHEMAS = {
     "nosub": _doc_schema(
         {
             "market": _MARKET_SCHEMA,
-            "portfolio": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "k_obligors": _K_ONE_OR_MANY,
-                    "face": _POS,
-                    "layout": {"enum": ["single", "halves", "overlap"]},
-                    "overlap": _OVERLAP_SCHEMA,
-                },
-                "required": ["k_obligors"],
-            },
+            "portfolio": _plain_portfolio_schema(_K_ONE_OR_MANY),
             "grid": _GRID_SCHEMA,
             "quadrature": _QUAD_SCHEMA,
             "outputs": _out_schema("density"),
@@ -197,18 +165,11 @@ _MODE_SCHEMAS = {
         {
             "markets": {
                 "type": "array",
-                "minItems": 1,
-                "maxItems": 8,
-                "items": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": dict(
-                        _MARKET_SCHEMA["properties"], k_obligors=_POSINT
-                    ),
-                    "required": ["k_obligors"],
-                },
+                "items": _block(
+                    dict(_MARKET_SCHEMA["properties"], k_obligors=_INT), ["k_obligors"]
+                ),
             },
-            "face": _POS,
+            "face": _NUM,
             "creditors": {"enum": ["total", "per-market"]},
             "tails": {"type": "array", "items": _FRAC},
             "grid": _GRID_SCHEMA,
@@ -220,17 +181,8 @@ _MODE_SCHEMAS = {
     "limit-subordinated": _doc_schema(
         {
             "market": _MARKET_SCHEMA,
-            "tranches": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {"f_senior": _NONNEG, "f_junior": _POS},
-                "required": ["f_senior", "f_junior"],
-            },
-            "scan": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {"n_scan": {"type": "integer", "minimum": 16, "maximum": 1024}},
-            },
+            "tranches": _TRANCHES_SCHEMA,
+            "scan": _block({"n_scan": {"type": "integer", "minimum": 16, "maximum": 1024}}),
             "grid": _GRID_SCHEMA,
             "outputs": _out_schema("density"),
         },
@@ -283,20 +235,11 @@ _MODE_SCHEMAS = {
     "correlation-sweep": _doc_schema(
         {
             "market": _MARKET_SCHEMA,
-            "portfolio": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "k_values": {"type": "array", "items": _POSINT, "minItems": 1},
-                    "face": _POS,
-                },
-                "required": ["k_values"],
-            },
-            "c_values": {
-                "type": "array",
-                "items": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "minItems": 1,
-            },
+            "portfolio": _block(
+                {"k_values": {"type": "array", "items": _INT, "minItems": 1}, "face": _NUM},
+                ["k_values"],
+            ),
+            "c_values": {"type": "array", "items": _NUM, "minItems": 1},
             "method": {"enum": ["analytic", "mc"]},
             "mc": _MC_SCHEMA,
             "quadrature": _QUAD_SCHEMA,
@@ -306,10 +249,8 @@ _MODE_SCHEMAS = {
     ),
     "calibrate": _doc_schema(
         {
-            "source": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
+            "source": _block(
+                {
                     "kind": {"enum": ["synthetic", "csv"]},
                     "market": _MARKET_SCHEMA,
                     "k_assets": {"type": "integer", "minimum": 1},
@@ -317,17 +258,15 @@ _MODE_SCHEMAS = {
                     "rng_seed": {"type": "integer", "minimum": 0},
                     "path": {"type": "string"},
                 },
-                "required": ["kind"],
-            },
-            "fit": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
+                ["kind"],
+            ),
+            "fit": _block(
+                {
                     "grid_lo": _POS,
                     "grid_hi": _POS,
                     "grid_points": {"type": "integer", "minimum": 3, "maximum": 512},
-                },
-            },
+                }
+            ),
             "outputs": _out_schema("report"),
         },
         ["source"],
@@ -335,23 +274,8 @@ _MODE_SCHEMAS = {
     "mc-validate": _doc_schema(
         {
             "market": _MARKET_SCHEMA,
-            "portfolio": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "k_obligors": _POSINT,
-                    "face": _POS,
-                    "layout": {"enum": ["single", "halves", "overlap"]},
-                    "overlap": _OVERLAP_SCHEMA,
-                },
-                "required": ["k_obligors"],
-            },
-            "tranches": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {"f_senior": _NONNEG, "f_junior": _POS},
-                "required": ["f_senior", "f_junior"],
-            },
+            "portfolio": _plain_portfolio_schema(_INT),
+            "tranches": _TRANCHES_SCHEMA,
             "min_mass": _POS,
             "mc": _MC_SCHEMA,
             "quadrature": _QUAD_SCHEMA,
@@ -508,9 +432,12 @@ def _schema_check(doc, schema):
 def resolve_scenario(doc: dict) -> dict:
     """Validate a scenario document and fill defaults.
 
-    Returns a new fully populated document; raises ScenarioError with a
-    JSON pointer for schema violations, infeasible parameter blocks and
-    non-finite numbers.
+    Merges the mode defaults under the document, checks it against the
+    mode schema, builds it with the mode's builder (the same one the runner
+    starts from) and rejects non-finite numbers.  Returns a new fully
+    populated document; raises ScenarioError with a JSON pointer for
+    schema violations, for domain errors (at the block that supplied the
+    value) and for non-finite numbers.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object", pointer="/")
@@ -528,7 +455,7 @@ def resolve_scenario(doc: dict) -> dict:
     merged.setdefault("schema_version", SCHEMA_VERSION)
     merged.setdefault("id", "custom")
     _schema_check(merged, _MODE_SCHEMAS[mode])
-    _feasibility(merged)
+    _BUILDERS[mode](merged)
     bad = _first_non_finite(merged)
     if bad is not None:
         raise ScenarioError("numbers must be finite", pointer=_pointer(bad))
@@ -547,104 +474,24 @@ def validate_scenario(doc: dict) -> dict:
     }
 
 
-def _market_params(block: dict) -> MarketParams:
-    return MarketParams(
-        mu=block["mu"],
-        rho=block["rho"],
-        c=block["c"],
-        n_fluct=block["n_fluct"],
-        t_mat=block["t_mat"],
-        v0=block["v0"],
-    )
+# ---------------------------------------------------------------------------
+# building
+#
+# Each mode has one builder, ``_build_<mode>(sc, out_dir)``: it turns a
+# resolved document into the domain objects the mode's runner consumes and
+# the runner's output paths.  resolve_scenario calls it to check the
+# document and every runner starts from it, so ``validate`` accepts exactly
+# what ``run`` builds.  A builder adds only the checks that no domain
+# constructor makes.
 
 
-def _filled_market(block: dict) -> dict:
-    """A ``markets`` entry with the default market under its fields."""
-    filled = dict(_DEFAULT_MARKET)
-    filled.update({k: v for k, v in block.items() if k != "k_obligors"})
-    return filled
-
-
-def _k_list(value):
-    return [int(k) for k in (value if isinstance(value, list) else [value])]
-
-
-def _feasibility(sc: dict):
-    """Cross-field checks that the flat schema cannot express."""
-    mode = sc["mode"]
-    if "grid" in sc:
-        _check_increasing(sc["grid"], "lo", "hi", "/grid", "grid needs hi > lo")
-    for key in ("market", "market_one", "market_two"):
-        if key in sc:
-            _build(_market_params, sc[key], f"/{key}")
-    if "market" in sc.get("source", {}):
-        _build(_market_params, sc["source"]["market"], "/source/market")
-    for i, blk in enumerate(sc.get("markets", ())):
-        _build(_market_params, _filled_market(blk), f"/markets/{i}")
-    if "quadrature" in sc:
-        _build(_quad_spec, sc, "/quadrature")
-    if mode in ("nosub", "mc-validate"):
-        port = sc["portfolio"]
-        layout = port.get("layout", "halves")
-        if layout == "overlap" and "overlap" not in port:
-            raise ScenarioError(
-                "overlap layout needs a portfolio.overlap block",
-                pointer="/portfolio/overlap",
-            )
-        if layout != "overlap" and "overlap" in port:
-            raise ScenarioError(
-                "portfolio.overlap requires layout = overlap",
-                pointer="/portfolio/layout",
-            )
-        if "overlap" in port:
-            ov = port["overlap"]
-            if ov["r1"] + ov["r12"] > 1.0:
-                raise ScenarioError(
-                    "overlap fractions exceed 1: r1 + r12 must be <= 1",
-                    pointer="/portfolio/overlap",
-                )
-            _build(lambda blk: OverlapSpec(**blk), ov, "/portfolio/overlap")
-        for k in _k_list(port["k_obligors"]):
-            if layout == "halves" and k % 2 != 0:
-                raise ScenarioError(
-                    f"halves layout needs an even obligor count, got {k}",
-                    pointer="/portfolio/k_obligors",
-                )
-    if mode == "nosub-multimarket":
-        beta = len(sc["markets"])
-        if beta > 4:
-            raise ScenarioError(
-                f"analytic tensor quadrature supports at most 4 markets, got "
-                f"{beta}; use the mc-validate mode for larger block counts",
-                pointer="/markets",
-            )
-        n0 = sc["markets"][0].get("n_fluct", _DEFAULT_MARKET["n_fluct"])
-        for i, blk in enumerate(sc["markets"]):
-            if blk.get("n_fluct", _DEFAULT_MARKET["n_fluct"]) != n0:
-                raise ScenarioError(
-                    "all market blocks must share n_fluct",
-                    pointer=f"/markets/{i}/n_fluct",
-                )
-    if mode == "calibrate":
-        src = sc["source"]
-        if src["kind"] == "csv" and "path" not in src:
-            raise ScenarioError("csv source needs a path", pointer="/source/path")
-        _check_increasing(sc["fit"], "grid_lo", "grid_hi", "/fit", "fit grid needs grid_hi > grid_lo")
-    if mode == "mc-validate":
-        mc = sc["mc"]
-        if mc["antithetic"] and (mc["n_samples"] % 2 or mc["chunk_size"] % 2):
-            raise ScenarioError(
-                "antithetic sampling needs even n_samples and chunk_size",
-                pointer="/mc/antithetic",
-            )
-    if "mc" in sc:
-        config = _build(lambda mc: McConfig(**mc), sc["mc"], "/mc")
-        samples = mode == "mc-validate" or sc.get("method") == "mc"
-        if samples and config.sampler == "wishart":
-            _build(_wishart_dof, sc["market"]["n_fluct"], "/market/n_fluct")
-            key = "k_obligors" if mode == "mc-validate" else "k_values"
-            for k in _k_list(sc["portfolio"][key]):
-                _build(_check_wishart_budget, k, f"/portfolio/{key}")
+def _build(pointer: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a domain error turned into a
+    ScenarioError at ``pointer``."""
+    try:
+        return make(*args, **kwargs)
+    except (ParameterError, SamplerBudgetError, SingularCovarianceError) as exc:
+        raise ScenarioError(str(exc), pointer=pointer) from exc
 
 
 def _check_increasing(block: dict, lo: str, hi: str, where: str, message: str):
@@ -657,13 +504,242 @@ def _check_increasing(block: dict, lo: str, hi: str, where: str, message: str):
         raise ScenarioError(message, pointer=f"{where}/{hi}")
 
 
-def _build(make, arg, pointer: str):
-    """``make(arg)``, with a domain ParameterError or SamplerBudgetError
-    turned into a ScenarioError at ``pointer``."""
-    try:
-        return make(arg)
-    except (ParameterError, SamplerBudgetError) as exc:
-        raise ScenarioError(str(exc), pointer=pointer) from exc
+def _filled_market(block: dict) -> dict:
+    """A ``markets`` entry with the default market under its fields."""
+    filled = dict(_DEFAULT_MARKET)
+    filled.update({k: v for k, v in block.items() if k != "k_obligors"})
+    return filled
+
+
+def _quad(sc: dict) -> QuadratureSpec:
+    return _build("/quadrature", QuadratureSpec, **sc["quadrature"])
+
+
+def _mc_config(block: dict) -> McConfig:
+    """The McConfig of an ``mc`` block.  It is built once without
+    antithetic pairs first, so that a failure only the pairing causes is
+    reported at ``/mc/antithetic``."""
+    _build("/mc", McConfig, **dict(block, antithetic=False))
+    return _build("/mc/antithetic", McConfig, **block)
+
+
+def _grid(sc: dict) -> dict:
+    """The ``n_cells``, ``lo`` and ``hi`` keywords of the grid functions."""
+    grid = sc["grid"]
+    _check_increasing(grid, "lo", "hi", "/grid", "grid needs hi > lo")
+    return dict(grid, n_cells=int(grid["n_cells"]))
+
+
+def _k_list(value):
+    """Obligor counts as ints; the schema's integers include floats such as
+    20.0."""
+    return [int(k) for k in (value if isinstance(value, list) else [value])]
+
+
+def _output(sc: dict, key: str, out_dir: str) -> str:
+    return os.path.join(out_dir, sc["outputs"][key])
+
+
+def _density_paths(sc: dict, ks, out_dir: str) -> list:
+    """One ``outputs.density`` path per obligor count in ``ks``."""
+    template = sc["outputs"]["density"]
+    if len(ks) > 1 and "{k}" not in template:
+        raise ScenarioError(
+            "outputs.density needs a {k} placeholder for multiple sizes",
+            pointer="/outputs/density",
+        )
+    return [os.path.join(out_dir, template.replace("{k}", str(k))) for k in ks]
+
+
+def _halves(face, pointer: str) -> OverlapSpec:
+    """Two equal disjoint halves of a pool whose obligors have face ``face``."""
+    return _build(pointer, OverlapSpec, r1=0.5, r12=0.0, gamma=0.5, f0=face)
+
+
+def _plain_scenarios(sc: dict, params: MarketParams) -> list:
+    """A NoSubScenario per obligor count of a nosub or mc-validate
+    ``portfolio`` block."""
+    port = sc["portfolio"]
+    layout = port["layout"]
+    if layout == "overlap" and "overlap" not in port:
+        raise ScenarioError(
+            "overlap layout needs a portfolio.overlap block", pointer="/portfolio/overlap"
+        )
+    if layout != "overlap" and "overlap" in port:
+        raise ScenarioError(
+            "portfolio.overlap requires layout = overlap", pointer="/portfolio/layout"
+        )
+    if layout == "single":
+        holding = {"face": port["face"]}
+    elif layout == "halves":
+        holding = {"overlap": _halves(port["face"], "/portfolio/face")}
+    else:
+        holding = {"overlap": _build("/portfolio/overlap", OverlapSpec, **port["overlap"])}
+    scens = []
+    for k in _k_list(port["k_obligors"]):
+        if layout == "halves" and k % 2:
+            raise ScenarioError(
+                f"halves layout needs an even obligor count, got {k}",
+                pointer="/portfolio/k_obligors",
+            )
+        scens.append(_build("/portfolio", NoSubScenario, k_obligors=k, params=params, **holding))
+    return scens
+
+
+def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str):
+    """Refuse what ``mc.estimate`` refuses: a Wishart sampler without an
+    integer fluctuation strength or beyond its obligor budget, and overlap
+    fractions that are not whole firm counts."""
+    if config.sampler == "wishart":
+        _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct)
+        _build(k_pointer, _check_wishart_budget, scen.k_obligors)
+    if getattr(scen, "overlap", None) is not None:
+        _build(counts_pointer, _overlap_counts, scen.overlap, scen.k_obligors)
+
+
+def _build_subordinated(sc, out_dir=""):
+    params = _build("/market", MarketParams, **sc["market"])
+    tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
+    ks = _k_list(sc["portfolio"]["k_obligors"])
+    scens = [
+        _build("/portfolio", SubordinatedScenario, k_obligors=k, tranches=tranches, params=params)
+        for k in ks
+    ]
+    return _quad(sc), _grid(sc), list(zip(_density_paths(sc, ks, out_dir), scens))
+
+
+def _build_nosub(sc, out_dir=""):
+    scens = _plain_scenarios(sc, _build("/market", MarketParams, **sc["market"]))
+    for scen in scens:
+        _build("/portfolio/overlap", _check_grid, scen)
+    paths = _density_paths(sc, [scen.k_obligors for scen in scens], out_dir)
+    return _quad(sc), _grid(sc), list(zip(paths, scens))
+
+
+def _build_multimarket(sc, out_dir=""):
+    blocks = tuple(
+        (_build(f"/markets/{i}", MarketParams, **_filled_market(blk)), blk["k_obligors"])
+        for i, blk in enumerate(sc["markets"])
+    )
+    if len(blocks) > 4:
+        raise ScenarioError(
+            f"analytic tensor quadrature supports at most 4 markets, got "
+            f"{len(blocks)}; use the mc-validate mode for larger block counts",
+            pointer="/markets",
+        )
+    params = _build("/markets", MultiMarketParams, blocks)
+    creditors = 1 if sc["creditors"] == "total" else params.beta
+    scen = _build(
+        "/face", NoSubScenario,
+        k_obligors=params.k_total, params=params, face=sc["face"], creditors=creditors,
+    )
+    _build("/creditors", _check_grid, scen)
+    tails = sc["tails"] if creditors == 1 else []
+    return _quad(sc), _grid(sc), scen, tails, _output(sc, "density", out_dir)
+
+
+def _build_limit_subordinated(sc, out_dir=""):
+    tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
+    _build("/tranches/f_senior", _check_ridge_faces, tranches)
+    params = _build("/market", MarketParams, **sc["market"])
+    return tranches, params, _grid(sc), int(sc["scan"]["n_scan"]), _output(sc, "density", out_dir)
+
+
+def _build_limit_equal(sc, out_dir=""):
+    params = _build("/market", MarketParams, **sc["market"])
+    cells = _grid(sc)
+    _build("/grid", _open_unit_centers, **cells)
+    return sc["face"], params, _quad(sc), cells, _output(sc, "curve", out_dir)
+
+
+def _build_limit_fin_vs_inf(sc, out_dir=""):
+    params = _build("/market", MarketParams, **sc["market"])
+    return sc["r_one"], sc["face"], params, _quad(sc), _grid(sc), _output(sc, "density", out_dir)
+
+
+def _build_limit_two_markets(sc, out_dir=""):
+    one = _build("/market_one", MarketParams, **sc["market_one"])
+    two = _build("/market_two", MarketParams, **sc["market_two"])
+    # the two markets share one scale variable, as market blocks do
+    _build("/market_two/n_fluct", MultiMarketParams, ((one, 1), (two, 1)))
+    faces = (sc["face_one"], sc["face_two"])
+    return faces, (one, two), _quad(sc), _grid(sc), _output(sc, "density", out_dir)
+
+
+def _build_no_default(sc, out_dir=""):
+    base = _build("/market", MarketParams, **sc["market"])
+    markets = [
+        _build(f"/mu_values/{i}", dataclasses.replace, base, mu=mu)
+        for i, mu in enumerate(sc.get("mu_values", [base.mu]))
+    ]
+    return _quad(sc), sc["face"], markets, _k_list(sc["k_values"]), _output(sc, "table", out_dir)
+
+
+def _build_correlation_sweep(sc, out_dir=""):
+    """Quadrature, one (c, k, scenario, McConfig or None) cell per pair of
+    ``c_values`` and ``k_values`` entries, and the table path."""
+    base = _build("/market", MarketParams, **sc["market"])
+    halves = _halves(sc["portfolio"]["face"], "/portfolio/face")
+    config = _mc_config(sc["mc"])
+    cells = []
+    for i, c in enumerate(sc["c_values"]):
+        params = _build(f"/c_values/{i}", dataclasses.replace, base, c=c)
+        for k in _k_list(sc["portfolio"]["k_values"]):
+            scen = _build(
+                "/portfolio/k_values", NoSubScenario, k_obligors=k, params=params, overlap=halves
+            )
+            cfg = None
+            if sc["method"] == "mc":
+                seed = config.rng_seed + int(round(1000 * c)) * 1000 + k
+                cfg = dataclasses.replace(config, rng_seed=seed)
+                _check_sampling(scen, cfg, "/portfolio/k_values", "/portfolio/k_values")
+            cells.append((c, k, scen, cfg))
+    return _quad(sc), cells, _output(sc, "table", out_dir)
+
+
+def _build_calibrate(sc, out_dir=""):
+    """The synthetic sample's (market, assets, samples, seed), or None for
+    a CSV source; the CSV path or None; the fit grid and the report path."""
+    src = sc["source"]
+    params = _build("/source/market", MarketParams, **src["market"])
+    if src["kind"] == "csv" and "path" not in src:
+        raise ScenarioError("csv source needs a path", pointer="/source/path")
+    fit = sc["fit"]
+    _check_increasing(fit, "grid_lo", "grid_hi", "/fit", "fit grid needs grid_hi > grid_lo")
+    grid = np.geomspace(fit["grid_lo"], fit["grid_hi"], int(fit["grid_points"]))
+    synthetic = None
+    if src["kind"] == "synthetic":
+        synthetic = (params, int(src["k_assets"]), int(src["m_samples"]), int(src["rng_seed"]))
+    return synthetic, src.get("path"), grid, _output(sc, "report", out_dir)
+
+
+def _build_mc_validate(sc, out_dir=""):
+    params = _build("/market", MarketParams, **sc["market"])
+    (scen,) = _plain_scenarios(sc, params)
+    if "tranches" in sc:
+        tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
+        scen = _build(
+            "/portfolio", SubordinatedScenario,
+            k_obligors=scen.k_obligors, tranches=tranches, params=params,
+        )
+    config = _mc_config(sc["mc"])
+    _check_sampling(scen, config, "/portfolio/k_obligors", "/portfolio/overlap")
+    return _quad(sc), config, scen, sc["min_mass"], _output(sc, "report", out_dir)
+
+
+_BUILDERS = {
+    "subordinated": _build_subordinated,
+    "nosub": _build_nosub,
+    "nosub-multimarket": _build_multimarket,
+    "limit-subordinated": _build_limit_subordinated,
+    "limit-equal": _build_limit_equal,
+    "limit-finite-vs-infinite": _build_limit_fin_vs_inf,
+    "limit-two-markets": _build_limit_two_markets,
+    "no-default": _build_no_default,
+    "correlation-sweep": _build_correlation_sweep,
+    "calibrate": _build_calibrate,
+    "mc-validate": _build_mc_validate,
+}
 
 
 def estimate_cost(sc: dict) -> dict:
@@ -871,13 +947,6 @@ _BUNDLED = {
 # running
 
 
-def _quad_spec(sc: dict) -> QuadratureSpec:
-    q = sc["quadrature"]
-    return QuadratureSpec(
-        z_nodes=q["z_nodes"], u_nodes=q["u_nodes"], mode=q["mode"], rel_tol=q["rel_tol"]
-    )
-
-
 def _provenance(sc: dict):
     return (
         f"schema_version: {sc['schema_version']}",
@@ -928,94 +997,36 @@ def _grid_summary(grid: DensityGrid) -> str:
     return f"peak={vals.max():.6g} mass~{mass:.4f}"
 
 
-def _nosub_scenario_for(sc: dict, k: int, params=None):
-    from .engine import NoSubScenario
-
-    port = sc["portfolio"]
-    layout = port.get("layout", "halves")
-    face = port.get("face", 75.0)
-    params = params if params is not None else _market_params(sc["market"])
-    if layout == "single":
-        return NoSubScenario(k_obligors=k, params=params, face=face)
-    if layout == "halves":
-        ov = OverlapSpec(r1=0.5, r12=0.0, gamma=0.5, f0=face)
-    else:
-        blk = port["overlap"]
-        ov = OverlapSpec(r1=blk["r1"], r12=blk["r12"], gamma=blk["gamma"], f0=blk["f0"])
-    return NoSubScenario(k_obligors=k, params=params, overlap=ov)
-
-
-def _run_subordinated(sc, out_dir):
-    from .engine import SubordinatedScenario, density_grid_subordinated
-
-    quad = _quad_spec(sc)
-    tr = SubordinationSpec(f_senior=sc["tranches"]["f_senior"], f_junior=sc["tranches"]["f_junior"])
-    params = _market_params(sc["market"])
-    grid_cfg = sc["grid"]
+def _write_density_grids(grid_fn, quad, cells, jobs, sc):
+    """Write ``grid_fn(scenario, quad, **cells)`` to each (path, scenario)
+    job; returns the artifact records."""
     arts = []
-    ks = _k_list(sc["portfolio"]["k_obligors"])
-    template = sc["outputs"]["density"]
-    if len(ks) > 1 and "{k}" not in template:
-        raise ScenarioError(
-            "outputs.density needs a {k} placeholder for multiple sizes",
-            pointer="/outputs/density",
-        )
-    for k in ks:
-        scen = SubordinatedScenario(k_obligors=k, tranches=tr, params=params)
-        grid = density_grid_subordinated(
-            scen, quad, n_cells=grid_cfg["n_cells"], lo=grid_cfg["lo"], hi=grid_cfg["hi"]
-        )
-        path = os.path.join(out_dir, template.replace("{k}", str(k)))
+    for path, scen in jobs:
+        grid = grid_fn(scen, quad, **cells)
         _write_grid(grid, sc, path)
         arts.append(_artifact(path, "density_grid", _grid_summary(grid)))
     return arts
+
+
+def _run_subordinated(sc, out_dir):
+    from .engine import density_grid_subordinated
+
+    return _write_density_grids(density_grid_subordinated, *_build_subordinated(sc, out_dir), sc)
 
 
 def _run_nosub(sc, out_dir):
     from .engine import density_grid_nosub
 
-    quad = _quad_spec(sc)
-    grid_cfg = sc["grid"]
-    arts = []
-    ks = _k_list(sc["portfolio"]["k_obligors"])
-    template = sc["outputs"]["density"]
-    if len(ks) > 1 and "{k}" not in template:
-        raise ScenarioError(
-            "outputs.density needs a {k} placeholder for multiple sizes",
-            pointer="/outputs/density",
-        )
-    for k in ks:
-        scen = _nosub_scenario_for(sc, k)
-        grid = density_grid_nosub(
-            scen, quad, n_cells=grid_cfg["n_cells"], lo=grid_cfg["lo"], hi=grid_cfg["hi"]
-        )
-        path = os.path.join(out_dir, template.replace("{k}", str(k)))
-        _write_grid(grid, sc, path)
-        arts.append(_artifact(path, "density_grid", _grid_summary(grid)))
-    return arts
+    return _write_density_grids(density_grid_nosub, *_build_nosub(sc, out_dir), sc)
 
 
 def _run_multimarket(sc, out_dir):
-    from .engine import NoSubScenario, density_grid_nosub, tail_probability
+    from .engine import density_grid_nosub, tail_probability
 
-    quad = _quad_spec(sc)
-    blocks = []
-    for blk in sc["markets"]:
-        blocks.append((_market_params(_filled_market(blk)), blk["k_obligors"]))
-    params = MultiMarketParams(blocks=tuple(blocks))
-    creditors = 1 if sc["creditors"] == "total" else params.beta
-    scen = NoSubScenario(
-        k_obligors=params.k_total, params=params, face=sc["face"], creditors=creditors
-    )
-    grid_cfg = sc["grid"]
-    grid = density_grid_nosub(
-        scen, quad, n_cells=grid_cfg["n_cells"], lo=grid_cfg["lo"], hi=grid_cfg["hi"]
-    )
-    path = os.path.join(out_dir, sc["outputs"]["density"])
-    _write_grid(grid, sc, path)
-    arts = [_artifact(path, "density_grid", _grid_summary(grid))]
-    if sc["tails"] and creditors == 1:
-        stats = [f"P(L>{t:g})={tail_probability(t, scen, quad):.3e}" for t in sc["tails"]]
+    quad, cells, scen, tails, path = _build_multimarket(sc, out_dir)
+    arts = _write_density_grids(density_grid_nosub, quad, cells, [(path, scen)], sc)
+    if tails:
+        stats = [f"P(L>{t:g})={tail_probability(t, scen, quad):.3e}" for t in tails]
         arts[0]["summary"] += " " + " ".join(stats)
     return arts
 
@@ -1023,13 +1034,8 @@ def _run_multimarket(sc, out_dir):
 def _run_limit_subordinated(sc, out_dir):
     from .limits import limit_grid_subordinated
 
-    tr = SubordinationSpec(f_senior=sc["tranches"]["f_senior"], f_junior=sc["tranches"]["f_junior"])
-    params = _market_params(sc["market"])
-    g = sc["grid"]
-    grid = limit_grid_subordinated(
-        tr, params, n_cells=g["n_cells"], lo=g["lo"], hi=g["hi"], n_scan=sc["scan"]["n_scan"]
-    )
-    path = os.path.join(out_dir, sc["outputs"]["density"])
+    tranches, params, cells, n_scan, path = _build_limit_subordinated(sc, out_dir)
+    grid = limit_grid_subordinated(tranches, params, n_scan=n_scan, **cells)
     _write_grid(grid, sc, path)
     flagged = int(np.sum(np.asarray(grid.quality) > 0)) if grid.quality is not None else 0
     return [_artifact(path, "density_grid", _grid_summary(grid) + f" flagged_cells={flagged}")]
@@ -1038,12 +1044,8 @@ def _run_limit_subordinated(sc, out_dir):
 def _run_limit_equal(sc, out_dir):
     from .limits import limit_curve_equal_infinite
 
-    params = _market_params(sc["market"])
-    g = sc["grid"]
-    grid = limit_curve_equal_infinite(
-        sc["face"], params, _quad_spec(sc), n_cells=g["n_cells"], lo=g["lo"], hi=g["hi"]
-    )
-    path = os.path.join(out_dir, sc["outputs"]["curve"])
+    face, params, quad, cells, path = _build_limit_equal(sc, out_dir)
+    grid = limit_curve_equal_infinite(face, params, quad, **cells)
     _write_grid(grid, sc, path)
     return [_artifact(path, "density_curve", _grid_summary(grid))]
 
@@ -1051,13 +1053,8 @@ def _run_limit_equal(sc, out_dir):
 def _run_limit_fin_vs_inf(sc, out_dir):
     from .limits import limit_grid_finite_vs_infinite
 
-    params = _market_params(sc["market"])
-    g = sc["grid"]
-    grid = limit_grid_finite_vs_infinite(
-        sc["r_one"], sc["face"], params, _quad_spec(sc),
-        n_cells=g["n_cells"], lo=g["lo"], hi=g["hi"],
-    )
-    path = os.path.join(out_dir, sc["outputs"]["density"])
+    r_one, face, params, quad, cells, path = _build_limit_fin_vs_inf(sc, out_dir)
+    grid = limit_grid_finite_vs_infinite(r_one, face, params, quad, **cells)
     _write_grid(grid, sc, path)
     return [_artifact(path, "density_grid", _grid_summary(grid))]
 
@@ -1065,13 +1062,8 @@ def _run_limit_fin_vs_inf(sc, out_dir):
 def _run_limit_two_markets(sc, out_dir):
     from .limits import limit_grid_two_markets
 
-    g = sc["grid"]
-    grid = limit_grid_two_markets(
-        sc["face_one"], sc["face_two"],
-        _market_params(sc["market_one"]), _market_params(sc["market_two"]),
-        _quad_spec(sc), n_cells=g["n_cells"], lo=g["lo"], hi=g["hi"],
-    )
-    path = os.path.join(out_dir, sc["outputs"]["density"])
+    faces, markets, quad, cells, path = _build_limit_two_markets(sc, out_dir)
+    grid = limit_grid_two_markets(*faces, *markets, quad, **cells)
     _write_grid(grid, sc, path)
     return [_artifact(path, "density_grid", _grid_summary(grid))]
 
@@ -1079,16 +1071,12 @@ def _run_limit_two_markets(sc, out_dir):
 def _run_no_default(sc, out_dir):
     from .engine import no_default_probability
 
-    quad = _quad_spec(sc)
-    mus = sc.get("mu_values", [sc["market"]["mu"]])
-    rows = []
-    for mu in mus:
-        market = dict(sc["market"])
-        market["mu"] = mu
-        params = _market_params(market)
-        for k in sc["k_values"]:
-            rows.append((float(mu), int(k), no_default_probability(k, sc["face"], params, quad)))
-    path = os.path.join(out_dir, sc["outputs"]["table"])
+    quad, face, markets, ks, path = _build_no_default(sc, out_dir)
+    rows = [
+        (float(params.mu), int(k), no_default_probability(k, face, params, quad))
+        for params in markets
+        for k in ks
+    ]
     _write_table(rows, ["mu", "k_obligors", "p_no_default"], sc, path)
     lo, hi = rows[-1][2], rows[0][2]
     return [_artifact(path, "table", f"rows={len(rows)} p_nd range [{lo:.4g}, {hi:.4g}]")]
@@ -1097,25 +1085,14 @@ def _run_no_default(sc, out_dir):
 def _run_correlation_sweep(sc, out_dir):
     from .engine import loss_correlation
 
-    quad = _quad_spec(sc)
+    quad, cells, path = _build_correlation_sweep(sc, out_dir)
     rows = []
-    for c in sc["c_values"]:
-        market = dict(sc["market"])
-        market["c"] = c
-        for k in sc["portfolio"]["k_values"]:
-            scen = _nosub_scenario_for(
-                {"portfolio": {"face": sc["portfolio"]["face"], "layout": "halves"}},
-                k,
-                params=_market_params(market),
-            )
-            if sc["method"] == "analytic":
-                corr = loss_correlation(scen, method="analytic", quad=quad)
-            else:
-                seed = sc["mc"]["rng_seed"] + int(round(1000 * c)) * 1000 + k
-                cfg = McConfig(**dict(sc["mc"], rng_seed=seed))
-                corr = loss_correlation(scen, method="mc", mc_config=cfg)
-            rows.append((float(c), int(k), float(corr)))
-    path = os.path.join(out_dir, sc["outputs"]["table"])
+    for c, k, scen, cfg in cells:
+        if cfg is None:
+            corr = loss_correlation(scen, method="analytic", quad=quad)
+        else:
+            corr = loss_correlation(scen, method="mc", mc_config=cfg)
+        rows.append((float(c), int(k), float(corr)))
     _write_table(rows, ["c", "k_obligors", "loss_correlation"], sc, path)
     return [_artifact(path, "table", f"rows={len(rows)} corr range [{min(r[2] for r in rows):.4f}, {max(r[2] for r in rows):.4f}]")]
 
@@ -1146,18 +1123,16 @@ def _run_calibrate(sc, out_dir):
     from . import mc as mcmod
     from .calibration import ReturnSample, effective_correlation, fit_n
 
-    src = sc["source"]
-    if src["kind"] == "synthetic":
-        params = _market_params(src.get("market", _DEFAULT_MARKET))
-        rng = np.random.default_rng(src["rng_seed"])
-        data = mcmod.sample_compound_returns(params, src["k_assets"], src["m_samples"], rng)
+    synthetic, csv_path, grid, path = _build_calibrate(sc, out_dir)
+    if synthetic is not None:
+        params, k_assets, m_samples, seed = synthetic
+        rng = np.random.default_rng(seed)
+        data = mcmod.sample_compound_returns(params, k_assets, m_samples, rng)
         truth = {"n_fluct": params.n_fluct, "c": params.c}
     else:
-        data = _load_returns_csv(src["path"])
+        data = _load_returns_csv(csv_path)
         truth = None
     sample = ReturnSample(data)
-    fit_cfg = sc["fit"]
-    grid = np.geomspace(fit_cfg["grid_lo"], fit_cfg["grid_hi"], fit_cfg["grid_points"])
     fit = fit_n(sample, grid=grid)
     c_hat = effective_correlation(sample.sigma_hat) if sample.k_assets > 1 else None
     payload = {
@@ -1172,7 +1147,6 @@ def _run_calibrate(sc, out_dir):
     }
     if truth is not None:
         payload["truth"] = truth
-    path = os.path.join(out_dir, sc["outputs"]["report"])
     _write_json(payload, sc, path)
     c_txt = "n/a" if c_hat is None else f"{c_hat:.4f}"
     return [_artifact(path, "fit_report", f"n_hat={fit.n_hat:.3f} c_hat={c_txt}")]
@@ -1180,59 +1154,38 @@ def _run_calibrate(sc, out_dir):
 
 def _run_mc_validate(sc, out_dir):
     from . import mc as mcmod
-    from .engine import (
-        SubordinatedScenario,
-        no_default_probability,
-        nosub_cell_masses,
-        subordinated_cell_masses,
-    )
+    from .engine import no_default_probability, nosub_cell_masses, subordinated_cell_masses
 
-    quad = _quad_spec(sc)
-    config = McConfig(**sc["mc"])
-    k = sc["portfolio"]["k_obligors"]
-    if "tranches" in sc:
-        tr = SubordinationSpec(
-            f_senior=sc["tranches"]["f_senior"], f_junior=sc["tranches"]["f_junior"]
-        )
-        scen = SubordinatedScenario(
-            k_obligors=k, tranches=tr, params=_market_params(sc["market"])
-        )
-    else:
-        scen = _nosub_scenario_for(sc, k)
+    quad, config, scen, min_mass, path = _build_mc_validate(sc, out_dir)
     run = mcmod.estimate(scen, config)
     edges = np.linspace(0.0, 1.0, config.n_bins + 1)
     edges_open = edges.copy()
     edges_open[-1] = np.inf
     # McRun histograms are already normalized to probabilities
-    if "tranches" in sc:
+    if isinstance(scen, SubordinatedScenario):
         analytic = subordinated_cell_masses(scen, edges_open, edges_open, quad)
-        p_mc = np.asarray(run.hist_2d, dtype=float)
-        interior = np.ones_like(analytic, dtype=bool)
-        interior[0, :] = False
-        interior[:, 0] = False
     elif scen.n_creditors == 2:
         analytic = nosub_cell_masses(scen, edges_open, edges_open, quad)
-        p_mc = np.asarray(run.hist_2d, dtype=float)
-        interior = np.ones_like(analytic, dtype=bool)
-        interior[0, :] = False
-        interior[:, 0] = False
     else:
         analytic = nosub_cell_masses(scen, edges_open, quad=quad)
-        p_mc = np.asarray(run.hist_1d[0], dtype=float)
-        interior = np.ones_like(analytic, dtype=bool)
-        interior[0] = False
+    p_mc = np.asarray(run.hist_2d if analytic.ndim == 2 else run.hist_1d[0], dtype=float)
+    # the first row and column hold the atoms that the continuous law smears
+    interior = np.ones_like(analytic, dtype=bool)
+    interior[0] = False
+    if analytic.ndim == 2:
+        interior[:, 0] = False
     n = config.n_samples
-    compare = interior & (analytic > sc["min_mass"])
+    compare = interior & (analytic > min_mass)
     se = np.sqrt(np.maximum(analytic * (1.0 - analytic), 1e-30) / n)
     z = np.zeros_like(analytic)
     z[compare] = (p_mc[compare] - analytic[compare]) / se[compare]
     max_abs_z = float(np.max(np.abs(z))) if np.any(compare) else 0.0
-    p_nd = no_default_probability(k, scen.obligor_face, scen.params, quad)
+    p_nd = no_default_probability(scen.k_obligors, scen.obligor_face, scen.params, quad)
     z_nd = (run.p_no_default - p_nd) / max(run.p_no_default_se, 1e-15)
     payload = {
         "n_samples": n,
         "n_cells_compared": int(np.sum(compare)),
-        "min_mass": sc["min_mass"],
+        "min_mass": min_mass,
         "max_abs_z": max_abs_z,
         "mean_abs_z": float(np.mean(np.abs(z[compare]))) if np.any(compare) else 0.0,
         "analytic_mass_compared": float(np.sum(analytic[compare])),
@@ -1248,7 +1201,6 @@ def _run_mc_validate(sc, out_dir):
         "subordination_violations": run.subordination_violations,
         "agreement": bool(max_abs_z <= 5.0 and abs(z_nd) <= 5.0),
     }
-    path = os.path.join(out_dir, sc["outputs"]["report"])
     _write_json(payload, sc, path)
     return [
         _artifact(

@@ -120,7 +120,12 @@ def test_non_finite_market_rejected_with_pointer(tmp_path, capsys):
 
 
 # the bundled scenario that holds each overridden block
-_SCENARIO_WITH = {"grid": "subordinated_k200", "fit": "calibrate_synthetic_base"}
+_SCENARIO_WITH = {
+    "grid": "subordinated_k200",
+    "fit": "calibrate_synthetic_base",
+    "market_two": "limit_two_markets_base",
+    "tranches": "limit_subordinated_ridge",
+}
 
 
 @pytest.mark.parametrize(
@@ -130,11 +135,41 @@ _SCENARIO_WITH = {"grid": "subordinated_k200", "fit": "calibrate_synthetic_base"
         (["portfolio.k_obligors=600", 'mc.sampler="wishart"'], "/portfolio/k_obligors"),
         (["grid.lo=NaN"], "/grid/lo"),
         (["fit.grid_lo=NaN"], "/fit/grid_lo"),
+        (['portfolio.layout="overlap"',
+          'portfolio.overlap={"r1":0.333,"r12":0.2,"gamma":0.5,"f0":75}'],
+         "/portfolio/overlap"),
+        (["market_two.n_fluct=7"], "/market_two/n_fluct"),
+        (["tranches.f_senior=0"], "/tranches/f_senior"),
     ],
 )
 def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
     overrides = [arg for s in sets for arg in ("--set", s)]
     scenario = _SCENARIO_WITH.get(sets[0].split(".")[0], "mc_validate_halves_k100")
+    for argv in (["validate"], ["run", "--out-dir", str(tmp_path)]):
+        assert main(argv + [scenario] + overrides) == EXIT_REJECTED
+        err = json.loads(capsys.readouterr().err)
+        assert err["pointer"] == pointer
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "scenario, sets, pointer",
+    [
+        ("nosub_halves_k100",
+         ['portfolio.layout="overlap"', 'portfolio.overlap={"r1":0,"r12":1,"gamma":0.5,"f0":75}'],
+         "/portfolio/overlap"),
+        ("nosub_halves_k100", ["portfolio.k_obligors=[10,20]"], "/outputs/density"),
+        ("multimarket_split_pair",
+         ['markets=[{"k_obligors":20},{"k_obligors":20},{"k_obligors":20}]',
+          'creditors="per-market"'],
+         "/creditors"),
+        ("correlation_sweep_full", ['method="mc"', "portfolio.k_values=[11]"],
+         "/portfolio/k_values"),
+        ("limit_equal_loss_curve", ["grid.hi=2"], "/grid"),
+    ],
+)
+def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):
+    overrides = [arg for s in sets for arg in ("--set", s)]
     for argv in (["validate"], ["run", "--out-dir", str(tmp_path)]):
         assert main(argv + [scenario] + overrides) == EXIT_REJECTED
         err = json.loads(capsys.readouterr().err)

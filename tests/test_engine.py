@@ -97,6 +97,14 @@ def test_identical_portfolios_have_no_bivariate_density(market):
     assert loss_correlation(sc, method="analytic") == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("r1, r12, gamma", [(0.0, 0.0, 0.5), (1.0, 0.0, 0.5), (0.3, 0.7, 1.0)])
+def test_overlap_creditor_needs_a_positive_share(market, r1, r12, gamma):
+    # a creditor that holds nothing has a loss of identically 0
+    empty = OverlapSpec(r1=r1, r12=r12, gamma=gamma, f0=75.0)
+    with pytest.raises(ParameterError):
+        NoSubScenario(k_obligors=50, params=market, overlap=empty)
+
+
 # ---------------------------------------------------------------------------
 # loss correlation
 

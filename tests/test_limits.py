@@ -91,6 +91,15 @@ def test_limit_subordinated_off_ridge_is_zero(market, faces):
     assert density_limit_subordinated(0.5, 0.1, faces, market) == 0.0
 
 
+def test_limit_subordinated_refuses_zero_senior_face(market):
+    # the senior loss is then identically 0: no joint limit density exists
+    no_senior = SubordinationSpec(f_senior=0.0, f_junior=75.0)
+    with pytest.raises(ParameterError):
+        density_limit_subordinated(0.0, 0.1, no_senior, market)
+    with pytest.raises(ParameterError):
+        limit_grid_subordinated(no_senior, market, n_cells=4)
+
+
 def test_solve_z0_locates_the_crossing(market, faces):
     sol = solve_z0(0.0155, 0.4, faces, market)
     s = solve_u_senior(0.0155, sol.z0, faces, market)

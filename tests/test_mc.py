@@ -35,13 +35,23 @@ def test_config_validation(market):
         McConfig(n_samples=20_001, antithetic=True)  # needs pairs
     with pytest.raises(ParameterError):
         McConfig(sampler="quasi")
-    # small sample counts are rejected at estimation time
+    # small sample counts are rejected
     with pytest.raises(ParameterError):
         mc.estimate(_halves(market), McConfig(n_samples=5000))
     # Wishart draws cost K x K factor work; huge pools must use compound
     with pytest.raises(SamplerBudgetError):
         mc.estimate(_halves(market, 100_000),
                     McConfig(n_samples=10_000, sampler="wishart"))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(n_samples=9_999), dict(chunk_size=127), dict(n_bins=1001), dict(rng_seed=-1),
+     dict(rng_seed=5.0)],
+)
+def test_config_owns_the_document_ranges(kw):
+    with pytest.raises(ParameterError):
+        McConfig(**kw)
 
 
 def test_same_seed_is_bit_identical(market):

@@ -16,20 +16,17 @@ from scipy.stats import norm
 
 from portloss import MarketParams, ParameterError, SubordinationSpec
 from portloss.moments import (
-    default_threshold,
     junior_mean_target,
     junior_mean_target_du,
     junior_mean_target_dz,
     moment_junior,
     moment_plain,
     moment_plain_du,
-    moment_plain_dz,
     moment_senior,
     moment_senior_du,
     moment_senior_dz,
     norm_pdf,
     phi,
-    phi_inv,
     tau,
     tau_du,
     tau_dz,
@@ -76,22 +73,6 @@ def test_phi_matches_scipy():
     assert phi(1.0) == pytest.approx(0.8413447460685429, rel=1e-15)
     np.testing.assert_allclose(phi(xs), norm.cdf(xs), rtol=1e-13)
     np.testing.assert_allclose(norm_pdf(xs), norm.pdf(xs), rtol=1e-13)
-    # upper-tail arguments beyond ~6 saturate p at 1 in double precision,
-    # so the roundtrip is only meaningful below that
-    lo = xs[xs < 6.0]
-    np.testing.assert_allclose(phi_inv(phi(lo)), lo, atol=1e-9)
-
-
-def test_default_threshold_reference_point(market):
-    th = default_threshold(75.0, market, 1.0)
-    assert th.f_hat == pytest.approx(-0.3964320724517809, rel=1e-14)
-    # scales like 1/sqrt(z)
-    th4 = default_threshold(75.0, market, 4.0)
-    assert th4.f_hat == pytest.approx(th.f_hat / 2.0, rel=1e-14)
-    with pytest.raises(ParameterError):
-        default_threshold(-1.0, market, 1.0)
-    with pytest.raises(ParameterError):
-        default_threshold(75.0, market, 0.0)
 
 
 @pytest.mark.parametrize("iota", ["senior", "junior"])
@@ -172,13 +153,14 @@ def test_derivatives_match_finite_differences(zu, faces, market):
         (
             lambda zz, uu: moment_plain(1, zz, uu, 75.0, market),
             lambda zz, uu: moment_plain_du(1, zz, uu, 75.0, market),
-            lambda zz, uu: moment_plain_dz(1, zz, uu, 75.0, market),
+            None,  # the plain kernel's z derivative has no caller
         ),
     ):
         num_u = (float(fn(z, u + h)) - float(fn(z, u - h))) / (2 * h)
-        num_z = (float(fn(z + h, u)) - float(fn(z - h, u))) / (2 * h)
         assert float(dfu(z, u)) == pytest.approx(num_u, rel=2e-5, abs=1e-12)
-        assert float(dfz(z, u)) == pytest.approx(num_z, rel=2e-5, abs=1e-12)
+        if dfz is not None:
+            num_z = (float(fn(z + h, u)) - float(fn(z - h, u))) / (2 * h)
+            assert float(dfz(z, u)) == pytest.approx(num_z, rel=2e-5, abs=1e-12)
 
 
 def test_tau_derivatives_match_finite_differences(faces, market):

@@ -76,6 +76,14 @@ def test_overlap_rejects_bad_values(kw):
         OverlapSpec(**base)
 
 
+@pytest.mark.parametrize("field", ["r1", "r12", "gamma", "f0"])
+def test_overlap_rejects_non_finite(field):
+    base = dict(r1=0.5, r12=0.0, gamma=0.5, f0=75.0)
+    base[field] = math.nan
+    with pytest.raises(ParameterError):
+        OverlapSpec(**base)
+
+
 @given(
     r1=st.floats(0.0, 1.0),
     r12frac=st.floats(0.0, 1.0),

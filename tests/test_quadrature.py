@@ -17,6 +17,15 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.5)
 
 
+def test_spec_node_counts_are_integers_up_to_512():
+    with pytest.raises(ParameterError):
+        QuadratureSpec(u_nodes=513)
+    with pytest.raises(ParameterError):
+        QuadratureSpec(z_nodes=16.5)
+    # a document may spell a count as 16.0; the rules get an int
+    assert QuadratureSpec(z_nodes=16.0) == QuadratureSpec(z_nodes=16)
+
+
 @pytest.mark.parametrize("n_fluct", [2, 6, 6.5, 20])
 def test_chi2_rule_moments(n_fluct):
     # scale variable is chi-square with n_fluct degrees of freedom

@@ -46,6 +46,30 @@ def test_bundled_set_is_complete_and_valid():
         assert cost["grid_points"] > 0 and cost["est_seconds"] > 0
 
 
+# fingerprints of the resolved bundled documents; a refactor of the
+# scenario layer must leave every one of them unchanged
+BUNDLED_FINGERPRINTS = {
+    "calibrate_synthetic_base": "6c7d015fd9c656d2",
+    "correlation_sweep_full": "21eaf342eef12072",
+    "limit_equal_loss_curve": "379e14d31bebaaef",
+    "limit_small_vs_large_r10": "11b45571dca97e03",
+    "limit_subordinated_ridge": "4e93f3b2321f9cb7",
+    "limit_two_markets_base": "7ea3176ad9fabedd",
+    "mc_validate_halves_k100": "4cef051549ac8826",
+    "multimarket_split_pair": "4597062a685604e7",
+    "no_default_k_scan": "2e4143b834f5aae7",
+    "nosub_equal_halves_trio": "9bdd46c7f8171f17",
+    "nosub_halves_k100": "e24a16d56f17c12a",
+    "subordinated_k200": "9dbe3556e53cffb6",
+}
+
+
+def test_bundled_fingerprints_are_pinned():
+    got = {sid: validate_scenario(doc)["fingerprint"]
+           for sid, doc in bundled_scenarios().items()}
+    assert got == BUNDLED_FINGERPRINTS
+
+
 def test_bundled_returns_copies():
     a = bundled_scenarios()
     a["no_default_k_scan"]["k_values"] = [1]
@@ -106,6 +130,50 @@ def test_rejections_carry_a_pointer(doc, fragment):
     with pytest.raises(ScenarioError) as err:
         resolve_scenario(doc)
     assert err.value.pointer == fragment
+
+
+_MC_DOC = {"mode": "mc-validate", "portfolio": {"k_obligors": 100}}
+
+
+@pytest.mark.parametrize(
+    "block, pointer",
+    [
+        ({"quadrature": {"z_nodes": 513}}, "/quadrature"),
+        ({"quadrature": {"u_nodes": 7}}, "/quadrature"),
+        ({"mc": {"n_samples": 9999}}, "/mc"),
+        ({"mc": {"chunk_size": 127}}, "/mc"),
+        ({"mc": {"n_bins": 1001}}, "/mc"),
+        ({"mc": {"rng_seed": -1}}, "/mc"),
+        ({"market": {"c": 1.0}}, "/market"),
+        ({"tranches": {"f_senior": 37.0, "f_junior": 0.0}}, "/tranches"),
+        ({"portfolio": {"k_obligors": 100, "layout": "overlap",
+                        "overlap": {"r1": 0.6, "r12": 0.5, "gamma": 0.5, "f0": 75.0}}},
+         "/portfolio/overlap"),
+        ({"portfolio": {"k_obligors": 0, "layout": "single"}}, "/portfolio"),
+    ],
+)
+def test_constructor_ranges_reject_at_the_block(block, pointer):
+    # the schema states types only; each range belongs to the constructor
+    # of the block's domain object
+    with pytest.raises(ScenarioError) as err:
+        resolve_scenario(dict(_MC_DOC, **block))
+    assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize(
+    "sid, sets",
+    [
+        ("no_default_k_scan", ["k_values=[10.0]", "quadrature.u_nodes=16.0"]),
+        ("limit_subordinated_ridge", ["scan.n_scan=16.0", "grid.n_cells=4.0"]),
+        ("calibrate_synthetic_base",
+         ["fit.grid_points=9.0", "source.m_samples=200.0", "source.rng_seed=1.0"]),
+    ],
+)
+def test_integral_floats_count_as_integers(tmp_path, sid, sets):
+    # JSON Schema counts 16.0 as an integer, so validate accepts it and
+    # run must too
+    arts = run_scenario(apply_overrides(bundled_scenarios()[sid], sets), str(tmp_path))
+    assert arts and all((tmp_path / a["path"]).exists() for a in arts)
 
 
 def test_unknown_key_rejected():
