@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, kve
@@ -145,7 +144,7 @@ def _log_bessel_part(nu: float, x):
     return out
 
 
-def log_return_density(r, sigma, n_fluct: float, k_dim: Optional[int] = None):
+def log_return_density(r, sigma, n_fluct: float):
     """Log of the ensemble-averaged return density; broadcasts over rows of
     r when given a (M, K) matrix."""
     if not (n_fluct > 0):
@@ -153,9 +152,7 @@ def log_return_density(r, sigma, n_fluct: float, k_dim: Optional[int] = None):
     r = np.asarray(r, dtype=float)
     single = r.ndim == 1
     rows = np.atleast_2d(r)
-    k = rows.shape[1] if k_dim is None else k_dim
-    if rows.shape[1] != k:
-        raise ParameterError(f"r has {rows.shape[1]} components, expected {k}")
+    k = rows.shape[1]
     if not np.all(np.isfinite(rows)):
         raise ParameterError("r must be finite")
     inv, logdet = _sigma_factors(sigma, k)
@@ -173,13 +170,13 @@ def log_return_density(r, sigma, n_fluct: float, k_dim: Optional[int] = None):
     return float(vals[0]) if single else vals
 
 
-def return_density(r, sigma, n_fluct: float, k_dim: Optional[int] = None):
+def return_density(r, sigma, n_fluct: float):
     """Ensemble-averaged density of a K-dimensional return vector.
 
     Heavier tailed than the Gaussian with the same covariance for finite
     N and converging to it as N grows; even in r.
     """
-    out = log_return_density(r, sigma, n_fluct, k_dim)
+    out = log_return_density(r, sigma, n_fluct)
     if np.isscalar(out) or np.ndim(out) == 0:
         return float(np.exp(out))
     with np.errstate(under="ignore", over="ignore"):
@@ -219,7 +216,6 @@ def _profile_loglik(q, k, n_fluct):
 def fit_n(
     sample: ReturnSample,
     grid=None,
-    refine: bool = True,
 ) -> FitResult:
     """Maximum-likelihood fit of the fluctuation parameter N.
 
@@ -256,7 +252,7 @@ def fit_n(
     boundary = i == len(grid) - 1
     n_hat = float(grid[i])
     best = float(profile[i])
-    if refine and 0 < i < len(grid) - 1:
+    if 0 < i < len(grid) - 1:
         lo, hi = float(grid[i - 1]), float(grid[i + 1])
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi

@@ -7,9 +7,14 @@ objects are mixtures of those slices over the (z, u) quadrature rule.
 
 Two scenario flavours are supported.  A subordinated scenario tracks the
 joint (senior, junior) loss of one tranched portfolio.  A plain scenario
-tracks one or more creditors without tranching: either an explicit overlap
-pattern inside a single market, a per-creditor face matrix, or one creditor
-per market in a block-structured multi-market portfolio.
+tracks one or more untranched creditors through its holdings: a block
+market (a single market is the one-block market), classes of identical
+obligors, each with a block, a face and a count, and the face each
+creditor holds in each class.  Overlapping portfolios, per-creditor face
+matrices and one creditor per market block are all holdings of this
+form.  Given (z, u) the classes are independent, so every plain consumer
+- node table, singularity check, sampler weights, no-default mass - is
+one loop over classes or blocks.
 
 Both flavours share one node table format, built once per (scenario,
 quadrature) and cached: weights w (n,), the conditional means of the B
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -75,6 +80,7 @@ from .params import (
     MultiMarketParams,
     OverlapSpec,
     SubordinationSpec,
+    block_market,
 )
 from .quadrature import QuadratureSpec, chi2_nodes, gauss_nodes
 
@@ -102,6 +108,7 @@ _VAR_FLOOR = 1e-300
 _LOG_CLIP = 700.0
 _CHUNK_ELEMENTS = 4.0e6  # elements per kernel intermediate
 _PRUNE_MASS = 1e-14  # node weight dropped from every node table, at most
+_GL_POINTS = 8  # Gauss-Legendre points per x cell in bivariate cell masses
 
 AnyParams = Union[MarketParams, MultiMarketParams]
 
@@ -144,21 +151,44 @@ class SubordinatedScenario:
         return self.k_obligors < 8
 
 
+class Holdings(NamedTuple):
+    """Who holds which obligors in a plain scenario.
+
+    ``markets`` is the block market of the obligors.  ``classes`` lists
+    groups of identical obligors as (block index, face, count); a count
+    may be fractional for an analytic overlap layout, and a class without
+    obligors is left out.  ``shares`` (creditors, classes) is the face
+    each creditor holds in each obligor of a class, in a unit common to
+    the creditor's row, so creditor b's portfolio weight in class c is
+    shares[b, c] count_c / sum_c' shares[b, c'] count_c'.  Obligors are
+    ordered class by class, and the classes of a block are contiguous and
+    in block order.
+    """
+
+    markets: MultiMarketParams
+    classes: tuple
+    shares: np.ndarray
+
+
 @dataclass(frozen=True)
 class NoSubScenario:
-    """Untranched portfolio seen by one or two creditors.
+    """Untranched portfolio seen by one or more creditors.
 
-    Exactly one of the following layouts applies:
+    The constructor takes one of three layouts:
 
     * ``overlap`` set: single market, two creditors sharing ``k_obligors``
-      identical firms of face ``overlap.f0`` according to the overlap
-      fractions.
+      identical firms of face ``overlap.f0``: the classes held by creditor
+      one only, by both (creditor one holding ``gamma`` of each face) and
+      by creditor two only.
     * ``faces`` set: single market, explicit per-creditor face matrix of
-      shape (creditors, k_obligors); heterogeneous faces allowed.
-    * neither: homogeneous face ``face`` for every firm.  With single-market
-      params there is one creditor; with multi-market params ``creditors``
-      may be 1 (total loss) or the number of markets (one creditor per
-      market block).
+      shape (creditors, k_obligors), one class per firm; heterogeneous
+      faces allowed.
+    * neither: homogeneous face ``face`` for every firm, one class per
+      market block.  With multi-market params ``creditors`` may be 1
+      (total loss) or the number of markets (one creditor per block);
+      single-market params are the one-block market with one creditor.
+
+    Every consumer reads the layout only through :attr:`holdings`.
     """
 
     k_obligors: int
@@ -174,11 +204,7 @@ class NoSubScenario:
         multi = isinstance(self.params, MultiMarketParams)
         if not multi and not isinstance(self.params, MarketParams):
             raise ParameterError("params must be MarketParams or MultiMarketParams")
-        if multi and self.params.k_total != self.k_obligors:
-            raise ParameterError(
-                f"k_obligors={self.k_obligors} does not match market blocks "
-                f"totalling {self.params.k_total}"
-            )
+        block_market(self.params, self.k_obligors)  # refuses blocks not totalling k_obligors
         n_set = sum(x is not None for x in (self.overlap, self.faces))
         if n_set > 1:
             raise ParameterError("give at most one of overlap= or faces=")
@@ -221,23 +247,39 @@ class NoSubScenario:
                     f"creditors must be one of {sorted(set(allowed))} for this layout"
                 )
 
+    @cached_property
+    def holdings(self) -> Holdings:
+        """The layout as classes of identical obligors and each creditor's
+        face in them."""
+        k = self.k_obligors
+        markets = block_market(self.params, k)
+        if self.overlap is not None:
+            ov = self.overlap
+            counts = (ov.r1 * k, ov.r12 * k, (1.0 - ov.r1 - ov.r12) * k)
+            classes = [(0, ov.f0, n) for n in counts]
+            shares = [(1.0, ov.gamma, 0.0), (0.0, 1.0 - ov.gamma, 1.0)]
+        elif self.faces is not None:
+            classes = [(0, f, 1) for f in np.asarray(self.faces).sum(axis=0)]
+            shares = self.faces
+        else:
+            classes = [(b, self.face, k_b) for b, (_, k_b) in enumerate(markets.blocks)]
+            shares = np.eye(len(classes)) if self.creditors > 1 else np.ones((1, len(classes)))
+        # empty classes come from r12 = 0, or from r1 + r12 inside the
+        # rounding slack OverlapSpec allows above 1
+        kept = [c for c, (_, _, n) in enumerate(classes) if n > 0]
+        shares = np.ascontiguousarray(np.asarray(shares, dtype=float)[:, kept])
+        shares.flags.writeable = False
+        return Holdings(markets, tuple(classes[c] for c in kept), shares)
+
     @property
     def n_creditors(self) -> int:
-        if self.overlap is not None:
-            return 2
-        if self.faces is not None:
-            return len(self.faces)
-        return self.creditors
+        return len(self.holdings.shares)
 
     @property
     def obligor_face(self) -> Optional[float]:
         """Common face per firm; None when faces are heterogeneous."""
-        if self.overlap is not None:
-            return self.overlap.f0
-        if self.faces is not None:
-            totals = np.asarray(self.faces).sum(axis=0)
-            return float(totals[0]) if np.ptp(totals) == 0 else None
-        return self.face
+        faces = {face for _, face, _ in self.holdings.classes}
+        return faces.pop() if len(faces) == 1 else None
 
     @property
     def tracked_losses(self) -> dict:
@@ -265,12 +307,24 @@ class GaussianMomentTerms(NamedTuple):
 # node tables
 
 
-def _flat_nodes(params: MarketParams, quad: QuadratureSpec):
-    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    u, wu = gauss_nodes(params.n_fluct, quad.u_nodes)
-    zz = np.repeat(z, len(u))
-    uu = np.tile(u, len(z))
-    ww = np.repeat(wz, len(u)) * np.tile(wu, len(z))
+def _multi_nodes(params: MultiMarketParams, quad: QuadratureSpec):
+    """Shared-z nodes with a tensor Gauss grid over the per-market factors.
+
+    Returns flat arrays: z (n,), u (beta, n), w (n,)."""
+    beta = params.beta
+    n = params.n_fluct
+    z, wz = chi2_nodes(n, quad.z_nodes)
+    u1, wu1 = gauss_nodes(n, quad.u_nodes)
+    grids = np.meshgrid(*([u1] * beta), indexing="ij")
+    u_flat = np.stack([g.ravel() for g in grids])  # (beta, nu^beta)
+    wu = np.prod(
+        np.stack([g.ravel() for g in np.meshgrid(*([wu1] * beta), indexing="ij")]),
+        axis=0,
+    )
+    nu = u_flat.shape[1]
+    zz = np.repeat(z, nu)
+    uu = np.tile(u_flat, len(z))
+    ww = np.repeat(wz, nu) * np.tile(wu, len(z))
     return zz, uu, ww
 
 
@@ -303,38 +357,41 @@ def gaussian_moment_terms(z, u, scenario: SubordinatedScenario) -> GaussianMomen
 def _unpruned_table(scenario, quad: QuadratureSpec):
     """The mixture of conditional Gaussian slices over the flat node list:
     weights w (n,), means of the tracked losses (B, n) and their covariance
-    components (B, B, n)."""
+    components (B, B, n).
+
+    A plain scenario evaluates the single-firm moments once per distinct
+    (block, face) of its holdings; its classes are independent given
+    (z, u), so the means are W m1 and the covariances
+    sum_c W_bc W_b'c var_c / count_c, with W the class weights."""
     if isinstance(scenario, SubordinatedScenario):
-        z, u, w = _flat_nodes(scenario.params, quad)
-        t = gaussian_moment_terms(z, u, scenario)
+        z, u, w = _multi_nodes(block_market(scenario.params, scenario.k_obligors), quad)
+        t = gaussian_moment_terms(z, u[0], scenario)
         means = np.stack([t.mean_senior, t.mean_junior])
         cov = np.array([[t.var_senior, t.cross], [t.cross, t.var_junior]])
         return w, means, cov
-    if isinstance(scenario.params, MultiMarketParams):
-        return _multimarket_table(scenario, quad)
-    params = scenario.params
-    z, u, w = _flat_nodes(params, quad)
-    if scenario.faces is not None:
-        mat = np.asarray(scenario.faces, dtype=float)
-        totals = mat.sum(axis=0)
-        wts = mat / mat.sum(axis=1, keepdims=True)
-        uniq, inv = np.unique(totals, return_inverse=True)
-        m1u = np.stack([moment_plain(1, z, u, f, params) for f in uniq])
-        m2u = np.stack([moment_plain(2, z, u, f, params) for f in uniq])
-        m1 = m1u[inv]  # (K, n)
-        var = np.maximum(m2u[inv] - m1 * m1, 0.0)
-        means = wts @ m1
-        cov = np.einsum("bk,ck,kn->bcn", wts, wts, var)
-        return w, means, cov
-    face = scenario.obligor_face
-    m1 = moment_plain(1, z, u, face, params)
-    m2 = moment_plain(2, z, u, face, params)
-    var = np.maximum(m2 - m1 * m1, 0.0)
-    gram = _weight_gram(scenario)
-    b = scenario.n_creditors
-    means = np.broadcast_to(m1, (b, len(m1))).copy()
-    cov = gram[:, :, None] * var[None, None, :]
+    markets, classes, _ = scenario.holdings
+    z, u, w = _multi_nodes(markets, quad)
+    slices = {}  # (m1, var) per distinct (block, face)
+    for block, face, _ in classes:
+        if (block, face) not in slices:
+            mkt = markets.blocks[block][0]
+            m1 = moment_plain(1, z, u[block], face, mkt)
+            m2 = moment_plain(2, z, u[block], face, mkt)
+            slices[block, face] = m1, np.maximum(m2 - m1 * m1, 0.0)
+    m1, var = (np.stack(a) for a in zip(*(slices[b, f] for b, f, _ in classes)))
+    wts, counts = _class_weights(scenario)
+    means = wts @ m1
+    cov = np.einsum("bl,cl,ln->bcn", wts, wts, var / counts[:, None])
     return w, means, cov
+
+
+def _class_weights(scenario: NoSubScenario):
+    """Each creditor's portfolio weight in each holdings class (B, C), and
+    the class counts (C,)."""
+    _, classes, shares = scenario.holdings
+    counts = np.array([n for _, _, n in classes], dtype=float)
+    held = shares * counts
+    return held / held.sum(axis=1, keepdims=True), counts
 
 
 @lru_cache(maxsize=16)
@@ -407,7 +464,7 @@ def _norm_log_density(dx, var_x):
     return np.minimum(logp, _LOG_CLIP), valid
 
 
-def _mixture_cell_masses(w, mean_x, var_x, mean_y, var_y, cov, edges_x, edges_y, gl_points=8):
+def _mixture_cell_masses(w, mean_x, var_x, mean_y, var_y, cov, edges_x, edges_y):
     """Exact cell masses of a bivariate-normal mixture on a rectangular grid.
 
     Per slice the x integral is substituted into probability space
@@ -420,11 +477,11 @@ def _mixture_cell_masses(w, mean_x, var_x, mean_y, var_y, cov, edges_x, edges_y,
     edges_x = np.asarray(edges_x, dtype=float)
     edges_y = np.asarray(edges_y, dtype=float)
     nx, ny = len(edges_x) - 1, len(edges_y) - 1
-    tq, twq = np.polynomial.legendre.leggauss(gl_points)
+    tq, twq = np.polynomial.legendre.leggauss(_GL_POINTS)
     tq = 0.5 * (tq + 1.0)
     twq = 0.5 * twq
     out = np.zeros((nx, ny))
-    chunk = max(1, int(2.5e6 / max(1, nx * gl_points * (ny + 1))))
+    chunk = max(1, int(2.5e6 / max(1, nx * _GL_POINTS * (ny + 1))))
     n_nodes = len(w)
     for s in range(0, n_nodes, chunk):
         e = min(n_nodes, s + chunk)
@@ -464,7 +521,7 @@ def _univariate_cell_masses(w, mean_x, var_x, edges_x):
     return np.asarray(w) @ np.diff(cdf, axis=1)
 
 
-def _cell_masses(table, edges_one, edges_two, gl_points=8):
+def _cell_masses(table, edges_one, edges_two):
     """Cell masses of a node table: 1-D for one tracked loss, otherwise 2-D
     over the first two."""
     w, means, cov = table
@@ -473,7 +530,7 @@ def _cell_masses(table, edges_one, edges_two, gl_points=8):
         return _univariate_cell_masses(w, means[0], cov[0, 0], edges_one)
     return _mixture_cell_masses(
         w, means[0], cov[0, 0], means[1], cov[1, 1], cov[0, 1],
-        edges_one, np.asarray(edges_two, dtype=float), gl_points,
+        edges_one, np.asarray(edges_two, dtype=float),
     )
 
 
@@ -653,14 +710,13 @@ def subordinated_cell_masses(
     edges_senior,
     edges_junior,
     quad: QuadratureSpec = QuadratureSpec(),
-    gl_points: int = 8,
 ) -> np.ndarray:
     """Probability mass of the continuous approximation in each grid cell.
 
     Outermost edges may be +-inf; with edges (-inf, ..., +inf) on both axes
     the masses sum to 1 within ``_PRUNE_MASS``.
     """
-    return _cell_masses(_node_table(scenario, quad), edges_senior, edges_junior, gl_points)
+    return _cell_masses(_node_table(scenario, quad), edges_senior, edges_junior)
 
 
 def density_grid_subordinated(
@@ -749,110 +805,32 @@ def alphas(overlap: OverlapSpec):
     return float(a1), float(a12), float(a2)
 
 
-def _weight_gram(scenario: NoSubScenario):
-    """Gram matrix G with Cov(L_b, L_b') = sum_k w_bk w_b'k var_k; for the
-    homogeneous layouts var_k is common so G multiplies a scalar."""
-    if scenario.overlap is not None:
-        a1, a12, a2 = alphas(scenario.overlap)
-        return np.array([[a1, a12], [a12, a2]]) / scenario.k_obligors
-    if scenario.faces is not None:
-        mat = np.asarray(scenario.faces, dtype=float)
-        wts = mat / mat.sum(axis=1, keepdims=True)
-        return wts @ wts.T
-    k = scenario.k_obligors
-    return np.eye(scenario.n_creditors) / k  # per-creditor equal weights
-
-
-def _overlap_counts(overlap: OverlapSpec, k: int):
-    """Firm counts held by creditor one only and shared, out of ``k``."""
-    r1_n = int(round(overlap.r1 * k))
-    r12_n = int(round(overlap.r12 * k))
-    if abs(overlap.r1 * k - r1_n) > 1e-9 or abs(overlap.r12 * k - r12_n) > 1e-9:
+def _whole_counts(scenario: NoSubScenario) -> np.ndarray:
+    """Obligor count of each holdings class as an integer, as simulation
+    needs; fractional overlap counts are refused."""
+    counts = np.array([n for _, _, n in scenario.holdings.classes], dtype=float)
+    whole = np.rint(counts)
+    if np.any(np.abs(counts - whole) > 1e-9):
         raise ParameterError(
-            f"overlap fractions must resolve to whole firm counts for k_obligors={k}"
+            "overlap fractions must resolve to whole firm counts for "
+            f"k_obligors={scenario.k_obligors}"
         )
-    return r1_n, r12_n
+    return whole.astype(int)
 
 
 def _creditor_weights(scenario: NoSubScenario) -> np.ndarray:
     """Per-firm portfolio weights, shape (creditors, k_obligors)."""
-    k = scenario.k_obligors
-    if scenario.overlap is not None:
-        ov = scenario.overlap
-        r1_n, r12_n = _overlap_counts(ov, k)
-        r2_n = k - r1_n - r12_n
-        w = np.zeros((2, k))
-        w[0, :r1_n] = 1.0
-        w[0, r1_n : r1_n + r12_n] = ov.gamma
-        w[1, r1_n : r1_n + r12_n] = 1.0 - ov.gamma
-        w[1, r1_n + r12_n :] = 1.0
-        return w / w.sum(axis=1, keepdims=True)
-    if scenario.faces is not None:
-        mat = np.asarray(scenario.faces, dtype=float)
-        return mat / mat.sum(axis=1, keepdims=True)
-    if isinstance(scenario.params, MultiMarketParams) and scenario.n_creditors > 1:
-        # one creditor per market block
-        w = np.zeros((scenario.n_creditors, k))
-        col = 0
-        for idx, (_, k_l) in enumerate(scenario.params.blocks):
-            w[idx, col : col + k_l] = 1.0 / k_l
-            col += k_l
-        return w
-    return np.full((scenario.n_creditors, k), 1.0 / k)
-
-
-def _multi_nodes(params: MultiMarketParams, quad: QuadratureSpec):
-    """Shared-z nodes with a tensor Gauss grid over the per-market factors.
-
-    Returns flat arrays: z (n,), u (beta, n), w (n,)."""
-    beta = params.beta
-    n = params.n_fluct
-    z, wz = chi2_nodes(n, quad.z_nodes)
-    u1, wu1 = gauss_nodes(n, quad.u_nodes)
-    grids = np.meshgrid(*([u1] * beta), indexing="ij")
-    u_flat = np.stack([g.ravel() for g in grids])  # (beta, nu^beta)
-    wu = np.prod(
-        np.stack([g.ravel() for g in np.meshgrid(*([wu1] * beta), indexing="ij")]),
-        axis=0,
-    )
-    nu = u_flat.shape[1]
-    zz = np.repeat(z, nu)
-    uu = np.tile(u_flat, len(z))
-    ww = np.repeat(wz, nu) * np.tile(wu, len(z))
-    return zz, uu, ww
-
-
-def _multimarket_table(scenario: NoSubScenario, quad: QuadratureSpec):
-    params: MultiMarketParams = scenario.params
-    face = scenario.face
-    zz, uu, ww = _multi_nodes(params, quad)
-    k_total = params.k_total
-    m1_blocks = []
-    var_blocks = []
-    for idx, (mkt, k_l) in enumerate(params.blocks):
-        m1 = moment_plain(1, zz, uu[idx], face, mkt)
-        m2 = moment_plain(2, zz, uu[idx], face, mkt)
-        m1_blocks.append(m1)
-        var_blocks.append(np.maximum(m2 - m1 * m1, 0.0))
-    if scenario.n_creditors == 1:
-        wts = np.array([[k_l / k_total for (_, k_l) in params.blocks]])
-    else:
-        wts = np.eye(params.beta)
-    m1_arr = np.stack(m1_blocks)  # (beta, n)
-    var_arr = np.stack(var_blocks)
-    k_arr = np.array([k_l for (_, k_l) in params.blocks], dtype=float)
-    means = wts @ m1_arr
-    # markets are conditionally independent, so covariances add per block
-    cov = np.einsum("bl,cl,ln->bcn", wts, wts, var_arr / k_arr[:, None])
-    return ww, means, cov
+    per_firm = np.repeat(scenario.holdings.shares, _whole_counts(scenario), axis=1)
+    return per_firm / per_firm.sum(axis=1, keepdims=True)
 
 
 def _check_gram(scenario: NoSubScenario):
+    """Refuse a creditor pair whose Gram matrix W diag(1/count) W^T, the
+    covariance up to the single-firm variance, is singular."""
     if scenario.n_creditors != 2:
         return
-    g = _weight_gram(scenario) if not isinstance(scenario.params, MultiMarketParams) else None
-    if g is None:
-        return
+    wts, counts = _class_weights(scenario)
+    g = (wts / counts) @ wts.T
     det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
     if det <= 1e-14 * g[0, 0] * g[1, 1]:
         raise SingularCovarianceError(
@@ -904,13 +882,12 @@ def nosub_cell_masses(
     edges_one,
     edges_two=None,
     quad: QuadratureSpec = QuadratureSpec(),
-    gl_points: int = 8,
 ) -> np.ndarray:
     """Cell masses of the continuous approximation for a plain scenario;
     1-D when the scenario has a single creditor."""
     if edges_two is None:
         edges_two = edges_one
-    return _cell_masses(_node_table(scenario, quad), edges_one, edges_two, gl_points)
+    return _cell_masses(_node_table(scenario, quad), edges_one, edges_two)
 
 
 def density_grid_nosub(
@@ -953,21 +930,14 @@ def no_default_probability(
     """
     if not (isinstance(k_obligors, (int, np.integer)) and k_obligors >= 1):
         raise ParameterError(f"k_obligors must be a positive integer, got {k_obligors}")
-    if isinstance(params, MultiMarketParams):
-        if params.k_total != k_obligors:
-            raise ParameterError("k_obligors does not match the market blocks")
-        zz, uu, ww = _multi_nodes(params, quad)
-        log_surv = np.zeros(len(ww))
-        for idx, (mkt, k_l) in enumerate(params.blocks):
-            m0 = moment_plain(0, zz, uu[idx], face, mkt)
-            log_surv += k_l * np.log1p(-np.minimum(m0, 1.0 - 1e-16))
-        with np.errstate(under="ignore"):
-            return float(np.dot(ww, np.exp(log_surv)))
-    z, u, w = _flat_nodes(params, quad)
-    m0 = moment_plain(0, z, u, face, params)
+    markets = block_market(params, k_obligors)
+    z, u, w = _multi_nodes(markets, quad)
+    log_surv = np.zeros(len(w))
+    for b, (mkt, k_b) in enumerate(markets.blocks):
+        m0 = moment_plain(0, z, u[b], face, mkt)
+        log_surv += k_b * np.log1p(-np.minimum(m0, 1.0 - 1e-16))
     with np.errstate(under="ignore"):
-        surv = np.exp(k_obligors * np.log1p(-np.minimum(m0, 1.0 - 1e-16)))
-    return float(np.dot(w, surv))
+        return float(np.dot(w, np.exp(log_surv)))
 
 
 def tail_probability(

@@ -43,6 +43,7 @@ from .errors import (
     NoRootError,
     ParameterError,
 )
+from .engine import _mixture_density
 from .grids import DensityGrid, cell_centers
 from .moments import (
     junior_mean_target,
@@ -78,6 +79,7 @@ __all__ = [
 
 _JAC_FLOOR = 1e-14
 _RESID_TOL = 1e-10
+_MIN_JUNIOR_SHARE = 1e-5  # of f_total; see _check_ridge_faces
 
 
 @dataclass(frozen=True)
@@ -356,11 +358,20 @@ class _Crossings(NamedTuple):
 
 def _check_ridge_faces(faces: SubordinationSpec):
     """Refuse f_senior = 0: the senior loss is then identically 0, so the
-    pair has no joint limit density."""
+    pair has no joint limit density.  Refuse f_junior below
+    ``_MIN_JUNIOR_SHARE`` of f_total: the junior mean carries a rounding
+    error of about (f_total / f_junior) 2.2e-16, which meets the u-root
+    tolerance ``_RESID_TOL`` near f_junior / f_total = 2e-6."""
     if faces.f_senior == 0:
         raise ParameterError(
             "f_senior = 0 leaves the senior loss identically 0, so the pair "
             "has no joint limit density"
+        )
+    if faces.f_junior < _MIN_JUNIOR_SHARE * faces.f_total:
+        raise ParameterError(
+            f"f_junior must be at least {_MIN_JUNIOR_SHARE:g} of f_total: a thinner "
+            "junior tranche rounds its mean loss beyond the root tolerance, got "
+            f"f_junior / f_total = {faces.f_junior / faces.f_total:.6g}"
         )
 
 
@@ -581,20 +592,12 @@ def _finite_vs_infinite(xs, ys, r_one, face, params, quad):
     m1 = moment_plain(1, z[None, :], u, face, params)
     m2 = moment_plain(2, z[None, :], u, face, params)
     var = np.maximum(m2 - m1 * m1, 0.0) / r_one
-    # lanes without a root or with a degenerate slice add exactly 0
-    ok = (weight > 0.0) & (var >= 1e-300)
-    w_eff = np.where(ok, weight * wz, 0.0)
-    m1, var = np.where(ok, m1, 0.0), np.where(ok, var, 1.0)
-    xs = np.asarray(xs, dtype=float)
-    vals = np.zeros((len(xs), len(w_eff)))
+    # lanes without a root add exactly 0; the kernel masks degenerate slices
+    w_eff = np.where(weight > 0.0, weight * wz, 0.0)
+    vals = np.empty((len(xs), len(w_eff)))
     # one infinite-side loss at a time, so that no array is sized cells x z
     for j in range(len(w_eff)):
-        log_g = (
-            -0.5 * np.log(2.0 * math.pi * var[j])[None, :]
-            - 0.5 * (xs[:, None] - m1[j][None, :]) ** 2 / var[j][None, :]
-        )
-        with np.errstate(under="ignore"):
-            vals[:, j] = np.exp(np.minimum(log_g, 700.0)) @ w_eff[j]
+        vals[:, j] = _mixture_density((xs,), w_eff[j], m1[j][None], var[j][None, None])
     return vals
 
 

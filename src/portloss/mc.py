@@ -32,10 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import _CHUNK_ELEMENTS, SubordinatedScenario, _creditor_weights
+from .engine import _CHUNK_ELEMENTS, SubordinatedScenario, _creditor_weights, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, UndefinedCorrelationError
 from .grids import SCHEMA_VERSION
-from .params import MarketParams, MultiMarketParams
+from .params import MarketParams, MultiMarketParams, block_market
 
 __all__ = [
     "McConfig",
@@ -75,16 +75,17 @@ class McConfig:
     def __post_init__(self):
         if not (isinstance(self.n_samples, (int, np.integer)) and self.n_samples >= 10_000):
             raise ParameterError(
-                f"n_samples must be >= 10000 to be acceptance-grade, got {self.n_samples}"
+                "n_samples must be an integer >= 10000 to be acceptance-grade, "
+                f"got {self.n_samples}"
             )
         if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
             raise ParameterError(f"rng_seed must be an integer >= 0, got {self.rng_seed}")
         if self.sampler not in ("compound", "wishart"):
             raise ParameterError(f"sampler must be 'compound' or 'wishart', got {self.sampler!r}")
         if not (isinstance(self.n_bins, (int, np.integer)) and 2 <= self.n_bins <= 1000):
-            raise ParameterError(f"n_bins must be in [2, 1000], got {self.n_bins}")
+            raise ParameterError(f"n_bins must be an integer in [2, 1000], got {self.n_bins}")
         if not (isinstance(self.chunk_size, (int, np.integer)) and self.chunk_size >= 128):
-            raise ParameterError(f"chunk_size must be >= 128, got {self.chunk_size}")
+            raise ParameterError(f"chunk_size must be an integer >= 128, got {self.chunk_size}")
         if self.antithetic and (self.n_samples % 2 or self.chunk_size % 2):
             raise ParameterError("antithetic sampling needs even n_samples and chunk_size")
         object.__setattr__(self, "tail_thresholds", tuple(float(t) for t in self.tail_thresholds))
@@ -108,27 +109,16 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 # block) and negate everything else.
 
 
-def _compound_returns_single(out, params: MarketParams, rng, antithetic=False):
-    """Fill ``out`` (m, k) with centered log-returns for one market."""
-    base = out.shape[0] // 2 if antithetic else out.shape[0]
-    z = rng.chisquare(params.n_fluct, size=base)
-    u = rng.standard_normal(base) * np.sqrt(z / params.n_fluct)
-    r = rng.standard_normal(out=out[:base])
-    r *= (params.rho * np.sqrt(z * (1.0 - params.c) * params.t_mat / params.n_fluct))[:, None]
-    r += (-math.sqrt(params.c * params.t_mat) * params.rho * u)[:, None]
-    return _mirrored(out, base)
-
-
-def _compound_returns_multi(out, params: MultiMarketParams, rng, antithetic=False):
+def _compound_returns(out, markets: MultiMarketParams, rng, antithetic=False):
     """Fill ``out`` (m, k_total) with centered log-returns, with a shared z
     and one common factor per market block."""
-    n = params.n_fluct
+    n = markets.n_fluct
     base = out.shape[0] // 2 if antithetic else out.shape[0]
     z = rng.chisquare(n, size=base)
-    u = rng.standard_normal((base, params.beta)) * np.sqrt(z / n)[:, None]
+    u = rng.standard_normal((base, markets.beta)) * np.sqrt(z / n)[:, None]
     eps = rng.standard_normal(out=out[:base])
     col = 0
-    for idx, (mkt, k_l) in enumerate(params.blocks):
+    for idx, (mkt, k_l) in enumerate(markets.blocks):
         r = eps[:, col : col + k_l]
         r *= (mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n))[:, None]
         r += -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx : idx + 1]
@@ -144,17 +134,12 @@ def _mirrored(out, base):
     return out
 
 
-def _values_in_place(r, params):
+def _values_in_place(r, markets: MultiMarketParams):
     """Turn centered log-returns into terminal asset values, in place."""
-    if isinstance(params, MultiMarketParams):
-        ks = [k_l for _, k_l in params.blocks]
-        drift = np.repeat([mkt.drift_adj * mkt.t_mat for mkt, _ in params.blocks], ks)
-        v0 = np.repeat([mkt.v0 for mkt, _ in params.blocks], ks)
-    else:
-        drift, v0 = params.drift_adj * params.t_mat, params.v0
-    r += drift
+    ks = [k_l for _, k_l in markets.blocks]
+    r += np.repeat([mkt.drift_adj * mkt.t_mat for mkt, _ in markets.blocks], ks)
     np.exp(r, out=r)
-    r *= v0
+    r *= np.repeat([mkt.v0 for mkt, _ in markets.blocks], ks)
     return r
 
 
@@ -164,19 +149,15 @@ def sample_compound(params, n: int, rng, k_obligors: Optional[int] = None):
     For single-market params ``k_obligors`` is required; multi-market
     params carry their own block sizes.
     """
-    if isinstance(params, MultiMarketParams):
-        r = _compound_returns_multi(np.empty((n, params.k_total)), params, rng)
-    else:
-        if k_obligors is None:
-            raise ParameterError("k_obligors required with single-market params")
-        r = _compound_returns_single(np.empty((n, k_obligors)), params, rng)
-    return _values_in_place(r, params)
+    markets = block_market(params, k_obligors)
+    r = _compound_returns(np.empty((n, markets.k_total)), markets, rng)
+    return _values_in_place(r, markets)
 
 
 def sample_compound_returns(params: MarketParams, k: int, n: int, rng):
     """Centered log-returns (n, k) for one market; the calibration module
     fits on exactly these."""
-    return _compound_returns_single(np.empty((n, k)), params, rng)
+    return _compound_returns(np.empty((n, k)), block_market(params, k), rng)
 
 
 def _wishart_dof(n_fluct) -> int:
@@ -232,7 +213,7 @@ def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
     _check_wishart_budget(k_obligors)
     block = np.empty((n, k_obligors, _wishart_dof(params.n_fluct)))
     r = _wishart_returns(np.empty((n, k_obligors)), block, params, rng)
-    return _values_in_place(r, params)
+    return _values_in_place(r, block_market(params, k_obligors))
 
 
 def wishart_covariances(params: MarketParams, k: int, n: int, rng):
@@ -254,11 +235,9 @@ def wishart_covariances(params: MarketParams, k: int, n: int, rng):
 
 
 def _obligor_faces(scenario) -> np.ndarray:
-    if isinstance(scenario, SubordinatedScenario):
-        return np.full(scenario.k_obligors, scenario.tranches.f_total)
-    if scenario.faces is not None:
-        return np.asarray(scenario.faces, dtype=float).sum(axis=0)
-    return np.full(scenario.k_obligors, scenario.obligor_face)
+    """Face of each obligor of a plain scenario, shape (k_obligors,)."""
+    faces = [face for _, face, _ in scenario.holdings.classes]
+    return np.repeat(np.asarray(faces, dtype=float), _whole_counts(scenario))
 
 
 def _portfolio_losses(v, scenario, spare, mask):
@@ -417,15 +396,13 @@ class _Scratch:
 def _draw_chunk(scenario, cfg, chunk_index, m, scratch):
     """Asset values (m, K) of one chunk, drawn into ``scratch.values``."""
     rng = _chunk_rng(cfg.rng_seed, chunk_index)
-    params = scenario.params
+    markets = block_market(scenario.params, scenario.k_obligors)
     out = scratch.values[:m]
     if cfg.sampler == "wishart":
-        r = _wishart_returns(out, scratch.block[:m], params, rng, cfg.antithetic)
-    elif isinstance(params, MultiMarketParams):
-        r = _compound_returns_multi(out, params, rng, cfg.antithetic)
+        r = _wishart_returns(out, scratch.block[:m], scenario.params, rng, cfg.antithetic)
     else:
-        r = _compound_returns_single(out, params, rng, cfg.antithetic)
-    return _values_in_place(r, params)
+        r = _compound_returns(out, markets, rng, cfg.antithetic)
+    return _values_in_place(r, markets)
 
 
 def _chunk_stats(scenario, cfg, chunk_index, m, scratch, edges):

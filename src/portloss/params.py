@@ -103,6 +103,22 @@ class MultiMarketParams:
         return sum(k for _, k in self.blocks)
 
 
+def block_market(params, k_obligors=None) -> MultiMarketParams:
+    """``params`` as a block market: MarketParams become the one-block
+    market of ``k_obligors`` firms, and MultiMarketParams come back as they
+    are, where ``k_obligors``, if given, must match their block total."""
+    if isinstance(params, MultiMarketParams):
+        if k_obligors is not None and k_obligors != params.k_total:
+            raise ParameterError(
+                f"k_obligors={k_obligors} does not match market blocks "
+                f"totalling {params.k_total}"
+            )
+        return params
+    if k_obligors is None:
+        raise ParameterError("k_obligors required with single-market params")
+    return MultiMarketParams(((params, k_obligors),))
+
+
 @dataclass(frozen=True)
 class SubordinationSpec:
     """Per-obligor split of the face value into a senior and a junior piece.

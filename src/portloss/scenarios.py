@@ -23,7 +23,7 @@ import os
 import numpy as np
 import jsonschema
 
-from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _overlap_counts
+from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, ScenarioError, SingularCovarianceError
 from .grids import SCHEMA_VERSION, DensityGrid, canonical_json, scenario_fingerprint
 from .limits import _check_ridge_faces, _open_unit_centers
@@ -593,8 +593,8 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
     if config.sampler == "wishart":
         _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct)
         _build(k_pointer, _check_wishart_budget, scen.k_obligors)
-    if getattr(scen, "overlap", None) is not None:
-        _build(counts_pointer, _overlap_counts, scen.overlap, scen.k_obligors)
+    if isinstance(scen, NoSubScenario):
+        _build(counts_pointer, _whole_counts, scen)
 
 
 def _build_subordinated(sc, out_dir=""):
@@ -640,7 +640,9 @@ def _build_multimarket(sc, out_dir=""):
 
 def _build_limit_subordinated(sc, out_dir=""):
     tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
-    _build("/tranches/f_senior", _check_ridge_faces, tranches)
+    # the ridge refuses f_senior = 0 or a junior face too thin to solve for
+    field = "f_senior" if tranches.f_senior == 0 else "f_junior"
+    _build(f"/tranches/{field}", _check_ridge_faces, tranches)
     params = _build("/market", MarketParams, **sc["market"])
     return tranches, params, _grid(sc), int(sc["scan"]["n_scan"]), _output(sc, "density", out_dir)
 

@@ -140,6 +140,7 @@ _SCENARIO_WITH = {
          "/portfolio/overlap"),
         (["market_two.n_fluct=7"], "/market_two/n_fluct"),
         (["tranches.f_senior=0"], "/tranches/f_senior"),
+        (["tranches.f_junior=1e-9"], "/tranches/f_junior"),
     ],
 )
 def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):

@@ -88,6 +88,48 @@ def test_alphas_for_standard_layouts(halves):
     assert a1 == pytest.approx(a12) and a12 == pytest.approx(a2)
 
 
+@pytest.mark.parametrize(
+    "r1, r12, gamma, k",
+    [(0.5, 0.0, 0.5, 100), (0.3, 0.4, 0.3, 100), (0.333, 0.2, 0.5, 7)],
+)
+def test_overlap_table_matches_alphas(market, quad, r1, r12, gamma, k):
+    # the class-by-class covariance reproduces the paper's inflation factors
+    from portloss.engine import _unpruned_table
+    from portloss.moments import moment_plain
+    from portloss.quadrature import chi2_nodes, gauss_nodes
+
+    ov = OverlapSpec(r1=r1, r12=r12, gamma=gamma, f0=75.0)
+    cov = _unpruned_table(NoSubScenario(k_obligors=k, params=market, overlap=ov), quad)[2]
+    z, _ = chi2_nodes(market.n_fluct, quad.z_nodes)
+    u, _ = gauss_nodes(market.n_fluct, quad.u_nodes)
+    zz, uu = np.repeat(z, len(u)), np.tile(u, len(z))
+    m1 = moment_plain(1, zz, uu, 75.0, market)
+    var = np.maximum(moment_plain(2, zz, uu, 75.0, market) - m1 * m1, 0.0)
+    a1, a12, a2 = alphas(ov)
+    want = np.array([[a1, a12], [a12, a2]])[:, :, None] * var / k
+    np.testing.assert_allclose(cov, want, rtol=1e-14, atol=0.0)
+
+
+def test_single_market_is_a_one_block_market(market, quad):
+    from portloss.engine import _node_table
+
+    single = NoSubScenario(k_obligors=40, params=market, face=75.0)
+    one_block = MultiMarketParams(blocks=((market, 40),))
+    twin = NoSubScenario(k_obligors=40, params=one_block, face=75.0, creditors=1)
+    for a, b in zip(_node_table(single, quad), _node_table(twin, quad)):
+        np.testing.assert_array_equal(a, b)
+    assert no_default_probability(40, 75.0, market, quad) == no_default_probability(
+        40, 75.0, one_block, quad)
+    assert tail_probability(0.3, single, quad) == tail_probability(0.3, twin, quad)
+    np.testing.assert_array_equal(
+        density_grid_nosub(single, quad, n_cells=21).values,
+        density_grid_nosub(twin, quad, n_cells=21).values,
+    )
+    for antithetic in (False, True):
+        cfg = McConfig(n_samples=20_000, chunk_size=2048, rng_seed=7, antithetic=antithetic)
+        assert mc.estimate(single, cfg).to_json() == mc.estimate(twin, cfg).to_json()
+
+
 def test_identical_portfolios_have_no_bivariate_density(market):
     same = OverlapSpec(r1=0.0, r12=1.0, gamma=0.5, f0=75.0)
     sc = NoSubScenario(k_obligors=50, params=market, overlap=same)

@@ -100,6 +100,18 @@ def test_limit_subordinated_refuses_zero_senior_face(market):
         limit_grid_subordinated(no_senior, market, n_cells=4)
 
 
+def test_limit_subordinated_junior_face_floor(market):
+    # f_junior / f_total = 1e-5 still solves on the ridge grid; at 3e-6 the
+    # junior mean's rounding error exceeds the u-root tolerance, so such a
+    # face is refused up front instead of failing mid-grid
+    at_floor = SubordinationSpec(f_senior=60.0, f_junior=60.0 * 1e-5 / (1.0 - 1e-5))
+    grid = limit_grid_subordinated(at_floor, market, n_cells=8, lo=0.0, hi=0.6)
+    assert np.all(np.isfinite(grid.values)) and grid.values.max() > 0.0
+    thin = SubordinationSpec(f_senior=60.0, f_junior=60.0 * 3e-6 / (1.0 - 3e-6))
+    with pytest.raises(ParameterError):
+        limit_grid_subordinated(thin, market, n_cells=8, lo=0.0, hi=0.6)
+
+
 def test_solve_z0_locates_the_crossing(market, faces):
     sol = solve_z0(0.0155, 0.4, faces, market)
     s = solve_u_senior(0.0155, sol.z0, faces, market)
