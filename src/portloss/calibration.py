@@ -144,6 +144,16 @@ def _log_bessel_part(nu: float, x):
     return out
 
 
+def _log_norm(k, n_fluct):
+    """The N-dependent part of the log return density's normalisation,
+    (1 - N/2) ln 2 + (K/2) ln N - ln Gamma(N/2)."""
+    return (
+        (1.0 - 0.5 * n_fluct) * math.log(2.0)
+        + 0.5 * k * math.log(n_fluct)
+        - gammaln(0.5 * n_fluct)
+    )
+
+
 def log_return_density(r, sigma, n_fluct: float):
     """Log of the ensemble-averaged return density; broadcasts over rows of
     r when given a (M, K) matrix."""
@@ -160,12 +170,7 @@ def log_return_density(r, sigma, n_fluct: float):
     q = np.maximum(q, 0.0)
     x = np.sqrt(n_fluct * q)
     nu = 0.5 * (k - n_fluct)
-    const = (
-        (1.0 - 0.5 * n_fluct) * math.log(2.0)
-        + 0.5 * k * math.log(n_fluct)
-        - gammaln(0.5 * n_fluct)
-        - 0.5 * (k * math.log(2.0 * math.pi) + logdet)
-    )
+    const = _log_norm(k, n_fluct) - 0.5 * (k * math.log(2.0 * math.pi) + logdet)
     vals = const + _log_bessel_part(nu, x)
     return float(vals[0]) if single else vals
 
@@ -205,12 +210,7 @@ def _profile_loglik(q, k, n_fluct):
     shifts the profile but not the argmax."""
     x = np.sqrt(n_fluct * q)
     nu = 0.5 * (k - n_fluct)
-    const = (
-        (1.0 - 0.5 * n_fluct) * math.log(2.0)
-        + 0.5 * k * math.log(n_fluct)
-        - gammaln(0.5 * n_fluct)
-    )
-    return len(q) * const + float(np.sum(_log_bessel_part(nu, x)))
+    return len(q) * _log_norm(k, n_fluct) + float(np.sum(_log_bessel_part(nu, x)))
 
 
 def fit_n(

@@ -28,10 +28,14 @@ the total mass, moves by at most 1e-14, and so do the means and second
 moments of losses in [0, 1].  At the default 64 x 64 rule about a quarter
 of the nodes remain.
 
-Every fixed-rule density - one point, a 1-D or 2-D grid, a marginal - is
-one call of the mixture kernel :func:`_mixture_density`, which takes one
-1-D array of loss values per tracked loss and returns the density on
-their cartesian product; a point is a call with one-element axes.  For
+Every density - one point, a 1-D or 2-D grid, a marginal, fixed rule or
+adaptive - is a call of the mixture kernel :func:`_mixture_density` on a
+node table.  The kernel takes one 1-D array of loss values per tracked
+loss and returns the density on their cartesian product; a point is a
+call with one-element axes.  The adaptive rule of a tranched scenario
+builds one small table per grid cell, localized where the slice means
+cross that cell, in the same format; all cells of a grid share one
+batched crossing solve (:func:`_adaptive_density`).  For
 B = 2 each slice factors as w phi(x) phi(y | x): the x factor is computed
 once per (x, node), and each x row then evaluates the conditional slices
 over all y and contracts them with that row's factors.  Pairs whose x
@@ -70,10 +74,11 @@ from .errors import (
 )
 from .grids import DensityGrid, cell_centers
 from .moments import (
-    junior_mean_target,
+    junior_mean_target_du,
     moment_junior,
     moment_plain,
     moment_senior,
+    moment_senior_du,
 )
 from .params import (
     MarketParams,
@@ -82,7 +87,7 @@ from .params import (
     SubordinationSpec,
     block_market,
 )
-from .quadrature import QuadratureSpec, chi2_nodes, gauss_nodes
+from .quadrature import QuadratureSpec, chi2_log_weight, chi2_nodes, gauss_nodes
 
 __all__ = [
     "SubordinatedScenario",
@@ -354,6 +359,14 @@ def gaussian_moment_terms(z, u, scenario: SubordinatedScenario) -> GaussianMomen
     return GaussianMomentTerms(mean_s, var_s, mean_j, var_j, cross)
 
 
+def _tranche_table(z, u, w, scenario: SubordinatedScenario):
+    """Node table of a tranched scenario on the nodes (z, u) with weights w."""
+    t = gaussian_moment_terms(z, u, scenario)
+    means = np.stack([t.mean_senior, t.mean_junior])
+    cov = np.array([[t.var_senior, t.cross], [t.cross, t.var_junior]])
+    return w, means, cov
+
+
 def _unpruned_table(scenario, quad: QuadratureSpec):
     """The mixture of conditional Gaussian slices over the flat node list:
     weights w (n,), means of the tracked losses (B, n) and their covariance
@@ -365,10 +378,7 @@ def _unpruned_table(scenario, quad: QuadratureSpec):
     sum_c W_bc W_b'c var_c / count_c, with W the class weights."""
     if isinstance(scenario, SubordinatedScenario):
         z, u, w = _multi_nodes(block_market(scenario.params, scenario.k_obligors), quad)
-        t = gaussian_moment_terms(z, u[0], scenario)
-        means = np.stack([t.mean_senior, t.mean_junior])
-        cov = np.array([[t.var_senior, t.cross], [t.cross, t.var_junior]])
-        return w, means, cov
+        return _tranche_table(z, u[0], w, scenario)
     markets, classes, _ = scenario.holdings
     z, u, w = _multi_nodes(markets, quad)
     slices = {}  # (m1, var) per distinct (block, face)
@@ -432,28 +442,6 @@ def norm_cdf_safe(x, mean, sigma):
         body = ndtr((x - mean) / denom)
     step = (x >= mean).astype(float)
     return np.where(pos, body, step)
-
-
-def _binormal_log_density(dx, dy, var_x, var_y, cov):
-    """Log of the bivariate normal density via the conditional
-    factorization; returns (log_pdf, valid_mask).  Slices whose covariance
-    collapses are masked out rather than evaluated."""
-    var_x = np.asarray(var_x, dtype=float)
-    var_y = np.asarray(var_y, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(var_x > _VAR_FLOOR, cov / np.where(var_x > 0, var_x, 1.0), 0.0)
-        var_c = var_y - slope * cov
-    valid = (var_x > _VAR_FLOOR) & (var_c > _VAR_FLOOR)
-    vx = np.where(valid, var_x, 1.0)
-    vc = np.where(valid, var_c, 1.0)
-    res = dy - slope * dx
-    logp = (
-        -math.log(2.0 * math.pi)
-        - 0.5 * (np.log(vx) + np.log(vc))
-        - 0.5 * (dx * dx / vx + res * res / vc)
-    )
-    return np.minimum(logp, _LOG_CLIP), valid
 
 
 def _norm_log_density(dx, var_x):
@@ -613,78 +601,80 @@ def _as_point(l, b):
 # subordinated densities
 
 
-def _density_sub_adaptive(l_senior, l_junior, scenario, quad):
-    """Solver-localized refinement: panels are concentrated where the slice
-    means cross the requested point, which is where all the mass of a large
-    portfolio sits.  Falls back to a dense fixed rule when no crossing is
-    found (the density is then dominated by slice tails)."""
-    from .limits import _sub_u_roots, solve_z0
-    from .errors import NoRootError, MultipleRootsError
-    from .quadrature import chi2_log_weight
+def _gl_panels(edges):
+    """16-point Gauss-Legendre nodes and weights on the panels between
+    consecutive entries of ``edges`` along its last axis, flattened per
+    leading index."""
+    x, wx = np.polynomial.legendre.leggauss(16)
+    a, b = edges[..., :-1, None], edges[..., 1:, None]
+    # an explicit width, since there may be no leading rows
+    shape = edges.shape[:-1] + (len(x) * (edges.shape[-1] - 1),)
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).reshape(shape), (0.5 * (b - a) * wx).reshape(shape)
+
+
+def _adaptive_density(xs, ys, scenario, quad):
+    """Joint density on xs x ys from node tables localized where the
+    slice means cross each cell, which is where all the mass of a large
+    portfolio sits.
+
+    One crossing solve covers every cell.  At a cell's crossing (z0, u0)
+    the slice widths map to sig_u in u through the mean Jacobians, and to
+    sig_z = sig_u / |separation slope| in z.  The cell's table has 10
+    Gauss-Legendre z panels on z0 +- 10 sig_z and, at each z node whose
+    senior and junior u roots lie within 100 sig_u, 6 u panels on the roots
+    +- 10 sig_u, weighted by the chi-square and Gaussian densities.  Cells
+    without a unique crossing, with a vanishing Jacobian or an empty z
+    window are dominated by slice tails and take the dense fixed rule.
+    """
+    from .limits import _FOUND, _sub_crossings, _sub_u_roots  # limits imports engine
 
     faces, params = scenario.tranches, scenario.params
     n = params.n_fluct
-    dense = QuadratureSpec(z_nodes=max(quad.z_nodes, 128), u_nodes=max(quad.u_nodes, 128))
-    point = (l_senior, l_junior)
-    try:
-        sol = solve_z0(l_senior, l_junior, faces, params)
-    except (NoRootError, MultipleRootsError):
-        return _point_density(point, scenario, dense)
-    z0, u0 = sol.z0, sol.u0
-    t0 = gaussian_moment_terms(np.array([z0]), np.array([u0]), scenario)
-    from .moments import junior_mean_target_du, moment_senior_du
-
-    du_s = abs(float(moment_senior_du(1, z0, u0, faces, params)))
-    du_j = abs(float(junior_mean_target_du(z0, u0, faces, params)))
-    if du_s < 1e-300 or du_j < 1e-300:
-        return _point_density(point, scenario, dense)
-    sig_u = math.sqrt(
-        float(t0.var_senior[0]) / du_s**2 + float(t0.var_junior[0]) / du_j**2
-    )
-    slope = abs(sol.separation_slope) if sol.separation_slope else 0.0
-    sig_z = sig_u / slope if slope > 1e-300 else float("inf")
     span = 10.0
-    # chi-square(n) quantile at 1 - 1e-12
-    z_hi_all = float(2.0 * gammaincinv(n / 2.0, 1.0 - 1e-12))
-    z_lo = max(1e-8, z0 - span * sig_z)
-    z_hi = min(z_hi_all, z0 + span * sig_z)
-    if not (z_hi > z_lo):
-        return _point_density(point, scenario, dense)
-    gl_z, glw_z = np.polynomial.legendre.leggauss(16)
-    n_zpan = 10
-    z_edges = np.linspace(z_lo, z_hi, n_zpan + 1)
-    a, b = z_edges[:-1, None], z_edges[1:, None]
-    zc = (0.5 * (a + b) + 0.5 * (b - a) * gl_z).ravel()
-    zw = (0.5 * (b - a) * glw_z).ravel()
-    u_s, u_j = _sub_u_roots(l_senior, l_junior, zc, faces, params)
+    cr = _sub_crossings(xs, ys, faces, params, 96)
+    ci, cj = np.nonzero(cr.status == _FOUND)
+    z0 = cr.z0[ci, cj]
+    u0 = 0.5 * (cr.u_s[ci, cj] + cr.u_j[ci, cj])
+    t0 = gaussian_moment_terms(z0, u0, scenario)
+    du_s = np.abs(moment_senior_du(1, z0, u0, faces, params))
+    du_j = np.abs(junior_mean_target_du(z0, u0, faces, params))
+    slope = np.abs(cr.slope[ci, cj])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sig_u = np.sqrt(t0.var_senior / du_s**2 + t0.var_junior / du_j**2)
+        # a zero or NaN slope leaves z unlocalized
+        sig_z = np.where(slope > 1e-300, sig_u / slope, np.inf)
+    # up to the chi-square(n) quantile at 1 - 1e-12; fmax and fmin pass
+    # over a NaN bound
+    z_lo = np.fmax(1e-8, z0 - span * sig_z)
+    z_hi = np.fmin(float(2.0 * gammaincinv(n / 2.0, 1.0 - 1e-12)), z0 + span * sig_z)
+    local = ~(du_s < 1e-300) & ~(du_j < 1e-300) & (z_hi > z_lo)
+    ci, cj, sig_u = ci[local], cj[local], sig_u[local]
+    zc, zw = _gl_panels(np.linspace(z_lo[local], z_hi[local], 11, axis=-1))
+    u_s, u_j = _sub_u_roots(xs[ci, None], ys[cj, None], zc, faces, params)
     # nodes where a root is missing (NaN) or the slices sit far apart add nothing
     with np.errstate(invalid="ignore"):
-        near = np.abs(u_s - u_j) <= 100.0 * sig_u
-    gl_u, glw_u = np.polynomial.legendre.leggauss(16)
-    n_upan = 6
+        near = np.abs(u_s - u_j) <= 100.0 * sig_u[:, None]
+
+    vals = np.zeros((len(xs), len(ys)))
     log_gauss_norm = 0.5 * math.log(n / (2.0 * math.pi))
-    total = 0.0
-    for z, wz, us, uj in zip(zc[near], zw[near], u_s[near], u_j[near]):
-        u_lo = min(us, uj) - span * sig_u
-        u_hi = max(us, uj) + span * sig_u
-        u_edges = np.linspace(u_lo, u_hi, n_upan + 1)
-        uc = (0.5 * (u_edges[:-1] + u_edges[1:])[:, None]
-              + 0.5 * (u_edges[1:] - u_edges[:-1])[:, None] * gl_u[None, :]).ravel()
-        uw = (0.5 * (u_edges[1:] - u_edges[:-1])[:, None] * glw_u[None, :]).ravel()
-        t = gaussian_moment_terms(np.full_like(uc, z), uc, scenario)
-        logp, valid = _binormal_log_density(
-            l_senior - t.mean_senior, l_junior - t.mean_junior,
-            t.var_senior, t.var_junior, t.cross,
-        )
-        log_wt = (
-            chi2_log_weight(z, n)
-            + log_gauss_norm
-            - 0.5 * n * uc * uc
-        )
+    for c, (i, j) in enumerate(zip(ci, cj)):
+        z, wz, us, uj = (a[c, near[c]] for a in (zc, zw, u_s, u_j))
+        u, wu = _gl_panels(np.linspace(
+            np.minimum(us, uj) - span * sig_u[c], np.maximum(us, uj) + span * sig_u[c], 7, axis=-1
+        ))
+        log_wt = chi2_log_weight(z, n)[:, None] + log_gauss_norm - 0.5 * n * u * u
         with np.errstate(under="ignore"):
-            vals = np.where(valid, np.exp(logp + log_wt), 0.0)
-        total += wz * float(np.dot(uw, vals))
-    return total
+            w = wz[:, None] * wu * np.exp(log_wt)
+        z = np.broadcast_to(z[:, None], u.shape)
+        table = _tranche_table(z.ravel(), u.ravel(), w.ravel(), scenario)
+        vals[i, j] = _mixture_density((xs[i : i + 1], ys[j : j + 1]), *table)[0, 0]
+
+    dense = np.ones(vals.shape, dtype=bool)
+    dense[ci, cj] = False
+    if dense.any():
+        rule = QuadratureSpec(z_nodes=max(quad.z_nodes, 128), u_nodes=max(quad.u_nodes, 128))
+        vals[dense] = _mixture_density((xs, ys), *_node_table(scenario, rule))[dense]
+    return vals
 
 
 def density_subordinated(
@@ -701,7 +691,7 @@ def density_subordinated(
     """
     point = _as_point((l_senior, l_junior), 2)
     if quad.mode == "adaptive":
-        return _density_sub_adaptive(l_senior, l_junior, scenario, quad)
+        return float(_adaptive_density(point[:1], point[1:], scenario, quad)[0, 0])
     return _point_density(point, scenario, quad)
 
 
@@ -728,15 +718,13 @@ def density_grid_subordinated(
 ) -> DensityGrid:
     """Joint density sampled at the centers of an n_cells x n_cells grid.
 
-    Adaptive mode builds its own localized rule per point, so it runs one
-    point at a time.
+    Adaptive mode builds a localized node table per cell; one crossing
+    solve and one u-root solve serve the whole grid.
     """
     centers = cell_centers(n_cells, lo, hi)
     pruning = {}
     if quad.mode == "adaptive":
-        vals = np.array([
-            [_density_sub_adaptive(x, y, scenario, quad) for y in centers] for x in centers
-        ])
+        vals = _adaptive_density(centers, centers, scenario, quad)
     else:
         table, pruning = _pruned_table(scenario, quad)
         vals = _mixture_density((centers, centers), *table)

@@ -4,15 +4,15 @@ A DensityGrid holds density values sampled at cell centers on one or two
 loss axes, plus enough metadata (scenario fingerprint, quadrature settings,
 schema version) to make every artifact self-describing and reproducible.
 
-Serialized artifacts are deterministic: the in-memory creation timestamp is
-excluded by default so re-running a scenario yields byte-identical files.
+Serialized artifacts are deterministic: a grid carries no creation time
+or other run-dependent state, so re-running a scenario yields byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +52,6 @@ class DensityGrid:
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
     quality: np.ndarray | None = None
-    timestamp: float = field(default_factory=time.time, compare=False)
 
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
@@ -102,12 +101,8 @@ class DensityGrid:
                             row.append(_fmt(self.quality[i, j]))
                         fh.write(",".join(row) + "\n")
 
-    def to_json(self, path=None, include_timestamp: bool = False):
-        """JSON envelope with full metadata; returns the string if no path.
-
-        The timestamp is excluded unless asked for, keeping artifacts
-        byte-identical across re-runs.
-        """
+    def to_json(self, path=None):
+        """JSON envelope with full metadata; returns the string if no path."""
         env = {
             "schema_version": self.metadata.get("schema_version", SCHEMA_VERSION),
             "kind": "density_grid",
@@ -116,8 +111,6 @@ class DensityGrid:
             "quality": None if self.quality is None else self.quality.tolist(),
             "metadata": {k: v for k, v in self.metadata.items()},
         }
-        if include_timestamp:
-            env["timestamp"] = self.timestamp
         text = json.dumps(env, sort_keys=True, indent=1) + "\n"
         if path is not None:
             with open(path, "w", newline="\n") as fh:

@@ -187,21 +187,26 @@ def _wishart_returns(out, block, params: MarketParams, rng, antithetic=False):
     W has independent columns of covariance Sigma/N, where Sigma is the
     mean return covariance rho^2 T [(1-c) I + c e e^T]; given W the return
     is Gaussian with covariance W W^T.  Computed as Sigma^(1/2) G eta with
-    G a (k, N) standard normal block, using that Sigma^(1/2) acts by
-    sqrt(1-c) off the uniform direction and sqrt(1-c+cK) along it.
+    G a (k, N) standard normal block.
     """
-    k = out.shape[1]
     base = out.shape[0] // 2 if antithetic else out.shape[0]
     g = rng.standard_normal(out=block[:base])
     eta = rng.standard_normal((base, _wishart_dof(params.n_fluct)))
-    x = np.einsum("mkn,mn->mk", g, eta, out=out[:base])
+    _sigma_half_in_place(np.einsum("mkn,mn->mk", g, eta, out=out[:base]), params)
+    return _mirrored(out, base)
+
+
+def _sigma_half_in_place(x, params: MarketParams):
+    """Map x to Sigma^(1/2) x / sqrt(N) in place, with Sigma acting on
+    axis 1, the obligor axis: sqrt(1-c) off the uniform direction and
+    sqrt(1-c+cK) along it, times rho sqrt(T)."""
+    k = x.shape[1]
     lam_perp = math.sqrt(1.0 - params.c)
     lam_e = math.sqrt(1.0 - params.c + params.c * k)
     proj = x.mean(axis=1, keepdims=True)
     x *= lam_perp
     x += (lam_e - lam_perp) * proj
     x *= params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct)
-    return _mirrored(out, base)
 
 
 def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
@@ -219,14 +224,8 @@ def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
 def wishart_covariances(params: MarketParams, k: int, n: int, rng):
     """Raw W W^T draws (n, k, k); test hook for ensemble-mean checks."""
     _check_wishart_budget(k)
-    n_int = int(params.n_fluct)
-    g = rng.standard_normal((n, k, n_int))
-    lam_perp = math.sqrt(1.0 - params.c)
-    lam_e = math.sqrt(1.0 - params.c + params.c * k)
-    proj = g.mean(axis=1, keepdims=True)
-    w = (lam_perp * g + (lam_e - lam_perp) * proj) * (
-        params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct)
-    )
+    w = rng.standard_normal((n, k, _wishart_dof(params.n_fluct)))
+    _sigma_half_in_place(w, params)
     return np.einsum("mkn,mln->mkl", w, w)
 
 

@@ -34,8 +34,10 @@ class QuadratureSpec:
     """Integration settings shared by all analytic operations.
 
     mode 'fixed' uses the tensor rules with the given node counts; mode
-    'adaptive' lets the subordinated density build a localized rule around
-    each point.  ``rel_tol`` is validated but nothing reads it yet.
+    'adaptive' lets the subordinated density build a localized node table
+    for each point or grid cell, falling back to a dense rule of at least
+    128 x 128 nodes where no unique crossing localizes it.  ``rel_tol`` is
+    validated but nothing reads it yet.
 
     The constructor owns every range: integer node counts in [8, 512] and
     ``rel_tol`` in (0, 1e-3].  Scenario documents state only the types, so

@@ -231,14 +231,19 @@ def test_subordinated_density_matches_cell_mass(market, faces, quad):
     assert approx == pytest.approx(mass, rel=1e-2)
 
 
+@pytest.mark.parametrize(
+    "quad", [QuadratureSpec(), QuadratureSpec(mode="adaptive")], ids=["fixed", "adaptive"]
+)
 def test_subordinated_grid_matches_points(market, faces, quad):
+    # in adaptive mode cells (0, 5) and (1, 8) cross on the ridge and get
+    # localized tables; the other four take the dense fallback
     sc = SubordinatedScenario(k_obligors=100, tranches=faces, params=market)
     grid = density_grid_subordinated(sc, n_cells=10, lo=0.0, hi=0.5, quad=quad)
     xs, ys = grid.axes
-    for i in (2, 5):
-        for j in (3, 7):
+    for i in (0, 1, 2, 5):
+        for j in (3, 5, 7, 8):
             want = density_subordinated(float(xs[i]), float(ys[j]), sc, quad)
-            assert grid.values[i, j] == pytest.approx(want, rel=1e-9)
+            assert grid.values[i, j] == pytest.approx(want, rel=1e-12)
 
 
 def test_conditional_junior_dominates_senior(market, faces):
@@ -263,6 +268,24 @@ def test_adaptive_and_fixed_density_agree(market, faces):
     adaptive_tail = density_subordinated(
         0.02, 0.1, sc, QuadratureSpec(mode="adaptive", rel_tol=1e-7))
     assert adaptive_tail == pytest.approx(fine, rel=2e-3)
+
+
+@pytest.mark.parametrize("k, point, want", [
+    # the acceptance-07 ridge points
+    (2000, (0.0062, 0.3), 9.100816162673265),
+    (2000, (0.0155, 0.4), 1.5491668094616429),
+    (2000, (0.0313, 0.5), 0.30273919908886315),
+    (2000, (0.0566, 0.6), 0.05931387504355434),
+    # a crossing, and two points without one (dense fallback)
+    (200, (0.005, 0.1), 5.732671994328228),
+    (200, (0.0, 0.05), 17999.833834610385),
+    (200, (0.3, 0.2), 2.202143798943894e-106),
+])
+def test_adaptive_density_frozen_values(market, faces, k, point, want):
+    # reference values of the earlier per-point integrator
+    sc = SubordinatedScenario(k_obligors=k, tranches=faces, params=market)
+    got = density_subordinated(*point, sc, QuadratureSpec(mode="adaptive"))
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_marginal_integrates_to_window_mass(market, faces, quad):

@@ -111,6 +111,14 @@ def test_wishart_covariances_fluctuate_around_mean(market, rng):
     np.testing.assert_allclose(avg, want, rtol=0.05, atol=5e-4)
 
 
+def test_wishart_covariances_refuse_fractional_dof(market, rng):
+    # W has N columns, so a fractional N has no Wishart draw
+    half = MarketParams(mu=market.mu, rho=market.rho, c=market.c, n_fluct=6.5,
+                        t_mat=market.t_mat, v0=market.v0)
+    with pytest.raises(ParameterError):
+        mc.wishart_covariances(half, 5, 10, rng)
+
+
 def test_compound_and_wishart_samplers_agree(market):
     sc = NoSubScenario(k_obligors=5, params=market, face=75.0)
     out = mc.ks_compare(sc, n=20_000, seed=0)
