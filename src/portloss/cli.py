@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 schema/domain rejection, 3 numeric failure at run
 time.  ``run`` reports any other exception as exit 3 too, with its
 traceback in the error report.  Exit 3 leaves a machine-readable error
-report next to any partial artifacts.
+report that lists the artifacts written before the failure.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ def _print_rejection(exc: ScenarioError, stream=None) -> None:
     print(json.dumps(diag, sort_keys=True), file=stream)
 
 
-def _write_error_report(out_dir: str, exc: Exception, artifacts, trace=None) -> str:
+def _write_error_report(out_dir: str, exc: Exception, trace=None) -> str:
     report = {
         "error": type(exc).__name__,
         "message": str(exc),
         "partial_artifacts": [
-            dict(a, partial=True) for a in (artifacts or [])
+            dict(a, partial=True) for a in getattr(exc, "partial_artifacts", [])
         ],
     }
     if trace is not None:
@@ -73,8 +73,8 @@ def _write_error_report(out_dir: str, exc: Exception, artifacts, trace=None) -> 
     return path
 
 
-def _numeric_failure(out_dir: str, exc: Exception, artifacts, trace=None) -> int:
-    path = _write_error_report(out_dir, exc, artifacts, trace)
+def _numeric_failure(out_dir: str, exc: Exception, trace=None) -> int:
+    path = _write_error_report(out_dir, exc, trace)
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     print(f"report: {path}", file=sys.stderr)
     return EXIT_NUMERIC
@@ -87,16 +87,15 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         _print_rejection(exc)
         return EXIT_REJECTED
-    artifacts = []
     try:
         artifacts = run_scenario(doc, out_dir=args.out_dir)
     except ScenarioError as exc:
         _print_rejection(exc)
         return EXIT_REJECTED
     except PortlossError as exc:
-        return _numeric_failure(args.out_dir, exc, artifacts)
+        return _numeric_failure(args.out_dir, exc)
     except Exception as exc:  # a defect: report it, never a bare traceback
-        return _numeric_failure(args.out_dir, exc, artifacts, traceback.format_exc())
+        return _numeric_failure(args.out_dir, exc, traceback.format_exc())
     for art in artifacts:
         print(f"wrote {art['path']} [{art['kind']}] {art['summary']}")
     return EXIT_OK

@@ -10,11 +10,11 @@ joint (senior, junior) loss of one tranched portfolio.  A plain scenario
 tracks one or more untranched creditors through its holdings: a block
 market (a single market is the one-block market), classes of identical
 obligors, each with a block, a face and a count, and the face each
-creditor holds in each class.  Overlapping portfolios, per-creditor face
-matrices and one creditor per market block are all holdings of this
-form.  Given (z, u) the classes are independent, so every plain consumer
-- node table, singularity check, sampler weights, no-default mass - is
-one loop over classes or blocks.
+creditor holds in each class.  Overlapping portfolios and one creditor
+per market block are both holdings of this form.  Given (z, u) the
+classes are independent, so every plain consumer - node table,
+singularity check, sampler weights, no-default mass - is one loop over
+classes or blocks.
 
 Both flavours share one node table format, built once per (scenario,
 quadrature) and cached: weights w (n,), the conditional means of the B
@@ -179,16 +179,13 @@ class Holdings(NamedTuple):
 class NoSubScenario:
     """Untranched portfolio seen by one or more creditors.
 
-    The constructor takes one of three layouts:
+    The constructor takes one of two layouts:
 
     * ``overlap`` set: single market, two creditors sharing ``k_obligors``
       identical firms of face ``overlap.f0``: the classes held by creditor
       one only, by both (creditor one holding ``gamma`` of each face) and
       by creditor two only.
-    * ``faces`` set: single market, explicit per-creditor face matrix of
-      shape (creditors, k_obligors), one class per firm; heterogeneous
-      faces allowed.
-    * neither: homogeneous face ``face`` for every firm, one class per
+    * otherwise: homogeneous face ``face`` for every firm, one class per
       market block.  With multi-market params ``creditors`` may be 1
       (total loss) or the number of markets (one creditor per block);
       single-market params are the one-block market with one creditor.
@@ -200,7 +197,6 @@ class NoSubScenario:
     params: AnyParams
     face: Optional[float] = None
     overlap: Optional[OverlapSpec] = None
-    faces: Optional[tuple] = None
     creditors: Optional[int] = None
 
     def __post_init__(self):
@@ -210,9 +206,6 @@ class NoSubScenario:
         if not multi and not isinstance(self.params, MarketParams):
             raise ParameterError("params must be MarketParams or MultiMarketParams")
         block_market(self.params, self.k_obligors)  # refuses blocks not totalling k_obligors
-        n_set = sum(x is not None for x in (self.overlap, self.faces))
-        if n_set > 1:
-            raise ParameterError("give at most one of overlap= or faces=")
         if self.overlap is not None:
             if multi:
                 raise ParameterError("overlap layout requires single-market params")
@@ -222,25 +215,6 @@ class NoSubScenario:
                 raise ParameterError("overlap layout has exactly 2 creditors")
             if not (self.overlap.share_one > 0 and self.overlap.share_two > 0):
                 raise ParameterError("each creditor needs a positive share of the pool")
-        elif self.faces is not None:
-            if multi:
-                raise ParameterError("face-matrix layout requires single-market params")
-            mat = np.atleast_2d(np.asarray(self.faces, dtype=float))
-            if mat.shape[1] != self.k_obligors:
-                raise ParameterError(
-                    f"faces needs {self.k_obligors} columns, got {mat.shape[1]}"
-                )
-            if mat.shape[0] > 2:
-                raise ParameterError("at most 2 creditors supported")
-            if np.any(mat < 0) or np.any(mat.sum(axis=0) <= 0) or np.any(mat.sum(axis=1) <= 0):
-                raise ParameterError(
-                    "faces must be nonnegative with positive row and column sums"
-                )
-            object.__setattr__(self, "faces", tuple(tuple(row) for row in mat))
-            if self.creditors not in (None, mat.shape[0]):
-                raise ParameterError("creditors conflicts with the faces matrix")
-            if self.face is not None:
-                raise ParameterError("face conflicts with an explicit faces matrix")
         else:
             if self.face is None or not (self.face > 0):
                 raise ParameterError("homogeneous layout needs face > 0")
@@ -263,9 +237,6 @@ class NoSubScenario:
             counts = (ov.r1 * k, ov.r12 * k, (1.0 - ov.r1 - ov.r12) * k)
             classes = [(0, ov.f0, n) for n in counts]
             shares = [(1.0, ov.gamma, 0.0), (0.0, 1.0 - ov.gamma, 1.0)]
-        elif self.faces is not None:
-            classes = [(0, f, 1) for f in np.asarray(self.faces).sum(axis=0)]
-            shares = self.faces
         else:
             classes = [(b, self.face, k_b) for b, (_, k_b) in enumerate(markets.blocks)]
             shares = np.eye(len(classes)) if self.creditors > 1 else np.ones((1, len(classes)))
@@ -281,10 +252,9 @@ class NoSubScenario:
         return len(self.holdings.shares)
 
     @property
-    def obligor_face(self) -> Optional[float]:
-        """Common face per firm; None when faces are heterogeneous."""
-        faces = {face for _, face, _ in self.holdings.classes}
-        return faces.pop() if len(faces) == 1 else None
+    def obligor_face(self) -> float:
+        """Common face per firm."""
+        return self.face if self.overlap is None else self.overlap.f0
 
     @property
     def tracked_losses(self) -> dict:
@@ -1020,10 +990,9 @@ def mass_accounting(
     else:
         origin = float(masses[0, :].sum() + masses[1:, 0].sum())
         away = float(masses[1:, 1:].sum())
-    face_total = scenario.obligor_face
-    if face_total is None:
-        raise ParameterError("mass accounting needs a common obligor face")
-    p_nd = no_default_probability(scenario.k_obligors, face_total, scenario.params, quad)
+    p_nd = no_default_probability(
+        scenario.k_obligors, scenario.obligor_face, scenario.params, quad
+    )
     total = away + p_nd + mc_origin_excess_mass
     return {
         "continuous_mass_away_from_origin": away,

@@ -34,8 +34,16 @@ def scenario_fingerprint(resolved: dict) -> str:
     return hashlib.sha256(canonical_json(content).encode()).hexdigest()[:16]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def write_csv(path, comments, header, rows) -> None:
+    """Write ``# comment`` lines, a header and the rows as CSV with Unix
+    newlines; floats at full round-trip precision, other values as str."""
+    with open(path, "w", newline="\n") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+            fh.write("\n")
 
 
 @dataclass
@@ -80,26 +88,12 @@ class DensityGrid:
         precision with Unix newlines.  Optional comment lines ("# ..." before
         the header) let artifacts embed provenance without breaking parsers
         that skip comments."""
-        cols = ["l1", "l2"][: len(self.axes)] + ["density"]
+        header = ["l1", "l2"][: len(self.axes)] + ["density"]
+        cols = [*np.meshgrid(*self.axes, indexing="ij"), self.values]
         if self.quality is not None:
-            cols.append("quality")
-        with open(path, "w", newline="\n") as fh:
-            for line in comments:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            if len(self.axes) == 1:
-                for i, x in enumerate(self.axes[0]):
-                    row = [_fmt(x), _fmt(self.values[i])]
-                    if self.quality is not None:
-                        row.append(_fmt(self.quality[i]))
-                    fh.write(",".join(row) + "\n")
-            else:
-                for i, x in enumerate(self.axes[0]):
-                    for j, y in enumerate(self.axes[1]):
-                        row = [_fmt(x), _fmt(y), _fmt(self.values[i, j])]
-                        if self.quality is not None:
-                            row.append(_fmt(self.quality[i, j]))
-                        fh.write(",".join(row) + "\n")
+            header.append("quality")
+            cols.append(self.quality)
+        write_csv(path, comments, header, zip(*(c.ravel().tolist() for c in cols)))
 
     def to_json(self, path=None):
         """JSON envelope with full metadata; returns the string if no path."""

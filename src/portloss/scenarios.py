@@ -2,14 +2,17 @@
 
 A scenario is a JSON document selecting one computation mode plus its
 parameter blocks.  Resolving a document merges the mode defaults under it,
-checks it against the mode schema and then builds it: each mode has one
-builder that turns the document into the domain objects its runner
-consumes.  The schema states only types for a block that becomes a
-domain object, whose constructor owns every range.  ``validate`` therefore
-builds exactly what ``run`` builds, and a domain error is reported at the
-JSON pointer of the block that supplied the value.  Running a resolved
-scenario writes CSV/JSON artifacts that embed the resolved document and
-its fingerprint so a rerun can be checked byte for byte.
+checks it against the mode schema and then builds it: each mode is one
+function that turns the document into the domain objects it needs and
+returns its jobs, each a zero-argument callable that computes one
+artifact, writes it and returns its record.  The schema states only types
+for a block that becomes a domain object, whose constructor owns every
+range.  ``validate`` calls the mode function and drops the jobs, so it
+builds exactly what ``run`` builds and computes nothing, and a domain
+error is reported at the JSON pointer of the block that supplied the
+value.  ``run`` runs the jobs in order; the CSV/JSON artifacts embed the
+resolved document and its fingerprint so a rerun can be checked byte for
+byte.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import os
 import numpy as np
 import jsonschema
 
+from . import calibration, engine, limits, mc
 from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, ScenarioError, SingularCovarianceError
-from .grids import SCHEMA_VERSION, DensityGrid, canonical_json, scenario_fingerprint
+from .grids import SCHEMA_VERSION, DensityGrid, canonical_json, scenario_fingerprint, write_csv
 from .limits import _check_ridge_faces, _open_unit_centers
 from .mc import McConfig, _check_wishart_budget, _wishart_dof
 from .params import (
@@ -433,9 +437,9 @@ def resolve_scenario(doc: dict) -> dict:
     """Validate a scenario document and fill defaults.
 
     Merges the mode defaults under the document, checks it against the
-    mode schema, builds it with the mode's builder (the same one the runner
-    starts from) and rejects non-finite numbers.  Returns a new fully
-    populated document; raises ScenarioError with a JSON pointer for
+    mode schema, builds it with the mode function, dropping the jobs that
+    ``run_scenario`` runs, and rejects non-finite numbers.  Returns a new
+    fully populated document; raises ScenarioError with a JSON pointer for
     schema violations, for domain errors (at the block that supplied the
     value) and for non-finite numbers.
     """
@@ -477,12 +481,17 @@ def validate_scenario(doc: dict) -> dict:
 # ---------------------------------------------------------------------------
 # building
 #
-# Each mode has one builder, ``_build_<mode>(sc, out_dir)``: it turns a
-# resolved document into the domain objects the mode's runner consumes and
-# the runner's output paths.  resolve_scenario calls it to check the
-# document and every runner starts from it, so ``validate`` accepts exactly
-# what ``run`` builds.  A builder adds only the checks that no domain
-# constructor makes.
+# Each mode is one function, ``_<mode>(sc, out_dir="")``: it turns a
+# resolved document into the domain objects the mode needs and returns the
+# mode's jobs.  A job is a zero-argument callable that computes one
+# artifact, writes it under ``out_dir`` and returns its record; nothing is
+# computed outside a job.  resolve_scenario calls the mode function to
+# check the document and drops the jobs, and run_scenario runs them, so
+# ``validate`` accepts exactly what ``run`` builds.  A mode function adds
+# only the checks that no domain constructor makes, and makes them in a
+# fixed order, so a document with several faults is always rejected at the
+# same pointer.  Jobs look up the engine, limits, mc and calibration entry
+# points as module attributes when they run.
 
 
 def _build(pointer: str, make, *args, **kwargs):
@@ -597,7 +606,7 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
         _build(counts_pointer, _whole_counts, scen)
 
 
-def _build_subordinated(sc, out_dir=""):
+def _subordinated(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
     tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
     ks = _k_list(sc["portfolio"]["k_obligors"])
@@ -605,18 +614,26 @@ def _build_subordinated(sc, out_dir=""):
         _build("/portfolio", SubordinatedScenario, k_obligors=k, tranches=tranches, params=params)
         for k in ks
     ]
-    return _quad(sc), _grid(sc), list(zip(_density_paths(sc, ks, out_dir), scens))
+    quad, cells = _quad(sc), _grid(sc)
+    return [
+        _grid_job(sc, path, lambda s=scen: engine.density_grid_subordinated(s, quad, **cells))
+        for path, scen in zip(_density_paths(sc, ks, out_dir), scens)
+    ]
 
 
-def _build_nosub(sc, out_dir=""):
+def _nosub(sc, out_dir=""):
     scens = _plain_scenarios(sc, _build("/market", MarketParams, **sc["market"]))
     for scen in scens:
         _build("/portfolio/overlap", _check_grid, scen)
     paths = _density_paths(sc, [scen.k_obligors for scen in scens], out_dir)
-    return _quad(sc), _grid(sc), list(zip(paths, scens))
+    quad, cells = _quad(sc), _grid(sc)
+    return [
+        _grid_job(sc, path, lambda s=scen: engine.density_grid_nosub(s, quad, **cells))
+        for path, scen in zip(paths, scens)
+    ]
 
 
-def _build_multimarket(sc, out_dir=""):
+def _multimarket(sc, out_dir=""):
     blocks = tuple(
         (_build(f"/markets/{i}", MarketParams, **_filled_market(blk)), blk["k_obligors"])
         for i, blk in enumerate(sc["markets"])
@@ -635,54 +652,106 @@ def _build_multimarket(sc, out_dir=""):
     )
     _build("/creditors", _check_grid, scen)
     tails = sc["tails"] if creditors == 1 else []
-    return _quad(sc), _grid(sc), scen, tails, _output(sc, "density", out_dir)
+    quad, cells = _quad(sc), _grid(sc)
+    grid_job = _grid_job(
+        sc, _output(sc, "density", out_dir),
+        lambda: engine.density_grid_nosub(scen, quad, **cells),
+    )
+
+    def job():
+        art = grid_job()
+        if tails:
+            stats = [f"P(L>{t:g})={engine.tail_probability(t, scen, quad):.3e}" for t in tails]
+            art["summary"] += " " + " ".join(stats)
+        return art
+
+    return [job]
 
 
-def _build_limit_subordinated(sc, out_dir=""):
+def _limit_subordinated(sc, out_dir=""):
     tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
     # the ridge refuses f_senior = 0 or a junior face too thin to solve for
     field = "f_senior" if tranches.f_senior == 0 else "f_junior"
     _build(f"/tranches/{field}", _check_ridge_faces, tranches)
     params = _build("/market", MarketParams, **sc["market"])
-    return tranches, params, _grid(sc), int(sc["scan"]["n_scan"]), _output(sc, "density", out_dir)
+    cells, n_scan = _grid(sc), int(sc["scan"]["n_scan"])
+    return [
+        _grid_job(
+            sc, _output(sc, "density", out_dir),
+            lambda: limits.limit_grid_subordinated(tranches, params, n_scan=n_scan, **cells),
+        )
+    ]
 
 
-def _build_limit_equal(sc, out_dir=""):
+def _limit_equal(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
     cells = _grid(sc)
     _build("/grid", _open_unit_centers, **cells)
-    return sc["face"], params, _quad(sc), cells, _output(sc, "curve", out_dir)
+    quad = _quad(sc)
+    return [
+        _grid_job(
+            sc, _output(sc, "curve", out_dir),
+            lambda: limits.limit_curve_equal_infinite(sc["face"], params, quad, **cells),
+            kind="density_curve",
+        )
+    ]
 
 
-def _build_limit_fin_vs_inf(sc, out_dir=""):
+def _limit_fin_vs_inf(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
-    return sc["r_one"], sc["face"], params, _quad(sc), _grid(sc), _output(sc, "density", out_dir)
+    quad, cells = _quad(sc), _grid(sc)
+    return [
+        _grid_job(
+            sc, _output(sc, "density", out_dir),
+            lambda: limits.limit_grid_finite_vs_infinite(
+                sc["r_one"], sc["face"], params, quad, **cells
+            ),
+        )
+    ]
 
 
-def _build_limit_two_markets(sc, out_dir=""):
+def _limit_two_markets(sc, out_dir=""):
     one = _build("/market_one", MarketParams, **sc["market_one"])
     two = _build("/market_two", MarketParams, **sc["market_two"])
     # the two markets share one scale variable, as market blocks do
     _build("/market_two/n_fluct", MultiMarketParams, ((one, 1), (two, 1)))
-    faces = (sc["face_one"], sc["face_two"])
-    return faces, (one, two), _quad(sc), _grid(sc), _output(sc, "density", out_dir)
+    quad, cells = _quad(sc), _grid(sc)
+    return [
+        _grid_job(
+            sc, _output(sc, "density", out_dir),
+            lambda: limits.limit_grid_two_markets(
+                sc["face_one"], sc["face_two"], one, two, quad, **cells
+            ),
+        )
+    ]
 
 
-def _build_no_default(sc, out_dir=""):
+def _no_default(sc, out_dir=""):
     base = _build("/market", MarketParams, **sc["market"])
     markets = [
         _build(f"/mu_values/{i}", dataclasses.replace, base, mu=mu)
         for i, mu in enumerate(sc.get("mu_values", [base.mu]))
     ]
-    return _quad(sc), sc["face"], markets, _k_list(sc["k_values"]), _output(sc, "table", out_dir)
+    quad, ks, path = _quad(sc), _k_list(sc["k_values"]), _output(sc, "table", out_dir)
+
+    def job():
+        rows = [
+            (float(params.mu), int(k), engine.no_default_probability(k, sc["face"], params, quad))
+            for params in markets
+            for k in ks
+        ]
+        _write_table(rows, ["mu", "k_obligors", "p_no_default"], sc, path)
+        lo, hi = rows[-1][2], rows[0][2]
+        return _artifact(path, "table", f"rows={len(rows)} p_nd range [{lo:.4g}, {hi:.4g}]")
+
+    return [job]
 
 
-def _build_correlation_sweep(sc, out_dir=""):
-    """Quadrature, one (c, k, scenario, McConfig or None) cell per pair of
-    ``c_values`` and ``k_values`` entries, and the table path."""
+def _correlation_sweep(sc, out_dir=""):
     base = _build("/market", MarketParams, **sc["market"])
     halves = _halves(sc["portfolio"]["face"], "/portfolio/face")
     config = _mc_config(sc["mc"])
+    # one (c, k, scenario, McConfig or None) cell per pair of c and k values
     cells = []
     for i, c in enumerate(sc["c_values"]):
         params = _build(f"/c_values/{i}", dataclasses.replace, base, c=c)
@@ -696,26 +765,68 @@ def _build_correlation_sweep(sc, out_dir=""):
                 cfg = dataclasses.replace(config, rng_seed=seed)
                 _check_sampling(scen, cfg, "/portfolio/k_values", "/portfolio/k_values")
             cells.append((c, k, scen, cfg))
-    return _quad(sc), cells, _output(sc, "table", out_dir)
+    quad, path = _quad(sc), _output(sc, "table", out_dir)
+
+    def job():
+        rows = []
+        for c, k, scen, cfg in cells:
+            if cfg is None:
+                corr = engine.loss_correlation(scen, method="analytic", quad=quad)
+            else:
+                corr = engine.loss_correlation(scen, method="mc", mc_config=cfg)
+            rows.append((float(c), int(k), float(corr)))
+        _write_table(rows, ["c", "k_obligors", "loss_correlation"], sc, path)
+        corrs = [r[2] for r in rows]
+        return _artifact(
+            path, "table", f"rows={len(rows)} corr range [{min(corrs):.4f}, {max(corrs):.4f}]"
+        )
+
+    return [job]
 
 
-def _build_calibrate(sc, out_dir=""):
-    """The synthetic sample's (market, assets, samples, seed), or None for
-    a CSV source; the CSV path or None; the fit grid and the report path."""
+def _calibrate(sc, out_dir=""):
     src = sc["source"]
     params = _build("/source/market", MarketParams, **src["market"])
     if src["kind"] == "csv" and "path" not in src:
         raise ScenarioError("csv source needs a path", pointer="/source/path")
-    fit = sc["fit"]
-    _check_increasing(fit, "grid_lo", "grid_hi", "/fit", "fit grid needs grid_hi > grid_lo")
-    grid = np.geomspace(fit["grid_lo"], fit["grid_hi"], int(fit["grid_points"]))
-    synthetic = None
-    if src["kind"] == "synthetic":
-        synthetic = (params, int(src["k_assets"]), int(src["m_samples"]), int(src["rng_seed"]))
-    return synthetic, src.get("path"), grid, _output(sc, "report", out_dir)
+    fit_block = sc["fit"]
+    _check_increasing(fit_block, "grid_lo", "grid_hi", "/fit", "fit grid needs grid_hi > grid_lo")
+    grid = np.geomspace(fit_block["grid_lo"], fit_block["grid_hi"], int(fit_block["grid_points"]))
+    path = _output(sc, "report", out_dir)
+
+    def job():
+        if src["kind"] == "synthetic":
+            rng = np.random.default_rng(int(src["rng_seed"]))
+            data = mc.sample_compound_returns(
+                params, int(src["k_assets"]), int(src["m_samples"]), rng
+            )
+            truth = {"n_fluct": params.n_fluct, "c": params.c}
+        else:
+            data = _load_returns_csv(src["path"])
+            truth = None
+        sample = calibration.ReturnSample(data)
+        fit = calibration.fit_n(sample, grid=grid)
+        c_hat = calibration.effective_correlation(sample.sigma_hat) if sample.k_assets > 1 else None
+        payload = {
+            "n_hat": fit.n_hat,
+            "c_hat": c_hat,
+            "loglik": fit.loglik,
+            "boundary": fit.boundary,
+            "rank_deficient": fit.rank_deficient,
+            "m_samples": sample.m_samples,
+            "k_assets": sample.k_assets,
+            "profile": {"grid": list(fit.grid), "loglik": list(fit.profile)},
+        }
+        if truth is not None:
+            payload["truth"] = truth
+        _write_json(payload, sc, path)
+        c_txt = "n/a" if c_hat is None else f"{c_hat:.4f}"
+        return _artifact(path, "fit_report", f"n_hat={fit.n_hat:.3f} c_hat={c_txt}")
+
+    return [job]
 
 
-def _build_mc_validate(sc, out_dir=""):
+def _mc_validate(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
     (scen,) = _plain_scenarios(sc, params)
     if "tranches" in sc:
@@ -726,21 +837,78 @@ def _build_mc_validate(sc, out_dir=""):
         )
     config = _mc_config(sc["mc"])
     _check_sampling(scen, config, "/portfolio/k_obligors", "/portfolio/overlap")
-    return _quad(sc), config, scen, sc["min_mass"], _output(sc, "report", out_dir)
+    quad, min_mass, path = _quad(sc), sc["min_mass"], _output(sc, "report", out_dir)
+
+    def job():
+        run = mc.estimate(scen, config)
+        edges = np.linspace(0.0, 1.0, config.n_bins + 1)
+        edges[-1] = np.inf
+        # McRun histograms are already normalized to probabilities
+        if isinstance(scen, SubordinatedScenario):
+            analytic = engine.subordinated_cell_masses(scen, edges, edges, quad)
+        elif scen.n_creditors == 2:
+            analytic = engine.nosub_cell_masses(scen, edges, edges, quad)
+        else:
+            analytic = engine.nosub_cell_masses(scen, edges, quad=quad)
+        p_mc = np.asarray(run.hist_2d if analytic.ndim == 2 else run.hist_1d[0], dtype=float)
+        # the first row and column hold the atoms that the continuous law smears
+        interior = np.ones_like(analytic, dtype=bool)
+        interior[0] = False
+        if analytic.ndim == 2:
+            interior[:, 0] = False
+        n = config.n_samples
+        compare = interior & (analytic > min_mass)
+        se = np.sqrt(np.maximum(analytic * (1.0 - analytic), 1e-30) / n)
+        z = np.zeros_like(analytic)
+        z[compare] = (p_mc[compare] - analytic[compare]) / se[compare]
+        max_abs_z = float(np.max(np.abs(z))) if np.any(compare) else 0.0
+        p_nd = engine.no_default_probability(
+            scen.k_obligors, scen.obligor_face, scen.params, quad
+        )
+        z_nd = (run.p_no_default - p_nd) / max(run.p_no_default_se, 1e-15)
+        payload = {
+            "n_samples": n,
+            "n_cells_compared": int(np.sum(compare)),
+            "min_mass": min_mass,
+            "max_abs_z": max_abs_z,
+            "mean_abs_z": float(np.mean(np.abs(z[compare]))) if np.any(compare) else 0.0,
+            "analytic_mass_compared": float(np.sum(analytic[compare])),
+            "mc_mass_compared": float(np.sum(p_mc[compare])),
+            "no_default": {
+                "analytic": p_nd,
+                "mc": run.p_no_default,
+                "mc_se": run.p_no_default_se,
+                "z": float(z_nd),
+            },
+            "loss_correlation_mc": run.corr,
+            "loss_correlation_mc_se": run.corr_se,
+            "subordination_violations": run.subordination_violations,
+            "agreement": bool(max_abs_z <= 5.0 and abs(z_nd) <= 5.0),
+        }
+        _write_json(payload, sc, path)
+        return _artifact(
+            path,
+            "agreement_report",
+            f"max|z|={max_abs_z:.2f} over {int(np.sum(compare))} cells "
+            f"agree={payload['agreement']}",
+        )
+
+    return [job]
 
 
+# mode -> mode function; each returns the mode's jobs
 _BUILDERS = {
-    "subordinated": _build_subordinated,
-    "nosub": _build_nosub,
-    "nosub-multimarket": _build_multimarket,
-    "limit-subordinated": _build_limit_subordinated,
-    "limit-equal": _build_limit_equal,
-    "limit-finite-vs-infinite": _build_limit_fin_vs_inf,
-    "limit-two-markets": _build_limit_two_markets,
-    "no-default": _build_no_default,
-    "correlation-sweep": _build_correlation_sweep,
-    "calibrate": _build_calibrate,
-    "mc-validate": _build_mc_validate,
+    "subordinated": _subordinated,
+    "nosub": _nosub,
+    "nosub-multimarket": _multimarket,
+    "limit-subordinated": _limit_subordinated,
+    "limit-equal": _limit_equal,
+    "limit-finite-vs-infinite": _limit_fin_vs_inf,
+    "limit-two-markets": _limit_two_markets,
+    "no-default": _no_default,
+    "correlation-sweep": _correlation_sweep,
+    "calibrate": _calibrate,
+    "mc-validate": _mc_validate,
 }
 
 
@@ -754,10 +922,16 @@ def estimate_cost(sc: dict) -> dict:
     nodes = quad.get("z_nodes", 64) * quad.get("u_nodes", 64)
     points = 0
     mc_samples = 0
+    seconds_per_point = 0.0
     if mode in ("subordinated", "nosub"):
         ks = _k_list(sc["portfolio"]["k_obligors"])
         two_d = mode == "subordinated" or sc["portfolio"].get("layout", "halves") != "single"
         points = len(ks) * (n_cells ** 2 if two_d else n_cells)
+        if mode == "subordinated" and quad.get("mode") == "adaptive":
+            # each cell builds its own table of 10x16 z by 6x16 u nodes
+            # after a crossing and u-root solve
+            nodes = 160 * 96
+            seconds_per_point = 1e-3
     elif mode == "nosub-multimarket":
         beta = len(sc["markets"])
         nodes = quad.get("z_nodes", 64) * quad.get("u_nodes", 24) ** beta
@@ -784,7 +958,7 @@ def estimate_cost(sc: dict) -> dict:
     elif mode == "mc-validate":
         points = sc["mc"]["n_bins"] ** 2
         mc_samples = sc["mc"]["n_samples"]
-    seconds = 4e-9 * points * nodes + 2.5e-6 * mc_samples + 0.05
+    seconds = 4e-9 * points * nodes + seconds_per_point * points + 2.5e-6 * mc_samples + 0.05
     return {
         "grid_points": int(points),
         "quad_nodes_per_point": int(nodes),
@@ -974,13 +1148,7 @@ def _write_json(payload: dict, sc: dict, path: str) -> None:
 
 
 def _write_table(rows, header, sc: dict, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for line in _provenance(sc):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+    write_csv(path, _provenance(sc), header, rows)
 
 
 def _artifact(path, kind, summary):
@@ -988,115 +1156,25 @@ def _artifact(path, kind, summary):
 
 
 def _grid_summary(grid: DensityGrid) -> str:
-    vals = np.asarray(grid.values)
-    if len(grid.axes) == 1:
-        dx = float(grid.axes[0][1] - grid.axes[0][0]) if len(grid.axes[0]) > 1 else 1.0
-        mass = float(vals.sum() * dx)
-    else:
-        dx = float(grid.axes[0][1] - grid.axes[0][0])
-        dy = float(grid.axes[1][1] - grid.axes[1][0])
-        mass = float(vals.sum() * dx * dy)
-    return f"peak={vals.max():.6g} mass~{mass:.4f}"
+    mass = float(grid.values.sum())
+    for axis in grid.axes:
+        mass *= float(axis[1] - axis[0])
+    summary = f"peak={grid.values.max():.6g} mass~{mass:.4f}"
+    if grid.quality is not None:
+        summary += f" flagged_cells={int(np.sum(grid.quality > 0))}"
+    return summary
 
 
-def _write_density_grids(grid_fn, quad, cells, jobs, sc):
-    """Write ``grid_fn(scenario, quad, **cells)`` to each (path, scenario)
-    job; returns the artifact records."""
-    arts = []
-    for path, scen in jobs:
-        grid = grid_fn(scen, quad, **cells)
+def _grid_job(sc: dict, path: str, make, kind: str = "density_grid"):
+    """The job that computes the DensityGrid ``make()``, writes it to
+    ``path`` and returns its record."""
+
+    def job():
+        grid = make()
         _write_grid(grid, sc, path)
-        arts.append(_artifact(path, "density_grid", _grid_summary(grid)))
-    return arts
+        return _artifact(path, kind, _grid_summary(grid))
 
-
-def _run_subordinated(sc, out_dir):
-    from .engine import density_grid_subordinated
-
-    return _write_density_grids(density_grid_subordinated, *_build_subordinated(sc, out_dir), sc)
-
-
-def _run_nosub(sc, out_dir):
-    from .engine import density_grid_nosub
-
-    return _write_density_grids(density_grid_nosub, *_build_nosub(sc, out_dir), sc)
-
-
-def _run_multimarket(sc, out_dir):
-    from .engine import density_grid_nosub, tail_probability
-
-    quad, cells, scen, tails, path = _build_multimarket(sc, out_dir)
-    arts = _write_density_grids(density_grid_nosub, quad, cells, [(path, scen)], sc)
-    if tails:
-        stats = [f"P(L>{t:g})={tail_probability(t, scen, quad):.3e}" for t in tails]
-        arts[0]["summary"] += " " + " ".join(stats)
-    return arts
-
-
-def _run_limit_subordinated(sc, out_dir):
-    from .limits import limit_grid_subordinated
-
-    tranches, params, cells, n_scan, path = _build_limit_subordinated(sc, out_dir)
-    grid = limit_grid_subordinated(tranches, params, n_scan=n_scan, **cells)
-    _write_grid(grid, sc, path)
-    flagged = int(np.sum(np.asarray(grid.quality) > 0)) if grid.quality is not None else 0
-    return [_artifact(path, "density_grid", _grid_summary(grid) + f" flagged_cells={flagged}")]
-
-
-def _run_limit_equal(sc, out_dir):
-    from .limits import limit_curve_equal_infinite
-
-    face, params, quad, cells, path = _build_limit_equal(sc, out_dir)
-    grid = limit_curve_equal_infinite(face, params, quad, **cells)
-    _write_grid(grid, sc, path)
-    return [_artifact(path, "density_curve", _grid_summary(grid))]
-
-
-def _run_limit_fin_vs_inf(sc, out_dir):
-    from .limits import limit_grid_finite_vs_infinite
-
-    r_one, face, params, quad, cells, path = _build_limit_fin_vs_inf(sc, out_dir)
-    grid = limit_grid_finite_vs_infinite(r_one, face, params, quad, **cells)
-    _write_grid(grid, sc, path)
-    return [_artifact(path, "density_grid", _grid_summary(grid))]
-
-
-def _run_limit_two_markets(sc, out_dir):
-    from .limits import limit_grid_two_markets
-
-    faces, markets, quad, cells, path = _build_limit_two_markets(sc, out_dir)
-    grid = limit_grid_two_markets(*faces, *markets, quad, **cells)
-    _write_grid(grid, sc, path)
-    return [_artifact(path, "density_grid", _grid_summary(grid))]
-
-
-def _run_no_default(sc, out_dir):
-    from .engine import no_default_probability
-
-    quad, face, markets, ks, path = _build_no_default(sc, out_dir)
-    rows = [
-        (float(params.mu), int(k), no_default_probability(k, face, params, quad))
-        for params in markets
-        for k in ks
-    ]
-    _write_table(rows, ["mu", "k_obligors", "p_no_default"], sc, path)
-    lo, hi = rows[-1][2], rows[0][2]
-    return [_artifact(path, "table", f"rows={len(rows)} p_nd range [{lo:.4g}, {hi:.4g}]")]
-
-
-def _run_correlation_sweep(sc, out_dir):
-    from .engine import loss_correlation
-
-    quad, cells, path = _build_correlation_sweep(sc, out_dir)
-    rows = []
-    for c, k, scen, cfg in cells:
-        if cfg is None:
-            corr = loss_correlation(scen, method="analytic", quad=quad)
-        else:
-            corr = loss_correlation(scen, method="mc", mc_config=cfg)
-        rows.append((float(c), int(k), float(corr)))
-    _write_table(rows, ["c", "k_obligors", "loss_correlation"], sc, path)
-    return [_artifact(path, "table", f"rows={len(rows)} corr range [{min(r[2] for r in rows):.4f}, {max(r[2] for r in rows):.4f}]")]
+    return job
 
 
 def _load_returns_csv(path: str) -> np.ndarray:
@@ -1121,120 +1199,21 @@ def _load_returns_csv(path: str) -> np.ndarray:
         ) from exc
 
 
-def _run_calibrate(sc, out_dir):
-    from . import mc as mcmod
-    from .calibration import ReturnSample, effective_correlation, fit_n
-
-    synthetic, csv_path, grid, path = _build_calibrate(sc, out_dir)
-    if synthetic is not None:
-        params, k_assets, m_samples, seed = synthetic
-        rng = np.random.default_rng(seed)
-        data = mcmod.sample_compound_returns(params, k_assets, m_samples, rng)
-        truth = {"n_fluct": params.n_fluct, "c": params.c}
-    else:
-        data = _load_returns_csv(csv_path)
-        truth = None
-    sample = ReturnSample(data)
-    fit = fit_n(sample, grid=grid)
-    c_hat = effective_correlation(sample.sigma_hat) if sample.k_assets > 1 else None
-    payload = {
-        "n_hat": fit.n_hat,
-        "c_hat": c_hat,
-        "loglik": fit.loglik,
-        "boundary": fit.boundary,
-        "rank_deficient": fit.rank_deficient,
-        "m_samples": sample.m_samples,
-        "k_assets": sample.k_assets,
-        "profile": {"grid": list(fit.grid), "loglik": list(fit.profile)},
-    }
-    if truth is not None:
-        payload["truth"] = truth
-    _write_json(payload, sc, path)
-    c_txt = "n/a" if c_hat is None else f"{c_hat:.4f}"
-    return [_artifact(path, "fit_report", f"n_hat={fit.n_hat:.3f} c_hat={c_txt}")]
-
-
-def _run_mc_validate(sc, out_dir):
-    from . import mc as mcmod
-    from .engine import no_default_probability, nosub_cell_masses, subordinated_cell_masses
-
-    quad, config, scen, min_mass, path = _build_mc_validate(sc, out_dir)
-    run = mcmod.estimate(scen, config)
-    edges = np.linspace(0.0, 1.0, config.n_bins + 1)
-    edges_open = edges.copy()
-    edges_open[-1] = np.inf
-    # McRun histograms are already normalized to probabilities
-    if isinstance(scen, SubordinatedScenario):
-        analytic = subordinated_cell_masses(scen, edges_open, edges_open, quad)
-    elif scen.n_creditors == 2:
-        analytic = nosub_cell_masses(scen, edges_open, edges_open, quad)
-    else:
-        analytic = nosub_cell_masses(scen, edges_open, quad=quad)
-    p_mc = np.asarray(run.hist_2d if analytic.ndim == 2 else run.hist_1d[0], dtype=float)
-    # the first row and column hold the atoms that the continuous law smears
-    interior = np.ones_like(analytic, dtype=bool)
-    interior[0] = False
-    if analytic.ndim == 2:
-        interior[:, 0] = False
-    n = config.n_samples
-    compare = interior & (analytic > min_mass)
-    se = np.sqrt(np.maximum(analytic * (1.0 - analytic), 1e-30) / n)
-    z = np.zeros_like(analytic)
-    z[compare] = (p_mc[compare] - analytic[compare]) / se[compare]
-    max_abs_z = float(np.max(np.abs(z))) if np.any(compare) else 0.0
-    p_nd = no_default_probability(scen.k_obligors, scen.obligor_face, scen.params, quad)
-    z_nd = (run.p_no_default - p_nd) / max(run.p_no_default_se, 1e-15)
-    payload = {
-        "n_samples": n,
-        "n_cells_compared": int(np.sum(compare)),
-        "min_mass": min_mass,
-        "max_abs_z": max_abs_z,
-        "mean_abs_z": float(np.mean(np.abs(z[compare]))) if np.any(compare) else 0.0,
-        "analytic_mass_compared": float(np.sum(analytic[compare])),
-        "mc_mass_compared": float(np.sum(p_mc[compare])),
-        "no_default": {
-            "analytic": p_nd,
-            "mc": run.p_no_default,
-            "mc_se": run.p_no_default_se,
-            "z": float(z_nd),
-        },
-        "loss_correlation_mc": run.corr,
-        "loss_correlation_mc_se": run.corr_se,
-        "subordination_violations": run.subordination_violations,
-        "agreement": bool(max_abs_z <= 5.0 and abs(z_nd) <= 5.0),
-    }
-    _write_json(payload, sc, path)
-    return [
-        _artifact(
-            path,
-            "agreement_report",
-            f"max|z|={max_abs_z:.2f} over {int(np.sum(compare))} cells "
-            f"agree={payload['agreement']}",
-        )
-    ]
-
-
-_RUNNERS = {
-    "subordinated": _run_subordinated,
-    "nosub": _run_nosub,
-    "nosub-multimarket": _run_multimarket,
-    "limit-subordinated": _run_limit_subordinated,
-    "limit-equal": _run_limit_equal,
-    "limit-finite-vs-infinite": _run_limit_fin_vs_inf,
-    "limit-two-markets": _run_limit_two_markets,
-    "no-default": _run_no_default,
-    "correlation-sweep": _run_correlation_sweep,
-    "calibrate": _run_calibrate,
-    "mc-validate": _run_mc_validate,
-}
-
-
 def run_scenario(doc: dict, out_dir: str = ".") -> list:
     """Resolve and execute a scenario; returns artifact records.
 
     Each record has path, kind and a one-line summary.  Artifacts embed the
-    resolved scenario and its fingerprint; reruns are byte-identical.
+    resolved scenario and its fingerprint; reruns are byte-identical.  An
+    exception raised by a job carries the records of the jobs that
+    finished before it as ``partial_artifacts``.
     """
     sc = resolve_scenario(doc)
     os.makedirs(out_dir, exist_ok=True)
-    return _RUNNERS[sc["mode"]](sc, out_dir)
+    artifacts = []
+    try:
+        for job in _BUILDERS[sc["mode"]](sc, out_dir):
+            artifacts.append(job())
+    except Exception as exc:
+        exc.partial_artifacts = artifacts
+        raise
+    return artifacts

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from portloss import scenarios
+from portloss import engine
 from portloss.cli import EXIT_NUMERIC, EXIT_OK, EXIT_REJECTED, main
 
 
@@ -190,10 +190,10 @@ def test_malformed_returns_csv_rejected(tmp_path, capsys):
 
 
 def test_unexpected_exception_is_exit_3_with_report(tmp_path, capsys, monkeypatch):
-    def broken_runner(sc, out_dir):
+    def broken_runner(*args, **kwargs):
         raise RuntimeError("injected defect")
 
-    monkeypatch.setitem(scenarios._RUNNERS, "no-default", broken_runner)
+    monkeypatch.setattr(engine, "no_default_probability", broken_runner)
     out_dir = tmp_path / "out"
     assert main(["run", "no_default_k_scan", "--out-dir", str(out_dir)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
@@ -203,3 +203,27 @@ def test_unexpected_exception_is_exit_3_with_report(tmp_path, capsys, monkeypatc
     assert report["error"] == "RuntimeError"
     assert report["message"] == "injected defect"
     assert "broken_runner" in report["traceback"]
+
+
+def test_error_report_lists_partial_artifacts(tmp_path, capsys, monkeypatch):
+    # the third grid of the trio fails after the first two were written
+    real = engine.density_grid_nosub
+    calls = []
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("third grid fails")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "density_grid_nosub", third_call_fails)
+    out_dir = tmp_path / "out"
+    rc = main(["run", "nosub_equal_halves_trio", "--out-dir", str(out_dir)])
+    assert rc == EXIT_NUMERIC
+    capsys.readouterr()
+    report = json.loads((out_dir / "error_report.json").read_text())
+    written = [out_dir / "nosub_halves_k10.csv", out_dir / "nosub_halves_k20.csv"]
+    assert [a["path"] for a in report["partial_artifacts"]] == [str(p) for p in written]
+    assert all(a["partial"] and a["kind"] == "density_grid" for a in report["partial_artifacts"])
+    assert all(p.exists() for p in written)
+    assert not (out_dir / "nosub_halves_k100.csv").exists()

@@ -343,17 +343,6 @@ def test_nosub_single_creditor_grid_is_univariate(market, quad):
     assert grid.values[10] == pytest.approx(mid, rel=1e-9)
 
 
-def test_heterogeneous_faces_layout(market, quad):
-    # creditor one holds the first three firms, creditor two the other two,
-    # with unequal faces
-    faces = ((40.0, 40.0, 40.0, 0.0, 0.0), (0.0, 0.0, 0.0, 60.0, 80.0))
-    sc = NoSubScenario(k_obligors=5, params=market, faces=faces)
-    assert sc.n_creditors == 2
-    assert sc.obligor_face is None  # totals differ across firms
-    val = density_nosub((0.2, 0.2), sc, quad)
-    assert val >= 0.0
-
-
 def test_tail_probability_against_mc(market):
     sc = NoSubScenario(k_obligors=50, params=market, face=75.0)
     p = tail_probability(0.1, sc)

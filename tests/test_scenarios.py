@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from portloss import calibration, engine, limits, mc
 from portloss.errors import ScenarioError
 from portloss.grids import SCHEMA_VERSION, scenario_fingerprint
 from portloss.scenarios import (
@@ -221,6 +222,43 @@ def test_estimate_cost_scales_with_samples():
     more = apply_overrides(base, ["mc.n_samples=400000"])
     assert (estimate_cost(resolve_scenario(more))["mc_samples"]
             == 2 * estimate_cost(base)["mc_samples"])
+
+
+def test_adaptive_cost_counts_localized_tables():
+    # an 81x81 adaptive grid at K = 2000 takes about 5.6 s on 2 CPUs; the
+    # estimate must land within 3x of that
+    doc = apply_overrides(
+        bundled_scenarios()["subordinated_k200"],
+        ['quadrature.mode="adaptive"', "portfolio.k_obligors=2000"],
+    )
+    cost = validate_scenario(doc)["cost"]
+    assert cost["quad_nodes_per_point"] == 160 * 96
+    assert 1.9 <= cost["est_seconds"] <= 16.8
+
+
+_COMPUTING_ENTRY_POINTS = {
+    engine: (
+        "density_grid_subordinated", "density_grid_nosub", "subordinated_cell_masses",
+        "nosub_cell_masses", "loss_correlation", "no_default_probability", "tail_probability",
+    ),
+    limits: (
+        "limit_grid_subordinated", "limit_curve_equal_infinite",
+        "limit_grid_finite_vs_infinite", "limit_grid_two_markets",
+    ),
+    mc: ("estimate", "sample_compound_returns"),
+    calibration: ("fit_n",),
+}
+
+
+def test_validate_computes_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate must not compute")
+
+    for module, names in _COMPUTING_ENTRY_POINTS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    for sid, doc in bundled_scenarios().items():
+        assert validate_scenario(doc)["valid"] is True, sid
 
 
 def test_run_is_byte_identical(tmp_path):
