@@ -16,7 +16,6 @@ import traceback
 
 from .errors import PortlossError, ScenarioError
 from .scenarios import (
-    MODES,
     apply_overrides,
     bundled_scenarios,
     run_scenario,

@@ -7,16 +7,20 @@ functions that solve mean = loss.  Evaluating a limit density therefore
 means root solving, not integration in u; only a z integral (at most)
 survives.
 
-Every implicit equation goes through one solver, :func:`newton_bisect`:
-bracketed Newton steps with the exact closed-form derivatives of the
-conditional means, safeguarded by bisection.  It solves many independent
-equations at once, one per lane.  A lane is one (target loss, z) pair, so
-the u roots of a whole grid are one call on a (targets x z) table, and the
-senior/junior crossings of a subordinated grid are one outer call in z over
-all (cell, crossing) lanes.  Roots are searched on u in [-12, 12]/sqrt(N)
-and z in [1e-6, chi2 quantile 1 - 1e-10]; outside these brackets the
-weights are below anything that could move a six-digit result, and the
-density is treated as exactly zero.
+Every one-dimensional implicit equation goes through one solver,
+:func:`newton_bisect`: bracketed Newton steps with the exact closed-form
+derivatives of the conditional means, safeguarded by bisection.  It solves
+many independent equations at once, one per lane, and each step evaluates
+only the lanes still open.  A lane is one (target loss, z) pair, so the u
+roots of a whole grid are one call on a (targets x z) table.  The
+senior/junior crossings of a subordinated grid are bracketed by a z scan of
+those tables and then solved in (z, u) jointly, one 2x2 Newton system per
+(cell, crossing) lane; a lane that leaves its bracket or misses the
+residual tolerance falls back to an outer :func:`newton_bisect` in z whose
+inner u solves run on the lanes' current z.  Roots are searched on u in
+[-12, 12]/sqrt(N) and z in [1e-6, chi2 quantile 1 - 1e-10]; outside these
+brackets the weights are below anything that could move a six-digit
+result, and the density is treated as exactly zero.
 
 A lane whose target is out of reach holds NaN as its root and adds density
 0.  The one-point solvers (``solve_u_*``, ``solve_z0``) raise NoRootError
@@ -80,6 +84,7 @@ __all__ = [
 _JAC_FLOOR = 1e-14
 _RESID_TOL = 1e-10
 _MIN_JUNIOR_SHARE = 1e-5  # of f_total; see _check_ridge_faces
+_JOINT_STEPS = 8  # see _joint_newton
 
 
 @dataclass(frozen=True)
@@ -87,9 +92,11 @@ class ImplicitSolve:
     """Result of one implicit-function solve.
 
     Residuals of every defining equation are below 1e-10 and all roots lie
-    inside the search brackets; ``iterations`` counts the steps of the
-    outermost solve; ``quality`` is 1.0 when a Jacobian factor at the root
-    is nearly singular (ridge of the density).
+    inside the search brackets.  ``iterations`` counts the Newton steps of
+    a u solve, and for ``solve_z0`` the joint (z, u) steps plus, where the
+    joint solve failed, the steps of the nested solve in z.  ``quality`` is
+    1.0 when a Jacobian factor at the root is nearly singular (ridge of the
+    density).
     """
 
     targets: tuple
@@ -119,7 +126,7 @@ def _gauss_log_weight(u, n_fluct):
     return 0.5 * math.log(n_fluct / (2.0 * math.pi)) - 0.5 * n_fluct * u * u
 
 
-def newton_bisect(f, df, lo, hi, f_lo=None, f_hi=None, tol=1e-12, max_iter=200):
+def newton_bisect(f, df, lo, hi, f_lo=None, f_hi=None, args=(), tol=1e-12, max_iter=200):
     """Root of f on [lo, hi] by Newton steps safeguarded with bisection.
 
     The bracket must straddle a sign change.  Newton proposals that leave
@@ -127,10 +134,14 @@ def newton_bisect(f, df, lo, hi, f_lo=None, f_hi=None, tol=1e-12, max_iter=200):
     bisection, so termination is guaranteed.
 
     ``lo`` and ``hi``, and ``f_lo`` and ``f_hi`` when given, broadcast to
-    an array of independent lanes; f and df map an array of lane points to
-    lane values.  Each lane keeps its own bracket, Newton-or-bisect choice
-    and convergence test.  A lane that has stopped stays frozen at its root
-    while f and df are still evaluated on the whole array.
+    an array of independent lanes; ``args`` are lane data that broadcast to
+    the same shape.  f and df are called as f(x, *args) with lane points x
+    and the matching slices of args.  Each lane keeps its own bracket,
+    Newton-or-bisect choice and convergence test, and each step evaluates
+    only the lanes still open, as one flat array (a 0-d value when the
+    lanes have shape ()), passing the same arrays to f and df.  A lane
+    that has stopped is never evaluated again, so the work is the brackets
+    plus the sum of the lanes' iterations.
 
     With float brackets the result is (root, iterations), and NoRootError
     is raised when there is no sign change.  With array brackets it is
@@ -140,56 +151,66 @@ def newton_bisect(f, df, lo, hi, f_lo=None, f_hi=None, tol=1e-12, max_iter=200):
     """
     scalar = not isinstance(lo, np.ndarray) and not isinstance(hi, np.ndarray)
     lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
-    bracket = (lo, hi)
-    f_lo = np.broadcast_to(f(lo) if f_lo is None else f_lo, lo.shape)
-    f_hi = np.broadcast_to(f(hi) if f_hi is None else f_hi, lo.shape)
+    bracket, shape = (lo, hi), lo.shape
+    args = [np.broadcast_to(a, shape) for a in args]
+    f_lo = np.broadcast_to(f(lo, *args) if f_lo is None else f_lo, shape)
+    f_hi = np.broadcast_to(f(hi, *args) if f_hi is None else f_hi, shape)
+    # flat working copies: open lanes are gathered and scattered by index
+    lo, hi, f_lo, f_hi = (np.array(a, dtype=float).reshape(-1) for a in (lo, hi, f_lo, f_hi))
+    args = [np.ravel(a) for a in args]
     at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
     sign_change = ((f_lo < 0.0) & (f_hi > 0.0)) | ((f_lo > 0.0) & (f_hi < 0.0))
     lost = ~at_lo & ~at_hi & ~sign_change
-    live = ~at_lo & ~at_hi & sign_change
     x = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
-    iters = np.zeros(lo.shape, dtype=int)
+    iters = np.zeros(x.shape, dtype=int)
     step_prev = np.abs(hi - lo)
+    lanes = np.flatnonzero(~at_lo & ~at_hi & sign_change)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, max_iter + 1):
-            if not live.any():
+            if not lanes.size:
                 break
-            fx = np.broadcast_to(f(x), x.shape)
-            dfx = df(x)
-            lost |= live & np.isnan(fx)
-            live &= ~np.isnan(fx)
-            iters = np.where(live, it, iters)
-            move = live & (fx != 0.0)
-            to_hi = move & ((fx > 0.0) == (f_hi > 0.0))
+            point = [a[lanes].reshape(lanes.shape if shape else ()) for a in (x, *args)]
+            fx = np.broadcast_to(f(*point), lanes.shape)
+            dfx = np.broadcast_to(df(*point), lanes.shape)
+            nan = np.isnan(fx)
+            lost[lanes[nan]] = True
+            lanes, fx, dfx = lanes[~nan], fx[~nan], dfx[~nan]
+            iters[lanes] = it
+            xl, lo_l, hi_l = x[lanes], lo[lanes], hi[lanes]
+            move = fx != 0.0
+            to_hi = move & ((fx > 0.0) == (f_hi[lanes] > 0.0))
             to_lo = move & ~to_hi
-            hi, f_hi = np.where(to_hi, x, hi), np.where(to_hi, fx, f_hi)
-            lo, f_lo = np.where(to_lo, x, lo), np.where(to_lo, fx, f_lo)
+            hi_l, lo_l = np.where(to_hi, xl, hi_l), np.where(to_lo, xl, lo_l)
+            hi[lanes], lo[lanes] = hi_l, lo_l
+            f_hi[lanes] = np.where(to_hi, fx, f_hi[lanes])
+            f_lo[lanes] = np.where(to_lo, fx, f_lo[lanes])
             step = fx / dfx
-            x_new = x - step
+            x_new = xl - step
             # reject steps that leave the bracket or stall
             newton = (
-                (dfx != 0.0) & (lo < x_new) & (x_new < hi)
-                & ~(np.abs(step) > 0.5 * step_prev)
+                (dfx != 0.0) & (lo_l < x_new) & (x_new < hi_l)
+                & ~(np.abs(step) > 0.5 * step_prev[lanes])
             )
-            mid = 0.5 * (lo + hi)
-            step = np.where(newton, step, mid - x)
-            x = np.where(move, np.where(newton, x_new, mid), x)
-            step_prev = np.where(move, np.abs(step), step_prev)
-            width = tol * np.maximum(1.0, np.abs(x))
-            live = move & ~((np.abs(step) < width) | ((hi - lo) < width))
-    if live.any():
-        k = np.flatnonzero(live)[0]
+            mid = 0.5 * (lo_l + hi_l)
+            step = np.where(newton, step, mid - xl)
+            xl = np.where(move, np.where(newton, x_new, mid), xl)
+            x[lanes] = xl
+            step_prev[lanes] = np.where(move, np.abs(step), step_prev[lanes])
+            width = tol * np.maximum(1.0, np.abs(xl))
+            lanes = lanes[move & ~((np.abs(step) < width) | ((hi_l - lo_l) < width))]
+    if lanes.size:
+        k = lanes[0]
         raise ConvergenceError(
             f"root iteration did not converge in {max_iter} steps",
-            best_estimate=float(x.flat[k]),
-            error_bound=float((hi - lo).flat[k]),
+            best_estimate=float(x[k]),
+            error_bound=float(hi[k] - lo[k]),
         )
-    roots = np.where(lost, np.nan, x)
+    roots = np.where(lost, np.nan, x).reshape(shape)
     if not scalar:
-        return roots, iters
-    if lost:
+        return roots, iters.reshape(shape)
+    if lost.any():
         raise NoRootError(f"no sign change of f on [{bracket[0]}, {bracket[1]}]")
-    return float(roots), int(iters)
+    return float(roots), int(iters[0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +256,19 @@ def _u_roots(mean: _Mean, target, z, params):
     attainable range on the u bracket hold NaN."""
     lo, hi = u_bracket(params)
     target, z = np.broadcast_arrays(np.asarray(target, dtype=float), np.asarray(z, dtype=float))
-    f = lambda u: mean.value(z, u) - target
-    f_lo, f_hi = f(lo), f(hi)
+    f = lambda u, z, target: mean.value(z, u) - target
+    f_lo, f_hi = f(lo, z, target), f(hi, z, target)
     attainable = ((f_lo < 0.0) & (0.0 <= f_hi)) | ((f_lo <= 0.0) & (0.0 < f_hi))
     u, iters = newton_bisect(
         f,
-        lambda u: mean.du(z, u),
+        lambda u, z, target: mean.du(z, u),
         np.full(z.shape, lo),
         np.full(z.shape, hi),
         np.where(attainable, f_lo, np.nan),
         np.where(attainable, f_hi, np.nan),
+        args=(z, target),
     )
-    resid = np.abs(f(u))
+    resid = np.abs(f(u, z, target))
     if np.any(resid > _RESID_TOL):
         k = np.flatnonzero(resid > _RESID_TOL)[0]
         raise ConvergenceError(
@@ -375,14 +397,85 @@ def _check_ridge_faces(faces: SubordinationSpec):
         )
 
 
+def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
+    """Newton steps on (m_senior(z, u) - x, m_junior(z, u) - y) = 0, one 2x2
+    system per crossing lane, from the start (z, u) inside (z_a, z_b).
+
+    Returns (z, steps, ok).  A lane is ok when a step below 1e-12 relative
+    in both z and u (the step tolerance of :func:`newton_bisect`) lands on
+    a point whose two residuals are at most ``_RESID_TOL``, and every
+    iterate stayed in [z_a, z_b] and in the u bracket.  A lane that starts
+    on a bracket end (an exact zero of the scanned gap), leaves the
+    brackets or is still open after ``_JOINT_STEPS`` steps is not ok.  Each
+    step evaluates only the open lanes.
+    """
+    senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
+    u_lo, u_hi = u_bracket(params)
+    z, u = z.copy(), u.copy()
+    steps = np.zeros(z.shape, dtype=int)
+    ok = np.zeros(z.shape, dtype=bool)
+    small = np.zeros(z.shape, dtype=bool)  # the step that reached the point was below 1e-12
+    lanes = np.flatnonzero((z_a < z) & (z < z_b))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(_JOINT_STEPS + 1):
+            zl, ul = z[lanes], u[lanes]
+            r_s, r_j = senior.value(zl, ul) - x[lanes], junior.value(zl, ul) - y[lanes]
+            done = small[lanes] & (np.abs(r_s) <= _RESID_TOL) & (np.abs(r_j) <= _RESID_TOL)
+            ok[lanes[done]] = True
+            lanes, zl, ul, r_s, r_j = (a[~done] for a in (lanes, zl, ul, r_s, r_j))
+            if it == _JOINT_STEPS or not lanes.size:
+                break
+            s_z, s_u = senior.dz(zl, ul), senior.du(zl, ul)
+            j_z, j_u = junior.dz(zl, ul), junior.du(zl, ul)
+            det = s_z * j_u - s_u * j_z
+            dz, du = (j_u * r_s - s_u * r_j) / det, (s_z * r_j - j_z * r_s) / det
+            zl, ul = zl - dz, ul - du
+            z[lanes], u[lanes] = zl, ul
+            steps[lanes] += 1
+            small[lanes] = (np.abs(dz) <= 1e-12 * np.maximum(1.0, np.abs(zl))) & (
+                np.abs(du) <= 1e-12 * np.maximum(1.0, np.abs(ul))
+            )
+            # NaN iterates fail these tests too
+            inside = (z_a[lanes] <= zl) & (zl <= z_b[lanes]) & (u_lo <= ul) & (ul <= u_hi)
+            lanes = lanes[inside]
+    return z, steps, ok
+
+
+def _nested_crossings(x, y, z_a, z_b, f_a, f_b, faces, params):
+    """The crossing z of each lane by a Newton solve in z on the bracket
+    [z_a, z_b] with gap values f_a, f_b at its ends: the gap u_senior(z) -
+    u_junior(z) comes from inner u solves at the lanes' current z.
+    Returns (z, iterations); NaN where a u root is lost on the way."""
+    senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
+    last = {}
+
+    def roots_at(z, x, y):
+        # newton_bisect passes f and df the same lane arrays each step
+        if last.get("z") is not z:
+            last.update(z=z, roots=_sub_u_roots(x, y, z, faces, params))
+        return last["roots"]
+
+    def sep(z, x, y):
+        u_s, u_j = roots_at(z, x, y)
+        return u_s - u_j
+
+    def sep_dz(z, x, y):
+        u_s, u_j = roots_at(z, x, y)
+        return _du_dz(senior, z, u_s) - _du_dz(junior, z, u_j)
+
+    return newton_bisect(sep, sep_dz, z_a, z_b, f_a, f_b, args=(x, y))
+
+
 def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     """Subordinated kernel: the z where the senior u root of xs[i] meets the
     junior u root of ys[j], for every cell (i, j).
 
     u_senior(z) - u_junior(z) is tabulated on an n_scan-point z scan from
-    the two u tables; every bracketed sign change becomes a lane, and all
-    lanes are refined by one Newton call in z whose inner u solves run on
-    the lanes' current z.
+    the two u tables, and every bracketed sign change becomes a lane.  Each
+    lane solves m_senior = xs[i] and m_junior = ys[j] jointly in (z, u) by
+    Newton steps (:func:`_joint_newton`), from the crossing interpolated in
+    its bracket.  Lanes that fail the joint solve's tests fall back to
+    :func:`_nested_crossings`.  ``iterations`` adds up both solves' steps.
     """
     _check_ridge_faces(faces)
     xs, ys = np.atleast_1d(np.asarray(xs, dtype=float)), np.atleast_1d(np.asarray(ys, dtype=float))
@@ -401,24 +494,19 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
         )
         lanes.append((np.full(len(j), i), j, k, gap[j, k], gap[j, k + 1]))
     li, lj, lk, fa, fb = (np.concatenate(c) for c in zip(*lanes))
+    x, y, z_a, z_b = xs[li], ys[lj], zs[lk], zs[lk + 1]
 
-    last = {}
-
-    def roots_at(z):
-        # newton_bisect evaluates f and df on the same lane array each step
-        if last.get("z") is not z:
-            last.update(z=z, roots=_sub_u_roots(xs[li], ys[lj], z, faces, params))
-        return last["roots"]
-
-    def sep(z):
-        u_s, u_j = roots_at(z)
-        return u_s - u_j
-
-    def sep_dz(z):
-        u_s, u_j = roots_at(z)
-        return _du_dz(senior, z, u_s) - _du_dz(junior, z, u_j)
-
-    z_root, lane_iters = newton_bisect(sep, sep_dz, zs[lk], zs[lk + 1], fa, fb)
+    # start from the crossing interpolated in the scan bracket
+    t = fa / (fa - fb)
+    u_a, u_b = us_tab[li, lk], us_tab[li, lk + 1]
+    z_root, lane_iters, joined = _joint_newton(
+        x, y, z_a + t * (z_b - z_a), u_a + t * (u_b - u_a), z_a, z_b, faces, params
+    )
+    rest = ~joined
+    z_root[rest], iters = _nested_crossings(
+        x[rest], y[rest], z_a[rest], z_b[rest], fa[rest], fb[rest], faces, params
+    )
+    lane_iters[rest] += iters
 
     shape = (len(xs), len(ys))
     status = np.full(shape, _NONE)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from portloss import (
+    ConvergenceError,
     MarketParams,
     NoRootError,
     ParameterError,
@@ -301,14 +302,84 @@ def test_newton_bisect_lanes_match_scalar_calls():
     c = np.array([2.0, 0.5, 27.0, 10.0, 1e-3])
     df = lambda x: 3.0 * x**2
     # c = 27 puts its root exactly on the upper bracket end
-    roots, iters = newton_bisect(lambda x: x**3 - c, df, np.zeros_like(c), np.full_like(c, 3.0))
+    roots, iters = newton_bisect(
+        lambda x, c: x**3 - c, lambda x, c: df(x), np.zeros_like(c), np.full_like(c, 3.0), args=(c,)
+    )
     assert roots[2] == 3.0 and iters[2] == 0
     for ci, root, it in zip(c, roots, iters):
         want, want_it = newton_bisect(lambda x: x**3 - ci, df, 0.0, 3.0)
         assert root == want and it == want_it
     # a lane without a sign change holds NaN instead of raising
-    roots, _ = newton_bisect(lambda x: x**3 - np.array([2.0, 30.0]), df, 0.0, np.array([3.0, 3.0]))
+    roots, _ = newton_bisect(
+        lambda x, c: x**3 - c, lambda x, c: df(x), 0.0, np.array([3.0, 3.0]),
+        args=(np.array([2.0, 30.0]),),
+    )
     assert roots[0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12) and np.isnan(roots[1])
+
+
+def test_newton_bisect_evaluates_only_open_lanes():
+    # c = 27 closes on the bracket end and c = 30 has no sign change, so
+    # neither is iterated; the others close after different step counts
+    c = np.array([2.0, 0.5, 27.0, 10.0, 1e-3, 30.0, 8.0])
+    points = {"f": 0, "df": 0}
+
+    def f(x, c):
+        points["f"] += np.size(x)
+        return x**3 - c
+
+    def df(x, c):
+        points["df"] += np.size(x)
+        return 3.0 * x**2
+
+    roots, iters = newton_bisect(f, df, 0.0, np.full_like(c, 3.0), args=(c,))
+    assert points["f"] == 2 * c.size + iters.sum()
+    assert points["df"] == iters.sum()
+    assert iters[2] == iters[5] == 0 and len(set(iters[iters > 0])) > 1
+    assert roots[2] == 3.0 and np.isnan(roots[5])
+    found = ~np.isnan(roots)
+    np.testing.assert_allclose(roots[found] ** 3, c[found], rtol=1e-12)
+
+
+def test_newton_bisect_budget_reports_an_open_lane():
+    # lane 0 hits its root at the first midpoint and closes; lane 1 is
+    # still open after three steps
+    f = lambda x, c: x**3 - c
+    df = lambda x, c: 3.0 * x**2
+    with pytest.raises(ConvergenceError) as lanes:
+        newton_bisect(f, df, np.zeros(2), np.full(2, 2.0), args=(np.array([1.0, 2.0]),), max_iter=3)
+    with pytest.raises(ConvergenceError) as one:
+        newton_bisect(lambda x: x**3 - 2.0, lambda x: 3.0 * x**2, 0.0, 2.0, max_iter=3)
+    assert lanes.value.best_estimate == one.value.best_estimate != 1.0
+    assert lanes.value.error_bound == one.value.error_bound > 0.0
+
+
+def test_joint_crossings_match_nested_fallback(market, faces, monkeypatch):
+    from portloss import limits
+    from portloss.grids import cell_centers
+
+    centers = cell_centers(21, 0.0, 0.6)
+
+    def solve():
+        cr = limits._sub_crossings(centers, centers, faces, market, 96)
+        return cr, limit_grid_subordinated(faces, market, n_cells=21, lo=0.0, hi=0.6)
+
+    joint, joint_grid = solve()
+    # every lane fails the joint solve and takes the nested one
+    monkeypatch.setattr(
+        limits, "_joint_newton",
+        lambda x, y, z, u, z_a, z_b, faces, params: (
+            z, np.zeros(z.shape, dtype=int), np.zeros(z.shape, dtype=bool)
+        ),
+    )
+    nested, nested_grid = solve()
+    assert np.array_equal(joint.status, nested.status)
+    assert np.count_nonzero(joint.status == limits._FOUND) > 10
+    assert np.array_equal(joint_grid.quality, nested_grid.quality)
+    assert np.array_equal(joint.iterations > 0, nested.iterations > 0)
+    assert joint.iterations.sum() < nested.iterations.sum()
+    found = joint.status == limits._FOUND
+    np.testing.assert_allclose(joint.z0[found], nested.z0[found], rtol=1e-10)
+    np.testing.assert_allclose(joint_grid.values, nested_grid.values, rtol=1e-10, atol=0.0)
 
 
 def test_z_bracket_without_scipy_stats():

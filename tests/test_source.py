@@ -1,0 +1,39 @@
+"""Static checks on the package source."""
+
+import ast
+import pathlib
+
+import portloss
+
+PACKAGE = pathlib.Path(portloss.__file__).parent
+
+
+def _unused_imports(path):
+    """Names a module imports and never uses; a name listed in __all__
+    counts as used."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports are the package's re-exports
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path))
+    }
+    assert unused == {}
