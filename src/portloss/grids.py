@@ -111,20 +111,6 @@ class DensityGrid:
                 fh.write(text)
         return text
 
-    @classmethod
-    def from_json(cls, path) -> "DensityGrid":
-        with open(path) as fh:
-            env = json.load(fh)
-        if env.get("kind") != "density_grid":
-            raise ParameterError(f"not a density grid file: {path}")
-        quality = env.get("quality")
-        return cls(
-            axes=tuple(np.asarray(a) for a in env["axes"]),
-            values=np.asarray(env["values"]),
-            metadata=env.get("metadata", {}),
-            quality=None if quality is None else np.asarray(quality),
-        )
-
 
 def cell_centers(n_cells: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Centers of n_cells equal cells spanning [lo, hi]."""

@@ -364,15 +364,6 @@ class McRun:
                 fh.write(text)
         return text
 
-    def hist_to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            cols = ["bin_lo", "bin_hi"] + [f"fraction_{lab}" for lab in self.labels]
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self.hist_edges) - 1):
-                row = [f"{self.hist_edges[i]:.17g}", f"{self.hist_edges[i + 1]:.17g}"]
-                row += [f"{self.hist_1d[b][i]:.17g}" for b in range(len(self.labels))]
-                fh.write(",".join(row) + "\n")
-
 
 def _labels(scenario):
     if isinstance(scenario, SubordinatedScenario):

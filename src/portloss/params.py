@@ -22,7 +22,8 @@ class MarketParams:
     mu : float
         Drift per year.
     rho : float
-        Volatility per square-root year.
+        Volatility per square-root year; ``(1 - c) t_mat rho^2`` must be a
+        positive finite float.
     c : float
         Average asset correlation level, in [0, 1).
     n_fluct : float
@@ -56,6 +57,12 @@ class MarketParams:
             raise ParameterError(f"t_mat must be > 0, got {self.t_mat}")
         if not (self.v0 > 0):
             raise ParameterError(f"v0 must be > 0, got {self.v0}")
+        # the kernels divide by g = (1 - c) t_mat rho^2 and square rho
+        g = (1.0 - self.c) * self.t_mat * self.rho * self.rho
+        if not (0 < g < math.inf):
+            raise ParameterError(
+                f"rho must give 0 < (1 - c) t_mat rho^2 < inf, got rho={self.rho}"
+            )
 
     @property
     def drift_adj(self) -> float:

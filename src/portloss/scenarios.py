@@ -5,14 +5,16 @@ parameter blocks.  Resolving a document merges the mode defaults under it,
 checks it against the mode schema and then builds it: each mode is one
 function that turns the document into the domain objects it needs and
 returns its jobs, each a zero-argument callable that computes one
-artifact, writes it and returns its record.  The schema states only types
-for a block that becomes a domain object, whose constructor owns every
-range.  ``validate`` calls the mode function and drops the jobs, so it
-builds exactly what ``run`` builds and computes nothing, and a domain
-error is reported at the JSON pointer of the block that supplied the
-value.  ``run`` runs the jobs in order; the CSV/JSON artifacts embed the
-resolved document and its fingerprint so a rerun can be checked byte for
-byte.
+artifact, writes it and returns its record.  The mode schemas are JSON
+Schema dicts, checked by ``_schema_check``, which knows only the keywords
+they use and reports the first fault in a fixed order.  The schema states
+only types for a block that becomes a domain object, whose constructor
+owns every range.  ``validate`` calls the mode function and drops the
+jobs, so it builds exactly what ``run`` builds and computes nothing, and a
+domain error is reported at the JSON pointer of the block that supplied
+the value.  ``run`` runs the jobs in order; the CSV/JSON artifacts embed
+the resolved document and its fingerprint so a rerun can be checked byte
+for byte.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
-import jsonschema
 
 from . import calibration, engine, limits, mc
 from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _whole_counts
@@ -134,7 +136,8 @@ def _out_schema(*keys):
 
 def _doc_schema(extra_props, required):
     props = {
-        "schema_version": {"const": SCHEMA_VERSION},
+        # resolve_scenario has already refused every other version
+        "schema_version": {},
         "id": {"type": "string", "pattern": r"^[A-Za-z0-9_\-]+$"},
         "title": {"type": "string"},
         "mode": {"enum": list(MODES)},
@@ -394,12 +397,11 @@ def _deep_merge(base, over):
     other values (including lists) are taken from the document."""
     if not isinstance(base, dict) or not isinstance(over, dict):
         return copy.deepcopy(over)
-    out = copy.deepcopy(base)
+    # each block is copied on its own, so blocks that share one default
+    # dict (market_one and market_two) do not stay one object
+    out = {key: copy.deepcopy(val) for key, val in base.items()}
     for key, val in over.items():
-        if key in out:
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
+        out[key] = _deep_merge(out[key], val) if key in out else copy.deepcopy(val)
     return out
 
 
@@ -425,12 +427,71 @@ def _first_non_finite(node, path=()):
     return None
 
 
-def _schema_check(doc, schema):
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        raise ScenarioError(err.message, pointer=_pointer(err.absolute_path))
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a JSON Schema type: a bool is not a number, and an integral float such as
+# 20.0 is an integer (inf and NaN are not)
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+# keyword -> (fails(value, bound), message); a schema sets a keyword only
+# next to the type it applies to, and every enum lists strings, so ``in``
+# never matches a bool to a number.  A range fails only on a true
+# comparison, so NaN passes it and reaches the builders.
+_KEYWORDS = {
+    "enum": (lambda v, b: v not in b, "is not one of {}"),
+    "minimum": (lambda v, b: v < b, "is less than the minimum of {}"),
+    "maximum": (lambda v, b: v > b, "is greater than the maximum of {}"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "is less than or equal to the minimum of {}"),
+    "minLength": (lambda v, b: len(v) < b, "is shorter than {}"),
+    "pattern": (lambda v, b: not re.search(b, v), "does not match {!r}"),
+    "minItems": (lambda v, b: len(v) < b, "has fewer than {} items"),
+}
+
+
+def _schema_check(value, schema: dict, path=()):
+    """Raise a ScenarioError at the first place where ``value`` breaks
+    ``schema``.  At an object, unknown keys come first, then missing
+    required keys, then the properties in schema order; array items go in
+    index order.  A ``oneOf`` is checked against the branch of the value's
+    type."""
+
+    def fault(message):
+        raise ScenarioError(message, pointer=_pointer(path))
+
+    if "oneOf" in schema:
+        shapes = [s for s in schema["oneOf"] if _TYPES[s["type"]](value)]
+        if not shapes:
+            fault(f"{value!r} is not of type {' or '.join(s['type'] for s in schema['oneOf'])}")
+        schema = shapes[0]
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        fault(f"{value!r} is not of type {kind!r}")
+    for key, (fails, message) in _KEYWORDS.items():
+        if key in schema and fails(value, schema[key]):
+            fault(f"{value!r} " + message.format(schema[key]))
+    if kind == "array":
+        for i, item in enumerate(value):
+            _schema_check(item, schema["items"], path + (i,))
+    if kind == "object":
+        props = schema["properties"]
+        unknown = [key for key in value if key not in props]
+        if unknown:
+            fault(f"unexpected properties: {', '.join(map(repr, unknown))}")
+        missing = [key for key in schema["required"] if key not in value]
+        if missing:
+            fault(f"{missing[0]!r} is a required property")
+        for key, sub in props.items():
+            if key in value:
+                _schema_check(value[key], sub, path + (key,))
 
 
 def resolve_scenario(doc: dict) -> dict:
@@ -540,8 +601,8 @@ def _grid(sc: dict) -> dict:
 
 
 def _k_list(value):
-    """Obligor counts as ints; the schema's integers include floats such as
-    20.0."""
+    """Obligor counts as ints: one count or a list of counts, where an
+    integer of the schema may be an integral float such as 20.0."""
     return [int(k) for k in (value if isinstance(value, list) else [value])]
 
 

@@ -397,10 +397,12 @@ def test_z_bracket_without_scipy_stats():
     src = os.path.dirname(os.path.dirname(portloss.__file__))
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import sys, portloss; print('scipy.stats' in sys.modules)"],
+         "import sys, portloss.cli; print('scipy.stats' in sys.modules, "
+         "'jsonschema' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
-    assert probe.stdout.strip() == "False"
+    # nor jsonschema: the scenario checker is the package's own
+    assert probe.stdout.strip() == "False False"
     for n in (1, 2, 3.5, 6, 6.5, 12, 40, 100.25):
         params = MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=n, t_mat=1.0, v0=100.0)
         assert z_bracket(params)[1] == chi2.ppf(1.0 - 1e-10, n)

@@ -158,9 +158,6 @@ def test_run_serialization_deterministic(market, tmp_path):
     run.to_json(p1)
     run.to_json(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    run.hist_to_csv(tmp_path / "h.csv")
-    header = (tmp_path / "h.csv").read_text().splitlines()[0]
-    assert header.startswith("bin_lo,bin_hi,")
 
 
 def test_wishart_budget_covers_tranched_pools(market):

@@ -27,6 +27,9 @@ def test_drift_adjustment(market):
         dict(n_fluct=0),
         dict(t_mat=0.0),
         dict(v0=-5.0),
+        # (1 - c) t_mat rho^2 underflows to 0 or overflows to inf
+        dict(rho=1e-300),
+        dict(rho=1e300),
     ],
 )
 def test_market_rejects_bad_values(kw):

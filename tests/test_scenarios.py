@@ -8,6 +8,8 @@ from portloss import calibration, engine, limits, mc
 from portloss.errors import ScenarioError
 from portloss.grids import SCHEMA_VERSION, scenario_fingerprint
 from portloss.scenarios import (
+    _KEYWORDS,
+    _MODE_SCHEMAS,
     MODES,
     apply_overrides,
     bundled_scenarios,
@@ -125,6 +127,24 @@ def test_fingerprint_stable_under_output_renames():
         ({"mode": "mc-validate", "portfolio": {"k_obligors": 100},
           "mc": {"antithetic": True, "n_samples": 200_001}}, "/mc/antithetic"),
         ({"mode": "calibrate", "source": {"kind": "csv"}}, "/source/path"),
+        # the schema check: a bool is not a number
+        ({"mode": "nosub", "portfolio": {"k_obligors": 10}, "market": {"mu": True}},
+         "/market/mu"),
+        # a bad item of a one-or-many list is reported at the item
+        ({"mode": "nosub", "portfolio": {"k_obligors": [10, 2.5]}},
+         "/portfolio/k_obligors/1"),
+        ({"mode": "no-default", "face": 75.0, "k_values": []}, "/k_values"),
+        ({"mode": "nosub", "portfolio": {"k_obligors": 10}, "id": "a b"}, "/id"),
+        ({"mode": "nosub", "portfolio": {"k_obligors": 10}, "outputs": {"density": ""}},
+         "/outputs/density"),
+        ({"mode": "nosub", "portfolio": {"k_obligors": 10}, "market": {"bogus": 1}},
+         "/market"),
+        # two faults: the first in schema order wins (grid comes before
+        # quadrature), and at one object an unknown key comes first
+        ({"mode": "nosub", "portfolio": {"k_obligors": 10},
+          "quadrature": {"mode": "x"}, "grid": {"n_cells": 2.5}}, "/grid/n_cells"),
+        ({"mode": "nosub", "portfolio": {"k_obligors": 10},
+          "market": {"mu": "x", "bogus": 1}}, "/market"),
     ],
 )
 def test_rejections_carry_a_pointer(doc, fragment):
@@ -182,6 +202,33 @@ def test_unknown_key_rejected():
         resolve_scenario(
             {"mode": "nosub", "portfolio": {"k_obligors": 10}, "bogus": 1})
     assert "bogus" in str(err.value)
+
+
+def test_schemas_use_only_the_checker_keywords():
+    # _schema_check ignores a keyword it does not know and treats every
+    # object as closed, so the schemas must stay within what it checks
+    known = set(_KEYWORDS) | {"type", "oneOf", "items", "properties", "required",
+                              "additionalProperties"}
+
+    def walk(schema):
+        assert set(schema) <= known, set(schema) - known
+        if schema.get("type") == "object":
+            assert schema["additionalProperties"] is False
+        subs = list(schema.get("properties", {}).values()) + schema.get("oneOf", [])
+        for sub in subs + ([schema["items"]] if "items" in schema else []):
+            walk(sub)
+
+    for schema in _MODE_SCHEMAS.values():
+        walk(schema)
+
+
+def test_default_blocks_are_separate_copies():
+    # limit-two-markets fills market_one and market_two from one default
+    # dict; setting one must leave the other alone
+    sc = resolve_scenario(bundled_scenarios()["limit_two_markets_base"])
+    out = apply_overrides(sc, ["market_two.rho=0.5"])
+    assert out["market_two"]["rho"] == 0.5
+    assert out["market_one"]["rho"] == 0.35
 
 
 def test_too_many_markets_points_at_mc_fallback():

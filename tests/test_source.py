@@ -2,6 +2,10 @@
 
 import ast
 import pathlib
+import re
+import sys
+
+import pytest
 
 import portloss
 
@@ -37,3 +41,25 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _third_party_imports():
+    """Top-level names of the modules the package imports that are neither
+    its own nor in the standard library."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"portloss"}
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = PACKAGE.parent.parent / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("package is not run from a source checkout")
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert _third_party_imports() == {re.split(r"[<>=!~ ;\[]", d)[0] for d in declared}
