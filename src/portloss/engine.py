@@ -763,10 +763,22 @@ def alphas(overlap: OverlapSpec):
     return float(a1), float(a12), float(a2)
 
 
+def _class_counts(scenario: NoSubScenario) -> np.ndarray:
+    """Obligor count of each holdings class, as floats; a count that is
+    not finite or is 2**53 or more, beyond what a float or an int64 holds
+    exactly, is refused."""
+    counts = np.array([n for _, _, n in scenario.holdings.classes], dtype=float)
+    if not np.all(np.abs(counts) < 2.0**53):
+        raise ParameterError(
+            f"class counts must be finite and below 2**53, got {np.max(np.abs(counts)):.3g}"
+        )
+    return counts
+
+
 def _whole_counts(scenario: NoSubScenario) -> np.ndarray:
     """Obligor count of each holdings class as an integer, as simulation
     needs; fractional overlap counts are refused."""
-    counts = np.array([n for _, _, n in scenario.holdings.classes], dtype=float)
+    counts = _class_counts(scenario)
     whole = np.rint(counts)
     if np.any(np.abs(counts - whole) > 1e-9):
         raise ParameterError(

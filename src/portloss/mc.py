@@ -6,12 +6,14 @@ compound route draws the scale variable and common factor directly
 route draws an explicit random covariance matrix W W^T around the mean
 covariance and Gaussian returns on top of it.  The two are equal in law;
 keeping both lets every analytic result be validated against a sampler
-that shares no code with the closed forms.
+that shares no code with the closed forms.  The Wishart route draws its
+(K, N) factor blocks in panels of rows // N samples, so a panel holds no
+more elements than a chunk's asset values.
 
 Estimation is streamed in fixed-size chunks with one spawned RNG stream
 per chunk.  The chunks run on a thread pool: one thread per CPU, capped
 so that the chunks in flight hold at most ``engine._CHUNK_ELEMENTS``
-drawn elements, and never fewer than one.  Each chunk draws into scratch
+asset values, and never fewer than one.  Each chunk draws into scratch
 buffers that the calling thread allocated and computes its losses in
 place, and the partial statistics are reduced in chunk order, so results
 are bit-identical for a given McConfig whatever the thread count or
@@ -43,7 +45,6 @@ __all__ = [
     "sample_compound",
     "sample_compound_returns",
     "sample_wishart",
-    "wishart_covariances",
     "estimate",
     "ks_compare",
 ]
@@ -160,12 +161,19 @@ def sample_compound_returns(params: MarketParams, k: int, n: int, rng):
     return _compound_returns(np.empty((n, k)), block_market(params, k), rng)
 
 
-def _wishart_dof(n_fluct) -> int:
+def _wishart_dof(n_fluct, rows: int) -> int:
     """Columns of the Wishart factor W: the fluctuation strength, which
-    must be a positive integer for this sampler."""
+    must be a positive integer for this sampler.  An N above the ``rows``
+    samples of a chunk leaves a panel of rows // N samples empty, so it
+    raises SamplerBudgetError; the compound sampler has the same law."""
     n_int = int(n_fluct)
     if n_int != n_fluct or n_int < 1:
         raise ParameterError("the Wishart sampler needs an integer fluctuation parameter")
+    if n_int > rows:
+        raise SamplerBudgetError(
+            f"N = {n_int} exceeds the {rows} samples of a Wishart chunk; "
+            "use the compound sampler (identical in law)"
+        )
     return n_int
 
 
@@ -180,19 +188,26 @@ def _check_wishart_budget(k_obligors: int) -> None:
         )
 
 
-def _wishart_returns(out, block, params: MarketParams, rng, antithetic=False):
+def _wishart_returns(out, panel, params: MarketParams, rng, antithetic=False):
     """Fill ``out`` (m, k) with centered log-returns via an explicit
-    Wishart covariance draw; ``block`` is (m, k, N) scratch for G.
+    Wishart covariance draw; ``panel`` is (p, k, N) scratch for G.
 
     W has independent columns of covariance Sigma/N, where Sigma is the
     mean return covariance rho^2 T [(1-c) I + c e e^T]; given W the return
     is Gaussian with covariance W W^T.  Computed as Sigma^(1/2) G eta with
-    G a (k, N) standard normal block.
+    G a (k, N) standard normal block per sample.  All of eta is drawn
+    first, then G p samples at a time into ``panel``, each panel
+    contracted into its rows of ``out``; one stream drawn in panels gives
+    the same G as one draw of every block.
     """
     base = out.shape[0] // 2 if antithetic else out.shape[0]
-    g = rng.standard_normal(out=block[:base])
-    eta = rng.standard_normal((base, _wishart_dof(params.n_fluct)))
-    _sigma_half_in_place(np.einsum("mkn,mn->mk", g, eta, out=out[:base]), params)
+    p, _, dof = panel.shape
+    eta = rng.standard_normal((base, dof))
+    for lo in range(0, base, p):
+        hi = min(lo + p, base)
+        g = rng.standard_normal(out=panel[: hi - lo])
+        np.einsum("mkn,mn->mk", g, eta[lo:hi], out=out[lo:hi])
+    _sigma_half_in_place(out[:base], params)
     return _mirrored(out, base)
 
 
@@ -209,24 +224,22 @@ def _sigma_half_in_place(x, params: MarketParams):
     x *= params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct)
 
 
+def _wishart_panel(rows: int, k: int, dof: int) -> np.ndarray:
+    """Scratch for the G blocks of rows // N samples: no more elements
+    than ``rows`` samples of K asset values."""
+    return np.empty((rows // dof, k, dof))
+
+
 def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
     """Terminal asset values (n, K) via the explicit Wishart-ensemble
-    route; raises SamplerBudgetError beyond the K budget (use the compound
-    sampler there, it is the same law)."""
+    route; raises SamplerBudgetError beyond the K budget or for N above n
+    (use the compound sampler there, it is the same law)."""
     if isinstance(params, MultiMarketParams):
         raise ParameterError("Wishart route implemented per market; use sample_compound")
     _check_wishart_budget(k_obligors)
-    block = np.empty((n, k_obligors, _wishart_dof(params.n_fluct)))
-    r = _wishart_returns(np.empty((n, k_obligors)), block, params, rng)
+    panel = _wishart_panel(n, k_obligors, _wishart_dof(params.n_fluct, n))
+    r = _wishart_returns(np.empty((n, k_obligors)), panel, params, rng)
     return _values_in_place(r, block_market(params, k_obligors))
-
-
-def wishart_covariances(params: MarketParams, k: int, n: int, rng):
-    """Raw W W^T draws (n, k, k); test hook for ensemble-mean checks."""
-    _check_wishart_budget(k)
-    w = rng.standard_normal((n, k, _wishart_dof(params.n_fluct)))
-    _sigma_half_in_place(w, params)
-    return np.einsum("mkn,mln->mkl", w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +387,15 @@ def _labels(scenario):
 
 
 class _Scratch:
-    """One worker slot's buffers for a chunk of up to ``rows`` samples."""
+    """One worker slot's buffers for a chunk of up to ``rows`` samples;
+    with a Wishart ``wishart_dof`` N, ``block`` is the G panel of
+    rows // N samples, no larger than ``values``."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
         self.values = np.empty((rows, k))
         self.spare = np.empty((rows, k))
         self.mask = np.empty((rows, k), dtype=bool)
-        self.block = np.empty((rows, k, wishart_dof)) if wishart_dof else None
+        self.block = _wishart_panel(rows, k, wishart_dof) if wishart_dof else None
 
 
 def _draw_chunk(scenario, cfg, chunk_index, m, scratch):
@@ -389,7 +404,7 @@ def _draw_chunk(scenario, cfg, chunk_index, m, scratch):
     markets = block_market(scenario.params, scenario.k_obligors)
     out = scratch.values[:m]
     if cfg.sampler == "wishart":
-        r = _wishart_returns(out, scratch.block[:m], scenario.params, rng, cfg.antithetic)
+        r = _wishart_returns(out, scratch.block, scenario.params, rng, cfg.antithetic)
     else:
         r = _compound_returns(out, markets, rng, cfg.antithetic)
     return _values_in_place(r, markets)
@@ -451,19 +466,19 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
     in per-thread allocator arenas.
     """
     k = scenario.k_obligors
+    n = config.n_samples
+    rows = min(config.chunk_size, n)
     wishart_dof = 0
     if config.sampler == "wishart":
         _check_wishart_budget(k)
         if isinstance(scenario.params, MultiMarketParams):
             raise ParameterError("Wishart sampling is single-market; use the compound sampler")
-        wishart_dof = _wishart_dof(scenario.params.n_fluct)
+        wishart_dof = _wishart_dof(scenario.params.n_fluct, rows)
     labels = _labels(scenario)
     b = len(labels)
     edges = np.linspace(0.0, 1.0, config.n_bins + 1)
-    n = config.n_samples
-    rows = min(config.chunk_size, n)
     n_chunks = (n + rows - 1) // rows
-    n_threads = _pool_size(rows * k * max(wishart_dof, 1), n_chunks)
+    n_threads = _pool_size(rows * k, n_chunks)
     slots = queue.SimpleQueue()
     for _ in range(n_threads):
         slots.put(_Scratch(rows, k, wishart_dof))

@@ -29,7 +29,7 @@ import re
 import numpy as np
 
 from . import calibration, engine, limits, mc
-from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _whole_counts
+from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _class_counts, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, ScenarioError, SingularCovarianceError
 from .grids import SCHEMA_VERSION, DensityGrid, canonical_json, scenario_fingerprint, write_csv
 from .limits import _check_ridge_faces, _open_unit_centers
@@ -658,12 +658,15 @@ def _plain_scenarios(sc: dict, params: MarketParams) -> list:
 
 def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str):
     """Refuse what ``mc.estimate`` refuses: a Wishart sampler without an
-    integer fluctuation strength or beyond its obligor budget, and overlap
-    fractions that are not whole firm counts."""
+    integer fluctuation strength, with one above a chunk's sample count or
+    beyond its obligor budget, and class counts too large for an int64 or
+    overlap fractions that are not whole firm counts."""
     if config.sampler == "wishart":
-        _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct)
+        rows = min(config.chunk_size, config.n_samples)
+        _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct, rows)
         _build(k_pointer, _check_wishart_budget, scen.k_obligors)
     if isinstance(scen, NoSubScenario):
+        _build(k_pointer, _class_counts, scen)
         _build(counts_pointer, _whole_counts, scen)
 
 

@@ -141,8 +141,11 @@ _SCENARIO_WITH = {
         (["market_two.n_fluct=7"], "/market_two/n_fluct"),
         (["tranches.f_senior=0"], "/tranches/f_senior"),
         (["tranches.f_junior=1e-9"], "/tranches/f_junior"),
+        (['mc.sampler="wishart"', "market.n_fluct=100000"], "/market/n_fluct"),
+        (["portfolio.k_obligors=1e300"], "/portfolio/k_obligors"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
     overrides = [arg for s in sets for arg in ("--set", s)]
     scenario = _SCENARIO_WITH.get(sets[0].split(".")[0], "mc_validate_halves_k100")

@@ -102,13 +102,13 @@ def test_subordinated_run_orders_tranches(market):
 
 
 def test_wishart_covariances_fluctuate_around_mean(market, rng):
-    k = 5
-    covs = mc.wishart_covariances(market, k, 4000, rng)
-    assert covs.shape == (4000, k, k)
-    avg = covs.mean(axis=0)
+    # the returns' second moment is the ensemble mean of W W^T, Sigma
+    k, n = 5, 200_000
+    panel = mc._wishart_panel(n, k, int(market.n_fluct))
+    r = mc._wishart_returns(np.empty((n, k)), panel, market, rng)
     c, var = market.c, market.rho**2 * market.t_mat
     want = var * (np.full((k, k), c) + (1 - c) * np.eye(k))
-    np.testing.assert_allclose(avg, want, rtol=0.05, atol=5e-4)
+    np.testing.assert_allclose(r.T @ r / n, want, rtol=0.05, atol=5e-4)
 
 
 def test_wishart_covariances_refuse_fractional_dof(market, rng):
@@ -116,7 +116,18 @@ def test_wishart_covariances_refuse_fractional_dof(market, rng):
     half = MarketParams(mu=market.mu, rho=market.rho, c=market.c, n_fluct=6.5,
                         t_mat=market.t_mat, v0=market.v0)
     with pytest.raises(ParameterError):
-        mc.wishart_covariances(half, 5, 10, rng)
+        mc.sample_wishart(half, 10, rng, 5)
+
+
+def test_wishart_refuses_n_above_the_chunk_rows(market):
+    # a G panel holds rows // N samples, so N above the rows has none
+    wide = MarketParams(mu=market.mu, rho=market.rho, c=market.c, n_fluct=200,
+                        t_mat=market.t_mat, v0=market.v0)
+    cfg = dict(n_samples=10_000, sampler="wishart")
+    with pytest.raises(SamplerBudgetError):
+        mc.estimate(_halves(wide, 10), McConfig(chunk_size=128, **cfg))
+    run = mc.estimate(_halves(wide, 10), McConfig(chunk_size=200, **cfg))
+    assert run.n == 10_000
 
 
 def test_compound_and_wishart_samplers_agree(market):
@@ -206,8 +217,8 @@ def _ref_compound_multi(params, m, rng, antithetic):
 def _ref_wishart(params, k, m, rng, antithetic):
     n_int = int(params.n_fluct)
     base = m // 2 if antithetic else m
-    g = rng.standard_normal((base, k, n_int))
     eta = rng.standard_normal((base, n_int))
+    g = rng.standard_normal((base, k, n_int))
     if antithetic:
         eta, g = np.concatenate([eta, -eta]), np.concatenate([g, g])
     x = np.einsum("mkn,mn->mk", g, eta)
@@ -367,8 +378,19 @@ def test_thread_count_does_not_change_results(market, monkeypatch):
     assert serial["keep_samples"].samples.shape == (20_000, 2)
 
 
-def test_pool_size_respects_the_element_budget():
+def test_pool_size_respects_the_element_budget(market, monkeypatch):
     cpus = len(os.sched_getaffinity(0))
-    assert mc._pool_size(8192 * 100 * 6, 25) == 1  # a Wishart chunk at K=100
     assert mc._pool_size(8192 * 100, 25) == min(cpus, 4)
     assert mc._pool_size(8192 * 100, 1) == 1
+    # a Wishart G panel holds no more than the chunk's asset values ...
+    for rows, dof in ((8192, 6), (8192, 7), (128, 128), (130, 64)):
+        assert mc._Scratch(rows, 100, dof).block.size <= rows * 100
+    # ... so both samplers ask for threads by the same element count
+    asked = []
+    pool_size = mc._pool_size
+    monkeypatch.setattr(
+        mc, "_pool_size", lambda draw_elements, n_chunks: (
+            asked.append(draw_elements) or pool_size(draw_elements, n_chunks)))
+    for sampler in ("compound", "wishart"):
+        mc.estimate(_halves(market, 100), McConfig(n_samples=10_000, sampler=sampler))
+    assert asked == [8192 * 100, 8192 * 100]
