@@ -34,16 +34,24 @@ def scenario_fingerprint(resolved: dict) -> str:
     return hashlib.sha256(canonical_json(content).encode()).hexdigest()[:16]
 
 
-def write_csv(path, comments, header, rows) -> None:
-    """Write ``# comment`` lines, a header and the rows as CSV with Unix
-    newlines; floats at full round-trip precision, other values as str."""
+def csv_cells(values) -> list:
+    """One column's CSV text: floats at full round-trip precision, other
+    values as str; a column of floats is formatted in one '%.17g' pass."""
+    values = list(values)
+    if all(isinstance(v, float) for v in values):
+        return ("%.17g\n" * len(values) % tuple(values)).splitlines()
+    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in values]
+
+
+def write_csv(path, comments, header, columns) -> None:
+    """Write ``# comment`` lines, a header and equal-length columns of cell
+    text (see ``csv_cells``) as CSV with Unix newlines."""
+    line = ",".join(["{}"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        fh.write("".join(map(line.format, *columns)))
 
 
 @dataclass
@@ -89,11 +97,16 @@ class DensityGrid:
         the header) let artifacts embed provenance without breaking parsers
         that skip comments."""
         header = ["l1", "l2"][: len(self.axes)] + ["density"]
-        cols = [*np.meshgrid(*self.axes, indexing="ij"), self.values]
+        # each axis value is formatted once and repeated along the other axis
+        cells = [csv_cells(a.tolist()) for a in self.axes]
+        if len(cells) == 2:
+            n1, n2 = self.values.shape
+            cells = [[x for x in cells[0] for _ in range(n2)], cells[1] * n1]
+        cells.append(csv_cells(self.values.ravel().tolist()))
         if self.quality is not None:
             header.append("quality")
-            cols.append(self.quality)
-        write_csv(path, comments, header, zip(*(c.ravel().tolist() for c in cols)))
+            cells.append(csv_cells(self.quality.ravel().tolist()))
+        write_csv(path, comments, header, cells)
 
     def to_json(self, path=None):
         """JSON envelope with full metadata; returns the string if no path."""

@@ -31,7 +31,14 @@ import numpy as np
 from . import calibration, engine, limits, mc
 from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _class_counts, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, ScenarioError, SingularCovarianceError
-from .grids import SCHEMA_VERSION, DensityGrid, canonical_json, scenario_fingerprint, write_csv
+from .grids import (
+    SCHEMA_VERSION,
+    DensityGrid,
+    canonical_json,
+    csv_cells,
+    scenario_fingerprint,
+    write_csv,
+)
 from .limits import _check_ridge_faces, _open_unit_centers
 from .mc import McConfig, _check_wishart_budget, _wishart_dof
 from .params import (
@@ -976,17 +983,43 @@ _BUILDERS = {
 }
 
 
+# Seconds per unit of work, fitted to the median time of every bundled op
+# under the benchmark (perfbench, 2 CPUs); each lands within 3x of it.
+_FIXED_S = 0.008  # resolve, quadrature rules, artifact metadata
+_WRITE_S = 2e-6  # one CSV row of a grid
+_TERM_S = 2.5e-9  # one mixture term: one grid point at one quadrature node
+_TABLE_S = 7e-7  # the moment kernels at one node of a node table
+_ADAPTIVE_CELL_S = 1e-3  # the crossing and u-root solves of one adaptive cell
+_SCAN_S = 2e-7  # one scan point of one ridge cell
+_ROOT_S = 2e-6  # one implicit u solve of a limit law at one (loss, z) pair
+_SAMPLE_S = 3e-8  # one obligor of one MC sample; x (1 + N/3) for the Wishart sampler
+_FIT_S = 1.8e-8  # one return sample at one fit grid point, per (K + 40) assets
+
+
+def _sample_s(sc: dict) -> float:
+    """Seconds per obligor and MC sample of the document's sampler."""
+    if sc["mc"]["sampler"] == "wishart":
+        return _SAMPLE_S * (1.0 + sc["market"]["n_fluct"] / 3.0)
+    return _SAMPLE_S
+
+
 def estimate_cost(sc: dict) -> dict:
-    """Crude work estimate: evaluation points, quadrature nodes per point,
-    MC samples and a wall-clock guess."""
+    """Work estimate: evaluation points, quadrature nodes per point, MC
+    samples and a wall-clock guess.
+
+    The guess counts each mode's dominant work: mixture terms and node
+    tables for the finite grids, implicit solves for the limit laws,
+    samples x K (x N for the Wishart sampler) for Monte Carlo, and
+    samples x fit grid points, growing with K, for calibration.
+    """
     mode = sc["mode"]
-    grid = sc.get("grid", {"n_cells": 1})
-    n_cells = grid.get("n_cells", 101)
+    n_cells = sc.get("grid", {}).get("n_cells", 101)
     quad = sc.get("quadrature", _DEFAULT_QUAD)
-    nodes = quad.get("z_nodes", 64) * quad.get("u_nodes", 64)
+    z_nodes = quad.get("z_nodes", 64)
+    nodes = z_nodes * quad.get("u_nodes", 64)
     points = 0
     mc_samples = 0
-    seconds_per_point = 0.0
+    seconds = 0.0
     if mode in ("subordinated", "nosub"):
         ks = _k_list(sc["portfolio"]["k_obligors"])
         two_d = mode == "subordinated" or sc["portfolio"].get("layout", "halves") != "single"
@@ -995,39 +1028,53 @@ def estimate_cost(sc: dict) -> dict:
             # each cell builds its own table of 10x16 z by 6x16 u nodes
             # after a crossing and u-root solve
             nodes = 160 * 96
-            seconds_per_point = 1e-3
+            seconds = _ADAPTIVE_CELL_S * points
+        seconds += len(ks) * nodes * _TABLE_S + points * (nodes * _TERM_S + _WRITE_S)
     elif mode == "nosub-multimarket":
         beta = len(sc["markets"])
-        nodes = quad.get("z_nodes", 64) * quad.get("u_nodes", 24) ** beta
+        nodes = z_nodes * quad.get("u_nodes", 24) ** beta
         points = n_cells ** 2 if (beta == 2 and sc["creditors"] == "per-market") else n_cells
+        seconds = beta * nodes * _TABLE_S + points * (nodes * _TERM_S + _WRITE_S)
     elif mode == "limit-subordinated":
         points = n_cells ** 2
         nodes = sc["scan"]["n_scan"]
+        seconds = points * (nodes * _SCAN_S + _WRITE_S)
     elif mode == "limit-equal":
         points = n_cells
-        nodes = quad.get("z_nodes", 64)
+        nodes = z_nodes
+        seconds = points * (nodes * _ROOT_S + _WRITE_S)
     elif mode in ("limit-finite-vs-infinite", "limit-two-markets"):
         points = n_cells ** 2
-        nodes = quad.get("z_nodes", 64)
+        nodes = z_nodes
+        # one u solve per infinite side, loss and z node
+        sides = 2 if mode == "limit-two-markets" else 1
+        seconds = sides * n_cells * nodes * _ROOT_S + points * (nodes * _TERM_S + _WRITE_S)
     elif mode == "no-default":
         points = len(sc["k_values"]) * len(sc.get("mu_values", [0]))
+        seconds = points * nodes * _TERM_S
     elif mode == "correlation-sweep":
-        points = len(sc["c_values"]) * len(sc["portfolio"]["k_values"])
+        ks = _k_list(sc["portfolio"]["k_values"])
+        points = len(sc["c_values"]) * len(ks)
         if sc["method"] == "mc":
             mc_samples = points * sc["mc"]["n_samples"]
+            seconds = len(sc["c_values"]) * sc["mc"]["n_samples"] * sum(ks) * _sample_s(sc)
+        else:
+            seconds = points * nodes * _TABLE_S
     elif mode == "calibrate":
         src = sc["source"]
-        points = sc["fit"]["grid_points"] * src.get("m_samples", 5000)
-        nodes = 1
+        points = sc["fit"]["grid_points"] * src["m_samples"]
+        nodes = src["k_assets"]
+        seconds = points * (nodes + 40) * _FIT_S
     elif mode == "mc-validate":
         points = sc["mc"]["n_bins"] ** 2
         mc_samples = sc["mc"]["n_samples"]
-    seconds = 4e-9 * points * nodes + seconds_per_point * points + 2.5e-6 * mc_samples + 0.05
+        k = sum(_k_list(sc["portfolio"]["k_obligors"]))
+        seconds = nodes * (_TABLE_S + points * _TERM_S) + mc_samples * k * _sample_s(sc)
     return {
         "grid_points": int(points),
         "quad_nodes_per_point": int(nodes),
         "mc_samples": int(mc_samples),
-        "est_seconds": round(seconds, 3),
+        "est_seconds": round(_FIXED_S + seconds, 3),
     }
 
 
@@ -1212,7 +1259,7 @@ def _write_json(payload: dict, sc: dict, path: str) -> None:
 
 
 def _write_table(rows, header, sc: dict, path: str) -> None:
-    write_csv(path, _provenance(sc), header, rows)
+    write_csv(path, _provenance(sc), header, [csv_cells(col) for col in zip(*rows)])
 
 
 def _artifact(path, kind, summary):

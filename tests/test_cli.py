@@ -230,3 +230,31 @@ def test_error_report_lists_partial_artifacts(tmp_path, capsys, monkeypatch):
     assert all(a["partial"] and a["kind"] == "density_grid" for a in report["partial_artifacts"])
     assert all(p.exists() for p in written)
     assert not (out_dir / "nosub_halves_k100.csv").exists()
+
+
+def _density(path):
+    return np.loadtxt(path, delimiter=",", comments="#", skiprows=1 + sum(
+        line.startswith("#") for line in open(path)))[:, -1]
+
+
+def test_512_z_nodes_give_a_finite_grid_close_to_256(tmp_path):
+    # the largest rule the schema allows; its weights once overflowed to NaN
+    dens = {}
+    for count in (256, 512):
+        out = tmp_path / str(count)
+        rc = main(["run", "nosub_halves_k100", "--set", f"quadrature.z_nodes={count}",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        dens[count] = _density(out / "nosub_halves_k100.csv")
+    assert np.all(np.isfinite(dens[512]))
+    assert np.max(np.abs(dens[512] - dens[256])) <= 1e-4 * dens[256].max()
+
+
+@pytest.mark.parametrize("sid", [
+    "nosub_halves_k100", "subordinated_k200", "limit_equal_loss_curve",
+    "limit_small_vs_large_r10", "no_default_k_scan",
+])
+def test_large_n_fluct_runs(sid, tmp_path, capsys):
+    # the chi-square rule once divided by Gamma(N/2), which overflows above N = 343
+    assert main(["run", sid, "--set", "market.n_fluct=400", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert "nan" not in capsys.readouterr().out

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from portloss import DensityGrid, ParameterError, canonical_json, scenario_fingerprint
-from portloss.grids import cell_centers
+from portloss.grids import cell_centers, csv_cells
+from portloss.scenarios import _provenance, _write_table, bundled_scenarios, resolve_scenario
 
 
 def test_canonical_json_is_sorted_and_stable():
@@ -73,3 +74,61 @@ def test_grid_json_roundtrip_is_deterministic(tmp_path):
     # no timestamps inside: re-serialization is byte-identical
     assert p1.read_bytes() == p2.read_bytes()
     np.testing.assert_array_equal(json.loads(p1.read_text())["values"], grid.values)
+
+
+def _reference_csv(path, comments, header, rows):
+    """The per-value writer that defined the CSV bytes."""
+    with open(path, "w", newline="\n") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+            fh.write("\n")
+
+
+# signed zero, the smallest subnormal, a huge value and values that need 17 digits
+AWKWARD = [-0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 1e300]
+
+
+def _assert_grid_bytes(grid, header, tmp_path):
+    cols = [*np.meshgrid(*grid.axes, indexing="ij"), grid.values]
+    if grid.quality is not None:
+        cols.append(grid.quality)
+    rows = zip(*(c.ravel().tolist() for c in cols))
+    _reference_csv(tmp_path / "ref.csv", ("a", "b"), header, rows)
+    grid.to_csv(tmp_path / "new.csv", comments=("a", "b"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_grid_csv_bytes_match_the_per_value_writer_2d(tmp_path):
+    xs = np.array(AWKWARD)
+    ys = np.array([0.0, 0.7, 1.0 - 1e-16, 12345.678901234567])
+    rows = [0.0, 5e-324, 0.3, 1e300, 1.0 / 7.0, 0.1 + 0.2]
+    vals = np.outer(rows, [1.0, 3.0, 1.0 / 3.0, 0.0])
+    qual = np.zeros(vals.shape)
+    qual[0, 0], qual[1, 2] = -0.0, 1.0
+    grid = DensityGrid(axes=(xs, ys), values=vals, quality=qual)
+    _assert_grid_bytes(grid, ["l1", "l2", "density", "quality"], tmp_path)
+
+
+def test_grid_csv_bytes_match_the_per_value_writer_1d(tmp_path):
+    vals = [1e300, 0.0, 5e-324, 0.3, 1.0 / 3.0, 2.5]
+    grid = DensityGrid(axes=(np.array(AWKWARD),), values=np.array(vals))
+    _assert_grid_bytes(grid, ["l1", "density"], tmp_path)
+
+
+def test_table_csv_bytes_match_the_per_value_writer(tmp_path):
+    sc = resolve_scenario(bundled_scenarios()["no_default_k_scan"])
+    rows = [(mu, k, p) for mu, k, p in zip(AWKWARD, [1, 2, 50, 10**20, -3, 0], reversed(AWKWARD))]
+    header = ["mu", "k_obligors", "p_no_default"]
+    _reference_csv(tmp_path / "ref.csv", _provenance(sc), header, rows)
+    _write_table(rows, header, sc, str(tmp_path / "new.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_cells_of_a_mixed_column_are_formatted_per_value():
+    column = [1, 2.5, True, np.float64(0.1), "x", -0.0]
+    assert csv_cells(column) == [
+        f"{v:.17g}" if isinstance(v, float) else str(v) for v in column
+    ]

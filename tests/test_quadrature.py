@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
+
+import portloss
 
 from portloss import ParameterError, QuadratureSpec
 from portloss.quadrature import chi2_log_weight, chi2_nodes, gauss_nodes
@@ -34,6 +39,59 @@ def test_chi2_rule_moments(n_fluct):
     assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
     assert np.dot(w, z) == pytest.approx(n_fluct, rel=1e-12)
     assert np.dot(w, z**2) == pytest.approx(n_fluct * (n_fluct + 2), rel=1e-12)
+
+
+RULE_COUNTS = (8, 64, 320, 384, 512)
+RULE_DOFS = (1, 2, 6, 6.5, 50, 343.5, 1e4)
+
+
+@pytest.mark.parametrize("count", RULE_COUNTS)
+@pytest.mark.parametrize("n_fluct", RULE_DOFS)
+def test_chi2_rule_is_finite_for_every_count_and_dof(n_fluct, count):
+    z, w = chi2_nodes(n_fluct, count)
+    assert np.all(z > 0) and np.all(np.diff(z) > 0)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0)
+    assert abs(w.sum() - 1.0) <= 1e-13
+    assert np.dot(w, z) == pytest.approx(n_fluct, rel=1e-12)
+    assert np.dot(w, z**2) == pytest.approx(n_fluct * (n_fluct + 2), rel=1e-12)
+
+
+def test_chi2_rule_matches_scipy_where_scipy_is_finite():
+    from scipy.special import gammaln, roots_genlaguerre
+
+    compared = 0
+    for count in RULE_COUNTS:
+        for n_fluct in RULE_DOFS:
+            with np.errstate(all="ignore"):
+                t, w_ref = roots_genlaguerre(count, n_fluct / 2.0 - 1.0)
+                w_ref = w_ref / np.exp(gammaln(n_fluct / 2.0))
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w_ref))):
+                continue
+            z, w = chi2_nodes(n_fluct, count)
+            np.testing.assert_allclose(z, 2.0 * t, rtol=1e-11, atol=0.0)
+            big = w_ref > 1e-14 * w_ref.max()
+            np.testing.assert_allclose(w[big], w_ref[big], rtol=1e-11, atol=0.0)
+            compared += 1
+    # scipy's rule overflows above 320 nodes and, through Gamma(N/2), above N = 343
+    assert compared == 15
+
+
+def test_runs_do_not_import_scipy_linalg(tmp_path):
+    # the chi-square rule is built with numpy alone; scipy.linalg costs
+    # 50-70 ms to import in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(portloss.__file__))
+    code = (
+        "import sys\n"
+        "from portloss import cli\n"
+        "for sid in ('limit_equal_loss_curve', 'nosub_halves_k100'):\n"
+        f"    assert cli.main(['run', sid, '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("n_fluct", [2, 6, 17])

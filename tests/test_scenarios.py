@@ -271,6 +271,54 @@ def test_estimate_cost_scales_with_samples():
             == 2 * estimate_cost(base)["mc_samples"])
 
 
+def _est(sid, *sets):
+    doc = apply_overrides(bundled_scenarios()[sid], list(sets))
+    return estimate_cost(resolve_scenario(doc))["est_seconds"]
+
+
+def _step(sid, path, a, b, *sets):
+    """Change of the estimate when the leaf at ``path`` goes from a to b."""
+    return _est(sid, f"{path}={b}", *sets) - _est(sid, f"{path}={a}", *sets)
+
+
+def test_mc_cost_scales_with_samples_times_k():
+    sid, n = "mc_validate_halves_k100", "mc.n_samples"
+    step = _step(sid, n, 400000, 800000)
+    assert step > 0
+    assert _step(sid, n, 800000, 1600000) == pytest.approx(2 * step, rel=1e-2)
+    assert _step(sid, n, 400000, 800000, "portfolio.k_obligors=300") == pytest.approx(
+        3 * step, rel=1e-2
+    )
+
+
+def test_wishart_cost_scales_with_n_fluct_times_samples_times_k():
+    sid, n, wishart = "mc_validate_halves_k100", "market.n_fluct", 'mc.sampler="wishart"'
+    step = _step(sid, n, 6, 12, wishart)
+    assert step > 0
+    assert _step(sid, n, 12, 18, wishart) == pytest.approx(step, rel=1e-2)
+    assert _step(sid, n, 6, 12, wishart, "mc.n_samples=400000") == pytest.approx(2 * step, rel=1e-2)
+    assert _step(sid, n, 6, 12, wishart, "portfolio.k_obligors=200") == pytest.approx(
+        2 * step, rel=1e-2
+    )
+    # the compound sampler's cost does not depend on N
+    assert _step(sid, n, 6, 12) == 0
+
+
+def test_calibration_cost_scales_with_k_times_m_times_grid_points():
+    sid, grid, k = "calibrate_synthetic_base", "fit.grid_points", "source.k_assets"
+    big = "source.m_samples=50000"
+    step = _step(sid, grid, 50, 100, big)
+    assert step > 0
+    assert _step(sid, grid, 100, 200, big) == pytest.approx(2 * step, rel=1e-2)
+    assert _step(sid, grid, 50, 100, "source.m_samples=100000") == pytest.approx(2 * step, rel=1e-2)
+    # linear in K, with a slope proportional to M x grid points
+    step = _step(sid, k, 20, 120, big)
+    assert step > 0
+    assert _step(sid, k, 120, 220, big) == pytest.approx(step, rel=1e-2)
+    assert _step(sid, k, 20, 120, "source.m_samples=100000") == pytest.approx(2 * step, rel=1e-2)
+    assert _step(sid, k, 20, 120, big, "fit.grid_points=114") == pytest.approx(2 * step, rel=1e-2)
+
+
 def test_adaptive_cost_counts_localized_tables():
     # an 81x81 adaptive grid at K = 2000 takes about 5.6 s on 2 CPUs; the
     # estimate must land within 3x of that
