@@ -42,9 +42,15 @@ over all y and contracts them with that row's factors.  Pairs whose x
 factor underflows to exactly 0 are skipped, so each row evaluates only
 the slices whose window contains its x; a skipped term is below the
 smallest subnormal times its slice's conditional peak 1/sqrt(2 pi vc).
-Every intermediate holds at most ``_CHUNK_ELEMENTS`` elements, which
-bounds peak memory for any grid and rule size.  Cell masses, moments and
-correlations read the same table.
+Cell masses, moments and correlations read the same table; the bivariate
+cell masses likewise integrate only the (slice, x cell) pairs with
+nonzero x mass.
+
+Every kernel - the mixture density, the pair kernel and the 1-D and 2-D
+cell masses - works in blocks: each intermediate holds at most
+``_CHUNK_ELEMENTS`` = 2**18 float64 values (2 MiB, the order of a core's
+L2 cache), or a single row where one row is larger, so peak memory is a
+few blocks whatever the grid and rule size.
 
 Numerical care points, all load-bearing:
   * densities are evaluated in log space and nodes whose conditional
@@ -111,7 +117,7 @@ __all__ = [
 
 _VAR_FLOOR = 1e-300
 _LOG_CLIP = 700.0
-_CHUNK_ELEMENTS = 4.0e6  # elements per kernel intermediate
+_CHUNK_ELEMENTS = 2**18  # float64 values per kernel intermediate: 2 MiB, cache-sized
 _PRUNE_MASS = 1e-14  # node weight dropped from every node table, at most
 _GL_POINTS = 8  # Gauss-Legendre points per x cell in bivariate cell masses
 
@@ -401,6 +407,21 @@ def _node_table(scenario, quad: QuadratureSpec):
 # safe Gaussian building blocks
 
 
+def _block_rows(width) -> int:
+    """Rows of ``width`` elements that fit one ``_CHUNK_ELEMENTS`` block;
+    at least one."""
+    return max(1, int(_CHUNK_ELEMENTS // max(1, width)))
+
+
+@lru_cache(maxsize=None)
+def _leggauss(count: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    rule = np.polynomial.legendre.leggauss(count)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def norm_cdf_safe(x, mean, sigma):
     """Normal CDF that degrades to a unit step when sigma == 0."""
     sigma = np.asarray(sigma, dtype=float)
@@ -431,52 +452,55 @@ def _mixture_cell_masses(w, mean_x, var_x, mean_y, var_y, cov, edges_x, edges_y)
     conditional CDFs.  Column totals per slice sum to the slice's x-cell
     probabilities exactly, so total mass is conserved by construction.
     Outermost edges may be +-inf to capture everything.
+
+    The x-cell probabilities are computed for every slice; the in-cell
+    nodes and conditional y CDFs only for the (slice, x cell) pairs of
+    nonzero mass w p_cell, in blocks of pairs, each block added into the
+    x rows it reaches.  A skipped pair contributes exactly 0.
     """
     edges_x = np.asarray(edges_x, dtype=float)
     edges_y = np.asarray(edges_y, dtype=float)
-    nx, ny = len(edges_x) - 1, len(edges_y) - 1
-    tq, twq = np.polynomial.legendre.leggauss(_GL_POINTS)
+    w, mx, vx, my, vy, cv = (
+        np.asarray(a, dtype=float) for a in (w, mean_x, var_x, mean_y, var_y, cov)
+    )
+    tq, twq = _leggauss(_GL_POINTS)
     tq = 0.5 * (tq + 1.0)
     twq = 0.5 * twq
-    out = np.zeros((nx, ny))
-    chunk = max(1, int(2.5e6 / max(1, nx * _GL_POINTS * (ny + 1))))
-    n_nodes = len(w)
-    for s in range(0, n_nodes, chunk):
-        e = min(n_nodes, s + chunk)
-        wk = w[s:e, None, None]
-        mx = np.asarray(mean_x)[s:e, None, None]
-        vx = np.asarray(var_x)[s:e, None, None]
-        my = np.asarray(mean_y)[s:e, None, None]
-        vy = np.asarray(var_y)[s:e, None, None]
-        cv = np.asarray(cov)[s:e, None, None]
-        sx = np.sqrt(vx)
-        # x-cell probabilities and in-cell probability nodes
-        t_edges = norm_cdf_safe(edges_x[None, :, None], mx, sx)
-        t_lo = t_edges[:, :-1, :]
-        p_cell = t_edges[:, 1:, :] - t_lo
-        t_nodes = t_lo + p_cell * tq[None, None, :]
-        t_clip = np.clip(t_nodes, 1e-300, 1.0 - 1e-16)
-        x_nodes = mx + sx * ndtri(t_clip)
-        degen = vx <= _VAR_FLOOR
-        slope = np.where(degen, 0.0, cv / np.where(degen, 1.0, vx))
-        var_c = np.maximum(vy - slope * cv, 0.0)
-        sc = np.sqrt(var_c)
-        mu_c = my + slope * (x_nodes - mx)
-        # (chunk, nx, q, ny_edges) conditional CDFs at y edges
-        y_cdf = norm_cdf_safe(
-            edges_y[None, None, None, :], mu_c[..., None], sc[..., None]
-        )
-        y_mass = np.diff(y_cdf, axis=-1)
-        contrib = np.einsum("cxq,q,cxqy->xy", p_cell * wk, twq, y_mass)
-        out += contrib
+    sx = np.sqrt(vx)
+    degen = vx <= _VAR_FLOOR
+    slope = np.where(degen, 0.0, cv / np.where(degen, 1.0, vx))
+    sc = np.sqrt(np.maximum(vy - slope * cv, 0.0))
+    out = np.zeros((len(edges_x) - 1, len(edges_y) - 1))
+    nodes = _block_rows(len(edges_x))
+    pairs = _block_rows(_GL_POINTS * len(edges_y))
+    for s in range(0, len(w), nodes):
+        t_edges = norm_cdf_safe(edges_x, mx[s : s + nodes, None], sx[s : s + nodes, None])
+        p_cell = np.diff(t_edges, axis=1)
+        node, cell = np.nonzero(w[s : s + nodes, None] * p_cell)
+        t_lo, p_cell = t_edges[node, cell], p_cell[node, cell]
+        node += s
+        mass = w[node] * p_cell
+        for b in range(0, len(node), pairs):
+            k, x = node[b : b + pairs, None], cell[b : b + pairs]
+            t_nodes = t_lo[b : b + pairs, None] + p_cell[b : b + pairs, None] * tq
+            x_nodes = mx[k] + sx[k] * ndtri(np.clip(t_nodes, 1e-300, 1.0 - 1e-16))
+            mu_c = my[k] + slope[k] * (x_nodes - mx[k])
+            # (pairs, q, y edges) conditional CDFs
+            y_cdf = norm_cdf_safe(edges_y, mu_c[..., None], sc[k, None])
+            np.add.at(out, x, np.einsum(
+                "pq,pqy->py", mass[b : b + pairs, None] * twq, np.diff(y_cdf, axis=-1)
+            ))
     return out
 
 
 def _univariate_cell_masses(w, mean_x, var_x, edges_x):
-    sx = np.sqrt(np.asarray(var_x, dtype=float))[:, None]
-    mx = np.asarray(mean_x, dtype=float)[:, None]
-    cdf = norm_cdf_safe(edges_x[None, :], mx, sx)
-    return np.asarray(w) @ np.diff(cdf, axis=1)
+    w, mx, sx = np.asarray(w), np.asarray(mean_x)[:, None], np.sqrt(var_x)[:, None]
+    out = np.zeros(len(edges_x) - 1)
+    rows = _block_rows(len(edges_x))
+    for s in range(0, len(w), rows):
+        cdf = norm_cdf_safe(edges_x, mx[s : s + rows], sx[s : s + rows])
+        out += w[s : s + rows] @ np.diff(cdf, axis=1)
+    return out
 
 
 def _cell_masses(table, edges_one, edges_two):
@@ -507,7 +531,7 @@ def _mixture_density(axes, w, means, cov):
         return _pair_density(axes[0], axes[1], w, means, cov)
     shape = tuple(len(a) for a in axes)
     out = np.empty(shape)
-    chunk = max(1, int(_CHUNK_ELEMENTS / max(1, len(w) * math.prod(shape[1:]))))
+    chunk = _block_rows(len(w) * math.prod(shape[1:]))
     for s in range(0, shape[0], chunk):
         logp, valid = 0.0, True
         for b, a in enumerate(axes):
@@ -534,7 +558,7 @@ def _pair_density(xs, ys, w, means, cov):
     log_norm_x = -0.5 * np.log(2.0 * math.pi * vx)
     log_norm_c = -0.5 * np.log(2.0 * math.pi * vc)
     out = np.zeros((len(xs), len(ys)))
-    rows = max(1, int(_CHUNK_ELEMENTS / max(1, len(w))))
+    rows = _block_rows(len(w))
     for s in range(0, len(xs), rows):
         dx = xs[s : s + rows, None] - mx
         with np.errstate(under="ignore"):
@@ -545,7 +569,7 @@ def _pair_density(xs, ys, w, means, cov):
                 continue
             mean_c = my[live] + slope[live] * dx[i, live]
             half_prec = 0.5 / vc[live]
-            cols = max(1, int(_CHUNK_ELEMENTS / len(live)))
+            cols = _block_rows(len(live))
             for t in range(0, len(ys), cols):
                 res = ys[t : t + cols, None] - mean_c
                 with np.errstate(under="ignore"):
@@ -575,7 +599,7 @@ def _gl_panels(edges):
     """16-point Gauss-Legendre nodes and weights on the panels between
     consecutive entries of ``edges`` along its last axis, flattened per
     leading index."""
-    x, wx = np.polynomial.legendre.leggauss(16)
+    x, wx = _leggauss(16)
     a, b = edges[..., :-1, None], edges[..., 1:, None]
     # an explicit width, since there may be no leading rows
     shape = edges.shape[:-1] + (len(x) * (edges.shape[-1] - 1),)

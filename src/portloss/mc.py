@@ -12,14 +12,15 @@ more elements than a chunk's asset values.
 
 Estimation is streamed in fixed-size chunks with one spawned RNG stream
 per chunk.  The chunks run on a thread pool: one thread per CPU, capped
-so that the chunks in flight hold at most ``engine._CHUNK_ELEMENTS``
-asset values, and never fewer than one.  Each chunk draws into scratch
-buffers that the calling thread allocated and computes its losses in
-place, and the partial statistics are reduced in chunk order, so results
-are bit-identical for a given McConfig whatever the thread count or
-scheduling.  Atom bookkeeping (zero-loss origin, axis lines, wipeout
-lattice) classifies samples by integer default counts, never by
-floating-point equality of losses.
+so that the chunks in flight hold at most ``_DRAW_ELEMENTS`` = 4e6 asset
+values, and never fewer than one.  This budget is the simulation's own;
+the analytic kernels work in much smaller cache-sized blocks.  Each chunk
+draws into scratch buffers that the calling thread allocated and computes
+its losses in place, and the partial statistics are reduced in chunk
+order, so results are bit-identical for a given McConfig whatever the
+thread count or scheduling.  Atom bookkeeping (zero-loss origin, axis
+lines, wipeout lattice) classifies samples by integer default counts,
+never by floating-point equality of losses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import _CHUNK_ELEMENTS, SubordinatedScenario, _creditor_weights, _whole_counts
+from .engine import SubordinatedScenario, _creditor_weights, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, UndefinedCorrelationError
 from .grids import SCHEMA_VERSION
 from .params import MarketParams, MultiMarketParams, block_market
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _WISHART_K_BUDGET = 500
+_DRAW_ELEMENTS = 4.0e6  # asset values of the chunks in flight
 
 
 @dataclass(frozen=True)
@@ -445,13 +447,13 @@ def _chunk_stats(scenario, cfg, chunk_index, m, scratch, edges):
 
 def _pool_size(draw_elements: int, n_chunks: int) -> int:
     """Chunk threads for ``estimate``: one per usable CPU, no more than
-    there are chunks, and no more than fit ``_CHUNK_ELEMENTS`` draw
+    there are chunks, and no more than fit ``_DRAW_ELEMENTS`` draw
     elements in flight; at least one."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_chunks, int(_CHUNK_ELEMENTS // draw_elements)))
+    return max(1, min(cpus, n_chunks, int(_DRAW_ELEMENTS // draw_elements)))
 
 
 def estimate(scenario, config: McConfig = McConfig()) -> McRun:

@@ -663,18 +663,42 @@ def _plain_scenarios(sc: dict, params: MarketParams) -> list:
     return scens
 
 
+# Values in the largest array a document may make its run allocate: 2**27,
+# 1 GiB of float64.  It bounds what still grows with the document - an MC
+# chunk's asset values and the calibration returns and covariance; the
+# analytic kernels work in fixed-size blocks.
+_MEMORY_BUDGET = 2**27
+
+
+def _check_memory(elements: int, what: str, pointer: str):
+    """Refuse an array of more than ``_MEMORY_BUDGET`` values at ``pointer``."""
+    if elements > _MEMORY_BUDGET:
+        raise ScenarioError(
+            f"{what} would hold {elements:.4g} values, over the memory budget of "
+            f"{_MEMORY_BUDGET} (1 GiB of float64)",
+            pointer=pointer,
+        )
+
+
 def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str):
     """Refuse what ``mc.estimate`` refuses: a Wishart sampler without an
     integer fluctuation strength, with one above a chunk's sample count or
     beyond its obligor budget, and class counts too large for an int64 or
-    overlap fractions that are not whole firm counts."""
+    overlap fractions that are not whole firm counts; and a chunk whose
+    asset values, rows x K per thread, exceed the memory budget."""
+    rows = min(config.chunk_size, config.n_samples)
     if config.sampler == "wishart":
-        rows = min(config.chunk_size, config.n_samples)
         _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct, rows)
         _build(k_pointer, _check_wishart_budget, scen.k_obligors)
     if isinstance(scen, NoSubScenario):
         _build(k_pointer, _class_counts, scen)
         _build(counts_pointer, _whole_counts, scen)
+    _check_memory(
+        rows * scen.k_obligors,
+        f"an MC chunk of {rows} samples of {scen.k_obligors} obligors "
+        "(lower mc.chunk_size to shrink it)",
+        k_pointer,
+    )
 
 
 def _subordinated(sc, out_dir=""):
@@ -864,6 +888,13 @@ def _calibrate(sc, out_dir=""):
     _check_increasing(fit_block, "grid_lo", "grid_hi", "/fit", "fit grid needs grid_hi > grid_lo")
     grid = np.geomspace(fit_block["grid_lo"], fit_block["grid_hi"], int(fit_block["grid_points"]))
     path = _output(sc, "report", out_dir)
+    if src["kind"] == "synthetic":
+        m, k = int(src["m_samples"]), int(src["k_assets"])
+        # the M x K returns and their K x K covariance, at the larger factor
+        _check_memory(
+            max(m, k) * k, f"the {m} x {k} synthetic returns and their covariance",
+            "/source/k_assets" if k >= m else "/source/m_samples",
+        )
 
     def job():
         if src["kind"] == "synthetic":

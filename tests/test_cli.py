@@ -250,6 +250,19 @@ def test_512_z_nodes_give_a_finite_grid_close_to_256(tmp_path):
     assert np.max(np.abs(dens[512] - dens[256])) <= 1e-4 * dens[256].max()
 
 
+def test_400_u_nodes_give_a_finite_grid_close_to_256(tmp_path):
+    # the Gaussian rule once had NaN weights from 372 to 512 nodes
+    dens = {}
+    for count in (256, 400):
+        out = tmp_path / str(count)
+        rc = main(["run", "nosub_halves_k100", "--set", f"quadrature.u_nodes={count}",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        dens[count] = _density(out / "nosub_halves_k100.csv")
+    assert np.all(np.isfinite(dens[400]))
+    assert np.max(np.abs(dens[400] - dens[256])) <= 1e-4 * dens[256].max()
+
+
 @pytest.mark.parametrize("sid", [
     "nosub_halves_k100", "subordinated_k200", "limit_equal_loss_curve",
     "limit_small_vs_large_r10", "no_default_k_scan",
@@ -258,3 +271,65 @@ def test_large_n_fluct_runs(sid, tmp_path, capsys):
     # the chi-square rule once divided by Gamma(N/2), which overflows above N = 343
     assert main(["run", sid, "--set", "market.n_fluct=400", "--out-dir", str(tmp_path)]) == EXIT_OK
     assert "nan" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "scenario, sets, pointer",
+    [
+        ("mc_validate_halves_k100", ["portfolio.k_obligors=1000000"], "/portfolio/k_obligors"),
+        ("mc_validate_halves_k100", ["portfolio.k_obligors=16386"], "/portfolio/k_obligors"),
+        ("correlation_sweep_full", ['method="mc"', "portfolio.k_values=[20,100000]"],
+         "/portfolio/k_values"),
+        ("calibrate_synthetic_base", ["source.k_assets=1000000"], "/source/k_assets"),
+        ("calibrate_synthetic_base", ["source.m_samples=100000000"], "/source/m_samples"),
+        # 100 x 16384 returns, but a 16384 x 16384 covariance
+        ("calibrate_synthetic_base", ["source.k_assets=16384", "source.m_samples=100"],
+         "/source/k_assets"),
+    ],
+)
+def test_validate_refuses_documents_over_the_memory_budget(capsys, scenario, sets, pointer):
+    # validate only: running these would ask for gigabytes
+    overrides = [arg for s in sets for arg in ("--set", s)]
+    assert main(["validate", scenario] + overrides) == EXIT_REJECTED
+    err = json.loads(capsys.readouterr().err)
+    assert err["pointer"] == pointer
+    assert "memory budget" in err["message"]
+
+
+@pytest.mark.parametrize("scenario, sets", [
+    # 8192 samples x 16384 obligors = 2**27 values per chunk
+    ("mc_validate_halves_k100", ["portfolio.k_obligors=16384"]),
+    # 16384 x 8192 = 2**27 returns
+    ("calibrate_synthetic_base", ["source.k_assets=8192", "source.m_samples=16384"]),
+])
+def test_validate_accepts_documents_at_the_memory_budget(capsys, scenario, sets):
+    overrides = [arg for s in sets for arg in ("--set", s)]
+    assert main(["validate", scenario] + overrides) == EXIT_OK
+
+
+def test_multimarket_run_stays_within_a_few_blocks_of_its_imports(tmp_path):
+    # the kernels once held 201 cells x 10^4 nodes per intermediate, 60 MB.
+    # VmHWM is the peak RSS of the probe's own address space; its ru_maxrss
+    # would start at the RSS of this test process, which spawned it.
+    import os
+    import subprocess
+    import sys
+
+    import portloss
+
+    code = (
+        "def status(key):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith(key))\n"
+        "from portloss import cli\n"
+        "base = status('VmRSS:')\n"
+        f"assert cli.main(['run', 'multimarket_split_pair', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print(status('VmHWM:') - base)\n"
+    )
+    src = os.path.dirname(os.path.dirname(portloss.__file__))
+    probe = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    grown_kib = int(probe.stdout.splitlines()[-1])
+    assert grown_kib < 30 * 1024

@@ -509,3 +509,119 @@ def test_grids_record_pruning(market, faces, halves, quad, tmp_path):
         assert json.loads(grid.to_json())["metadata"]["nodes_used"] == meta["nodes_used"]
         grid.to_csv(tmp_path / "grid.csv")
         assert "nodes" not in (tmp_path / "grid.csv").read_text()
+
+
+# ---------------------------------------------------------------------------
+# cell masses only where a slice reaches the cell, and block-sized kernels
+
+def _dense_cell_masses(w, mean_x, var_x, mean_y, var_y, cov, edges_x, edges_y):
+    """Reference: every (slice, x cell) pair through the in-cell nodes and
+    the conditional y CDFs, whatever its mass."""
+    from scipy.special import ndtri
+
+    from portloss.engine import _GL_POINTS, _VAR_FLOOR, norm_cdf_safe
+
+    tq, twq = np.polynomial.legendre.leggauss(_GL_POINTS)
+    tq, twq = 0.5 * (tq + 1.0), 0.5 * twq
+    mx, vx, my, vy, cv = (np.asarray(a)[:, None, None] for a in (mean_x, var_x, mean_y, var_y, cov))
+    sx = np.sqrt(vx)
+    t_edges = norm_cdf_safe(edges_x[None, :, None], mx, sx)
+    t_lo = t_edges[:, :-1, :]
+    p_cell = t_edges[:, 1:, :] - t_lo
+    x_nodes = mx + sx * ndtri(np.clip(t_lo + p_cell * tq, 1e-300, 1.0 - 1e-16))
+    degen = vx <= _VAR_FLOOR
+    slope = np.where(degen, 0.0, cv / np.where(degen, 1.0, vx))
+    sc = np.sqrt(np.maximum(vy - slope * cv, 0.0))
+    mu_c = my + slope * (x_nodes - mx)
+    y_mass = np.diff(norm_cdf_safe(edges_y, mu_c[..., None], sc[..., None]), axis=-1)
+    return np.einsum("cxq,q,cxqy->xy", p_cell * np.asarray(w)[:, None, None], twq, y_mass)
+
+
+def _awkward_table(rng, n=400):
+    """Slices from 1e-7 to 0.5 wide, with point masses in x, zero
+    conditional variance, perfect correlation, and means on cell edges."""
+    w = rng.dirichlet(np.ones(n))
+    mean_x, mean_y = rng.uniform(-0.2, 1.2, (2, n))
+    sd_x, sd_y = 10.0 ** rng.uniform(-7, np.log10(0.5), (2, n))
+    rho = rng.uniform(-1.0, 1.0, n)
+    rho[:20] = 1.0
+    rho[20:40] = -1.0
+    sd_x[40:60] = 0.0
+    sd_y[60:80] = 0.0
+    mean_x[80:90] = mean_y[80:90] = 0.25
+    return w, mean_x, sd_x**2, mean_y, sd_y**2, rho * sd_x * sd_y
+
+
+@pytest.mark.parametrize("outer", [np.inf, 1.0])
+@pytest.mark.parametrize("shape", [(20, 20), (50, 13)])
+def test_cell_masses_match_the_dense_reference(outer, shape):
+    from portloss.engine import _mixture_cell_masses, norm_cdf_safe
+
+    table = _awkward_table(np.random.default_rng(7))
+    edges_x, edges_y = (np.linspace(0.0, 1.0, n + 1) for n in shape)
+    for e in (edges_x, edges_y):
+        e[0], e[-1] = -outer, outer
+    w, mean_x, var_x = table[:3]
+    x_mass = w[:, None] * np.diff(norm_cdf_safe(edges_x, mean_x[:, None], np.sqrt(var_x)[:, None]))
+    assert np.mean(x_mass == 0.0) > 0.5  # most pairs are skipped
+    got = _mixture_cell_masses(*table, edges_x, edges_y)
+    want = _dense_cell_masses(*table, edges_x, edges_y)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    assert abs(got.sum() - want.sum()) <= 1e-14
+    if outer == np.inf:
+        assert abs(got.sum() - 1.0) <= 1e-14
+
+
+def test_cell_masses_match_the_dense_reference_on_node_tables(market, faces, halves, quad):
+    from portloss.engine import _cell_masses, _node_table
+
+    edges = np.linspace(0.0, 1.0, 51)
+    edges[-1] = np.inf
+    for sc in (SubordinatedScenario(k_obligors=200, tranches=faces, params=market),
+               NoSubScenario(k_obligors=100, params=market, overlap=halves)):
+        w, means, cov = _node_table(sc, quad)
+        table = (w, means[0], cov[0, 0], means[1], cov[1, 1], cov[0, 1])
+        got = _cell_masses((w, means, cov), edges, edges)
+        np.testing.assert_allclose(got, _dense_cell_masses(*table, edges, edges),
+                                   rtol=0.0, atol=1e-14)
+
+
+def _traced_peak(fn):
+    """Peak bytes that ``fn()`` holds at once, numpy buffers included."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_BLOCK_BYTES = 8 * 2**18  # a cache-sized kernel block of float64 values
+
+
+@pytest.mark.parametrize("kernel", ["1-D multimarket", "2-D pair", "cell masses 50x50"])
+def test_kernels_hold_a_few_blocks_at_a_time(market, faces, kernel):
+    from portloss.engine import _cell_masses, _mixture_density, _node_table
+
+    if kernel == "1-D multimarket":
+        # the bundled two-market total loss: about 10^4 nodes at 201 cells
+        multi = NoSubScenario(k_obligors=40, face=75.0, creditors=1,
+                              params=MultiMarketParams(((market, 20), (market, 20))))
+        table = _node_table(multi, QuadratureSpec(u_nodes=24))
+        assert len(table[0]) > 10_000
+        axes = (np.linspace(0.0, 1.0, 201),)
+    else:
+        sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+        table = _node_table(sub, QuadratureSpec())
+        xs = np.linspace(0.0, 0.8, 2001)
+        axes = (xs, xs[::400])
+    edges = np.linspace(0.0, 1.0, 51)
+    edges[0], edges[-1] = -np.inf, np.inf
+    if kernel == "cell masses 50x50":
+        call = lambda: _cell_masses(table, edges, edges)  # noqa: E731
+    else:
+        call = lambda: _mixture_density(axes, *table)  # noqa: E731
+    call()  # caches warm
+    assert _traced_peak(call) <= 6 * _BLOCK_BYTES

@@ -104,6 +104,39 @@ def test_gauss_rule_moments(n_fluct):
     assert np.dot(w, u**4) == pytest.approx(3.0 / n_fluct**2, rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def gauss_rules():
+    """The Gaussian rule at N = 6 for every count the schema allows."""
+    return {count: gauss_nodes.__wrapped__(6, count) for count in range(8, 513)}
+
+
+def test_gauss_rule_is_finite_for_every_count(gauss_rules):
+    # numpy's hermgauss gives zero weights at 371 nodes and NaN from 372 to 512
+    for count, (u, w) in gauss_rules.items():
+        assert np.all(np.diff(u) > 0) and np.array_equal(u, -u[::-1]), count
+        assert np.all(np.isfinite(w)) and np.all(w >= 0) and np.array_equal(w, w[::-1]), count
+        assert abs(w.sum() - 1.0) <= 1e-13, count
+        assert abs(np.dot(w, u)) <= 1e-15, count
+        assert np.dot(w, u**2) == pytest.approx(1.0 / 6, rel=1e-13), count
+        assert np.dot(w, u**4) == pytest.approx(3.0 / 36, rel=1e-13), count
+
+
+def test_gauss_rule_matches_hermgauss_where_hermgauss_is_finite(gauss_rules):
+    compared = 0
+    for count in (*range(8, 64), 64, 128, 255, 256, 320, 369, 370, 371, 372, 512):
+        u, w = gauss_rules[count]
+        with np.errstate(all="ignore"):
+            v, w_ref = np.polynomial.hermite.hermgauss(count)
+        w_ref = w_ref / math.sqrt(math.pi)
+        if not (np.all(np.isfinite(w_ref)) and w_ref.sum() > 0.5):
+            continue
+        np.testing.assert_allclose(u, v * math.sqrt(2.0 / 6), rtol=1e-13, atol=1e-15)
+        big = w_ref > 1e-14 * w_ref.max()
+        np.testing.assert_allclose(w[big], w_ref[big], rtol=1e-13, atol=0.0)
+        compared += 1
+    assert compared == 56 + 7
+
+
 def test_chi2_log_weight_normalizes():
     val, _ = integrate.quad(lambda z: math.exp(chi2_log_weight(z, 6)), 0, np.inf)
     assert val == pytest.approx(1.0, rel=1e-10)
