@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 schema/domain rejection, 3 numeric failure at run
 time.  ``run`` reports any other exception as exit 3 too, with its
 traceback in the error report.  Exit 3 leaves a machine-readable error
-report that lists the artifacts written before the failure.
+report that lists the artifacts written before the failure, unless the
+report itself cannot be written, which stderr then says.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ def _load_document(ref: str) -> dict:
             f"{ref!r} is neither a bundled scenario id nor a readable file; "
             f"try the list-scenarios subcommand",
         )
-    with open(ref) as fh:
-        try:
+    try:
+        with open(ref, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {ref!r} as UTF-8 JSON: {exc}") from exc
 
 
 def _print_rejection(exc: ScenarioError, stream=None) -> None:
@@ -73,9 +76,11 @@ def _write_error_report(out_dir: str, exc: Exception, trace=None) -> str:
 
 
 def _numeric_failure(out_dir: str, exc: Exception, trace=None) -> int:
-    path = _write_error_report(out_dir, exc, trace)
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    print(f"report: {path}", file=sys.stderr)
+    try:
+        print(f"report: {_write_error_report(out_dir, exc, trace)}", file=sys.stderr)
+    except OSError as report_exc:
+        print(f"report not written: {report_exc}", file=sys.stderr)
     return EXIT_NUMERIC
 
 

@@ -1,11 +1,9 @@
-"""Density grid container and serialization.
+"""Density grid container and the CSV writer.
 
 A DensityGrid holds density values sampled at cell centers on one or two
-loss axes, plus enough metadata (scenario fingerprint, quadrature settings,
-schema version) to make every artifact self-describing and reproducible.
-
-Serialized artifacts are deterministic: a grid carries no creation time
-or other run-dependent state, so re-running a scenario yields byte-identical
+loss axes, with optional solver quality flags and its builder's metadata.
+Written files are deterministic: a grid carries no creation time or
+other run-dependent state, so re-running a scenario yields byte-identical
 files.
 """
 
@@ -61,7 +59,7 @@ class DensityGrid:
     axes : tuple of one or two strictly increasing center arrays
     values : array of matching shape, nonnegative, per unit loss (or loss^2)
     quality : same-shape float array, 0 = clean, 1 = near-singular solve
-    metadata : schema version, grid kind, fingerprint, quadrature settings
+    metadata : grid kind and the builder's quadrature bookkeeping
     """
 
     axes: tuple
@@ -89,7 +87,6 @@ class DensityGrid:
             self.quality = np.asarray(self.quality, dtype=float)
             if self.quality.shape != self.values.shape:
                 raise ParameterError("quality shape must match values")
-        self.metadata.setdefault("schema_version", SCHEMA_VERSION)
 
     def to_csv(self, path, comments=()) -> None:
         """Write rows of (l1[, l2], density[, quality]) at full round-trip
@@ -107,22 +104,6 @@ class DensityGrid:
             header.append("quality")
             cells.append(csv_cells(self.quality.ravel().tolist()))
         write_csv(path, comments, header, cells)
-
-    def to_json(self, path=None):
-        """JSON envelope with full metadata; returns the string if no path."""
-        env = {
-            "schema_version": self.metadata.get("schema_version", SCHEMA_VERSION),
-            "kind": "density_grid",
-            "axes": [a.tolist() for a in self.axes],
-            "values": self.values.tolist(),
-            "quality": None if self.quality is None else self.quality.tolist(),
-            "metadata": {k: v for k, v in self.metadata.items()},
-        }
-        text = json.dumps(env, sort_keys=True, indent=1) + "\n"
-        if path is not None:
-            with open(path, "w", newline="\n") as fh:
-                fh.write(text)
-        return text
 
 
 def cell_centers(n_cells: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

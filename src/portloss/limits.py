@@ -23,19 +23,20 @@ brackets the weights are below anything that could move a six-digit
 result, and the density is treated as exactly zero.
 
 A lane whose target is out of reach holds NaN as its root and adds density
-0.  The one-point solvers (``solve_u_*``, ``solve_z0``) raise NoRootError
-there instead.  Losses out of range raise ParameterError.  ConvergenceError
-is raised when any lane exceeds the iteration budget or leaves a residual
-above 1e-10.  ``solve_z0`` and ``density_limit_subordinated`` raise
-MultipleRootsError when the senior and junior roots cross at several z;
-the subordinated grid writes density 0 with quality 1 for such a cell, and
-for a cell whose refinement loses a root.
+0.  The one-point solvers raise NoRootError there instead; otherwise
+``solve_u_senior`` and ``solve_u_plain`` return the u root as a float and
+``solve_z0`` returns (z0, u0, separation_slope).  Losses out of range raise
+ParameterError.  ConvergenceError is raised when any lane exceeds the
+iteration budget or leaves a residual above 1e-10.  ``solve_z0`` and
+``density_limit_subordinated`` raise MultipleRootsError when the senior
+and junior roots cross at several z; the subordinated grid writes density
+0 with quality 1 for such a cell, and for a cell whose refinement loses a
+root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -63,12 +64,10 @@ from .params import MarketParams, SubordinationSpec
 from .quadrature import QuadratureSpec, chi2_log_weight, chi2_nodes
 
 __all__ = [
-    "ImplicitSolve",
     "u_bracket",
     "z_bracket",
     "newton_bisect",
     "solve_u_senior",
-    "solve_u_junior",
     "solve_u_plain",
     "solve_z0",
     "density_limit_subordinated",
@@ -85,30 +84,6 @@ _JAC_FLOOR = 1e-14
 _RESID_TOL = 1e-10
 _MIN_JUNIOR_SHARE = 1e-5  # of f_total; see _check_ridge_faces
 _JOINT_STEPS = 8  # see _joint_newton
-
-
-@dataclass(frozen=True)
-class ImplicitSolve:
-    """Result of one implicit-function solve.
-
-    Residuals of every defining equation are below 1e-10 and all roots lie
-    inside the search brackets.  ``iterations`` counts the Newton steps of
-    a u solve, and for ``solve_z0`` the joint (z, u) steps plus, where the
-    joint solve failed, the steps of the nested solve in z.  ``quality`` is
-    1.0 when a Jacobian factor at the root is nearly singular (ridge of the
-    density).
-    """
-
-    targets: tuple
-    residuals: tuple
-    iterations: int
-    u: Optional[float] = None
-    z0: Optional[float] = None
-    u0: Optional[float] = None
-    u_one: Optional[float] = None
-    u_two: Optional[float] = None
-    separation_slope: Optional[float] = None
-    quality: float = 0.0
 
 
 def u_bracket(params: MarketParams):
@@ -250,16 +225,16 @@ def _plain_mean(face, params) -> _Mean:
 
 
 def _u_roots(mean: _Mean, target, z, params):
-    """u solving mean(z, u) = target on every lane of broadcast (target, z),
-    and the iteration counts.  The mean is nondecreasing in u, so the root
-    is unique where it exists; lanes whose target lies outside the
-    attainable range on the u bracket hold NaN."""
+    """u solving mean(z, u) = target on every lane of broadcast (target, z).
+    The mean is nondecreasing in u, so the root is unique where it exists;
+    lanes whose target lies outside the attainable range on the u bracket
+    hold NaN."""
     lo, hi = u_bracket(params)
     target, z = np.broadcast_arrays(np.asarray(target, dtype=float), np.asarray(z, dtype=float))
     f = lambda u, z, target: mean.value(z, u) - target
     f_lo, f_hi = f(lo, z, target), f(hi, z, target)
     attainable = ((f_lo < 0.0) & (0.0 <= f_hi)) | ((f_lo <= 0.0) & (0.0 < f_hi))
-    u, iters = newton_bisect(
+    u, _ = newton_bisect(
         f,
         lambda u, z, target: mean.du(z, u),
         np.full(z.shape, lo),
@@ -277,28 +252,25 @@ def _u_roots(mean: _Mean, target, z, params):
             best_estimate=float(u.flat[k]),
             error_bound=float(resid.flat[k]),
         )
-    return u, iters
+    return u
 
 
-def _solve_u(mean: _Mean, target, z, params, label) -> ImplicitSolve:
-    """One-lane u solve; NoRootError where the target is out of reach."""
+def _solve_u(mean: _Mean, target, z, params, label) -> float:
+    """One-lane u root; NoRootError where the target is out of reach."""
     if not (z > 0):
         raise ParameterError(f"z must be > 0, got {z}")
-    u, iters = _u_roots(mean, target, z, params)
+    u = _u_roots(mean, target, z, params)
     if np.isnan(u):
         raise NoRootError(
             f"{label} target {target} outside the attainable range at z={z}; "
             "the limit density is 0 there"
         )
-    resid = abs(float(mean.value(z, u)) - target)
-    return ImplicitSolve(
-        targets=(target,), residuals=(resid,), iterations=int(iters), u=float(u)
-    )
+    return float(u)
 
 
 def solve_u_senior(
     l_senior: float, z: float, faces: SubordinationSpec, params: MarketParams
-) -> ImplicitSolve:
+) -> float:
     """u root of mean senior loss = l_senior at fixed z.
 
     The senior conditional mean is strictly increasing in u, so the root is
@@ -308,14 +280,7 @@ def solve_u_senior(
     return _solve_u(_senior_mean(faces, params), l_senior, z, params, "senior mean")
 
 
-def solve_u_junior(
-    l_junior: float, z: float, faces: SubordinationSpec, params: MarketParams
-) -> ImplicitSolve:
-    """u root of mean junior loss (wipeout + band) = l_junior at fixed z."""
-    return _solve_u(_junior_mean(faces, params), l_junior, z, params, "junior mean")
-
-
-def solve_u_plain(l: float, z: float, face: float, params: MarketParams) -> ImplicitSolve:
+def solve_u_plain(l: float, z: float, face: float, params: MarketParams) -> float:
     """u root of mean untranched loss = l at fixed z."""
     return _solve_u(_plain_mean(face, params), l, z, params, "plain mean")
 
@@ -332,7 +297,7 @@ def _plain_factor(targets, z, face, params):
     inside = (targets > 0.0) & (targets < 1.0)
     mean = _plain_mean(face, params)
     z = np.asarray(z, dtype=float)[None, :]
-    u, _ = _u_roots(mean, np.where(inside, targets, np.nan)[:, None], z, params)
+    u = _u_roots(mean, np.where(inside, targets, np.nan)[:, None], z, params)
     du = np.abs(mean.du(z, u))
     with np.errstate(invalid="ignore", under="ignore"):
         weight = np.where(
@@ -348,8 +313,8 @@ def _plain_factor(targets, z, face, params):
 def _sub_u_roots(l_senior, l_junior, z, faces, params):
     """Senior and junior u roots on the lanes of broadcast (l_senior, z) and
     (l_junior, z); NaN where a target is out of reach."""
-    u_s, _ = _u_roots(_senior_mean(faces, params), l_senior, z, params)
-    u_j, _ = _u_roots(_junior_mean(faces, params), l_junior, z, params)
+    u_s = _u_roots(_senior_mean(faces, params), l_senior, z, params)
+    u_j = _u_roots(_junior_mean(faces, params), l_junior, z, params)
     return u_s, u_j
 
 
@@ -546,8 +511,10 @@ def solve_z0(
     faces: SubordinationSpec,
     params: MarketParams,
     n_scan: int = 96,
-) -> ImplicitSolve:
-    """z at which the senior and junior u roots coincide.
+) -> tuple:
+    """(z0, u0, separation_slope): the z at which the senior and junior u
+    roots coincide, their common u root there, and the slope d/dz of
+    u_senior(z) - u_junior(z) at z0.
 
     Scans the z bracket, refines every sign change of u_senior(z) -
     u_junior(z), and demands exactly one root: several roots raise
@@ -568,21 +535,8 @@ def solve_z0(
             f"u roots never coincide for losses ({l_senior}, {l_junior}) on the "
             "z bracket; limit density is 0 there"
         )
-    z0, u_s, u_j = (float(a[0, 0]) for a in (cr.z0, cr.u_s, cr.u_j))
-    slope = float(cr.slope[0, 0])
-    resid_s = abs(float(moment_senior(1, z0, u_s, faces, params)) - l_senior)
-    resid_j = abs(float(junior_mean_target(z0, u_j, faces, params)) - l_junior)
-    return ImplicitSolve(
-        targets=(l_senior, l_junior),
-        residuals=(resid_s, resid_j, abs(u_s - u_j)),
-        iterations=int(cr.iterations[0, 0]),
-        z0=z0,
-        u0=0.5 * (u_s + u_j),
-        u_one=u_s,
-        u_two=u_j,
-        separation_slope=slope,
-        quality=1.0 if abs(slope) < _JAC_FLOOR else 0.0,
-    )
+    z0, u_s, u_j, slope = (float(a[0, 0]) for a in (cr.z0, cr.u_s, cr.u_j, cr.slope))
+    return z0, 0.5 * (u_s + u_j), slope
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +575,10 @@ def density_limit_subordinated(
     if not (0.0 <= l_senior <= 1.0 and 0.0 <= l_junior <= 1.0):
         raise ParameterError("loss fractions must lie in [0, 1]")
     try:
-        sol = solve_z0(l_senior, l_junior, faces, params, n_scan=n_scan)
+        z0, u0, slope = solve_z0(l_senior, l_junior, faces, params, n_scan=n_scan)
     except NoRootError:
         return 0.0
-    density, _ = _density_at_crossing(sol.z0, sol.u0, sol.separation_slope, faces, params)
+    density, _ = _density_at_crossing(z0, u0, slope, faces, params)
     return float(density)
 
 

@@ -18,14 +18,13 @@ the analytic kernels work in much smaller cache-sized blocks.  Each chunk
 draws into scratch buffers that the calling thread allocated and computes
 its losses in place, and the partial statistics are reduced in chunk
 order, so results are bit-identical for a given McConfig whatever the
-thread count or scheduling.  Atom bookkeeping (zero-loss origin, axis
-lines, wipeout lattice) classifies samples by integer default counts,
-never by floating-point equality of losses.
+thread count or scheduling.  Atom bookkeeping (zero-loss origin, wipeout
+lattice) classifies samples by integer default counts, never by
+floating-point equality of losses.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import queue
@@ -37,7 +36,6 @@ import numpy as np
 
 from .engine import SubordinatedScenario, _creditor_weights, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, UndefinedCorrelationError
-from .grids import SCHEMA_VERSION
 from .params import MarketParams, MultiMarketParams, block_market
 
 __all__ = [
@@ -56,8 +54,8 @@ _DRAW_ELEMENTS = 4.0e6  # asset values of the chunks in flight
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation settings; the full config (seed included) is echoed into
-    every serialized output so runs are reproducible.
+    """Simulation settings; the ``mc-validate`` artifact records them, seed
+    included, in the resolved scenario document it embeds.
 
     The constructor owns every range: ``n_samples`` >= 10000 (fewer draws
     are not acceptance-grade), ``rng_seed`` >= 0, ``n_bins`` in [2, 1000],
@@ -72,7 +70,6 @@ class McConfig:
     antithetic: bool = False
     n_bins: int = 50
     chunk_size: int = 8192
-    tail_thresholds: tuple = (0.1, 0.3, 0.5)
     keep_samples: bool = False
 
     def __post_init__(self):
@@ -91,9 +88,6 @@ class McConfig:
             raise ParameterError(f"chunk_size must be an integer >= 128, got {self.chunk_size}")
         if self.antithetic and (self.n_samples % 2 or self.chunk_size % 2):
             raise ParameterError("antithetic sampling needs even n_samples and chunk_size")
-        object.__setattr__(self, "tail_thresholds", tuple(float(t) for t in self.tail_thresholds))
-        if any(not (0.0 < t < 1.0) for t in self.tail_thresholds):
-            raise ParameterError("tail thresholds must lie in (0, 1)")
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -312,11 +306,8 @@ class McRun:
     corr_se: Optional[float]
     p_no_default: float
     p_no_default_se: float
-    atom_axis: np.ndarray
-    hist_edges: np.ndarray
     hist_1d: np.ndarray
     hist_2d: Optional[np.ndarray]
-    tails: dict
     subordination_violations: int
     lattice_offenders: int
     samples: Optional[np.ndarray] = None
@@ -342,42 +333,6 @@ class McRun:
             h = self.hist_1d[0].reshape(n_cells, f).sum(axis=1)
             region = h[0]
         return float(region - self.p_no_default)
-
-    def to_json(self, path=None):
-        env = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "mc_run",
-            "config": {
-                "n_samples": self.config.n_samples,
-                "rng_seed": self.config.rng_seed,
-                "sampler": self.config.sampler,
-                "antithetic": self.config.antithetic,
-                "n_bins": self.config.n_bins,
-                "chunk_size": self.config.chunk_size,
-                "tail_thresholds": list(self.config.tail_thresholds),
-            },
-            "labels": list(self.labels),
-            "n": self.n,
-            "mean": self.mean.tolist(),
-            "mean_se": self.mean_se.tolist(),
-            "cov": self.cov.tolist(),
-            "corr": self.corr,
-            "corr_se": self.corr_se,
-            "p_no_default": self.p_no_default,
-            "p_no_default_se": self.p_no_default_se,
-            "atom_axis": self.atom_axis.tolist(),
-            "hist_edges": self.hist_edges.tolist(),
-            "hist_1d": self.hist_1d.tolist(),
-            "hist_2d": None if self.hist_2d is None else self.hist_2d.tolist(),
-            "tails": {k: v for k, v in sorted(self.tails.items())},
-            "subordination_violations": self.subordination_violations,
-            "lattice_offenders": self.lattice_offenders,
-        }
-        text = json.dumps(env, sort_keys=True, indent=1) + "\n"
-        if path is not None:
-            with open(path, "w", newline="\n") as fh:
-                fh.write(text)
-        return text
 
 
 def _labels(scenario):
@@ -425,11 +380,7 @@ def _chunk_stats(scenario, cfg, chunk_index, m, scratch, edges):
         "pair_sum": pa.sum(axis=0),
         "pair_sumsq": (pa * pa).sum(axis=0),
         "hist1": np.array([np.histogram(col, bins=edges)[0] for col in losses.T]),
-        # a portfolio loss is exactly 0.0 iff no held obligor defaulted
-        # (sums of strictly positive terms cannot round to zero here)
-        "axis_zero": (losses == 0.0).sum(axis=0),
         "n_origin": int((n_def == 0).sum()),
-        "tails": (losses > np.array(cfg.tail_thresholds)[:, None, None]).sum(axis=1),
         "n_sub_viol": 0,
         "n_lattice_bad": 0,
     }
@@ -527,11 +478,8 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
         corr_se=corr_se,
         p_no_default=p_nd,
         p_no_default_se=math.sqrt(max(p_nd * (1.0 - p_nd), 0.0) / n),
-        atom_axis=totals["axis_zero"] / n,
-        hist_edges=edges,
         hist_1d=totals["hist1"] / n,
         hist_2d=totals["hist2"] / n if b == 2 else None,
-        tails={t: (totals["tails"][i] / n).tolist() for i, t in enumerate(config.tail_thresholds)},
         subordination_violations=totals["n_sub_viol"],
         lattice_offenders=totals["n_lattice_bad"],
         samples=None if kept is None else np.vstack(kept),

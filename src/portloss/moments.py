@@ -44,7 +44,6 @@ from .errors import ParameterError
 from .params import MarketParams, SubordinationSpec
 
 __all__ = [
-    "phi",
     "norm_pdf",
     "tau",
     "tau_du",
@@ -59,15 +58,6 @@ __all__ = [
     "junior_mean_target_dz",
     "moment_plain_du",
 ]
-
-
-def phi(x):
-    """Standard normal CDF, elementwise.
-
-    Deterministic rational approximation (Cephes ndtr) with absolute error
-    below 1e-15; saturates to exactly 0.0 / 1.0 in the far tails.
-    """
-    return ndtr(x)
 
 
 def norm_pdf(x):

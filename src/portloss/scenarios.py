@@ -1044,18 +1044,21 @@ def estimate_cost(sc: dict) -> dict:
     samples x fit grid points, growing with K, for calibration.
     """
     mode = sc["mode"]
-    n_cells = sc.get("grid", {}).get("n_cells", 101)
-    quad = sc.get("quadrature", _DEFAULT_QUAD)
-    z_nodes = quad.get("z_nodes", 64)
-    nodes = z_nodes * quad.get("u_nodes", 64)
+    # sc is resolved, so each block its mode has is filled in; only the
+    # density and limit modes have a grid, and all but limit-subordinated
+    # and calibrate have a quadrature
+    n_cells = sc["grid"]["n_cells"] if "grid" in sc else 0
+    quad = sc.get("quadrature")
+    z_nodes = quad["z_nodes"] if quad else 0
+    nodes = z_nodes * quad["u_nodes"] if quad else 0
     points = 0
     mc_samples = 0
     seconds = 0.0
     if mode in ("subordinated", "nosub"):
         ks = _k_list(sc["portfolio"]["k_obligors"])
-        two_d = mode == "subordinated" or sc["portfolio"].get("layout", "halves") != "single"
+        two_d = mode == "subordinated" or sc["portfolio"]["layout"] != "single"
         points = len(ks) * (n_cells ** 2 if two_d else n_cells)
-        if mode == "subordinated" and quad.get("mode") == "adaptive":
+        if mode == "subordinated" and quad["mode"] == "adaptive":
             # each cell builds its own table of 10x16 z by 6x16 u nodes
             # after a crossing and u-root solve
             nodes = 160 * 96
@@ -1063,7 +1066,7 @@ def estimate_cost(sc: dict) -> dict:
         seconds += len(ks) * nodes * _TABLE_S + points * (nodes * _TERM_S + _WRITE_S)
     elif mode == "nosub-multimarket":
         beta = len(sc["markets"])
-        nodes = z_nodes * quad.get("u_nodes", 24) ** beta
+        nodes = z_nodes * quad["u_nodes"] ** beta
         points = n_cells ** 2 if (beta == 2 and sc["creditors"] == "per-market") else n_cells
         seconds = beta * nodes * _TABLE_S + points * (nodes * _TERM_S + _WRITE_S)
     elif mode == "limit-subordinated":
@@ -1081,6 +1084,7 @@ def estimate_cost(sc: dict) -> dict:
         sides = 2 if mode == "limit-two-markets" else 1
         seconds = sides * n_cells * nodes * _ROOT_S + points * (nodes * _TERM_S + _WRITE_S)
     elif mode == "no-default":
+        # mu_values has no default: without it the market's drift is used
         points = len(sc["k_values"]) * len(sc.get("mu_values", [0]))
         seconds = points * nodes * _TERM_S
     elif mode == "correlation-sweep":
@@ -1109,11 +1113,22 @@ def estimate_cost(sc: dict) -> dict:
     }
 
 
+def _array_index(node: list, key: str, path: str) -> int:
+    """``key`` as an index into the array ``node``; ScenarioError naming
+    the override ``path`` when it is not one."""
+    if not (key.isdecimal() and int(key) < len(node)):
+        raise ScenarioError(
+            f"override {path!r}: {key!r} is not an index of a {len(node)}-item array"
+        )
+    return int(key)
+
+
 def apply_overrides(doc: dict, assignments) -> dict:
     """Apply ``path.to.leaf=json-value`` overrides to a copy of the document.
 
-    Path components that parse as integers index into arrays; values are
-    parsed as JSON with a bare-string fallback.
+    Path components index into arrays, where they must be integers below
+    the array's length; values are parsed as JSON with a bare-string
+    fallback.
     """
     out = copy.deepcopy(doc)
     for item in assignments:
@@ -1128,7 +1143,7 @@ def apply_overrides(doc: dict, assignments) -> dict:
         node = out
         for i, key in enumerate(keys[:-1]):
             if isinstance(node, list):
-                node = node[int(key)]
+                node = node[_array_index(node, key, path)]
             else:
                 node = node.setdefault(key, {})
             if not isinstance(node, (dict, list)):
@@ -1137,7 +1152,7 @@ def apply_overrides(doc: dict, assignments) -> dict:
                 )
         last = keys[-1]
         if isinstance(node, list):
-            node[int(last)] = value
+            node[_array_index(node, last, path)] = value
         else:
             node[last] = value
     return out
@@ -1347,10 +1362,14 @@ def run_scenario(doc: dict, out_dir: str = ".") -> list:
     Each record has path, kind and a one-line summary.  Artifacts embed the
     resolved scenario and its fingerprint; reruns are byte-identical.  An
     exception raised by a job carries the records of the jobs that
-    finished before it as ``partial_artifacts``.
+    finished before it as ``partial_artifacts``.  An ``out_dir`` that
+    cannot be made a directory raises ScenarioError before any job runs.
     """
     sc = resolve_scenario(doc)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot use {out_dir!r} as the artifact directory: {exc}") from exc
     artifacts = []
     try:
         for job in _BUILDERS[sc["mode"]](sc, out_dir):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from portloss import MarketParams, OverlapSpec, QuadratureSpec, SubordinationSpec
+from portloss import MarketParams, McRun, OverlapSpec, QuadratureSpec, SubordinationSpec
 
 # property tests touch cached quadrature tables on first use; no deadline
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -40,3 +42,14 @@ def quad():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def assert_same_run():
+    """Check that two McRuns agree in every field, arrays bit for bit."""
+
+    def check(a: McRun, b: McRun, label=""):
+        for f in dataclasses.fields(McRun):
+            np.testing.assert_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f"{label} {f.name}")
+
+    return check

@@ -232,6 +232,52 @@ def test_error_report_lists_partial_artifacts(tmp_path, capsys, monkeypatch):
     assert not (out_dir / "nosub_halves_k100.csv").exists()
 
 
+@pytest.mark.parametrize("override", ["markets.5.k_obligors=3", "markets.x=3"])
+def test_override_that_is_not_an_array_index_rejected(capsys, override):
+    assert main(["validate", "multimarket_split_pair", "--set", override]) == EXIT_REJECTED
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "scenario_rejected"
+    assert override.split("=")[0] in err["message"]
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])
+def test_unreadable_document_rejected(tmp_path, capsys, content):
+    # None: the reference is a directory; otherwise a file of non-UTF-8 bytes
+    path = tmp_path / "doc"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["validate", str(path)]) == EXIT_REJECTED
+    err = json.loads(capsys.readouterr().err)
+    assert str(path) in err["message"]
+
+
+def test_out_dir_that_is_a_file_rejected_before_running(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(engine, "no_default_probability", must_not_run)
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(["run", "no_default_k_scan", "--out-dir", str(out)]) == EXIT_REJECTED
+    err = json.loads(capsys.readouterr().err)
+    assert str(out) in err["message"]
+    assert out.read_text() == "keep"
+
+
+def test_unwritable_error_report_still_exits_3(tmp_path, capsys, monkeypatch):
+    def broken_runner(*args, **kwargs):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setattr(engine, "no_default_probability", broken_runner)
+    (tmp_path / "error_report.json").mkdir()
+    assert main(["run", "no_default_k_scan", "--out-dir", str(tmp_path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "RuntimeError: injected defect" in err
+    assert "report not written" in err
+
+
 def _density(path):
     return np.loadtxt(path, delimiter=",", comments="#", skiprows=1 + sum(
         line.startswith("#") for line in open(path)))[:, -1]

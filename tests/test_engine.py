@@ -110,7 +110,7 @@ def test_overlap_table_matches_alphas(market, quad, r1, r12, gamma, k):
     np.testing.assert_allclose(cov, want, rtol=1e-14, atol=0.0)
 
 
-def test_single_market_is_a_one_block_market(market, quad):
+def test_single_market_is_a_one_block_market(market, quad, assert_same_run):
     from portloss.engine import _node_table
 
     single = NoSubScenario(k_obligors=40, params=market, face=75.0)
@@ -127,7 +127,7 @@ def test_single_market_is_a_one_block_market(market, quad):
     )
     for antithetic in (False, True):
         cfg = McConfig(n_samples=20_000, chunk_size=2048, rng_seed=7, antithetic=antithetic)
-        assert mc.estimate(single, cfg).to_json() == mc.estimate(twin, cfg).to_json()
+        assert_same_run(mc.estimate(single, cfg), mc.estimate(twin, cfg), f"antithetic={antithetic}")
 
 
 def test_identical_portfolios_have_no_bivariate_density(market):
@@ -346,8 +346,8 @@ def test_nosub_single_creditor_grid_is_univariate(market, quad):
 def test_tail_probability_against_mc(market):
     sc = NoSubScenario(k_obligors=50, params=market, face=75.0)
     p = tail_probability(0.1, sc)
-    run = mc.estimate(sc, McConfig(n_samples=200_000, rng_seed=11))
-    est = run.tails[0.1][0]
+    run = mc.estimate(sc, McConfig(n_samples=200_000, rng_seed=11, keep_samples=True))
+    est = np.mean(run.samples[:, 0] > 0.1)
     se = np.sqrt(est * (1.0 - est) / run.n)
     # statistical band plus a small allowance for the smoothed tail edge
     assert abs(est - p) < 3.0 * se + 2e-3
@@ -492,8 +492,6 @@ def test_pair_kernel_chunking_and_unequal_axes(market, faces, quad, monkeypatch)
 
 
 def test_grids_record_pruning(market, faces, halves, quad, tmp_path):
-    import json
-
     sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
     pair = NoSubScenario(k_obligors=100, params=market, overlap=halves)
     grids = [
@@ -506,7 +504,6 @@ def test_grids_record_pruning(market, faces, halves, quad, tmp_path):
         assert meta["nodes_used"] + meta["nodes_pruned"] == quad.z_nodes * quad.u_nodes
         assert meta["nodes_pruned"] > 0
         assert 0.0 < meta["pruned_mass"] <= 1e-14
-        assert json.loads(grid.to_json())["metadata"]["nodes_used"] == meta["nodes_used"]
         grid.to_csv(tmp_path / "grid.csv")
         assert "nodes" not in (tmp_path / "grid.csv").read_text()
 

@@ -66,16 +66,6 @@ def test_grid_rejects_mismatched_axes():
         DensityGrid(axes=(xs,), values=np.full(3, -1.0), metadata={})
 
 
-def test_grid_json_roundtrip_is_deterministic(tmp_path):
-    grid = _grid_2d()
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    grid.to_json(p1)
-    grid.to_json(p2)
-    # no timestamps inside: re-serialization is byte-identical
-    assert p1.read_bytes() == p2.read_bytes()
-    np.testing.assert_array_equal(json.loads(p1.read_text())["values"], grid.values)
-
-
 def _reference_csv(path, comments, header, rows):
     """The per-value writer that defined the CSV bytes."""
     with open(path, "w", newline="\n") as fh:

@@ -23,13 +23,13 @@ from portloss import (
     limit_grid_two_markets,
 )
 from portloss.limits import (
+    _sub_u_roots,
     newton_bisect,
-    solve_u_junior,
     solve_u_plain,
     solve_u_senior,
     solve_z0,
 )
-from portloss.moments import moment_plain, moment_senior
+from portloss.moments import junior_mean_target, moment_plain, moment_senior
 
 # points on the ridge where senior and junior losses co-move, frozen from a
 # fine scan of the pointwise function
@@ -57,8 +57,8 @@ def test_newton_bisect_cubic():
 
 def test_solve_u_plain_inverts_the_mean(market):
     z = 2.0
-    sol = solve_u_plain(0.25, z, 75.0, market)
-    got = float(moment_plain(1, z, sol.u, 75.0, market))
+    u = solve_u_plain(0.25, z, 75.0, market)
+    got = float(moment_plain(1, z, u, 75.0, market))
     assert got == pytest.approx(0.25, abs=1e-10)
 
 
@@ -66,12 +66,10 @@ def test_solve_u_senior_junior_invert(market, faces):
     # targets chosen inside the reachable range at this scale (the senior
     # mean tops out near 0.058 at z = 1.5)
     z = 1.5
-    s = solve_u_senior(0.02, z, faces, market)
-    assert float(moment_senior(1, z, s.u, faces, market)) == pytest.approx(0.02, abs=1e-10)
-    j = solve_u_junior(0.4, z, faces, market)
-    from portloss.moments import junior_mean_target
-
-    assert float(junior_mean_target(z, j.u, faces, market)) == pytest.approx(0.4, abs=1e-10)
+    u_s = solve_u_senior(0.02, z, faces, market)
+    assert float(moment_senior(1, z, u_s, faces, market)) == pytest.approx(0.02, abs=1e-10)
+    _, u_j = _sub_u_roots(0.02, 0.4, z, faces, market)
+    assert float(junior_mean_target(z, u_j, faces, market)) == pytest.approx(0.4, abs=1e-10)
     with pytest.raises(NoRootError):
         solve_u_senior(0.1, z, faces, market)
 
@@ -114,10 +112,10 @@ def test_limit_subordinated_junior_face_floor(market):
 
 
 def test_solve_z0_locates_the_crossing(market, faces):
-    sol = solve_z0(0.0155, 0.4, faces, market)
-    s = solve_u_senior(0.0155, sol.z0, faces, market)
-    j = solve_u_junior(0.4, sol.z0, faces, market)
-    assert s.u == pytest.approx(j.u, abs=1e-8)
+    z0, u0, _ = solve_z0(0.0155, 0.4, faces, market)
+    u_s, u_j = _sub_u_roots(0.0155, 0.4, z0, faces, market)
+    assert u_s == pytest.approx(u_j, abs=1e-8)
+    assert u0 == pytest.approx(u_s, abs=1e-8)
 
 
 def test_limit_grid_subordinated_matches_points(market, faces):
@@ -290,7 +288,7 @@ def test_batched_u_tables_match_scalar_loop(market, faces):
     ]
     for mean, targets, zs in tables:
         want = _scalar_u_table(mean.value, mean.du, targets, zs, market)
-        got, _ = _u_roots(mean, targets[:, None], zs, market)
+        got = _u_roots(mean, targets[:, None], zs, market)
         assert got.shape == want.shape
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert 0 < np.isnan(want).sum() < want.size

@@ -26,7 +26,6 @@ from portloss.moments import (
     moment_senior_du,
     moment_senior_dz,
     norm_pdf,
-    phi,
     tau,
     tau_du,
     tau_dz,
@@ -68,10 +67,8 @@ def tau_by_quadrature(j, iota, lam, z, u, faces, par):
     return val
 
 
-def test_phi_matches_scipy():
+def test_norm_pdf_matches_scipy():
     xs = np.array([-8.0, -2.0, -0.5, 0.0, 1.0, 3.0, 8.0])
-    assert phi(1.0) == pytest.approx(0.8413447460685429, rel=1e-15)
-    np.testing.assert_allclose(phi(xs), norm.cdf(xs), rtol=1e-13)
     np.testing.assert_allclose(norm_pdf(xs), norm.pdf(xs), rtol=1e-13)
 
 

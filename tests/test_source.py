@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -63,3 +64,17 @@ def test_imports_match_declared_dependencies():
         pytest.skip("package is not run from a source checkout")
     declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert _third_party_imports() == {re.split(r"[<>=!~ ;\[]", d)[0] for d in declared}
+
+
+def test_every_exported_name_exists():
+    # a name left in __all__ after its definition goes would pass the
+    # unused-import check above, which counts __all__ entries as used
+    stale = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "portloss" if path.stem == "__init__" else f"portloss.{path.stem}"
+        )
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        if missing:
+            stale[module.__name__] = missing
+    assert stale == {}
