@@ -35,16 +35,29 @@ loss and returns the density on their cartesian product; a point is a
 call with one-element axes.  The adaptive rule of a tranched scenario
 builds one small table per grid cell, localized where the slice means
 cross that cell, in the same format; all cells of a grid share one
-batched crossing solve (:func:`_adaptive_density`).  For
-B = 2 each slice factors as w phi(x) phi(y | x): the x factor is computed
-once per (x, node), and each x row then evaluates the conditional slices
-over all y and contracts them with that row's factors.  Pairs whose x
-factor underflows to exactly 0 are skipped, so each row evaluates only
-the slices whose window contains its x; a skipped term is below the
-smallest subnormal times its slice's conditional peak 1/sqrt(2 pi vc).
-Cell masses, moments and correlations read the same table; the bivariate
-cell masses likewise integrate only the (slice, x cell) pairs with
-nonzero x mass.
+batched crossing solve (:func:`_adaptive_density`).
+
+For B = 2 each slice factors as w phi(x) phi(y | x), where phi(y | x) is
+centred on my + slope (x - mx) with slope = cov_xy / var_x; the kernel
+splits the table by that slope, which the table itself fixes, never the
+scenario.  Slices of slope exactly 0 are separable: disjoint creditors,
+whose losses are independent given (z, u), and, in cell masses, slices
+that are a point mass in x.  They are w phi(x) phi(y), so all of them
+together are one matrix product of per-axis factors, (w phi_x) phi_y^T:
+(nx + ny) exponentials per slice instead of nx ny.  Every other slice -
+tranched and overlapping layouts - takes the coupled row loop: the x
+factor is computed once per (x, node), and each x row then evaluates the
+conditional slices over all y and contracts them with that row's
+factors.  Pairs whose x factor underflows to exactly 0 are skipped, so
+each row evaluates only the slices whose window contains its x; a
+skipped term is below the smallest subnormal times its slice's
+conditional peak 1/sqrt(2 pi vc).
+
+Cell masses, moments and correlations read the same table.  The
+bivariate cell masses split it the same way: separable slices add up as
+P_x^T (w P_y) from their per-axis cell probabilities, and the coupled
+ones are integrated per (slice, x cell) pair, only where the x mass is
+nonzero.
 
 Every kernel - the mixture density, the pair kernel and the 1-D and 2-D
 cell masses - works in blocks: each intermediate holds at most
@@ -56,9 +69,10 @@ Numerical care points, all load-bearing:
   * densities are evaluated in log space and nodes whose conditional
     covariance collapses are masked (they carry a delta slice that a point
     density cannot represent);
-  * cell masses use a probability-space substitution per slice, so
-    arbitrarily narrow slices are integrated exactly and total mass is
-    conserved to machine precision, apart from the pruned weight;
+  * cell masses of a coupled slice use a probability-space substitution,
+    so arbitrarily narrow slices are integrated exactly; a separable slice
+    is a product of exact cell probabilities; total mass is conserved to
+    machine precision, apart from the pruned weight;
   * second moments never subtract nearly equal numbers: the exact
     conditional decomposition E[L_a L_b] = E[M1_a M1_b + Cov_ab] is used.
 """
@@ -443,34 +457,74 @@ def _norm_log_density(dx, var_x):
     return np.minimum(logp, _LOG_CLIP), valid
 
 
+def _separable_sum(out, w, x_factors, y_factors):
+    """Add sum_n w_n fx_n fy_n^T into ``out`` for slices that factor per
+    axis.  ``x_factors(nodes)`` and ``y_factors(nodes)`` return the factors
+    of a slice of the nodes along each axis, shape (axis length, nodes);
+    each block of nodes is one matrix product, added in row blocks."""
+    nodes = _block_rows(max(out.shape) + 1)
+    rows = _block_rows(out.shape[1])
+    for s in range(0, len(w), nodes):
+        sl = slice(s, s + nodes)
+        fx = x_factors(sl) * w[sl]
+        fy = y_factors(sl).T
+        for r in range(0, len(out), rows):
+            out[r : r + rows] += fx[r : r + rows] @ fy
+    return out
+
+
+def _cell_probs(edges, mean, sd):
+    """Per-slice cell probabilities, shape (cells, nodes)."""
+    return np.diff(norm_cdf_safe(edges[:, None], mean, sd), axis=0)
+
+
 def _mixture_cell_masses(w, mean_x, var_x, mean_y, var_y, cov, edges_x, edges_y):
     """Exact cell masses of a bivariate-normal mixture on a rectangular grid.
 
-    Per slice the x integral is substituted into probability space
-    t = Phi((x - mean)/sigma), which turns any slice, however narrow, into a
-    smooth integrand on [0, 1]; the y direction is then a difference of
-    conditional CDFs.  Column totals per slice sum to the slice's x-cell
-    probabilities exactly, so total mass is conserved by construction.
-    Outermost edges may be +-inf to capture everything.
-
-    The x-cell probabilities are computed for every slice; the in-cell
-    nodes and conditional y CDFs only for the (slice, x cell) pairs of
-    nonzero mass w p_cell, in blocks of pairs, each block added into the
-    x rows it reaches.  A skipped pair contributes exactly 0.
+    A slice whose conditional slope cov / var_x is exactly 0 (independent
+    axes, or a point mass in x) is the product of its per-axis cell
+    probabilities, so those slices add up as one matrix product
+    P_x^T (w P_y).  Every other slice is integrated per x cell by
+    :func:`_coupled_cell_masses`.  Either way the column totals per slice
+    are its x-cell probabilities, so total mass is conserved by
+    construction.  Outermost edges may be +-inf to capture everything.
     """
     edges_x = np.asarray(edges_x, dtype=float)
     edges_y = np.asarray(edges_y, dtype=float)
     w, mx, vx, my, vy, cv = (
         np.asarray(a, dtype=float) for a in (w, mean_x, var_x, mean_y, var_y, cov)
     )
-    tq, twq = _leggauss(_GL_POINTS)
-    tq = 0.5 * (tq + 1.0)
-    twq = 0.5 * twq
     sx = np.sqrt(vx)
     degen = vx <= _VAR_FLOOR
     slope = np.where(degen, 0.0, cv / np.where(degen, 1.0, vx))
     sc = np.sqrt(np.maximum(vy - slope * cv, 0.0))
     out = np.zeros((len(edges_x) - 1, len(edges_y) - 1))
+    sep = slope == 0.0
+    if sep.any():
+        ws, mxs, sxs, mys, scs = (a[sep] for a in (w, mx, sx, my, sc))
+        _separable_sum(out, ws, lambda n: _cell_probs(edges_x, mxs[n], sxs[n]),
+                       lambda n: _cell_probs(edges_y, mys[n], scs[n]))
+    if not sep.all():
+        _coupled_cell_masses(out, *(a[~sep] for a in (w, mx, sx, my, slope, sc)),
+                             edges_x, edges_y)
+    return out
+
+
+def _coupled_cell_masses(out, w, mx, sx, my, slope, sc, edges_x, edges_y):
+    """Add the cell masses of correlated slices into ``out``.
+
+    Per slice the x integral is substituted into probability space
+    t = Phi((x - mean)/sigma), which turns any slice, however narrow, into a
+    smooth integrand on [0, 1]; the y direction is then a difference of
+    conditional CDFs at ``_GL_POINTS`` in-cell nodes.  The x-cell
+    probabilities are computed for every slice; the in-cell nodes and
+    conditional y CDFs only for the (slice, x cell) pairs of nonzero mass
+    w p_cell, in blocks of pairs, each block added into the x rows it
+    reaches.  A skipped pair contributes exactly 0.
+    """
+    tq, twq = _leggauss(_GL_POINTS)
+    tq = 0.5 * (tq + 1.0)
+    twq = 0.5 * twq
     nodes = _block_rows(len(edges_x))
     pairs = _block_rows(_GL_POINTS * len(edges_y))
     for s in range(0, len(w), nodes):
@@ -521,10 +575,11 @@ def _mixture_density(axes, w, means, cov):
     of loss values per tracked loss; returns shape ``tuple(len(a) for a in
     axes)``.
 
-    B = 2 uses the correlated bivariate slice, factored as
-    w phi(x) phi(y | x).  Otherwise the slice log-densities are summed over
-    b, which is exact for B = 1 and for the per-market layout (the only one
-    with B > 2, at single points), whose conditional covariance is diagonal.
+    B = 2 uses the bivariate slice through :func:`_pair_density`, which
+    takes separable slices as one matrix product.  Otherwise the slice
+    log-densities are summed over b, which is exact for B = 1 and for the
+    per-market layout (the only one with B > 2, at single points), whose
+    conditional covariance is diagonal.
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
     if len(axes) == 2:
@@ -546,18 +601,48 @@ def _mixture_density(axes, w, means, cov):
 
 
 def _pair_density(xs, ys, w, means, cov):
-    """Bivariate mixture density on xs x ys.  The x factors w phi(x) come
-    once per (x, node); each x row then contracts its nonzero factors with
-    the conditional slices phi(y | x) over all of ys."""
+    """Bivariate mixture density on xs x ys.
+
+    Each slice factors as w phi(x) phi(y | x), with phi(y | x) centred on
+    my + slope (x - mx), slope = cov / var_x.  Slices whose slope is
+    exactly 0 - disjoint creditors, independent given (z, u) - are
+    w phi(x) phi(y), and together they are one matrix product of per-axis
+    factors (w phi_x) phi_y^T.  The other slices go through the row loop
+    of :func:`_coupled_pair_density`.
+    """
     vx, vy, cxy = cov[0, 0], cov[1, 1], cov[0, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(vx > _VAR_FLOOR, cxy / np.where(vx > 0, vx, 1.0), 0.0)
         vc = vy - slope * cxy
     valid = (vx > _VAR_FLOOR) & (vc > _VAR_FLOOR)
-    w, mx, my, vx, vc, slope = (a[valid] for a in (w, means[0], means[1], vx, vc, slope))
+    sep = valid & (slope == 0.0)
+    coupled = valid & ~sep
+    out = np.zeros((len(xs), len(ys)))
+    if sep.any():
+        ws, mx, vx_s, my, vy_s = (a[sep] for a in (w, means[0], vx, means[1], vc))
+        _separable_sum(out, ws, lambda n: _gauss_factors(xs, mx[n], vx_s[n]),
+                       lambda n: _gauss_factors(ys, my[n], vy_s[n]))
+    if coupled.any():
+        _coupled_pair_density(out, xs, ys, *(
+            a[coupled] for a in (w, means[0], means[1], vx, vc, slope)
+        ))
+    return out
+
+
+def _gauss_factors(points, mean, var):
+    """Normal densities per (point, slice), shape (points, slices)."""
+    d = points[:, None] - mean
+    with np.errstate(under="ignore"):
+        return np.exp(-0.5 * np.log(2.0 * math.pi * var) - 0.5 * d * d / var)
+
+
+def _coupled_pair_density(out, xs, ys, w, mx, my, vx, vc, slope):
+    """Add the density of correlated slices on xs x ys into ``out``.  The
+    x factors w phi(x) come once per (x, node); each x row then contracts
+    its nonzero factors with the conditional slices phi(y | x) over all of
+    ys."""
     log_norm_x = -0.5 * np.log(2.0 * math.pi * vx)
     log_norm_c = -0.5 * np.log(2.0 * math.pi * vc)
-    out = np.zeros((len(xs), len(ys)))
     rows = _block_rows(len(w))
     for s in range(0, len(xs), rows):
         dx = xs[s : s + rows, None] - mx
@@ -574,7 +659,7 @@ def _pair_density(xs, ys, w, means, cov):
                 res = ys[t : t + cols, None] - mean_c
                 with np.errstate(under="ignore"):
                     slices = np.exp(log_norm_c[live] - res * res * half_prec)
-                out[s + i, t : t + cols] = slices @ ax[i, live]
+                out[s + i, t : t + cols] += slices @ ax[i, live]
     return out
 
 
@@ -987,7 +1072,7 @@ def loss_correlation(
             raise UndefinedCorrelationError(
                 "a marginal loss variance vanishes; correlation is undefined"
             )
-        return float((cross - e1 * e2) / math.sqrt(v1 * v2))
+        return float((cross - e1 * e2) / (math.sqrt(v1) * math.sqrt(v2)))
     if method != "mc":
         raise ParameterError(f"method must be 'mc' or 'analytic', got {method!r}")
     from . import mc as _mc

@@ -464,7 +464,7 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
     if b == 2:
         v1, v2 = cov[0, 0], cov[1, 1]
         if v1 > 0.0 and v2 > 0.0:
-            corr = float(cov[0, 1] / math.sqrt(v1 * v2))
+            corr = float(cov[0, 1] / (math.sqrt(v1) * math.sqrt(v2)))
             corr_se = (1.0 - corr**2) / math.sqrt(n_units)
     p_nd = totals["n_origin"] / n
     return McRun(

@@ -673,8 +673,10 @@ _MEMORY_BUDGET = 2**27
 def _check_memory(elements: int, what: str, pointer: str):
     """Refuse an array of more than ``_MEMORY_BUDGET`` values at ``pointer``."""
     if elements > _MEMORY_BUDGET:
+        from decimal import Decimal  # formats an int beyond float range too
+
         raise ScenarioError(
-            f"{what} would hold {elements:.4g} values, over the memory budget of "
+            f"{what} would hold {Decimal(elements):.4g} values, over the memory budget of "
             f"{_MEMORY_BUDGET} (1 GiB of float64)",
             pointer=pointer,
         )

@@ -123,6 +123,7 @@ def test_non_finite_market_rejected_with_pointer(tmp_path, capsys):
 _SCENARIO_WITH = {
     "grid": "subordinated_k200",
     "fit": "calibrate_synthetic_base",
+    "source": "calibrate_synthetic_base",
     "market_two": "limit_two_markets_base",
     "tranches": "limit_subordinated_ridge",
 }
@@ -143,6 +144,8 @@ _SCENARIO_WITH = {
         (["tranches.f_junior=1e-9"], "/tranches/f_junior"),
         (['mc.sampler="wishart"', "market.n_fluct=100000"], "/market/n_fluct"),
         (["portfolio.k_obligors=1e300"], "/portfolio/k_obligors"),
+        # a count of about 1e600 values, beyond float range
+        (["source.k_assets=1e300"], "/source/k_assets"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -190,6 +193,19 @@ def test_malformed_returns_csv_rejected(tmp_path, capsys):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_REJECTED
     err = json.loads(capsys.readouterr().err)
     assert err["pointer"] == "/source/path"
+
+
+def test_vanishing_correlation_is_a_numeric_failure(tmp_path, capsys):
+    # each marginal variance passes its 1e-300 floor, but their product
+    # underflows; the sweep then refuses with the package's own error
+    out_dir = tmp_path / "out"
+    rc = main(["run", "correlation_sweep_full", "--set", "portfolio.face=1e-9",
+               "--out-dir", str(out_dir)])
+    assert rc == EXIT_NUMERIC
+    assert "UndefinedCorrelationError" in capsys.readouterr().err
+    report = json.loads((out_dir / "error_report.json").read_text())
+    assert report["error"] == "UndefinedCorrelationError"
+    assert "traceback" not in report
 
 
 def test_unexpected_exception_is_exit_3_with_report(tmp_path, capsys, monkeypatch):

@@ -598,8 +598,9 @@ def _traced_peak(fn):
 _BLOCK_BYTES = 8 * 2**18  # a cache-sized kernel block of float64 values
 
 
-@pytest.mark.parametrize("kernel", ["1-D multimarket", "2-D pair", "cell masses 50x50"])
-def test_kernels_hold_a_few_blocks_at_a_time(market, faces, kernel):
+@pytest.mark.parametrize("kernel", ["1-D multimarket", "2-D pair", "cell masses 50x50",
+                                    "separable pair", "separable cell masses"])
+def test_kernels_hold_a_few_blocks_at_a_time(market, faces, halves, kernel):
     from portloss.engine import _cell_masses, _mixture_density, _node_table
 
     if kernel == "1-D multimarket":
@@ -610,15 +611,68 @@ def test_kernels_hold_a_few_blocks_at_a_time(market, faces, kernel):
         assert len(table[0]) > 10_000
         axes = (np.linspace(0.0, 1.0, 201),)
     else:
-        sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
-        table = _node_table(sub, QuadratureSpec())
+        if kernel.startswith("separable"):
+            sc = NoSubScenario(k_obligors=100, params=market, overlap=halves)
+        else:
+            sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+        table = _node_table(sc, QuadratureSpec())
         xs = np.linspace(0.0, 0.8, 2001)
         axes = (xs, xs[::400])
     edges = np.linspace(0.0, 1.0, 51)
     edges[0], edges[-1] = -np.inf, np.inf
-    if kernel == "cell masses 50x50":
+    if "cell masses" in kernel:
         call = lambda: _cell_masses(table, edges, edges)  # noqa: E731
     else:
         call = lambda: _mixture_density(axes, *table)  # noqa: E731
     call()  # caches warm
     assert _traced_peak(call) <= 6 * _BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# separable slices: disjoint creditors as one matrix product
+
+def _coupled_twin(cov, zero):
+    """``cov`` with the zero cross-covariances at ``zero`` set to 1e-300: the
+    slices stay numerically the same, but their slope is no longer 0."""
+    twin = cov.copy()
+    twin[0, 1, zero] = twin[1, 0, zero] = 1e-300
+    return twin
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_separable_and_coupled_paths_give_one_law(market, halves, quad, mixed):
+    from portloss.engine import _cell_masses, _mixture_density, _node_table
+
+    w, means, cov = _node_table(NoSubScenario(k_obligors=100, params=market, overlap=halves), quad)
+    assert np.all(cov[0, 1] == 0.0)
+    if mixed:  # every other node correlated, rho = 0.5
+        cov = cov.copy()
+        cov[0, 1, ::2] = cov[1, 0, ::2] = 0.5 * np.sqrt(cov[0, 0, ::2] * cov[1, 1, ::2])
+    twin = _coupled_twin(cov, cov[0, 1] == 0.0)
+    xs, ys = np.linspace(0.0, 0.6, 41), np.linspace(0.01, 0.5, 37)
+    edges = np.linspace(0.0, 1.0, 21)
+    edges[0], edges[-1] = -np.inf, np.inf
+    for call in (lambda c: _mixture_density((xs, ys), w, means, c),
+                 lambda c: _cell_masses((w, means, c), edges, edges)):
+        got, want = call(cov), call(twin)
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_disjoint_grids_never_take_the_coupled_loops(market, faces, halves, quad, monkeypatch):
+    from portloss import engine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a disjoint table reached a coupled loop")
+
+    monkeypatch.setattr(engine, "_coupled_pair_density", refuse)
+    monkeypatch.setattr(engine, "_coupled_cell_masses", refuse)
+    pair = NoSubScenario(k_obligors=100, params=market, overlap=halves)
+    edges = np.linspace(0.0, 1.0, 21)
+    edges[0], edges[-1] = -np.inf, np.inf
+    assert density_grid_nosub(pair, quad, n_cells=20).values.max() > 0.0
+    assert abs(nosub_cell_masses(pair, edges, edges, quad).sum() - 1.0) <= 1e-13
+    # the patch is live: a tranched table is coupled
+    sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    with pytest.raises(AssertionError, match="coupled loop"):
+        density_grid_subordinated(sub, quad, n_cells=4)
