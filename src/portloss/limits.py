@@ -10,14 +10,18 @@ survives.
 Every one-dimensional implicit equation goes through one solver,
 :func:`newton_bisect`: bracketed Newton steps with the exact closed-form
 derivatives of the conditional means, safeguarded by bisection.  It solves
-many independent equations at once, one per lane, and each step evaluates
-only the lanes still open.  A lane is one (target loss, z) pair, so the u
-roots of a whole grid are one call on a (targets x z) table.  The
-senior/junior crossings of a subordinated grid are bracketed by a z scan of
-those tables and then solved in (z, u) jointly, one 2x2 Newton system per
-(cell, crossing) lane; a lane that leaves its bracket or misses the
-residual tolerance falls back to an outer :func:`newton_bisect` in z whose
-inner u solves run on the lanes' current z.  Roots are searched on u in
+many independent equations at once, one per lane of its array brackets,
+and each step evaluates only the lanes still open.  It takes f and f' from
+one callable, so a conditional mean and its u-slope come from one pass of
+the moment kernels.  A lane stops where a rejected Newton correction is
+already at the rounding floor of f, rather than bisecting on the signs of
+rounding noise.  A lane is one (target loss, z) pair, so the u roots of a
+whole grid are one call on a (targets x z) table.  The senior/junior
+crossings of a subordinated grid are bracketed by a z scan of those tables
+and then solved in (z, u) jointly, one 2x2 Newton system per (cell,
+crossing) lane; a lane that leaves its bracket or misses the residual
+tolerance falls back to an outer :func:`newton_bisect` in z whose inner u
+solves run on the lanes' current z.  Roots are searched on u in
 [-12, 12]/sqrt(N) and z in [1e-6, chi2 quantile 1 - 1e-10]; outside these
 brackets the weights are below anything that could move a six-digit
 result, and the density is treated as exactly zero.
@@ -52,11 +56,13 @@ from .engine import _mixture_density
 from .grids import DensityGrid, cell_centers
 from .moments import (
     junior_mean_target,
+    junior_mean_target_and_du,
     junior_mean_target_du,
     junior_mean_target_dz,
     moment_plain,
-    moment_plain_du,
+    moment_plain_and_du,
     moment_senior,
+    moment_senior_and_du,
     moment_senior_du,
     moment_senior_dz,
 )
@@ -101,91 +107,94 @@ def _gauss_log_weight(u, n_fluct):
     return 0.5 * math.log(n_fluct / (2.0 * math.pi)) - 0.5 * n_fluct * u * u
 
 
-def newton_bisect(f, df, lo, hi, f_lo=None, f_hi=None, args=(), tol=1e-12, max_iter=200):
-    """Root of f on [lo, hi] by Newton steps safeguarded with bisection.
-
-    The bracket must straddle a sign change.  Newton proposals that leave
-    the bracket, or fail to shrink it quickly enough, are replaced by
-    bisection, so termination is guaranteed.
+def newton_bisect(fdf, lo, hi, f_lo=None, f_hi=None, args=(), tol=1e-12, max_iter=200):
+    """Roots of f on the lanes of [lo, hi] by Newton steps safeguarded with
+    bisection.
 
     ``lo`` and ``hi``, and ``f_lo`` and ``f_hi`` when given, broadcast to
     an array of independent lanes; ``args`` are lane data that broadcast to
-    the same shape.  f and df are called as f(x, *args) with lane points x
-    and the matching slices of args.  Each lane keeps its own bracket,
-    Newton-or-bisect choice and convergence test, and each step evaluates
-    only the lanes still open, as one flat array (a 0-d value when the
-    lanes have shape ()), passing the same arrays to f and df.  A lane
-    that has stopped is never evaluated again, so the work is the brackets
-    plus the sum of the lanes' iterations.
+    the same shape.  ``fdf(x, *args)`` returns the pair (f, f') at lane
+    points x with the matching slices of args, from one pass, since the
+    slope of a conditional mean reuses most of its value's terms.  Each
+    lane keeps its own bracket, Newton-or-bisect choice and convergence
+    test, and each step evaluates only the lanes still open, as one flat
+    array.  A lane that has stopped is never evaluated again, so the work
+    is the brackets plus the sum of the lanes' iterations.
 
-    With float brackets the result is (root, iterations), and NoRootError
-    is raised when there is no sign change.  With array brackets it is
-    (roots, iterations) arrays, and a lane without a sign change, or where
-    f turns NaN, has root NaN.  ConvergenceError is raised when any lane is
-    still open after ``max_iter`` steps.
+    A Newton proposal that leaves the bracket, or fails to halve the
+    previous step, is replaced by bisection, so termination is guaranteed.
+    A lane closes when its step or its bracket falls below
+    tol * max(1, |x|), when f is exactly 0, or when a rejected Newton
+    correction |f / f'| is already below 16 tol * max(1, |x|).  That last
+    correction is at the rounding floor of f: its sign carries no
+    information, and bisecting on it would only wander inside the noise
+    band, so the lane keeps its current iterate.
+
+    The result is the (roots, iterations) arrays of the lane shape.  A lane
+    without a sign change, or where f turns NaN, has root NaN.
+    ConvergenceError is raised when any lane is still open after
+    ``max_iter`` steps.
     """
-    scalar = not isinstance(lo, np.ndarray) and not isinstance(hi, np.ndarray)
-    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
-    bracket, shape = (lo, hi), lo.shape
+    lo, hi = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
+    shape = lo.shape
     args = [np.broadcast_to(a, shape) for a in args]
-    f_lo = np.broadcast_to(f(lo, *args) if f_lo is None else f_lo, shape)
-    f_hi = np.broadcast_to(f(hi, *args) if f_hi is None else f_hi, shape)
-    # flat working copies: open lanes are gathered and scattered by index
-    lo, hi, f_lo, f_hi = (np.array(a, dtype=float).reshape(-1) for a in (lo, hi, f_lo, f_hi))
-    args = [np.ravel(a) for a in args]
+    f_lo, f_hi = (
+        np.broadcast_to(fdf(end, *args)[0] if f is None else f, shape).ravel()
+        for end, f in ((lo, f_lo), (hi, f_hi))
+    )
+    lo, hi = lo.ravel(), hi.ravel()
     at_lo, at_hi = f_lo == 0.0, f_hi == 0.0
     sign_change = ((f_lo < 0.0) & (f_hi > 0.0)) | ((f_lo > 0.0) & (f_hi < 0.0))
     lost = ~at_lo & ~at_hi & ~sign_change
-    x = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
-    iters = np.zeros(x.shape, dtype=int)
-    step_prev = np.abs(hi - lo)
+    roots = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+    iters = np.zeros(roots.shape, dtype=int)
+    # the open lanes' state, compacted as lanes close; f keeps the sign it
+    # has at hi on every point that replaces hi
     lanes = np.flatnonzero(~at_lo & ~at_hi & sign_change)
+    x, lo, hi, rising = roots[lanes], lo[lanes], hi[lanes], f_hi[lanes] > 0.0
+    step_prev = np.abs(hi - lo)
+    args = [np.ravel(a)[lanes] for a in args]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, max_iter + 1):
             if not lanes.size:
                 break
-            point = [a[lanes].reshape(lanes.shape if shape else ()) for a in (x, *args)]
-            fx = np.broadcast_to(f(*point), lanes.shape)
-            dfx = np.broadcast_to(df(*point), lanes.shape)
+            fx, dfx = (np.broadcast_to(v, lanes.shape) for v in fdf(x, *args))
             nan = np.isnan(fx)
-            lost[lanes[nan]] = True
-            lanes, fx, dfx = lanes[~nan], fx[~nan], dfx[~nan]
+            if nan.any():
+                lost[lanes[nan]] = True
+                lanes, x, lo, hi, rising, step_prev, fx, dfx, *args = (
+                    a[~nan] for a in (lanes, x, lo, hi, rising, step_prev, fx, dfx, *args)
+                )
             iters[lanes] = it
-            xl, lo_l, hi_l = x[lanes], lo[lanes], hi[lanes]
             move = fx != 0.0
-            to_hi = move & ((fx > 0.0) == (f_hi[lanes] > 0.0))
-            to_lo = move & ~to_hi
-            hi_l, lo_l = np.where(to_hi, xl, hi_l), np.where(to_lo, xl, lo_l)
-            hi[lanes], lo[lanes] = hi_l, lo_l
-            f_hi[lanes] = np.where(to_hi, fx, f_hi[lanes])
-            f_lo[lanes] = np.where(to_lo, fx, f_lo[lanes])
+            to_hi = move & ((fx > 0.0) == rising)
+            hi, lo = np.where(to_hi, x, hi), np.where(move & ~to_hi, x, lo)
             step = fx / dfx
-            x_new = xl - step
+            x_new = x - step
             # reject steps that leave the bracket or stall
             newton = (
-                (dfx != 0.0) & (lo_l < x_new) & (x_new < hi_l)
-                & ~(np.abs(step) > 0.5 * step_prev[lanes])
+                (dfx != 0.0) & (lo < x_new) & (x_new < hi) & ~(np.abs(step) > 0.5 * step_prev)
             )
-            mid = 0.5 * (lo_l + hi_l)
-            step = np.where(newton, step, mid - xl)
-            xl = np.where(move, np.where(newton, x_new, mid), xl)
-            x[lanes] = xl
-            step_prev[lanes] = np.where(move, np.abs(step), step_prev[lanes])
-            width = tol * np.maximum(1.0, np.abs(xl))
-            lanes = lanes[move & ~((np.abs(step) < width) | ((hi_l - lo_l) < width))]
+            # a rejected correction at the rounding floor of f ends the lane
+            stop = ~move | (~newton & (np.abs(step) <= 16.0 * tol * np.maximum(1.0, np.abs(x))))
+            mid = 0.5 * (lo + hi)
+            step = np.where(newton, step, mid - x)
+            x = np.where(stop, x, np.where(newton, x_new, mid))
+            step_prev = np.abs(step)
+            width = tol * np.maximum(1.0, np.abs(x))
+            going = ~stop & ~((step_prev < width) | ((hi - lo) < width))
+            if not going.all():
+                roots[lanes[~going]] = x[~going]
+                lanes, x, lo, hi, rising, step_prev, *args = (
+                    a[going] for a in (lanes, x, lo, hi, rising, step_prev, *args)
+                )
     if lanes.size:
-        k = lanes[0]
         raise ConvergenceError(
             f"root iteration did not converge in {max_iter} steps",
-            best_estimate=float(x[k]),
-            error_bound=float(hi[k] - lo[k]),
+            best_estimate=float(x[0]),
+            error_bound=float(hi[0] - lo[0]),
         )
-    roots = np.where(lost, np.nan, x).reshape(shape)
-    if not scalar:
-        return roots, iters.reshape(shape)
-    if lost.any():
-        raise NoRootError(f"no sign change of f on [{bracket[0]}, {bracket[1]}]")
-    return float(roots), int(iters[0])
+    return np.where(lost, np.nan, roots).reshape(shape), iters.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +202,18 @@ def newton_bisect(f, df, lo, hi, f_lo=None, f_hi=None, args=(), tol=1e-12, max_i
 
 
 class _Mean(NamedTuple):
-    """A conditional mean loss m(z, u) with its exact partial derivatives."""
+    """A conditional mean loss m(z, u): its value, the pair (value, dm/du)
+    from one pass, and its exact dm/dz."""
 
     value: Callable
-    du: Callable
+    value_du: Callable
     dz: Optional[Callable] = None
 
 
 def _senior_mean(faces, params) -> _Mean:
     return _Mean(
         lambda z, u: moment_senior(1, z, u, faces, params),
-        lambda z, u: moment_senior_du(1, z, u, faces, params),
+        lambda z, u: moment_senior_and_du(1, z, u, faces, params),
         lambda z, u: moment_senior_dz(1, z, u, faces, params),
     )
 
@@ -212,7 +222,7 @@ def _junior_mean(faces, params) -> _Mean:
     """Junior mean (wipeout + band)."""
     return _Mean(
         lambda z, u: junior_mean_target(z, u, faces, params),
-        lambda z, u: junior_mean_target_du(z, u, faces, params),
+        lambda z, u: junior_mean_target_and_du(z, u, faces, params),
         lambda z, u: junior_mean_target_dz(z, u, faces, params),
     )
 
@@ -220,7 +230,7 @@ def _junior_mean(faces, params) -> _Mean:
 def _plain_mean(face, params) -> _Mean:
     return _Mean(
         lambda z, u: moment_plain(1, z, u, face, params),
-        lambda z, u: moment_plain_du(1, z, u, face, params),
+        lambda z, u: moment_plain_and_du(1, z, u, face, params),
     )
 
 
@@ -230,20 +240,26 @@ def _u_roots(mean: _Mean, target, z, params):
     lanes whose target lies outside the attainable range on the u bracket
     hold NaN."""
     lo, hi = u_bracket(params)
-    target, z = np.broadcast_arrays(np.asarray(target, dtype=float), np.asarray(z, dtype=float))
-    f = lambda u, z, target: mean.value(z, u) - target
-    f_lo, f_hi = f(lo, z, target), f(hi, z, target)
+    z = np.asarray(z, dtype=float)
+    # the means at the bracket ends depend on z alone
+    m_lo, m_hi = mean.value(z, lo), mean.value(z, hi)
+    target, z = np.broadcast_arrays(np.asarray(target, dtype=float), z)
+    f_lo, f_hi = m_lo - target, m_hi - target
     attainable = ((f_lo < 0.0) & (0.0 <= f_hi)) | ((f_lo <= 0.0) & (0.0 < f_hi))
+
+    def fdf(u, z, target):
+        m, du = mean.value_du(z, u)
+        return m - target, du
+
     u, _ = newton_bisect(
-        f,
-        lambda u, z, target: mean.du(z, u),
+        fdf,
         np.full(z.shape, lo),
         np.full(z.shape, hi),
         np.where(attainable, f_lo, np.nan),
         np.where(attainable, f_hi, np.nan),
         args=(z, target),
     )
-    resid = np.abs(f(u, z, target))
+    resid = np.abs(mean.value(z, u) - target)
     if np.any(resid > _RESID_TOL):
         k = np.flatnonzero(resid > _RESID_TOL)[0]
         raise ConvergenceError(
@@ -298,7 +314,7 @@ def _plain_factor(targets, z, face, params):
     mean = _plain_mean(face, params)
     z = np.asarray(z, dtype=float)[None, :]
     u = _u_roots(mean, np.where(inside, targets, np.nan)[:, None], z, params)
-    du = np.abs(mean.du(z, u))
+    du = np.abs(mean.value_du(z, u)[1])
     with np.errstate(invalid="ignore", under="ignore"):
         weight = np.where(
             du >= 1e-300, np.exp(_gauss_log_weight(u, params.n_fluct)) / du, 0.0
@@ -320,7 +336,7 @@ def _sub_u_roots(l_senior, l_junior, z, faces, params):
 
 def _du_dz(mean: _Mean, z, u):
     """Implicit-function slope du/dz along mean(z, u(z)) = const."""
-    den = mean.du(z, u)
+    den = mean.value_du(z, u)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.abs(den) < 1e-300, np.inf, -mean.dz(z, u) / den)
 
@@ -384,14 +400,16 @@ def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(_JOINT_STEPS + 1):
             zl, ul = z[lanes], u[lanes]
-            r_s, r_j = senior.value(zl, ul) - x[lanes], junior.value(zl, ul) - y[lanes]
+            (m_s, s_u), (m_j, j_u) = senior.value_du(zl, ul), junior.value_du(zl, ul)
+            r_s, r_j = m_s - x[lanes], m_j - y[lanes]
             done = small[lanes] & (np.abs(r_s) <= _RESID_TOL) & (np.abs(r_j) <= _RESID_TOL)
             ok[lanes[done]] = True
-            lanes, zl, ul, r_s, r_j = (a[~done] for a in (lanes, zl, ul, r_s, r_j))
+            lanes, zl, ul, r_s, r_j, s_u, j_u = (
+                a[~done] for a in (lanes, zl, ul, r_s, r_j, s_u, j_u)
+            )
             if it == _JOINT_STEPS or not lanes.size:
                 break
-            s_z, s_u = senior.dz(zl, ul), senior.du(zl, ul)
-            j_z, j_u = junior.dz(zl, ul), junior.du(zl, ul)
+            s_z, j_z = senior.dz(zl, ul), junior.dz(zl, ul)
             det = s_z * j_u - s_u * j_z
             dz, du = (j_u * r_s - s_u * r_j) / det, (s_z * r_j - j_z * r_s) / det
             zl, ul = zl - dz, ul - du
@@ -412,23 +430,12 @@ def _nested_crossings(x, y, z_a, z_b, f_a, f_b, faces, params):
     u_junior(z) comes from inner u solves at the lanes' current z.
     Returns (z, iterations); NaN where a u root is lost on the way."""
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
-    last = {}
-
-    def roots_at(z, x, y):
-        # newton_bisect passes f and df the same lane arrays each step
-        if last.get("z") is not z:
-            last.update(z=z, roots=_sub_u_roots(x, y, z, faces, params))
-        return last["roots"]
 
     def sep(z, x, y):
-        u_s, u_j = roots_at(z, x, y)
-        return u_s - u_j
+        u_s, u_j = _sub_u_roots(x, y, z, faces, params)
+        return u_s - u_j, _du_dz(senior, z, u_s) - _du_dz(junior, z, u_j)
 
-    def sep_dz(z, x, y):
-        u_s, u_j = roots_at(z, x, y)
-        return _du_dz(senior, z, u_s) - _du_dz(junior, z, u_j)
-
-    return newton_bisect(sep, sep_dz, z_a, z_b, f_a, f_b, args=(x, y))
+    return newton_bisect(sep, z_a, z_b, f_a, f_b, args=(x, y))
 
 
 def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:

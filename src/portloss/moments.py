@@ -30,6 +30,10 @@ doubled exponent arguments.  The u factor is standardized: weights used by
 the quadrature module are sqrt(N/(2 pi)) exp(-N u^2 / 2), with all sqrt(z)
 factors explicit in the kernels.
 
+The u-derivatives of orders 0 and 1 come from the same pass as the value:
+the ``*_and_du`` functions return both, and the ``*_du`` functions are
+their slope halves, so the slope formula lives in the kernel alone.
+
 All functions broadcast over numpy arrays in z and u.
 """
 
@@ -51,11 +55,14 @@ __all__ = [
     "moment_senior",
     "moment_junior",
     "moment_plain",
+    "moment_senior_and_du",
     "moment_senior_du",
     "moment_senior_dz",
     "junior_mean_target",
+    "junior_mean_target_and_du",
     "junior_mean_target_du",
     "junior_mean_target_dz",
+    "moment_plain_and_du",
     "moment_plain_du",
 ]
 
@@ -66,10 +73,9 @@ def norm_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _fhat(face, params: MarketParams, z):
-    """Rescaled log default boundary; broadcasts over z."""
-    z = np.asarray(z, dtype=float)
-    return (math.log(face / params.v0) - params.drift_adj * params.t_mat) / np.sqrt(z)
+def _fhat(face, params: MarketParams, sqz):
+    """Rescaled log default boundary, given sqrt(z); broadcasts over it."""
+    return (math.log(face / params.v0) - params.drift_adj * params.t_mat) / sqz
 
 
 def _coeffs(params: MarketParams):
@@ -80,42 +86,34 @@ def _coeffs(params: MarketParams):
     return a_coef, b_coef, g, params.drift_adj * params.t_mat
 
 
-def _kernel(j, c_pay, f_div, f_bound, z, u, params: MarketParams):
+def _kernel(j, c_pay, f_div, f_bound, z, u, params: MarketParams, du=False):
+    """kernel_j; with ``du`` (j in {0, 1}), the list of pairs
+    (kernel_i, d kernel_i / du) for i = 0..j instead, all from one pass:
+    sqrt(z), a0, E1 and Phi(a1) serve the values and the slopes alike, and
+    each value is the same number either way."""
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
     if np.any(z <= 0):
         raise ParameterError("z must be > 0")
     a_coef, b_coef, g, nu_t = _coeffs(params)
     sqz = np.sqrt(z)
-    a0 = a_coef * (_fhat(f_bound, params, z) + b_coef * u)
+    a0 = a_coef * (_fhat(f_bound, params, sqz) + b_coef * u)
     k0 = ndtr(a0)
+    d0 = norm_pdf(a0) * a_coef * b_coef if du else None
     if j == 0:
-        return k0
+        return [(k0, d0)] if du else k0
     ratio = params.v0 / f_div
     e1 = np.exp(z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t)
-    k1 = c_pay * k0 - ratio * e1 * ndtr(a0 - sqz / a_coef)
+    a1 = a0 - sqz / a_coef
+    p1 = ndtr(a1)
+    k1 = c_pay * k0 - ratio * e1 * p1
+    if du:
+        d1 = c_pay * d0 - ratio * e1 * (-sqz * b_coef * p1 + norm_pdf(a1) * a_coef * b_coef)
+        return [(k0, d0), (k1, d1)]
     if j == 1:
         return k1
     e2 = np.exp(2.0 * z * g / params.n_fluct - 2.0 * sqz * b_coef * u + 2.0 * nu_t)
     return -(c_pay**2) * k0 + 2.0 * c_pay * k1 + ratio**2 * e2 * ndtr(a0 - 2.0 * sqz / a_coef)
-
-
-def _kernel_du(j, c_pay, f_div, f_bound, z, u, params: MarketParams):
-    """Exact d(kernel_j)/du for j in {0, 1}."""
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a_coef, b_coef, g, nu_t = _coeffs(params)
-    sqz = np.sqrt(z)
-    a0 = a_coef * (_fhat(f_bound, params, z) + b_coef * u)
-    d0 = norm_pdf(a0) * a_coef * b_coef
-    if j == 0:
-        return d0
-    ratio = params.v0 / f_div
-    e1 = np.exp(z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t)
-    a1 = a0 - sqz / a_coef
-    return c_pay * d0 - ratio * e1 * (
-        -sqz * b_coef * ndtr(a1) + norm_pdf(a1) * a_coef * b_coef
-    )
 
 
 def _kernel_dz(j, c_pay, f_div, f_bound, z, u, params: MarketParams):
@@ -124,7 +122,7 @@ def _kernel_dz(j, c_pay, f_div, f_bound, z, u, params: MarketParams):
     u = np.asarray(u, dtype=float)
     a_coef, b_coef, g, nu_t = _coeffs(params)
     sqz = np.sqrt(z)
-    fh = _fhat(f_bound, params, z)
+    fh = _fhat(f_bound, params, sqz)
     a0 = a_coef * (fh + b_coef * u)
     # d fhat / dz = -fhat / (2 z)
     da0 = a_coef * (-fh / (2.0 * z))
@@ -191,13 +189,18 @@ def tau(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: Mar
     return _kernel(j, c_pay, f_div, f_bound, z, u, params)
 
 
-def tau_du(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: MarketParams):
-    """Exact u-derivative of :func:`tau`; orders 0 and 1 only (the orders
-    the implicit-function solvers need)."""
+def _tau_and_du(j, iota, lam, z, u, faces, params):
+    """The pairs (tau_i, d tau_i / du) for i = 0..j from one kernel pass."""
     if j not in (0, 1):
         raise ParameterError("derivatives implemented for j in {0, 1}")
     c_pay, f_div, f_bound = _tau_setup(iota, lam, faces)
-    return _kernel_du(j, c_pay, f_div, f_bound, z, u, params)
+    return _kernel(j, c_pay, f_div, f_bound, z, u, params, du=True)
+
+
+def tau_du(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: MarketParams):
+    """Exact u-derivative of :func:`tau`; orders 0 and 1 only (the orders
+    the implicit-function solvers need)."""
+    return _tau_and_du(j, iota, lam, z, u, faces, params)[j][1]
 
 
 def tau_dz(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: MarketParams):
@@ -246,10 +249,17 @@ def moment_plain(j: int, z, u, face: float, params: MarketParams):
     return _kernel(j, 1.0, face, face, z, u, params)
 
 
-def moment_senior_du(j, z, u, faces, params):
+def moment_senior_and_du(j, z, u, faces, params):
+    """(:func:`moment_senior`, its exact u-derivative) for j in {0, 1}, from
+    one kernel pass."""
     if faces.f_senior == 0:
-        return np.zeros(np.broadcast(np.asarray(z), np.asarray(u)).shape)
-    return tau_du(j, _SENIOR, _SENIOR, z, u, faces, params)
+        zero = np.zeros(np.broadcast(np.asarray(z), np.asarray(u)).shape)
+        return zero, zero
+    return _tau_and_du(j, _SENIOR, _SENIOR, z, u, faces, params)[j]
+
+
+def moment_senior_du(j, z, u, faces, params):
+    return moment_senior_and_du(j, z, u, faces, params)[1]
 
 
 def moment_senior_dz(j, z, u, faces, params):
@@ -265,15 +275,19 @@ def junior_mean_target(z, u, faces: SubordinationSpec, params: MarketParams):
     return moment_senior(0, z, u, faces, params) + moment_junior(1, z, u, faces, params)
 
 
-def junior_mean_target_du(z, u, faces, params):
-    d = tau_du(1, _JUNIOR, _JUNIOR, z, u, faces, params)
+def junior_mean_target_and_du(z, u, faces, params):
+    """(:func:`junior_mean_target`, its exact u-derivative) from two kernel
+    passes: the senior boundary's pass gives the wipeout term (order 0) and
+    the band's bound (order 1) together."""
+    _, (full, d) = _tau_and_du(1, _JUNIOR, _JUNIOR, z, u, faces, params)
     if faces.f_senior == 0:
-        return d
-    return (
-        moment_senior_du(0, z, u, faces, params)
-        + d
-        - tau_du(1, _JUNIOR, _SENIOR, z, u, faces, params)
-    )
+        return full, d
+    (m_s, d_s), (band, d_band) = _tau_and_du(1, _JUNIOR, _SENIOR, z, u, faces, params)
+    return m_s + (full - band), d_s + d - d_band
+
+
+def junior_mean_target_du(z, u, faces, params):
+    return junior_mean_target_and_du(z, u, faces, params)[1]
 
 
 def junior_mean_target_dz(z, u, faces, params):
@@ -287,8 +301,15 @@ def junior_mean_target_dz(z, u, faces, params):
     )
 
 
-def moment_plain_du(j, z, u, face, params):
+def moment_plain_and_du(j, z, u, face, params):
+    """(:func:`moment_plain`, its exact u-derivative) for j in {0, 1}, from
+    one kernel pass."""
+    if j not in (0, 1):
+        raise ParameterError("derivatives implemented for j in {0, 1}")
     if not (face > 0):
         raise ParameterError(f"face must be > 0, got {face}")
-    return _kernel_du(j, 1.0, face, face, z, u, params)
+    return _kernel(j, 1.0, face, face, z, u, params, du=True)[j]
 
+
+def moment_plain_du(j, z, u, face, params):
+    return moment_plain_and_du(j, z, u, face, params)[1]

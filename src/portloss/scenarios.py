@@ -670,13 +670,18 @@ def _plain_scenarios(sc: dict, params: MarketParams) -> list:
 _MEMORY_BUDGET = 2**27
 
 
+def _count(n: int) -> str:
+    """A count in at most four significant digits, also beyond float range."""
+    from decimal import Decimal
+
+    return f"{Decimal(n):.4g}"
+
+
 def _check_memory(elements: int, what: str, pointer: str):
     """Refuse an array of more than ``_MEMORY_BUDGET`` values at ``pointer``."""
     if elements > _MEMORY_BUDGET:
-        from decimal import Decimal  # formats an int beyond float range too
-
         raise ScenarioError(
-            f"{what} would hold {Decimal(elements):.4g} values, over the memory budget of "
+            f"{what} would hold {_count(elements)} values, over the memory budget of "
             f"{_MEMORY_BUDGET} (1 GiB of float64)",
             pointer=pointer,
         )
@@ -894,7 +899,7 @@ def _calibrate(sc, out_dir=""):
         m, k = int(src["m_samples"]), int(src["k_assets"])
         # the M x K returns and their K x K covariance, at the larger factor
         _check_memory(
-            max(m, k) * k, f"the {m} x {k} synthetic returns and their covariance",
+            max(m, k) * k, f"the {_count(m)} x {_count(k)} synthetic returns and their covariance",
             "/source/k_assets" if k >= m else "/source/m_samples",
         )
 

@@ -41,18 +41,24 @@ RIDGE_POINTS = {
 }
 
 
+def _one_lane(x):
+    return np.array([x], dtype=float)
+
+
 def test_newton_bisect_cubic():
-    f = lambda x: x**3 - 2.0
-    df = lambda x: 3.0 * x**2
-    root, iters = newton_bisect(f, df, 0.0, 4.0)
-    assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
-    assert iters < 60
+    fdf = lambda x: (x**3 - 2.0, 3.0 * x**2)
+    root, iters = newton_bisect(fdf, _one_lane(0.0), _one_lane(4.0))
+    assert root[0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
+    assert iters[0] < 60
     # stays inside the bracket even when newton steps want to escape
-    root2, _ = newton_bisect(lambda x: math.tanh(20 * (x - 0.3)),
-                          lambda x: 20 / math.cosh(20 * (x - 0.3)) ** 2, 0.0, 1.0)
-    assert root2 == pytest.approx(0.3, abs=1e-10)
-    with pytest.raises(NoRootError):
-        newton_bisect(f, df, 3.0, 4.0)
+    root2, _ = newton_bisect(
+        lambda x: (np.tanh(20 * (x - 0.3)), 20 / np.cosh(20 * (x - 0.3)) ** 2),
+        _one_lane(0.0), _one_lane(1.0),
+    )
+    assert root2[0] == pytest.approx(0.3, abs=1e-10)
+    # no sign change: the lane holds NaN, and _solve_u turns that into NoRootError
+    root3, _ = newton_bisect(fdf, _one_lane(3.0), _one_lane(4.0))
+    assert np.isnan(root3[0])
 
 
 def test_solve_u_plain_inverts_the_mean(market):
@@ -209,85 +215,51 @@ def test_ridge_density_drops_away_from_crest(market, faces):
 
 
 # ---------------------------------------------------------------------------
-# batched solver against the scalar loop it replaced
+# batched solver against an independent per-lane reference
 
 
-def _scalar_newton_bisect(f, df, lo, hi, f_lo, f_hi, tol=1e-12, max_iter=200):
-    """The one-equation-at-a-time solver the batched newton_bisect replaced,
-    kept here as the reference for its tables."""
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    x = 0.5 * (lo + hi)
-    step_prev = abs(hi - lo)
-    for _ in range(max_iter):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0) == (f_hi > 0):
-            hi, f_hi = x, fx
-        else:
-            lo, f_lo = x, fx
-        dfx = df(x)
-        use_newton = dfx != 0.0
-        if use_newton:
-            step = fx / dfx
-            x_new = x - step
-            if not (lo < x_new < hi) or abs(step) > 0.5 * step_prev:
-                use_newton = False
-        if not use_newton:
-            x_new = 0.5 * (lo + hi)
-            step = x_new - x
-        step_prev = abs(step)
-        x = x_new
-        if abs(step) < tol * max(1.0, abs(x)) or (hi - lo) < tol * max(1.0, abs(x)):
-            return x
-    raise AssertionError("reference solver did not converge")
+def _brentq_u_table(mean, targets, zs, params):
+    """u roots of mean(z, u) = target by scipy's brentq, one (target, z) pair
+    at a time; NaN where the target is outside the attainable range."""
+    from scipy.optimize import brentq
 
-
-def _scalar_u_table(mean, mean_du, targets, zs, params):
-    """u roots of mean(z, u) = target, one (target, z) pair at a time; NaN
-    where the target is outside the attainable range."""
     from portloss.limits import u_bracket
 
     lo, hi = u_bracket(params)
     out = np.full((len(targets), len(zs)), np.nan)
     for i, target in enumerate(targets):
         for k, z in enumerate(zs):
-            g = lambda u: float(mean(float(z), u))
-            f = lambda u: g(u) - float(target)
+            f = lambda u: float(mean(float(z), u)) - float(target)
             f_lo, f_hi = f(lo), f(hi)
             if f_lo < 0.0 <= f_hi or f_lo <= 0.0 < f_hi:
-                out[i, k] = _scalar_newton_bisect(
-                    f, lambda u: float(mean_du(float(z), u)), lo, hi, f_lo, f_hi)
+                out[i, k] = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
     return out
 
 
-def test_batched_u_tables_match_scalar_loop(market, faces):
+def _bundled_u_tables(market, faces):
+    """(mean, targets, zs) of the bundled ridge scenario's 61 x 96 senior
+    and junior tables and the equal-loss curve's 201 targets on 64
+    chi-square nodes."""
     from portloss.grids import cell_centers
-    from portloss.limits import (
-        _junior_mean,
-        _plain_mean,
-        _senior_mean,
-        _u_roots,
-        z_bracket,
-    )
+    from portloss.limits import _junior_mean, _plain_mean, _senior_mean, z_bracket
     from portloss.quadrature import chi2_nodes
 
-    # the bundled ridge scenario's 61 x 96 tables and the equal-loss curve's
-    # 201 targets on 64 chi-square nodes
     ridge_targets = cell_centers(61, 0.0, 0.6)
     ridge_zs = np.linspace(*z_bracket(market), 96)
     curve_targets = cell_centers(201, 1e-3, 1.0 - 1e-3)
     curve_zs, _ = chi2_nodes(market.n_fluct, 64)
-    tables = [
+    return [
         (_senior_mean(faces, market), ridge_targets, ridge_zs),
         (_junior_mean(faces, market), ridge_targets, ridge_zs),
         (_plain_mean(75.0, market), curve_targets, curve_zs),
     ]
-    for mean, targets, zs in tables:
-        want = _scalar_u_table(mean.value, mean.du, targets, zs, market)
+
+
+def test_batched_u_tables_match_scalar_loop(market, faces):
+    from portloss.limits import _u_roots
+
+    for mean, targets, zs in _bundled_u_tables(market, faces):
+        want = _brentq_u_table(mean.value, targets, zs, market)
         got = _u_roots(mean, targets[:, None], zs, market)
         assert got.shape == want.shape
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -296,22 +268,53 @@ def test_batched_u_tables_match_scalar_loop(market, faces):
         assert np.max(np.abs(got[found] - want[found])) <= 1e-12
 
 
+def test_u_tables_close_every_lane_in_a_few_steps(market, faces, monkeypatch):
+    # a lane whose Newton correction sits at the rounding floor of the mean
+    # stops there instead of bisecting on the signs of rounding noise
+    from portloss import limits
+
+    steps = []
+
+    def counted(*args, **kwargs):
+        roots, iters = newton_bisect(*args, **kwargs)
+        steps.append(iters)
+        return roots, iters
+
+    monkeypatch.setattr(limits, "newton_bisect", counted)
+    for mean, targets, zs in _bundled_u_tables(market, faces):
+        steps.clear()
+        limits._u_roots(mean, targets[:, None], zs, market)
+        (iters,) = steps
+        assert iters.shape == (len(targets), len(zs))
+        assert 0 < iters.max() <= 15
+
+
+def test_newton_bisect_stops_at_the_noise_floor():
+    # f = 0.03 (x - r) plus noise of 1e-13, so every root lies within the
+    # band |x - r| <= 3.3e-12; a correction inside the band is rejected
+    # whenever it fails to halve the last step, and the lane then keeps its
+    # iterate instead of bisecting to the 1e-12 tolerance (about 40 steps)
+    r = np.linspace(0.2, 0.8, 64)
+
+    def fdf(x, r):
+        return 0.03 * (x - r) + 1e-13 * np.sin(1e15 * x), np.full_like(x, 0.03)
+
+    roots, iters = newton_bisect(fdf, np.zeros_like(r), np.ones_like(r), args=(r,))
+    assert np.max(np.abs(roots - r)) <= 1e-13 / 0.03 * (1.0 + 1e-3)
+    assert iters.max() <= 10
+
+
 def test_newton_bisect_lanes_match_scalar_calls():
     c = np.array([2.0, 0.5, 27.0, 10.0, 1e-3])
-    df = lambda x: 3.0 * x**2
+    fdf = lambda x, c: (x**3 - c, 3.0 * x**2)
     # c = 27 puts its root exactly on the upper bracket end
-    roots, iters = newton_bisect(
-        lambda x, c: x**3 - c, lambda x, c: df(x), np.zeros_like(c), np.full_like(c, 3.0), args=(c,)
-    )
+    roots, iters = newton_bisect(fdf, np.zeros_like(c), np.full_like(c, 3.0), args=(c,))
     assert roots[2] == 3.0 and iters[2] == 0
     for ci, root, it in zip(c, roots, iters):
-        want, want_it = newton_bisect(lambda x: x**3 - ci, df, 0.0, 3.0)
-        assert root == want and it == want_it
+        want, want_it = newton_bisect(fdf, _one_lane(0.0), _one_lane(3.0), args=(_one_lane(ci),))
+        assert root == want[0] and it == want_it[0]
     # a lane without a sign change holds NaN instead of raising
-    roots, _ = newton_bisect(
-        lambda x, c: x**3 - c, lambda x, c: df(x), 0.0, np.array([3.0, 3.0]),
-        args=(np.array([2.0, 30.0]),),
-    )
+    roots, _ = newton_bisect(fdf, 0.0, np.array([3.0, 3.0]), args=(np.array([2.0, 30.0]),))
     assert roots[0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12) and np.isnan(roots[1])
 
 
@@ -319,19 +322,16 @@ def test_newton_bisect_evaluates_only_open_lanes():
     # c = 27 closes on the bracket end and c = 30 has no sign change, so
     # neither is iterated; the others close after different step counts
     c = np.array([2.0, 0.5, 27.0, 10.0, 1e-3, 30.0, 8.0])
-    points = {"f": 0, "df": 0}
+    points = 0
 
-    def f(x, c):
-        points["f"] += np.size(x)
-        return x**3 - c
+    def fdf(x, c):
+        nonlocal points
+        points += np.size(x)
+        return x**3 - c, 3.0 * x**2
 
-    def df(x, c):
-        points["df"] += np.size(x)
-        return 3.0 * x**2
-
-    roots, iters = newton_bisect(f, df, 0.0, np.full_like(c, 3.0), args=(c,))
-    assert points["f"] == 2 * c.size + iters.sum()
-    assert points["df"] == iters.sum()
+    roots, iters = newton_bisect(fdf, 0.0, np.full_like(c, 3.0), args=(c,))
+    # both bracket ends once, then one (f, f') pass per open lane and step
+    assert points == 2 * c.size + iters.sum()
     assert iters[2] == iters[5] == 0 and len(set(iters[iters > 0])) > 1
     assert roots[2] == 3.0 and np.isnan(roots[5])
     found = ~np.isnan(roots)
@@ -341,12 +341,11 @@ def test_newton_bisect_evaluates_only_open_lanes():
 def test_newton_bisect_budget_reports_an_open_lane():
     # lane 0 hits its root at the first midpoint and closes; lane 1 is
     # still open after three steps
-    f = lambda x, c: x**3 - c
-    df = lambda x, c: 3.0 * x**2
+    fdf = lambda x, c: (x**3 - c, 3.0 * x**2)
     with pytest.raises(ConvergenceError) as lanes:
-        newton_bisect(f, df, np.zeros(2), np.full(2, 2.0), args=(np.array([1.0, 2.0]),), max_iter=3)
+        newton_bisect(fdf, np.zeros(2), np.full(2, 2.0), args=(np.array([1.0, 2.0]),), max_iter=3)
     with pytest.raises(ConvergenceError) as one:
-        newton_bisect(lambda x: x**3 - 2.0, lambda x: 3.0 * x**2, 0.0, 2.0, max_iter=3)
+        newton_bisect(fdf, _one_lane(0.0), _one_lane(2.0), args=(_one_lane(2.0),), max_iter=3)
     assert lanes.value.best_estimate == one.value.best_estimate != 1.0
     assert lanes.value.error_bound == one.value.error_bound > 0.0
 

@@ -12,17 +12,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from portloss import MarketParams, ParameterError, SubordinationSpec
 from portloss.moments import (
     junior_mean_target,
+    junior_mean_target_and_du,
     junior_mean_target_du,
     junior_mean_target_dz,
     moment_junior,
     moment_plain,
+    moment_plain_and_du,
     moment_plain_du,
     moment_senior,
+    moment_senior_and_du,
     moment_senior_du,
     moment_senior_dz,
     norm_pdf,
@@ -158,6 +162,55 @@ def test_derivatives_match_finite_differences(zu, faces, market):
         if dfz is not None:
             num_z = (float(fn(z + h, u)) - float(fn(z - h, u))) / (2 * h)
             assert float(dfz(z, u)) == pytest.approx(num_z, rel=2e-5, abs=1e-12)
+
+
+def _separate_du(j, c_pay, f_div, f_bound, z, u, par):
+    """The u-slope of kernel_j (j in {0, 1}) as its own formula, apart from
+    the value: the reference for the one-pass (value, slope) kernels."""
+    a = math.sqrt(par.n_fluct / ((1.0 - par.c) * par.t_mat * par.rho**2))
+    b = math.sqrt(par.c * par.t_mat) * par.rho
+    g = (1.0 - par.c) * par.t_mat * par.rho**2
+    sqz = np.sqrt(z)
+    a0 = a * ((math.log(f_bound / par.v0) - par.drift_adj * par.t_mat) / sqz + b * u)
+    d0 = norm_pdf(a0) * a * b
+    if j == 0:
+        return d0
+    e1 = np.exp(z * g / (2.0 * par.n_fluct) - sqz * b * u + par.drift_adj * par.t_mat)
+    a1 = a0 - sqz / a
+    return c_pay * d0 - par.v0 / f_div * e1 * (-sqz * b * ndtr(a1) + norm_pdf(a1) * a * b)
+
+
+@pytest.mark.parametrize("split", [(37.0, 38.0), (0.0, 75.0)])
+def test_one_pass_kernels_match_separate_formulas(split, market):
+    # value and slope from one pass equal the value function and the
+    # separate slope formula within 1 ulp, over the limit solvers' (z, u)
+    # range: z from 1e-6 to the chi-square tail, u on the u bracket
+    faces = SubordinationSpec(*split)
+    z, u = np.meshgrid(np.geomspace(1e-6, 60.0, 41), np.linspace(-4.9, 4.9, 41))
+    f_s, f_j, f_t = faces.f_senior, faces.f_junior, faces.f_total
+    junior_du = _separate_du(1, f_t / f_j, f_j, f_t, z, u, market)
+    if f_s > 0:
+        senior_du = _separate_du(1, 1.0, f_s, f_s, z, u, market)
+        junior_du = (
+            _separate_du(0, 1.0, f_s, f_s, z, u, market)
+            + junior_du
+            - _separate_du(1, f_t / f_j, f_j, f_s, z, u, market)
+        )
+    else:
+        senior_du = np.zeros(z.shape)
+    cases = [
+        (moment_senior_and_du(1, z, u, faces, market), moment_senior(1, z, u, faces, market),
+         senior_du),
+        (junior_mean_target_and_du(z, u, faces, market), junior_mean_target(z, u, faces, market),
+         junior_du),
+        (moment_plain_and_du(1, z, u, 75.0, market), moment_plain(1, z, u, 75.0, market),
+         _separate_du(1, 1.0, 75.0, 75.0, z, u, market)),
+    ]
+    for (value, slope), want_value, want_slope in cases:
+        for got, want in ((value, want_value), (slope, want_slope)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    assert np.count_nonzero(junior_du) > 100
 
 
 def test_tau_derivatives_match_finite_differences(faces, market):
