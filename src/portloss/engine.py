@@ -48,10 +48,18 @@ together are one matrix product of per-axis factors, (w phi_x) phi_y^T:
 tranched and overlapping layouts - takes the coupled row loop: the x
 factor is computed once per (x, node), and each x row then evaluates the
 conditional slices over all y and contracts them with that row's
-factors.  Pairs whose x factor underflows to exactly 0 are skipped, so
-each row evaluates only the slices whose window contains its x; a
-skipped term is below the smallest subnormal times its slice's
-conditional peak 1/sqrt(2 pi vc).
+factors.  Pairs whose x factor is exactly 0 are skipped, so each row
+evaluates only the slices whose window contains its x.
+
+Every mixture exponential goes through :func:`_floored_exp`: exp(e) for
+e above ``_EXP_FLOOR`` = -707 and exactly 0 at or below it.  numpy's exp
+is about 15 times slower where its result underflows to 0 and 100 times
+slower where it is subnormal, and a matrix product fed subnormals about
+50 times slower; in the bundled grids a third to two thirds of the terms
+are that small.  A weight enters its x factor as log w in the
+exponent, so weighted factors stay out of the subnormal range too.  A
+dropped factor is below e^-707 ~ 1e-307, so a density moves by at most
+that times the peak of the factor it multiplies, per node.
 
 Cell masses, moments and correlations read the same table.  The
 bivariate cell masses split it the same way: separable slices add up as
@@ -61,14 +69,16 @@ nonzero.
 
 Every kernel - the mixture density, the pair kernel and the 1-D and 2-D
 cell masses - works in blocks: each intermediate holds at most
-``_CHUNK_ELEMENTS`` = 2**18 float64 values (2 MiB, the order of a core's
-L2 cache), or a single row where one row is larger, so peak memory is a
-few blocks whatever the grid and rule size.
+``_CHUNK_ELEMENTS`` = 2**15 float64 values (256 KiB), or a single row
+where one row is larger, so peak memory is a few blocks whatever the grid
+and rule size.  A kernel keeps a handful of intermediates live at once,
+and at this size they fit a core's L2 cache together (2 MiB on the
+2-CPU Xeon the benchmark ran on); 2 MiB blocks spilled every pass to L3.
 
 Numerical care points, all load-bearing:
-  * densities are evaluated in log space and nodes whose conditional
-    covariance collapses are masked (they carry a delta slice that a point
-    density cannot represent);
+  * densities are evaluated in log space, and nodes whose conditional
+    variance is at or below ``_VAR_FLOOR`` are dropped (they carry a delta
+    slice that a point density cannot represent), whatever their means;
   * cell masses of a coupled slice use a probability-space substitution,
     so arbitrarily narrow slices are integrated exactly; a separable slice
     is a product of exact cell probabilities; total mass is conserved to
@@ -130,8 +140,8 @@ __all__ = [
 ]
 
 _VAR_FLOOR = 1e-300
-_LOG_CLIP = 700.0
-_CHUNK_ELEMENTS = 2**18  # float64 values per kernel intermediate: 2 MiB, cache-sized
+_EXP_FLOOR = -707.0  # exp(-707) ~ 1e-307: np.exp's fast path ends just below
+_CHUNK_ELEMENTS = 2**15  # float64 values per kernel intermediate: 256 KiB, L2-sized
 _PRUNE_MASS = 1e-14  # node weight dropped from every node table, at most
 _GL_POINTS = 8  # Gauss-Legendre points per x cell in bivariate cell masses
 
@@ -305,22 +315,29 @@ class GaussianMomentTerms(NamedTuple):
 def _multi_nodes(params: MultiMarketParams, quad: QuadratureSpec):
     """Shared-z nodes with a tensor Gauss grid over the per-market factors.
 
-    Returns flat arrays: z (n,), u (beta, n), w (n,)."""
+    Returns the z rule (nz,), the u rule (nu,) that every block shares, and
+    the weights (nz * nu**beta,) of the flat tensor nodes (z, u_1, ...,
+    u_beta) in C order; :func:`_on_tensor` spreads a function of (z, u_b)
+    over them."""
     beta = params.beta
     n = params.n_fluct
     z, wz = chi2_nodes(n, quad.z_nodes)
     u1, wu1 = gauss_nodes(n, quad.u_nodes)
-    grids = np.meshgrid(*([u1] * beta), indexing="ij")
-    u_flat = np.stack([g.ravel() for g in grids])  # (beta, nu^beta)
     wu = np.prod(
         np.stack([g.ravel() for g in np.meshgrid(*([wu1] * beta), indexing="ij")]),
         axis=0,
     )
-    nu = u_flat.shape[1]
-    zz = np.repeat(z, nu)
-    uu = np.tile(u_flat, len(z))
-    ww = np.repeat(wz, nu) * np.tile(wu, len(z))
-    return zz, uu, ww
+    ww = np.repeat(wz, len(wu)) * np.tile(wu, len(z))
+    return z, u1, ww
+
+
+def _on_tensor(values, b, beta):
+    """``values`` (nz, nu) of a function of (z, u_b) on the flat tensor
+    nodes of :func:`_multi_nodes`, by broadcasting."""
+    nz, nu = values.shape
+    shape = [nz] + [1] * beta
+    shape[1 + b] = nu
+    return np.broadcast_to(values.reshape(shape), (nz,) + (nu,) * beta).reshape(-1)
 
 
 def gaussian_moment_terms(z, u, scenario: SubordinatedScenario) -> GaussianMomentTerms:
@@ -368,16 +385,20 @@ def _unpruned_table(scenario, quad: QuadratureSpec):
     sum_c W_bc W_b'c var_c / count_c, with W the class weights."""
     if isinstance(scenario, SubordinatedScenario):
         z, u, w = _multi_nodes(block_market(scenario.params, scenario.k_obligors), quad)
-        return _tranche_table(z, u[0], w, scenario)
+        z, u = (a.ravel() for a in np.broadcast_arrays(z[:, None], u))
+        return _tranche_table(z, u, w, scenario)
     markets, classes, _ = scenario.holdings
     z, u, w = _multi_nodes(markets, quad)
     slices = {}  # (m1, var) per distinct (block, face)
     for block, face, _ in classes:
         if (block, face) not in slices:
             mkt = markets.blocks[block][0]
-            m1 = moment_plain(1, z, u[block], face, mkt)
-            m2 = moment_plain(2, z, u[block], face, mkt)
-            slices[block, face] = m1, np.maximum(m2 - m1 * m1, 0.0)
+            # a block's moments depend on (z, u_block) alone
+            m1 = moment_plain(1, z[:, None], u, face, mkt)
+            m2 = moment_plain(2, z[:, None], u, face, mkt)
+            slices[block, face] = tuple(
+                _on_tensor(a, block, markets.beta) for a in (m1, np.maximum(m2 - m1 * m1, 0.0))
+            )
     m1, var = (np.stack(a) for a in zip(*(slices[b, f] for b, f, _ in classes)))
     wts, counts = _class_weights(scenario)
     means = wts @ m1
@@ -449,24 +470,28 @@ def norm_cdf_safe(x, mean, sigma):
     return np.where(pos, body, step)
 
 
-def _norm_log_density(dx, var_x):
-    var_x = np.asarray(var_x, dtype=float)
-    valid = var_x > _VAR_FLOOR
-    vx = np.where(valid, var_x, 1.0)
-    logp = -0.5 * math.log(2.0 * math.pi) - 0.5 * np.log(vx) - 0.5 * dx * dx / vx
-    return np.minimum(logp, _LOG_CLIP), valid
+def _floored_exp(e):
+    """exp(e) in place: ``np.exp`` above ``_EXP_FLOOR``, exactly 0 at or
+    below it, NaN for NaN.  Results never go subnormal, so neither the
+    exponential nor a matrix product it feeds leaves its fast path."""
+    keep = e > _EXP_FLOOR
+    np.maximum(e, _EXP_FLOOR, out=e)
+    np.exp(e, out=e)
+    e *= keep
+    return e
 
 
-def _separable_sum(out, w, x_factors, y_factors):
-    """Add sum_n w_n fx_n fy_n^T into ``out`` for slices that factor per
+def _separable_sum(out, n, x_factors, y_factors):
+    """Add sum_k fx_k fy_k^T into ``out`` for n slices that factor per
     axis.  ``x_factors(nodes)`` and ``y_factors(nodes)`` return the factors
-    of a slice of the nodes along each axis, shape (axis length, nodes);
-    each block of nodes is one matrix product, added in row blocks."""
+    of a slice of the nodes along each axis, shape (axis length, nodes),
+    the x factors weighted; each block of nodes is one matrix product,
+    added in row blocks."""
     nodes = _block_rows(max(out.shape) + 1)
     rows = _block_rows(out.shape[1])
-    for s in range(0, len(w), nodes):
+    for s in range(0, n, nodes):
         sl = slice(s, s + nodes)
-        fx = x_factors(sl) * w[sl]
+        fx = x_factors(sl)
         fy = y_factors(sl).T
         for r in range(0, len(out), rows):
             out[r : r + rows] += fx[r : r + rows] @ fy
@@ -502,7 +527,7 @@ def _mixture_cell_masses(w, mean_x, var_x, mean_y, var_y, cov, edges_x, edges_y)
     sep = slope == 0.0
     if sep.any():
         ws, mxs, sxs, mys, scs = (a[sep] for a in (w, mx, sx, my, sc))
-        _separable_sum(out, ws, lambda n: _cell_probs(edges_x, mxs[n], sxs[n]),
+        _separable_sum(out, len(ws), lambda n: _cell_probs(edges_x, mxs[n], sxs[n]) * ws[n],
                        lambda n: _cell_probs(edges_y, mys[n], scs[n]))
     if not sep.all():
         _coupled_cell_masses(out, *(a[~sep] for a in (w, mx, sx, my, slope, sc)),
@@ -577,26 +602,34 @@ def _mixture_density(axes, w, means, cov):
 
     B = 2 uses the bivariate slice through :func:`_pair_density`, which
     takes separable slices as one matrix product.  Otherwise the slice
-    log-densities are summed over b, which is exact for B = 1 and for the
+    exponents are summed over b, which is exact for B = 1 and for the
     per-market layout (the only one with B > 2, at single points), whose
-    conditional covariance is diagonal.
+    conditional covariance is diagonal.  Slices with a variance at or
+    below ``_VAR_FLOOR`` are delta slices that a density cannot represent;
+    they are dropped from the table first, so they add exactly 0 whatever
+    their means (NaN included).
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
     if len(axes) == 2:
         return _pair_density(axes[0], axes[1], w, means, cov)
+    var = np.array([cov[b, b] for b in range(len(axes))])
+    keep = np.all(var > _VAR_FLOOR, axis=0)
+    w, means, var = w[keep], means[:, keep], var[:, keep]
+    log_norm = -0.5 * np.log(2.0 * math.pi * var).sum(axis=0)
+    half_prec = 0.5 / var
     shape = tuple(len(a) for a in axes)
     out = np.empty(shape)
     chunk = _block_rows(len(w) * math.prod(shape[1:]))
     for s in range(0, shape[0], chunk):
-        logp, valid = 0.0, True
+        dist = None  # sum over b of (x_b - mean_b)^2 / (2 var_b)
         for b, a in enumerate(axes):
-            part = a[s : s + chunk] if b == 0 else a
-            logp_b, valid_b = _norm_log_density(part[:, None] - means[b], cov[b, b])
+            d = (a[s : s + chunk] if b == 0 else a)[:, None] - means[b]
+            d *= d
+            d *= half_prec[b]
             # axis b of the product grid, nodes last
-            logp_b = logp_b.reshape([len(part) if d == b else 1 for d in range(len(axes))] + [-1])
-            logp, valid = logp + logp_b, valid & valid_b
-        with np.errstate(under="ignore"):
-            out[s : s + chunk] = np.where(valid, np.exp(logp), 0.0) @ w
+            d = d.reshape([len(d) if k == b else 1 for k in range(len(axes))] + [-1])
+            dist = d if dist is None else dist + d
+        out[s : s + chunk] = _floored_exp(np.subtract(log_norm, dist, out=dist)) @ w
     return out
 
 
@@ -608,58 +641,57 @@ def _pair_density(xs, ys, w, means, cov):
     exactly 0 - disjoint creditors, independent given (z, u) - are
     w phi(x) phi(y), and together they are one matrix product of per-axis
     factors (w phi_x) phi_y^T.  The other slices go through the row loop
-    of :func:`_coupled_pair_density`.
+    of :func:`_coupled_pair_density`.  The weight enters each x factor as
+    log w in its exponent, so weighted factors never go subnormal either;
+    a weight of exactly 0 gives factors of exactly 0.
     """
     vx, vy, cxy = cov[0, 0], cov[1, 1], cov[0, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(vx > _VAR_FLOOR, cxy / np.where(vx > 0, vx, 1.0), 0.0)
         vc = vy - slope * cxy
+        log_w = np.log(w)
     valid = (vx > _VAR_FLOOR) & (vc > _VAR_FLOOR)
     sep = valid & (slope == 0.0)
     coupled = valid & ~sep
     out = np.zeros((len(xs), len(ys)))
     if sep.any():
-        ws, mx, vx_s, my, vy_s = (a[sep] for a in (w, means[0], vx, means[1], vc))
-        _separable_sum(out, ws, lambda n: _gauss_factors(xs, mx[n], vx_s[n]),
+        lw, mx, vx_s, my, vy_s = (a[sep] for a in (log_w, means[0], vx, means[1], vc))
+        _separable_sum(out, len(lw), lambda n: _gauss_factors(xs, mx[n], vx_s[n], lw[n]),
                        lambda n: _gauss_factors(ys, my[n], vy_s[n]))
     if coupled.any():
         _coupled_pair_density(out, xs, ys, *(
-            a[coupled] for a in (w, means[0], means[1], vx, vc, slope)
+            a[coupled] for a in (log_w, means[0], means[1], vx, vc, slope)
         ))
     return out
 
 
-def _gauss_factors(points, mean, var):
-    """Normal densities per (point, slice), shape (points, slices)."""
-    d = points[:, None] - mean
-    with np.errstate(under="ignore"):
-        return np.exp(-0.5 * np.log(2.0 * math.pi * var) - 0.5 * d * d / var)
+def _gauss_factors(points, mean, var, log_scale=0.0):
+    """Normal densities per (point, slice) times exp(log_scale) per slice,
+    shape (points, slices), through :func:`_floored_exp`."""
+    e = points[:, None] - mean
+    e *= e
+    e *= 0.5 / var
+    return _floored_exp(np.subtract(log_scale - 0.5 * np.log(2.0 * math.pi * var), e, out=e))
 
 
-def _coupled_pair_density(out, xs, ys, w, mx, my, vx, vc, slope):
+def _coupled_pair_density(out, xs, ys, log_w, mx, my, vx, vc, slope):
     """Add the density of correlated slices on xs x ys into ``out``.  The
     x factors w phi(x) come once per (x, node); each x row then contracts
     its nonzero factors with the conditional slices phi(y | x) over all of
     ys."""
-    log_norm_x = -0.5 * np.log(2.0 * math.pi * vx)
-    log_norm_c = -0.5 * np.log(2.0 * math.pi * vc)
-    rows = _block_rows(len(w))
+    rows = _block_rows(len(log_w))
     for s in range(0, len(xs), rows):
-        dx = xs[s : s + rows, None] - mx
-        with np.errstate(under="ignore"):
-            ax = w * np.exp(log_norm_x - 0.5 * dx * dx / vx)
-        for i in range(len(dx)):
+        ax = _gauss_factors(xs[s : s + rows], mx, vx, log_w)
+        for i in range(len(ax)):
             live = np.flatnonzero(ax[i])
             if not len(live):
                 continue
-            mean_c = my[live] + slope[live] * dx[i, live]
-            half_prec = 0.5 / vc[live]
+            mean_c = my[live] + slope[live] * (xs[s + i] - mx[live])
+            vc_live, ax_live = vc[live], ax[i, live]
             cols = _block_rows(len(live))
             for t in range(0, len(ys), cols):
-                res = ys[t : t + cols, None] - mean_c
-                with np.errstate(under="ignore"):
-                    slices = np.exp(log_norm_c[live] - res * res * half_prec)
-                out[s + i, t : t + cols] += slices @ ax[i, live]
+                slices = _gauss_factors(ys[t : t + cols], mean_c, vc_live)
+                out[s + i, t : t + cols] += slices @ ax_live
     return out
 
 
@@ -1013,8 +1045,8 @@ def no_default_probability(
     z, u, w = _multi_nodes(markets, quad)
     log_surv = np.zeros(len(w))
     for b, (mkt, k_b) in enumerate(markets.blocks):
-        m0 = moment_plain(0, z, u[b], face, mkt)
-        log_surv += k_b * np.log1p(-np.minimum(m0, 1.0 - 1e-16))
+        m0 = moment_plain(0, z[:, None], u, face, mkt)
+        log_surv += _on_tensor(k_b * np.log1p(-np.minimum(m0, 1.0 - 1e-16)), b, markets.beta)
     with np.errstate(under="ignore"):
         return float(np.dot(w, np.exp(log_surv)))
 

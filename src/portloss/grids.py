@@ -57,7 +57,8 @@ class DensityGrid:
     """Density values at cell centers, with optional solver quality flags.
 
     axes : tuple of one or two strictly increasing center arrays
-    values : array of matching shape, nonnegative, per unit loss (or loss^2)
+    values : array of matching shape, nonnegative and not NaN, per unit loss
+        (or loss^2)
     quality : same-shape float array, 0 = clean, 1 = near-singular solve
     metadata : grid kind and the builder's quadrature bookkeeping
     """
@@ -80,8 +81,9 @@ class DensityGrid:
             raise ParameterError(
                 f"values shape {self.values.shape} does not match axes {expected}"
             )
-        if np.any(self.values < -1e-12):
-            raise ParameterError("densities must be nonnegative")
+        # NaN fails every comparison, so it is refused here too
+        if not np.all(self.values >= -1e-12):
+            raise ParameterError("densities must be nonnegative numbers, not NaN")
         self.values = np.maximum(self.values, 0.0)
         if self.quality is not None:
             self.quality = np.asarray(self.quality, dtype=float)

@@ -234,11 +234,12 @@ def _plain_mean(face, params) -> _Mean:
     )
 
 
-def _u_roots(mean: _Mean, target, z, params):
+def _u_roots(mean: _Mean, target, z, params, with_slope=False):
     """u solving mean(z, u) = target on every lane of broadcast (target, z).
     The mean is nondecreasing in u, so the root is unique where it exists;
     lanes whose target lies outside the attainable range on the u bracket
-    hold NaN."""
+    hold NaN.  ``with_slope`` returns the pair (u, dm/du at u) instead, the
+    slope from the same pass that checks the residual."""
     lo, hi = u_bracket(params)
     z = np.asarray(z, dtype=float)
     # the means at the bracket ends depend on z alone
@@ -259,7 +260,11 @@ def _u_roots(mean: _Mean, target, z, params):
         np.where(attainable, f_hi, np.nan),
         args=(z, target),
     )
-    resid = np.abs(mean.value(z, u) - target)
+    if with_slope:
+        m, du = mean.value_du(z, u)
+    else:
+        m = mean.value(z, u)
+    resid = np.abs(m - target)
     if np.any(resid > _RESID_TOL):
         k = np.flatnonzero(resid > _RESID_TOL)[0]
         raise ConvergenceError(
@@ -268,7 +273,7 @@ def _u_roots(mean: _Mean, target, z, params):
             best_estimate=float(u.flat[k]),
             error_bound=float(resid.flat[k]),
         )
-    return u
+    return (u, du) if with_slope else u
 
 
 def _solve_u(mean: _Mean, target, z, params, label) -> float:
@@ -313,8 +318,8 @@ def _plain_factor(targets, z, face, params):
     inside = (targets > 0.0) & (targets < 1.0)
     mean = _plain_mean(face, params)
     z = np.asarray(z, dtype=float)[None, :]
-    u = _u_roots(mean, np.where(inside, targets, np.nan)[:, None], z, params)
-    du = np.abs(mean.value_du(z, u)[1])
+    u, du = _u_roots(mean, np.where(inside, targets, np.nan)[:, None], z, params, with_slope=True)
+    du = np.abs(du)
     with np.errstate(invalid="ignore", under="ignore"):
         weight = np.where(
             du >= 1e-300, np.exp(_gauss_log_weight(u, params.n_fluct)) / du, 0.0

@@ -32,7 +32,11 @@ class MarketParams:
     t_mat : float
         Horizon in years.
     v0 : float
-        Initial asset value, currency units.
+        Initial asset value, currency units.  Against every face it meets
+        (a portfolio face, each nonzero tranche face), v0/face may be at
+        most ``V0_FACE_MAX`` = 1e30; see :func:`check_face_ratio`.  There
+        is no lower bound: down to v0/face = 1e-300 every bundled mode
+        runs and writes finite values.
     """
 
     mu: float
@@ -68,6 +72,27 @@ class MarketParams:
     def drift_adj(self) -> float:
         """Risk-adjusted log drift (mu - rho^2/2) per year."""
         return self.mu - 0.5 * self.rho**2
+
+
+# The second conditional moment carries (v0/face)^2 exp(2 z g/N - 2 sqrt(z)
+# B u + 2 nu T).  At the bundled market that exponent reaches 63 on the
+# default 64-node rule and 544 on the largest, 512-node one, so the term
+# overflows above v0/face ~ 2e140 and ~ 1e36.  Probed over v0 on the bundled
+# modes (64-node rules), v0 = 1e140 ran clean against faces of 37 to 75; from
+# 1e142 the term overflowed, and a run either dropped the overflowed nodes
+# without a word (exit 0) or, from about 1e156, raised OverflowError (exit 3).
+V0_FACE_MAX = 1e30
+
+
+def check_face_ratio(face: float, params: MarketParams) -> None:
+    """Refuse a positive face against which v0/face exceeds
+    ``V0_FACE_MAX``: at the bundled market the moment kernels stay finite
+    on every quadrature rule the schema accepts up to about 1e36."""
+    if face > 0 and not params.v0 / face <= V0_FACE_MAX:
+        raise ParameterError(
+            f"v0/face must be at most {V0_FACE_MAX:g}, where the moment kernels stay "
+            f"finite; got v0={params.v0:g} against face {face:g}"
+        )
 
 
 @dataclass(frozen=True)

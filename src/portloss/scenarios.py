@@ -46,6 +46,7 @@ from .params import (
     MultiMarketParams,
     OverlapSpec,
     SubordinationSpec,
+    check_face_ratio,
 )
 from .quadrature import QuadratureSpec
 
@@ -633,6 +634,12 @@ def _halves(face, pointer: str) -> OverlapSpec:
     return _build(pointer, OverlapSpec, r1=0.5, r12=0.0, gamma=0.5, f0=face)
 
 
+def _check_tranche_faces(tranches: SubordinationSpec, params: MarketParams):
+    """Refuse a tranche face whose v0/face the kernels cannot hold."""
+    for field in ("f_senior", "f_junior"):
+        _build(f"/tranches/{field}", check_face_ratio, getattr(tranches, field), params)
+
+
 def _plain_scenarios(sc: dict, params: MarketParams) -> list:
     """A NoSubScenario per obligor count of a nosub or mc-validate
     ``portfolio`` block."""
@@ -660,6 +667,8 @@ def _plain_scenarios(sc: dict, params: MarketParams) -> list:
                 pointer="/portfolio/k_obligors",
             )
         scens.append(_build("/portfolio", NoSubScenario, k_obligors=k, params=params, **holding))
+    face = "/portfolio/overlap/f0" if layout == "overlap" else "/portfolio/face"
+    _build(face, check_face_ratio, scens[0].obligor_face, params)
     return scens
 
 
@@ -711,6 +720,7 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
 def _subordinated(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
     tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
+    _check_tranche_faces(tranches, params)
     ks = _k_list(sc["portfolio"]["k_obligors"])
     scens = [
         _build("/portfolio", SubordinatedScenario, k_obligors=k, tranches=tranches, params=params)
@@ -752,6 +762,8 @@ def _multimarket(sc, out_dir=""):
         "/face", NoSubScenario,
         k_obligors=params.k_total, params=params, face=sc["face"], creditors=creditors,
     )
+    for market, _ in params.blocks:
+        _build("/face", check_face_ratio, sc["face"], market)
     _build("/creditors", _check_grid, scen)
     tails = sc["tails"] if creditors == 1 else []
     quad, cells = _quad(sc), _grid(sc)
@@ -776,6 +788,7 @@ def _limit_subordinated(sc, out_dir=""):
     field = "f_senior" if tranches.f_senior == 0 else "f_junior"
     _build(f"/tranches/{field}", _check_ridge_faces, tranches)
     params = _build("/market", MarketParams, **sc["market"])
+    _check_tranche_faces(tranches, params)
     cells, n_scan = _grid(sc), int(sc["scan"]["n_scan"])
     return [
         _grid_job(
@@ -787,6 +800,7 @@ def _limit_subordinated(sc, out_dir=""):
 
 def _limit_equal(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
+    _build("/face", check_face_ratio, sc["face"], params)
     cells = _grid(sc)
     _build("/grid", _open_unit_centers, **cells)
     quad = _quad(sc)
@@ -801,6 +815,7 @@ def _limit_equal(sc, out_dir=""):
 
 def _limit_fin_vs_inf(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
+    _build("/face", check_face_ratio, sc["face"], params)
     quad, cells = _quad(sc), _grid(sc)
     return [
         _grid_job(
@@ -817,6 +832,8 @@ def _limit_two_markets(sc, out_dir=""):
     two = _build("/market_two", MarketParams, **sc["market_two"])
     # the two markets share one scale variable, as market blocks do
     _build("/market_two/n_fluct", MultiMarketParams, ((one, 1), (two, 1)))
+    _build("/face_one", check_face_ratio, sc["face_one"], one)
+    _build("/face_two", check_face_ratio, sc["face_two"], two)
     quad, cells = _quad(sc), _grid(sc)
     return [
         _grid_job(
@@ -830,6 +847,7 @@ def _limit_two_markets(sc, out_dir=""):
 
 def _no_default(sc, out_dir=""):
     base = _build("/market", MarketParams, **sc["market"])
+    _build("/face", check_face_ratio, sc["face"], base)
     markets = [
         _build(f"/mu_values/{i}", dataclasses.replace, base, mu=mu)
         for i, mu in enumerate(sc.get("mu_values", [base.mu]))
@@ -852,6 +870,7 @@ def _no_default(sc, out_dir=""):
 def _correlation_sweep(sc, out_dir=""):
     base = _build("/market", MarketParams, **sc["market"])
     halves = _halves(sc["portfolio"]["face"], "/portfolio/face")
+    _build("/portfolio/face", check_face_ratio, halves.f0, base)
     config = _mc_config(sc["mc"])
     # one (c, k, scenario, McConfig or None) cell per pair of c and k values
     cells = []
@@ -940,6 +959,7 @@ def _mc_validate(sc, out_dir=""):
     (scen,) = _plain_scenarios(sc, params)
     if "tranches" in sc:
         tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
+        _check_tranche_faces(tranches, params)
         scen = _build(
             "/portfolio", SubordinatedScenario,
             k_obligors=scen.k_obligors, tranches=tranches, params=params,
@@ -1025,7 +1045,7 @@ _BUILDERS = {
 # under the benchmark (perfbench, 2 CPUs); each lands within 3x of it.
 _FIXED_S = 0.008  # resolve, quadrature rules, artifact metadata
 _WRITE_S = 2e-6  # one CSV row of a grid
-_TERM_S = 2.5e-9  # one mixture term: one grid point at one quadrature node
+_TERM_S = 7.5e-10  # one mixture term: one grid point at one quadrature node
 _TABLE_S = 7e-7  # the moment kernels at one node of a node table
 _ADAPTIVE_CELL_S = 1e-3  # the crossing and u-root solves of one adaptive cell
 _SCAN_S = 2e-7  # one scan point of one ridge cell
@@ -1075,7 +1095,9 @@ def estimate_cost(sc: dict) -> dict:
         beta = len(sc["markets"])
         nodes = z_nodes * quad["u_nodes"] ** beta
         points = n_cells ** 2 if (beta == 2 and sc["creditors"] == "per-market") else n_cells
-        seconds = beta * nodes * _TABLE_S + points * (nodes * _TERM_S + _WRITE_S)
+        # a block's moments depend on (z, u_block) alone: z x u per block
+        table_s = beta * z_nodes * quad["u_nodes"] * _TABLE_S
+        seconds = table_s + points * (nodes * _TERM_S + _WRITE_S)
     elif mode == "limit-subordinated":
         points = n_cells ** 2
         nodes = sc["scan"]["n_scan"]

@@ -176,6 +176,11 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
         ("correlation_sweep_full", ['method="mc"', "portfolio.k_values=[11]"],
          "/portfolio/k_values"),
         ("limit_equal_loss_curve", ["grid.hi=2"], "/grid"),
+        # v0/face beyond what the second moment holds once overflowed at run time
+        ("nosub_halves_k100", ["market.v0=1e300"], "/portfolio/face"),
+        ("nosub_halves_k100", ["portfolio.face=1e-300"], "/portfolio/face"),
+        ("subordinated_k200", ["tranches.f_junior=1e-300"], "/tranches/f_junior"),
+        ("limit_two_markets_base", ["market_two.v0=1e300"], "/face_two"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):

@@ -1,6 +1,8 @@
 """Finite-portfolio density engine: frozen oracle values, internal
 consistency, and agreement with simulation at statistical tolerance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -437,6 +439,81 @@ def test_mixture_kernel_matches_per_point_reference(market, faces, halves, quad)
           _node_table(per_market, small))
 
 
+def test_floored_exp_is_exp_above_the_floor_and_zero_below():
+    from portloss.engine import _EXP_FLOOR, _floored_exp
+
+    e = np.concatenate([
+        np.linspace(-800.0, 700.0, 20001),
+        np.nextafter(_EXP_FLOOR, [-np.inf, np.inf]),
+        [_EXP_FLOOR, -np.inf, np.inf, 0.0],
+    ])
+    above = e > _EXP_FLOOR
+    got = _floored_exp(e.copy())
+    np.testing.assert_array_equal(got[above], np.exp(e[above]))
+    assert np.all(got[~above] == 0.0)
+    # nothing it returns is subnormal
+    assert not np.any((got != 0.0) & (np.abs(got) < np.finfo(float).tiny))
+    assert np.isnan(_floored_exp(np.array([np.nan, -1.0])))[0]
+
+
+def _flat_tensor_table(scenario, quad):
+    """Reference: the single-firm moments on every flat tensor node of a
+    plain scenario, as (means, cov)."""
+    from portloss.engine import _class_weights
+    from portloss.moments import moment_plain
+    from portloss.quadrature import chi2_nodes, gauss_nodes
+
+    markets, classes, _ = scenario.holdings
+    z, _ = chi2_nodes(markets.n_fluct, quad.z_nodes)
+    u1, _ = gauss_nodes(markets.n_fluct, quad.u_nodes)
+    grids = np.meshgrid(*([u1] * markets.beta), indexing="ij")
+    u = np.stack([np.tile(g.ravel(), len(z)) for g in grids])
+    z = np.repeat(z, len(u1) ** markets.beta)
+    m1, m2 = (np.stack([moment_plain(j, z, u[b], face, markets.blocks[b][0])
+                        for b, face, _ in classes]) for j in (1, 2))
+    var = np.maximum(m2 - m1 * m1, 0.0)
+    wts, counts = _class_weights(scenario)
+    return wts @ m1, np.einsum("bl,cl,ln->bcn", wts, wts, var / counts[:, None])
+
+
+@pytest.mark.parametrize("creditors", ["total", "per-market"])
+@pytest.mark.parametrize("beta", [2, 3])
+def test_multimarket_table_matches_the_flat_tensor(market, beta, creditors):
+    from portloss.engine import _unpruned_table
+
+    # unequal blocks, so that a block read on the wrong tensor axis shows
+    blocks = tuple((dataclasses.replace(market, c=0.1 + 0.2 * b, v0=100.0 + 10 * b), 10 + 5 * b)
+                   for b in range(beta))
+    mm = MultiMarketParams(blocks=blocks)
+    sc = NoSubScenario(k_obligors=mm.k_total, params=mm, face=75.0,
+                       creditors=1 if creditors == "total" else beta)
+    quad = QuadratureSpec(z_nodes=12, u_nodes=9)
+    w, means, cov = _unpruned_table(sc, quad)
+    want_means, want_cov = _flat_tensor_table(sc, quad)
+    assert len(w) == 12 * 9**beta
+    np.testing.assert_array_equal(means, want_means)
+    np.testing.assert_array_equal(cov, want_cov)
+
+
+def test_1d_kernel_drops_degenerate_slices_with_nan_means(market, quad):
+    from portloss.engine import _mixture_density, _node_table
+
+    multi = NoSubScenario(k_obligors=40, face=75.0, creditors=1,
+                          params=MultiMarketParams(((market, 20), (market, 20))))
+    w, means, cov = _node_table(multi, QuadratureSpec(u_nodes=24))
+    means, cov = means.copy(), cov.copy()
+    # lanes without a root, as the finite-vs-infinite limit passes them:
+    # NaN means with a zero or a NaN variance
+    means[0, ::7] = np.nan
+    cov[0, 0, ::14] = 0.0
+    cov[0, 0, 7::14] = np.nan
+    xs = np.linspace(0.0, 0.6, 121)
+    got = _mixture_density((xs,), w, means, cov)
+    want = np.array([_per_point_density((x,), w, means, cov) for x in xs])
+    assert not np.any(np.isnan(got)) and np.all(want > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # node pruning
 
@@ -656,6 +733,26 @@ def test_separable_and_coupled_paths_give_one_law(market, halves, quad, mixed):
                  lambda c: _cell_masses((w, means, c), edges, edges)):
         got, want = call(cov), call(twin)
         assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_zero_weights_add_exactly_nothing_without_warnings(market, faces, halves, quad):
+    import warnings
+
+    from portloss.engine import _mixture_density, _node_table
+
+    xs, ys = np.linspace(0.0, 0.6, 31), np.linspace(0.01, 0.5, 29)
+    for sc in (SubordinatedScenario(k_obligors=200, tranches=faces, params=market),
+               NoSubScenario(k_obligors=100, params=market, overlap=halves)):
+        w, means, cov = _node_table(sc, quad)
+        w = w.copy()
+        w[::3] = 0.0
+        kept = w > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _mixture_density((xs, ys), w, means, cov)
+        want = _mixture_density((xs, ys), w[kept], means[:, kept], cov[:, :, kept])
+        assert want.max() > 0.0
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 

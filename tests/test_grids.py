@@ -66,6 +66,16 @@ def test_grid_rejects_mismatched_axes():
         DensityGrid(axes=(xs,), values=np.full(3, -1.0), metadata={})
 
 
+def test_grid_refuses_nan_densities():
+    xs = cell_centers(3, 0.0, 0.3)
+    with pytest.raises(ParameterError, match="NaN"):
+        DensityGrid(axes=(xs,), values=np.array([1.0, np.nan, 0.5]))
+    with pytest.raises(ParameterError, match="NaN"):
+        DensityGrid(axes=(xs, xs), values=np.full((3, 3), np.nan))
+    # a rounding-level negative is still read as 0
+    assert DensityGrid(axes=(xs,), values=np.array([1.0, -1e-13, 0.5])).values[1] == 0.0
+
+
 def _reference_csv(path, comments, header, rows):
     """The per-value writer that defined the CSV bytes."""
     with open(path, "w", newline="\n") as fh:
