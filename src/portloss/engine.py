@@ -19,7 +19,8 @@ classes or blocks.
 Both flavours share one node table format, built once per (scenario,
 quadrature) and cached: weights w (n,), the conditional means of the B
 tracked losses (B, n) and their conditional covariances (B, B, n).  A
-tranched scenario has B = 2 (senior, junior).
+tranched scenario has B = 2 (senior, junior), and
+:func:`gaussian_moment_terms` returns its (means, cov) at any (z, u).
 
 The table is pruned where it is built: the lightest nodes whose weights
 sum to at most ``_PRUNE_MASS`` = 1e-14 are dropped and the rest are not
@@ -28,28 +29,34 @@ the total mass, moves by at most 1e-14, and so do the means and second
 moments of losses in [0, 1].  At the default 64 x 64 rule about a quarter
 of the nodes remain.
 
-Every density - one point, a 1-D or 2-D grid, a marginal, fixed rule or
-adaptive - is a call of the mixture kernel :func:`_mixture_density` on a
-node table.  The kernel takes one 1-D array of loss values per tracked
-loss and returns the density on their cartesian product; a point is a
-call with one-element axes.  The adaptive rule of a tranched scenario
-builds one small table per grid cell, localized where the slice means
-cross that cell, in the same format; all cells of a grid share one
-batched crossing solve (:func:`_adaptive_density`).
+Two kernels read a table: :func:`_mixture_density` for every density -
+one point, a 1-D or 2-D grid, a marginal, fixed rule or adaptive - and
+:func:`_cell_masses` for every cell mass.  The density kernel takes one
+1-D array of loss values per tracked loss and returns the density on
+their cartesian product; a point is a call with one-element axes.  The
+adaptive rule of a tranched scenario builds one small table per grid
+cell, localized where the slice means cross that cell, in the same
+format; all cells of a grid share one batched crossing solve
+(:func:`_adaptive_density`).  Moments and correlations read the table
+directly.
 
-For B = 2 each slice factors as w phi(x) phi(y | x), where phi(y | x) is
-centred on my + slope (x - mx) with slope = cov_xy / var_x; the kernel
-splits the table by that slope, which the table itself fixes, never the
-scenario.  Slices of slope exactly 0 are separable: disjoint creditors,
-whose losses are independent given (z, u), and, in cell masses, slices
-that are a point mass in x.  They are w phi(x) phi(y), so all of them
-together are one matrix product of per-axis factors, (w phi_x) phi_y^T:
-(nx + ny) exponentials per slice instead of nx ny.  Every other slice -
-tranched and overlapping layouts - takes the coupled row loop: the x
-factor is computed once per (x, node), and each x row then evaluates the
-conditional slices over all y and contracts them with that row's
-factors.  Pairs whose x factor is exactly 0 are skipped, so each row
-evaluates only the slices whose window contains its x.
+Both kernels sum the same slices and differ only in the per-axis factor:
+a normal density at a point, or a normal probability between two edges.
+A single loss is its per-slice factors contracted with w.  The per-market
+layout, the only one with B > 2, is evaluated at single points and has a
+diagonal covariance, so its leading axes fold into the weights.  A pair
+is split once, by :func:`_split`, as w phi(x) phi(y | x), where
+phi(y | x) is centred on my + slope (x - mx) with slope = cov_xy / var_x;
+the table itself fixes the split, never the scenario.  Slices of slope
+exactly 0 are separable: disjoint creditors, whose losses are independent
+given (z, u), and slices that are a point mass in x.  They are
+w phi(x) phi(y), so all of them together are one matrix product of
+per-axis factors, (w phi_x) phi_y^T or P_x^T (w P_y): (nx + ny) factors
+per slice instead of nx ny.  Every other slice - tranched and
+overlapping layouts - takes a coupled loop.  For densities the x factor
+is computed once per (x, node), and each x row evaluates the conditional
+slices over all y only for the nodes whose x factor is nonzero; for cell
+masses each (slice, x cell) pair of nonzero x mass is integrated.
 
 Every mixture exponential goes through :func:`_floored_exp`: exp(e) for
 e above ``_EXP_FLOOR`` = -707 and exactly 0 at or below it.  numpy's exp
@@ -61,14 +68,7 @@ exponent, so weighted factors stay out of the subnormal range too.  A
 dropped factor is below e^-707 ~ 1e-307, so a density moves by at most
 that times the peak of the factor it multiplies, per node.
 
-Cell masses, moments and correlations read the same table.  The
-bivariate cell masses split it the same way: separable slices add up as
-P_x^T (w P_y) from their per-axis cell probabilities, and the coupled
-ones are integrated per (slice, x cell) pair, only where the x mass is
-nonzero.
-
-Every kernel - the mixture density, the pair kernel and the 1-D and 2-D
-cell masses - works in blocks: each intermediate holds at most
+Both kernels work in blocks: each intermediate holds at most
 ``_CHUNK_ELEMENTS`` = 2**15 float64 values (256 KiB), or a single row
 where one row is larger, so peak memory is a few blocks whatever the grid
 and rule size.  A kernel keeps a handful of intermediates live at once,
@@ -76,9 +76,10 @@ and at this size they fit a core's L2 cache together (2 MiB on the
 2-CPU Xeon the benchmark ran on); 2 MiB blocks spilled every pass to L3.
 
 Numerical care points, all load-bearing:
-  * densities are evaluated in log space, and nodes whose conditional
-    variance is at or below ``_VAR_FLOOR`` are dropped (they carry a delta
-    slice that a point density cannot represent), whatever their means;
+  * densities are evaluated in log space, and nodes whose variance or
+    conditional variance is at or below ``_VAR_FLOOR`` are dropped (they
+    carry a delta slice that a point density cannot represent), whatever
+    their means; cell masses keep them as steps;
   * cell masses of a coupled slice use a probability-space substitution,
     so arbitrarily narrow slices are integrated exactly; a separable slice
     is a product of exact cell probabilities; total mass is conserved to
@@ -122,7 +123,6 @@ from .quadrature import QuadratureSpec, chi2_log_weight, chi2_nodes, gauss_nodes
 __all__ = [
     "SubordinatedScenario",
     "NoSubScenario",
-    "GaussianMomentTerms",
     "gaussian_moment_terms",
     "density_subordinated",
     "subordinated_cell_masses",
@@ -297,17 +297,6 @@ class NoSubScenario:
         return self.k_obligors < 8
 
 
-class GaussianMomentTerms(NamedTuple):
-    """Conditional mean/covariance of the (senior, junior) portfolio pair at
-    fixed (z, u); the cross term is the exact conditional covariance."""
-
-    mean_senior: np.ndarray
-    var_senior: np.ndarray
-    mean_junior: np.ndarray
-    var_junior: np.ndarray
-    cross: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # node tables
 
@@ -340,8 +329,10 @@ def _on_tensor(values, b, beta):
     return np.broadcast_to(values.reshape(shape), (nz,) + (nu,) * beta).reshape(-1)
 
 
-def gaussian_moment_terms(z, u, scenario: SubordinatedScenario) -> GaussianMomentTerms:
-    """All five conditional aggregates of the tranched portfolio at (z, u).
+def gaussian_moment_terms(z, u, scenario: SubordinatedScenario):
+    """The node table of the tranched portfolio at (z, u), without its
+    weights: the conditional (senior, junior) means (2, ...) and their
+    covariance (2, 2, ...).
 
     For the homogeneous portfolio with per-firm weight 1/K the senior and
     junior means equal the single-firm means while the (co)variances shrink
@@ -356,22 +347,12 @@ def gaussian_moment_terms(z, u, scenario: SubordinatedScenario) -> GaussianMomen
     m2s = moment_senior(2, z, u, faces, params)
     m1j = moment_junior(1, z, u, faces, params)
     m2j = moment_junior(2, z, u, faces, params)
-    mean_s = m1s
-    var_s = np.maximum(m2s - m1s * m1s, 0.0) / k
     mean_j = m0s + m1j
+    var_s = np.maximum(m2s - m1s * m1s, 0.0) / k
     var_j = np.maximum(m0s + m2j - mean_j * mean_j, 0.0) / k
-    cross = m1s * (1.0 - m0s - m1j) / k
     cap = np.sqrt(var_s * var_j)
-    cross = np.clip(cross, -cap, cap)
-    return GaussianMomentTerms(mean_s, var_s, mean_j, var_j, cross)
-
-
-def _tranche_table(z, u, w, scenario: SubordinatedScenario):
-    """Node table of a tranched scenario on the nodes (z, u) with weights w."""
-    t = gaussian_moment_terms(z, u, scenario)
-    means = np.stack([t.mean_senior, t.mean_junior])
-    cov = np.array([[t.var_senior, t.cross], [t.cross, t.var_junior]])
-    return w, means, cov
+    cross = np.clip(m1s * (1.0 - m0s - m1j) / k, -cap, cap)
+    return np.stack([m1s, mean_j]), np.array([[var_s, cross], [cross, var_j]])
 
 
 def _unpruned_table(scenario, quad: QuadratureSpec):
@@ -386,7 +367,7 @@ def _unpruned_table(scenario, quad: QuadratureSpec):
     if isinstance(scenario, SubordinatedScenario):
         z, u, w = _multi_nodes(block_market(scenario.params, scenario.k_obligors), quad)
         z, u = (a.ravel() for a in np.broadcast_arrays(z[:, None], u))
-        return _tranche_table(z, u, w, scenario)
+        return (w, *gaussian_moment_terms(z, u, scenario))
     markets, classes, _ = scenario.holdings
     z, u, w = _multi_nodes(markets, quad)
     slices = {}  # (m1, var) per distinct (block, face)
@@ -498,39 +479,55 @@ def _separable_sum(out, n, x_factors, y_factors):
     return out
 
 
+def _split(cov):
+    """Each slice of a pair table as w phi(x) phi(y | x): the slope
+    cov_xy / var_x of the conditional mean, 0 where var_x is at or below
+    ``_VAR_FLOOR`` (a point mass in x) or NaN, and the conditional
+    variance var_y - slope cov_xy."""
+    wide = cov[0, 0] > _VAR_FLOOR
+    slope = np.where(wide, cov[0, 1] / np.where(wide, cov[0, 0], 1.0), 0.0)
+    return slope, cov[1, 1] - slope * cov[0, 1]
+
+
 def _cell_probs(edges, mean, sd):
     """Per-slice cell probabilities, shape (cells, nodes)."""
     return np.diff(norm_cdf_safe(edges[:, None], mean, sd), axis=0)
 
 
-def _mixture_cell_masses(w, mean_x, var_x, mean_y, var_y, cov, edges_x, edges_y):
-    """Exact cell masses of a bivariate-normal mixture on a rectangular grid.
+def _cell_masses(table, edges_one, edges_two):
+    """Exact cell masses of a node table: 1-D for one tracked loss,
+    otherwise 2-D over the first two.
 
-    A slice whose conditional slope cov / var_x is exactly 0 (independent
-    axes, or a point mass in x) is the product of its per-axis cell
-    probabilities, so those slices add up as one matrix product
-    P_x^T (w P_y).  Every other slice is integrated per x cell by
+    A single loss is its per-slice cell probabilities contracted with w.
+    Of a pair, the slices whose slope from :func:`_split` is exactly 0
+    (independent axes, or a point mass in x) are the product of their
+    per-axis cell probabilities, so they add up as one matrix product
+    P_x^T (w P_y); every other slice is integrated per x cell by
     :func:`_coupled_cell_masses`.  Either way the column totals per slice
     are its x-cell probabilities, so total mass is conserved by
     construction.  Outermost edges may be +-inf to capture everything.
     """
-    edges_x = np.asarray(edges_x, dtype=float)
-    edges_y = np.asarray(edges_y, dtype=float)
-    w, mx, vx, my, vy, cv = (
-        np.asarray(a, dtype=float) for a in (w, mean_x, var_x, mean_y, var_y, cov)
-    )
-    sx = np.sqrt(vx)
-    degen = vx <= _VAR_FLOOR
-    slope = np.where(degen, 0.0, cv / np.where(degen, 1.0, vx))
-    sc = np.sqrt(np.maximum(vy - slope * cv, 0.0))
+    w, means, cov = table
+    edges_x = np.asarray(edges_one, dtype=float)
+    sx = np.sqrt(cov[0, 0])
+    if len(means) == 1:
+        out = np.zeros(len(edges_x) - 1)
+        nodes = _block_rows(len(edges_x))
+        for s in range(0, len(w), nodes):
+            n = slice(s, s + nodes)
+            out += _cell_probs(edges_x, means[0, n], sx[n]) @ w[n]
+        return out
+    edges_y = np.asarray(edges_two, dtype=float)
+    slope, vc = _split(cov)
+    sc = np.sqrt(np.maximum(vc, 0.0))
     out = np.zeros((len(edges_x) - 1, len(edges_y) - 1))
     sep = slope == 0.0
     if sep.any():
-        ws, mxs, sxs, mys, scs = (a[sep] for a in (w, mx, sx, my, sc))
+        ws, mxs, sxs, mys, scs = (a[sep] for a in (w, means[0], sx, means[1], sc))
         _separable_sum(out, len(ws), lambda n: _cell_probs(edges_x, mxs[n], sxs[n]) * ws[n],
                        lambda n: _cell_probs(edges_y, mys[n], scs[n]))
     if not sep.all():
-        _coupled_cell_masses(out, *(a[~sep] for a in (w, mx, sx, my, slope, sc)),
+        _coupled_cell_masses(out, *(a[~sep] for a in (w, means[0], sx, means[1], slope, sc)),
                              edges_x, edges_y)
     return out
 
@@ -572,27 +569,21 @@ def _coupled_cell_masses(out, w, mx, sx, my, slope, sc, edges_x, edges_y):
     return out
 
 
-def _univariate_cell_masses(w, mean_x, var_x, edges_x):
-    w, mx, sx = np.asarray(w), np.asarray(mean_x)[:, None], np.sqrt(var_x)[:, None]
-    out = np.zeros(len(edges_x) - 1)
-    rows = _block_rows(len(edges_x))
-    for s in range(0, len(w), rows):
-        cdf = norm_cdf_safe(edges_x, mx[s : s + rows], sx[s : s + rows])
-        out += w[s : s + rows] @ np.diff(cdf, axis=1)
-    return out
+def _gauss_axis(mean, var, log_scale=0.0):
+    """Per-slice constants of normal factors along one axis, stacked
+    (3, slices): the means, 1 / (2 var) and log_scale - log sqrt(2 pi var).
+    A kernel builds them once per call for all its slices."""
+    return np.stack([mean, 0.5 / var, log_scale - 0.5 * np.log(2.0 * math.pi * var)])
 
 
-def _cell_masses(table, edges_one, edges_two):
-    """Cell masses of a node table: 1-D for one tracked loss, otherwise 2-D
-    over the first two."""
-    w, means, cov = table
-    edges_one = np.asarray(edges_one, dtype=float)
-    if len(means) == 1:
-        return _univariate_cell_masses(w, means[0], cov[0, 0], edges_one)
-    return _mixture_cell_masses(
-        w, means[0], cov[0, 0], means[1], cov[1, 1], cov[0, 1],
-        edges_one, np.asarray(edges_two, dtype=float),
-    )
+def _gauss_factors(points, axis):
+    """Normal factors per (point, slice) of a :func:`_gauss_axis` table,
+    shape (points, slices), through :func:`_floored_exp`."""
+    mean, half_prec, log_norm = axis
+    e = points[:, None] - mean
+    e *= e
+    e *= half_prec
+    return _floored_exp(np.subtract(log_norm, e, out=e))
 
 
 def _mixture_density(axes, w, means, cov):
@@ -600,98 +591,66 @@ def _mixture_density(axes, w, means, cov):
     of loss values per tracked loss; returns shape ``tuple(len(a) for a in
     axes)``.
 
-    B = 2 uses the bivariate slice through :func:`_pair_density`, which
-    takes separable slices as one matrix product.  Otherwise the slice
-    exponents are summed over b, which is exact for B = 1 and for the
-    per-market layout (the only one with B > 2, at single points), whose
-    conditional covariance is diagonal.  Slices with a variance at or
-    below ``_VAR_FLOOR`` are delta slices that a density cannot represent;
-    they are dropped from the table first, so they add exactly 0 whatever
-    their means (NaN included).
+    A pair is split by :func:`_split` into separable slices, one matrix
+    product of per-axis factors (w phi_x) phi_y^T, and coupled ones, the
+    row loop of :func:`_coupled_pair_density`; w enters each x factor as
+    log w in its exponent, so a zero weight gives factors of exactly 0.
+    A single loss is its per-slice factors contracted with w, and the
+    single points of the per-market layout (B > 2, diagonal covariance)
+    fold their leading axes into the weights.  Slices with a variance or
+    a conditional variance at or below ``_VAR_FLOOR`` are delta slices
+    that a density cannot represent; they are dropped from the table
+    first, so they add exactly 0 whatever their means (NaN included).
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
+    out = np.zeros(tuple(len(a) for a in axes))
     if len(axes) == 2:
-        return _pair_density(axes[0], axes[1], w, means, cov)
-    var = np.array([cov[b, b] for b in range(len(axes))])
+        slope, vc = _split(cov)
+        keep = (cov[0, 0] > _VAR_FLOOR) & (vc > _VAR_FLOOR)
+        with np.errstate(divide="ignore"):
+            fx = _gauss_axis(means[0, keep], cov[0, 0, keep], np.log(w[keep]))
+        fy, slope = _gauss_axis(means[1, keep], vc[keep]), slope[keep]
+        sep = slope == 0.0
+        if sep.any():
+            fxs, fys = fx[:, sep], fy[:, sep]
+            _separable_sum(out, fxs.shape[1], lambda n: _gauss_factors(axes[0], fxs[:, n]),
+                           lambda n: _gauss_factors(axes[1], fys[:, n]))
+        if not sep.all():
+            _coupled_pair_density(out, *axes, fx[:, ~sep], fy[:, ~sep], slope[~sep])
+        return out
+    var = np.einsum("bbn->bn", cov)
     keep = np.all(var > _VAR_FLOOR, axis=0)
-    w, means, var = w[keep], means[:, keep], var[:, keep]
-    log_norm = -0.5 * np.log(2.0 * math.pi * var).sum(axis=0)
-    half_prec = 0.5 / var
-    shape = tuple(len(a) for a in axes)
-    out = np.empty(shape)
-    chunk = _block_rows(len(w) * math.prod(shape[1:]))
-    for s in range(0, shape[0], chunk):
-        dist = None  # sum over b of (x_b - mean_b)^2 / (2 var_b)
-        for b, a in enumerate(axes):
-            d = (a[s : s + chunk] if b == 0 else a)[:, None] - means[b]
-            d *= d
-            d *= half_prec[b]
-            # axis b of the product grid, nodes last
-            d = d.reshape([len(d) if k == b else 1 for k in range(len(axes))] + [-1])
-            dist = d if dist is None else dist + d
-        out[s : s + chunk] = _floored_exp(np.subtract(log_norm, dist, out=dist)) @ w
-    return out
-
-
-def _pair_density(xs, ys, w, means, cov):
-    """Bivariate mixture density on xs x ys.
-
-    Each slice factors as w phi(x) phi(y | x), with phi(y | x) centred on
-    my + slope (x - mx), slope = cov / var_x.  Slices whose slope is
-    exactly 0 - disjoint creditors, independent given (z, u) - are
-    w phi(x) phi(y), and together they are one matrix product of per-axis
-    factors (w phi_x) phi_y^T.  The other slices go through the row loop
-    of :func:`_coupled_pair_density`.  The weight enters each x factor as
-    log w in its exponent, so weighted factors never go subnormal either;
-    a weight of exactly 0 gives factors of exactly 0.
-    """
-    vx, vy, cxy = cov[0, 0], cov[1, 1], cov[0, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(vx > _VAR_FLOOR, cxy / np.where(vx > 0, vx, 1.0), 0.0)
-        vc = vy - slope * cxy
-        log_w = np.log(w)
-    valid = (vx > _VAR_FLOOR) & (vc > _VAR_FLOOR)
-    sep = valid & (slope == 0.0)
-    coupled = valid & ~sep
-    out = np.zeros((len(xs), len(ys)))
-    if sep.any():
-        lw, mx, vx_s, my, vy_s = (a[sep] for a in (log_w, means[0], vx, means[1], vc))
-        _separable_sum(out, len(lw), lambda n: _gauss_factors(xs, mx[n], vx_s[n], lw[n]),
-                       lambda n: _gauss_factors(ys, my[n], vy_s[n]))
-    if coupled.any():
-        _coupled_pair_density(out, xs, ys, *(
-            a[coupled] for a in (log_w, means[0], means[1], vx, vc, slope)
-        ))
-    return out
-
-
-def _gauss_factors(points, mean, var, log_scale=0.0):
-    """Normal densities per (point, slice) times exp(log_scale) per slice,
-    shape (points, slices), through :func:`_floored_exp`."""
-    e = points[:, None] - mean
-    e *= e
-    e *= 0.5 / var
-    return _floored_exp(np.subtract(log_scale - 0.5 * np.log(2.0 * math.pi * var), e, out=e))
-
-
-def _coupled_pair_density(out, xs, ys, log_w, mx, my, vx, vc, slope):
-    """Add the density of correlated slices on xs x ys into ``out``.  The
-    x factors w phi(x) come once per (x, node); each x row then contracts
-    its nonzero factors with the conditional slices phi(y | x) over all of
-    ys."""
-    rows = _block_rows(len(log_w))
+    w = w[keep]
+    factors = [_gauss_axis(m[keep], v[keep]) for m, v in zip(means, var)]
+    for a, f in zip(axes[:-1], factors):  # single points: one factor per slice
+        w = w * _gauss_factors(a, f).reshape(len(w))
+    flat, xs = out.reshape(-1), axes[-1]
+    rows = _block_rows(len(w))
     for s in range(0, len(xs), rows):
-        ax = _gauss_factors(xs[s : s + rows], mx, vx, log_w)
+        flat[s : s + rows] = _gauss_factors(xs[s : s + rows], factors[-1]) @ w
+    return out
+
+
+def _coupled_pair_density(out, xs, ys, fx, fy, slope):
+    """Add the density of correlated slices on xs x ys into ``out``, from
+    the :func:`_gauss_axis` tables of their weighted x factors and of
+    their conditional slices.  The x factors w phi(x) come once per
+    (x, node); each x row then contracts its nonzero factors with the
+    conditional slices phi(y | x), centred on my + slope (x - mx), over
+    all of ys."""
+    rows = _block_rows(len(slope))
+    for s in range(0, len(xs), rows):
+        ax = _gauss_factors(xs[s : s + rows], fx)
         for i in range(len(ax)):
             live = np.flatnonzero(ax[i])
             if not len(live):
                 continue
-            mean_c = my[live] + slope[live] * (xs[s + i] - mx[live])
-            vc_live, ax_live = vc[live], ax[i, live]
+            cond = fy.take(live, axis=1)
+            cond[0] += slope[live] * (xs[s + i] - fx[0, live])
+            ax_live = ax[i, live]
             cols = _block_rows(len(live))
             for t in range(0, len(ys), cols):
-                slices = _gauss_factors(ys[t : t + cols], mean_c, vc_live)
-                out[s + i, t : t + cols] += slices @ ax_live
+                out[s + i, t : t + cols] += _gauss_factors(ys[t : t + cols], cond) @ ax_live
     return out
 
 
@@ -746,12 +705,12 @@ def _adaptive_density(xs, ys, scenario, quad):
     ci, cj = np.nonzero(cr.status == _FOUND)
     z0 = cr.z0[ci, cj]
     u0 = 0.5 * (cr.u_s[ci, cj] + cr.u_j[ci, cj])
-    t0 = gaussian_moment_terms(z0, u0, scenario)
+    _, cov0 = gaussian_moment_terms(z0, u0, scenario)
     du_s = np.abs(moment_senior_du(1, z0, u0, faces, params))
     du_j = np.abs(junior_mean_target_du(z0, u0, faces, params))
     slope = np.abs(cr.slope[ci, cj])
     with np.errstate(divide="ignore", invalid="ignore"):
-        sig_u = np.sqrt(t0.var_senior / du_s**2 + t0.var_junior / du_j**2)
+        sig_u = np.sqrt(cov0[0, 0] / du_s**2 + cov0[1, 1] / du_j**2)
         # a zero or NaN slope leaves z unlocalized
         sig_z = np.where(slope > 1e-300, sig_u / slope, np.inf)
     # up to the chi-square(n) quantile at 1 - 1e-12; fmax and fmin pass
@@ -777,8 +736,8 @@ def _adaptive_density(xs, ys, scenario, quad):
         with np.errstate(under="ignore"):
             w = wz[:, None] * wu * np.exp(log_wt)
         z = np.broadcast_to(z[:, None], u.shape)
-        table = _tranche_table(z.ravel(), u.ravel(), w.ravel(), scenario)
-        vals[i, j] = _mixture_density((xs[i : i + 1], ys[j : j + 1]), *table)[0, 0]
+        table = gaussian_moment_terms(z.ravel(), u.ravel(), scenario)
+        vals[i, j] = _mixture_density((xs[i : i + 1], ys[j : j + 1]), w.ravel(), *table)[0, 0]
 
     dense = np.ones(vals.shape, dtype=bool)
     dense[ci, cj] = False

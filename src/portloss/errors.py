@@ -14,7 +14,18 @@ class PortlossError(Exception):
 
 
 class ParameterError(PortlossError, ValueError):
-    """A domain invariant on an input value is violated."""
+    """A domain invariant on an input value is violated.
+
+    Attributes
+    ----------
+    field : str
+        The field of the object being built that alone is at fault, ``""``
+        when the error names no single field.
+    """
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
 
 
 class ConvergenceError(PortlossError):

@@ -30,6 +30,13 @@ doubled exponent arguments.  The u factor is standardized: weights used by
 the quadrature module are sqrt(N/(2 pi)) exp(-N u^2 / 2), with all sqrt(z)
 factors explicit in the kernels.
 
+On wide rules or in volatile markets the exponent of E1 or E2 can pass
+709, where exp overflows although the term (v0/f_div)^j E_j Phi(a_j) is
+finite.  Completing the square gives E_j phi(a_j) = (f_bound/v0)^j phi(a0),
+so there the term is (f_bound/f_div)^j phi(a0) Phi(a_j) / phi(a_j), the
+log-space product in closed form (:func:`_e_factors`); everywhere else the
+kernels take the direct product.
+
 The u-derivatives of orders 0 and 1 come from the same pass as the value:
 the ``*_and_du`` functions return both, and the ``*_du`` functions are
 their slope halves, so the slope formula lives in the kernel alone.
@@ -42,7 +49,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 
 from .errors import ParameterError
 from .params import MarketParams, SubordinationSpec
@@ -86,6 +93,44 @@ def _coeffs(params: MarketParams):
     return a_coef, b_coef, g, params.drift_adj * params.t_mat
 
 
+# exp overflows above log(DBL_MAX) ~ 709.78.  The margin of e^9.78 ~ 1.8e4
+# covers the factor (sqrt(z) + A) B that the u slope multiplies a term by:
+# an exponent nears 700 only where N / g is small, and A = sqrt(N / g).
+_EXP_MAX = 700.0
+
+
+def _e_factors(j, exponent, a_j, a0, ratio, bound_ratio, factor=1.0):
+    """The factors (E_j, Phi(a_j)) of the term ratio^j E_j Phi(a_j) of
+    kernel_j, with E_j = exp(exponent), and the mask of the elements where
+    they are rescaled (None where there are none).
+
+    Where the term can overflow, with exponent + j max(0, log ratio) +
+    log max(1, factor) above ``_EXP_MAX``, an element gets
+    (E_j phi(a_j), Phi(a_j) / phi(a_j)) instead, and phi(a_j) is 1 there
+    (:func:`_pdf`), so every term ratio^j E_j (alpha Phi(a_j) +
+    beta phi(a_j)) keeps its value.  Completing the square gives
+    E_j phi(a_j) = (f_bound / v0)^j phi(a0) exactly, so the rescaled
+    factors are finite wherever the term is: this is the log-space product
+    exp(j log ratio + x_j + log Phi(a_j)) in closed form.  ``factor``
+    bounds a larger multiplier of ratio^j E_j than the margin covers.  One
+    max per call decides whether any element needs this; the other
+    elements keep the direct factors, bit for bit.
+    """
+    margin = j * max(0.0, math.log(ratio)) + math.log(max(1.0, factor))
+    if not exponent.max(initial=-np.inf) + margin > _EXP_MAX:
+        return np.exp(exponent), ndtr(a_j), None
+    big = exponent + margin > _EXP_MAX
+    e = np.where(big, bound_ratio**j * norm_pdf(a0), np.exp(np.where(big, 0.0, exponent)))
+    # Phi(a) / phi(a) = sqrt(pi / 2) erfcx(-a / sqrt(2)), taken where rescaled
+    mills = math.sqrt(0.5 * math.pi) * erfcx(np.where(big, a_j, 0.0) / -math.sqrt(2.0))
+    return e, np.where(big, mills, ndtr(a_j)), big
+
+
+def _pdf(a, big):
+    """phi(a), and 1 where :func:`_e_factors` rescaled."""
+    return norm_pdf(a) if big is None else np.where(big, 1.0, norm_pdf(a))
+
+
 def _kernel(j, c_pay, f_div, f_bound, z, u, params: MarketParams, du=False):
     """kernel_j; with ``du`` (j in {0, 1}), the list of pairs
     (kernel_i, d kernel_i / du) for i = 0..j instead, all from one pass:
@@ -102,18 +147,22 @@ def _kernel(j, c_pay, f_div, f_bound, z, u, params: MarketParams, du=False):
     d0 = norm_pdf(a0) * a_coef * b_coef if du else None
     if j == 0:
         return [(k0, d0)] if du else k0
-    ratio = params.v0 / f_div
-    e1 = np.exp(z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t)
+    ratio, bound_ratio = params.v0 / f_div, f_bound / params.v0
     a1 = a0 - sqz / a_coef
-    p1 = ndtr(a1)
+    e1, p1, big = _e_factors(
+        1, z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t, a1, a0, ratio, bound_ratio
+    )
     k1 = c_pay * k0 - ratio * e1 * p1
     if du:
-        d1 = c_pay * d0 - ratio * e1 * (-sqz * b_coef * p1 + norm_pdf(a1) * a_coef * b_coef)
+        d1 = c_pay * d0 - ratio * e1 * (-sqz * b_coef * p1 + _pdf(a1, big) * a_coef * b_coef)
         return [(k0, d0), (k1, d1)]
     if j == 1:
         return k1
-    e2 = np.exp(2.0 * z * g / params.n_fluct - 2.0 * sqz * b_coef * u + 2.0 * nu_t)
-    return -(c_pay**2) * k0 + 2.0 * c_pay * k1 + ratio**2 * e2 * ndtr(a0 - 2.0 * sqz / a_coef)
+    e2, p2, _ = _e_factors(
+        2, 2.0 * z * g / params.n_fluct - 2.0 * sqz * b_coef * u + 2.0 * nu_t,
+        a0 - 2.0 * sqz / a_coef, a0, ratio, bound_ratio,
+    )
+    return -(c_pay**2) * k0 + 2.0 * c_pay * k1 + ratio**2 * e2 * p2
 
 
 def _kernel_dz(j, c_pay, f_div, f_bound, z, u, params: MarketParams):
@@ -130,11 +179,17 @@ def _kernel_dz(j, c_pay, f_div, f_bound, z, u, params: MarketParams):
     if j == 0:
         return d0
     ratio = params.v0 / f_div
-    e1 = np.exp(z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t)
-    de1 = e1 * (g / (2.0 * params.n_fluct) - b_coef * u / (2.0 * sqz))
     a1 = a0 - sqz / a_coef
+    # d(log E1)/dz, which multiplies E1 by up to about g / (2N): large
+    # where N is small
+    dx1 = g / (2.0 * params.n_fluct) - b_coef * u / (2.0 * sqz)
+    e1, p1, big = _e_factors(
+        1, z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t, a1, a0, ratio,
+        f_bound / params.v0, np.abs(dx1).max(initial=0.0),
+    )
+    de1 = e1 * dx1
     da1 = da0 - 1.0 / (2.0 * a_coef * sqz)
-    return c_pay * d0 - ratio * (de1 * ndtr(a1) + e1 * norm_pdf(a1) * da1)
+    return c_pay * d0 - ratio * (de1 * p1 + e1 * _pdf(a1, big) * da1)
 
 
 _SENIOR = "senior"

@@ -13,6 +13,14 @@ from dataclasses import astuple, dataclass, fields
 from .errors import ParameterError
 
 
+# The chi-square rule is built from the Laguerre exponent a = N/2 - 1.  At
+# N = 2**-53 and below, a rounds to -1 and every count in [8, 512] gives a
+# node at 0 and NaN weights; measured from the next float up (and at 22
+# more N from 1.2e-16 to 1e3), every count gives positive nodes and finite
+# weights.
+N_FLUCT_MIN = math.nextafter(2.0**-53, math.inf)
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Parameters of one market block.
@@ -28,7 +36,8 @@ class MarketParams:
         Average asset correlation level, in [0, 1).
     n_fluct : float
         Correlation fluctuation strength; larger means correlations frozen
-        closer to their average.  Positive real, not restricted to integers.
+        closer to their average.  Real, not restricted to integers, and at
+        least ``N_FLUCT_MIN``.
     t_mat : float
         Horizon in years.
     v0 : float
@@ -55,8 +64,12 @@ class MarketParams:
             raise ParameterError(f"rho must be > 0, got {self.rho}")
         if not (0 <= self.c < 1):
             raise ParameterError(f"c must be in [0, 1), got {self.c}")
-        if not (self.n_fluct > 0):
-            raise ParameterError(f"n_fluct must be > 0, got {self.n_fluct}")
+        if not (self.n_fluct >= N_FLUCT_MIN):
+            raise ParameterError(
+                f"n_fluct must be at least {N_FLUCT_MIN!r}, where the chi-square rule "
+                f"has positive nodes and finite weights; got {self.n_fluct}",
+                field="n_fluct",
+            )
         if not (self.t_mat > 0):
             raise ParameterError(f"t_mat must be > 0, got {self.t_mat}")
         if not (self.v0 > 0):

@@ -47,8 +47,9 @@ class QuadratureSpec:
     validated but nothing reads it yet.
 
     Both rules are finite for every count in the range and every
-    ``n_fluct`` > 0; each costs O(count^3) to build, about a millisecond at
-    64 nodes, and is cached.
+    ``n_fluct`` a market accepts (``params.N_FLUCT_MIN`` and up); each
+    costs O(count^3) to build, about a millisecond at 64 nodes, and is
+    cached.
 
     The constructor owns every range: integer node counts in [8, 512] and
     ``rel_tol`` in (0, 1e-3].  Scenario documents state only the types, so

@@ -565,11 +565,13 @@ def validate_scenario(doc: dict) -> dict:
 
 def _build(pointer: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, with a domain error turned into a
-    ScenarioError at ``pointer``."""
+    ScenarioError at ``pointer``, or at the field below it that the error
+    names."""
     try:
         return make(*args, **kwargs)
     except (ParameterError, SamplerBudgetError, SingularCovarianceError) as exc:
-        raise ScenarioError(str(exc), pointer=pointer) from exc
+        field = getattr(exc, "field", "")
+        raise ScenarioError(str(exc), pointer=f"{pointer}/{field}" if field else pointer) from exc
 
 
 def _check_increasing(block: dict, lo: str, hi: str, where: str, message: str):

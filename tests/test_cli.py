@@ -181,6 +181,8 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
         ("nosub_halves_k100", ["portfolio.face=1e-300"], "/portfolio/face"),
         ("subordinated_k200", ["tranches.f_junior=1e-300"], "/tranches/f_junior"),
         ("limit_two_markets_base", ["market_two.v0=1e300"], "/face_two"),
+        # below the floor where the chi-square rule has positive nodes
+        ("nosub_halves_k100", ["market.n_fluct=1e-300"], "/market/n_fluct"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):
@@ -190,6 +192,15 @@ def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer
         err = json.loads(capsys.readouterr().err)
         assert err["pointer"] == pointer
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moment_exponents_past_the_exp_range_run_clean(tmp_path):
+    # on the 512-node rule in this market the exponents of the E1 and E2
+    # terms pass 709 at the outer nodes, where their products overflowed
+    sets = ["market.n_fluct=1", "market.c=0.9", "market.rho=1.0", "quadrature.z_nodes=512"]
+    overrides = [arg for s in sets for arg in ("--set", s)]
+    assert main(["run", "nosub_halves_k100", *overrides, "--out-dir", str(tmp_path)]) == EXIT_OK
 
 
 def test_malformed_returns_csv_rejected(tmp_path, capsys):

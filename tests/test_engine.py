@@ -253,9 +253,9 @@ def test_conditional_junior_dominates_senior(market, faces):
     # loss fraction is at least the senior one everywhere
     for z in (0.5, 1.0, 4.0, 10.0):
         for u in (-0.5, 0.0, 0.8):
-            t = gaussian_moment_terms(z, u, SubordinatedScenario(
+            means, _ = gaussian_moment_terms(z, u, SubordinatedScenario(
                 k_obligors=100, tranches=faces, params=market))
-            assert float(t.mean_junior) >= float(t.mean_senior) - 1e-15
+            assert float(means[1]) >= float(means[0]) - 1e-15
 
 
 def test_adaptive_and_fixed_density_agree(market, faces):
@@ -514,6 +514,46 @@ def test_1d_kernel_drops_degenerate_slices_with_nan_means(market, quad):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("layout", ["tranched", "disjoint"])
+def test_pair_kernels_share_one_degenerate_slice_policy(market, faces, halves, quad, layout):
+    from portloss.engine import _PRUNE_MASS, _cell_masses, _mixture_density, _node_table
+
+    if layout == "tranched":
+        sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    else:
+        sc = NoSubScenario(k_obligors=100, params=market, overlap=halves)
+    w, means, cov = _node_table(sc, quad)
+    means, cov = means.copy(), cov.copy()
+    degenerate = ~(cov[0, 0] > 1e-300) | ~(cov[1, 1] > 1e-300)
+    wide = np.flatnonzero(~degenerate)
+    # conditional variance exactly 0: var_y = slope cov_xy, a coupled slice
+    # where the slice is correlated, and var_y = cov_xy = 0, a separable one
+    cond, flat = wide[1::11], wide[2::13]
+    cov[1, 1, cond] = cov[0, 1, cond] / cov[0, 0, cond] * cov[0, 1, cond]
+    cov[1, 1, flat] = cov[0, 1, flat] = cov[1, 0, flat] = 0.0
+    # point masses in x: var_x of 0 or just below the floor, with the cross
+    # term left as it is
+    point, below = wide[::5], wide[3::7]
+    cov[0, 0, point] = 0.0
+    cov[0, 0, below] = 1e-301
+    for idx in (cond, flat, point, below):
+        degenerate[idx] = True
+    edges = np.linspace(0.0, 1.0, 21)
+    edges[0], edges[-1] = -np.inf, np.inf
+    # a degenerate slice is a step in the cell masses, which keep its mass
+    assert abs(_cell_masses((w, means, cov), edges, edges).sum() - 1.0) <= _PRUNE_MASS
+    # and the density drops it, whatever its means
+    means[:, point[::2]] = np.nan
+    means[0, cond[::2]] = np.nan
+    kept = ~degenerate
+    xs, ys = np.linspace(0.0, 0.6, 19), np.linspace(0.01, 0.5, 17)
+    got = _mixture_density((xs, ys), w, means, cov)
+    want = np.array([[_per_point_density((x, y), w[kept], means[:, kept], cov[:, :, kept])
+                      for y in ys] for x in xs])
+    assert not np.any(np.isnan(got)) and want.max() > 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+
 # ---------------------------------------------------------------------------
 # node pruning
 
@@ -629,16 +669,17 @@ def _awkward_table(rng, n=400):
 @pytest.mark.parametrize("outer", [np.inf, 1.0])
 @pytest.mark.parametrize("shape", [(20, 20), (50, 13)])
 def test_cell_masses_match_the_dense_reference(outer, shape):
-    from portloss.engine import _mixture_cell_masses, norm_cdf_safe
+    from portloss.engine import _cell_masses, norm_cdf_safe
 
     table = _awkward_table(np.random.default_rng(7))
     edges_x, edges_y = (np.linspace(0.0, 1.0, n + 1) for n in shape)
     for e in (edges_x, edges_y):
         e[0], e[-1] = -outer, outer
-    w, mean_x, var_x = table[:3]
+    w, mean_x, var_x, mean_y, var_y, cov = table
     x_mass = w[:, None] * np.diff(norm_cdf_safe(edges_x, mean_x[:, None], np.sqrt(var_x)[:, None]))
     assert np.mean(x_mass == 0.0) > 0.5  # most pairs are skipped
-    got = _mixture_cell_masses(*table, edges_x, edges_y)
+    packed = (w, np.stack([mean_x, mean_y]), np.array([[var_x, cov], [cov, var_y]]))
+    got = _cell_masses(packed, edges_x, edges_y)
     want = _dense_cell_masses(*table, edges_x, edges_y)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
     assert abs(got.sum() - want.sum()) <= 1e-14

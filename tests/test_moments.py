@@ -240,3 +240,49 @@ def test_kernels_broadcast(faces, market):
     assert out.shape == (3,)
     single = tau(1, "junior", "junior", 1.0, 0.1, faces, market)
     assert out[1] == pytest.approx(float(single), rel=1e-15)
+
+
+def _mp_kernel(j, z, u, face, params):
+    """kernel_j of a plain payoff and its E_j term's exponent, at 60 digits
+    from the closed forms of the module docstring."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    n, rho, c, t = (mp.mpf(x) for x in (params.n_fluct, params.rho, params.c, params.t_mat))
+    g = (1 - c) * t * rho**2
+    a_coef, b_coef = mp.sqrt(n / g), mp.sqrt(c * t) * rho
+    nu_t = (mp.mpf(params.mu) - rho**2 / 2) * t
+    z, u, ratio = mp.mpf(z), mp.mpf(u), mp.mpf(params.v0) / face
+    sqz = mp.sqrt(z)
+    a0 = a_coef * ((mp.log(face / mp.mpf(params.v0)) - nu_t) / sqz + b_coef * u)
+    x1 = z * g / (2 * n) - sqz * b_coef * u + nu_t
+    k1 = mp.ncdf(a0) - ratio * mp.exp(x1) * mp.ncdf(a0 - sqz / a_coef)
+    if j == 1:
+        return k1, x1
+    x2 = 2 * z * g / n - 2 * sqz * b_coef * u + 2 * nu_t
+    return -mp.ncdf(a0) + 2 * k1 + ratio**2 * mp.exp(x2) * mp.ncdf(a0 - 2 * sqz / a_coef), x2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernels_past_the_exp_range_match_mpmath():
+    from portloss.moments import _kernel_dz
+
+    mp = pytest.importorskip("mpmath")
+    params = MarketParams(mu=0.17, rho=1.0, c=0.9, n_fluct=1.0, t_mat=1.0, v0=100.0)
+    face = 75.0
+    # E2's exponent alone passes 709 at the first point, both at the second
+    for z, u in ((3000.0, -2.0), (8000.0, -6.0)):
+        for j in (1, 2):
+            want, exponent = _mp_kernel(j, z, u, face, params)
+            assert exponent > 709 or (j == 1 and z == 3000.0)
+            got = moment_plain(j, z, u, face, params)
+            assert got == pytest.approx(float(want), rel=1e-12)
+    z, u = 8000.0, -6.0
+    value, du = moment_plain_and_du(1, z, u, face, params)
+    assert value == moment_plain(1, z, u, face, params)
+    want_du = mp.diff(lambda v: _mp_kernel(1, z, v, face, params)[0], u)
+    assert du == pytest.approx(float(want_du), rel=1e-11)
+    want_dz = mp.diff(lambda v: _mp_kernel(1, v, u, face, params)[0], z)
+    assert _kernel_dz(1, 1.0, face, face, z, u, params) == pytest.approx(float(want_dz), rel=1e-11)
+    # an element in range keeps its direct value bit for bit next to one past it
+    mixed = moment_plain(2, np.array([1.0, 3000.0]), np.array([0.1, -2.0]), face, params)
+    assert mixed[0] == moment_plain(2, 1.0, 0.1, face, params)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +38,25 @@ def test_market_rejects_bad_values(kw):
     base.update(kw)
     with pytest.raises(ParameterError):
         MarketParams(**base)
+
+
+def test_n_fluct_floor_is_where_the_chi_square_rule_holds():
+    from portloss.params import N_FLUCT_MIN
+    from portloss.quadrature import chi2_nodes
+
+    build = chi2_nodes.__wrapped__  # uncached, so the cache keeps its entries
+    base = dict(mu=0.17, rho=0.35, c=0.28, t_mat=1.0, v0=100.0)
+    assert MarketParams(n_fluct=N_FLUCT_MIN, **base).n_fluct == N_FLUCT_MIN
+    for count in (8, 64, 512):
+        z, w = build(N_FLUCT_MIN, count)
+        assert np.all(z > 0.0) and np.all(np.isfinite(w))
+    below = math.nextafter(N_FLUCT_MIN, 0.0)
+    with pytest.raises(ParameterError) as err:
+        MarketParams(n_fluct=below, **base)
+    assert err.value.field == "n_fluct"
+    with np.errstate(all="ignore"):
+        z, w = build(below, 8)
+    assert not (np.all(z > 0.0) and np.all(np.isfinite(w)))
 
 
 def test_market_allows_negative_drift_and_real_n():

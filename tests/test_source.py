@@ -78,3 +78,33 @@ def test_every_exported_name_exists():
         if missing:
             stale[module.__name__] = missing
     assert stale == {}
+
+
+def _private_definitions(tree):
+    """Module-level private names a module defines: functions, classes and
+    assigned names with one leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    """Names a module reads, as bare names or as attributes of anything."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_private_name_is_reached_by_package_code():
+    # a private helper that only the tests reach is code kept for the tests
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*(_references(tree) for tree in trees.values()))
+    unreached = {name: sorted(names - read) for name, tree in trees.items()
+                 if (names := _private_definitions(tree)) - read}
+    assert unreached == {}
