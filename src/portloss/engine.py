@@ -175,15 +175,9 @@ class SubordinatedScenario:
         return self.tranches.f_total
 
     @property
-    def tracked_losses(self) -> dict:
-        """``which`` key of each tracked loss, in node-table order, mapped
-        to its label."""
-        return {"senior": "senior", "junior": "junior"}
-
-    @property
-    def accuracy_warning(self) -> bool:
-        """Below ~8 obligors the Gaussian slice approximation is dubious."""
-        return self.k_obligors < 8
+    def tracked_losses(self) -> tuple:
+        """``which`` key of each tracked loss, in node-table order."""
+        return ("senior", "junior")
 
 
 class Holdings(NamedTuple):
@@ -287,14 +281,9 @@ class NoSubScenario:
         return self.face if self.overlap is None else self.overlap.f0
 
     @property
-    def tracked_losses(self) -> dict:
-        """Creditor number of each tracked loss, in node-table order, mapped
-        to its label."""
-        return {b: f"creditor_{b}" for b in range(1, self.n_creditors + 1)}
-
-    @property
-    def accuracy_warning(self) -> bool:
-        return self.k_obligors < 8
+    def tracked_losses(self) -> tuple:
+        """Creditor number of each tracked loss, in node-table order."""
+        return tuple(range(1, self.n_creditors + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +386,14 @@ def _class_weights(scenario: NoSubScenario):
 
 
 @lru_cache(maxsize=16)
-def _pruned_table(scenario, quad: QuadratureSpec):
-    """The node table without its lightest nodes, whose weights sum to at
-    most ``_PRUNE_MASS``, and a record of what was dropped.  The kept
-    weights are not renormalised."""
+def _node_table(scenario, quad: QuadratureSpec):
+    """The node table (w, means, cov) of a scenario without its lightest
+    nodes, whose weights sum to at most ``_PRUNE_MASS``.  The kept weights
+    are not renormalised."""
     w, means, cov = _unpruned_table(scenario, quad)
     order = np.argsort(w, kind="stable")
-    light = order[np.cumsum(w[order]) <= _PRUNE_MASS]
-    keep = np.ones(len(w), dtype=bool)
-    keep[light] = False
-    record = {
-        "nodes_used": int(keep.sum()),
-        "nodes_pruned": len(light),
-        "pruned_mass": float(w[light].sum()),
-    }
-    return (w[keep], means[:, keep], cov[:, :, keep]), record
-
-
-def _node_table(scenario, quad: QuadratureSpec):
-    """The pruned node table (w, means, cov) of a scenario."""
-    return _pruned_table(scenario, quad)[0]
+    keep = np.sort(order[np.cumsum(w[order]) > _PRUNE_MASS])
+    return w[keep], means[:, keep], cov[:, :, keep]
 
 
 # ---------------------------------------------------------------------------
@@ -792,24 +769,11 @@ def density_grid_subordinated(
     solve and one u-root solve serve the whole grid.
     """
     centers = cell_centers(n_cells, lo, hi)
-    pruning = {}
     if quad.mode == "adaptive":
         vals = _adaptive_density(centers, centers, scenario, quad)
     else:
-        table, pruning = _pruned_table(scenario, quad)
-        vals = _mixture_density((centers, centers), *table)
-    meta = {
-        "kind": "subordinated_joint",
-        "k_obligors": scenario.k_obligors,
-        "accuracy_warning": scenario.accuracy_warning,
-        "quadrature": {
-            "z_nodes": quad.z_nodes,
-            "u_nodes": quad.u_nodes,
-            "mode": quad.mode,
-        },
-        **pruning,
-    }
-    return DensityGrid(axes=(centers, centers), values=vals, metadata=meta)
+        vals = _mixture_density((centers, centers), *_node_table(scenario, quad))
+    return DensityGrid(axes=(centers, centers), values=vals)
 
 
 def marginal_density(
@@ -827,20 +791,14 @@ def marginal_density(
     slice over the other coordinates is exact, so each marginal is the
     mixture of that slice's own Gaussian.
     """
-    keys = tuple(scenario.tracked_losses)
+    keys = scenario.tracked_losses
     if which not in keys:
         raise ParameterError(f"which must be one of {keys}, got {which!r}")
     b = keys.index(which)
-    (w, means, cov), pruning = _pruned_table(scenario, quad)
+    w, means, cov = _node_table(scenario, quad)
     centers = cell_centers(n_cells, lo, hi)
     vals = _mixture_density((centers,), w, means[b : b + 1], cov[b : b + 1, b : b + 1])
-    meta = {
-        "kind": f"marginal_{scenario.tracked_losses[which]}",
-        "k_obligors": scenario.k_obligors,
-        "accuracy_warning": scenario.accuracy_warning,
-        **pruning,
-    }
-    return DensityGrid(axes=(centers,), values=vals, metadata=meta)
+    return DensityGrid(axes=(centers,), values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -971,15 +929,8 @@ def density_grid_nosub(
     centers = cell_centers(n_cells, lo, hi)
     _check_grid(scenario)
     b = scenario.n_creditors
-    table, pruning = _pruned_table(scenario, quad)
-    vals = _mixture_density((centers,) * b, *table)
-    meta = {
-        "kind": "plain_joint" if b == 2 else "plain_total",
-        "k_obligors": scenario.k_obligors,
-        "accuracy_warning": scenario.accuracy_warning,
-        **pruning,
-    }
-    return DensityGrid(axes=(centers,) * b, values=vals, metadata=meta)
+    vals = _mixture_density((centers,) * b, *_node_table(scenario, quad))
+    return DensityGrid(axes=(centers,) * b, values=vals)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Density grid container and the CSV writer.
 
 A DensityGrid holds density values sampled at cell centers on one or two
-loss axes, with optional solver quality flags and its builder's metadata.
+loss axes, with optional solver quality flags.
 Written files are deterministic: a grid carries no creation time or
 other run-dependent state, so re-running a scenario yields byte-identical
 files.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,12 +60,10 @@ class DensityGrid:
     values : array of matching shape, nonnegative and not NaN, per unit loss
         (or loss^2)
     quality : same-shape float array, 0 = clean, 1 = near-singular solve
-    metadata : grid kind and the builder's quadrature bookkeeping
     """
 
     axes: tuple
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
     quality: np.ndarray | None = None
 
     def __post_init__(self):

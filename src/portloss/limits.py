@@ -24,7 +24,8 @@ tolerance falls back to an outer :func:`newton_bisect` in z whose inner u
 solves run on the lanes' current z.  Roots are searched on u in
 [-12, 12]/sqrt(N) and z in [1e-6, chi2 quantile 1 - 1e-10]; outside these
 brackets the weights are below anything that could move a six-digit
-result, and the density is treated as exactly zero.
+result, and the density is treated as exactly zero.  Near the n_fluct
+floor that quantile is not above 1e-6: the crossing solve refuses it.
 
 A lane whose target is out of reach holds NaN as its root and adds density
 0.  The one-point solvers raise NoRootError there instead; otherwise
@@ -360,7 +361,6 @@ class _Crossings(NamedTuple):
     u_s: np.ndarray
     u_j: np.ndarray
     slope: np.ndarray
-    iterations: np.ndarray
     roots: dict
 
 
@@ -383,11 +383,24 @@ def _check_ridge_faces(faces: SubordinationSpec):
         )
 
 
+def _check_z_bracket(params: MarketParams):
+    """The z bracket of the crossing scan, refused where it is empty: near
+    the n_fluct floor its upper end, a chi-square quantile, underflows."""
+    z_lo, z_hi = z_bracket(params)
+    if not z_hi > z_lo:
+        raise ParameterError(
+            f"n_fluct = {params.n_fluct:.6g} leaves the crossing scan no z range: "
+            f"its chi-square quantile {z_hi:.6g} is not above {z_lo:g}",
+            field="n_fluct",
+        )
+    return z_lo, z_hi
+
+
 def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
     """Newton steps on (m_senior(z, u) - x, m_junior(z, u) - y) = 0, one 2x2
     system per crossing lane, from the start (z, u) inside (z_a, z_b).
 
-    Returns (z, steps, ok).  A lane is ok when a step below 1e-12 relative
+    Returns (z, ok).  A lane is ok when a step below 1e-12 relative
     in both z and u (the step tolerance of :func:`newton_bisect`) lands on
     a point whose two residuals are at most ``_RESID_TOL``, and every
     iterate stayed in [z_a, z_b] and in the u bracket.  A lane that starts
@@ -398,7 +411,6 @@ def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
     u_lo, u_hi = u_bracket(params)
     z, u = z.copy(), u.copy()
-    steps = np.zeros(z.shape, dtype=int)
     ok = np.zeros(z.shape, dtype=bool)
     small = np.zeros(z.shape, dtype=bool)  # the step that reached the point was below 1e-12
     lanes = np.flatnonzero((z_a < z) & (z < z_b))
@@ -419,28 +431,27 @@ def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
             dz, du = (j_u * r_s - s_u * r_j) / det, (s_z * r_j - j_z * r_s) / det
             zl, ul = zl - dz, ul - du
             z[lanes], u[lanes] = zl, ul
-            steps[lanes] += 1
             small[lanes] = (np.abs(dz) <= 1e-12 * np.maximum(1.0, np.abs(zl))) & (
                 np.abs(du) <= 1e-12 * np.maximum(1.0, np.abs(ul))
             )
             # NaN iterates fail these tests too
             inside = (z_a[lanes] <= zl) & (zl <= z_b[lanes]) & (u_lo <= ul) & (ul <= u_hi)
             lanes = lanes[inside]
-    return z, steps, ok
+    return z, ok
 
 
 def _nested_crossings(x, y, z_a, z_b, f_a, f_b, faces, params):
     """The crossing z of each lane by a Newton solve in z on the bracket
     [z_a, z_b] with gap values f_a, f_b at its ends: the gap u_senior(z) -
     u_junior(z) comes from inner u solves at the lanes' current z.
-    Returns (z, iterations); NaN where a u root is lost on the way."""
+    Returns z; NaN where a u root is lost on the way."""
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
 
     def sep(z, x, y):
         u_s, u_j = _sub_u_roots(x, y, z, faces, params)
         return u_s - u_j, _du_dz(senior, z, u_s) - _du_dz(junior, z, u_j)
 
-    return newton_bisect(sep, z_a, z_b, f_a, f_b, args=(x, y))
+    return newton_bisect(sep, z_a, z_b, f_a, f_b, args=(x, y))[0]
 
 
 def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
@@ -452,12 +463,12 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     lane solves m_senior = xs[i] and m_junior = ys[j] jointly in (z, u) by
     Newton steps (:func:`_joint_newton`), from the crossing interpolated in
     its bracket.  Lanes that fail the joint solve's tests fall back to
-    :func:`_nested_crossings`.  ``iterations`` adds up both solves' steps.
+    :func:`_nested_crossings`.
     """
     _check_ridge_faces(faces)
+    z_lo, z_hi = _check_z_bracket(params)
     xs, ys = np.atleast_1d(np.asarray(xs, dtype=float)), np.atleast_1d(np.asarray(ys, dtype=float))
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
-    z_lo, z_hi = z_bracket(params)
     zs = np.linspace(z_lo, z_hi, n_scan)
     us_tab, uj_tab = _sub_u_roots(xs[:, None], ys[:, None], zs, faces, params)
     # sign changes between feasible scan neighbours, one senior row at a
@@ -476,20 +487,17 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     # start from the crossing interpolated in the scan bracket
     t = fa / (fa - fb)
     u_a, u_b = us_tab[li, lk], us_tab[li, lk + 1]
-    z_root, lane_iters, joined = _joint_newton(
+    z_root, joined = _joint_newton(
         x, y, z_a + t * (z_b - z_a), u_a + t * (u_b - u_a), z_a, z_b, faces, params
     )
     rest = ~joined
-    z_root[rest], iters = _nested_crossings(
+    z_root[rest] = _nested_crossings(
         x[rest], y[rest], z_a[rest], z_b[rest], fa[rest], fb[rest], faces, params
     )
-    lane_iters[rest] += iters
 
     shape = (len(xs), len(ys))
     status = np.full(shape, _NONE)
     z0 = np.full(shape, np.nan)
-    iterations = np.zeros(shape, dtype=int)
-    np.add.at(iterations, (li, lj), lane_iters)
     kept = {}
     for i, j, z in zip(li, lj, z_root):
         cell = kept.setdefault((i, j), [])
@@ -514,7 +522,7 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     u_s[found], u_j[found] = _sub_u_roots(xs[fi], ys[fj], z0[found], faces, params)
     slope[found] = _du_dz(senior, z0[found], u_s[found]) - _du_dz(junior, z0[found], u_j[found])
     status[found & (np.isnan(u_s) | np.isnan(u_j))] = _LOST
-    return _Crossings(status, z0, u_s, u_j, slope, iterations, roots)
+    return _Crossings(status, z0, u_s, u_j, slope, roots)
 
 
 def solve_z0(
@@ -702,8 +710,7 @@ def limit_grid_subordinated(
     vals[found], qual[found] = _density_at_crossing(
         cr.z0[found], 0.5 * (cr.u_s[found] + cr.u_j[found]), cr.slope[found], faces, params
     )
-    meta = {"kind": "limit_subordinated_joint"}
-    return DensityGrid(axes=(centers, centers), values=vals, metadata=meta, quality=qual)
+    return DensityGrid(axes=(centers, centers), values=vals, quality=qual)
 
 
 def _open_unit_centers(n_cells: int, lo: float, hi: float) -> np.ndarray:
@@ -723,9 +730,7 @@ def limit_curve_equal_infinite(
     hi: float = 1.0 - 1e-3,
 ) -> DensityGrid:
     centers = _open_unit_centers(n_cells, lo, hi)
-    vals = _equal_infinite(centers, face, params, quad)
-    meta = {"kind": "limit_equal_infinite", "support": "equal_loss_line"}
-    return DensityGrid(axes=(centers,), values=vals, metadata=meta)
+    return DensityGrid(axes=(centers,), values=_equal_infinite(centers, face, params, quad))
 
 
 def limit_grid_finite_vs_infinite(
@@ -741,8 +746,7 @@ def limit_grid_finite_vs_infinite(
         raise ParameterError(f"finite portfolio needs at least 2 obligors, got {r_one}")
     centers = cell_centers(n_cells, lo, hi)
     vals = _finite_vs_infinite(centers, centers, r_one, face, params, quad)
-    meta = {"kind": "limit_finite_vs_infinite", "r_one": r_one}
-    return DensityGrid(axes=(centers, centers), values=vals, metadata=meta)
+    return DensityGrid(axes=(centers, centers), values=vals)
 
 
 def limit_grid_two_markets(
@@ -759,5 +763,4 @@ def limit_grid_two_markets(
         raise ParameterError("both markets must share the fluctuation parameter")
     centers = cell_centers(n_cells, lo, hi)
     vals = _two_markets(centers, centers, face_one, face_two, params_one, params_two, quad)
-    meta = {"kind": "limit_two_markets"}
-    return DensityGrid(axes=(centers, centers), values=vals, metadata=meta)
+    return DensityGrid(axes=(centers, centers), values=vals)

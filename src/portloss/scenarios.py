@@ -39,7 +39,7 @@ from .grids import (
     scenario_fingerprint,
     write_csv,
 )
-from .limits import _check_ridge_faces, _open_unit_centers
+from .limits import _check_ridge_faces, _check_z_bracket, _open_unit_centers
 from .mc import McConfig, _check_wishart_budget, _wishart_dof
 from .params import (
     MarketParams,
@@ -344,7 +344,7 @@ _MODE_DEFAULTS = {
     "limit-subordinated": {
         "market": _DEFAULT_MARKET,
         "scan": {"n_scan": 96},
-        "grid": {"n_cells": 101, "lo": 0.0, "hi": 1.0},
+        "grid": _DEFAULT_GRID,
         "outputs": {"density": "limit_subordinated.csv"},
     },
     "limit-equal": {
@@ -729,6 +729,8 @@ def _subordinated(sc, out_dir=""):
         for k in ks
     ]
     quad, cells = _quad(sc), _grid(sc)
+    if quad.mode == "adaptive":  # its crossing solve scans z as the ridge does
+        _build("/market", _check_z_bracket, params)
     return [
         _grid_job(sc, path, lambda s=scen: engine.density_grid_subordinated(s, quad, **cells))
         for path, scen in zip(_density_paths(sc, ks, out_dir), scens)
@@ -790,6 +792,7 @@ def _limit_subordinated(sc, out_dir=""):
     field = "f_senior" if tranches.f_senior == 0 else "f_junior"
     _build(f"/tranches/{field}", _check_ridge_faces, tranches)
     params = _build("/market", MarketParams, **sc["market"])
+    _build("/market", _check_z_bracket, params)
     _check_tranche_faces(tranches, params)
     cells, n_scan = _grid(sc), int(sc["scan"]["n_scan"])
     return [
@@ -1045,7 +1048,7 @@ _BUILDERS = {
 
 # Seconds per unit of work, fitted to the median time of every bundled op
 # under the benchmark (perfbench, 2 CPUs); each lands within 3x of it.
-_FIXED_S = 0.008  # resolve, quadrature rules, artifact metadata
+_FIXED_S = 0.008  # resolve, quadrature rules, artifact provenance
 _WRITE_S = 2e-6  # one CSV row of a grid
 _TERM_S = 7.5e-10  # one mixture term: one grid point at one quadrature node
 _TABLE_S = 7e-7  # the moment kernels at one node of a node table

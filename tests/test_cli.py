@@ -183,6 +183,14 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
         ("limit_two_markets_base", ["market_two.v0=1e300"], "/face_two"),
         # below the floor where the chi-square rule has positive nodes
         ("nosub_halves_k100", ["market.n_fluct=1e-300"], "/market/n_fluct"),
+        # the crossing solve's z scan ends at or below its lower end: the
+        # chi-square quantile is 0.0 at the floor and 1.6e-87 at 1e-12
+        ("limit_subordinated_ridge", ["market.n_fluct=1.1102230246251568e-16"],
+         "/market/n_fluct"),
+        ("subordinated_k200",
+         ['quadrature.mode="adaptive"', "market.n_fluct=1.1102230246251568e-16"],
+         "/market/n_fluct"),
+        ("limit_subordinated_ridge", ["market.n_fluct=1e-12"], "/market/n_fluct"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):

@@ -5,8 +5,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from portloss import (
     MarketParams,
@@ -368,13 +366,6 @@ def test_multimarket_total_density_normalizes(market, quad):
         density_nosub((0.1,), sc)
 
 
-@given(st.integers(2, 12))
-def test_small_pool_warning_flag(k):
-    par = MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=6, t_mat=1.0, v0=100.0)
-    sc = NoSubScenario(k_obligors=k, params=par, face=75.0)
-    assert sc.accuracy_warning == (k < 8)
-
-
 # ---------------------------------------------------------------------------
 # mixture kernel
 
@@ -606,23 +597,6 @@ def test_pair_kernel_chunking_and_unequal_axes(market, faces, quad, monkeypatch)
                                rtol=1e-13, atol=0.0)
     point = engine._mixture_density((xs[3:4], ys[5:6]), *table)
     assert point[0, 0] == pytest.approx(whole[3, 5], rel=1e-13)
-
-
-def test_grids_record_pruning(market, faces, halves, quad, tmp_path):
-    sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
-    pair = NoSubScenario(k_obligors=100, params=market, overlap=halves)
-    grids = [
-        density_grid_subordinated(sub, quad, n_cells=8),
-        density_grid_nosub(pair, quad, n_cells=8),
-        marginal_density("junior", sub, quad, n_cells=8),
-    ]
-    for grid in grids:
-        meta = grid.metadata
-        assert meta["nodes_used"] + meta["nodes_pruned"] == quad.z_nodes * quad.u_nodes
-        assert meta["nodes_pruned"] > 0
-        assert 0.0 < meta["pruned_mass"] <= 1e-14
-        grid.to_csv(tmp_path / "grid.csv")
-        assert "nodes" not in (tmp_path / "grid.csv").read_text()
 
 
 # ---------------------------------------------------------------------------

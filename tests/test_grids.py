@@ -34,7 +34,7 @@ def _grid_2d():
     xs = cell_centers(3, 0.0, 0.3)
     ys = cell_centers(2, 0.0, 1.0)
     vals = np.arange(6, dtype=float).reshape(3, 2)
-    return DensityGrid(axes=(xs, ys), values=vals, metadata={"kind": "test"})
+    return DensityGrid(axes=(xs, ys), values=vals)
 
 
 def test_grid_csv_roundtrip(tmp_path):
@@ -61,9 +61,9 @@ def test_grid_csv_no_comments(tmp_path):
 def test_grid_rejects_mismatched_axes():
     xs = cell_centers(3, 0.0, 0.3)
     with pytest.raises(ParameterError):
-        DensityGrid(axes=(xs,), values=np.zeros((4,)), metadata={})
+        DensityGrid(axes=(xs,), values=np.zeros((4,)))
     with pytest.raises(ParameterError):
-        DensityGrid(axes=(xs,), values=np.full(3, -1.0), metadata={})
+        DensityGrid(axes=(xs,), values=np.full(3, -1.0))
 
 
 def test_grid_refuses_nan_densities():

@@ -108,3 +108,32 @@ def test_every_private_name_is_reached_by_package_code():
     unreached = {name: sorted(names - read) for name, tree in trees.items()
                  if (names := _private_definitions(tree)) - read}
     assert unreached == {}
+
+
+def _private_class_fields(tree):
+    """(class, field) of every field of a private class: annotated names in
+    the class body and ``self.x = ...`` assignments in its ``__init__``."""
+    fields = set()
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+                and not cls.name.startswith("__")):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                fields.add((cls.name, node.target.id))
+            elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for target in ast.walk(node):
+                    if (isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                            and isinstance(target.value, ast.Name) and target.value.id == "self"):
+                        fields.add((cls.name, target.attr))
+    return fields
+
+
+def test_every_private_class_field_is_read_by_package_code():
+    # only attribute reads count: a local variable of the same name would
+    # hide a field that nothing reads from a scan of bare names
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = set().union(*(_private_class_fields(tree) for tree in trees))
+    assert sorted(f"{cls}.{name}" for cls, name in fields if name not in read) == []
