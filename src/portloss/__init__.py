@@ -30,14 +30,10 @@ from .grids import DensityGrid, canonical_json, scenario_fingerprint
 from .engine import (
     NoSubScenario,
     SubordinatedScenario,
-    alphas,
     density_grid_nosub,
     density_grid_subordinated,
-    density_nosub,
-    density_nosub_multimarket,
     density_subordinated,
     loss_correlation,
-    marginal_density,
     mass_accounting,
     no_default_probability,
     nosub_cell_masses,
@@ -45,10 +41,7 @@ from .engine import (
     tail_probability,
 )
 from .limits import (
-    density_limit_equal_infinite,
-    density_limit_finite_vs_infinite,
     density_limit_subordinated,
-    density_limit_two_markets,
     limit_curve_equal_infinite,
     limit_grid_finite_vs_infinite,
     limit_grid_subordinated,
@@ -60,7 +53,6 @@ from .calibration import (
     ReturnSample,
     effective_correlation,
     fit_n,
-    return_density,
 )
 from .scenarios import (
     bundled_scenarios,
@@ -92,23 +84,16 @@ __all__ = [
     "scenario_fingerprint",
     "NoSubScenario",
     "SubordinatedScenario",
-    "alphas",
     "density_grid_nosub",
     "density_grid_subordinated",
-    "density_nosub",
-    "density_nosub_multimarket",
     "density_subordinated",
     "loss_correlation",
-    "marginal_density",
     "mass_accounting",
     "no_default_probability",
     "nosub_cell_masses",
     "subordinated_cell_masses",
     "tail_probability",
-    "density_limit_equal_infinite",
-    "density_limit_finite_vs_infinite",
     "density_limit_subordinated",
-    "density_limit_two_markets",
     "limit_curve_equal_infinite",
     "limit_grid_finite_vs_infinite",
     "limit_grid_subordinated",
@@ -123,7 +108,6 @@ __all__ = [
     "ReturnSample",
     "effective_correlation",
     "fit_n",
-    "return_density",
     "bundled_scenarios",
     "resolve_scenario",
     "run_scenario",

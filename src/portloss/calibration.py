@@ -20,7 +20,6 @@ from .errors import FitError, ParameterError, SingularCovarianceError
 
 __all__ = [
     "ReturnSample",
-    "return_density",
     "log_return_density",
     "fit_n",
     "FitResult",
@@ -173,19 +172,6 @@ def log_return_density(r, sigma, n_fluct: float):
     const = _log_norm(k, n_fluct) - 0.5 * (k * math.log(2.0 * math.pi) + logdet)
     vals = const + _log_bessel_part(nu, x)
     return float(vals[0]) if single else vals
-
-
-def return_density(r, sigma, n_fluct: float):
-    """Ensemble-averaged density of a K-dimensional return vector.
-
-    Heavier tailed than the Gaussian with the same covariance for finite
-    N and converging to it as N grows; even in r.
-    """
-    out = log_return_density(r, sigma, n_fluct)
-    if np.isscalar(out) or np.ndim(out) == 0:
-        return float(np.exp(out))
-    with np.errstate(under="ignore", over="ignore"):
-        return np.exp(out)
 
 
 @dataclass(frozen=True)

@@ -30,21 +30,19 @@ moments of losses in [0, 1].  At the default 64 x 64 rule about a quarter
 of the nodes remain.
 
 Two kernels read a table: :func:`_mixture_density` for every density -
-one point, a 1-D or 2-D grid, a marginal, fixed rule or adaptive - and
-:func:`_cell_masses` for every cell mass.  The density kernel takes one
-1-D array of loss values per tracked loss and returns the density on
-their cartesian product; a point is a call with one-element axes.  The
-adaptive rule of a tranched scenario builds one small table per grid
-cell, localized where the slice means cross that cell, in the same
-format; all cells of a grid share one batched crossing solve
-(:func:`_adaptive_density`).  Moments and correlations read the table
-directly.
+a 1-D or 2-D grid, or the one point of :func:`density_subordinated`,
+fixed rule or adaptive - and :func:`_cell_masses` for every cell mass.
+The density kernel takes one 1-D array of loss values per tracked loss,
+one or two of them, and returns the density on their cartesian product;
+a point is a call with one-element axes.  The adaptive rule of a
+tranched scenario builds one small table per grid cell, localized where
+the slice means cross that cell, in the same format; all cells of a
+grid share one batched crossing solve (:func:`_adaptive_density`).
+Moments and correlations read the table directly.
 
 Both kernels sum the same slices and differ only in the per-axis factor:
 a normal density at a point, or a normal probability between two edges.
-A single loss is its per-slice factors contracted with w.  The per-market
-layout, the only one with B > 2, is evaluated at single points and has a
-diagonal covariance, so its leading axes fold into the weights.  A pair
+A single loss is its per-slice factors contracted with w.  A pair
 is split once, by :func:`_split`, as w phi(x) phi(y | x), where
 phi(y | x) is centred on my + slope (x - mx) with slope = cov_xy / var_x;
 the table itself fixes the split, never the scenario.  Slices of slope
@@ -127,10 +125,6 @@ __all__ = [
     "density_subordinated",
     "subordinated_cell_masses",
     "density_grid_subordinated",
-    "marginal_density",
-    "alphas",
-    "density_nosub",
-    "density_nosub_multimarket",
     "nosub_cell_masses",
     "density_grid_nosub",
     "no_default_probability",
@@ -173,11 +167,6 @@ class SubordinatedScenario:
     def obligor_face(self) -> float:
         """Total face per firm, senior plus junior."""
         return self.tranches.f_total
-
-    @property
-    def tracked_losses(self) -> tuple:
-        """``which`` key of each tracked loss, in node-table order."""
-        return ("senior", "junior")
 
 
 class Holdings(NamedTuple):
@@ -279,11 +268,6 @@ class NoSubScenario:
     def obligor_face(self) -> float:
         """Common face per firm."""
         return self.face if self.overlap is None else self.overlap.f0
-
-    @property
-    def tracked_losses(self) -> tuple:
-        """Creditor number of each tracked loss, in node-table order."""
-        return tuple(range(1, self.n_creditors + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -565,46 +549,40 @@ def _gauss_factors(points, axis):
 
 def _mixture_density(axes, w, means, cov):
     """Mixture density on the cartesian product of ``axes``, one 1-D array
-    of loss values per tracked loss; returns shape ``tuple(len(a) for a in
-    axes)``.
+    of loss values per tracked loss, one or two of them; returns shape
+    ``tuple(len(a) for a in axes)``.
 
-    A pair is split by :func:`_split` into separable slices, one matrix
-    product of per-axis factors (w phi_x) phi_y^T, and coupled ones, the
-    row loop of :func:`_coupled_pair_density`; w enters each x factor as
-    log w in its exponent, so a zero weight gives factors of exactly 0.
-    A single loss is its per-slice factors contracted with w, and the
-    single points of the per-market layout (B > 2, diagonal covariance)
-    fold their leading axes into the weights.  Slices with a variance or
-    a conditional variance at or below ``_VAR_FLOOR`` are delta slices
-    that a density cannot represent; they are dropped from the table
-    first, so they add exactly 0 whatever their means (NaN included).
+    A single loss is its factor table contracted with w.  A pair is split
+    by :func:`_split` into separable slices, one matrix product of
+    per-axis factors (w phi_x) phi_y^T, and coupled ones, the row loop of
+    :func:`_coupled_pair_density`; w enters each x factor as log w in its
+    exponent, so a zero weight gives factors of exactly 0.  Slices with a
+    variance or a conditional variance at or below ``_VAR_FLOOR`` are
+    delta slices that a density cannot represent; they are dropped from
+    the table first, so they add exactly 0 whatever their means (NaN
+    included).
     """
     axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
     out = np.zeros(tuple(len(a) for a in axes))
-    if len(axes) == 2:
-        slope, vc = _split(cov)
-        keep = (cov[0, 0] > _VAR_FLOOR) & (vc > _VAR_FLOOR)
-        with np.errstate(divide="ignore"):
-            fx = _gauss_axis(means[0, keep], cov[0, 0, keep], np.log(w[keep]))
-        fy, slope = _gauss_axis(means[1, keep], vc[keep]), slope[keep]
-        sep = slope == 0.0
-        if sep.any():
-            fxs, fys = fx[:, sep], fy[:, sep]
-            _separable_sum(out, fxs.shape[1], lambda n: _gauss_factors(axes[0], fxs[:, n]),
-                           lambda n: _gauss_factors(axes[1], fys[:, n]))
-        if not sep.all():
-            _coupled_pair_density(out, *axes, fx[:, ~sep], fy[:, ~sep], slope[~sep])
+    if len(axes) == 1:
+        keep = cov[0, 0] > _VAR_FLOOR
+        fx, w = _gauss_axis(means[0, keep], cov[0, 0, keep]), w[keep]
+        rows = _block_rows(len(w))
+        for s in range(0, len(out), rows):
+            out[s : s + rows] = _gauss_factors(axes[0][s : s + rows], fx) @ w
         return out
-    var = np.einsum("bbn->bn", cov)
-    keep = np.all(var > _VAR_FLOOR, axis=0)
-    w = w[keep]
-    factors = [_gauss_axis(m[keep], v[keep]) for m, v in zip(means, var)]
-    for a, f in zip(axes[:-1], factors):  # single points: one factor per slice
-        w = w * _gauss_factors(a, f).reshape(len(w))
-    flat, xs = out.reshape(-1), axes[-1]
-    rows = _block_rows(len(w))
-    for s in range(0, len(xs), rows):
-        flat[s : s + rows] = _gauss_factors(xs[s : s + rows], factors[-1]) @ w
+    slope, vc = _split(cov)
+    keep = (cov[0, 0] > _VAR_FLOOR) & (vc > _VAR_FLOOR)
+    with np.errstate(divide="ignore"):
+        fx = _gauss_axis(means[0, keep], cov[0, 0, keep], np.log(w[keep]))
+    fy, slope = _gauss_axis(means[1, keep], vc[keep]), slope[keep]
+    sep = slope == 0.0
+    if sep.any():
+        fxs, fys = fx[:, sep], fy[:, sep]
+        _separable_sum(out, fxs.shape[1], lambda n: _gauss_factors(axes[0], fxs[:, n]),
+                       lambda n: _gauss_factors(axes[1], fys[:, n]))
+    if not sep.all():
+        _coupled_pair_density(out, *axes, fx[:, ~sep], fy[:, ~sep], slope[~sep])
     return out
 
 
@@ -629,10 +607,6 @@ def _coupled_pair_density(out, xs, ys, fx, fy, slope):
             for t in range(0, len(ys), cols):
                 out[s + i, t : t + cols] += _gauss_factors(ys[t : t + cols], cond) @ ax_live
     return out
-
-
-def _point_density(point, scenario, quad):
-    return float(_mixture_density(point, *_node_table(scenario, quad)).ravel()[0])
 
 
 def _as_point(l, b):
@@ -736,10 +710,10 @@ def density_subordinated(
     (no defaults at all) is not part of the density and is reported by
     :func:`no_default_probability`.
     """
-    point = _as_point((l_senior, l_junior), 2)
+    x, y = _as_point((l_senior, l_junior), 2)[:, None]
     if quad.mode == "adaptive":
-        return float(_adaptive_density(point[:1], point[1:], scenario, quad)[0, 0])
-    return _point_density(point, scenario, quad)
+        return float(_adaptive_density(x, y, scenario, quad)[0, 0])
+    return float(_mixture_density((x, y), *_node_table(scenario, quad))[0, 0])
 
 
 def subordinated_cell_masses(
@@ -776,49 +750,8 @@ def density_grid_subordinated(
     return DensityGrid(axes=(centers, centers), values=vals)
 
 
-def marginal_density(
-    which,
-    scenario,
-    quad: QuadratureSpec = QuadratureSpec(),
-    n_cells: int = 201,
-    lo: float = 0.0,
-    hi: float = 1.0,
-) -> DensityGrid:
-    """Marginal density of one tracked loss on a 1-D grid.
-
-    ``which`` is 'senior' or 'junior' for a tranched scenario and the
-    creditor number for a plain scenario.  Integrating the conditional
-    slice over the other coordinates is exact, so each marginal is the
-    mixture of that slice's own Gaussian.
-    """
-    keys = scenario.tracked_losses
-    if which not in keys:
-        raise ParameterError(f"which must be one of {keys}, got {which!r}")
-    b = keys.index(which)
-    w, means, cov = _node_table(scenario, quad)
-    centers = cell_centers(n_cells, lo, hi)
-    vals = _mixture_density((centers,), w, means[b : b + 1], cov[b : b + 1, b : b + 1])
-    return DensityGrid(axes=(centers,), values=vals)
-
-
 # ---------------------------------------------------------------------------
 # plain (untranched) portfolios
-
-
-def alphas(overlap: OverlapSpec):
-    """Covariance inflation factors (a1, a12, a2) for two creditors sharing
-    an overlap pattern; the pair covariance of the creditor losses is
-    (single-firm loss variance / K) times [[a1, a12], [a12, a2]].
-
-    Disjoint equal halves give (2, 0, 2); full overlap gives (1, 1, 1).
-    """
-    s1 = overlap.share_one
-    s2 = overlap.share_two
-    a1 = (overlap.r1 + overlap.gamma**2 * overlap.r12) / s1**2
-    a12 = overlap.gamma * (1.0 - overlap.gamma) * overlap.r12 / (s1 * s2)
-    r2 = 1.0 - overlap.r1 - overlap.r12
-    a2 = (r2 + (1.0 - overlap.gamma) ** 2 * overlap.r12) / s2**2
-    return float(a1), float(a12), float(a2)
 
 
 def _class_counts(scenario: NoSubScenario) -> np.ndarray:
@@ -852,10 +785,13 @@ def _creditor_weights(scenario: NoSubScenario) -> np.ndarray:
     return per_firm / per_firm.sum(axis=1, keepdims=True)
 
 
-def _check_gram(scenario: NoSubScenario):
-    """Refuse a creditor pair whose Gram matrix W diag(1/count) W^T, the
+def _check_grid(scenario: NoSubScenario):
+    """Refuse a scenario that has no density grid: more than 2 creditors,
+    or a creditor pair whose Gram matrix W diag(1/count) W^T, the
     covariance up to the single-firm variance, is singular."""
-    if scenario.n_creditors != 2:
+    if scenario.n_creditors > 2:
+        raise ParameterError("grids supported for at most 2 creditors")
+    if scenario.n_creditors == 1:
         return
     wts, counts = _class_weights(scenario)
     g = (wts / counts) @ wts.T
@@ -866,43 +802,6 @@ def _check_gram(scenario: NoSubScenario):
             "density is singular; model the common loss with a single "
             "creditor (equal-loss parametrization) instead"
         )
-
-
-def _check_grid(scenario: NoSubScenario):
-    """Refuse a scenario that has no density grid: more than 2 creditors,
-    or a singular creditor pair."""
-    if scenario.n_creditors > 2:
-        raise ParameterError("grids supported for at most 2 creditors")
-    _check_gram(scenario)
-
-
-def density_nosub(
-    l,
-    scenario: NoSubScenario,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Density of the creditor loss (scalar) or loss pair for a
-    single-market untranched scenario.
-
-    Raises SingularCovarianceError when the two creditor portfolios are
-    proportional, in which case the pair has no two-dimensional density.
-    """
-    if isinstance(scenario.params, MultiMarketParams):
-        raise ParameterError("use density_nosub_multimarket for multi-market scenarios")
-    _check_gram(scenario)
-    return _point_density(_as_point(l, scenario.n_creditors), scenario, quad)
-
-
-def density_nosub_multimarket(
-    l,
-    scenario: NoSubScenario,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Density of the total loss (one creditor) or the per-market creditor
-    loss vector for a block multi-market scenario."""
-    if not isinstance(scenario.params, MultiMarketParams):
-        raise ParameterError("scenario does not carry multi-market params")
-    return _point_density(_as_point(l, scenario.n_creditors), scenario, quad)
 
 
 def nosub_cell_masses(

@@ -78,9 +78,6 @@ __all__ = [
     "solve_u_plain",
     "solve_z0",
     "density_limit_subordinated",
-    "density_limit_equal_infinite",
-    "density_limit_finite_vs_infinite",
-    "density_limit_two_markets",
     "limit_grid_subordinated",
     "limit_curve_equal_infinite",
     "limit_grid_finite_vs_infinite",
@@ -602,94 +599,6 @@ def density_limit_subordinated(
     return float(density)
 
 
-def density_limit_equal_infinite(
-    l: float,
-    face: float,
-    params: MarketParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Univariate limit density of the common loss of equal infinite
-    portfolios in one market.
-
-    The bivariate limit object is this density supported on the equal-loss
-    line l1 = l2: the portfolio losses become perfectly correlated, and no
-    overlap parameter survives in the formula.
-    """
-    if not (0.0 < l < 1.0):
-        raise ParameterError(f"loss must lie strictly inside (0, 1), got {l}")
-    return float(_equal_infinite([l], face, params, quad)[0])
-
-
-def _equal_infinite(ls, face, params, quad):
-    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    # wz carries the chi2 weight, the kernel the Gaussian u factor
-    return _plain_factor(ls, z, face, params)[1] @ wz
-
-
-def density_limit_finite_vs_infinite(
-    l_one: float,
-    l_two: float,
-    r_one: int,
-    face: float,
-    params: MarketParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Joint density of a finite disjoint portfolio of ``r_one`` obligors
-    (loss l_one) against an infinite one (loss l_two) in the same market.
-
-    Only the infinite side collapses to a delta; the finite side keeps a
-    Gaussian slice of width shrinking like 1/sqrt(r_one) around the
-    conditional mean, which the delta pins to l_two itself.
-    """
-    if r_one < 2:
-        raise ParameterError(f"finite portfolio needs at least 2 obligors, got {r_one}")
-    if not (0.0 <= l_one <= 1.0 and 0.0 < l_two < 1.0):
-        raise ParameterError("losses out of range")
-    return float(_finite_vs_infinite([l_one], [l_two], r_one, face, params, quad)[0, 0])
-
-
-def _finite_vs_infinite(xs, ys, r_one, face, params, quad):
-    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    u, weight = _plain_factor(ys, z, face, params)
-    m1 = moment_plain(1, z[None, :], u, face, params)
-    m2 = moment_plain(2, z[None, :], u, face, params)
-    var = np.maximum(m2 - m1 * m1, 0.0) / r_one
-    # lanes without a root add exactly 0; the kernel masks degenerate slices
-    w_eff = np.where(weight > 0.0, weight * wz, 0.0)
-    vals = np.empty((len(xs), len(w_eff)))
-    # one infinite-side loss at a time, so that no array is sized cells x z
-    for j in range(len(w_eff)):
-        vals[:, j] = _mixture_density((xs,), w_eff[j], m1[j][None], var[j][None, None])
-    return vals
-
-
-def density_limit_two_markets(
-    l_one: float,
-    l_two: float,
-    face_one: float,
-    face_two: float,
-    params_one: MarketParams,
-    params_two: MarketParams,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Joint limit density of two infinite disjoint portfolios, one per
-    market, coupled only through the shared scale variable z."""
-    if params_one.n_fluct != params_two.n_fluct:
-        raise ParameterError("both markets must share the fluctuation parameter")
-    if not (0.0 < l_one < 1.0 and 0.0 < l_two < 1.0):
-        raise ParameterError("losses must lie strictly inside (0, 1)")
-    return float(
-        _two_markets([l_one], [l_two], face_one, face_two, params_one, params_two, quad)[0, 0]
-    )
-
-
-def _two_markets(xs, ys, face_one, face_two, params_one, params_two, quad):
-    z, wz = chi2_nodes(params_one.n_fluct, quad.z_nodes)
-    w_one = _plain_factor(xs, z, face_one, params_one)[1]
-    w_two = _plain_factor(ys, z, face_two, params_two)[1]
-    return np.einsum("ik,jk,k->ij", w_one, w_two, wz)
-
-
 # ---------------------------------------------------------------------------
 # grid builders
 
@@ -729,8 +638,18 @@ def limit_curve_equal_infinite(
     lo: float = 1e-3,
     hi: float = 1.0 - 1e-3,
 ) -> DensityGrid:
+    """Univariate limit density of the common loss of equal infinite
+    portfolios in one market, on the centers of n_cells cells of [lo, hi],
+    all strictly inside (0, 1).
+
+    The bivariate limit object is this density supported on the equal-loss
+    line l1 = l2: the portfolio losses become perfectly correlated, and no
+    overlap parameter survives in the formula.
+    """
     centers = _open_unit_centers(n_cells, lo, hi)
-    return DensityGrid(axes=(centers,), values=_equal_infinite(centers, face, params, quad))
+    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
+    # wz carries the chi2 weight, the kernel the Gaussian u factor
+    return DensityGrid(axes=(centers,), values=_plain_factor(centers, z, face, params)[1] @ wz)
 
 
 def limit_grid_finite_vs_infinite(
@@ -742,10 +661,28 @@ def limit_grid_finite_vs_infinite(
     lo: float = 0.0,
     hi: float = 1.0,
 ) -> DensityGrid:
+    """Joint density of a finite disjoint portfolio of ``r_one`` obligors
+    (loss on the first axis) against an infinite one (loss on the second
+    axis) in the same market, on an n_cells x n_cells grid.
+
+    Only the infinite side collapses to a delta; the finite side keeps a
+    Gaussian slice of width shrinking like 1/sqrt(r_one) around the
+    conditional mean, which the delta pins to the infinite side's loss.
+    """
     if r_one < 2:
         raise ParameterError(f"finite portfolio needs at least 2 obligors, got {r_one}")
     centers = cell_centers(n_cells, lo, hi)
-    vals = _finite_vs_infinite(centers, centers, r_one, face, params, quad)
+    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
+    u, weight = _plain_factor(centers, z, face, params)
+    m1 = moment_plain(1, z[None, :], u, face, params)
+    m2 = moment_plain(2, z[None, :], u, face, params)
+    var = np.maximum(m2 - m1 * m1, 0.0) / r_one
+    # lanes without a root add exactly 0; the kernel masks degenerate slices
+    w_eff = np.where(weight > 0.0, weight * wz, 0.0)
+    vals = np.empty((len(centers), len(w_eff)))
+    # one infinite-side loss at a time, so that no array is sized cells x z
+    for j in range(len(w_eff)):
+        vals[:, j] = _mixture_density((centers,), w_eff[j], m1[j][None], var[j][None, None])
     return DensityGrid(axes=(centers, centers), values=vals)
 
 
@@ -759,8 +696,13 @@ def limit_grid_two_markets(
     lo: float = 0.0,
     hi: float = 1.0,
 ) -> DensityGrid:
+    """Joint limit density of two infinite disjoint portfolios, one per
+    market, coupled only through the shared scale variable z, on an
+    n_cells x n_cells grid."""
     if params_one.n_fluct != params_two.n_fluct:
         raise ParameterError("both markets must share the fluctuation parameter")
     centers = cell_centers(n_cells, lo, hi)
-    vals = _two_markets(centers, centers, face_one, face_two, params_one, params_two, quad)
-    return DensityGrid(axes=(centers, centers), values=vals)
+    z, wz = chi2_nodes(params_one.n_fluct, quad.z_nodes)
+    w_one = _plain_factor(centers, z, face_one, params_one)[1]
+    w_two = _plain_factor(centers, z, face_two, params_two)[1]
+    return DensityGrid(axes=(centers, centers), values=np.einsum("ik,jk,k->ij", w_one, w_two, wz))

@@ -57,7 +57,6 @@ from .params import MarketParams, SubordinationSpec
 __all__ = [
     "norm_pdf",
     "tau",
-    "tau_du",
     "tau_dz",
     "moment_senior",
     "moment_junior",
@@ -70,7 +69,6 @@ __all__ = [
     "junior_mean_target_du",
     "junior_mean_target_dz",
     "moment_plain_and_du",
-    "moment_plain_du",
 ]
 
 
@@ -113,11 +111,12 @@ def _e_factors(j, exponent, a_j, a0, ratio, bound_ratio, factor=1.0):
     factors are finite wherever the term is: this is the log-space product
     exp(j log ratio + x_j + log Phi(a_j)) in closed form.  ``factor``
     bounds a larger multiplier of ratio^j E_j than the margin covers.  One
-    max per call decides whether any element needs this; the other
-    elements keep the direct factors, bit for bit.
+    max per call, over the elements that are not NaN, decides whether any
+    element needs this; the other elements keep the direct factors, bit
+    for bit.
     """
     margin = j * max(0.0, math.log(ratio)) + math.log(max(1.0, factor))
-    if not exponent.max(initial=-np.inf) + margin > _EXP_MAX:
+    if not np.fmax.reduce(exponent, axis=None, initial=-np.inf) + margin > _EXP_MAX:
         return np.exp(exponent), ndtr(a_j), None
     big = exponent + margin > _EXP_MAX
     e = np.where(big, bound_ratio**j * norm_pdf(a0), np.exp(np.where(big, 0.0, exponent)))
@@ -185,7 +184,7 @@ def _kernel_dz(j, c_pay, f_div, f_bound, z, u, params: MarketParams):
     dx1 = g / (2.0 * params.n_fluct) - b_coef * u / (2.0 * sqz)
     e1, p1, big = _e_factors(
         1, z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t, a1, a0, ratio,
-        f_bound / params.v0, np.abs(dx1).max(initial=0.0),
+        f_bound / params.v0, np.fmax.reduce(np.abs(dx1), axis=None, initial=0.0),
     )
     de1 = e1 * dx1
     da1 = da0 - 1.0 / (2.0 * a_coef * sqz)
@@ -250,12 +249,6 @@ def _tau_and_du(j, iota, lam, z, u, faces, params):
         raise ParameterError("derivatives implemented for j in {0, 1}")
     c_pay, f_div, f_bound = _tau_setup(iota, lam, faces)
     return _kernel(j, c_pay, f_div, f_bound, z, u, params, du=True)
-
-
-def tau_du(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: MarketParams):
-    """Exact u-derivative of :func:`tau`; orders 0 and 1 only (the orders
-    the implicit-function solvers need)."""
-    return _tau_and_du(j, iota, lam, z, u, faces, params)[j][1]
 
 
 def tau_dz(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: MarketParams):
@@ -364,7 +357,3 @@ def moment_plain_and_du(j, z, u, face, params):
     if not (face > 0):
         raise ParameterError(f"face must be > 0, got {face}")
     return _kernel(j, 1.0, face, face, z, u, params, du=True)[j]
-
-
-def moment_plain_du(j, z, u, face, params):
-    return moment_plain_and_du(j, z, u, face, params)[1]

@@ -719,6 +719,15 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
     )
 
 
+def _check_ridge(tranches: SubordinationSpec, params: MarketParams):
+    """Refuse what the senior/junior crossing solve refuses: f_senior = 0
+    or a junior face too thin to solve for, and a market whose z scan is
+    empty."""
+    field = "f_senior" if tranches.f_senior == 0 else "f_junior"
+    _build(f"/tranches/{field}", _check_ridge_faces, tranches)
+    _build("/market", _check_z_bracket, params)
+
+
 def _subordinated(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
     tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
@@ -729,8 +738,8 @@ def _subordinated(sc, out_dir=""):
         for k in ks
     ]
     quad, cells = _quad(sc), _grid(sc)
-    if quad.mode == "adaptive":  # its crossing solve scans z as the ridge does
-        _build("/market", _check_z_bracket, params)
+    if quad.mode == "adaptive":  # its crossing solve is the ridge's
+        _check_ridge(tranches, params)
     return [
         _grid_job(sc, path, lambda s=scen: engine.density_grid_subordinated(s, quad, **cells))
         for path, scen in zip(_density_paths(sc, ks, out_dir), scens)
@@ -788,11 +797,8 @@ def _multimarket(sc, out_dir=""):
 
 def _limit_subordinated(sc, out_dir=""):
     tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
-    # the ridge refuses f_senior = 0 or a junior face too thin to solve for
-    field = "f_senior" if tranches.f_senior == 0 else "f_junior"
-    _build(f"/tranches/{field}", _check_ridge_faces, tranches)
     params = _build("/market", MarketParams, **sc["market"])
-    _build("/market", _check_z_bracket, params)
+    _check_ridge(tranches, params)
     _check_tranche_faces(tranches, params)
     cells, n_scan = _grid(sc), int(sc["scan"]["n_scan"])
     return [

@@ -14,10 +14,14 @@ from portloss import (
     SingularCovarianceError,
     effective_correlation,
     fit_n,
-    return_density,
 )
 from portloss.calibration import _log_bessel_part, _log_kv, log_return_density
 from portloss.mc import sample_compound_returns
+
+
+def return_density(r, sigma, n_fluct):
+    """The ensemble-averaged return density, exp of its closed-form log."""
+    return np.exp(log_return_density(r, sigma, n_fluct))
 
 
 def test_density_normalizes_univariate():

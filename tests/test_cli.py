@@ -191,6 +191,12 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
          ['quadrature.mode="adaptive"', "market.n_fluct=1.1102230246251568e-16"],
          "/market/n_fluct"),
         ("limit_subordinated_ridge", ["market.n_fluct=1e-12"], "/market/n_fluct"),
+        # the adaptive rule runs the ridge's crossing solve, which refuses
+        # these faces
+        ("subordinated_k200", ['quadrature.mode="adaptive"', "tranches.f_senior=0"],
+         "/tranches/f_senior"),
+        ("subordinated_k200", ['quadrature.mode="adaptive"', "tranches.f_junior=1e-5"],
+         "/tranches/f_junior"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):

@@ -20,11 +20,8 @@ from portloss import (
     UndefinedCorrelationError,
     density_grid_nosub,
     density_grid_subordinated,
-    density_nosub,
-    density_nosub_multimarket,
     density_subordinated,
     loss_correlation,
-    marginal_density,
     mass_accounting,
     no_default_probability,
     nosub_cell_masses,
@@ -32,7 +29,20 @@ from portloss import (
     tail_probability,
 )
 from portloss import mc
-from portloss.engine import alphas, gaussian_moment_terms
+from portloss.engine import gaussian_moment_terms
+
+
+def _alphas(overlap: OverlapSpec):
+    """Reference: the covariance inflation factors (a1, a12, a2) of two
+    creditors sharing an overlap pattern; the pair covariance of the
+    creditor losses is (single-firm loss variance / K) times
+    [[a1, a12], [a12, a2]]."""
+    s1, s2 = overlap.share_one, overlap.share_two
+    a1 = (overlap.r1 + overlap.gamma**2 * overlap.r12) / s1**2
+    a12 = overlap.gamma * (1.0 - overlap.gamma) * overlap.r12 / (s1 * s2)
+    r2 = 1.0 - overlap.r1 - overlap.r12
+    a2 = (r2 + (1.0 - overlap.gamma) ** 2 * overlap.r12) / s2**2
+    return a1, a12, a2
 
 
 def _mk(c, market):
@@ -81,16 +91,18 @@ def test_no_default_multimarket_matches_singleton_block(market):
 # overlap weights
 
 def test_alphas_for_standard_layouts(halves):
-    assert alphas(halves) == pytest.approx((2.0, 0.0, 2.0))
+    # the reference reproduces the paper's factors: disjoint equal halves
+    # give (2, 0, 2)
+    assert _alphas(halves) == pytest.approx((2.0, 0.0, 2.0))
     # identical portfolios: both own every obligor's face half each
     same = OverlapSpec(r1=0.0, r12=1.0, gamma=0.5, f0=75.0)
-    a1, a12, a2 = alphas(same)
+    a1, a12, a2 = _alphas(same)
     assert a1 == pytest.approx(a12) and a12 == pytest.approx(a2)
 
 
 @pytest.mark.parametrize(
     "r1, r12, gamma, k",
-    [(0.5, 0.0, 0.5, 100), (0.3, 0.4, 0.3, 100), (0.333, 0.2, 0.5, 7)],
+    [(0.5, 0.0, 0.5, 100), (0.3, 0.4, 0.3, 100), (0.333, 0.2, 0.5, 7), (0.0, 1.0, 0.5, 50)],
 )
 def test_overlap_table_matches_alphas(market, quad, r1, r12, gamma, k):
     # the class-by-class covariance reproduces the paper's inflation factors
@@ -105,7 +117,7 @@ def test_overlap_table_matches_alphas(market, quad, r1, r12, gamma, k):
     zz, uu = np.repeat(z, len(u)), np.tile(u, len(z))
     m1 = moment_plain(1, zz, uu, 75.0, market)
     var = np.maximum(moment_plain(2, zz, uu, 75.0, market) - m1 * m1, 0.0)
-    a1, a12, a2 = alphas(ov)
+    a1, a12, a2 = _alphas(ov)
     want = np.array([[a1, a12], [a12, a2]])[:, :, None] * var / k
     np.testing.assert_allclose(cov, want, rtol=1e-14, atol=0.0)
 
@@ -134,7 +146,7 @@ def test_identical_portfolios_have_no_bivariate_density(market):
     same = OverlapSpec(r1=0.0, r12=1.0, gamma=0.5, f0=75.0)
     sc = NoSubScenario(k_obligors=50, params=market, overlap=same)
     with pytest.raises(SingularCovarianceError):
-        density_nosub((0.1, 0.1), sc)
+        density_grid_nosub(sc, n_cells=4)
     # the correlation is still defined, and is exactly 1
     assert loss_correlation(sc, method="analytic") == pytest.approx(1.0, abs=1e-9)
 
@@ -288,20 +300,6 @@ def test_adaptive_density_frozen_values(market, faces, k, point, want):
     assert got == pytest.approx(want, rel=1e-13)
 
 
-def test_marginal_integrates_to_window_mass(market, faces, quad):
-    # smooth window away from the origin smear: midpoint integral of the
-    # marginal equals the exact mixture mass of that junior-loss window
-    sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
-    grid = marginal_density("junior", sc, quad, n_cells=900, lo=0.05, hi=0.5)
-    step = grid.axes[0][1] - grid.axes[0][0]
-    total = float(grid.values.sum() * step)
-    want = subordinated_cell_masses(
-        sc, np.array([-np.inf, np.inf]), np.array([0.05, 0.5]), quad)[0, 0]
-    assert total == pytest.approx(float(want), rel=1e-4)
-    with pytest.raises(ParameterError):
-        marginal_density("mezzanine", sc, quad)
-
-
 # ---------------------------------------------------------------------------
 # untranched density
 
@@ -328,19 +326,33 @@ def test_mass_accounting_close_for_large_pools(market, halves):
 
 
 def test_nosub_grid_matches_points(market, halves, quad):
+    from portloss.engine import _node_table
+
     sc = NoSubScenario(k_obligors=100, params=market, overlap=halves)
     grid = density_grid_nosub(sc, n_cells=8, lo=0.0, hi=0.4, quad=quad)
     xs, ys = grid.axes
-    want = density_nosub((float(xs[3]), float(ys[5])), sc, quad)
+    want = _per_point_density((xs[3], ys[5]), *_node_table(sc, quad))
     assert grid.values[3, 5] == pytest.approx(want, rel=1e-9)
 
 
 def test_nosub_single_creditor_grid_is_univariate(market, quad):
+    from portloss.engine import _node_table
+
     sc = NoSubScenario(k_obligors=50, params=market, face=75.0)
     grid = density_grid_nosub(sc, n_cells=30, lo=0.0, hi=0.6, quad=quad)
     assert grid.values.shape == (30,)
-    mid = density_nosub(float(grid.axes[0][10]), sc, quad)
+    mid = _per_point_density((grid.axes[0][10],), *_node_table(sc, quad))
     assert grid.values[10] == pytest.approx(mid, rel=1e-9)
+
+
+def test_single_creditor_grid_integrates_to_window_mass(market, quad):
+    # smooth window away from the origin smear: the midpoint integral of a
+    # single creditor's density equals the exact mixture mass of that window
+    sc = NoSubScenario(k_obligors=200, params=market, face=75.0)
+    grid = density_grid_nosub(sc, quad, n_cells=900, lo=0.05, hi=0.5)
+    total = float(grid.values.sum()) * (0.5 - 0.05) / 900
+    want = nosub_cell_masses(sc, np.array([0.05, 0.5]), quad=quad)[0]
+    assert total == pytest.approx(float(want), rel=1e-4)
 
 
 def test_tail_probability_against_mc(market):
@@ -354,16 +366,21 @@ def test_tail_probability_against_mc(market):
 
 
 def test_multimarket_total_density_normalizes(market, quad):
+    # the total loss of two blocks: its cell masses over the whole line sum
+    # to 1, and the midpoint integral of its density grid over a window
+    # away from the origin smear is the exact mixture mass of that window
     mm = MultiMarketParams(blocks=((market, 20), (market, 20)))
     sc = NoSubScenario(k_obligors=40, params=mm, face=75.0, creditors=1)
-    xs = np.linspace(1e-3, 0.999, 400)
-    vals = np.array([density_nosub_multimarket(float(x), sc, quad) for x in xs])
-    total = float(np.trapezoid(vals, xs)) + no_default_probability(40, 75.0, mm)
-    assert total == pytest.approx(1.0, abs=0.02)
+    full = nosub_cell_masses(sc, np.array([-np.inf, np.inf]), quad=quad)
+    assert float(full[0]) == pytest.approx(1.0, abs=1e-9)
+    grid = density_grid_nosub(sc, quad, n_cells=400, lo=0.02, hi=0.98)
+    total = float(grid.values.sum()) * (0.98 - 0.02) / 400
+    want = nosub_cell_masses(sc, np.array([0.02, 0.98]), quad=quad)[0]
+    assert total == pytest.approx(float(want), rel=1e-3)
+    # one creditor per block of three has no grid
+    trio = MultiMarketParams(blocks=((market, 10), (market, 10), (market, 10)))
     with pytest.raises(ParameterError):
-        density_nosub_multimarket(0.1, NoSubScenario(k_obligors=5, params=market, face=75.0))
-    with pytest.raises(ParameterError):
-        density_nosub((0.1,), sc)
+        density_grid_nosub(NoSubScenario(k_obligors=30, params=trio, face=75.0, creditors=3))
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +433,6 @@ def test_mixture_kernel_matches_per_point_reference(market, faces, halves, quad)
     grid = density_grid_nosub(one, quad, n_cells=60, lo=0.0, hi=0.6)
     check(grid.values, [(x,) for x in grid.axes[0]], _node_table(one, quad))
 
-    w, means, cov = _node_table(sub, quad)
-    for b, which in enumerate(("senior", "junior")):
-        grid = marginal_density(which, sub, quad, n_cells=50, lo=0.0, hi=0.5)
-        check(grid.values, [(x,) for x in grid.axes[0]],
-              (w, means[b : b + 1], cov[b : b + 1, b : b + 1]))
-
-    small = QuadratureSpec(z_nodes=8, u_nodes=8)
-    mm = MultiMarketParams(blocks=((market, 10), (market, 20), (market, 30)))
-    per_market = NoSubScenario(k_obligors=60, params=mm, face=75.0, creditors=3)
-    point = (0.05, 0.1, 0.08)
-    check(density_nosub_multimarket(point, per_market, small), [point],
-          _node_table(per_market, small))
 
 
 def test_floored_exp_is_exp_above_the_floor_and_zero_below():

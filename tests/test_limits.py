@@ -1,5 +1,5 @@
-"""Infinite-portfolio limit densities: root solving, frozen points, and
-consistency between grid builders and the pointwise functions."""
+"""Infinite-portfolio limit densities: root solving, frozen values, and
+the grid builders against independent per-point references."""
 
 import math
 
@@ -13,10 +13,7 @@ from portloss import (
     ParameterError,
     QuadratureSpec,
     SubordinationSpec,
-    density_limit_equal_infinite,
-    density_limit_finite_vs_infinite,
     density_limit_subordinated,
-    density_limit_two_markets,
     limit_curve_equal_infinite,
     limit_grid_finite_vs_infinite,
     limit_grid_subordinated,
@@ -137,21 +134,41 @@ def test_limit_grid_subordinated_matches_points(market, faces):
     assert checked >= 5
 
 
+def _plain_limit_terms(targets, face, params, quad):
+    """Reference terms of the plain limit laws on the chi-square rule: the
+    nodes z and weights wz, the u root of m1(z, u) = target by brentq, one
+    (target, z) pair at a time, and the implicit weight phi_N(u) / |dm1/du|
+    at the root, 0 where there is none."""
+    from portloss.moments import moment_plain_and_du
+    from portloss.quadrature import chi2_nodes
+
+    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
+    mean = lambda zz, uu: moment_plain(1, zz, uu, face, params)
+    u = _brentq_u_table(mean, targets, z, params)
+    n = params.n_fluct
+    found = ~np.isnan(u)
+    weight = np.zeros(u.shape)
+    slope = np.abs(moment_plain_and_du(1, np.broadcast_to(z, u.shape)[found], u[found], face,
+                                       params)[1])
+    weight[found] = math.sqrt(n / (2.0 * math.pi)) * np.exp(-0.5 * n * u[found] ** 2) / slope
+    return z, wz, u, weight
+
+
 def test_limit_equal_infinite_frozen(market):
-    got = density_limit_equal_infinite(0.3, 75.0, market)
-    assert got == pytest.approx(0.009084694610398904, rel=1e-10)
-    with pytest.raises(ParameterError):
-        density_limit_equal_infinite(0.0, 75.0, market)
-    with pytest.raises(ParameterError):
-        density_limit_equal_infinite(1.0, 75.0, market)
+    # three cells on [0.2, 0.4] put the middle centre at 0.3
+    curve = limit_curve_equal_infinite(75.0, market, n_cells=3, lo=0.2, hi=0.4)
+    assert curve.axes[0][1] == pytest.approx(0.3, abs=1e-15)
+    assert curve.values[1] == pytest.approx(0.009084694610398904, rel=1e-10)
+    # a centre at or beyond either end of (0, 1) is refused
+    for lo, hi in ((-0.1, 0.1), (0.9, 1.1)):
+        with pytest.raises(ParameterError):
+            limit_curve_equal_infinite(75.0, market, n_cells=3, lo=lo, hi=hi)
 
 
 def test_limit_equal_density_matches_direct_simulation(market):
     # the infinite-portfolio loss is the conditional mean loss m1(z, u);
     # its window probabilities can be simulated directly, which checks the
     # root-and-Jacobian construction of the density end to end
-    from portloss.moments import moment_plain
-
     rng = np.random.default_rng(42)
     n = 400_000
     z = rng.chisquare(market.n_fluct, n)
@@ -160,50 +177,65 @@ def test_limit_equal_density_matches_direct_simulation(market):
     a, b = 0.05, 0.5
     p_mc = float(np.mean((m1 > a) & (m1 < b)))
     se = math.sqrt(p_mc * (1.0 - p_mc) / n)
-    xs = np.linspace(a, b, 901)
-    dens = [density_limit_equal_infinite(float(x), 75.0, market) for x in xs]
-    p_an = float(np.trapezoid(dens, xs))
+    # midpoint rule over 900 cells of the window
+    curve = limit_curve_equal_infinite(75.0, market, n_cells=900, lo=a, hi=b)
+    p_an = float(curve.values.sum()) * (b - a) / 900
     assert abs(p_an - p_mc) < 4.0 * se + 1e-4
 
 
 def test_finite_vs_infinite_frozen_and_scaling(market):
-    v10 = density_limit_finite_vs_infinite(0.3, 0.3, 10, 75.0, market)
-    v40 = density_limit_finite_vs_infinite(0.3, 0.3, 40, 75.0, market)
+    # three cells on [0.2, 0.4] put the middle centre at (0.3, 0.3)
+    v10, v40 = (
+        limit_grid_finite_vs_infinite(r, 75.0, market, n_cells=3, lo=0.2, hi=0.4).values[1, 1]
+        for r in (10, 40)
+    )
     assert v10 == pytest.approx(0.05049362434479736, rel=1e-10)
     # on the diagonal the Gaussian peak height scales like sqrt(r_one)
     assert v40 == pytest.approx(2.0 * v10, rel=1e-10)
     with pytest.raises(ParameterError):
-        density_limit_finite_vs_infinite(0.3, 0.3, 1, 75.0, market)
+        limit_grid_finite_vs_infinite(1, 75.0, market, n_cells=3, lo=0.2, hi=0.4)
 
 
-def test_finite_vs_infinite_grid_matches_points(market):
-    grid = limit_grid_finite_vs_infinite(10, 75.0, market, n_cells=9, lo=0.0, hi=0.6)
+def test_finite_vs_infinite_grid_matches_points(market, quad):
+    # the finite side is a Gaussian slice around m1 at the infinite side's
+    # u root, weighted by that root's implicit weight
+    grid = limit_grid_finite_vs_infinite(10, 75.0, market, quad, n_cells=9, lo=0.0, hi=0.6)
     xs, ys = grid.axes
-    for i in (2, 4):
-        for j in (3, 5):
-            want = density_limit_finite_vs_infinite(
-                float(xs[i]), float(ys[j]), 10, 75.0, market)
+    z, wz, u, weight = _plain_limit_terms(ys[[3, 5]], 75.0, market, quad)
+    for row, j in enumerate((3, 5)):
+        live = weight[row] > 0.0
+        zl, ul = z[live], u[row, live]
+        m1 = moment_plain(1, zl, ul, 75.0, market)
+        var = (moment_plain(2, zl, ul, 75.0, market) - m1 * m1) / 10
+        for i in (2, 4):
+            phi = np.exp(-0.5 * (xs[i] - m1) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
+            want = float(np.sum(wz[live] * weight[row, live] * phi))
             assert grid.values[i, j] == pytest.approx(want, rel=1e-9, abs=1e-300)
 
 
 def test_two_markets_frozen_and_symmetry(market):
-    got = density_limit_two_markets(0.3, 0.3, 75.0, 75.0, market, market)
-    assert got == pytest.approx(0.0008682534896672346, rel=1e-10)
-    a = density_limit_two_markets(0.2, 0.4, 75.0, 75.0, market, market)
-    b = density_limit_two_markets(0.4, 0.2, 75.0, 75.0, market, market)
-    assert a == pytest.approx(b, rel=1e-10)
+    # three cells on [0.2, 0.4] put the middle centre at (0.3, 0.3)
+    grid = limit_grid_two_markets(75.0, 75.0, market, market, n_cells=3, lo=0.2, hi=0.4)
+    assert grid.values[1, 1] == pytest.approx(0.0008682534896672346, rel=1e-10)
+    # two cells on [0.1, 0.5] centre at 0.2 and 0.4
+    pair = limit_grid_two_markets(75.0, 75.0, market, market, n_cells=2, lo=0.1, hi=0.5)
+    assert pair.values[0, 1] == pytest.approx(pair.values[1, 0], rel=1e-10)
     other = MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=8, t_mat=1.0, v0=100.0)
     with pytest.raises(ParameterError):
-        density_limit_two_markets(0.3, 0.3, 75.0, 75.0, market, other)
+        limit_grid_two_markets(75.0, 75.0, market, other, n_cells=3)
 
 
-def test_two_markets_grid_matches_points(market):
-    grid = limit_grid_two_markets(75.0, 75.0, market, market, n_cells=9, lo=0.0, hi=0.6)
+def test_two_markets_grid_matches_points(market, quad):
+    # given z the two markets are independent: the density is the z mixture
+    # of the product of both implicit weights; unequal faces tell the axes
+    # apart
+    grid = limit_grid_two_markets(75.0, 60.0, market, market, quad, n_cells=9, lo=0.0, hi=0.6)
     xs, ys = grid.axes
-    for i in (2, 6):
-        for j in (3, 7):
-            want = density_limit_two_markets(
-                float(xs[i]), float(ys[j]), 75.0, 75.0, market, market)
+    _, wz, _, w_one = _plain_limit_terms(xs[[2, 6]], 75.0, market, quad)
+    _, _, _, w_two = _plain_limit_terms(ys[[3, 7]], 60.0, market, quad)
+    for a, i in enumerate((2, 6)):
+        for b, j in enumerate((3, 7)):
+            want = float(np.sum(wz * w_one[a] * w_two[b]))
             assert grid.values[i, j] == pytest.approx(want, rel=1e-9, abs=1e-300)
 
 

@@ -17,6 +17,7 @@ from scipy.stats import norm
 
 from portloss import MarketParams, ParameterError, SubordinationSpec
 from portloss.moments import (
+    _tau_and_du,
     junior_mean_target,
     junior_mean_target_and_du,
     junior_mean_target_du,
@@ -24,14 +25,12 @@ from portloss.moments import (
     moment_junior,
     moment_plain,
     moment_plain_and_du,
-    moment_plain_du,
     moment_senior,
     moment_senior_and_du,
     moment_senior_du,
     moment_senior_dz,
     norm_pdf,
     tau,
-    tau_du,
     tau_dz,
 )
 
@@ -104,7 +103,7 @@ def test_tau_rejects_bad_arguments(faces, market):
     with pytest.raises(ParameterError):
         tau(0, "senior", "senior", -1.0, 0.0, faces, market)
     with pytest.raises(ParameterError):
-        tau_du(2, "senior", "senior", 1.0, 0.0, faces, market)
+        _tau_and_du(2, "senior", "senior", 1.0, 0.0, faces, market)
 
 
 @given(
@@ -153,7 +152,7 @@ def test_derivatives_match_finite_differences(zu, faces, market):
         ),
         (
             lambda zz, uu: moment_plain(1, zz, uu, 75.0, market),
-            lambda zz, uu: moment_plain_du(1, zz, uu, 75.0, market),
+            lambda zz, uu: moment_plain_and_du(1, zz, uu, 75.0, market)[1],
             None,  # the plain kernel's z derivative has no caller
         ),
     ):
@@ -225,7 +224,7 @@ def test_tau_derivatives_match_finite_differences(faces, market):
                 float(tau(j, iota, lam, z + h, u, faces, market))
                 - float(tau(j, iota, lam, z - h, u, faces, market))
             ) / (2 * h)
-            assert float(tau_du(j, iota, lam, z, u, faces, market)) == pytest.approx(
+            assert float(_tau_and_du(j, iota, lam, z, u, faces, market)[j][1]) == pytest.approx(
                 num_u, rel=3e-5, abs=1e-15
             )
             assert float(tau_dz(j, iota, lam, z, u, faces, market)) == pytest.approx(
@@ -286,3 +285,23 @@ def test_kernels_past_the_exp_range_match_mpmath():
     # an element in range keeps its direct value bit for bit next to one past it
     mixed = moment_plain(2, np.array([1.0, 3000.0]), np.array([0.1, -2.0]), face, params)
     assert mixed[0] == moment_plain(2, 1.0, 0.1, face, params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_lane_keeps_the_overflow_guard_of_its_neighbours():
+    # a limit solve passes NaN for a lost u root; the lane beside it, whose
+    # E1 exponent passes 709, must still take the log-space form
+    from portloss.moments import _kernel_dz
+
+    params = MarketParams(mu=0.17, rho=1.0, c=0.9, n_fluct=1.0, t_mat=1.0, v0=100.0)
+    face, z, u = 75.0, 8000.0, -6.0
+    assert _mp_kernel(1, z, u, face, params)[1] > 709
+    zz, uu = np.array([z, z]), np.array([np.nan, u])
+    for kernel in (
+        lambda z, u: moment_plain(1, z, u, face, params),
+        lambda z, u: moment_plain(2, z, u, face, params),
+        lambda z, u: moment_plain_and_du(1, z, u, face, params)[1],
+        lambda z, u: _kernel_dz(1, 1.0, face, face, z, u, params),
+    ):
+        got, want = kernel(zz, uu), kernel(z, u)
+        assert np.isnan(got[0]) and np.isfinite(want) and got[1] == want
