@@ -44,12 +44,11 @@ def csv_cells(values) -> list:
 def write_csv(path, comments, header, columns) -> None:
     """Write ``# comment`` lines, a header and equal-length columns of cell
     text (see ``csv_cells``) as CSV with Unix newlines."""
-    line = ",".join(["{}"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        fh.write("".join(map(line.format, *columns)))
+        fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
 
 
 @dataclass

@@ -6,21 +6,21 @@ compound route draws the scale variable and common factor directly
 route draws an explicit random covariance matrix W W^T around the mean
 covariance and Gaussian returns on top of it.  The two are equal in law;
 keeping both lets every analytic result be validated against a sampler
-that shares no code with the closed forms.  The Wishart route draws its
-(K, N) factor blocks in panels of rows // N samples, so a panel holds no
-more elements than a chunk's asset values.
+that shares no code with the closed forms.
 
 Estimation is streamed in fixed-size chunks with one spawned RNG stream
-per chunk.  The chunks run on a thread pool: one thread per CPU, capped
-so that the chunks in flight hold at most ``_DRAW_ELEMENTS`` = 4e6 asset
-values, and never fewer than one.  This budget is the simulation's own;
-the analytic kernels work in much smaller cache-sized blocks.  Each chunk
-draws into scratch buffers that the calling thread allocated and computes
-its losses in place, and the partial statistics are reduced in chunk
+per chunk, on a thread pool of one thread per CPU, no more than there
+are chunks.  Within a chunk, samples are drawn, turned into asset values
+and reduced to losses a block at a time, in scratch buffers that the
+calling thread allocated once per pool thread: at most
+``_BLOCK_ELEMENTS`` = 2^17 values each, Wishart G blocks included, or
+one sample where a sample alone holds more.  Only the chunk's (m, B)
+losses and (m,) default counts are held whole.  Block size changes
+no draw and no loss, and the partial statistics are reduced in chunk
 order, so results are bit-identical for a given McConfig whatever the
-thread count or scheduling.  Atom bookkeeping (zero-loss origin, wipeout
-lattice) classifies samples by integer default counts, never by
-floating-point equality of losses.
+block size, thread count or scheduling.  Atom bookkeeping (zero-loss
+origin, wipeout lattice) classifies samples by integer default counts,
+never by floating-point equality of losses.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 _WISHART_K_BUDGET = 500
-_DRAW_ELEMENTS = 4.0e6  # asset values of the chunks in flight
+_BLOCK_ELEMENTS = 2**17  # values per block array of a chunk's scratch: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -99,44 +99,55 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # samplers
 #
-# Every sampler writes into a caller-owned (m, K) array and draws its
-# normals straight into it, so drawing a chunk allocates nothing of size
-# (m, K).  With antithetic pairs the first half is drawn and the second
-# half is its exact mirror image: the pairs share z (and the Wishart G
-# block) and negate everything else.
+# Each route draws its small per-sample variables first and then its
+# (m, K) idiosyncratic normals, or its (m, K, N) Wishart G blocks, a block
+# of samples at a time from the same stream into caller-owned scratch;
+# one stream drawn in blocks gives the same numbers as one draw.  A route
+# is a generator of (first sample, returns) per block, and the caller
+# consumes each block before the next is drawn over it.
 
 
-def _compound_returns(out, markets: MultiMarketParams, rng, antithetic=False):
-    """Fill ``out`` (m, k_total) with centered log-returns, with a shared z
-    and one common factor per market block."""
+def _compound_blocks(markets: MultiMarketParams, rng, base: int, out):
+    """Centered log-returns of ``base`` samples, with a shared z and one
+    common factor per market block, drawn len(out) samples at a time into
+    ``out``."""
     n = markets.n_fluct
-    base = out.shape[0] // 2 if antithetic else out.shape[0]
     z = rng.chisquare(n, size=base)
     u = rng.standard_normal((base, markets.beta)) * np.sqrt(z / n)[:, None]
-    eps = rng.standard_normal(out=out[:base])
-    col = 0
+    cols, col = [], 0
     for idx, (mkt, k_l) in enumerate(markets.blocks):
-        r = eps[:, col : col + k_l]
-        r *= (mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n))[:, None]
-        r += -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx : idx + 1]
+        scale = (mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n))[:, None]
+        shift = -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx : idx + 1]
+        cols.append((slice(col, col + k_l), scale, shift))
         col += k_l
-    return _mirrored(out, base)
+    for lo in range(0, base, len(out)):
+        hi = min(lo + len(out), base)
+        eps = rng.standard_normal(out=out[: hi - lo])
+        for cs, scale, shift in cols:
+            r = eps[:, cs]
+            r *= scale[lo:hi]
+            r += shift[lo:hi]
+        yield lo, eps
 
 
-def _mirrored(out, base):
-    """``out`` with rows ``base:`` set to minus rows ``:base``; without
-    antithetic pairs base is the row count and nothing changes."""
-    if base < out.shape[0]:
-        np.negative(out[:base], out=out[base:])
-    return out
-
-
-def _values_in_place(r, markets: MultiMarketParams):
-    """Turn centered log-returns into terminal asset values, in place."""
+def _value_rows(markets: MultiMarketParams):
+    """(log-drift nu T, initial value v0) of each obligor, shape (K,) each."""
     ks = [k_l for _, k_l in markets.blocks]
-    r += np.repeat([mkt.drift_adj * mkt.t_mat for mkt, _ in markets.blocks], ks)
+    drift = np.repeat([mkt.drift_adj * mkt.t_mat for mkt, _ in markets.blocks], ks)
+    return drift, np.repeat([mkt.v0 for mkt, _ in markets.blocks], ks)
+
+
+def _values_in_place(r, drift, v0):
+    """Turn centered log-returns into terminal asset values, in place."""
+    r += drift
     np.exp(r, out=r)
-    r *= np.repeat([mkt.v0 for mkt, _ in markets.blocks], ks)
+    r *= v0
+    return r
+
+
+def _one_block(blocks):
+    """The returns of a route whose scratch holds all its samples."""
+    (_, r), = blocks
     return r
 
 
@@ -147,21 +158,23 @@ def sample_compound(params, n: int, rng, k_obligors: Optional[int] = None):
     params carry their own block sizes.
     """
     markets = block_market(params, k_obligors)
-    r = _compound_returns(np.empty((n, markets.k_total)), markets, rng)
-    return _values_in_place(r, markets)
+    r = _one_block(_compound_blocks(markets, rng, n, np.empty((n, markets.k_total))))
+    return _values_in_place(r, *_value_rows(markets))
 
 
 def sample_compound_returns(params: MarketParams, k: int, n: int, rng):
     """Centered log-returns (n, k) for one market; the calibration module
     fits on exactly these."""
-    return _compound_returns(np.empty((n, k)), block_market(params, k), rng)
+    return _one_block(_compound_blocks(block_market(params, k), rng, n, np.empty((n, k))))
 
 
 def _wishart_dof(n_fluct, rows: int) -> int:
     """Columns of the Wishart factor W: the fluctuation strength, which
     must be a positive integer for this sampler.  An N above the ``rows``
-    samples of a chunk leaves a panel of rows // N samples empty, so it
-    raises SamplerBudgetError; the compound sampler has the same law."""
+    samples of a chunk raises SamplerBudgetError: the memory refusal
+    bounds a chunk's rows x K values, and N <= rows keeps one sample's
+    (K, N) G block, the least a block holds, within it.  The compound
+    sampler has the same law."""
     n_int = int(n_fluct)
     if n_int != n_fluct or n_int < 1:
         raise ParameterError("the Wishart sampler needs an integer fluctuation parameter")
@@ -184,27 +197,24 @@ def _check_wishart_budget(k_obligors: int) -> None:
         )
 
 
-def _wishart_returns(out, panel, params: MarketParams, rng, antithetic=False):
-    """Fill ``out`` (m, k) with centered log-returns via an explicit
-    Wishart covariance draw; ``panel`` is (p, k, N) scratch for G.
+def _wishart_blocks(params: MarketParams, rng, base: int, out, g):
+    """Centered log-returns of ``base`` samples via an explicit Wishart
+    covariance draw, len(out) samples at a time into ``out``; ``g`` is
+    (len(out), K, N) scratch for the samples' G blocks.
 
     W has independent columns of covariance Sigma/N, where Sigma is the
     mean return covariance rho^2 T [(1-c) I + c e e^T]; given W the return
     is Gaussian with covariance W W^T.  Computed as Sigma^(1/2) G eta with
-    G a (k, N) standard normal block per sample.  All of eta is drawn
-    first, then G p samples at a time into ``panel``, each panel
-    contracted into its rows of ``out``; one stream drawn in panels gives
-    the same G as one draw of every block.
+    G a (K, N) standard normal block per sample; all of eta is drawn
+    before the first G block.
     """
-    base = out.shape[0] // 2 if antithetic else out.shape[0]
-    p, _, dof = panel.shape
-    eta = rng.standard_normal((base, dof))
-    for lo in range(0, base, p):
-        hi = min(lo + p, base)
-        g = rng.standard_normal(out=panel[: hi - lo])
-        np.einsum("mkn,mn->mk", g, eta[lo:hi], out=out[lo:hi])
-    _sigma_half_in_place(out[:base], params)
-    return _mirrored(out, base)
+    eta = rng.standard_normal((base, g.shape[2]))
+    for lo in range(0, base, len(out)):
+        hi = min(lo + len(out), base)
+        gb = rng.standard_normal(out=g[: hi - lo])
+        r = np.einsum("mkn,mn->mk", gb, eta[lo:hi], out=out[: hi - lo])
+        _sigma_half_in_place(r, params)
+        yield lo, r
 
 
 def _sigma_half_in_place(x, params: MarketParams):
@@ -220,12 +230,6 @@ def _sigma_half_in_place(x, params: MarketParams):
     x *= params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct)
 
 
-def _wishart_panel(rows: int, k: int, dof: int) -> np.ndarray:
-    """Scratch for the G blocks of rows // N samples: no more elements
-    than ``rows`` samples of K asset values."""
-    return np.empty((rows // dof, k, dof))
-
-
 def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
     """Terminal asset values (n, K) via the explicit Wishart-ensemble
     route; raises SamplerBudgetError beyond the K budget or for N above n
@@ -233,9 +237,14 @@ def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
     if isinstance(params, MultiMarketParams):
         raise ParameterError("Wishart route implemented per market; use sample_compound")
     _check_wishart_budget(k_obligors)
-    panel = _wishart_panel(n, k_obligors, _wishart_dof(params.n_fluct, n))
-    r = _wishart_returns(np.empty((n, k_obligors)), panel, params, rng)
-    return _values_in_place(r, block_market(params, k_obligors))
+    dof = _wishart_dof(params.n_fluct, n)
+    rows = _block_rows(n, k_obligors, dof)
+    r = np.empty((n, k_obligors))
+    for lo, block in _wishart_blocks(
+        params, rng, n, np.empty((rows, k_obligors)), np.empty((rows, k_obligors, dof))
+    ):
+        r[lo : lo + len(block)] = block
+    return _values_in_place(r, *_value_rows(block_market(params, k_obligors)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,39 +257,52 @@ def _obligor_faces(scenario) -> np.ndarray:
     return np.repeat(np.asarray(faces, dtype=float), _whole_counts(scenario))
 
 
-def _portfolio_losses(v, scenario, spare, mask):
-    """(losses (m, B), n_defaults (m,), n_full (m,)) from asset values.
+class _Portfolio:
+    """What every block of one ``estimate`` shares, computed once: the
+    market blocks, the drift and v0 rows that turn returns into asset
+    values, and the tranche faces or else each obligor's face and the
+    creditor weights."""
 
-    Works in place: ``v`` is overwritten, and ``spare`` (float) and
+    def __init__(self, scenario):
+        self.markets = block_market(scenario.params, scenario.k_obligors)
+        self.drift, self.v0 = _value_rows(self.markets)
+        self.tranches = scenario.tranches if isinstance(scenario, SubordinatedScenario) else None
+        if self.tranches is None:
+            self.faces = _obligor_faces(scenario)
+            self.weights = _creditor_weights(scenario)
+
+
+def _portfolio_losses(r, pf: _Portfolio, spare, mask, losses, n_def, n_full):
+    """Write the losses (m, B), default counts (m,) and, for subordinated
+    scenarios, senior-face counts (m,) of the m samples whose centered
+    log-returns are ``r``.
+
+    Works in place: ``r`` is overwritten, and ``spare`` (float) and
     ``mask`` (bool) are scratch of the same shape.  n_full counts obligors
-    whose value fell below the senior face (subordinated scenarios only;
-    zero otherwise).  The weighted sums use einsum, not BLAS: BLAS worker
-    threads keep spinning after each call and take cores from the chunk
-    threads.
+    whose value fell below the senior face; it is left as given otherwise.
+    The weighted sums use einsum, not BLAS: BLAS worker threads keep
+    spinning after each call and take cores from the chunk threads.
     """
-    m = v.shape[0]
-    if isinstance(scenario, SubordinatedScenario):
-        tr = scenario.tranches
+    v = _values_in_place(r, pf.drift, pf.v0)
+    tr = pf.tranches
+    if tr is not None:
         if tr.f_senior > 0:
-            n_full = np.less(v, tr.f_senior, out=mask).sum(axis=1)
+            n_full[:] = np.less(v, tr.f_senior, out=mask).sum(axis=1)
             ls = np.divide(v, tr.f_senior, out=spare)
             np.subtract(1.0, ls, out=ls)
-            l_senior = np.maximum(ls, 0.0, out=ls).mean(axis=1)
+            losses[:, 0] = np.maximum(ls, 0.0, out=ls).mean(axis=1)
         else:
-            n_full = np.zeros(m, dtype=np.int64)
-            l_senior = np.zeros(m)
-        n_def = np.less(v, tr.f_total, out=mask).sum(axis=1)
+            losses[:, 0] = 0.0
+        n_def[:] = np.less(v, tr.f_total, out=mask).sum(axis=1)
         lj = np.subtract(tr.f_total, v, out=v)
         lj /= tr.f_junior
-        l_junior = np.clip(lj, 0.0, 1.0, out=lj).mean(axis=1)
-        return np.column_stack([l_senior, l_junior]), n_def, n_full
-    faces = _obligor_faces(scenario)
-    n_def = np.less(v, faces, out=mask).sum(axis=1)
-    l_ob = np.divide(v, faces, out=v)
+        losses[:, 1] = np.clip(lj, 0.0, 1.0, out=lj).mean(axis=1)
+        return
+    n_def[:] = np.less(v, pf.faces, out=mask).sum(axis=1)
+    l_ob = np.divide(v, pf.faces, out=v)
     np.subtract(1.0, l_ob, out=l_ob)
     np.maximum(l_ob, 0.0, out=l_ob)
-    losses = np.einsum("mk,bk->mb", l_ob, _creditor_weights(scenario))
-    return losses, n_def, np.zeros(m, dtype=np.int64)
+    np.einsum("mk,bk->mb", l_ob, pf.weights, out=losses)
 
 
 # ---------------------------------------------------------------------------
@@ -343,35 +365,59 @@ def _labels(scenario):
     return tuple(f"creditor_{i + 1}" for i in range(scenario.n_creditors))
 
 
+def _block_rows(rows: int, k: int, wishart_dof: int) -> int:
+    """Samples per block: as many of ``rows`` as keep each block array,
+    (m, K) values or (m, K, N) G blocks, within ``_BLOCK_ELEMENTS``, and
+    one at least."""
+    return min(rows, max(1, _BLOCK_ELEMENTS // (k * max(wishart_dof, 1))))
+
+
 class _Scratch:
-    """One worker slot's buffers for a chunk of up to ``rows`` samples;
-    with a Wishart ``wishart_dof`` N, ``block`` is the G panel of
-    rows // N samples, no larger than ``values``."""
+    """One worker slot's block buffers for chunks of up to ``rows``
+    samples: the returns that become asset values, their antithetic
+    mirror image, float and boolean loss scratch and, with a Wishart N,
+    the samples' G blocks; each holds one block of ``_block_rows``
+    samples."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
-        self.values = np.empty((rows, k))
-        self.spare = np.empty((rows, k))
-        self.mask = np.empty((rows, k), dtype=bool)
-        self.block = _wishart_panel(rows, k, wishart_dof) if wishart_dof else None
+        m = _block_rows(rows, k, wishart_dof)
+        self.values = np.empty((m, k))
+        self.mirror = np.empty((m, k))
+        self.spare = np.empty((m, k))
+        self.mask = np.empty((m, k), dtype=bool)
+        self.g = np.empty((m, k, wishart_dof)) if wishart_dof else None
 
 
-def _draw_chunk(scenario, cfg, chunk_index, m, scratch):
-    """Asset values (m, K) of one chunk, drawn into ``scratch.values``."""
+def _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf):
+    """(losses (m, B), n_defaults (m,), n_full (m,)) of one chunk, drawn
+    and evaluated one block of samples at a time.  With antithetic pairs
+    the blocks cover the first m // 2 samples, and each block's mirror
+    image, its negated returns, gives the same rows of the second half."""
     rng = _chunk_rng(cfg.rng_seed, chunk_index)
-    markets = block_market(scenario.params, scenario.k_obligors)
-    out = scratch.values[:m]
+    base = m // 2 if cfg.antithetic else m
     if cfg.sampler == "wishart":
-        r = _wishart_returns(out, scratch.block, scenario.params, rng, cfg.antithetic)
+        blocks = _wishart_blocks(scenario.params, rng, base, scratch.values, scratch.g)
     else:
-        r = _compound_returns(out, markets, rng, cfg.antithetic)
-    return _values_in_place(r, markets)
+        blocks = _compound_blocks(pf.markets, rng, base, scratch.values)
+    losses = np.empty((m, len(_labels(scenario))))
+    n_def = np.empty(m, dtype=np.int64)
+    n_full = np.zeros(m, dtype=np.int64)
+    for lo, r in blocks:
+        rows = len(r)
+        spare, mask = scratch.spare[:rows], scratch.mask[:rows]
+        if base < m:
+            mirror = np.negative(r, out=scratch.mirror[:rows])
+            out = slice(base + lo, base + lo + rows)
+            _portfolio_losses(mirror, pf, spare, mask, losses[out], n_def[out], n_full[out])
+        out = slice(lo, lo + rows)
+        _portfolio_losses(r, pf, spare, mask, losses[out], n_def[out], n_full[out])
+    return losses, n_def, n_full
 
 
-def _chunk_stats(scenario, cfg, chunk_index, m, scratch, edges):
+def _chunk_stats(scenario, cfg, chunk_index, m, scratch, pf, edges):
     """Partial statistics of one chunk, as a dict of summable counts and
     sums, and its losses (m, B)."""
-    v = _draw_chunk(scenario, cfg, chunk_index, m, scratch)
-    losses, n_def, n_full = _portfolio_losses(v, scenario, scratch.spare[:m], scratch.mask[:m])
+    losses, n_def, n_full = _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf)
     pa = 0.5 * (losses[: m // 2] + losses[m // 2 :]) if cfg.antithetic else losses
     b = losses.shape[1]
     stats = {
@@ -396,15 +442,14 @@ def _chunk_stats(scenario, cfg, chunk_index, m, scratch, edges):
     return stats, losses
 
 
-def _pool_size(draw_elements: int, n_chunks: int) -> int:
-    """Chunk threads for ``estimate``: one per usable CPU, no more than
-    there are chunks, and no more than fit ``_DRAW_ELEMENTS`` draw
-    elements in flight; at least one."""
+def _pool_size(n_chunks: int) -> int:
+    """Chunk threads for ``estimate``: one per usable CPU and no more than
+    there are chunks."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_chunks, int(_DRAW_ELEMENTS // draw_elements)))
+    return max(1, min(cpus, n_chunks))
 
 
 def estimate(scenario, config: McConfig = McConfig()) -> McRun:
@@ -430,8 +475,9 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
     labels = _labels(scenario)
     b = len(labels)
     edges = np.linspace(0.0, 1.0, config.n_bins + 1)
+    pf = _Portfolio(scenario)
     n_chunks = (n + rows - 1) // rows
-    n_threads = _pool_size(rows * k, n_chunks)
+    n_threads = _pool_size(n_chunks)
     slots = queue.SimpleQueue()
     for _ in range(n_threads):
         slots.put(_Scratch(rows, k, wishart_dof))
@@ -439,7 +485,7 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
     def run_chunk(ci):
         scratch = slots.get()
         try:
-            return _chunk_stats(scenario, config, ci, min(rows, n - ci * rows), scratch, edges)
+            return _chunk_stats(scenario, config, ci, min(rows, n - ci * rows), scratch, pf, edges)
         finally:
             slots.put(scratch)
 

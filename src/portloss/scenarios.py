@@ -703,7 +703,10 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
     integer fluctuation strength, with one above a chunk's sample count or
     beyond its obligor budget, and class counts too large for an int64 or
     overlap fractions that are not whole firm counts; and a chunk whose
-    asset values, rows x K per thread, exceed the memory budget."""
+    asset values, rows x K, exceed the memory budget.  The estimate holds
+    only a block of those values at a time, so this refusal is
+    conservative; for the Wishart sampler it also bounds one sample's
+    K x N G block, since N <= rows."""
     rows = min(config.chunk_size, config.n_samples)
     if config.sampler == "wishart":
         _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct, rows)

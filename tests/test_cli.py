@@ -417,10 +417,12 @@ def test_validate_accepts_documents_at_the_memory_budget(capsys, scenario, sets)
     assert main(["validate", scenario] + overrides) == EXIT_OK
 
 
-def test_multimarket_run_stays_within_a_few_blocks_of_its_imports(tmp_path):
-    # the kernels once held 201 cells x 10^4 nodes per intermediate, 60 MB.
-    # VmHWM is the peak RSS of the probe's own address space; its ru_maxrss
-    # would start at the RSS of this test process, which spawned it.
+def _peak_growth_kib(out_dir, args):
+    """How far a fresh process's peak RSS rises above its RSS after
+    imports during ``portloss run`` of ``args``, in KiB, on at most two
+    CPUs, so that the MC pool has the same threads on any host.  VmHWM is
+    the peak RSS of the probe's own address space; its ru_maxrss would
+    start at the RSS of this test process, which spawned it."""
     import os
     import subprocess
     import sys
@@ -428,12 +430,14 @@ def test_multimarket_run_stays_within_a_few_blocks_of_its_imports(tmp_path):
     import portloss
 
     code = (
+        "import os\n"
+        "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
         "def status(key):\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(line.split()[1]) for line in fh if line.startswith(key))\n"
         "from portloss import cli\n"
         "base = status('VmRSS:')\n"
-        f"assert cli.main(['run', 'multimarket_split_pair', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        f"assert cli.main(['run'] + {list(args)!r} + ['--out-dir', {str(out_dir)!r}]) == 0\n"
         "print(status('VmHWM:') - base)\n"
     )
     src = os.path.dirname(os.path.dirname(portloss.__file__))
@@ -441,5 +445,17 @@ def test_multimarket_run_stays_within_a_few_blocks_of_its_imports(tmp_path):
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
-    grown_kib = int(probe.stdout.splitlines()[-1])
-    assert grown_kib < 30 * 1024
+    return int(probe.stdout.splitlines()[-1])
+
+
+def test_multimarket_run_stays_within_a_few_blocks_of_its_imports(tmp_path):
+    # the kernels once held 201 cells x 10^4 nodes per intermediate, 60 MB
+    assert _peak_growth_kib(tmp_path, ["multimarket_split_pair"]) < 30 * 1024
+
+
+def test_tranched_mc_run_stays_within_a_few_blocks_of_its_imports(tmp_path):
+    # each MC thread once held values, spare and mask for a whole chunk of
+    # 8192 x 200 asset values, 28 MB; now it holds one block of each
+    args = ["mc_validate_halves_k100", "--set", "portfolio.k_obligors=200",
+            "--set", 'tranches={"f_senior":37.0,"f_junior":38.0}']
+    assert _peak_growth_kib(tmp_path, args) < 25 * 1024

@@ -103,9 +103,12 @@ def test_subordinated_run_orders_tranches(market):
 
 def test_wishart_covariances_fluctuate_around_mean(market, rng):
     # the returns' second moment is the ensemble mean of W W^T, Sigma
-    k, n = 5, 200_000
-    panel = mc._wishart_panel(n, k, int(market.n_fluct))
-    r = mc._wishart_returns(np.empty((n, k)), panel, market, rng)
+    k, n, dof = 5, 200_000, int(market.n_fluct)
+    rows = 4096
+    r = np.empty((n, k))
+    for lo, block in mc._wishart_blocks(
+            market, rng, n, np.empty((rows, k)), np.empty((rows, k, dof))):
+        r[lo : lo + len(block)] = block
     c, var = market.c, market.rho**2 * market.t_mat
     want = var * (np.full((k, k), c) + (1 - c) * np.eye(k))
     np.testing.assert_allclose(r.T @ r / n, want, rtol=0.05, atol=5e-4)
@@ -120,7 +123,7 @@ def test_wishart_covariances_refuse_fractional_dof(market, rng):
 
 
 def test_wishart_refuses_n_above_the_chunk_rows(market):
-    # a G panel holds rows // N samples, so N above the rows has none
+    # the memory refusal bounds rows x K, and so one sample's K x N G block
     wide = MarketParams(mu=market.mu, rho=market.rho, c=market.c, n_fluct=200,
                         t_mat=market.t_mat, v0=market.v0)
     cfg = dict(n_samples=10_000, sampler="wishart")
@@ -298,13 +301,11 @@ def test_in_place_chunks_match_reference_formulas(market, case):
     n_origin = 0
     edges = np.linspace(0.0, 1.0, cfg.n_bins + 1)
     scratch = mc._Scratch(cfg.chunk_size, k, dof)  # reused, as a pool thread does
+    portfolio = mc._Portfolio(scenario)
     for ci in range(n_chunks):
         m = min(cfg.chunk_size, n - ci * cfg.chunk_size)
         v_ref = _ref_draw(scenario, cfg, ci, m)
-        v = mc._draw_chunk(scenario, cfg, ci, m, scratch)
-        np.testing.assert_array_equal(v, v_ref)
-        losses, n_def, n_full = mc._portfolio_losses(
-            v, scenario, scratch.spare[:m], scratch.mask[:m])
+        losses, n_def, n_full = mc._chunk_losses(scenario, cfg, ci, m, scratch, portfolio)
         want, want_def, want_full = _ref_losses(v_ref, scenario, _einsum_sum)
         np.testing.assert_array_equal(losses, want)
         np.testing.assert_array_equal(n_def, want_def)
@@ -335,9 +336,9 @@ def test_thread_count_does_not_change_results(market, monkeypatch, assert_same_r
     def runs():
         return {name: mc.estimate(sc, cfg) for name, (sc, cfg) in cases.items()}
 
-    monkeypatch.setattr(mc, "_pool_size", lambda draw_elements, n_chunks: 1)
+    monkeypatch.setattr(mc, "_pool_size", lambda n_chunks: 1)
     serial = runs()
-    monkeypatch.setattr(mc, "_pool_size", lambda draw_elements, n_chunks: min(4, n_chunks))
+    monkeypatch.setattr(mc, "_pool_size", lambda n_chunks: min(4, n_chunks))
     threads_before = threading.active_count()
     threaded, failures = {}, []
 
@@ -363,19 +364,32 @@ def test_thread_count_does_not_change_results(market, monkeypatch, assert_same_r
     assert serial["keep_samples"].samples.shape == (20_000, 2)
 
 
-def test_pool_size_respects_the_element_budget(market, monkeypatch):
+@pytest.mark.parametrize("elements", [1, 10**9])
+def test_block_size_does_not_change_results(market, monkeypatch, assert_same_run, elements):
+    """One sample per block, then one block per chunk: every case must
+    give the run of the default blocks, bit for bit."""
+    cases = _pipeline_cases(market)
+    default = {name: mc.estimate(sc, cfg) for name, (sc, cfg) in cases.items()}
+    monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", elements)
+    for name, (sc, cfg) in cases.items():
+        k = sc.k_obligors
+        dof = int(market.n_fluct) if cfg.sampler == "wishart" else 0
+        assert len(mc._Scratch(cfg.chunk_size, k, dof).values) == (
+            1 if elements == 1 else cfg.chunk_size)
+        assert_same_run(mc.estimate(sc, cfg), default[name], name)
+
+
+def test_pool_size_is_one_thread_per_cpu_and_chunk():
     cpus = len(os.sched_getaffinity(0))
-    assert mc._pool_size(8192 * 100, 25) == min(cpus, 4)
-    assert mc._pool_size(8192 * 100, 1) == 1
-    # a Wishart G panel holds no more than the chunk's asset values ...
-    for rows, dof in ((8192, 6), (8192, 7), (128, 128), (130, 64)):
-        assert mc._Scratch(rows, 100, dof).block.size <= rows * 100
-    # ... so both samplers ask for threads by the same element count
-    asked = []
-    pool_size = mc._pool_size
-    monkeypatch.setattr(
-        mc, "_pool_size", lambda draw_elements, n_chunks: (
-            asked.append(draw_elements) or pool_size(draw_elements, n_chunks)))
-    for sampler in ("compound", "wishart"):
-        mc.estimate(_halves(market, 100), McConfig(n_samples=10_000, sampler=sampler))
-    assert asked == [8192 * 100, 8192 * 100]
+    assert mc._pool_size(25) == min(cpus, 25)
+    assert mc._pool_size(1) == 1
+    # scratch is per block, whatever the chunk: each array holds at most
+    # the block budget, or one sample when a sample alone is larger
+    for rows, k, dof in ((8192, 100, 0), (8192, 200, 0), (8192, 100, 6), (128, 500, 128),
+                         (130, 10, 64), (2048, 500, 1000), (20_000, 3, 0)):
+        scratch = mc._Scratch(rows, k, dof)
+        arrays = [scratch.values, scratch.mirror, scratch.spare, scratch.mask]
+        arrays += [scratch.g] if dof else []
+        for a in arrays:
+            assert len(a) >= 1
+            assert a.size <= max(mc._BLOCK_ELEMENTS, k * max(dof, 1))
