@@ -102,13 +102,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .grids import DensityGrid, cell_centers
-from .moments import (
-    junior_mean_target_du,
-    moment_junior,
-    moment_plain,
-    moment_senior,
-    moment_senior_du,
-)
+from .moments import junior_band_moments, plain_moments, senior_moments
 from .params import (
     MarketParams,
     MultiMarketParams,
@@ -315,11 +309,8 @@ def gaussian_moment_terms(z, u, scenario: SubordinatedScenario):
     junior loss exactly 1 minus the band part.
     """
     faces, params, k = scenario.tranches, scenario.params, scenario.k_obligors
-    m0s = moment_senior(0, z, u, faces, params)
-    m1s = moment_senior(1, z, u, faces, params)
-    m2s = moment_senior(2, z, u, faces, params)
-    m1j = moment_junior(1, z, u, faces, params)
-    m2j = moment_junior(2, z, u, faces, params)
+    m0s, m1s, m2s = senior_moments(2, z, u, faces, params)[0]
+    _, m1j, m2j = junior_band_moments(2, z, u, faces, params)[0]
     mean_j = m0s + m1j
     var_s = np.maximum(m2s - m1s * m1s, 0.0) / k
     var_j = np.maximum(m0s + m2j - mean_j * mean_j, 0.0) / k
@@ -348,8 +339,7 @@ def _unpruned_table(scenario, quad: QuadratureSpec):
         if (block, face) not in slices:
             mkt = markets.blocks[block][0]
             # a block's moments depend on (z, u_block) alone
-            m1 = moment_plain(1, z[:, None], u, face, mkt)
-            m2 = moment_plain(2, z[:, None], u, face, mkt)
+            _, m1, m2 = plain_moments(2, z[:, None], u, face, mkt)[0]
             slices[block, face] = tuple(
                 _on_tensor(a, block, markets.beta) for a in (m1, np.maximum(m2 - m1 * m1, 0.0))
             )
@@ -647,7 +637,8 @@ def _adaptive_density(xs, ys, scenario, quad):
     without a unique crossing, with a vanishing Jacobian or an empty z
     window are dominated by slice tails and take the dense fixed rule.
     """
-    from .limits import _FOUND, _sub_crossings, _sub_u_roots  # limits imports engine
+    # limits imports engine
+    from .limits import _FOUND, _mean_slopes, _sub_crossings, _sub_u_roots
 
     faces, params = scenario.tranches, scenario.params
     n = params.n_fluct
@@ -657,8 +648,7 @@ def _adaptive_density(xs, ys, scenario, quad):
     z0 = cr.z0[ci, cj]
     u0 = 0.5 * (cr.u_s[ci, cj] + cr.u_j[ci, cj])
     _, cov0 = gaussian_moment_terms(z0, u0, scenario)
-    du_s = np.abs(moment_senior_du(1, z0, u0, faces, params))
-    du_j = np.abs(junior_mean_target_du(z0, u0, faces, params))
+    du_s, du_j = _mean_slopes(z0, u0, faces, params)
     slope = np.abs(cr.slope[ci, cj])
     with np.errstate(divide="ignore", invalid="ignore"):
         sig_u = np.sqrt(cov0[0, 0] / du_s**2 + cov0[1, 1] / du_j**2)
@@ -854,7 +844,7 @@ def no_default_probability(
     z, u, w = _multi_nodes(markets, quad)
     log_surv = np.zeros(len(w))
     for b, (mkt, k_b) in enumerate(markets.blocks):
-        m0 = moment_plain(0, z[:, None], u, face, mkt)
+        (m0,), _, _ = plain_moments(0, z[:, None], u, face, mkt)
         log_surv += _on_tensor(k_b * np.log1p(-np.minimum(m0, 1.0 - 1e-16)), b, markets.beta)
     with np.errstate(under="ignore"):
         return float(np.dot(w, np.exp(log_surv)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -32,23 +33,20 @@ def scenario_fingerprint(resolved: dict) -> str:
     return hashlib.sha256(canonical_json(content).encode()).hexdigest()[:16]
 
 
-def csv_cells(values) -> list:
-    """One column's CSV text: floats at full round-trip precision, other
-    values as str; a column of floats is formatted in one '%.17g' pass."""
-    values = list(values)
-    if all(isinstance(v, float) for v in values):
-        return ("%.17g\n" * len(values) % tuple(values)).splitlines()
-    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in values]
-
-
 def write_csv(path, comments, header, columns) -> None:
-    """Write ``# comment`` lines, a header and equal-length columns of cell
-    text (see ``csv_cells``) as CSV with Unix newlines."""
+    """Write ``# comment`` lines, a header and equal-length columns as CSV
+    with Unix newlines.  A column of floats is written at full round-trip
+    precision ('%.17g'), any other column as str ('%s'); the whole body is
+    one '%' over the row format."""
+    row = ",".join(
+        "%.17g" if all(map(isinstance, col, repeat(float))) else "%s" for col in columns
+    )
+    cells = tuple(chain.from_iterable(zip(*columns)))
     with open(path, "w", newline="\n") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+        fh.write((row + "\n") * len(columns[0]) % cells)
 
 
 @dataclass
@@ -94,15 +92,15 @@ class DensityGrid:
         that skip comments."""
         header = ["l1", "l2"][: len(self.axes)] + ["density"]
         # each axis value is formatted once and repeated along the other axis
-        cells = [csv_cells(a.tolist()) for a in self.axes]
-        if len(cells) == 2:
+        cols = [("%.17g\n" * len(a) % tuple(a.tolist())).splitlines() for a in self.axes]
+        if len(cols) == 2:
             n1, n2 = self.values.shape
-            cells = [[x for x in cells[0] for _ in range(n2)], cells[1] * n1]
-        cells.append(csv_cells(self.values.ravel().tolist()))
+            cols = [[x for x in cols[0] for _ in range(n2)], cols[1] * n1]
+        cols.append(self.values.ravel().tolist())
         if self.quality is not None:
             header.append("quality")
-            cells.append(csv_cells(self.quality.ravel().tolist()))
-        write_csv(path, comments, header, cells)
+            cols.append(self.quality.ravel().tolist())
+        write_csv(path, comments, header, cols)
 
 
 def cell_centers(n_cells: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

@@ -42,7 +42,7 @@ root.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -55,18 +55,7 @@ from .errors import (
 )
 from .engine import _mixture_density
 from .grids import DensityGrid, cell_centers
-from .moments import (
-    junior_mean_target,
-    junior_mean_target_and_du,
-    junior_mean_target_du,
-    junior_mean_target_dz,
-    moment_plain,
-    moment_plain_and_du,
-    moment_senior,
-    moment_senior_and_du,
-    moment_senior_du,
-    moment_senior_dz,
-)
+from .moments import junior_mean_target, plain_moments, senior_moments
 from .params import MarketParams, SubordinationSpec
 from .quadrature import QuadratureSpec, chi2_log_weight, chi2_nodes
 
@@ -199,40 +188,34 @@ def newton_bisect(fdf, lo, hi, f_lo=None, f_hi=None, args=(), tol=1e-12, max_ite
 # u roots
 
 
-class _Mean(NamedTuple):
-    """A conditional mean loss m(z, u): its value, the pair (value, dm/du)
-    from one pass, and its exact dm/dz."""
-
-    value: Callable
-    value_du: Callable
-    dz: Optional[Callable] = None
+# A conditional mean loss is a callable ``mean(z, u, du=False, dz=False)``
+# that returns the triple (m, dm/du, dm/dz) from one pass per (payoff,
+# boundary), a slope None unless asked for.
 
 
-def _senior_mean(faces, params) -> _Mean:
-    return _Mean(
-        lambda z, u: moment_senior(1, z, u, faces, params),
-        lambda z, u: moment_senior_and_du(1, z, u, faces, params),
-        lambda z, u: moment_senior_dz(1, z, u, faces, params),
+def _order_one(moments):
+    """The order-1 entries of a moment family's (values, du, dz)."""
+    return tuple(None if m is None else m[1] for m in moments)
+
+
+def _senior_mean(faces, params) -> Callable:
+    return lambda z, u, du=False, dz=False: _order_one(
+        senior_moments(1, z, u, faces, params, du, dz)
     )
 
 
-def _junior_mean(faces, params) -> _Mean:
+def _junior_mean(faces, params) -> Callable:
     """Junior mean (wipeout + band)."""
-    return _Mean(
-        lambda z, u: junior_mean_target(z, u, faces, params),
-        lambda z, u: junior_mean_target_and_du(z, u, faces, params),
-        lambda z, u: junior_mean_target_dz(z, u, faces, params),
+    return lambda z, u, du=False, dz=False: junior_mean_target(z, u, faces, params, du, dz)
+
+
+def _plain_mean(face, params) -> Callable:
+    return lambda z, u, du=False, dz=False: _order_one(
+        plain_moments(1, z, u, face, params, du, dz)
     )
 
 
-def _plain_mean(face, params) -> _Mean:
-    return _Mean(
-        lambda z, u: moment_plain(1, z, u, face, params),
-        lambda z, u: moment_plain_and_du(1, z, u, face, params),
-    )
-
-
-def _u_roots(mean: _Mean, target, z, params, with_slope=False):
+def _u_roots(mean: Callable, target, z, params, with_slope=False):
     """u solving mean(z, u) = target on every lane of broadcast (target, z).
     The mean is nondecreasing in u, so the root is unique where it exists;
     lanes whose target lies outside the attainable range on the u bracket
@@ -241,13 +224,13 @@ def _u_roots(mean: _Mean, target, z, params, with_slope=False):
     lo, hi = u_bracket(params)
     z = np.asarray(z, dtype=float)
     # the means at the bracket ends depend on z alone
-    m_lo, m_hi = mean.value(z, lo), mean.value(z, hi)
+    m_lo, m_hi = mean(z, lo)[0], mean(z, hi)[0]
     target, z = np.broadcast_arrays(np.asarray(target, dtype=float), z)
     f_lo, f_hi = m_lo - target, m_hi - target
     attainable = ((f_lo < 0.0) & (0.0 <= f_hi)) | ((f_lo <= 0.0) & (0.0 < f_hi))
 
     def fdf(u, z, target):
-        m, du = mean.value_du(z, u)
+        m, du, _ = mean(z, u, du=True)
         return m - target, du
 
     u, _ = newton_bisect(
@@ -258,10 +241,7 @@ def _u_roots(mean: _Mean, target, z, params, with_slope=False):
         np.where(attainable, f_hi, np.nan),
         args=(z, target),
     )
-    if with_slope:
-        m, du = mean.value_du(z, u)
-    else:
-        m = mean.value(z, u)
+    m, du, _ = mean(z, u, du=with_slope)
     resid = np.abs(m - target)
     if np.any(resid > _RESID_TOL):
         k = np.flatnonzero(resid > _RESID_TOL)[0]
@@ -274,7 +254,7 @@ def _u_roots(mean: _Mean, target, z, params, with_slope=False):
     return (u, du) if with_slope else u
 
 
-def _solve_u(mean: _Mean, target, z, params, label) -> float:
+def _solve_u(mean: Callable, target, z, params, label) -> float:
     """One-lane u root; NoRootError where the target is out of reach."""
     if not (z > 0):
         raise ParameterError(f"z must be > 0, got {z}")
@@ -337,11 +317,11 @@ def _sub_u_roots(l_senior, l_junior, z, faces, params):
     return u_s, u_j
 
 
-def _du_dz(mean: _Mean, z, u):
+def _du_dz(mean: Callable, z, u):
     """Implicit-function slope du/dz along mean(z, u(z)) = const."""
-    den = mean.value_du(z, u)[1]
+    _, den, num = mean(z, u, du=True, dz=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(den) < 1e-300, np.inf, -mean.dz(z, u) / den)
+        return np.where(np.abs(den) < 1e-300, np.inf, -num / den)
 
 
 _NONE, _LOST, _MULTIPLE, _FOUND = range(4)
@@ -414,16 +394,16 @@ def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(_JOINT_STEPS + 1):
             zl, ul = z[lanes], u[lanes]
-            (m_s, s_u), (m_j, j_u) = senior.value_du(zl, ul), junior.value_du(zl, ul)
+            m_s, s_u, s_z = senior(zl, ul, du=True, dz=True)
+            m_j, j_u, j_z = junior(zl, ul, du=True, dz=True)
             r_s, r_j = m_s - x[lanes], m_j - y[lanes]
             done = small[lanes] & (np.abs(r_s) <= _RESID_TOL) & (np.abs(r_j) <= _RESID_TOL)
             ok[lanes[done]] = True
-            lanes, zl, ul, r_s, r_j, s_u, j_u = (
-                a[~done] for a in (lanes, zl, ul, r_s, r_j, s_u, j_u)
+            lanes, zl, ul, r_s, r_j, s_u, j_u, s_z, j_z = (
+                a[~done] for a in (lanes, zl, ul, r_s, r_j, s_u, j_u, s_z, j_z)
             )
             if it == _JOINT_STEPS or not lanes.size:
                 break
-            s_z, j_z = senior.dz(zl, ul), junior.dz(zl, ul)
             det = s_z * j_u - s_u * j_z
             dz, du = (j_u * r_s - s_u * r_j) / det, (s_z * r_j - j_z * r_s) / det
             zl, ul = zl - dz, ul - du
@@ -560,11 +540,16 @@ def solve_z0(
 # limit densities
 
 
+def _mean_slopes(z0, u0, faces, params):
+    """|dm/du| of the senior and of the junior mean at crossing points."""
+    return tuple(np.abs(mean(z0, u0, du=True)[1])
+                 for mean in (_senior_mean(faces, params), _junior_mean(faces, params)))
+
+
 def _density_at_crossing(z0, u0, slope, faces, params):
     """(density, quality) arrays at solved senior/junior crossing points:
     the (z, u) weight over the three Jacobian factors."""
-    du_s = np.abs(moment_senior_du(1, z0, u0, faces, params))
-    du_j = np.abs(junior_mean_target_du(z0, u0, faces, params))
+    du_s, du_j = _mean_slopes(z0, u0, faces, params)
     slope = np.abs(slope)
     denom = du_s * du_j * slope
     log_w = chi2_log_weight(z0, params.n_fluct) + _gauss_log_weight(u0, params.n_fluct)
@@ -674,8 +659,7 @@ def limit_grid_finite_vs_infinite(
     centers = cell_centers(n_cells, lo, hi)
     z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
     u, weight = _plain_factor(centers, z, face, params)
-    m1 = moment_plain(1, z[None, :], u, face, params)
-    m2 = moment_plain(2, z[None, :], u, face, params)
+    _, m1, m2 = plain_moments(2, z[None, :], u, face, params)[0]
     var = np.maximum(m2 - m1 * m1, 0.0) / r_one
     # lanes without a root add exactly 0; the kernel masks degenerate slices
     w_eff = np.where(weight > 0.0, weight * wz, 0.0)

@@ -37,9 +37,14 @@ so there the term is (f_bound/f_div)^j phi(a0) Phi(a_j) / phi(a_j), the
 log-space product in closed form (:func:`_e_factors`); everywhere else the
 kernels take the direct product.
 
-The u-derivatives of orders 0 and 1 come from the same pass as the value:
-the ``*_and_du`` functions return both, and the ``*_du`` functions are
-their slope halves, so the slope formula lives in the kernel alone.
+One pass of the kernel for one (payoff, boundary) pair gives every order
+0..j and, on request, the exact u- and z-slopes of orders 0 and 1, so each
+formula lives in the kernel alone.  The moment families are built on that
+pass and return the triple (values, du, dz) of orders 0..j:
+:func:`senior_moments` and :func:`plain_moments` take one pass,
+:func:`junior_band_moments` the total-face pass minus the senior-face pass,
+and :func:`junior_mean_target` (one order) two passes.  A caller takes
+everything it needs at a set of points from one pass per pair.
 
 All functions broadcast over numpy arrays in z and u.
 """
@@ -57,18 +62,12 @@ from .params import MarketParams, SubordinationSpec
 __all__ = [
     "norm_pdf",
     "tau",
-    "tau_dz",
+    "senior_moments",
     "moment_senior",
-    "moment_junior",
-    "moment_plain",
-    "moment_senior_and_du",
-    "moment_senior_du",
-    "moment_senior_dz",
+    "junior_band_moments",
+    "plain_moments",
     "junior_mean_target",
-    "junior_mean_target_and_du",
     "junior_mean_target_du",
-    "junior_mean_target_dz",
-    "moment_plain_and_du",
 ]
 
 
@@ -130,73 +129,70 @@ def _pdf(a, big):
     return norm_pdf(a) if big is None else np.where(big, 1.0, norm_pdf(a))
 
 
-def _kernel(j, c_pay, f_div, f_bound, z, u, params: MarketParams, du=False):
-    """kernel_j; with ``du`` (j in {0, 1}), the list of pairs
-    (kernel_i, d kernel_i / du) for i = 0..j instead, all from one pass:
-    sqrt(z), a0, E1 and Phi(a1) serve the values and the slopes alike, and
-    each value is the same number either way."""
+def _kernel(j, c_pay, f_div, f_bound, z, u, params: MarketParams, du=False, dz=False):
+    """Orders 0..j of the kernel from one pass, as the triple (values, du,
+    dz): ``values`` lists kernel_0..kernel_j, and ``du`` and ``dz``, when
+    asked for, list d kernel_i / du and d kernel_i / dz for i = 0..min(j, 1)
+    (None when not).  sqrt(z), a0, E1 and Phi(a1) serve every order and
+    slope; a slope's own terms are built only when it is asked for.  A
+    value is the same number whether or not ``du`` is asked for.  With
+    ``dz`` the E1 overflow test also covers d(log E1)/dz, which multiplies
+    E1 in the z-slope."""
+    if j not in (0, 1, 2):
+        raise ParameterError(f"j must be 0, 1 or 2, got {j}")
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
     if np.any(z <= 0):
         raise ParameterError("z must be > 0")
     a_coef, b_coef, g, nu_t = _coeffs(params)
     sqz = np.sqrt(z)
-    a0 = a_coef * (_fhat(f_bound, params, sqz) + b_coef * u)
-    k0 = ndtr(a0)
-    d0 = norm_pdf(a0) * a_coef * b_coef if du else None
-    if j == 0:
-        return [(k0, d0)] if du else k0
-    ratio, bound_ratio = params.v0 / f_div, f_bound / params.v0
-    a1 = a0 - sqz / a_coef
-    e1, p1, big = _e_factors(
-        1, z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t, a1, a0, ratio, bound_ratio
-    )
-    k1 = c_pay * k0 - ratio * e1 * p1
-    if du:
-        d1 = c_pay * d0 - ratio * e1 * (-sqz * b_coef * p1 + _pdf(a1, big) * a_coef * b_coef)
-        return [(k0, d0), (k1, d1)]
-    if j == 1:
-        return k1
-    e2, p2, _ = _e_factors(
-        2, 2.0 * z * g / params.n_fluct - 2.0 * sqz * b_coef * u + 2.0 * nu_t,
-        a0 - 2.0 * sqz / a_coef, a0, ratio, bound_ratio,
-    )
-    return -(c_pay**2) * k0 + 2.0 * c_pay * k1 + ratio**2 * e2 * p2
-
-
-def _kernel_dz(j, c_pay, f_div, f_bound, z, u, params: MarketParams):
-    """Exact d(kernel_j)/dz for j in {0, 1}."""
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a_coef, b_coef, g, nu_t = _coeffs(params)
-    sqz = np.sqrt(z)
     fh = _fhat(f_bound, params, sqz)
     a0 = a_coef * (fh + b_coef * u)
-    # d fhat / dz = -fhat / (2 z)
-    da0 = a_coef * (-fh / (2.0 * z))
-    d0 = norm_pdf(a0) * da0
+    k = [ndtr(a0)]
+    pdf0 = norm_pdf(a0) if du or dz else None
+    k_du = [pdf0 * a_coef * b_coef] if du else None
+    k_dz = None
+    if dz:
+        # d fhat / dz = -fhat / (2 z)
+        da0 = a_coef * (-fh / (2.0 * z))
+        k_dz = [pdf0 * da0]
     if j == 0:
-        return d0
-    ratio = params.v0 / f_div
+        return k, k_du, k_dz
+    ratio, bound_ratio = params.v0 / f_div, f_bound / params.v0
     a1 = a0 - sqz / a_coef
-    # d(log E1)/dz, which multiplies E1 by up to about g / (2N): large
-    # where N is small
-    dx1 = g / (2.0 * params.n_fluct) - b_coef * u / (2.0 * sqz)
+    factor = 1.0
+    if dz:
+        # d(log E1)/dz, which multiplies E1 by up to about g / (2N): large
+        # where N is small
+        dx1 = g / (2.0 * params.n_fluct) - b_coef * u / (2.0 * sqz)
+        factor = np.fmax.reduce(np.abs(dx1), axis=None, initial=0.0)
     e1, p1, big = _e_factors(
-        1, z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t, a1, a0, ratio,
-        f_bound / params.v0, np.fmax.reduce(np.abs(dx1), axis=None, initial=0.0),
+        1, z * g / (2.0 * params.n_fluct) - sqz * b_coef * u + nu_t, a1, a0, ratio, bound_ratio,
+        factor,
     )
-    de1 = e1 * dx1
-    da1 = da0 - 1.0 / (2.0 * a_coef * sqz)
-    return c_pay * d0 - ratio * (de1 * p1 + e1 * _pdf(a1, big) * da1)
+    k.append(c_pay * k[0] - ratio * e1 * p1)
+    pdf1 = _pdf(a1, big) if du or dz else None
+    if du:
+        k_du.append(c_pay * k_du[0] - ratio * e1 * (-sqz * b_coef * p1 + pdf1 * a_coef * b_coef))
+    if dz:
+        da1 = da0 - 1.0 / (2.0 * a_coef * sqz)
+        k_dz.append(c_pay * k_dz[0] - ratio * (e1 * dx1 * p1 + e1 * pdf1 * da1))
+    if j == 2:
+        e2, p2, _ = _e_factors(
+            2, 2.0 * z * g / params.n_fluct - 2.0 * sqz * b_coef * u + 2.0 * nu_t,
+            a0 - 2.0 * sqz / a_coef, a0, ratio, bound_ratio,
+        )
+        k.append(-(c_pay**2) * k[0] + 2.0 * c_pay * k[1] + ratio**2 * e2 * p2)
+    return k, k_du, k_dz
 
 
 _SENIOR = "senior"
 _JUNIOR = "junior"
 
 
-def _tau_setup(iota: str, lam: str, faces: SubordinationSpec):
-    """Map the (payoff, boundary) pair to kernel constants.
+def _pass(j, iota: str, lam: str, z, u, faces: SubordinationSpec, params, du=False, dz=False):
+    """One kernel pass for the payoff ``iota`` on the default region bounded
+    by ``lam``: the triple of :func:`_kernel`.
 
     The payoff index selects the loss fraction being measured: the senior
     payoff is (1 - V/F_senior), scale 1 and divisor F_senior; the junior
@@ -221,7 +217,7 @@ def _tau_setup(iota: str, lam: str, faces: SubordinationSpec):
         f_bound = faces.f_total
     else:
         raise ParameterError(f"lam must be 'senior' or 'junior', got {lam!r}")
-    return c_pay, f_div, f_bound
+    return _kernel(j, c_pay, f_div, f_bound, z, u, params, du, dz)
 
 
 def tau(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: MarketParams):
@@ -237,123 +233,75 @@ def tau(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: Mar
     z, u : array_like
         Scale variable (> 0) and standardized common factor.
     """
-    if j not in (0, 1, 2):
-        raise ParameterError(f"j must be 0, 1 or 2, got {j}")
-    c_pay, f_div, f_bound = _tau_setup(iota, lam, faces)
-    return _kernel(j, c_pay, f_div, f_bound, z, u, params)
-
-
-def _tau_and_du(j, iota, lam, z, u, faces, params):
-    """The pairs (tau_i, d tau_i / du) for i = 0..j from one kernel pass."""
-    if j not in (0, 1):
-        raise ParameterError("derivatives implemented for j in {0, 1}")
-    c_pay, f_div, f_bound = _tau_setup(iota, lam, faces)
-    return _kernel(j, c_pay, f_div, f_bound, z, u, params, du=True)
-
-
-def tau_dz(j: int, iota: str, lam: str, z, u, faces: SubordinationSpec, params: MarketParams):
-    """Exact z-derivative of :func:`tau`; orders 0 and 1 only."""
-    if j not in (0, 1):
-        raise ParameterError("derivatives implemented for j in {0, 1}")
-    c_pay, f_div, f_bound = _tau_setup(iota, lam, faces)
-    return _kernel_dz(j, c_pay, f_div, f_bound, z, u, params)
+    return _pass(j, iota, lam, z, u, faces, params)[0][j]
 
 
 # ---------------------------------------------------------------------------
 # moment families
+#
+# Each family returns the triple (values, du, dz) of :func:`_kernel`: orders
+# 0..j, and the u- and z-slopes of orders 0 and 1 where asked for.
+
+
+def senior_moments(j: int, z, u, faces: SubordinationSpec, params: MarketParams,
+                   du=False, dz=False):
+    """Conditional moments of the senior loss fraction, E[(l_senior)^i | z,
+    u] for i = 0..j, from one pass.
+
+    Zero face is allowed and gives exactly 0 (the senior default region is
+    empty).  Values lie in [0, 1] and decrease in i.
+    """
+    if faces.f_senior == 0:
+        zero = np.zeros(np.broadcast(np.asarray(z), np.asarray(u)).shape)
+        slopes = [zero] * min(j + 1, 2)
+        return [zero] * (j + 1), slopes if du else None, slopes if dz else None
+    return _pass(j, _SENIOR, _SENIOR, z, u, faces, params, du, dz)
 
 
 def moment_senior(j: int, z, u, faces: SubordinationSpec, params: MarketParams):
-    """Conditional moment of the senior loss fraction, E[(l_senior)^j | z, u].
-
-    Zero face is allowed and gives exactly 0 (the senior default region is
-    empty).  Values lie in [0, 1] and decrease in j.
-    """
-    if faces.f_senior == 0:
-        return np.zeros(np.broadcast(np.asarray(z), np.asarray(u)).shape)
-    return tau(j, _SENIOR, _SENIOR, z, u, faces, params)
+    """The order-j senior moment alone; see :func:`senior_moments`."""
+    return senior_moments(j, z, u, faces, params)[0][j]
 
 
-def moment_junior(j: int, z, u, faces: SubordinationSpec, params: MarketParams):
-    """Conditional moment of the junior loss over the junior-only band,
-    E[(l_junior)^j ; senior face < V < total face | z, u].
+def junior_band_moments(j: int, z, u, faces: SubordinationSpec, params: MarketParams,
+                        du=False, dz=False):
+    """Conditional moments of the junior loss over the junior-only band,
+    E[(l_junior)^i ; senior face < V < total face | z, u] for i = 0..j:
+    the total-face pass minus the senior-face pass.
 
     The full junior moment adds the total-wipeout part, see
-    :func:`junior_mean_target` for the j = 1 combination.
+    :func:`junior_mean_target` for the i = 1 combination.
     """
-    full = tau(j, _JUNIOR, _JUNIOR, z, u, faces, params)
+    full = _pass(j, _JUNIOR, _JUNIOR, z, u, faces, params, du, dz)
     if faces.f_senior == 0:
         return full
-    return full - tau(j, _JUNIOR, _SENIOR, z, u, faces, params)
+    cut = _pass(j, _JUNIOR, _SENIOR, z, u, faces, params, du, dz)
+    return tuple(None if f is None else [a - b for a, b in zip(f, c)] for f, c in zip(full, cut))
 
 
-def moment_plain(j: int, z, u, face: float, params: MarketParams):
-    """Conditional moment of the undivided loss (single creditor class),
-    E[((F - V)/F)^j ; V < F | z, u]."""
-    if j not in (0, 1, 2):
-        raise ParameterError(f"j must be 0, 1 or 2, got {j}")
+def plain_moments(j: int, z, u, face: float, params: MarketParams, du=False, dz=False):
+    """Conditional moments of the undivided loss (single creditor class),
+    E[((F - V)/F)^i ; V < F | z, u] for i = 0..j, from one pass."""
     if not (face > 0):
         raise ParameterError(f"face must be > 0, got {face}")
-    return _kernel(j, 1.0, face, face, z, u, params)
+    return _kernel(j, 1.0, face, face, z, u, params, du, dz)
 
 
-def moment_senior_and_du(j, z, u, faces, params):
-    """(:func:`moment_senior`, its exact u-derivative) for j in {0, 1}, from
-    one kernel pass."""
-    if faces.f_senior == 0:
-        zero = np.zeros(np.broadcast(np.asarray(z), np.asarray(u)).shape)
-        return zero, zero
-    return _tau_and_du(j, _SENIOR, _SENIOR, z, u, faces, params)[j]
-
-
-def moment_senior_du(j, z, u, faces, params):
-    return moment_senior_and_du(j, z, u, faces, params)[1]
-
-
-def moment_senior_dz(j, z, u, faces, params):
-    if faces.f_senior == 0:
-        return np.zeros(np.broadcast(np.asarray(z), np.asarray(u)).shape)
-    return tau_dz(j, _SENIOR, _SENIOR, z, u, faces, params)
-
-
-def junior_mean_target(z, u, faces: SubordinationSpec, params: MarketParams):
+def junior_mean_target(z, u, faces: SubordinationSpec, params: MarketParams, du=False, dz=False):
     """Conditional mean of the junior loss fraction, wipeout plus band:
-    m_senior_0 + m_junior_1.  This is the quantity the junior implicit
-    solve inverts."""
-    return moment_senior(0, z, u, faces, params) + moment_junior(1, z, u, faces, params)
-
-
-def junior_mean_target_and_du(z, u, faces, params):
-    """(:func:`junior_mean_target`, its exact u-derivative) from two kernel
-    passes: the senior boundary's pass gives the wipeout term (order 0) and
-    the band's bound (order 1) together."""
-    _, (full, d) = _tau_and_du(1, _JUNIOR, _JUNIOR, z, u, faces, params)
+    m_senior_0 + m_junior_1, the quantity the junior implicit solve
+    inverts.  Returns (mean, d mean / du, d mean / dz), a slope None unless
+    asked for, from two passes: the senior-face pass gives the wipeout term
+    (its order 0) and the band's bound (its order 1) together."""
+    (_, full), *full_slopes = _pass(1, _JUNIOR, _JUNIOR, z, u, faces, params, du, dz)
     if faces.f_senior == 0:
-        return full, d
-    (m_s, d_s), (band, d_band) = _tau_and_du(1, _JUNIOR, _SENIOR, z, u, faces, params)
-    return m_s + (full - band), d_s + d - d_band
+        return (full, *(None if s is None else s[1] for s in full_slopes))
+    (m_s, band), *cut_slopes = _pass(1, _JUNIOR, _SENIOR, z, u, faces, params, du, dz)
+    return (m_s + (full - band), *(
+        None if s is None else c[0] + s[1] - c[1] for s, c in zip(full_slopes, cut_slopes)
+    ))
 
 
-def junior_mean_target_du(z, u, faces, params):
-    return junior_mean_target_and_du(z, u, faces, params)[1]
-
-
-def junior_mean_target_dz(z, u, faces, params):
-    d = tau_dz(1, _JUNIOR, _JUNIOR, z, u, faces, params)
-    if faces.f_senior == 0:
-        return d
-    return (
-        moment_senior_dz(0, z, u, faces, params)
-        + d
-        - tau_dz(1, _JUNIOR, _SENIOR, z, u, faces, params)
-    )
-
-
-def moment_plain_and_du(j, z, u, face, params):
-    """(:func:`moment_plain`, its exact u-derivative) for j in {0, 1}, from
-    one kernel pass."""
-    if j not in (0, 1):
-        raise ParameterError("derivatives implemented for j in {0, 1}")
-    if not (face > 0):
-        raise ParameterError(f"face must be > 0, got {face}")
-    return _kernel(j, 1.0, face, face, z, u, params, du=True)[j]
+def junior_mean_target_du(z, u, faces: SubordinationSpec, params: MarketParams):
+    """The u-slope of :func:`junior_mean_target` alone."""
+    return junior_mean_target(z, u, faces, params, du=True)[1]

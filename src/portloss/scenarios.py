@@ -25,6 +25,7 @@ import json
 import math
 import os
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .grids import (
     SCHEMA_VERSION,
     DensityGrid,
     canonical_json,
-    csv_cells,
     scenario_fingerprint,
     write_csv,
 )
@@ -935,6 +935,12 @@ def _calibrate(sc, out_dir=""):
             max(m, k) * k, f"the {_count(m)} x {_count(k)} synthetic returns and their covariance",
             "/source/k_assets" if k >= m else "/source/m_samples",
         )
+    else:
+        m, k = _returns_csv_shape(src["path"])
+        _check_memory(
+            max(m, k) * k, f"the {_count(m)} x {_count(k)} returns of {src['path']!r} and their "
+            "covariance", "/source/path",
+        )
 
     def job():
         if src["kind"] == "synthetic":
@@ -1348,7 +1354,7 @@ def _write_json(payload: dict, sc: dict, path: str) -> None:
 
 
 def _write_table(rows, header, sc: dict, path: str) -> None:
-    write_csv(path, _provenance(sc), header, [csv_cells(col) for col in zip(*rows)])
+    write_csv(path, _provenance(sc), header, list(zip(*rows)))
 
 
 def _artifact(path, kind, summary):
@@ -1377,9 +1383,9 @@ def _grid_job(sc: dict, path: str, make, kind: str = "density_grid"):
     return job
 
 
-def _load_returns_csv(path: str) -> np.ndarray:
-    """The returns matrix of a CSV file with an optional header row; a file
-    that cannot be read as numbers is rejected at ``/source/path``."""
+def _header_rows(first_line: str) -> int:
+    """1 when the first line of a returns CSV is a header, that is, holds a
+    field that is not a number; else 0."""
 
     def _numeric(tok):
         try:
@@ -1388,15 +1394,41 @@ def _load_returns_csv(path: str) -> np.ndarray:
         except ValueError:
             return False
 
+    return 0 if all(_numeric(t) for t in first_line.strip().split(",") if t) else 1
+
+
+def _unreadable(path: str, exc: Exception) -> ScenarioError:
+    return ScenarioError(f"cannot read returns from {path!r}: {exc}", pointer="/source/path")
+
+
+def _returns_csv_shape(path: str) -> tuple:
+    """(data rows M, columns K) of a returns CSV, read line by line without
+    parsing its numbers: the lines after the header (see
+    :func:`_header_rows`) that hold anything but a comment, and the fields
+    of the first of them."""
+    m = k = 0
     try:
         with open(path) as fh:
             first = fh.readline()
-        skip = 0 if all(_numeric(t) for t in first.strip().split(",") if t) else 1
+            for line in fh if _header_rows(first) else chain([first], fh):
+                data = line.split("#", 1)[0]
+                if data.strip():
+                    m += 1
+                    k = k or len(data.split(","))
+    except (OSError, ValueError) as exc:
+        raise _unreadable(path, exc) from exc
+    return m, k
+
+
+def _load_returns_csv(path: str) -> np.ndarray:
+    """The returns matrix of a CSV file with an optional header row; a file
+    that cannot be read as numbers is rejected at ``/source/path``."""
+    try:
+        with open(path) as fh:
+            skip = _header_rows(fh.readline())
         return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except (OSError, ValueError) as exc:
-        raise ScenarioError(
-            f"cannot read returns from {path!r}: {exc}", pointer="/source/path"
-        ) from exc
+        raise _unreadable(path, exc) from exc
 
 
 def run_scenario(doc: dict, out_dir: str = ".") -> list:

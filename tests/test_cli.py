@@ -228,6 +228,19 @@ def test_malformed_returns_csv_rejected(tmp_path, capsys):
     assert err["pointer"] == "/source/path"
 
 
+def test_oversized_or_unreadable_returns_csv_rejected_by_validate(tmp_path, capsys):
+    # 2 rows of 11,600 columns: their covariance alone would hold 11,600^2
+    # values, over the 2^27 budget
+    csv = tmp_path / "wide.csv"
+    csv.write_text(("0.01," * 11_599 + "0.02\n") * 2)
+    for source in (csv, tmp_path / "missing.csv"):
+        doc = {"mode": "calibrate", "source": {"kind": "csv", "path": str(source)}}
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_REJECTED
+        assert json.loads(capsys.readouterr().err)["pointer"] == "/source/path"
+
+
 def test_vanishing_correlation_is_a_numeric_failure(tmp_path, capsys):
     # each marginal variance passes its 1e-300 floor, but their product
     # underflows; the sweep then refuses with the package's own error

@@ -62,12 +62,12 @@ def test_no_default_frozen_values(market):
 
 def test_no_default_single_firm_is_complement_of_default_moment(market, quad):
     # K = 1 reduces to 1 - E[m0]; the mixture and the moment must agree
-    from portloss.moments import moment_plain
+    from portloss.moments import plain_moments
     from portloss.quadrature import chi2_nodes, gauss_nodes
 
     z, wz = chi2_nodes(market.n_fluct, quad.z_nodes)
     u, wu = gauss_nodes(market.n_fluct, quad.u_nodes)
-    m0 = moment_plain(0, z[:, None], u[None, :], 75.0, market)
+    (m0,), _, _ = plain_moments(0, z[:, None], u[None, :], 75.0, market)
     want = 1.0 - float(wz @ m0 @ wu)
     assert no_default_probability(1, 75.0, market) == pytest.approx(want, rel=1e-12)
 
@@ -107,7 +107,7 @@ def test_alphas_for_standard_layouts(halves):
 def test_overlap_table_matches_alphas(market, quad, r1, r12, gamma, k):
     # the class-by-class covariance reproduces the paper's inflation factors
     from portloss.engine import _unpruned_table
-    from portloss.moments import moment_plain
+    from portloss.moments import plain_moments
     from portloss.quadrature import chi2_nodes, gauss_nodes
 
     ov = OverlapSpec(r1=r1, r12=r12, gamma=gamma, f0=75.0)
@@ -115,8 +115,8 @@ def test_overlap_table_matches_alphas(market, quad, r1, r12, gamma, k):
     z, _ = chi2_nodes(market.n_fluct, quad.z_nodes)
     u, _ = gauss_nodes(market.n_fluct, quad.u_nodes)
     zz, uu = np.repeat(z, len(u)), np.tile(u, len(z))
-    m1 = moment_plain(1, zz, uu, 75.0, market)
-    var = np.maximum(moment_plain(2, zz, uu, 75.0, market) - m1 * m1, 0.0)
+    _, m1, m2 = plain_moments(2, zz, uu, 75.0, market)[0]
+    var = np.maximum(m2 - m1 * m1, 0.0)
     a1, a12, a2 = _alphas(ov)
     want = np.array([[a1, a12], [a12, a2]])[:, :, None] * var / k
     np.testing.assert_allclose(cov, want, rtol=1e-14, atol=0.0)
@@ -456,7 +456,7 @@ def _flat_tensor_table(scenario, quad):
     """Reference: the single-firm moments on every flat tensor node of a
     plain scenario, as (means, cov)."""
     from portloss.engine import _class_weights
-    from portloss.moments import moment_plain
+    from portloss.moments import plain_moments
     from portloss.quadrature import chi2_nodes, gauss_nodes
 
     markets, classes, _ = scenario.holdings
@@ -465,7 +465,7 @@ def _flat_tensor_table(scenario, quad):
     grids = np.meshgrid(*([u1] * markets.beta), indexing="ij")
     u = np.stack([np.tile(g.ravel(), len(z)) for g in grids])
     z = np.repeat(z, len(u1) ** markets.beta)
-    m1, m2 = (np.stack([moment_plain(j, z, u[b], face, markets.blocks[b][0])
+    m1, m2 = (np.stack([plain_moments(2, z, u[b], face, markets.blocks[b][0])[0][j]
                         for b, face, _ in classes]) for j in (1, 2))
     var = np.maximum(m2 - m1 * m1, 0.0)
     wts, counts = _class_weights(scenario)

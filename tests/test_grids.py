@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from portloss import DensityGrid, ParameterError, canonical_json, scenario_fingerprint
-from portloss.grids import cell_centers, csv_cells
+from portloss.grids import cell_centers, write_csv
 from portloss.scenarios import _provenance, _write_table, bundled_scenarios, resolve_scenario
 
 
@@ -127,8 +127,15 @@ def test_table_csv_bytes_match_the_per_value_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_csv_cells_of_a_mixed_column_are_formatted_per_value():
-    column = [1, 2.5, True, np.float64(0.1), "x", -0.0]
-    assert csv_cells(column) == [
-        f"{v:.17g}" if isinstance(v, float) else str(v) for v in column
-    ]
+def test_write_csv_types_each_column(tmp_path):
+    # a column of floats, numpy floats included, takes '%.17g'; any other
+    # column takes str, so a mixed one still round-trips
+    floats = [0.1, np.float64(0.1), -0.0, 5e-324, 1e300, 1.0 / 3.0]
+    others = [1, True, "x", 10**20, -3, None]
+    mixed = [1, 2.5, True, np.float64(0.1), "x", -0.0]
+    write_csv(tmp_path / "t.csv", ("c",), ["f", "o", "m"], [floats, others, mixed])
+    rows = [(f"{f:.17g}", str(o), str(m)) for f, o, m in zip(floats, others, mixed)]
+    want = "# c\nf,o,m\n" + "".join(",".join(r) + "\n" for r in rows)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    cells = [line.split(",")[2] for line in want.splitlines()[2:]]
+    assert [float(cells[i]) for i in (1, 3, 5)] == [2.5, 0.1, -0.0]

@@ -26,7 +26,7 @@ from portloss.limits import (
     solve_u_senior,
     solve_z0,
 )
-from portloss.moments import junior_mean_target, moment_plain, moment_senior
+from portloss.moments import junior_mean_target, plain_moments, senior_moments
 
 # points on the ridge where senior and junior losses co-move, frozen from a
 # fine scan of the pointwise function
@@ -61,7 +61,7 @@ def test_newton_bisect_cubic():
 def test_solve_u_plain_inverts_the_mean(market):
     z = 2.0
     u = solve_u_plain(0.25, z, 75.0, market)
-    got = float(moment_plain(1, z, u, 75.0, market))
+    got = float(plain_moments(1, z, u, 75.0, market)[0][1])
     assert got == pytest.approx(0.25, abs=1e-10)
 
 
@@ -70,9 +70,9 @@ def test_solve_u_senior_junior_invert(market, faces):
     # mean tops out near 0.058 at z = 1.5)
     z = 1.5
     u_s = solve_u_senior(0.02, z, faces, market)
-    assert float(moment_senior(1, z, u_s, faces, market)) == pytest.approx(0.02, abs=1e-10)
+    assert float(senior_moments(1, z, u_s, faces, market)[0][1]) == pytest.approx(0.02, abs=1e-10)
     _, u_j = _sub_u_roots(0.02, 0.4, z, faces, market)
-    assert float(junior_mean_target(z, u_j, faces, market)) == pytest.approx(0.4, abs=1e-10)
+    assert float(junior_mean_target(z, u_j, faces, market)[0]) == pytest.approx(0.4, abs=1e-10)
     with pytest.raises(NoRootError):
         solve_u_senior(0.1, z, faces, market)
 
@@ -139,17 +139,16 @@ def _plain_limit_terms(targets, face, params, quad):
     nodes z and weights wz, the u root of m1(z, u) = target by brentq, one
     (target, z) pair at a time, and the implicit weight phi_N(u) / |dm1/du|
     at the root, 0 where there is none."""
-    from portloss.moments import moment_plain_and_du
     from portloss.quadrature import chi2_nodes
 
     z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    mean = lambda zz, uu: moment_plain(1, zz, uu, face, params)
+    mean = lambda zz, uu: plain_moments(1, zz, uu, face, params)[0][1]
     u = _brentq_u_table(mean, targets, z, params)
     n = params.n_fluct
     found = ~np.isnan(u)
     weight = np.zeros(u.shape)
-    slope = np.abs(moment_plain_and_du(1, np.broadcast_to(z, u.shape)[found], u[found], face,
-                                       params)[1])
+    slope = np.abs(plain_moments(1, np.broadcast_to(z, u.shape)[found], u[found], face, params,
+                                 du=True)[1][1])
     weight[found] = math.sqrt(n / (2.0 * math.pi)) * np.exp(-0.5 * n * u[found] ** 2) / slope
     return z, wz, u, weight
 
@@ -173,7 +172,7 @@ def test_limit_equal_density_matches_direct_simulation(market):
     n = 400_000
     z = rng.chisquare(market.n_fluct, n)
     u = rng.normal(0.0, math.sqrt(1.0 / market.n_fluct), n)
-    m1 = np.asarray(moment_plain(1, z, u, 75.0, market))
+    m1 = np.asarray(plain_moments(1, z, u, 75.0, market)[0][1])
     a, b = 0.05, 0.5
     p_mc = float(np.mean((m1 > a) & (m1 < b)))
     se = math.sqrt(p_mc * (1.0 - p_mc) / n)
@@ -205,8 +204,8 @@ def test_finite_vs_infinite_grid_matches_points(market, quad):
     for row, j in enumerate((3, 5)):
         live = weight[row] > 0.0
         zl, ul = z[live], u[row, live]
-        m1 = moment_plain(1, zl, ul, 75.0, market)
-        var = (moment_plain(2, zl, ul, 75.0, market) - m1 * m1) / 10
+        _, m1, m2 = plain_moments(2, zl, ul, 75.0, market)[0]
+        var = (m2 - m1 * m1) / 10
         for i in (2, 4):
             phi = np.exp(-0.5 * (xs[i] - m1) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
             want = float(np.sum(wz[live] * weight[row, live] * phi))
@@ -291,7 +290,7 @@ def test_batched_u_tables_match_scalar_loop(market, faces):
     from portloss.limits import _u_roots
 
     for mean, targets, zs in _bundled_u_tables(market, faces):
-        want = _brentq_u_table(mean.value, targets, zs, market)
+        want = _brentq_u_table(lambda z, u: mean(z, u)[0], targets, zs, market)
         got = _u_roots(mean, targets[:, None], zs, market)
         assert got.shape == want.shape
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -390,13 +389,14 @@ def test_joint_crossings_match_nested_fallback(market, faces, monkeypatch):
     # (z, u) points at which the crossing solve evaluates the senior mean
     # with its u-slope
     points = []
-    senior_and_du = limits.moment_senior_and_du
+    senior_moments = limits.senior_moments
 
-    def counted(k, z, u, faces, params):
-        points.append(np.broadcast(z, u).size)
-        return senior_and_du(k, z, u, faces, params)
+    def counted(k, z, u, faces, params, du=False, dz=False):
+        if du:
+            points.append(np.broadcast(z, u).size)
+        return senior_moments(k, z, u, faces, params, du, dz)
 
-    monkeypatch.setattr(limits, "moment_senior_and_du", counted)
+    monkeypatch.setattr(limits, "senior_moments", counted)
 
     def solve():
         points.clear()

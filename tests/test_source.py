@@ -145,6 +145,9 @@ DOCUMENTED_API = {
     "engine.density_subordinated": "the README quick start evaluates one point with it",
     "engine.mass_accounting": "the normalization audit that a run's sidecar is to report",
     "limits.density_limit_subordinated": "acceptance 07 takes the ridge limit at single points",
+    "moments.tau": "acceptance 04 checks each payoff/boundary kernel against quadrature",
+    "moments.moment_senior": "perfbench/micro.py times the one-point and vector kernel calls",
+    "moments.junior_mean_target_du": "perfbench/micro.py times the one-point slope call",
     "limits.solve_u_senior": "perfbench/micro.py times the one-point u solve",
     "limits.solve_u_plain": "perfbench/micro.py times the one-point u solve",
     "mc.sample_compound": "perfbench/micro.py times the scale-mixture sampler",
