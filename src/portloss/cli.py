@@ -10,6 +10,7 @@ report itself cannot be written, which stderr then says.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -126,6 +127,8 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
+# built once per process: parse_args leaves the parser as it is
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="portloss",

@@ -638,17 +638,15 @@ def _adaptive_density(xs, ys, scenario, quad):
     window are dominated by slice tails and take the dense fixed rule.
     """
     # limits imports engine
-    from .limits import _FOUND, _mean_slopes, _sub_crossings, _sub_u_roots
+    from .limits import _FOUND, _sub_crossings, _sub_u_roots
 
     faces, params = scenario.tranches, scenario.params
     n = params.n_fluct
     span = 10.0
     cr = _sub_crossings(xs, ys, faces, params, 96)
     ci, cj = np.nonzero(cr.status == _FOUND)
-    z0 = cr.z0[ci, cj]
-    u0 = 0.5 * (cr.u_s[ci, cj] + cr.u_j[ci, cj])
+    z0, u0, du_s, du_j = (a[ci, cj] for a in (cr.z0, cr.u0, cr.jac_s, cr.jac_j))
     _, cov0 = gaussian_moment_terms(z0, u0, scenario)
-    du_s, du_j = _mean_slopes(z0, u0, faces, params)
     slope = np.abs(cr.slope[ci, cj])
     with np.errstate(divide="ignore", invalid="ignore"):
         sig_u = np.sqrt(cov0[0, 0] / du_s**2 + cov0[1, 1] / du_j**2)

@@ -21,7 +21,9 @@ crossings of a subordinated grid are bracketed by a z scan of those tables
 and then solved in (z, u) jointly, one 2x2 Newton system per (cell,
 crossing) lane; a lane that leaves its bracket or misses the residual
 tolerance falls back to an outer :func:`newton_bisect` in z whose inner u
-solves run on the lanes' current z.  Roots are searched on u in
+solves run on the lanes' current z.  A root's one verified pass also gives
+what is read at it: the crossing record keeps each cell's (z0, u0), mean
+Jacobians and separation slope.  Roots are searched on u in
 [-12, 12]/sqrt(N) and z in [1e-6, chi2 quantile 1 - 1e-10]; outside these
 brackets the weights are below anything that could move a six-digit
 result, and the density is treated as exactly zero.  Near the n_fluct
@@ -215,12 +217,13 @@ def _plain_mean(face, params) -> Callable:
     )
 
 
-def _u_roots(mean: Callable, target, z, params, with_slope=False):
+def _u_roots(mean: Callable, target, z, params, at_root=None):
     """u solving mean(z, u) = target on every lane of broadcast (target, z).
     The mean is nondecreasing in u, so the root is unique where it exists;
     lanes whose target lies outside the attainable range on the u bracket
-    hold NaN.  ``with_slope`` returns the pair (u, dm/du at u) instead, the
-    slope from the same pass that checks the residual."""
+    hold NaN.  ``at_root(z, u)``, a tuple whose first entry is the mean,
+    replaces ``mean`` in the pass that checks the residual at the roots,
+    and is returned with u."""
     lo, hi = u_bracket(params)
     z = np.asarray(z, dtype=float)
     # the means at the bracket ends depend on z alone
@@ -241,8 +244,8 @@ def _u_roots(mean: Callable, target, z, params, with_slope=False):
         np.where(attainable, f_hi, np.nan),
         args=(z, target),
     )
-    m, du, _ = mean(z, u, du=with_slope)
-    resid = np.abs(m - target)
+    final = (at_root or mean)(z, u)
+    resid = np.abs(final[0] - target)
     if np.any(resid > _RESID_TOL):
         k = np.flatnonzero(resid > _RESID_TOL)[0]
         raise ConvergenceError(
@@ -251,7 +254,7 @@ def _u_roots(mean: Callable, target, z, params, with_slope=False):
             best_estimate=float(u.flat[k]),
             error_bound=float(resid.flat[k]),
         )
-    return (u, du) if with_slope else u
+    return u if at_root is None else (u, final)
 
 
 def _solve_u(mean: Callable, target, z, params, label) -> float:
@@ -284,25 +287,34 @@ def solve_u_plain(l: float, z: float, face: float, params: MarketParams) -> floa
     return _solve_u(_plain_mean(face, params), l, z, params, "plain mean")
 
 
-def _plain_factor(targets, z, face, params):
+def _plain_factor(targets, z, face, params, order=1):
     """Plain-factor kernel on the (targets x z) table.
 
-    Returns the u roots of mean plain loss = target and the implicit weight
-    exp(gauss log weight of u) / |d mean / du| of each lane.  Lanes without
-    a root, and rows whose target is outside (0, 1), hold u NaN and weight
-    0; so do lanes whose Jacobian is below 1e-300.
+    Returns the implicit weight exp(gauss log weight of u) / |d mean / du|
+    at the u root of mean plain loss = target on each lane, and the plain
+    moments of orders 0..``order`` at that root, all from the one pass that
+    checks the residual.  Lanes without a root, and rows whose target is
+    outside (0, 1), have weight 0 and NaN moments; lanes whose Jacobian is
+    below 1e-300 have weight 0.
     """
     targets = np.asarray(targets, dtype=float)
     inside = (targets > 0.0) & (targets < 1.0)
-    mean = _plain_mean(face, params)
+
+    def at_root(z, u):
+        values, du, _ = plain_moments(order, z, u, face, params, du=True)
+        return values[1], du[1], values
+
     z = np.asarray(z, dtype=float)[None, :]
-    u, du = _u_roots(mean, np.where(inside, targets, np.nan)[:, None], z, params, with_slope=True)
+    u, (_, du, values) = _u_roots(
+        _plain_mean(face, params), np.where(inside, targets, np.nan)[:, None], z, params,
+        at_root=at_root,
+    )
     du = np.abs(du)
     with np.errstate(invalid="ignore", under="ignore"):
         weight = np.where(
             du >= 1e-300, np.exp(_gauss_log_weight(u, params.n_fluct)) / du, 0.0
         )
-    return u, weight
+    return weight, values
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +329,10 @@ def _sub_u_roots(l_senior, l_junior, z, faces, params):
     return u_s, u_j
 
 
-def _du_dz(mean: Callable, z, u):
+def _du_dz(dm_du, dm_dz):
     """Implicit-function slope du/dz along mean(z, u(z)) = const."""
-    _, den, num = mean(z, u, du=True, dz=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(den) < 1e-300, np.inf, -num / den)
+        return np.where(np.abs(dm_du) < 1e-300, np.inf, -dm_dz / dm_du)
 
 
 _NONE, _LOST, _MULTIPLE, _FOUND = range(4)
@@ -331,12 +342,15 @@ class _Crossings(NamedTuple):
     """Per-cell outcome of the subordinated kernel, arrays of shape
     (len(xs), len(ys)).  ``status`` is _NONE (no bracketed crossing),
     _LOST (a u root vanished during refinement), _MULTIPLE (several
-    distinct crossings, listed in ``roots`` by cell) or _FOUND."""
+    distinct crossings, listed in ``roots`` by cell) or _FOUND.  Only a
+    found cell holds numbers: its crossing (z0, u0), the |dm/du| of each
+    mean and the slope d/dz of u_senior(z) - u_junior(z) there."""
 
     status: np.ndarray
     z0: np.ndarray
-    u_s: np.ndarray
-    u_j: np.ndarray
+    u0: np.ndarray
+    jac_s: np.ndarray
+    jac_j: np.ndarray
     slope: np.ndarray
     roots: dict
 
@@ -377,18 +391,21 @@ def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
     """Newton steps on (m_senior(z, u) - x, m_junior(z, u) - y) = 0, one 2x2
     system per crossing lane, from the start (z, u) inside (z_a, z_b).
 
-    Returns (z, ok).  A lane is ok when a step below 1e-12 relative
-    in both z and u (the step tolerance of :func:`newton_bisect`) lands on
-    a point whose two residuals are at most ``_RESID_TOL``, and every
-    iterate stayed in [z_a, z_b] and in the u bracket.  A lane that starts
-    on a bracket end (an exact zero of the scanned gap), leaves the
-    brackets or is still open after ``_JOINT_STEPS`` steps is not ok.  Each
-    step evaluates only the open lanes.
+    Returns (z, u, slopes, ok).  A lane is ok when a step below 1e-12
+    relative in both z and u (the step tolerance of :func:`newton_bisect`)
+    lands on a point whose two residuals are at most ``_RESID_TOL``, and
+    every iterate stayed in [z_a, z_b] and in the u bracket.  A lane that
+    starts on a bracket end (an exact zero of the scanned gap), leaves the
+    brackets or is still open after ``_JOINT_STEPS`` steps is not ok.  An
+    ok lane's ``slopes`` column, dm_s/du, dm_s/dz, dm_j/du and dm_j/dz, is
+    from the pass that marked it, at its (z, u).  Each step evaluates only
+    the open lanes.
     """
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
     u_lo, u_hi = u_bracket(params)
     z, u = z.copy(), u.copy()
     ok = np.zeros(z.shape, dtype=bool)
+    slopes = np.full((4, *z.shape), np.nan)
     small = np.zeros(z.shape, dtype=bool)  # the step that reached the point was below 1e-12
     lanes = np.flatnonzero((z_a < z) & (z < z_b))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -399,6 +416,7 @@ def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
             r_s, r_j = m_s - x[lanes], m_j - y[lanes]
             done = small[lanes] & (np.abs(r_s) <= _RESID_TOL) & (np.abs(r_j) <= _RESID_TOL)
             ok[lanes[done]] = True
+            slopes[:, lanes[done]] = s_u[done], s_z[done], j_u[done], j_z[done]
             lanes, zl, ul, r_s, r_j, s_u, j_u, s_z, j_z = (
                 a[~done] for a in (lanes, zl, ul, r_s, r_j, s_u, j_u, s_z, j_z)
             )
@@ -414,21 +432,30 @@ def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
             # NaN iterates fail these tests too
             inside = (z_a[lanes] <= zl) & (zl <= z_b[lanes]) & (u_lo <= ul) & (ul <= u_hi)
             lanes = lanes[inside]
-    return z, ok
+    return z, u, slopes, ok
 
 
 def _nested_crossings(x, y, z_a, z_b, f_a, f_b, faces, params):
     """The crossing z of each lane by a Newton solve in z on the bracket
     [z_a, z_b] with gap values f_a, f_b at its ends: the gap u_senior(z) -
     u_junior(z) comes from inner u solves at the lanes' current z.
-    Returns z; NaN where a u root is lost on the way."""
+    Returns (z, u, slopes) as :func:`_joint_newton` does, u the mean of
+    the two u roots at z; z is NaN where a u root is lost."""
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
 
-    def sep(z, x, y):
+    def roots(z, x, y):
         u_s, u_j = _sub_u_roots(x, y, z, faces, params)
-        return u_s - u_j, _du_dz(senior, z, u_s) - _du_dz(junior, z, u_j)
+        slopes = (*senior(z, u_s, du=True, dz=True)[1:], *junior(z, u_j, du=True, dz=True)[1:])
+        return u_s, u_j, slopes
 
-    return newton_bisect(sep, z_a, z_b, f_a, f_b, args=(x, y))[0]
+    def sep(z, x, y):
+        u_s, u_j, slopes = roots(z, x, y)
+        return u_s - u_j, _du_dz(*slopes[:2]) - _du_dz(*slopes[2:])
+
+    z = newton_bisect(sep, z_a, z_b, f_a, f_b, args=(x, y))[0]
+    u_s, u_j, slopes = roots(z, x, y)
+    z[np.isnan(u_s) | np.isnan(u_j)] = np.nan
+    return z, 0.5 * (u_s + u_j), slopes
 
 
 def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
@@ -439,13 +466,13 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     the two u tables, and every bracketed sign change becomes a lane.  Each
     lane solves m_senior = xs[i] and m_junior = ys[j] jointly in (z, u) by
     Newton steps (:func:`_joint_newton`), from the crossing interpolated in
-    its bracket.  Lanes that fail the joint solve's tests fall back to
-    :func:`_nested_crossings`.
+    its bracket, and a found cell keeps the u and the slopes of the pass
+    that verified its root.  Lanes that fail the joint solve's tests fall
+    back to :func:`_nested_crossings`.
     """
     _check_ridge_faces(faces)
     z_lo, z_hi = _check_z_bracket(params)
     xs, ys = np.atleast_1d(np.asarray(xs, dtype=float)), np.atleast_1d(np.asarray(ys, dtype=float))
-    senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
     zs = np.linspace(z_lo, z_hi, n_scan)
     us_tab, uj_tab = _sub_u_roots(xs[:, None], ys[:, None], zs, faces, params)
     # sign changes between feasible scan neighbours, one senior row at a
@@ -464,42 +491,60 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     # start from the crossing interpolated in the scan bracket
     t = fa / (fa - fb)
     u_a, u_b = us_tab[li, lk], us_tab[li, lk + 1]
-    z_root, joined = _joint_newton(
+    z_root, u_root, slopes, joined = _joint_newton(
         x, y, z_a + t * (z_b - z_a), u_a + t * (u_b - u_a), z_a, z_b, faces, params
     )
     rest = ~joined
-    z_root[rest] = _nested_crossings(
-        x[rest], y[rest], z_a[rest], z_b[rest], fa[rest], fb[rest], faces, params
-    )
+    if rest.any():
+        z_root[rest], u_root[rest], slopes[:, rest] = _nested_crossings(
+            x[rest], y[rest], z_a[rest], z_b[rest], fa[rest], fb[rest], faces, params
+        )
 
     shape = (len(xs), len(ys))
     status = np.full(shape, _NONE)
-    z0 = np.full(shape, np.nan)
-    kept = {}
-    for i, j, z in zip(li, lj, z_root):
+    source = np.zeros(shape, dtype=int)  # the lane of a found cell's root
+    kept, roots = {}, {}
+    for n, (i, j, z) in enumerate(zip(li, lj, z_root)):
         cell = kept.setdefault((i, j), [])
         if np.isnan(z):
             status[i, j] = _LOST
         # an exact zero at a scan node flags both neighbours; keep one
-        elif not cell or abs(z - cell[-1]) > 1e-9 * (z_hi - z_lo):
-            cell.append(z)
-    roots = {}
+        elif not cell or abs(z - z_root[cell[-1]]) > 1e-9 * (z_hi - z_lo):
+            cell.append(n)
     for (i, j), cell in kept.items():
         if status[i, j] == _LOST:
             continue
         if len(cell) > 1:
             status[i, j] = _MULTIPLE
-            roots[(i, j)] = tuple(cell)
+            roots[(i, j)] = tuple(z_root[cell])
         else:
-            status[i, j], z0[i, j] = _FOUND, cell[0]
+            status[i, j], source[i, j] = _FOUND, cell[0]
 
     found = status == _FOUND
-    u_s, u_j, slope = (np.full(shape, np.nan) for _ in range(3))
-    fi, fj = np.nonzero(found)
-    u_s[found], u_j[found] = _sub_u_roots(xs[fi], ys[fj], z0[found], faces, params)
-    slope[found] = _du_dz(senior, z0[found], u_s[found]) - _du_dz(junior, z0[found], u_j[found])
-    status[found & (np.isnan(u_s) | np.isnan(u_j))] = _LOST
-    return _Crossings(status, z0, u_s, u_j, slope, roots)
+    sep = _du_dz(*slopes[:2]) - _du_dz(*slopes[2:])
+    per_lane = np.array((z_root, u_root, np.abs(slopes[0]), np.abs(slopes[2]), sep))
+    cells = np.full((len(per_lane), *shape), np.nan)
+    cells[:, found] = per_lane[:, source[found]]
+    return _Crossings(status, *cells, roots)
+
+
+def _single_crossing(l_senior, l_junior, faces, params, n_scan) -> _Crossings:
+    """The crossing record of one loss pair that has exactly one root."""
+    cr = _sub_crossings(l_senior, l_junior, faces, params, n_scan)
+    status = cr.status[0, 0]
+    if status == _MULTIPLE:
+        roots = cr.roots[(0, 0)]
+        raise MultipleRootsError(
+            f"{len(roots)} crossing points found for losses "
+            f"({l_senior}, {l_junior}); uniqueness assumption violated",
+            roots=roots,
+        )
+    if status != _FOUND:
+        raise NoRootError(
+            f"u roots never coincide for losses ({l_senior}, {l_junior}) on the "
+            "z bracket; limit density is 0 there"
+        )
+    return cr
 
 
 def solve_z0(
@@ -518,44 +563,24 @@ def solve_z0(
     MultipleRootsError (anomaly, never silently resolved), none raise
     NoRootError (the limit density is zero at that loss pair).
     """
-    cr = _sub_crossings(l_senior, l_junior, faces, params, n_scan)
-    status = cr.status[0, 0]
-    if status == _MULTIPLE:
-        roots = cr.roots[(0, 0)]
-        raise MultipleRootsError(
-            f"{len(roots)} crossing points found for losses "
-            f"({l_senior}, {l_junior}); uniqueness assumption violated",
-            roots=roots,
-        )
-    if status != _FOUND:
-        raise NoRootError(
-            f"u roots never coincide for losses ({l_senior}, {l_junior}) on the "
-            "z bracket; limit density is 0 there"
-        )
-    z0, u_s, u_j, slope = (float(a[0, 0]) for a in (cr.z0, cr.u_s, cr.u_j, cr.slope))
-    return z0, 0.5 * (u_s + u_j), slope
+    cr = _single_crossing(l_senior, l_junior, faces, params, n_scan)
+    return tuple(float(a[0, 0]) for a in (cr.z0, cr.u0, cr.slope))
 
 
 # ---------------------------------------------------------------------------
 # limit densities
 
 
-def _mean_slopes(z0, u0, faces, params):
-    """|dm/du| of the senior and of the junior mean at crossing points."""
-    return tuple(np.abs(mean(z0, u0, du=True)[1])
-                 for mean in (_senior_mean(faces, params), _junior_mean(faces, params)))
-
-
-def _density_at_crossing(z0, u0, slope, faces, params):
-    """(density, quality) arrays at solved senior/junior crossing points:
+def _density_at_crossing(cr: _Crossings, found, params):
+    """(density, quality) arrays at the found cells of a crossing record:
     the (z, u) weight over the three Jacobian factors."""
-    du_s, du_j = _mean_slopes(z0, u0, faces, params)
-    slope = np.abs(slope)
-    denom = du_s * du_j * slope
+    z0, u0, jac_s, jac_j = (a[found] for a in (cr.z0, cr.u0, cr.jac_s, cr.jac_j))
+    slope = np.abs(cr.slope[found])
+    denom = jac_s * jac_j * slope
     log_w = chi2_log_weight(z0, params.n_fluct) + _gauss_log_weight(u0, params.n_fluct)
     with np.errstate(divide="ignore", under="ignore"):
         density = np.where(denom == 0.0, np.inf, np.exp(log_w) / denom)
-    near_singular = np.minimum(np.minimum(du_s, du_j), slope) < _JAC_FLOOR
+    near_singular = np.minimum(np.minimum(jac_s, jac_j), slope) < _JAC_FLOOR
     return density, np.where(near_singular | (denom == 0.0), 1.0, 0.0)
 
 
@@ -577,11 +602,10 @@ def density_limit_subordinated(
     if not (0.0 <= l_senior <= 1.0 and 0.0 <= l_junior <= 1.0):
         raise ParameterError("loss fractions must lie in [0, 1]")
     try:
-        z0, u0, slope = solve_z0(l_senior, l_junior, faces, params, n_scan=n_scan)
+        cr = _single_crossing(l_senior, l_junior, faces, params, n_scan)
     except NoRootError:
         return 0.0
-    density, _ = _density_at_crossing(z0, u0, slope, faces, params)
-    return float(density)
+    return float(_density_at_crossing(cr, cr.status == _FOUND, params)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +625,7 @@ def limit_grid_subordinated(
     found = cr.status == _FOUND
     vals = np.zeros(found.shape)
     qual = np.where((cr.status == _LOST) | (cr.status == _MULTIPLE), 1.0, 0.0)
-    vals[found], qual[found] = _density_at_crossing(
-        cr.z0[found], 0.5 * (cr.u_s[found] + cr.u_j[found]), cr.slope[found], faces, params
-    )
+    vals[found], qual[found] = _density_at_crossing(cr, found, params)
     return DensityGrid(axes=(centers, centers), values=vals, quality=qual)
 
 
@@ -634,7 +656,7 @@ def limit_curve_equal_infinite(
     centers = _open_unit_centers(n_cells, lo, hi)
     z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
     # wz carries the chi2 weight, the kernel the Gaussian u factor
-    return DensityGrid(axes=(centers,), values=_plain_factor(centers, z, face, params)[1] @ wz)
+    return DensityGrid(axes=(centers,), values=_plain_factor(centers, z, face, params)[0] @ wz)
 
 
 def limit_grid_finite_vs_infinite(
@@ -658,8 +680,7 @@ def limit_grid_finite_vs_infinite(
         raise ParameterError(f"finite portfolio needs at least 2 obligors, got {r_one}")
     centers = cell_centers(n_cells, lo, hi)
     z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    u, weight = _plain_factor(centers, z, face, params)
-    _, m1, m2 = plain_moments(2, z[None, :], u, face, params)[0]
+    weight, (_, m1, m2) = _plain_factor(centers, z, face, params, order=2)
     var = np.maximum(m2 - m1 * m1, 0.0) / r_one
     # lanes without a root add exactly 0; the kernel masks degenerate slices
     w_eff = np.where(weight > 0.0, weight * wz, 0.0)
@@ -687,6 +708,6 @@ def limit_grid_two_markets(
         raise ParameterError("both markets must share the fluctuation parameter")
     centers = cell_centers(n_cells, lo, hi)
     z, wz = chi2_nodes(params_one.n_fluct, quad.z_nodes)
-    w_one = _plain_factor(centers, z, face_one, params_one)[1]
-    w_two = _plain_factor(centers, z, face_two, params_two)[1]
+    w_one = _plain_factor(centers, z, face_one, params_one)[0]
+    w_two = _plain_factor(centers, z, face_two, params_two)[0]
     return DensityGrid(axes=(centers, centers), values=np.einsum("ik,jk,k->ij", w_one, w_two, wz))

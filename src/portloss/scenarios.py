@@ -1146,8 +1146,9 @@ def estimate_cost(sc: dict) -> dict:
             seconds = points * nodes * _TABLE_S
     elif mode == "calibrate":
         src = sc["source"]
-        points = sc["fit"]["grid_points"] * src["m_samples"]
-        nodes = src["k_assets"]
+        m, nodes = (_returns_csv_shape(src["path"]) if src["kind"] == "csv"
+                    else (src["m_samples"], src["k_assets"]))
+        points = sc["fit"]["grid_points"] * m
         seconds = points * (nodes + 40) * _FIT_S
     elif mode == "mc-validate":
         points = sc["mc"]["n_bins"] ** 2

@@ -408,7 +408,9 @@ def test_joint_crossings_match_nested_fallback(market, faces, monkeypatch):
     # every lane fails the joint solve and takes the nested one
     monkeypatch.setattr(
         limits, "_joint_newton",
-        lambda x, y, z, u, z_a, z_b, faces, params: (z, np.zeros(z.shape, dtype=bool)),
+        lambda x, y, z, u, z_a, z_b, faces, params: (
+            z, u, np.full((4, *z.shape), np.nan), np.zeros(z.shape, dtype=bool)
+        ),
     )
     nested, nested_points, nested_grid = solve()
     assert np.array_equal(joint.status, nested.status)
@@ -418,6 +420,40 @@ def test_joint_crossings_match_nested_fallback(market, faces, monkeypatch):
     found = joint.status == limits._FOUND
     np.testing.assert_allclose(joint.z0[found], nested.z0[found], rtol=1e-10)
     np.testing.assert_allclose(joint_grid.values, nested_grid.values, rtol=1e-10, atol=0.0)
+
+
+def test_crossing_record_matches_separate_u_solves(market, faces):
+    # the record's u, Jacobians and slope come from the joint Newton pass
+    # that verified each root; the same numbers by separate u solves at z0,
+    # the implicit slope of each mean at its own root and the Jacobians at
+    # the mean of the two roots, u within the root tolerance of 1e-12
+    # max(1, |u|)
+    from portloss import limits
+    from portloss.grids import cell_centers
+
+    centers = cell_centers(61, 0.0, 0.6)
+    cr = limits._sub_crossings(centers, centers, faces, market, 96)
+    found = cr.status == limits._FOUND
+    assert np.count_nonzero(found) > 400
+    fi, fj = np.nonzero(found)
+    z0 = cr.z0[found]
+    u_s, u_j = _sub_u_roots(centers[fi], centers[fj], z0, faces, market)
+    u0 = 0.5 * (u_s + u_j)
+    senior, junior = limits._senior_mean(faces, market), limits._junior_mean(faces, market)
+
+    def du_dz(mean, u):
+        _, den, num = mean(z0, u, du=True, dz=True)
+        return np.where(np.abs(den) < 1e-300, np.inf, -num / den)
+
+    assert np.all(np.abs(cr.u0[found] - u0) <= 1e-12 * np.maximum(1.0, np.abs(u0)))
+    want = {
+        "jac_s": np.abs(senior(z0, u0, du=True)[1]),
+        "jac_j": np.abs(junior(z0, u0, du=True)[1]),
+        "slope": du_dz(senior, u_s) - du_dz(junior, u_j),
+    }
+    for field, ref in want.items():
+        np.testing.assert_allclose(getattr(cr, field)[found], ref, rtol=1e-12, atol=0.0,
+                                   err_msg=field)
 
 
 def test_z_bracket_without_scipy_stats():

@@ -15,7 +15,7 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from portloss import MarketParams, ParameterError, SubordinationSpec
+from portloss import MarketParams, ParameterError, QuadratureSpec, SubordinationSpec
 from portloss import moments
 from portloss.moments import (
     _pass,
@@ -452,8 +452,49 @@ def test_callers_take_one_pass_per_payoff_and_boundary(market, faces, halves, qu
     z0, u0, _ = limits.solve_z0(x, y, faces, market)
     monkeypatch.setattr(limits, "_JOINT_STEPS", 1)
     passes.clear()
-    _, ok = limits._joint_newton(
+    *_, ok = limits._joint_newton(
         np.array([x]), np.array([y]), np.array([z0]), np.array([u0]),
         np.array([z0 - 0.5]), np.array([z0 + 0.5]), faces, market,
     )
     assert passes == [1] * 6 and ok[0]
+
+
+def test_crossing_record_keeps_the_verified_pass(market, faces, monkeypatch):
+    from portloss import limits
+    from portloss.engine import SubordinatedScenario, density_subordinated
+
+    passes = _count_kernel_passes(monkeypatch)
+    # the bundled 61x61 ridge grid: a second u solve at every found cell
+    # and a separate Jacobian pass took it to 98 passes
+    limits.limit_grid_subordinated(faces, market, n_cells=61, lo=0.0, hi=0.6)
+    assert len(passes) <= 57
+
+    # the adaptive rule's crossing points take the slice moments alone, the
+    # Jacobians coming from the crossing record
+    crossings, u_roots = limits._sub_crossings, limits._sub_u_roots
+    since_crossings = []
+
+    def solved(*args):
+        cr = crossings(*args)
+        passes.clear()
+        return cr
+
+    def localized(*args):
+        since_crossings.append(len(passes))
+        return u_roots(*args)
+
+    monkeypatch.setattr(limits, "_sub_crossings", solved)
+    monkeypatch.setattr(limits, "_sub_u_roots", localized)
+    sc = SubordinatedScenario(k_obligors=2000, tranches=faces, params=market)
+    density_subordinated(0.0155, 0.4, sc, QuadratureSpec(mode="adaptive"))
+    # the last u solve is the localized z panels', after the crossing points
+    assert since_crossings[-1] == 3
+
+    # the plain roots' residual pass also gives the finite side's m1 and m2:
+    # the same u solve as the equal-loss curve on the same cells and nodes
+    passes.clear()
+    limits.limit_curve_equal_infinite(75.0, market, n_cells=61, lo=0.0, hi=0.6)
+    curve = list(passes)
+    passes.clear()
+    limits.limit_grid_finite_vs_infinite(10, 75.0, market, n_cells=61, lo=0.0, hi=0.6)
+    assert passes == curve[:-1] + [2]

@@ -319,6 +319,17 @@ def test_calibration_cost_scales_with_k_times_m_times_grid_points():
     assert _step(sid, k, 20, 120, big, "fit.grid_points=114") == pytest.approx(2 * step, rel=1e-2)
 
 
+def test_csv_calibration_cost_reads_the_file_shape(tmp_path):
+    # 300 returns of 7 assets, priced at the file's shape and not at the
+    # synthetic source's defaults
+    rows = ",".join(["0.01"] * 7) + "\n"
+    csv = tmp_path / "returns.csv"
+    csv.write_text("a,b,c,d,e,f,g\n" + rows * 300)
+    cost = validate_scenario({"mode": "calibrate", "source": {"kind": "csv", "path": str(csv)}})
+    assert cost["cost"]["grid_points"] == 57 * 300
+    assert cost["cost"]["quad_nodes_per_point"] == 7
+
+
 def test_adaptive_cost_counts_localized_tables():
     # an 81x81 adaptive grid at K = 2000 takes about 5.6 s on 2 CPUs; the
     # estimate must land within 3x of that

@@ -150,6 +150,7 @@ DOCUMENTED_API = {
     "moments.junior_mean_target_du": "perfbench/micro.py times the one-point slope call",
     "limits.solve_u_senior": "perfbench/micro.py times the one-point u solve",
     "limits.solve_u_plain": "perfbench/micro.py times the one-point u solve",
+    "limits.solve_z0": "perfbench/micro.py times the one-point crossing solve",
     "mc.sample_compound": "perfbench/micro.py times the scale-mixture sampler",
     "mc.sample_wishart": "perfbench/micro.py times the random-covariance sampler",
     "mc.ks_compare": "acceptance 05 checks that the two samplers agree in law",
