@@ -199,6 +199,50 @@ def _profile_loglik(q, k, n_fluct):
     return len(q) * _log_norm(k, n_fluct) + float(np.sum(_log_bessel_part(nu, x)))
 
 
+def _brent_max(f, a, x, b, fx, width=1e-6):
+    """The maximum of f inside (a, b), from a bracketing triple a < x < b
+    whose middle value fx = f(x) is the largest, by Brent's method: a
+    parabola through the three best points so far proposes each step, and
+    a golden-section step into the larger part of the bracket replaces a
+    proposal that leaves the bracket or fails to halve the step before
+    last.  Stops once the bracket is at most ``width`` |x| wide around x.
+    Returns (x, f(x))."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    w = v = x  # the second-best point and the previous w
+    fw = fv = fx
+    step = last = 0.0
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        tol = 0.25 * width * abs(x)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        parabola = False
+        if abs(last) > tol:
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            parabola = abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x)
+        if parabola:
+            last, step = step, p / q
+            if min(x + step - a, b - x - step) < 2.0 * tol:
+                step = math.copysign(tol, mid - x)
+        else:
+            last = a - x if x >= mid else b - x
+            step = golden * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu >= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
+    return x, fx
+
+
 def fit_n(
     sample: ReturnSample,
     grid=None,
@@ -206,11 +250,11 @@ def fit_n(
     """Maximum-likelihood fit of the fluctuation parameter N.
 
     The covariance is frozen at the sample estimate and the summed log
-    density is maximized over N on a grid, then refined by golden-section
-    search between the bracketing grid neighbors.  A maximum at the upper
-    grid end is flagged as a boundary solution (data indistinguishable
-    from the frozen-correlation N -> infinity member); a flat profile
-    raises FitError.
+    density is maximized over N on a grid, then refined by Brent's method
+    on the grid triple around the grid maximum (:func:`_brent_max`).  A
+    maximum at the upper grid end is flagged as a boundary solution (data
+    indistinguishable from the frozen-correlation N -> infinity member); a
+    flat profile raises FitError.
     """
     if grid is None:
         grid = np.geomspace(1.0, 128.0, 57)
@@ -239,26 +283,9 @@ def fit_n(
     n_hat = float(grid[i])
     best = float(profile[i])
     if 0 < i < len(grid) - 1:
-        lo, hi = float(grid[i - 1]), float(grid[i + 1])
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c1 = b - phi * (b - a)
-        c2 = a + phi * (b - a)
-        f1 = _profile_loglik(q, k, c1)
-        f2 = _profile_loglik(q, k, c2)
-        for _ in range(60):
-            if b - a < 1e-6 * max(1.0, a):
-                break
-            if f1 < f2:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + phi * (b - a)
-                f2 = _profile_loglik(q, k, c2)
-            else:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - phi * (b - a)
-                f1 = _profile_loglik(q, k, c1)
-        n_hat = 0.5 * (a + b)
-        best = _profile_loglik(q, k, n_hat)
+        n_hat, best = _brent_max(
+            lambda n: _profile_loglik(q, k, n), grid[i - 1], grid[i], grid[i + 1], profile[i]
+        )
     return FitResult(
         n_hat=float(n_hat),
         loglik=float(best),

@@ -18,9 +18,11 @@ classes or blocks.
 
 Both flavours share one node table format, built once per (scenario,
 quadrature) and cached: weights w (n,), the conditional means of the B
-tracked losses (B, n) and their conditional covariances (B, B, n).  A
-tranched scenario has B = 2 (senior, junior), and
-:func:`gaussian_moment_terms` returns its (means, cov) at any (z, u).
+tracked losses (B, n) and their conditional covariances (B, B, n).  Its
+nodes are the mixing variables on their natural scale, s = z / N and
+v = sqrt(N) u (see :mod:`portloss.moments`), so the rule and the moments
+stay O(1) at every N.  A tranched scenario has B = 2 (senior, junior), and
+:func:`_moment_terms` returns its (means, cov) at any (s, v).
 
 The table is pruned where it is built: the lightest nodes whose weights
 sum to at most ``_PRUNE_MASS`` = 1e-14 are dropped and the rest are not
@@ -102,7 +104,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .grids import DensityGrid, cell_centers
-from .moments import junior_band_moments, plain_moments, senior_moments
+from .moments import _natural, junior_band_moments, plain_moments, senior_moments
 from .params import (
     MarketParams,
     MultiMarketParams,
@@ -110,7 +112,7 @@ from .params import (
     SubordinationSpec,
     block_market,
 )
-from .quadrature import QuadratureSpec, chi2_log_weight, chi2_nodes, gauss_nodes
+from .quadrature import QuadratureSpec, _normal_rule, _scale_rule, chi2_log_weight
 
 __all__ = [
     "SubordinatedScenario",
@@ -269,35 +271,43 @@ class NoSubScenario:
 
 
 def _multi_nodes(params: MultiMarketParams, quad: QuadratureSpec):
-    """Shared-z nodes with a tensor Gauss grid over the per-market factors.
+    """Shared-s nodes with a tensor Gauss grid over the per-market factors,
+    in the natural variables of :mod:`portloss.moments`.
 
-    Returns the z rule (nz,), the u rule (nu,) that every block shares, and
-    the weights (nz * nu**beta,) of the flat tensor nodes (z, u_1, ...,
-    u_beta) in C order; :func:`_on_tensor` spreads a function of (z, u_b)
+    Returns the s rule (ns,), the v rule (nv,) that every block shares, and
+    the weights (ns * nv**beta,) of the flat tensor nodes (s, v_1, ...,
+    v_beta) in C order; :func:`_on_tensor` spreads a function of (s, v_b)
     over them."""
     beta = params.beta
-    n = params.n_fluct
-    z, wz = chi2_nodes(n, quad.z_nodes)
-    u1, wu1 = gauss_nodes(n, quad.u_nodes)
-    wu = np.prod(
-        np.stack([g.ravel() for g in np.meshgrid(*([wu1] * beta), indexing="ij")]),
+    s, ws = _scale_rule(params.n_fluct, quad.z_nodes)
+    v1, wv1 = _normal_rule(quad.u_nodes)
+    wv = np.prod(
+        np.stack([g.ravel() for g in np.meshgrid(*([wv1] * beta), indexing="ij")]),
         axis=0,
     )
-    ww = np.repeat(wz, len(wu)) * np.tile(wu, len(z))
-    return z, u1, ww
+    return s, v1, (ws[:, None] * wv).ravel()
 
 
 def _on_tensor(values, b, beta):
-    """``values`` (nz, nu) of a function of (z, u_b) on the flat tensor
-    nodes of :func:`_multi_nodes`, by broadcasting."""
-    nz, nu = values.shape
-    shape = [nz] + [1] * beta
-    shape[1 + b] = nu
-    return np.broadcast_to(values.reshape(shape), (nz,) + (nu,) * beta).reshape(-1)
+    """``values`` (ns, nv) of a function of (s, v_b) as a view that
+    broadcasts over the tensor nodes of :func:`_multi_nodes`, shape
+    (ns, nv, ..., nv): a sum over the nodes adds it into a tensor-shaped
+    view of a flat array in place, so no full-length copy is made."""
+    ns, nv = values.shape
+    shape = [ns] + [1] * beta
+    shape[1 + b] = nv
+    return values.reshape(shape)
 
 
 def gaussian_moment_terms(z, u, scenario: SubordinatedScenario):
-    """The node table of the tranched portfolio at (z, u), without its
+    """The node table of the tranched portfolio at the model's (z, u),
+    without its weights: the conditional (senior, junior) means (2, ...)
+    and their covariance (2, 2, ...); see :func:`_moment_terms`."""
+    return _moment_terms(*_natural(z, u, scenario.params), scenario)
+
+
+def _moment_terms(s, v, scenario: SubordinatedScenario):
+    """The node table of the tranched portfolio at (s, v), without its
     weights: the conditional (senior, junior) means (2, ...) and their
     covariance (2, 2, ...).
 
@@ -309,8 +319,8 @@ def gaussian_moment_terms(z, u, scenario: SubordinatedScenario):
     junior loss exactly 1 minus the band part.
     """
     faces, params, k = scenario.tranches, scenario.params, scenario.k_obligors
-    m0s, m1s, m2s = senior_moments(2, z, u, faces, params)[0]
-    _, m1j, m2j = junior_band_moments(2, z, u, faces, params)[0]
+    m0s, m1s, m2s = senior_moments(2, s, v, faces, params)[0]
+    _, m1j, m2j = junior_band_moments(2, s, v, faces, params)[0]
     mean_j = m0s + m1j
     var_s = np.maximum(m2s - m1s * m1s, 0.0) / k
     var_j = np.maximum(m0s + m2j - mean_j * mean_j, 0.0) / k
@@ -326,28 +336,47 @@ def _unpruned_table(scenario, quad: QuadratureSpec):
 
     A plain scenario evaluates the single-firm moments once per distinct
     (block, face) of its holdings; its classes are independent given
-    (z, u), so the means are W m1 and the covariances
-    sum_c W_bc W_b'c var_c / count_c, with W the class weights."""
+    (s, v), so the means are W m1 and the covariances
+    sum_c W_bc W_b'c var_c / count_c, with W the class weights.  Each
+    covariance term is a (s, v_block) table added class by class into a
+    tensor-shaped view, and the means are one matrix product over the
+    classes' m1, so the build holds the table and the classes' m1 and no
+    other full-length array (:func:`_table_values`)."""
     if isinstance(scenario, SubordinatedScenario):
-        z, u, w = _multi_nodes(block_market(scenario.params, scenario.k_obligors), quad)
-        z, u = (a.ravel() for a in np.broadcast_arrays(z[:, None], u))
-        return (w, *gaussian_moment_terms(z, u, scenario))
+        s, v, w = _multi_nodes(block_market(scenario.params, scenario.k_obligors), quad)
+        s, v = (a.ravel() for a in np.broadcast_arrays(s[:, None], v))
+        return (w, *_moment_terms(s, v, scenario))
     markets, classes, _ = scenario.holdings
-    z, u, w = _multi_nodes(markets, quad)
+    s, v, w = _multi_nodes(markets, quad)
+    wts, counts = _class_weights(scenario)
+    tracked, beta = len(wts), markets.beta
+    tensor = (len(s),) + (len(v),) * beta
+    cov = np.zeros((tracked, tracked, *tensor))
     slices = {}  # (m1, var) per distinct (block, face)
-    for block, face, _ in classes:
+    m1s = []  # each class's m1 as a view over the tensor nodes
+    for c, (block, face, _) in enumerate(classes):
         if (block, face) not in slices:
             mkt = markets.blocks[block][0]
-            # a block's moments depend on (z, u_block) alone
-            _, m1, m2 = plain_moments(2, z[:, None], u, face, mkt)[0]
-            slices[block, face] = tuple(
-                _on_tensor(a, block, markets.beta) for a in (m1, np.maximum(m2 - m1 * m1, 0.0))
-            )
-    m1, var = (np.stack(a) for a in zip(*(slices[b, f] for b, f, _ in classes)))
-    wts, counts = _class_weights(scenario)
-    means = wts @ m1
-    cov = np.einsum("bl,cl,ln->bcn", wts, wts, var / counts[:, None])
-    return w, means, cov
+            # a block's moments depend on (s, v_block) alone
+            _, m1, m2 = plain_moments(2, s[:, None], v, face, mkt)[0]
+            slices[block, face] = m1, np.maximum(m2 - m1 * m1, 0.0)
+        m1, var = slices[block, face]
+        m1s.append(np.broadcast_to(_on_tensor(m1, block, beta), tensor))
+        for b, wt in enumerate(wts[:, c]):
+            for b2, wt2 in enumerate(wts[:, c]):
+                cov[b, b2] += _on_tensor(wt * wt2 * (var / counts[c]), block, beta)
+    means = wts @ np.stack(m1s).reshape(len(classes), -1)
+    return w, means, cov.reshape(tracked, tracked, -1)
+
+
+def _table_values(nodes: int, tracked: int) -> int:
+    """Values a node table of ``nodes`` nodes and ``tracked`` losses holds
+    at the peak of its build: the unpruned table (w, means, cov), 1 +
+    tracked + tracked^2 values per node, its pruned copy, and one more
+    array for the pruning's sort (:func:`_node_table`).  The build itself
+    holds less: the unpruned table and the m1 of each class, one value per
+    node for each of at most 4 markets' classes."""
+    return nodes * (2 * (1 + tracked + tracked * tracked) + 1)
 
 
 def _class_weights(scenario: NoSubScenario):
@@ -628,54 +657,56 @@ def _adaptive_density(xs, ys, scenario, quad):
     slice means cross each cell, which is where all the mass of a large
     portfolio sits.
 
-    One crossing solve covers every cell.  At a cell's crossing (z0, u0)
-    the slice widths map to sig_u in u through the mean Jacobians, and to
-    sig_z = sig_u / |separation slope| in z.  The cell's table has 10
-    Gauss-Legendre z panels on z0 +- 10 sig_z and, at each z node whose
-    senior and junior u roots lie within 100 sig_u, 6 u panels on the roots
-    +- 10 sig_u, weighted by the chi-square and Gaussian densities.  Cells
-    without a unique crossing, with a vanishing Jacobian or an empty z
-    window are dominated by slice tails and take the dense fixed rule.
+    One crossing solve covers every cell.  At a cell's crossing (s0, v0)
+    the slice widths map to sig_v in v through the mean Jacobians, and to
+    sig_s = sig_v / |separation slope| in s.  The cell's table has 10
+    Gauss-Legendre s panels on s0 +- 10 sig_s and, at each s node whose
+    senior and junior v roots lie within 100 sig_v, 6 v panels on the roots
+    +- 10 sig_v, weighted by the densities of s and v.  Cells without a
+    unique crossing, with a vanishing Jacobian or an empty s window are
+    dominated by slice tails and take the dense fixed rule.
     """
     # limits imports engine
-    from .limits import _FOUND, _sub_crossings, _sub_u_roots
+    from .limits import _FOUND, _sub_crossings, _sub_v_roots
 
     faces, params = scenario.tranches, scenario.params
     n = params.n_fluct
     span = 10.0
     cr = _sub_crossings(xs, ys, faces, params, 96)
     ci, cj = np.nonzero(cr.status == _FOUND)
-    z0, u0, du_s, du_j = (a[ci, cj] for a in (cr.z0, cr.u0, cr.jac_s, cr.jac_j))
-    _, cov0 = gaussian_moment_terms(z0, u0, scenario)
+    s0, v0, dv_s, dv_j = (a[ci, cj] for a in (cr.s, cr.v, cr.jac_senior, cr.jac_junior))
+    _, cov0 = _moment_terms(s0, v0, scenario)
     slope = np.abs(cr.slope[ci, cj])
     with np.errstate(divide="ignore", invalid="ignore"):
-        sig_u = np.sqrt(cov0[0, 0] / du_s**2 + cov0[1, 1] / du_j**2)
-        # a zero or NaN slope leaves z unlocalized
-        sig_z = np.where(slope > 1e-300, sig_u / slope, np.inf)
-    # up to the chi-square(n) quantile at 1 - 1e-12; fmax and fmin pass
+        sig_v = np.sqrt(cov0[0, 0] / dv_s**2 + cov0[1, 1] / dv_j**2)
+        # a zero or NaN slope leaves s unlocalized
+        sig_s = np.where(slope > 1e-300, sig_v / slope, np.inf)
+    # up to the Gamma(N/2, 2/N) quantile at 1 - 1e-12; fmax and fmin pass
     # over a NaN bound
-    z_lo = np.fmax(1e-8, z0 - span * sig_z)
-    z_hi = np.fmin(float(2.0 * gammaincinv(n / 2.0, 1.0 - 1e-12)), z0 + span * sig_z)
-    local = ~(du_s < 1e-300) & ~(du_j < 1e-300) & (z_hi > z_lo)
-    ci, cj, sig_u = ci[local], cj[local], sig_u[local]
-    zc, zw = _gl_panels(np.linspace(z_lo[local], z_hi[local], 11, axis=-1))
-    u_s, u_j = _sub_u_roots(xs[ci, None], ys[cj, None], zc, faces, params)
+    s_lo = np.fmax(1e-8 / n, s0 - span * sig_s)
+    s_hi = np.fmin(float(gammaincinv(n / 2.0, 1.0 - 1e-12) / (n / 2.0)), s0 + span * sig_s)
+    local = ~(dv_s < 1e-300) & ~(dv_j < 1e-300) & (s_hi > s_lo)
+    ci, cj, sig_v = ci[local], cj[local], sig_v[local]
+    sc, sw = _gl_panels(np.linspace(s_lo[local], s_hi[local], 11, axis=-1))
+    v_s, v_j = _sub_v_roots(xs[ci, None], ys[cj, None], sc, faces, params)
     # nodes where a root is missing (NaN) or the slices sit far apart add nothing
     with np.errstate(invalid="ignore"):
-        near = np.abs(u_s - u_j) <= 100.0 * sig_u[:, None]
+        near = np.abs(v_s - v_j) <= 100.0 * sig_v[:, None]
 
     vals = np.zeros((len(xs), len(ys)))
-    log_gauss_norm = 0.5 * math.log(n / (2.0 * math.pi))
     for c, (i, j) in enumerate(zip(ci, cj)):
-        z, wz, us, uj = (a[c, near[c]] for a in (zc, zw, u_s, u_j))
-        u, wu = _gl_panels(np.linspace(
-            np.minimum(us, uj) - span * sig_u[c], np.maximum(us, uj) + span * sig_u[c], 7, axis=-1
+        s, ws, vs, vj = (a[c, near[c]] for a in (sc, sw, v_s, v_j))
+        v, wv = _gl_panels(np.linspace(
+            np.minimum(vs, vj) - span * sig_v[c], np.maximum(vs, vj) + span * sig_v[c], 7, axis=-1
         ))
-        log_wt = chi2_log_weight(z, n)[:, None] + log_gauss_norm - 0.5 * n * u * u
+        # the densities of s = z / N and of v: N chi2(N s) and phi(v)
+        log_wt = (math.log(n) + chi2_log_weight(n * s, n))[:, None] - 0.5 * (
+            math.log(2.0 * math.pi) + v * v
+        )
         with np.errstate(under="ignore"):
-            w = wz[:, None] * wu * np.exp(log_wt)
-        z = np.broadcast_to(z[:, None], u.shape)
-        table = gaussian_moment_terms(z.ravel(), u.ravel(), scenario)
+            w = ws[:, None] * wv * np.exp(log_wt)
+        s = np.broadcast_to(s[:, None], v.shape)
+        table = _moment_terms(s.ravel(), v.ravel(), scenario)
         vals[i, j] = _mixture_density((xs[i : i + 1], ys[j : j + 1]), w.ravel(), *table)[0, 0]
 
     dense = np.ones(vals.shape, dtype=bool)
@@ -839,13 +870,13 @@ def no_default_probability(
     if not (isinstance(k_obligors, (int, np.integer)) and k_obligors >= 1):
         raise ParameterError(f"k_obligors must be a positive integer, got {k_obligors}")
     markets = block_market(params, k_obligors)
-    z, u, w = _multi_nodes(markets, quad)
-    log_surv = np.zeros(len(w))
+    s, v, w = _multi_nodes(markets, quad)
+    log_surv = np.zeros((len(s),) + (len(v),) * markets.beta)
     for b, (mkt, k_b) in enumerate(markets.blocks):
-        (m0,), _, _ = plain_moments(0, z[:, None], u, face, mkt)
+        (m0,), _, _ = plain_moments(0, s[:, None], v, face, mkt)
         log_surv += _on_tensor(k_b * np.log1p(-np.minimum(m0, 1.0 - 1e-16)), b, markets.beta)
     with np.errstate(under="ignore"):
-        return float(np.dot(w, np.exp(log_surv)))
+        return float(np.dot(w, np.exp(log_surv.ravel())))
 
 
 def tail_probability(

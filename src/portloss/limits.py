@@ -12,29 +12,38 @@ Every one-dimensional implicit equation goes through one solver,
 derivatives of the conditional means, safeguarded by bisection.  It solves
 many independent equations at once, one per lane of its array brackets,
 and each step evaluates only the lanes still open.  It takes f and f' from
-one callable, so a conditional mean and its u-slope come from one pass of
+one callable, so a conditional mean and its v-slope come from one pass of
 the moment kernels.  A lane stops where a rejected Newton correction is
 already at the rounding floor of f, rather than bisecting on the signs of
-rounding noise.  A lane is one (target loss, z) pair, so the u roots of a
-whole grid are one call on a (targets x z) table.  The senior/junior
-crossings of a subordinated grid are bracketed by a z scan of those tables
-and then solved in (z, u) jointly, one 2x2 Newton system per (cell,
-crossing) lane; a lane that leaves its bracket or misses the residual
-tolerance falls back to an outer :func:`newton_bisect` in z whose inner u
-solves run on the lanes' current z.  A root's one verified pass also gives
-what is read at it: the crossing record keeps each cell's (z0, u0), mean
-Jacobians and separation slope.  Roots are searched on u in
-[-12, 12]/sqrt(N) and z in [1e-6, chi2 quantile 1 - 1e-10]; outside these
+rounding noise.  A lane is one (target loss, s) pair, so the v roots of a
+whole grid are one call on a (targets x s) table.
+
+Every solve works in the mixing variables on their natural scale (see
+:mod:`portloss.moments`): s = z / N, a Gamma variable with mean 1 and
+variance 2/N, and v = sqrt(N) u, a standard normal.  A root is then O(1)
+at every N, and its step tolerance is relative to it.  The senior/junior
+crossings of a subordinated grid are bracketed by an s scan of the v-root
+tables and then solved in (s, v) jointly, one 2x2 Newton system per
+(cell, crossing) lane; a lane that leaves its bracket or misses the
+residual tolerance falls back to an outer :func:`newton_bisect` in s whose
+inner v solves run on the lanes' current s.  A root's one verified pass
+also gives what is read at it: the crossing record keeps each cell's
+(s, v), mean Jacobians and separation slope.  Roots are searched on v in
+[-12, 12] and s in [1e-6 / N, Gamma quantile 1 - 1e-10]; outside these
 brackets the weights are below anything that could move a six-digit
 result, and the density is treated as exactly zero.  Near the n_fluct
-floor that quantile is not above 1e-6: the crossing solve refuses it.
+floor that quantile is not above 1e-6 / N: the crossing solve refuses it.
+At large N the crossings gather on the curve s = 1, the ridge's support
+grows thinner than a grid cell, and a cell-centre grid of its density
+would miss it: :func:`_check_ridge_support` refuses such an N.
 
 A lane whose target is out of reach holds NaN as its root and adds density
 0.  The one-point solvers raise NoRootError there instead; otherwise
 ``solve_u_senior`` and ``solve_u_plain`` return the u root as a float and
-``solve_z0`` returns (z0, u0, separation_slope).  Losses out of range raise
-ParameterError.  ConvergenceError is raised when any lane exceeds the
-iteration budget or leaves a residual above 1e-10.  ``solve_z0`` and
+``solve_z0`` returns (z0, u0, separation_slope), all in the model's
+(z, u).  Losses out of range raise ParameterError.  ConvergenceError is
+raised when any lane exceeds the iteration budget or leaves a residual
+above 1e-10.  ``solve_z0`` and
 ``density_limit_subordinated`` raise MultipleRootsError when the senior
 and junior roots cross at several z; the subordinated grid writes density
 0 with quality 1 for such a cell, and for a cell whose refinement loses a
@@ -44,10 +53,11 @@ root.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaincinv
+from scipy.special import gammainccinv, gammaincinv
 
 from .errors import (
     ConvergenceError,
@@ -57,12 +67,11 @@ from .errors import (
 )
 from .engine import _mixture_density
 from .grids import DensityGrid, cell_centers
-from .moments import junior_mean_target, plain_moments, senior_moments
+from .moments import junior_mean_target, norm_pdf, plain_moments, senior_moments
 from .params import MarketParams, SubordinationSpec
-from .quadrature import QuadratureSpec, chi2_log_weight, chi2_nodes
+from .quadrature import QuadratureSpec, _scale_rule, chi2_log_weight
 
 __all__ = [
-    "u_bracket",
     "z_bracket",
     "newton_bisect",
     "solve_u_senior",
@@ -79,21 +88,19 @@ _JAC_FLOOR = 1e-14
 _RESID_TOL = 1e-10
 _MIN_JUNIOR_SHARE = 1e-5  # of f_total; see _check_ridge_faces
 _JOINT_STEPS = 8  # see _joint_newton
-
-
-def u_bracket(params: MarketParams):
-    half = 12.0 / math.sqrt(params.n_fluct)
-    return -half, half
+_V_HALF = 12.0  # the v bracket is [-_V_HALF, _V_HALF]
 
 
 def z_bracket(params: MarketParams):
     # the chi-square(N) quantile at 1 - 1e-10, as scipy.stats.chi2.ppf
-    # computes it, without importing scipy.stats
+    # computes it, without importing scipy.stats; it stays finite up to the
+    # largest float N
     return 1e-6, float(2.0 * gammaincinv(params.n_fluct / 2.0, 1.0 - 1e-10))
 
 
-def _gauss_log_weight(u, n_fluct):
-    return 0.5 * math.log(n_fluct / (2.0 * math.pi)) - 0.5 * n_fluct * u * u
+def _s_bracket(params: MarketParams):
+    """The s bracket of the crossing scan: :func:`z_bracket` over N."""
+    return tuple(z / params.n_fluct for z in z_bracket(params))
 
 
 def newton_bisect(fdf, lo, hi, f_lo=None, f_hi=None, args=(), tol=1e-12, max_iter=200):
@@ -190,84 +197,84 @@ def newton_bisect(fdf, lo, hi, f_lo=None, f_hi=None, args=(), tol=1e-12, max_ite
 # u roots
 
 
-# A conditional mean loss is a callable ``mean(z, u, du=False, dz=False)``
-# that returns the triple (m, dm/du, dm/dz) from one pass per (payoff,
+# A conditional mean loss is a callable ``mean(s, v, dv=False, ds=False)``
+# that returns the triple (m, dm/dv, dm/ds) from one pass per (payoff,
 # boundary), a slope None unless asked for.
 
 
 def _order_one(moments):
-    """The order-1 entries of a moment family's (values, du, dz)."""
+    """The order-1 entries of a moment family's (values, dv, ds)."""
     return tuple(None if m is None else m[1] for m in moments)
 
 
 def _senior_mean(faces, params) -> Callable:
-    return lambda z, u, du=False, dz=False: _order_one(
-        senior_moments(1, z, u, faces, params, du, dz)
+    return lambda s, v, dv=False, ds=False: _order_one(
+        senior_moments(1, s, v, faces, params, dv, ds)
     )
 
 
 def _junior_mean(faces, params) -> Callable:
     """Junior mean (wipeout + band)."""
-    return lambda z, u, du=False, dz=False: junior_mean_target(z, u, faces, params, du, dz)
+    return lambda s, v, dv=False, ds=False: junior_mean_target(s, v, faces, params, dv, ds)
 
 
 def _plain_mean(face, params) -> Callable:
-    return lambda z, u, du=False, dz=False: _order_one(
-        plain_moments(1, z, u, face, params, du, dz)
+    return lambda s, v, dv=False, ds=False: _order_one(
+        plain_moments(1, s, v, face, params, dv, ds)
     )
 
 
-def _u_roots(mean: Callable, target, z, params, at_root=None):
-    """u solving mean(z, u) = target on every lane of broadcast (target, z).
-    The mean is nondecreasing in u, so the root is unique where it exists;
-    lanes whose target lies outside the attainable range on the u bracket
-    hold NaN.  ``at_root(z, u)``, a tuple whose first entry is the mean,
+def _v_roots(mean: Callable, target, s, at_root=None):
+    """v solving mean(s, v) = target on every lane of broadcast (target, s).
+    The mean is nondecreasing in v, so the root is unique where it exists;
+    lanes whose target lies outside the attainable range on the v bracket
+    hold NaN.  ``at_root(s, v)``, a tuple whose first entry is the mean,
     replaces ``mean`` in the pass that checks the residual at the roots,
-    and is returned with u."""
-    lo, hi = u_bracket(params)
-    z = np.asarray(z, dtype=float)
-    # the means at the bracket ends depend on z alone
-    m_lo, m_hi = mean(z, lo)[0], mean(z, hi)[0]
-    target, z = np.broadcast_arrays(np.asarray(target, dtype=float), z)
+    and is returned with v."""
+    s = np.asarray(s, dtype=float)
+    # the means at the bracket ends depend on s alone
+    m_lo, m_hi = mean(s, -_V_HALF)[0], mean(s, _V_HALF)[0]
+    target, s = np.broadcast_arrays(np.asarray(target, dtype=float), s)
     f_lo, f_hi = m_lo - target, m_hi - target
     attainable = ((f_lo < 0.0) & (0.0 <= f_hi)) | ((f_lo <= 0.0) & (0.0 < f_hi))
 
-    def fdf(u, z, target):
-        m, du, _ = mean(z, u, du=True)
-        return m - target, du
+    def fdf(v, s, target):
+        m, dv, _ = mean(s, v, dv=True)
+        return m - target, dv
 
-    u, _ = newton_bisect(
+    v, _ = newton_bisect(
         fdf,
-        np.full(z.shape, lo),
-        np.full(z.shape, hi),
+        np.full(s.shape, -_V_HALF),
+        np.full(s.shape, _V_HALF),
         np.where(attainable, f_lo, np.nan),
         np.where(attainable, f_hi, np.nan),
-        args=(z, target),
+        args=(s, target),
     )
-    final = (at_root or mean)(z, u)
+    final = (at_root or mean)(s, v)
     resid = np.abs(final[0] - target)
     if np.any(resid > _RESID_TOL):
         k = np.flatnonzero(resid > _RESID_TOL)[0]
         raise ConvergenceError(
             f"u root residual {resid.flat[k]:.2e} above tolerance at target "
-            f"{target.flat[k]}, z={z.flat[k]}",
-            best_estimate=float(u.flat[k]),
+            f"{target.flat[k]}, s={s.flat[k]}",
+            best_estimate=float(v.flat[k]),
             error_bound=float(resid.flat[k]),
         )
-    return u if at_root is None else (u, final)
+    return v if at_root is None else (v, final)
 
 
 def _solve_u(mean: Callable, target, z, params, label) -> float:
-    """One-lane u root; NoRootError where the target is out of reach."""
+    """One-lane u root at the model's z; NoRootError where the target is
+    out of reach."""
     if not (z > 0):
         raise ParameterError(f"z must be > 0, got {z}")
-    u = _u_roots(mean, target, z, params)
-    if np.isnan(u):
+    v = _v_roots(mean, target, z / params.n_fluct)
+    if np.isnan(v):
         raise NoRootError(
             f"{label} target {target} outside the attainable range at z={z}; "
             "the limit density is 0 there"
         )
-    return float(u)
+    return float(v) / math.sqrt(params.n_fluct)
 
 
 def solve_u_senior(
@@ -287,33 +294,30 @@ def solve_u_plain(l: float, z: float, face: float, params: MarketParams) -> floa
     return _solve_u(_plain_mean(face, params), l, z, params, "plain mean")
 
 
-def _plain_factor(targets, z, face, params, order=1):
-    """Plain-factor kernel on the (targets x z) table.
+def _plain_factor(targets, s, face, params, order=1):
+    """Plain-factor kernel on the (targets x s) table.
 
-    Returns the implicit weight exp(gauss log weight of u) / |d mean / du|
-    at the u root of mean plain loss = target on each lane, and the plain
-    moments of orders 0..``order`` at that root, all from the one pass that
-    checks the residual.  Lanes without a root, and rows whose target is
-    outside (0, 1), have weight 0 and NaN moments; lanes whose Jacobian is
-    below 1e-300 have weight 0.
+    Returns the implicit weight phi(v) / |d mean / dv| at the v root of
+    mean plain loss = target on each lane, and the plain moments of orders
+    0..``order`` at that root, all from the one pass that checks the
+    residual.  Lanes without a root, and rows whose target is outside
+    (0, 1), have weight 0 and NaN moments; lanes whose Jacobian is below
+    1e-300 have weight 0.
     """
     targets = np.asarray(targets, dtype=float)
     inside = (targets > 0.0) & (targets < 1.0)
 
-    def at_root(z, u):
-        values, du, _ = plain_moments(order, z, u, face, params, du=True)
-        return values[1], du[1], values
+    def at_root(s, v):
+        values, dv, _ = plain_moments(order, s, v, face, params, dv=True)
+        return values[1], dv[1], values
 
-    z = np.asarray(z, dtype=float)[None, :]
-    u, (_, du, values) = _u_roots(
-        _plain_mean(face, params), np.where(inside, targets, np.nan)[:, None], z, params,
-        at_root=at_root,
+    v, (_, dv, values) = _v_roots(
+        _plain_mean(face, params), np.where(inside, targets, np.nan)[:, None],
+        np.asarray(s, dtype=float)[None, :], at_root=at_root,
     )
-    du = np.abs(du)
+    dv = np.abs(dv)
     with np.errstate(invalid="ignore", under="ignore"):
-        weight = np.where(
-            du >= 1e-300, np.exp(_gauss_log_weight(u, params.n_fluct)) / du, 0.0
-        )
+        weight = np.where(dv >= 1e-300, norm_pdf(v) / dv, 0.0)
     return weight, values
 
 
@@ -321,18 +325,18 @@ def _plain_factor(targets, z, face, params, order=1):
 # senior/junior crossings
 
 
-def _sub_u_roots(l_senior, l_junior, z, faces, params):
-    """Senior and junior u roots on the lanes of broadcast (l_senior, z) and
-    (l_junior, z); NaN where a target is out of reach."""
-    u_s = _u_roots(_senior_mean(faces, params), l_senior, z, params)
-    u_j = _u_roots(_junior_mean(faces, params), l_junior, z, params)
-    return u_s, u_j
+def _sub_v_roots(l_senior, l_junior, s, faces, params):
+    """Senior and junior v roots on the lanes of broadcast (l_senior, s) and
+    (l_junior, s); NaN where a target is out of reach."""
+    v_s = _v_roots(_senior_mean(faces, params), l_senior, s)
+    v_j = _v_roots(_junior_mean(faces, params), l_junior, s)
+    return v_s, v_j
 
 
-def _du_dz(dm_du, dm_dz):
-    """Implicit-function slope du/dz along mean(z, u(z)) = const."""
+def _dv_ds(dm_dv, dm_ds):
+    """Implicit-function slope dv/ds along mean(s, v(s)) = const."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(dm_du) < 1e-300, np.inf, -dm_dz / dm_du)
+        return np.where(np.abs(dm_dv) < 1e-300, np.inf, -dm_ds / dm_dv)
 
 
 _NONE, _LOST, _MULTIPLE, _FOUND = range(4)
@@ -341,16 +345,16 @@ _NONE, _LOST, _MULTIPLE, _FOUND = range(4)
 class _Crossings(NamedTuple):
     """Per-cell outcome of the subordinated kernel, arrays of shape
     (len(xs), len(ys)).  ``status`` is _NONE (no bracketed crossing),
-    _LOST (a u root vanished during refinement), _MULTIPLE (several
+    _LOST (a v root vanished during refinement), _MULTIPLE (several
     distinct crossings, listed in ``roots`` by cell) or _FOUND.  Only a
-    found cell holds numbers: its crossing (z0, u0), the |dm/du| of each
-    mean and the slope d/dz of u_senior(z) - u_junior(z) there."""
+    found cell holds numbers: its crossing (s, v), the |dm/dv| of each
+    mean and the slope d/ds of v_senior(s) - v_junior(s) there."""
 
     status: np.ndarray
-    z0: np.ndarray
-    u0: np.ndarray
-    jac_s: np.ndarray
-    jac_j: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    jac_senior: np.ndarray
+    jac_junior: np.ndarray
     slope: np.ndarray
     roots: dict
 
@@ -374,155 +378,184 @@ def _check_ridge_faces(faces: SubordinationSpec):
         )
 
 
-def _check_z_bracket(params: MarketParams):
-    """The z bracket of the crossing scan, refused where it is empty: near
-    the n_fluct floor its upper end, a chi-square quantile, underflows."""
-    z_lo, z_hi = z_bracket(params)
-    if not z_hi > z_lo:
+def _check_s_bracket(params: MarketParams):
+    """The s bracket of the crossing scan, refused where it is empty: near
+    the n_fluct floor its upper end, a Gamma quantile, underflows."""
+    s_lo, s_hi = _s_bracket(params)
+    if not s_hi > s_lo:
         raise ParameterError(
             f"n_fluct = {params.n_fluct:.6g} leaves the crossing scan no z range: "
-            f"its chi-square quantile {z_hi:.6g} is not above {z_lo:g}",
+            f"its chi-square quantile {params.n_fluct * s_hi:.6g} is not above 1e-06",
             field="n_fluct",
         )
-    return z_lo, z_hi
+    return s_lo, s_hi
 
 
-def _joint_newton(x, y, z, u, z_a, z_b, faces, params):
-    """Newton steps on (m_senior(z, u) - x, m_junior(z, u) - y) = 0, one 2x2
-    system per crossing lane, from the start (z, u) inside (z_a, z_b).
+def _check_ridge_support(faces: SubordinationSpec, params: MarketParams, n_cells, lo, hi):
+    """Refuse an N at which the ridge's support is thinner than one grid
+    cell.  A cell-centre density is the weight of s at the crossing over
+    the Jacobians; beyond the Gamma(N/2, 2/N) quantiles at the smallest
+    normal double that weight is not representable, so the support is the
+    image of that s range.  At each v of the bracket the (senior, junior)
+    mean pair moves across the support as s spans the range; where even
+    the widest such move is below the cell width (hi - lo) / n_cells, the
+    cell centres miss the ridge but for a row or two, and the grid would be
+    zeros.  The test is on cells, not on a fixed N, since the support
+    narrows like 1/sqrt(N)."""
+    half = params.n_fluct / 2.0
+    tiny = sys.float_info.min
+    s = np.array([[gammaincinv(half, tiny)], [gammainccinv(half, tiny)]]) / half
+    s = np.fmax(s, _s_bracket(params)[0])
+    v = np.linspace(-_V_HALF, _V_HALF, 97)
+    width = max(
+        float(np.max(np.abs(np.diff(mean(s, v)[0], axis=0))))
+        for mean in (_senior_mean(faces, params), _junior_mean(faces, params))
+    )
+    cell = (hi - lo) / n_cells
+    if not width >= cell:
+        raise ParameterError(
+            f"n_fluct = {params.n_fluct:.6g} leaves the ridge a support {width:.3g} wide, "
+            f"thinner than one grid cell of {cell:.3g}: a grid of cell-centre densities "
+            "would miss it",
+            field="n_fluct",
+        )
 
-    Returns (z, u, slopes, ok).  A lane is ok when a step below 1e-12
-    relative in both z and u (the step tolerance of :func:`newton_bisect`)
+
+def _joint_newton(x, y, s, v, s_a, s_b, faces, params):
+    """Newton steps on (m_senior(s, v) - x, m_junior(s, v) - y) = 0, one 2x2
+    system per crossing lane, from the start (s, v) inside (s_a, s_b).
+
+    Returns (s, v, slopes, ok).  A lane is ok when a step below 1e-12
+    relative in both s and v (the step tolerance of :func:`newton_bisect`)
     lands on a point whose two residuals are at most ``_RESID_TOL``, and
-    every iterate stayed in [z_a, z_b] and in the u bracket.  A lane that
+    every iterate stayed in [s_a, s_b] and in the v bracket.  A lane that
     starts on a bracket end (an exact zero of the scanned gap), leaves the
     brackets or is still open after ``_JOINT_STEPS`` steps is not ok.  An
-    ok lane's ``slopes`` column, dm_s/du, dm_s/dz, dm_j/du and dm_j/dz, is
-    from the pass that marked it, at its (z, u).  Each step evaluates only
+    ok lane's ``slopes`` column, dm_s/dv, dm_s/ds, dm_j/dv and dm_j/ds, is
+    from the pass that marked it, at its (s, v).  Each step evaluates only
     the open lanes.
     """
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
-    u_lo, u_hi = u_bracket(params)
-    z, u = z.copy(), u.copy()
-    ok = np.zeros(z.shape, dtype=bool)
-    slopes = np.full((4, *z.shape), np.nan)
-    small = np.zeros(z.shape, dtype=bool)  # the step that reached the point was below 1e-12
-    lanes = np.flatnonzero((z_a < z) & (z < z_b))
+    s, v = s.copy(), v.copy()
+    ok = np.zeros(s.shape, dtype=bool)
+    slopes = np.full((4, *s.shape), np.nan)
+    small = np.zeros(s.shape, dtype=bool)  # the step that reached the point was below 1e-12
+    lanes = np.flatnonzero((s_a < s) & (s < s_b))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(_JOINT_STEPS + 1):
-            zl, ul = z[lanes], u[lanes]
-            m_s, s_u, s_z = senior(zl, ul, du=True, dz=True)
-            m_j, j_u, j_z = junior(zl, ul, du=True, dz=True)
+            sl, vl = s[lanes], v[lanes]
+            m_s, s_v, s_s = senior(sl, vl, dv=True, ds=True)
+            m_j, j_v, j_s = junior(sl, vl, dv=True, ds=True)
             r_s, r_j = m_s - x[lanes], m_j - y[lanes]
             done = small[lanes] & (np.abs(r_s) <= _RESID_TOL) & (np.abs(r_j) <= _RESID_TOL)
             ok[lanes[done]] = True
-            slopes[:, lanes[done]] = s_u[done], s_z[done], j_u[done], j_z[done]
-            lanes, zl, ul, r_s, r_j, s_u, j_u, s_z, j_z = (
-                a[~done] for a in (lanes, zl, ul, r_s, r_j, s_u, j_u, s_z, j_z)
+            slopes[:, lanes[done]] = s_v[done], s_s[done], j_v[done], j_s[done]
+            lanes, sl, vl, r_s, r_j, s_v, j_v, s_s, j_s = (
+                a[~done] for a in (lanes, sl, vl, r_s, r_j, s_v, j_v, s_s, j_s)
             )
             if it == _JOINT_STEPS or not lanes.size:
                 break
-            det = s_z * j_u - s_u * j_z
-            dz, du = (j_u * r_s - s_u * r_j) / det, (s_z * r_j - j_z * r_s) / det
-            zl, ul = zl - dz, ul - du
-            z[lanes], u[lanes] = zl, ul
-            small[lanes] = (np.abs(dz) <= 1e-12 * np.maximum(1.0, np.abs(zl))) & (
-                np.abs(du) <= 1e-12 * np.maximum(1.0, np.abs(ul))
+            det = s_s * j_v - s_v * j_s
+            ds, dv = (j_v * r_s - s_v * r_j) / det, (s_s * r_j - j_s * r_s) / det
+            sl, vl = sl - ds, vl - dv
+            s[lanes], v[lanes] = sl, vl
+            small[lanes] = (np.abs(ds) <= 1e-12 * np.maximum(1.0, np.abs(sl))) & (
+                np.abs(dv) <= 1e-12 * np.maximum(1.0, np.abs(vl))
             )
             # NaN iterates fail these tests too
-            inside = (z_a[lanes] <= zl) & (zl <= z_b[lanes]) & (u_lo <= ul) & (ul <= u_hi)
+            inside = (s_a[lanes] <= sl) & (sl <= s_b[lanes]) & (np.abs(vl) <= _V_HALF)
             lanes = lanes[inside]
-    return z, u, slopes, ok
+    return s, v, slopes, ok
 
 
-def _nested_crossings(x, y, z_a, z_b, f_a, f_b, faces, params):
-    """The crossing z of each lane by a Newton solve in z on the bracket
-    [z_a, z_b] with gap values f_a, f_b at its ends: the gap u_senior(z) -
-    u_junior(z) comes from inner u solves at the lanes' current z.
-    Returns (z, u, slopes) as :func:`_joint_newton` does, u the mean of
-    the two u roots at z; z is NaN where a u root is lost."""
+def _nested_crossings(x, y, s_a, s_b, f_a, f_b, faces, params):
+    """The crossing s of each lane by a Newton solve in s on the bracket
+    [s_a, s_b] with gap values f_a, f_b at its ends: the gap v_senior(s) -
+    v_junior(s) comes from inner v solves at the lanes' current s.
+    Returns (s, v, slopes) as :func:`_joint_newton` does, v the mean of
+    the two v roots at s; s is NaN where a v root is lost."""
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
 
-    def roots(z, x, y):
-        u_s, u_j = _sub_u_roots(x, y, z, faces, params)
-        slopes = (*senior(z, u_s, du=True, dz=True)[1:], *junior(z, u_j, du=True, dz=True)[1:])
-        return u_s, u_j, slopes
+    def roots(s, x, y):
+        v_s, v_j = _sub_v_roots(x, y, s, faces, params)
+        slopes = (*senior(s, v_s, dv=True, ds=True)[1:], *junior(s, v_j, dv=True, ds=True)[1:])
+        return v_s, v_j, slopes
 
-    def sep(z, x, y):
-        u_s, u_j, slopes = roots(z, x, y)
-        return u_s - u_j, _du_dz(*slopes[:2]) - _du_dz(*slopes[2:])
+    def sep(s, x, y):
+        v_s, v_j, slopes = roots(s, x, y)
+        return v_s - v_j, _dv_ds(*slopes[:2]) - _dv_ds(*slopes[2:])
 
-    z = newton_bisect(sep, z_a, z_b, f_a, f_b, args=(x, y))[0]
-    u_s, u_j, slopes = roots(z, x, y)
-    z[np.isnan(u_s) | np.isnan(u_j)] = np.nan
-    return z, 0.5 * (u_s + u_j), slopes
+    s = newton_bisect(sep, s_a, s_b, f_a, f_b, args=(x, y))[0]
+    v_s, v_j, slopes = roots(s, x, y)
+    s[np.isnan(v_s) | np.isnan(v_j)] = np.nan
+    return s, 0.5 * (v_s + v_j), slopes
 
 
 def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
-    """Subordinated kernel: the z where the senior u root of xs[i] meets the
-    junior u root of ys[j], for every cell (i, j).
+    """Subordinated kernel: the s where the senior v root of xs[i] meets the
+    junior v root of ys[j], for every cell (i, j).
 
-    u_senior(z) - u_junior(z) is tabulated on an n_scan-point z scan from
-    the two u tables, and every bracketed sign change becomes a lane.  Each
-    lane solves m_senior = xs[i] and m_junior = ys[j] jointly in (z, u) by
+    v_senior(s) - v_junior(s) is tabulated on an n_scan-point s scan from
+    the two v tables, and every bracketed sign change becomes a lane.  Each
+    lane solves m_senior = xs[i] and m_junior = ys[j] jointly in (s, v) by
     Newton steps (:func:`_joint_newton`), from the crossing interpolated in
-    its bracket, and a found cell keeps the u and the slopes of the pass
+    its bracket, and a found cell keeps the v and the slopes of the pass
     that verified its root.  Lanes that fail the joint solve's tests fall
     back to :func:`_nested_crossings`.
     """
     _check_ridge_faces(faces)
-    z_lo, z_hi = _check_z_bracket(params)
+    s_lo, s_hi = _check_s_bracket(params)
     xs, ys = np.atleast_1d(np.asarray(xs, dtype=float)), np.atleast_1d(np.asarray(ys, dtype=float))
-    zs = np.linspace(z_lo, z_hi, n_scan)
-    us_tab, uj_tab = _sub_u_roots(xs[:, None], ys[:, None], zs, faces, params)
+    ss = np.linspace(s_lo, s_hi, n_scan)
+    vs_tab, vj_tab = _sub_v_roots(xs[:, None], ys[:, None], ss, faces, params)
     # sign changes between feasible scan neighbours, one senior row at a
-    # time so that no array is sized cells x z
+    # time so that no array is sized cells x s
     lanes = []
-    for i, row in enumerate(us_tab):
-        gap = row - uj_tab
+    for i, row in enumerate(vs_tab):
+        gap = row - vj_tab
         feasible = ~np.isnan(gap)
         j, k = np.nonzero(
             feasible[:, :-1] & feasible[:, 1:] & (np.sign(gap[:, :-1]) != np.sign(gap[:, 1:]))
         )
         lanes.append((np.full(len(j), i), j, k, gap[j, k], gap[j, k + 1]))
     li, lj, lk, fa, fb = (np.concatenate(c) for c in zip(*lanes))
-    x, y, z_a, z_b = xs[li], ys[lj], zs[lk], zs[lk + 1]
+    x, y, s_a, s_b = xs[li], ys[lj], ss[lk], ss[lk + 1]
 
     # start from the crossing interpolated in the scan bracket
     t = fa / (fa - fb)
-    u_a, u_b = us_tab[li, lk], us_tab[li, lk + 1]
-    z_root, u_root, slopes, joined = _joint_newton(
-        x, y, z_a + t * (z_b - z_a), u_a + t * (u_b - u_a), z_a, z_b, faces, params
+    v_a, v_b = vs_tab[li, lk], vs_tab[li, lk + 1]
+    s_root, v_root, slopes, joined = _joint_newton(
+        x, y, s_a + t * (s_b - s_a), v_a + t * (v_b - v_a), s_a, s_b, faces, params
     )
     rest = ~joined
     if rest.any():
-        z_root[rest], u_root[rest], slopes[:, rest] = _nested_crossings(
-            x[rest], y[rest], z_a[rest], z_b[rest], fa[rest], fb[rest], faces, params
+        s_root[rest], v_root[rest], slopes[:, rest] = _nested_crossings(
+            x[rest], y[rest], s_a[rest], s_b[rest], fa[rest], fb[rest], faces, params
         )
 
     shape = (len(xs), len(ys))
     status = np.full(shape, _NONE)
     source = np.zeros(shape, dtype=int)  # the lane of a found cell's root
     kept, roots = {}, {}
-    for n, (i, j, z) in enumerate(zip(li, lj, z_root)):
+    for n, (i, j, s) in enumerate(zip(li, lj, s_root)):
         cell = kept.setdefault((i, j), [])
-        if np.isnan(z):
+        if np.isnan(s):
             status[i, j] = _LOST
         # an exact zero at a scan node flags both neighbours; keep one
-        elif not cell or abs(z - z_root[cell[-1]]) > 1e-9 * (z_hi - z_lo):
+        elif not cell or abs(s - s_root[cell[-1]]) > 1e-9 * (s_hi - s_lo):
             cell.append(n)
     for (i, j), cell in kept.items():
         if status[i, j] == _LOST:
             continue
         if len(cell) > 1:
             status[i, j] = _MULTIPLE
-            roots[(i, j)] = tuple(z_root[cell])
+            roots[(i, j)] = tuple(params.n_fluct * s_root[cell])
         else:
             status[i, j], source[i, j] = _FOUND, cell[0]
 
     found = status == _FOUND
-    sep = _du_dz(*slopes[:2]) - _du_dz(*slopes[2:])
-    per_lane = np.array((z_root, u_root, np.abs(slopes[0]), np.abs(slopes[2]), sep))
+    sep = _dv_ds(*slopes[:2]) - _dv_ds(*slopes[2:])
+    per_lane = np.array((s_root, v_root, np.abs(slopes[0]), np.abs(slopes[2]), sep))
     cells = np.full((len(per_lane), *shape), np.nan)
     cells[:, found] = per_lane[:, source[found]]
     return _Crossings(status, *cells, roots)
@@ -564,7 +597,9 @@ def solve_z0(
     NoRootError (the limit density is zero at that loss pair).
     """
     cr = _single_crossing(l_senior, l_junior, faces, params, n_scan)
-    return tuple(float(a[0, 0]) for a in (cr.z0, cr.u0, cr.slope))
+    n = params.n_fluct
+    # z = N s and u = v / sqrt(N), so d(u_s - u_j)/dz = N^-1.5 d(v_s - v_j)/ds
+    return n * float(cr.s[0, 0]), float(cr.v[0, 0]) / math.sqrt(n), float(cr.slope[0, 0]) / n**1.5
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +608,14 @@ def solve_z0(
 
 def _density_at_crossing(cr: _Crossings, found, params):
     """(density, quality) arrays at the found cells of a crossing record:
-    the (z, u) weight over the three Jacobian factors."""
-    z0, u0, jac_s, jac_j = (a[found] for a in (cr.z0, cr.u0, cr.jac_s, cr.jac_j))
+    the (s, v) weight over the three Jacobian factors, which is the (z, u)
+    weight over theirs in the model's variables."""
+    s, v, jac_s, jac_j = (a[found] for a in (cr.s, cr.v, cr.jac_senior, cr.jac_junior))
     slope = np.abs(cr.slope[found])
     denom = jac_s * jac_j * slope
-    log_w = chi2_log_weight(z0, params.n_fluct) + _gauss_log_weight(u0, params.n_fluct)
+    n = params.n_fluct
+    # the density of s = z / N is N times that of z; v is standard normal
+    log_w = math.log(n) + chi2_log_weight(n * s, n) - 0.5 * (v * v + math.log(2.0 * math.pi))
     with np.errstate(divide="ignore", under="ignore"):
         density = np.where(denom == 0.0, np.inf, np.exp(log_w) / denom)
     near_singular = np.minimum(np.minimum(jac_s, jac_j), slope) < _JAC_FLOOR
@@ -654,9 +692,9 @@ def limit_curve_equal_infinite(
     overlap parameter survives in the formula.
     """
     centers = _open_unit_centers(n_cells, lo, hi)
-    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    # wz carries the chi2 weight, the kernel the Gaussian u factor
-    return DensityGrid(axes=(centers,), values=_plain_factor(centers, z, face, params)[0] @ wz)
+    s, ws = _scale_rule(params.n_fluct, quad.z_nodes)
+    # ws carries the weight of s, the kernel the Gaussian v factor
+    return DensityGrid(axes=(centers,), values=_plain_factor(centers, s, face, params)[0] @ ws)
 
 
 def limit_grid_finite_vs_infinite(
@@ -679,13 +717,13 @@ def limit_grid_finite_vs_infinite(
     if r_one < 2:
         raise ParameterError(f"finite portfolio needs at least 2 obligors, got {r_one}")
     centers = cell_centers(n_cells, lo, hi)
-    z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    weight, (_, m1, m2) = _plain_factor(centers, z, face, params, order=2)
+    s, ws = _scale_rule(params.n_fluct, quad.z_nodes)
+    weight, (_, m1, m2) = _plain_factor(centers, s, face, params, order=2)
     var = np.maximum(m2 - m1 * m1, 0.0) / r_one
     # lanes without a root add exactly 0; the kernel masks degenerate slices
-    w_eff = np.where(weight > 0.0, weight * wz, 0.0)
+    w_eff = np.where(weight > 0.0, weight * ws, 0.0)
     vals = np.empty((len(centers), len(w_eff)))
-    # one infinite-side loss at a time, so that no array is sized cells x z
+    # one infinite-side loss at a time, so that no array is sized cells x s
     for j in range(len(w_eff)):
         vals[:, j] = _mixture_density((centers,), w_eff[j], m1[j][None], var[j][None, None])
     return DensityGrid(axes=(centers, centers), values=vals)
@@ -702,12 +740,14 @@ def limit_grid_two_markets(
     hi: float = 1.0,
 ) -> DensityGrid:
     """Joint limit density of two infinite disjoint portfolios, one per
-    market, coupled only through the shared scale variable z, on an
-    n_cells x n_cells grid."""
+    market, coupled only through the shared scale variable, on an
+    n_cells x n_cells grid.  Two equal (face, market) pairs share one
+    plain-factor table."""
     if params_one.n_fluct != params_two.n_fluct:
         raise ParameterError("both markets must share the fluctuation parameter")
     centers = cell_centers(n_cells, lo, hi)
-    z, wz = chi2_nodes(params_one.n_fluct, quad.z_nodes)
-    w_one = _plain_factor(centers, z, face_one, params_one)[0]
-    w_two = _plain_factor(centers, z, face_two, params_two)[0]
-    return DensityGrid(axes=(centers, centers), values=np.einsum("ik,jk,k->ij", w_one, w_two, wz))
+    s, ws = _scale_rule(params_one.n_fluct, quad.z_nodes)
+    w_one = _plain_factor(centers, s, face_one, params_one)[0]
+    same = (face_one, params_one) == (face_two, params_two)
+    w_two = w_one if same else _plain_factor(centers, s, face_two, params_two)[0]
+    return DensityGrid(axes=(centers, centers), values=np.einsum("ik,jk,k->ij", w_one, w_two, ws))

@@ -1,10 +1,12 @@
 """Deterministic quadrature for the compound average.
 
-Two weights appear everywhere in this package: a normalized chi-square
-density in the scale variable z over (0, inf), and a standardized Gaussian
-weight sqrt(N/(2 pi)) exp(-N u^2 / 2) in each common factor u over the real
-line.  Fixed rules map these onto generalized Gauss-Laguerre and
-Gauss-Hermite nodes.
+Two weights appear everywhere in this package, in the mixing variables on
+their natural scale (see :mod:`portloss.moments`): the law of s = z / N,
+z chi-square with N degrees of freedom, a Gamma variable with mean 1 and
+variance 2/N over (0, inf), and the standard normal law of each common
+factor v = sqrt(N) u over the real line.  Fixed rules map these onto
+generalized Gauss-Laguerre and Gauss-Hermite nodes; the Hermite rule is
+the same for every N.
 
 Both rules are built by Golub and Welsch (1969): the nodes are the
 eigenvalues of the symmetric Jacobi matrix of the Laguerre or Hermite
@@ -13,8 +15,10 @@ probability measure itself, so no Gamma(N/2) normalization can overflow
 and no weight is NaN at any node count.  Only numpy's dense ``eigvalsh``
 is needed, which keeps ``scipy.linalg`` out of every run.
 
-Node and weight arrays are computed per (count, n_fluct) pair and reused;
-integrands are only ever evaluated lazily at the node sets.
+The rule for s is computed per (n_fluct, count) pair and the rule for v
+per count, and both are reused; integrands are only ever evaluated lazily
+at the node sets.  :func:`chi2_nodes` and :func:`gauss_nodes` give fresh
+rules in the model's z and u.
 """
 
 from __future__ import annotations
@@ -103,57 +107,91 @@ def _jacobi_nodes(diag, off):
 
 
 @lru_cache(maxsize=64)
-def chi2_nodes(n_fluct: float, count: int):
-    """Nodes and weights integrating f against the chi-square(N) density.
+def _scale_rule(n_fluct: float, count: int):
+    """Nodes and weights integrating f(s) against the law of s = z / N, z
+    chi-square with N degrees of freedom: a Gamma(N/2) variable with mean 1
+    and variance 2/N.  The rule is exact for polynomials in s up to degree
+    2*count - 1.
 
-    Substituting z = 2t turns the weight into t^(N/2-1) e^-t, a generalized
-    Gauss-Laguerre weight with exponent a = N/2 - 1; the rule is exact for
-    polynomials in z up to degree 2*count - 1.
-
-    The nodes t are the eigenvalues of the Jacobi matrix with diagonal
-    2k + a + 1 and off-diagonal sqrt(k (k + a)), polished by one Newton step
-    on the Laguerre polynomial wherever that step is finite.  The weight of
-    node t is 1 / sum_k p_k(t)^2 over the orthonormal polynomials p_0..p_{count-1}
-    of the probability measure (the Christoffel function), which is 0 where
-    that sum overflows; the weights are then normalized to sum to 1.
+    In t = N s / 2 the weight is t^a e^-t with a = N/2 - 1, the generalized
+    Gauss-Laguerre weight, whose Jacobi matrix has diagonal 2k + a + 1 and
+    off-diagonal sqrt(k (k + a)).  The matrix is divided by N/2, with each
+    square root taken apart so that nothing overflows at any N, and its
+    eigenvalues are the nodes s.  Each is polished by one Newton step on
+    the Laguerre polynomial in t wherever that step is finite.  As N grows
+    the nodes gather at 1 with spread sqrt(2/N) and, once that spread is
+    below the rounding of 1, coincide with it, which is the law of s there.
+    The diagonal is then exactly 1 too, so the Christoffel sums at the
+    collapsed nodes stay finite, where in t the nodes' rounding errors
+    would pass their spread and overflow every sum.
     """
-    a = n_fluct / 2.0 - 1.0
+    half = n_fluct / 2.0
+    a = half - 1.0
     k = np.arange(count + 1, dtype=float)
-    diag = 2.0 * k[:-1] + a + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + a))
-    t = _jacobi_nodes(diag, off[:-1])
+    diag = (2.0 * k[:-1] + a + 1.0) / half
+    off = np.sqrt(k[1:] / half) * np.sqrt((k[1:] + a) / half)
+    s = _jacobi_nodes(diag, off[:-1])
     with np.errstate(all="ignore"):
+        t = half * s
         y = eval_genlaguerre(count, a, t)
         step = y / ((count * y - (count + a) * eval_genlaguerre(count - 1, a, t)) / t)
-        t = np.where(np.isfinite(step), t - step, t)
-    return 2.0 * t, _christoffel_weights(_recurrence(t, diag, off)[0])
+        s = np.where(np.isfinite(step), (t - step) / half, s)
+    return s, _christoffel_weights(_recurrence(s, diag, off)[0])
 
 
-@lru_cache(maxsize=64)
-def gauss_nodes(n_fluct: float, count: int):
-    """Nodes and weights integrating g against sqrt(N/2pi) e^(-N u^2/2).
+@lru_cache(maxsize=None)
+def _normal_rule(count: int):
+    """Nodes and weights integrating f(v) against the standard normal
+    density, the same for every N.
 
-    The Gauss-Hermite nodes v of the weight e^(-v^2) are built as the
-    chi-square rule is: the eigenvalues of the Jacobi matrix with zero
-    diagonal and off-diagonal sqrt(k/2), polished by one Newton step on the
-    orthonormal p_count, whose derivative is sqrt(2 count) p_{count-1},
-    with Christoffel weights.  Up to 512 nodes every |v| < 31.5, so the
-    polynomials stay below e^500 and the step is finite.  Nodes and
-    weights are then made exactly symmetric.  The nodes in u are
-    v sqrt(2/N).
+    The Gauss-Hermite nodes x of the weight e^(-x^2) are the eigenvalues of
+    the Jacobi matrix with zero diagonal and off-diagonal sqrt(k/2),
+    polished by one Newton step on the orthonormal p_count, whose
+    derivative is sqrt(2 count) p_{count-1}, with Christoffel weights.  Up
+    to 512 nodes every |x| < 31.5, so the step is finite.  Nodes and
+    weights are then made exactly symmetric, and v = sqrt(2) x.
     """
     diag = np.zeros(count)
     off = np.sqrt(np.arange(1, count + 1) / 2.0)
-    v = _jacobi_nodes(diag, off[:-1])
-    _, p_prev, p = _recurrence(v, diag, off)
-    v = v - p / (math.sqrt(2.0 * count) * p_prev)
-    v = 0.5 * (v - v[::-1])
-    w = _christoffel_weights(_recurrence(v, diag, off)[0])
-    return v * math.sqrt(2.0 / n_fluct), 0.5 * (w + w[::-1])
+    x = _jacobi_nodes(diag, off[:-1])
+    _, p_prev, p = _recurrence(x, diag, off)
+    x = x - p / (math.sqrt(2.0 * count) * p_prev)
+    x = 0.5 * (x - x[::-1])
+    w = _christoffel_weights(_recurrence(x, diag, off)[0])
+    return x * math.sqrt(2.0), 0.5 * (w + w[::-1])
+
+
+def chi2_nodes(n_fluct: float, count: int):
+    """Nodes z = N s and weights of a fresh (uncached) chi-square(N) rule;
+    see :func:`_scale_rule`, which the package integrates with."""
+    s, w = _scale_rule.__wrapped__(n_fluct, count)
+    return n_fluct * s, w
+
+
+def gauss_nodes(n_fluct: float, count: int):
+    """Nodes u = v / sqrt(N) and weights of a fresh (uncached) rule for the
+    N(0, 1/N) common factor; see :func:`_normal_rule`, which the package
+    integrates with."""
+    v, w = _normal_rule.__wrapped__(count)
+    return v / math.sqrt(n_fluct), w
 
 
 def chi2_log_weight(z, n_fluct: float):
-    """Log of the chi-square(N) density at z; broadcasts."""
-    z = np.asarray(z, dtype=float)
+    """Log of the chi-square(N) density at z; broadcasts.
+
+    It is taken through s = z / N, with h = N / 2, as c(h) + h (log s -
+    (s - 1)) - log s - log N, where c(h) = h log h - h - log Gamma(h) comes
+    from Stirling's series above h = 20.  No term then grows with N: in the
+    direct form (h - 1) log z - z / 2 - h log 2 - log Gamma(h) each term
+    is of order N log N, and at N = 1e14 their rounding moved the log
+    density by 0.1."""
+    s = np.asarray(z, dtype=float) / n_fluct
     half = n_fluct / 2.0
-    return (half - 1.0) * np.log(z) - z / 2.0 - half * math.log(2.0) - gammaln(half)
+    if half < 20.0:
+        const = half * math.log(half) - half - gammaln(half)
+    else:
+        inv2 = 1.0 / (half * half)
+        stirling = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0))) / half
+        const = 0.5 * math.log(half / (2.0 * math.pi)) - stirling
+    log_s = np.log(s)
+    return const + half * (log_s - (s - 1.0)) - log_s - math.log(n_fluct)

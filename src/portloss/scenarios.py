@@ -39,8 +39,14 @@ from .grids import (
     scenario_fingerprint,
     write_csv,
 )
-from .limits import _check_ridge_faces, _check_z_bracket, _open_unit_centers
+from .limits import (
+    _check_ridge_faces,
+    _check_ridge_support,
+    _check_s_bracket,
+    _open_unit_centers,
+)
 from .mc import McConfig, _check_wishart_budget, _wishart_dof
+from .moments import plain_moments
 from .params import (
     MarketParams,
     MultiMarketParams,
@@ -48,7 +54,7 @@ from .params import (
     SubordinationSpec,
     check_face_ratio,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, _normal_rule, _scale_rule
 
 __all__ = [
     "MODES",
@@ -676,8 +682,10 @@ def _plain_scenarios(sc: dict, params: MarketParams) -> list:
 
 # Values in the largest array a document may make its run allocate: 2**27,
 # 1 GiB of float64.  It bounds what still grows with the document - an MC
-# chunk's asset values and the calibration returns and covariance; the
-# analytic kernels work in fixed-size blocks.
+# chunk's asset values, the calibration returns and covariance, and a
+# multi-market node table with its build, whose nodes grow like
+# u_nodes^beta; the analytic kernels that read a table work in fixed-size
+# blocks.
 _MEMORY_BUDGET = 2**27
 
 
@@ -722,13 +730,15 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
     )
 
 
-def _check_ridge(tranches: SubordinationSpec, params: MarketParams):
+def _check_ridge(tranches: SubordinationSpec, params: MarketParams, cells: dict):
     """Refuse what the senior/junior crossing solve refuses: f_senior = 0
     or a junior face too thin to solve for, and a market whose z scan is
-    empty."""
+    empty; and an N whose ridge is thinner than a cell of the grid, which
+    the crossings of the ridge and of the adaptive rule would miss."""
     field = "f_senior" if tranches.f_senior == 0 else "f_junior"
     _build(f"/tranches/{field}", _check_ridge_faces, tranches)
-    _build("/market", _check_z_bracket, params)
+    _build("/market", _check_s_bracket, params)
+    _build("/market", _check_ridge_support, tranches, params, **cells)
 
 
 def _subordinated(sc, out_dir=""):
@@ -742,7 +752,7 @@ def _subordinated(sc, out_dir=""):
     ]
     quad, cells = _quad(sc), _grid(sc)
     if quad.mode == "adaptive":  # its crossing solve is the ridge's
-        _check_ridge(tranches, params)
+        _check_ridge(tranches, params, cells)
     return [
         _grid_job(sc, path, lambda s=scen: engine.density_grid_subordinated(s, quad, **cells))
         for path, scen in zip(_density_paths(sc, ks, out_dir), scens)
@@ -783,6 +793,13 @@ def _multimarket(sc, out_dir=""):
     _build("/creditors", _check_grid, scen)
     tails = sc["tails"] if creditors == 1 else []
     quad, cells = _quad(sc), _grid(sc)
+    nodes = quad.z_nodes * quad.u_nodes**params.beta
+    _check_memory(
+        engine._table_values(nodes, creditors),
+        f"the node table of {_count(nodes)} nodes, z_nodes x u_nodes^{params.beta}, with its "
+        "build (lower quadrature.u_nodes to shrink it)",
+        "/quadrature/u_nodes",
+    )
     grid_job = _grid_job(
         sc, _output(sc, "density", out_dir),
         lambda: engine.density_grid_nosub(scen, quad, **cells),
@@ -801,9 +818,9 @@ def _multimarket(sc, out_dir=""):
 def _limit_subordinated(sc, out_dir=""):
     tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
     params = _build("/market", MarketParams, **sc["market"])
-    _check_ridge(tranches, params)
-    _check_tranche_faces(tranches, params)
     cells, n_scan = _grid(sc), int(sc["scan"]["n_scan"])
+    _check_ridge(tranches, params, cells)
+    _check_tranche_faces(tranches, params)
     return [
         _grid_job(
             sc, _output(sc, "density", out_dir),
@@ -881,15 +898,34 @@ def _no_default(sc, out_dir=""):
     return [job]
 
 
+def _check_defaults(face: float, params: MarketParams, quad: QuadratureSpec):
+    """Refuse a market in which no node of the rule defaults: every
+    conditional moment is then exactly 0, so each creditor's loss variance
+    vanishes and their correlation is undefined.  The horizon volatility
+    rho sqrt(t_mat) shuts defaults off as it vanishes; the refusal names
+    the smaller factor of the horizon variance rho^2 t_mat."""
+    s, _ = _scale_rule(params.n_fluct, quad.z_nodes)
+    v, _ = _normal_rule(quad.u_nodes)
+    if not np.any(plain_moments(0, s[:, None], v, face, params)[0][0]):
+        raise ParameterError(
+            "no node of the quadrature rule defaults at the horizon volatility rho "
+            f"sqrt(t_mat) = {params.rho * math.sqrt(params.t_mat):.3g}, so the loss "
+            "variances vanish and the correlation is undefined",
+            field="rho" if params.rho**2 <= params.t_mat else "t_mat",
+        )
+
+
 def _correlation_sweep(sc, out_dir=""):
     base = _build("/market", MarketParams, **sc["market"])
     halves = _halves(sc["portfolio"]["face"], "/portfolio/face")
     _build("/portfolio/face", check_face_ratio, halves.f0, base)
     config = _mc_config(sc["mc"])
+    quad, path = _quad(sc), _output(sc, "table", out_dir)
     # one (c, k, scenario, McConfig or None) cell per pair of c and k values
     cells = []
     for i, c in enumerate(sc["c_values"]):
         params = _build(f"/c_values/{i}", dataclasses.replace, base, c=c)
+        _build("/market", _check_defaults, halves.f0, params, quad)
         for k in _k_list(sc["portfolio"]["k_values"]):
             scen = _build(
                 "/portfolio/k_values", NoSubScenario, k_obligors=k, params=params, overlap=halves
@@ -900,7 +936,6 @@ def _correlation_sweep(sc, out_dir=""):
                 cfg = dataclasses.replace(config, rng_seed=seed)
                 _check_sampling(scen, cfg, "/portfolio/k_values", "/portfolio/k_values")
             cells.append((c, k, scen, cfg))
-    quad, path = _quad(sc), _output(sc, "table", out_dir)
 
     def job():
         rows = []

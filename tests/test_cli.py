@@ -8,6 +8,7 @@ import pytest
 
 from portloss import engine
 from portloss.cli import EXIT_NUMERIC, EXIT_OK, EXIT_REJECTED, main
+from portloss.scenarios import bundled_scenarios, resolve_scenario
 
 
 def test_list_scenarios(capsys):
@@ -197,6 +198,19 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
          "/tranches/f_senior"),
         ("subordinated_k200", ['quadrature.mode="adaptive"', "tranches.f_junior=1e-5"],
          "/tranches/f_junior"),
+        # the adaptive rule localizes at the ridge's crossings, which miss a
+        # ridge thinner than a grid cell
+        ("subordinated_k200", ['quadrature.mode="adaptive"', "market.n_fluct=1e8"],
+         "/market/n_fluct"),
+        # four markets at the mode's 24 u nodes: 21.2M nodes, about 1.2 GB
+        # for the table and its build
+        ("multimarket_split_pair",
+         ['markets=[{"k_obligors":20},{"k_obligors":20},{"k_obligors":20},{"k_obligors":20}]'],
+         "/quadrature/u_nodes"),
+        # no default at working precision leaves a creditor's loss variance
+        # 0 and the correlation undefined
+        ("correlation_sweep_full", ["market.rho=1e-9"], "/market/rho"),
+        ("correlation_sweep_full", ["market.t_mat=1e-9"], "/market/t_mat"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):
@@ -379,6 +393,49 @@ def test_large_n_fluct_runs(sid, tmp_path, capsys):
     # the chi-square rule once divided by Gamma(N/2), which overflows above N = 343
     assert main(["run", sid, "--set", "market.n_fluct=400", "--out-dir", str(tmp_path)]) == EXIT_OK
     assert "nan" not in capsys.readouterr().out
+
+
+def _shrunk_at(sid, n_fluct):
+    """Overrides that set every market of a bundled document to ``n_fluct``
+    and shrink its grid, rules and samples."""
+    doc = resolve_scenario(bundled_scenarios()[sid])
+    sets = [f"{key}.n_fluct={n_fluct}" for key in ("market", "market_one", "market_two")
+            if key in doc]
+    sets += [f"markets.{i}.n_fluct={n_fluct}" for i in range(len(doc.get("markets", [])))]
+    if "source" in doc:
+        sets.append(f"source.market.n_fluct={n_fluct}")
+    if "grid" in doc:
+        sets.append("grid.n_cells=4")
+    if "quadrature" in doc:
+        sets += ["quadrature.z_nodes=8", "quadrature.u_nodes=8"]
+    if "mc" in doc:
+        sets.append("mc.n_samples=10000")
+    return [arg for s in sets for arg in ("--set", s)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_fluct", ["1e8", "1e17", "1e100", "1.7e308"])
+@pytest.mark.parametrize("sid", sorted(bundled_scenarios()))
+def test_bundled_scenarios_run_or_refuse_at_large_n_fluct(sid, n_fluct, tmp_path, capsys):
+    # in (z, u) a u root of order 1/sqrt(N) missed its residual tolerance
+    # (exit 3 from 1e17), the chi-square rule overflowed at 1.7e308, and the
+    # ridge wrote a grid of zeros; in (s, v) every mode runs, and the ridge,
+    # whose support is then thinner than a cell, is refused up front
+    overrides = _shrunk_at(sid, n_fluct)
+    if main(["validate", sid, *overrides]) == EXIT_REJECTED:
+        assert sid == "limit_subordinated_ridge"
+        assert json.loads(capsys.readouterr().err)["pointer"] == "/market/n_fluct"
+        return
+    assert main(["run", sid, *overrides, "--out-dir", str(tmp_path)]) == EXIT_OK
+    for path in tmp_path.glob("*.csv"):
+        header, *rows = [line for line in path.read_text().splitlines()
+                         if not line.startswith("#")]
+        cols = header.split(",")
+        if "density" in cols:
+            table = np.array([[float(x) for x in row.split(",")] for row in rows])
+            flagged = "quality" in cols and table[:, cols.index("quality")].any()
+            dens = table[:, cols.index("density")]
+            assert np.all(np.isfinite(dens)) and (dens.any() or flagged), path.name
 
 
 def test_ridge_runs_at_a_sharp_n_fluct(tmp_path, capsys):

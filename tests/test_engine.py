@@ -63,12 +63,12 @@ def test_no_default_frozen_values(market):
 def test_no_default_single_firm_is_complement_of_default_moment(market, quad):
     # K = 1 reduces to 1 - E[m0]; the mixture and the moment must agree
     from portloss.moments import plain_moments
-    from portloss.quadrature import chi2_nodes, gauss_nodes
+    from portloss.quadrature import _normal_rule, _scale_rule
 
-    z, wz = chi2_nodes(market.n_fluct, quad.z_nodes)
-    u, wu = gauss_nodes(market.n_fluct, quad.u_nodes)
-    (m0,), _, _ = plain_moments(0, z[:, None], u[None, :], 75.0, market)
-    want = 1.0 - float(wz @ m0 @ wu)
+    s, ws = _scale_rule(market.n_fluct, quad.z_nodes)
+    v, wv = _normal_rule(quad.u_nodes)
+    (m0,), _, _ = plain_moments(0, s[:, None], v[None, :], 75.0, market)
+    want = 1.0 - float(ws @ m0 @ wv)
     assert no_default_probability(1, 75.0, market) == pytest.approx(want, rel=1e-12)
 
 
@@ -108,14 +108,14 @@ def test_overlap_table_matches_alphas(market, quad, r1, r12, gamma, k):
     # the class-by-class covariance reproduces the paper's inflation factors
     from portloss.engine import _unpruned_table
     from portloss.moments import plain_moments
-    from portloss.quadrature import chi2_nodes, gauss_nodes
+    from portloss.quadrature import _normal_rule, _scale_rule
 
     ov = OverlapSpec(r1=r1, r12=r12, gamma=gamma, f0=75.0)
     cov = _unpruned_table(NoSubScenario(k_obligors=k, params=market, overlap=ov), quad)[2]
-    z, _ = chi2_nodes(market.n_fluct, quad.z_nodes)
-    u, _ = gauss_nodes(market.n_fluct, quad.u_nodes)
-    zz, uu = np.repeat(z, len(u)), np.tile(u, len(z))
-    _, m1, m2 = plain_moments(2, zz, uu, 75.0, market)[0]
+    s, _ = _scale_rule(market.n_fluct, quad.z_nodes)
+    v, _ = _normal_rule(quad.u_nodes)
+    ss, vv = np.repeat(s, len(v)), np.tile(v, len(s))
+    _, m1, m2 = plain_moments(2, ss, vv, 75.0, market)[0]
     var = np.maximum(m2 - m1 * m1, 0.0)
     a1, a12, a2 = _alphas(ov)
     want = np.array([[a1, a12], [a12, a2]])[:, :, None] * var / k
@@ -416,7 +416,11 @@ def test_mixture_kernel_matches_per_point_reference(market, faces, halves, quad)
 
     def check(got, points, table):
         want = np.array([_per_point_density(p, *table) for p in points])
-        np.testing.assert_allclose(np.ravel(got), want, rtol=1e-12, atol=0.0)
+        # a subnormal density (the grid holds a few near 1e-313) is rounded
+        # to its spacing of 5e-324, which no relative tolerance allows for
+        np.testing.assert_allclose(
+            np.ravel(got), want, rtol=1e-12, atol=np.finfo(float).smallest_subnormal
+        )
 
     # 40 x 40 cells on 4096 nodes span two kernel chunks
     sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
@@ -453,19 +457,19 @@ def test_floored_exp_is_exp_above_the_floor_and_zero_below():
 
 
 def _flat_tensor_table(scenario, quad):
-    """Reference: the single-firm moments on every flat tensor node of a
-    plain scenario, as (means, cov)."""
+    """Reference: the single-firm moments on every flat tensor node (s,
+    v_1, ..., v_beta) of a plain scenario, as (means, cov)."""
     from portloss.engine import _class_weights
     from portloss.moments import plain_moments
-    from portloss.quadrature import chi2_nodes, gauss_nodes
+    from portloss.quadrature import _normal_rule, _scale_rule
 
     markets, classes, _ = scenario.holdings
-    z, _ = chi2_nodes(markets.n_fluct, quad.z_nodes)
-    u1, _ = gauss_nodes(markets.n_fluct, quad.u_nodes)
-    grids = np.meshgrid(*([u1] * markets.beta), indexing="ij")
-    u = np.stack([np.tile(g.ravel(), len(z)) for g in grids])
-    z = np.repeat(z, len(u1) ** markets.beta)
-    m1, m2 = (np.stack([plain_moments(2, z, u[b], face, markets.blocks[b][0])[0][j]
+    s, _ = _scale_rule(markets.n_fluct, quad.z_nodes)
+    v1, _ = _normal_rule(quad.u_nodes)
+    grids = np.meshgrid(*([v1] * markets.beta), indexing="ij")
+    v = np.stack([np.tile(g.ravel(), len(s)) for g in grids])
+    s = np.repeat(s, len(v1) ** markets.beta)
+    m1, m2 = (np.stack([plain_moments(2, s, v[b], face, markets.blocks[b][0])[0][j]
                         for b, face, _ in classes]) for j in (1, 2))
     var = np.maximum(m2 - m1 * m1, 0.0)
     wts, counts = _class_weights(scenario)

@@ -20,13 +20,13 @@ from portloss import (
     limit_grid_two_markets,
 )
 from portloss.limits import (
-    _sub_u_roots,
+    _sub_v_roots,
     newton_bisect,
     solve_u_plain,
     solve_u_senior,
     solve_z0,
 )
-from portloss.moments import junior_mean_target, plain_moments, senior_moments
+from portloss.moments import _natural, junior_mean_target, moment_senior, plain_moments
 
 # points on the ridge where senior and junior losses co-move, frozen from a
 # fine scan of the pointwise function
@@ -61,7 +61,7 @@ def test_newton_bisect_cubic():
 def test_solve_u_plain_inverts_the_mean(market):
     z = 2.0
     u = solve_u_plain(0.25, z, 75.0, market)
-    got = float(plain_moments(1, z, u, 75.0, market)[0][1])
+    got = float(plain_moments(1, *_natural(z, u, market), 75.0, market)[0][1])
     assert got == pytest.approx(0.25, abs=1e-10)
 
 
@@ -70,9 +70,10 @@ def test_solve_u_senior_junior_invert(market, faces):
     # mean tops out near 0.058 at z = 1.5)
     z = 1.5
     u_s = solve_u_senior(0.02, z, faces, market)
-    assert float(senior_moments(1, z, u_s, faces, market)[0][1]) == pytest.approx(0.02, abs=1e-10)
-    _, u_j = _sub_u_roots(0.02, 0.4, z, faces, market)
-    assert float(junior_mean_target(z, u_j, faces, market)[0]) == pytest.approx(0.4, abs=1e-10)
+    assert float(moment_senior(1, z, u_s, faces, market)) == pytest.approx(0.02, abs=1e-10)
+    s = z / market.n_fluct
+    _, v_j = _sub_v_roots(0.02, 0.4, s, faces, market)
+    assert float(junior_mean_target(s, v_j, faces, market)[0]) == pytest.approx(0.4, abs=1e-10)
     with pytest.raises(NoRootError):
         solve_u_senior(0.1, z, faces, market)
 
@@ -116,7 +117,8 @@ def test_limit_subordinated_junior_face_floor(market):
 
 def test_solve_z0_locates_the_crossing(market, faces):
     z0, u0, _ = solve_z0(0.0155, 0.4, faces, market)
-    u_s, u_j = _sub_u_roots(0.0155, 0.4, z0, faces, market)
+    v_s, v_j = _sub_v_roots(0.0155, 0.4, z0 / market.n_fluct, faces, market)
+    u_s, u_j = (v / math.sqrt(market.n_fluct) for v in (v_s, v_j))
     assert u_s == pytest.approx(u_j, abs=1e-8)
     assert u0 == pytest.approx(u_s, abs=1e-8)
 
@@ -142,13 +144,15 @@ def _plain_limit_terms(targets, face, params, quad):
     from portloss.quadrature import chi2_nodes
 
     z, wz = chi2_nodes(params.n_fluct, quad.z_nodes)
-    mean = lambda zz, uu: plain_moments(1, zz, uu, face, params)[0][1]
-    u = _brentq_u_table(mean, targets, z, params)
+    mean = lambda zz, uu: plain_moments(1, *_natural(zz, uu, params), face, params)[0][1]
     n = params.n_fluct
+    u = _brentq_table(mean, targets, z, 12.0 / math.sqrt(n))
     found = ~np.isnan(u)
     weight = np.zeros(u.shape)
-    slope = np.abs(plain_moments(1, np.broadcast_to(z, u.shape)[found], u[found], face, params,
-                                 du=True)[1][1])
+    # d/du = sqrt(N) d/dv
+    zf = np.broadcast_to(z, u.shape)[found]
+    slope = math.sqrt(n) * np.abs(plain_moments(1, *_natural(zf, u[found], params), face, params,
+                                                dv=True)[1][1])
     weight[found] = math.sqrt(n / (2.0 * math.pi)) * np.exp(-0.5 * n * u[found] ** 2) / slope
     return z, wz, u, weight
 
@@ -172,7 +176,7 @@ def test_limit_equal_density_matches_direct_simulation(market):
     n = 400_000
     z = rng.chisquare(market.n_fluct, n)
     u = rng.normal(0.0, math.sqrt(1.0 / market.n_fluct), n)
-    m1 = np.asarray(plain_moments(1, z, u, 75.0, market)[0][1])
+    m1 = np.asarray(plain_moments(1, *_natural(z, u, market), 75.0, market)[0][1])
     a, b = 0.05, 0.5
     p_mc = float(np.mean((m1 > a) & (m1 < b)))
     se = math.sqrt(p_mc * (1.0 - p_mc) / n)
@@ -180,6 +184,25 @@ def test_limit_equal_density_matches_direct_simulation(market):
     curve = limit_curve_equal_infinite(75.0, market, n_cells=900, lo=a, hi=b)
     p_an = float(curve.values.sum()) * (b - a) / 900
     assert abs(p_an - p_mc) < 4.0 * se + 1e-4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_equal_loss_curve_at_the_largest_n_is_the_one_point_law():
+    # at N = 1.7e308 the law of s = z / N is the point s = 1, so the curve
+    # is phi(v*) / |dm1/dv(1, v*)| at the root of m1(1, v*) = loss, with no
+    # integral over s; in (z, u) N / g overflowed and the mean read 0
+    from scipy.optimize import brentq
+
+    from portloss.limits import _plain_mean
+    from portloss.moments import norm_pdf
+
+    market = MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=1.7e308, t_mat=1.0, v0=100.0)
+    curve = limit_curve_equal_infinite(75.0, market, n_cells=9, lo=0.05, hi=0.5)
+    mean = _plain_mean(75.0, market)
+    for loss, got in zip(curve.axes[0], curve.values):
+        v = brentq(lambda v: float(mean(1.0, v)[0]) - loss, -12.0, 12.0, xtol=1e-15, rtol=1e-15)
+        want = float(norm_pdf(v)) / abs(float(mean(1.0, v, dv=True)[1]))
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_finite_vs_infinite_frozen_and_scaling(market):
@@ -204,7 +227,7 @@ def test_finite_vs_infinite_grid_matches_points(market, quad):
     for row, j in enumerate((3, 5)):
         live = weight[row] > 0.0
         zl, ul = z[live], u[row, live]
-        _, m1, m2 = plain_moments(2, zl, ul, 75.0, market)[0]
+        _, m1, m2 = plain_moments(2, *_natural(zl, ul, market), 75.0, market)[0]
         var = (m2 - m1 * m1) / 10
         for i in (2, 4):
             phi = np.exp(-0.5 * (xs[i] - m1) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
@@ -249,14 +272,13 @@ def test_ridge_density_drops_away_from_crest(market, faces):
 # batched solver against an independent per-lane reference
 
 
-def _brentq_u_table(mean, targets, zs, params):
-    """u roots of mean(z, u) = target by scipy's brentq, one (target, z) pair
-    at a time; NaN where the target is outside the attainable range."""
+def _brentq_table(mean, targets, zs, half):
+    """Roots u of mean(z, u) = target on [-half, half] by scipy's brentq,
+    one (target, z) pair at a time; NaN where the target is outside the
+    attainable range."""
     from scipy.optimize import brentq
 
-    from portloss.limits import u_bracket
-
-    lo, hi = u_bracket(params)
+    lo, hi = -half, half
     out = np.full((len(targets), len(zs)), np.nan)
     for i, target in enumerate(targets):
         for k, z in enumerate(zs):
@@ -267,31 +289,31 @@ def _brentq_u_table(mean, targets, zs, params):
     return out
 
 
-def _bundled_u_tables(market, faces):
-    """(mean, targets, zs) of the bundled ridge scenario's 61 x 96 senior
-    and junior tables and the equal-loss curve's 201 targets on 64
-    chi-square nodes."""
+def _bundled_v_tables(market, faces):
+    """(mean, targets, ss) of the bundled ridge scenario's 61 x 96 senior
+    and junior tables and the equal-loss curve's 201 targets on 64 nodes of
+    the rule for s."""
     from portloss.grids import cell_centers
-    from portloss.limits import _junior_mean, _plain_mean, _senior_mean, z_bracket
-    from portloss.quadrature import chi2_nodes
+    from portloss.limits import _junior_mean, _plain_mean, _s_bracket, _senior_mean
+    from portloss.quadrature import _scale_rule
 
     ridge_targets = cell_centers(61, 0.0, 0.6)
-    ridge_zs = np.linspace(*z_bracket(market), 96)
+    ridge_ss = np.linspace(*_s_bracket(market), 96)
     curve_targets = cell_centers(201, 1e-3, 1.0 - 1e-3)
-    curve_zs, _ = chi2_nodes(market.n_fluct, 64)
+    curve_ss, _ = _scale_rule(market.n_fluct, 64)
     return [
-        (_senior_mean(faces, market), ridge_targets, ridge_zs),
-        (_junior_mean(faces, market), ridge_targets, ridge_zs),
-        (_plain_mean(75.0, market), curve_targets, curve_zs),
+        (_senior_mean(faces, market), ridge_targets, ridge_ss),
+        (_junior_mean(faces, market), ridge_targets, ridge_ss),
+        (_plain_mean(75.0, market), curve_targets, curve_ss),
     ]
 
 
 def test_batched_u_tables_match_scalar_loop(market, faces):
-    from portloss.limits import _u_roots
+    from portloss.limits import _v_roots
 
-    for mean, targets, zs in _bundled_u_tables(market, faces):
-        want = _brentq_u_table(lambda z, u: mean(z, u)[0], targets, zs, market)
-        got = _u_roots(mean, targets[:, None], zs, market)
+    for mean, targets, ss in _bundled_v_tables(market, faces):
+        want = _brentq_table(lambda s, v: mean(s, v)[0], targets, ss, 12.0)
+        got = _v_roots(mean, targets[:, None], ss)
         assert got.shape == want.shape
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert 0 < np.isnan(want).sum() < want.size
@@ -312,11 +334,11 @@ def test_u_tables_close_every_lane_in_a_few_steps(market, faces, monkeypatch):
         return roots, iters
 
     monkeypatch.setattr(limits, "newton_bisect", counted)
-    for mean, targets, zs in _bundled_u_tables(market, faces):
+    for mean, targets, ss in _bundled_v_tables(market, faces):
         steps.clear()
-        limits._u_roots(mean, targets[:, None], zs, market)
+        limits._v_roots(mean, targets[:, None], ss)
         (iters,) = steps
-        assert iters.shape == (len(targets), len(zs))
+        assert iters.shape == (len(targets), len(ss))
         assert 0 < iters.max() <= 15
 
 
@@ -386,15 +408,15 @@ def test_joint_crossings_match_nested_fallback(market, faces, monkeypatch):
     from portloss.grids import cell_centers
 
     centers = cell_centers(21, 0.0, 0.6)
-    # (z, u) points at which the crossing solve evaluates the senior mean
-    # with its u-slope
+    # (s, v) points at which the crossing solve evaluates the senior mean
+    # with its v-slope
     points = []
     senior_moments = limits.senior_moments
 
-    def counted(k, z, u, faces, params, du=False, dz=False):
-        if du:
-            points.append(np.broadcast(z, u).size)
-        return senior_moments(k, z, u, faces, params, du, dz)
+    def counted(k, s, v, faces, params, dv=False, ds=False):
+        if dv:
+            points.append(np.broadcast(s, v).size)
+        return senior_moments(k, s, v, faces, params, dv, ds)
 
     monkeypatch.setattr(limits, "senior_moments", counted)
 
@@ -408,8 +430,8 @@ def test_joint_crossings_match_nested_fallback(market, faces, monkeypatch):
     # every lane fails the joint solve and takes the nested one
     monkeypatch.setattr(
         limits, "_joint_newton",
-        lambda x, y, z, u, z_a, z_b, faces, params: (
-            z, u, np.full((4, *z.shape), np.nan), np.zeros(z.shape, dtype=bool)
+        lambda x, y, s, v, s_a, s_b, faces, params: (
+            s, v, np.full((4, *s.shape), np.nan), np.zeros(s.shape, dtype=bool)
         ),
     )
     nested, nested_points, nested_grid = solve()
@@ -418,16 +440,16 @@ def test_joint_crossings_match_nested_fallback(market, faces, monkeypatch):
     assert np.array_equal(joint_grid.quality, nested_grid.quality)
     assert joint_points < nested_points
     found = joint.status == limits._FOUND
-    np.testing.assert_allclose(joint.z0[found], nested.z0[found], rtol=1e-10)
+    np.testing.assert_allclose(joint.s[found], nested.s[found], rtol=1e-10)
     np.testing.assert_allclose(joint_grid.values, nested_grid.values, rtol=1e-10, atol=0.0)
 
 
 def test_crossing_record_matches_separate_u_solves(market, faces):
-    # the record's u, Jacobians and slope come from the joint Newton pass
-    # that verified each root; the same numbers by separate u solves at z0,
+    # the record's v, Jacobians and slope come from the joint Newton pass
+    # that verified each root; the same numbers by separate v solves at s0,
     # the implicit slope of each mean at its own root and the Jacobians at
-    # the mean of the two roots, u within the root tolerance of 1e-12
-    # max(1, |u|)
+    # the mean of the two roots, v within the root tolerance of 1e-12
+    # max(1, |v|)
     from portloss import limits
     from portloss.grids import cell_centers
 
@@ -436,20 +458,20 @@ def test_crossing_record_matches_separate_u_solves(market, faces):
     found = cr.status == limits._FOUND
     assert np.count_nonzero(found) > 400
     fi, fj = np.nonzero(found)
-    z0 = cr.z0[found]
-    u_s, u_j = _sub_u_roots(centers[fi], centers[fj], z0, faces, market)
-    u0 = 0.5 * (u_s + u_j)
+    s0 = cr.s[found]
+    v_s, v_j = _sub_v_roots(centers[fi], centers[fj], s0, faces, market)
+    v0 = 0.5 * (v_s + v_j)
     senior, junior = limits._senior_mean(faces, market), limits._junior_mean(faces, market)
 
-    def du_dz(mean, u):
-        _, den, num = mean(z0, u, du=True, dz=True)
+    def dv_ds(mean, v):
+        _, den, num = mean(s0, v, dv=True, ds=True)
         return np.where(np.abs(den) < 1e-300, np.inf, -num / den)
 
-    assert np.all(np.abs(cr.u0[found] - u0) <= 1e-12 * np.maximum(1.0, np.abs(u0)))
+    assert np.all(np.abs(cr.v[found] - v0) <= 1e-12 * np.maximum(1.0, np.abs(v0)))
     want = {
-        "jac_s": np.abs(senior(z0, u0, du=True)[1]),
-        "jac_j": np.abs(junior(z0, u0, du=True)[1]),
-        "slope": du_dz(senior, u_s) - du_dz(junior, u_j),
+        "jac_senior": np.abs(senior(s0, v0, dv=True)[1]),
+        "jac_junior": np.abs(junior(s0, v0, dv=True)[1]),
+        "slope": dv_ds(senior, v_s) - dv_ds(junior, v_j),
     }
     for field, ref in want.items():
         np.testing.assert_allclose(getattr(cr, field)[found], ref, rtol=1e-12, atol=0.0,

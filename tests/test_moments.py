@@ -18,6 +18,7 @@ from scipy.stats import norm
 from portloss import MarketParams, ParameterError, QuadratureSpec, SubordinationSpec
 from portloss import moments
 from portloss.moments import (
+    _natural,
     _pass,
     junior_band_moments,
     junior_mean_target,
@@ -98,7 +99,7 @@ def test_tau_rejects_bad_arguments(faces, market):
     with pytest.raises(ParameterError):
         tau(0, "senior", "senior", -1.0, 0.0, faces, market)
     with pytest.raises(ParameterError):
-        plain_moments(3, 1.0, 0.0, 75.0, market, du=True)
+        plain_moments(3, 1.0, 0.0, 75.0, market, dv=True)
     with pytest.raises(ParameterError):
         plain_moments(1, 1.0, 0.0, 0.0, market)
 
@@ -112,10 +113,11 @@ def test_tau_rejects_bad_arguments(faces, market):
 def test_moment_families_are_ordered(z, u, f_senior, f_junior, market):
     # payoffs are loss fractions in [0, 1], so moments decrease in j
     fc = SubordinationSpec(f_senior, f_junior)
+    s, v = _natural(z, u, market)
     for family in (
-        senior_moments(2, z, u, fc, market),
-        junior_band_moments(2, z, u, fc, market),
-        plain_moments(2, z, u, fc.f_total, market),
+        senior_moments(2, s, v, fc, market),
+        junior_band_moments(2, s, v, fc, market),
+        plain_moments(2, s, v, fc.f_total, market),
     ):
         m0, m1, m2 = (float(m) for m in family[0])
         assert -1e-12 <= m2 <= m1 + 1e-12
@@ -134,9 +136,10 @@ def test_moment_senior_zero_face(market):
 
 @pytest.mark.parametrize("zu", [(0.8, 0.25), (2.0, -0.4), (5.0, 0.05)])
 def test_derivatives_match_finite_differences(zu, faces, market):
+    # the families' slopes are in (s, v); the points are (s, v) here
     z, u = zu
     h = 1e-6
-    # each mean as (m, dm/du, dm/dz) at one point
+    # each mean as (m, dm/dv, dm/ds) at one point
     for mean in (
         lambda zz, uu: [m[1] for m in senior_moments(1, zz, uu, faces, market, True, True)],
         lambda zz, uu: junior_mean_target(zz, uu, faces, market, True, True),
@@ -150,54 +153,56 @@ def test_derivatives_match_finite_differences(zu, faces, market):
         assert float(dfz) == pytest.approx(num_z, rel=2e-5, abs=1e-12)
 
 
-def _separate_du(j, c_pay, f_div, f_bound, z, u, par):
-    """The u-slope of kernel_j (j in {0, 1}) as its own formula, apart from
-    the value: the reference for the one-pass (value, slope) kernels."""
-    a = math.sqrt(par.n_fluct / ((1.0 - par.c) * par.t_mat * par.rho**2))
-    b = math.sqrt(par.c * par.t_mat) * par.rho
+def _separate_dv(j, c_pay, f_div, f_bound, s, v, par):
+    """The v-slope of kernel_j (j in {0, 1}) at (s, v) as its own formula,
+    apart from the value: the reference for the one-pass (value, slope)
+    kernels."""
     g = (1.0 - par.c) * par.t_mat * par.rho**2
-    sqz = np.sqrt(z)
-    a0 = a * ((math.log(f_bound / par.v0) - par.drift_adj * par.t_mat) / sqz + b * u)
-    d0 = norm_pdf(a0) * a * b
+    root_g = math.sqrt(g)
+    b = math.sqrt(par.c * par.t_mat) * par.rho
+    sqs = np.sqrt(s)
+    a0 = (math.log(f_bound / par.v0) - par.drift_adj * par.t_mat) / (root_g * sqs) + b / root_g * v
+    d0 = norm_pdf(a0) * (b / root_g)
     if j == 0:
         return d0
-    e1 = np.exp(z * g / (2.0 * par.n_fluct) - sqz * b * u + par.drift_adj * par.t_mat)
-    a1 = a0 - sqz / a
-    return c_pay * d0 - par.v0 / f_div * e1 * (-sqz * b * ndtr(a1) + norm_pdf(a1) * a * b)
+    e1 = np.exp(0.5 * s * g - sqs * b * v + par.drift_adj * par.t_mat)
+    a1 = a0 - root_g * sqs
+    return c_pay * d0 - par.v0 / f_div * e1 * (-sqs * b * ndtr(a1) + norm_pdf(a1) * (b / root_g))
 
 
 @pytest.mark.parametrize("split", [(37.0, 38.0), (0.0, 75.0)])
 def test_one_pass_kernels_match_separate_formulas(split, market):
     # value and slope from one pass equal the value function and the
-    # separate slope formula within 1 ulp, over the limit solvers' (z, u)
-    # range: z from 1e-6 to the chi-square tail, u on the u bracket
+    # separate slope formula within 1 ulp, over the limit solvers' (s, v)
+    # range: s from 1e-6 / N to the chi-square tail, v on the v bracket
     faces = SubordinationSpec(*split)
     z, u = np.meshgrid(np.geomspace(1e-6, 60.0, 41), np.linspace(-4.9, 4.9, 41))
+    s, v = _natural(z, u, market)
     f_s, f_j, f_t = faces.f_senior, faces.f_junior, faces.f_total
-    junior_du = _separate_du(1, f_t / f_j, f_j, f_t, z, u, market)
+    junior_dv = _separate_dv(1, f_t / f_j, f_j, f_t, s, v, market)
     if f_s > 0:
-        senior_du = _separate_du(1, 1.0, f_s, f_s, z, u, market)
-        junior_du = (
-            _separate_du(0, 1.0, f_s, f_s, z, u, market)
-            + junior_du
-            - _separate_du(1, f_t / f_j, f_j, f_s, z, u, market)
+        senior_dv = _separate_dv(1, 1.0, f_s, f_s, s, v, market)
+        junior_dv = (
+            _separate_dv(0, 1.0, f_s, f_s, s, v, market)
+            + junior_dv
+            - _separate_dv(1, f_t / f_j, f_j, f_s, s, v, market)
         )
     else:
-        senior_du = np.zeros(z.shape)
-    senior = [m[1] for m in senior_moments(1, z, u, faces, market, du=True)[:2]]
-    plain = [m[1] for m in plain_moments(1, z, u, 75.0, market, du=True)[:2]]
+        senior_dv = np.zeros(s.shape)
+    senior = [m[1] for m in senior_moments(1, s, v, faces, market, dv=True)[:2]]
+    plain = [m[1] for m in plain_moments(1, s, v, 75.0, market, dv=True)[:2]]
     cases = [
-        (senior, moment_senior(1, z, u, faces, market), senior_du),
-        (junior_mean_target(z, u, faces, market, du=True)[:2],
-         junior_mean_target(z, u, faces, market)[0], junior_du),
-        (plain, plain_moments(1, z, u, 75.0, market)[0][1],
-         _separate_du(1, 1.0, 75.0, 75.0, z, u, market)),
+        (senior, moment_senior(1, z, u, faces, market), senior_dv),
+        (junior_mean_target(s, v, faces, market, dv=True)[:2],
+         junior_mean_target(s, v, faces, market)[0], junior_dv),
+        (plain, plain_moments(1, s, v, 75.0, market)[0][1],
+         _separate_dv(1, 1.0, 75.0, 75.0, s, v, market)),
     ]
     for (value, slope), want_value, want_slope in cases:
         for got, want in ((value, want_value), (slope, want_slope)):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
-    assert np.count_nonzero(junior_du) > 100
+    assert np.count_nonzero(junior_dv) > 100
 
 
 def test_tau_derivatives_match_finite_differences(faces, market):
@@ -212,9 +217,12 @@ def test_tau_derivatives_match_finite_differences(faces, market):
                 float(tau(j, iota, lam, z + h, u, faces, market))
                 - float(tau(j, iota, lam, z - h, u, faces, market))
             ) / (2 * h)
-            _, du, dz = _pass(j, iota, lam, z, u, faces, market, du=True, dz=True)
-            assert float(du[j]) == pytest.approx(num_u, rel=3e-5, abs=1e-15)
-            assert float(dz[j]) == pytest.approx(num_z, rel=3e-5, abs=1e-15)
+            _, dv, ds = _pass(j, iota, lam, *_natural(z, u, market), faces, market,
+                              dv=True, ds=True)
+            # d/du = sqrt(N) d/dv and d/dz = d/ds / N
+            n = market.n_fluct
+            assert math.sqrt(n) * float(dv[j]) == pytest.approx(num_u, rel=3e-5, abs=1e-15)
+            assert float(ds[j]) / n == pytest.approx(num_z, rel=3e-5, abs=1e-15)
 
 
 def test_kernels_broadcast(faces, market):
@@ -252,6 +260,7 @@ def test_kernels_past_the_exp_range_match_mpmath():
     params = MarketParams(mu=0.17, rho=1.0, c=0.9, n_fluct=1.0, t_mat=1.0, v0=100.0)
     face = 75.0
     # E2's exponent alone passes 709 at the first point, both at the second
+    # at N = 1, (s, v) = (z, u)
     for z, u in ((3000.0, -2.0), (8000.0, -6.0)):
         for j in (1, 2):
             want, exponent = _mp_kernel(j, z, u, face, params)
@@ -259,12 +268,12 @@ def test_kernels_past_the_exp_range_match_mpmath():
             got = plain_moments(j, z, u, face, params)[0][j]
             assert got == pytest.approx(float(want), rel=1e-12)
     z, u = 8000.0, -6.0
-    (_, value), (_, du), _ = plain_moments(1, z, u, face, params, du=True)
+    (_, value), (_, du), _ = plain_moments(1, z, u, face, params, dv=True)
     assert value == plain_moments(1, z, u, face, params)[0][1]
     want_du = mp.diff(lambda v: _mp_kernel(1, z, v, face, params)[0], u)
     assert du == pytest.approx(float(want_du), rel=1e-11)
     want_dz = mp.diff(lambda v: _mp_kernel(1, v, u, face, params)[0], z)
-    dz = plain_moments(1, z, u, face, params, dz=True)[2][1]
+    dz = plain_moments(1, z, u, face, params, ds=True)[2][1]
     assert dz == pytest.approx(float(want_dz), rel=1e-11)
     # an element in range keeps its direct value bit for bit next to one past it
     mixed = plain_moments(2, np.array([1.0, 3000.0]), np.array([0.1, -2.0]), face, params)[0][2]
@@ -282,8 +291,8 @@ def test_nan_lane_keeps_the_overflow_guard_of_its_neighbours():
     for kernel in (
         lambda z, u: plain_moments(1, z, u, face, params)[0][1],
         lambda z, u: plain_moments(2, z, u, face, params)[0][2],
-        lambda z, u: plain_moments(1, z, u, face, params, du=True)[1][1],
-        lambda z, u: plain_moments(1, z, u, face, params, dz=True)[2][1],
+        lambda z, u: plain_moments(1, z, u, face, params, dv=True)[1][1],
+        lambda z, u: plain_moments(1, z, u, face, params, ds=True)[2][1],
     ):
         got, want = kernel(zz, uu), kernel(z, u)
         assert np.isnan(got[0]) and np.isfinite(want) and got[1] == want
@@ -293,71 +302,72 @@ def test_nan_lane_keeps_the_overflow_guard_of_its_neighbours():
 # the one-pass kernel against the per-order formulas it replaced
 
 
-def _ref_kernel(j, c_pay, f_div, f_bound, z, u, par, du=False):
-    """kernel_j by the per-order formula; with ``du`` (j in {0, 1}) the
-    pairs (kernel_i, d kernel_i / du) for i = 0..j."""
-    from portloss.moments import _coeffs, _e_factors, _fhat, _pdf
+def _ref_kernel(j, c_pay, f_div, f_bound, s, v, par, dv=False):
+    """kernel_j by the per-order formula; with ``dv`` (j in {0, 1}) the
+    pairs (kernel_i, d kernel_i / dv) for i = 0..j."""
+    from portloss.moments import _coeffs, _e_factors, _pdf
 
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a_coef, b_coef, g, nu_t = _coeffs(par)
-    sqz = np.sqrt(z)
-    a0 = a_coef * (_fhat(f_bound, par, sqz) + b_coef * u)
+    s = np.asarray(s, dtype=float)
+    v = np.asarray(v, dtype=float)
+    g, b_coef, nu_t = _coeffs(par)
+    root_g = math.sqrt(g)
+    sqs = np.sqrt(s)
+    slope_v = b_coef / root_g
+    a0 = (math.log(f_bound / par.v0) - nu_t) / (root_g * sqs) + slope_v * v
     k0 = ndtr(a0)
-    d0 = norm_pdf(a0) * a_coef * b_coef if du else None
+    d0 = norm_pdf(a0) * slope_v if dv else None
     if j == 0:
-        return [(k0, d0)] if du else k0
+        return [(k0, d0)] if dv else k0
     ratio, bound_ratio = par.v0 / f_div, f_bound / par.v0
-    a1 = a0 - sqz / a_coef
-    e1, p1, big = _e_factors(
-        1, z * g / (2.0 * par.n_fluct) - sqz * b_coef * u + nu_t, a1, a0, ratio, bound_ratio
-    )
+    a1 = a0 - root_g * sqs
+    e1, p1, big = _e_factors(1, 0.5 * s * g - sqs * b_coef * v + nu_t, a1, a0, ratio, bound_ratio)
     k1 = c_pay * k0 - ratio * e1 * p1
-    if du:
-        d1 = c_pay * d0 - ratio * e1 * (-sqz * b_coef * p1 + _pdf(a1, big) * a_coef * b_coef)
+    if dv:
+        d1 = c_pay * d0 - ratio * e1 * (-sqs * b_coef * p1 + _pdf(a1, big) * slope_v)
         return [(k0, d0), (k1, d1)]
     if j == 1:
         return k1
     e2, p2, _ = _e_factors(
-        2, 2.0 * z * g / par.n_fluct - 2.0 * sqz * b_coef * u + 2.0 * nu_t,
-        a0 - 2.0 * sqz / a_coef, a0, ratio, bound_ratio,
+        2, 2.0 * s * g - 2.0 * sqs * b_coef * v + 2.0 * nu_t,
+        a0 - 2.0 * root_g * sqs, a0, ratio, bound_ratio,
     )
     return -(c_pay**2) * k0 + 2.0 * c_pay * k1 + ratio**2 * e2 * p2
 
 
-def _ref_kernel_dz(j, c_pay, f_div, f_bound, z, u, par):
-    """d kernel_j / dz (j in {0, 1}) by its own formula."""
-    from portloss.moments import _coeffs, _e_factors, _fhat, _pdf
+def _ref_kernel_ds(j, c_pay, f_div, f_bound, s, v, par):
+    """d kernel_j / ds (j in {0, 1}) by its own formula."""
+    from portloss.moments import _coeffs, _e_factors, _pdf
 
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a_coef, b_coef, g, nu_t = _coeffs(par)
-    sqz = np.sqrt(z)
-    fh = _fhat(f_bound, par, sqz)
-    a0 = a_coef * (fh + b_coef * u)
-    da0 = a_coef * (-fh / (2.0 * z))
+    s = np.asarray(s, dtype=float)
+    v = np.asarray(v, dtype=float)
+    g, b_coef, nu_t = _coeffs(par)
+    root_g = math.sqrt(g)
+    sqs = np.sqrt(s)
+    fh = (math.log(f_bound / par.v0) - nu_t) / (root_g * sqs)
+    a0 = fh + b_coef / root_g * v
+    da0 = -fh / (2.0 * s)
     d0 = norm_pdf(a0) * da0
     if j == 0:
         return d0
     ratio = par.v0 / f_div
-    a1 = a0 - sqz / a_coef
-    dx1 = g / (2.0 * par.n_fluct) - b_coef * u / (2.0 * sqz)
+    a1 = a0 - root_g * sqs
+    dx1 = 0.5 * g - b_coef * v / (2.0 * sqs)
     e1, p1, big = _e_factors(
-        1, z * g / (2.0 * par.n_fluct) - sqz * b_coef * u + nu_t, a1, a0, ratio,
+        1, 0.5 * s * g - sqs * b_coef * v + nu_t, a1, a0, ratio,
         f_bound / par.v0, np.fmax.reduce(np.abs(dx1), axis=None, initial=0.0),
     )
     de1 = e1 * dx1
-    da1 = da0 - 1.0 / (2.0 * a_coef * sqz)
+    da1 = da0 - root_g / (2.0 * sqs)
     return c_pay * d0 - ratio * (de1 * p1 + e1 * _pdf(a1, big) * da1)
 
 
-def _ref_family(args, z, u, par):
-    """([kernel_0..2], [du_0, du_1], [dz_0, dz_1]) of one (c_pay, f_div,
+def _ref_family(args, s, v, par):
+    """([kernel_0..2], [dv_0, dv_1], [ds_0, ds_1]) of one (c_pay, f_div,
     f_bound) by the per-order formulas."""
     return (
-        [_ref_kernel(j, *args, z, u, par) for j in (0, 1, 2)],
-        [_ref_kernel(1, *args, z, u, par, du=True)[j][1] for j in (0, 1)],
-        [_ref_kernel_dz(j, *args, z, u, par) for j in (0, 1)],
+        [_ref_kernel(j, *args, s, v, par) for j in (0, 1, 2)],
+        [_ref_kernel(1, *args, s, v, par, dv=True)[j][1] for j in (0, 1)],
+        [_ref_kernel_ds(j, *args, s, v, par) for j in (0, 1)],
     )
 
 
@@ -368,50 +378,53 @@ def _assert_same_bits(got, want):
 
 @pytest.mark.parametrize("split", [(37.0, 38.0), (0.0, 75.0)])
 def test_one_pass_families_match_per_order_formulas_bit_for_bit(split, market):
-    # every order, u-slope and z-slope of each family, over the limit
-    # solvers' (z, u) range: z from 1e-6 to the chi-square tail, u across
-    # the u bracket
+    # every order, v-slope and s-slope of each family, over the limit
+    # solvers' (s, v) range: z from 1e-6 to the chi-square tail, v across
+    # the v bracket
     faces = SubordinationSpec(*split)
     rng = np.random.default_rng(23)
     half = 12.0 / math.sqrt(market.n_fluct)
     z = np.concatenate([np.geomspace(1e-6, 60.0, 200), rng.uniform(1e-6, 60.0, 300)])
     u = rng.uniform(-half, half, z.shape)
+    s, v = _natural(z, u, market)
     f_s, f_j, f_t = faces.f_senior, faces.f_junior, faces.f_total
-    full = _ref_family((f_t / f_j, f_j, f_t), z, u, market)
-    plain = _ref_family((1.0, 75.0, 75.0), z, u, market)
+    full = _ref_family((f_t / f_j, f_j, f_t), s, v, market)
+    plain = _ref_family((1.0, 75.0, 75.0), s, v, market)
     if f_s > 0:
-        senior = _ref_family((1.0, f_s, f_s), z, u, market)
-        cut = _ref_family((f_t / f_j, f_j, f_s), z, u, market)
+        senior = _ref_family((1.0, f_s, f_s), s, v, market)
+        cut = _ref_family((f_t / f_j, f_j, f_s), s, v, market)
         band = tuple([a - b for a, b in zip(f, c)] for f, c in zip(full, cut))
         target = (senior[0][0] + (full[0][1] - cut[0][1]),
                   senior[1][0] + full[1][1] - cut[1][1],
                   senior[2][0] + full[2][1] - cut[2][1])
     else:
-        zero = np.zeros(z.shape)
+        zero = np.zeros(s.shape)
         senior = ([zero] * 3, [zero] * 2, [zero] * 2)
         band = full
         target = tuple(f[1] for f in full)
     cases = [
-        (lambda *flags: senior_moments(2, z, u, faces, market, *flags), senior),
-        (lambda *flags: junior_band_moments(2, z, u, faces, market, *flags), band),
-        (lambda *flags: plain_moments(2, z, u, 75.0, market, *flags), plain),
+        (lambda *flags: senior_moments(2, s, v, faces, market, *flags), senior),
+        (lambda *flags: junior_band_moments(2, s, v, faces, market, *flags), band),
+        (lambda *flags: plain_moments(2, s, v, 75.0, market, *flags), plain),
     ]
     for family, want in cases:
         for flags in ((), (True, False), (False, True), (True, True)):
-            values, du, dz = family(*flags)
+            values, dv, ds = family(*flags)
             for got, ref in zip(values, want[0]):
                 _assert_same_bits(got, ref)
-            for asked, got, ref in zip(flags or (False, False), (du, dz), want[1:]):
+            for asked, got, ref in zip(flags or (False, False), (dv, ds), want[1:]):
                 if not asked:
                     assert got is None
                     continue
                 for g, r in zip(got, ref):
                     _assert_same_bits(g, r)
-    m, du, dz = junior_mean_target(z, u, faces, market, du=True, dz=True)
-    for got, ref in zip((m, du, dz), target):
+    m, dv, ds = junior_mean_target(s, v, faces, market, dv=True, ds=True)
+    for got, ref in zip((m, dv, ds), target):
         _assert_same_bits(got, ref)
-    assert junior_mean_target(z, u, faces, market)[1:] == (None, None)
-    _assert_same_bits(junior_mean_target_du(z, u, faces, market), target[1])
+    assert junior_mean_target(s, v, faces, market)[1:] == (None, None)
+    # the one-point slope at the model's (z, u) is sqrt(N) d/dv
+    _assert_same_bits(junior_mean_target_du(z, u, faces, market),
+                      math.sqrt(market.n_fluct) * target[1])
 
 
 def _count_kernel_passes(monkeypatch):
@@ -449,12 +462,12 @@ def test_callers_take_one_pass_per_payoff_and_boundary(market, faces, halves, qu
     # a joint Newton step started on a solved crossing stays in its bracket:
     # two evaluations, each one senior and two junior passes with both slopes
     x, y = 0.02, 0.4
-    z0, u0, _ = limits.solve_z0(x, y, faces, market)
+    s0, v0 = _natural(*limits.solve_z0(x, y, faces, market)[:2], market)
     monkeypatch.setattr(limits, "_JOINT_STEPS", 1)
     passes.clear()
     *_, ok = limits._joint_newton(
-        np.array([x]), np.array([y]), np.array([z0]), np.array([u0]),
-        np.array([z0 - 0.5]), np.array([z0 + 0.5]), faces, market,
+        np.array([x]), np.array([y]), np.array([s0]), np.array([v0]),
+        np.array([s0 - 0.1]), np.array([s0 + 0.1]), faces, market,
     )
     assert passes == [1] * 6 and ok[0]
 
@@ -471,7 +484,7 @@ def test_crossing_record_keeps_the_verified_pass(market, faces, monkeypatch):
 
     # the adaptive rule's crossing points take the slice moments alone, the
     # Jacobians coming from the crossing record
-    crossings, u_roots = limits._sub_crossings, limits._sub_u_roots
+    crossings, v_roots = limits._sub_crossings, limits._sub_v_roots
     since_crossings = []
 
     def solved(*args):
@@ -481,13 +494,13 @@ def test_crossing_record_keeps_the_verified_pass(market, faces, monkeypatch):
 
     def localized(*args):
         since_crossings.append(len(passes))
-        return u_roots(*args)
+        return v_roots(*args)
 
     monkeypatch.setattr(limits, "_sub_crossings", solved)
-    monkeypatch.setattr(limits, "_sub_u_roots", localized)
+    monkeypatch.setattr(limits, "_sub_v_roots", localized)
     sc = SubordinatedScenario(k_obligors=2000, tranches=faces, params=market)
     density_subordinated(0.0155, 0.4, sc, QuadratureSpec(mode="adaptive"))
-    # the last u solve is the localized z panels', after the crossing points
+    # the last v solve is the localized s panels', after the crossing points
     assert since_crossings[-1] == 3
 
     # the plain roots' residual pass also gives the finite side's m1 and m2:

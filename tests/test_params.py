@@ -44,7 +44,7 @@ def test_n_fluct_floor_is_where_the_chi_square_rule_holds():
     from portloss.params import N_FLUCT_MIN
     from portloss.quadrature import chi2_nodes
 
-    build = chi2_nodes.__wrapped__  # uncached, so the cache keeps its entries
+    build = chi2_nodes  # builds a fresh rule each call
     base = dict(mu=0.17, rho=0.35, c=0.28, t_mat=1.0, v0=100.0)
     assert MarketParams(n_fluct=N_FLUCT_MIN, **base).n_fluct == N_FLUCT_MIN
     for count in (8, 64, 512):

@@ -10,7 +10,7 @@ from scipy import integrate
 import portloss
 
 from portloss import ParameterError, QuadratureSpec
-from portloss.quadrature import chi2_log_weight, chi2_nodes, gauss_nodes
+from portloss.quadrature import _scale_rule, chi2_log_weight, chi2_nodes, gauss_nodes
 
 
 def test_spec_validation():
@@ -54,6 +54,28 @@ def test_chi2_rule_is_finite_for_every_count_and_dof(n_fluct, count):
     assert abs(w.sum() - 1.0) <= 1e-13
     assert np.dot(w, z) == pytest.approx(n_fluct, rel=1e-12)
     assert np.dot(w, z**2) == pytest.approx(n_fluct * (n_fluct + 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("count", [8, 64, 512])
+def test_scale_rule_is_finite_at_every_n(count):
+    # the rule for s = z / N; in z the Laguerre off-diagonal k (k + a)
+    # overflowed at 1.7e308, and at 1e300 every Christoffel sum overflowed,
+    # leaving weights of 0 / 0
+    for n_fluct in (1e-4, 6, 1e8, 1e17, 1e30, 1e100, 1e300, 1.7e308):
+        s, w = _scale_rule.__wrapped__(n_fluct, count)
+        assert np.all(s > 0) and np.all(np.isfinite(w)) and np.all(w >= 0)
+        assert abs(w.sum() - 1.0) <= 1e-13
+        assert np.dot(w, s) == pytest.approx(1.0, rel=1e-12)
+        var = np.dot(w, (s - 1.0) ** 2)
+        if n_fluct <= 1e17:
+            assert var == pytest.approx(2.0 / n_fluct, rel=1e-6)
+        else:
+            # the spread sqrt(2/N) falls below the rounding of 1 from about
+            # 1e30: the nodes gather at 1, which is the law of s there
+            assert var <= 2.0 / n_fluct + 1e-30
+    # the Gaussian rule in u is the standard normal rule over sqrt(N)
+    u, w = gauss_nodes(1.7e308, count)
+    assert np.all(np.isfinite(u)) and np.dot(w, (u * math.sqrt(1.7e308)) ** 2) == pytest.approx(1.0)
 
 
 def test_chi2_rule_matches_scipy_where_scipy_is_finite():
@@ -107,7 +129,7 @@ def test_gauss_rule_moments(n_fluct):
 @pytest.fixture(scope="module")
 def gauss_rules():
     """The Gaussian rule at N = 6 for every count the schema allows."""
-    return {count: gauss_nodes.__wrapped__(6, count) for count in range(8, 513)}
+    return {count: gauss_nodes(6, count) for count in range(8, 513)}
 
 
 def test_gauss_rule_is_finite_for_every_count(gauss_rules):
@@ -135,6 +157,20 @@ def test_gauss_rule_matches_hermgauss_where_hermgauss_is_finite(gauss_rules):
         np.testing.assert_allclose(w[big], w_ref[big], rtol=1e-13, atol=0.0)
         compared += 1
     assert compared == 56 + 7
+
+
+def test_chi2_log_weight_keeps_its_digits_at_large_n():
+    # the direct form's terms grow like N log N: at N = 1e14 their rounding
+    # moved the log density by 0.12, at 1e16 by 10; what is left is the
+    # rounding of z itself, N/2 |s - 1| 1e-16
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for n_fluct in (1e8, 1e12, 1e14, 1e16):
+        for k in (-6.0, -1.0, 0.0, 2.0, 6.0):
+            z = n_fluct * (1.0 + k * math.sqrt(2.0 / n_fluct))
+            half, zz = mp.mpf(n_fluct) / 2, mp.mpf(z)
+            want = (half - 1) * mp.log(zz) - zz / 2 - half * mp.log(2) - mp.loggamma(half)
+            assert float(chi2_log_weight(z, n_fluct)) == pytest.approx(float(want), abs=1e-6)
 
 
 def test_chi2_log_weight_normalizes():

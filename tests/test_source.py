@@ -144,6 +144,9 @@ def test_every_private_class_field_is_read_by_package_code():
 DOCUMENTED_API = {
     "engine.density_subordinated": "the README quick start evaluates one point with it",
     "engine.mass_accounting": "the normalization audit that a run's sidecar is to report",
+    "engine.gaussian_moment_terms": "perfbench/micro.py times the tranched node-table build",
+    "quadrature.chi2_nodes": "perfbench/micro.py times the rule builds in the model's z",
+    "quadrature.gauss_nodes": "perfbench/micro.py times the rule builds in the model's u",
     "limits.density_limit_subordinated": "acceptance 07 takes the ridge limit at single points",
     "moments.tau": "acceptance 04 checks each payoff/boundary kernel against quadrature",
     "moments.moment_senior": "perfbench/micro.py times the one-point and vector kernel calls",
