@@ -104,8 +104,10 @@ class DensityGrid:
 
 
 def cell_centers(n_cells: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Centers of n_cells equal cells spanning [lo, hi]."""
+    """Centers of n_cells equal cells spanning [lo, hi].  A center is half
+    of one edge plus half of the next, the halved sum bit for bit but at
+    subnormal edges, so it cannot overflow."""
     if n_cells < 2:
         raise ParameterError("need at least 2 cells")
     edges = np.linspace(lo, hi, n_cells + 1)
-    return 0.5 * (edges[:-1] + edges[1:])
+    return 0.5 * edges[:-1] + 0.5 * edges[1:]

@@ -31,9 +31,9 @@ also gives what is read at it: the crossing record keeps each cell's
 (s, v), mean Jacobians and separation slope.  Roots are searched on v in
 [-12, 12] and s in [1e-6 / N, Gamma quantile 1 - 1e-10]; outside these
 brackets the weights are below anything that could move a six-digit
-result, and the density is treated as exactly zero.  Near the n_fluct
-floor that quantile is not above 1e-6 / N: the crossing solve refuses it.
-At large N the crossings gather on the curve s = 1, the ridge's support
+result, and the density is treated as exactly zero.  From the n_fluct
+floor up, that quantile is at least 13 / N, so the s bracket is never
+empty.  At large N the crossings gather on the curve s = 1, the ridge's support
 grows thinner than a grid cell, and a cell-centre grid of its density
 would miss it: :func:`_check_ridge_support` refuses such an N.
 
@@ -378,19 +378,6 @@ def _check_ridge_faces(faces: SubordinationSpec):
         )
 
 
-def _check_s_bracket(params: MarketParams):
-    """The s bracket of the crossing scan, refused where it is empty: near
-    the n_fluct floor its upper end, a Gamma quantile, underflows."""
-    s_lo, s_hi = _s_bracket(params)
-    if not s_hi > s_lo:
-        raise ParameterError(
-            f"n_fluct = {params.n_fluct:.6g} leaves the crossing scan no z range: "
-            f"its chi-square quantile {params.n_fluct * s_hi:.6g} is not above 1e-06",
-            field="n_fluct",
-        )
-    return s_lo, s_hi
-
-
 def _check_ridge_support(faces: SubordinationSpec, params: MarketParams, n_cells, lo, hi):
     """Refuse an N at which the ridge's support is thinner than one grid
     cell.  A cell-centre density is the weight of s at the crossing over
@@ -407,10 +394,13 @@ def _check_ridge_support(faces: SubordinationSpec, params: MarketParams, n_cells
     s = np.array([[gammaincinv(half, tiny)], [gammainccinv(half, tiny)]]) / half
     s = np.fmax(s, _s_bracket(params)[0])
     v = np.linspace(-_V_HALF, _V_HALF, 97)
-    width = max(
-        float(np.max(np.abs(np.diff(mean(s, v)[0], axis=0))))
-        for mean in (_senior_mean(faces, params), _junior_mean(faces, params))
-    )
+    # a drift or horizon that sends the kernels past the float range
+    # saturates the means, which leaves the support as thin as it is
+    with np.errstate(over="ignore"):
+        width = max(
+            float(np.max(np.abs(np.diff(mean(s, v)[0], axis=0))))
+            for mean in (_senior_mean(faces, params), _junior_mean(faces, params))
+        )
     cell = (hi - lo) / n_cells
     if not width >= cell:
         raise ParameterError(
@@ -504,7 +494,7 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     back to :func:`_nested_crossings`.
     """
     _check_ridge_faces(faces)
-    s_lo, s_hi = _check_s_bracket(params)
+    s_lo, s_hi = _s_bracket(params)
     xs, ys = np.atleast_1d(np.asarray(xs, dtype=float)), np.atleast_1d(np.asarray(ys, dtype=float))
     ss = np.linspace(s_lo, s_hi, n_scan)
     vs_tab, vj_tab = _sub_v_roots(xs[:, None], ys[:, None], ss, faces, params)

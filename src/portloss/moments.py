@@ -106,7 +106,7 @@ def _e_factors(j, exponent, a_j, a0, ratio, bound_ratio, factor=1.0):
     kernel_j, with E_j = exp(exponent), and the mask of the elements where
     they are rescaled (None where there are none).
 
-    Where the term can overflow, with exponent + j max(0, log ratio) +
+    Where the term can overflow, with exponent + j log max(1, ratio) +
     log max(1, factor) above ``_EXP_MAX``, an element gets
     (E_j phi(a_j), Phi(a_j) / phi(a_j)) instead, and phi(a_j) is 1 there
     (:func:`_pdf`), so every term ratio^j E_j (alpha Phi(a_j) +
@@ -119,7 +119,7 @@ def _e_factors(j, exponent, a_j, a0, ratio, bound_ratio, factor=1.0):
     element needs this; the other elements keep the direct factors, bit
     for bit.
     """
-    margin = j * max(0.0, math.log(ratio)) + math.log(max(1.0, factor))
+    margin = j * math.log(max(1.0, ratio)) + math.log(max(1.0, factor))
     if not np.fmax.reduce(exponent, axis=None, initial=-np.inf) + margin > _EXP_MAX:
         return np.exp(exponent), ndtr(a_j), None
     big = exponent + margin > _EXP_MAX

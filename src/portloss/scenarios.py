@@ -1,20 +1,23 @@
 """Scenario documents: schema, validation, bundled recipes and the runner.
 
 A scenario is a JSON document selecting one computation mode plus its
-parameter blocks.  Resolving a document merges the mode defaults under it,
-checks it against the mode schema and then builds it: each mode is one
-function that turns the document into the domain objects it needs and
-returns its jobs, each a zero-argument callable that computes one
+parameter blocks.  Each mode is declared once, in ``_MODES``: its mode
+function, its required blocks and its blocks in schema order, each with
+its default where it has one; ``MODES``, each mode's document schema and
+its defaults all derive from that table.  Resolving a document merges the
+mode defaults under it, checks it against the mode schema and then builds
+it: the mode function turns the document into the domain objects it needs
+and returns its jobs, each a zero-argument callable that computes one
 artifact, writes it and returns its record.  The mode schemas are JSON
 Schema dicts, checked by ``_schema_check``, which knows only the keywords
 they use and reports the first fault in a fixed order.  The schema states
 only types for a block that becomes a domain object, whose constructor
-owns every range.  ``validate`` calls the mode function and drops the
-jobs, so it builds exactly what ``run`` builds and computes nothing, and a
-domain error is reported at the JSON pointer of the block that supplied
-the value.  ``run`` runs the jobs in order; the CSV/JSON artifacts embed
-the resolved document and its fingerprint so a rerun can be checked byte
-for byte.
+owns every range.  ``validate`` and ``run`` share one build: ``validate``
+drops its jobs, so it builds exactly what ``run`` builds and computes
+nothing, and ``run`` runs the jobs of the build that validated the
+document.  A domain error is reported at the JSON pointer of the block
+that supplied the value.  The CSV/JSON artifacts embed the resolved
+document and its fingerprint so a rerun can be checked byte for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import os
 import re
 from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,12 +43,7 @@ from .grids import (
     scenario_fingerprint,
     write_csv,
 )
-from .limits import (
-    _check_ridge_faces,
-    _check_ridge_support,
-    _check_s_bracket,
-    _open_unit_centers,
-)
+from .limits import _check_ridge_faces, _check_ridge_support, _open_unit_centers
 from .mc import McConfig, _check_wishart_budget, _wishart_dof
 from .moments import plain_moments
 from .params import (
@@ -65,20 +64,6 @@ __all__ = [
     "bundled_scenarios",
     "run_scenario",
 ]
-
-MODES = (
-    "subordinated",
-    "nosub",
-    "nosub-multimarket",
-    "limit-subordinated",
-    "limit-equal",
-    "limit-finite-vs-infinite",
-    "limit-two-markets",
-    "no-default",
-    "correlation-sweep",
-    "calibrate",
-    "mc-validate",
-)
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
@@ -144,168 +129,6 @@ _GRID_SCHEMA = _block(
 )
 
 
-def _out_schema(*keys):
-    return _block({k: {"type": "string", "minLength": 1} for k in keys}, keys)
-
-
-def _doc_schema(extra_props, required):
-    props = {
-        # resolve_scenario has already refused every other version
-        "schema_version": {},
-        "id": {"type": "string", "pattern": r"^[A-Za-z0-9_\-]+$"},
-        "title": {"type": "string"},
-        "mode": {"enum": list(MODES)},
-    }
-    props.update(extra_props)
-    return _block(props, ["schema_version", "mode"] + list(required))
-
-
-_MODE_SCHEMAS = {
-    "subordinated": _doc_schema(
-        {
-            "market": _MARKET_SCHEMA,
-            "portfolio": _block({"k_obligors": _K_ONE_OR_MANY}, ["k_obligors"]),
-            "tranches": _TRANCHES_SCHEMA,
-            "grid": _GRID_SCHEMA,
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("density"),
-        },
-        ["portfolio", "tranches"],
-    ),
-    "nosub": _doc_schema(
-        {
-            "market": _MARKET_SCHEMA,
-            "portfolio": _plain_portfolio_schema(_K_ONE_OR_MANY),
-            "grid": _GRID_SCHEMA,
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("density"),
-        },
-        ["portfolio"],
-    ),
-    "nosub-multimarket": _doc_schema(
-        {
-            "markets": {
-                "type": "array",
-                "items": _block(
-                    dict(_MARKET_SCHEMA["properties"], k_obligors=_INT), ["k_obligors"]
-                ),
-            },
-            "face": _NUM,
-            "creditors": {"enum": ["total", "per-market"]},
-            "tails": {"type": "array", "items": _FRAC},
-            "grid": _GRID_SCHEMA,
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("density"),
-        },
-        ["markets"],
-    ),
-    "limit-subordinated": _doc_schema(
-        {
-            "market": _MARKET_SCHEMA,
-            "tranches": _TRANCHES_SCHEMA,
-            "scan": _block({"n_scan": {"type": "integer", "minimum": 16, "maximum": 1024}}),
-            "grid": _GRID_SCHEMA,
-            "outputs": _out_schema("density"),
-        },
-        ["tranches"],
-    ),
-    "limit-equal": _doc_schema(
-        {
-            "market": _MARKET_SCHEMA,
-            "face": _POS,
-            "grid": _GRID_SCHEMA,
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("curve"),
-        },
-        ["face"],
-    ),
-    "limit-finite-vs-infinite": _doc_schema(
-        {
-            "market": _MARKET_SCHEMA,
-            "face": _POS,
-            "r_one": {"type": "integer", "minimum": 2},
-            "grid": _GRID_SCHEMA,
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("density"),
-        },
-        ["face", "r_one"],
-    ),
-    "limit-two-markets": _doc_schema(
-        {
-            "market_one": _MARKET_SCHEMA,
-            "market_two": _MARKET_SCHEMA,
-            "face_one": _POS,
-            "face_two": _POS,
-            "grid": _GRID_SCHEMA,
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("density"),
-        },
-        ["face_one", "face_two"],
-    ),
-    "no-default": _doc_schema(
-        {
-            "market": _MARKET_SCHEMA,
-            "face": _POS,
-            "k_values": {"type": "array", "items": _POSINT, "minItems": 1},
-            "mu_values": {"type": "array", "items": _NUM, "minItems": 1},
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("table"),
-        },
-        ["face", "k_values"],
-    ),
-    "correlation-sweep": _doc_schema(
-        {
-            "market": _MARKET_SCHEMA,
-            "portfolio": _block(
-                {"k_values": {"type": "array", "items": _INT, "minItems": 1}, "face": _NUM},
-                ["k_values"],
-            ),
-            "c_values": {"type": "array", "items": _NUM, "minItems": 1},
-            "method": {"enum": ["analytic", "mc"]},
-            "mc": _MC_SCHEMA,
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("table"),
-        },
-        ["portfolio", "c_values"],
-    ),
-    "calibrate": _doc_schema(
-        {
-            "source": _block(
-                {
-                    "kind": {"enum": ["synthetic", "csv"]},
-                    "market": _MARKET_SCHEMA,
-                    "k_assets": {"type": "integer", "minimum": 1},
-                    "m_samples": {"type": "integer", "minimum": 10},
-                    "rng_seed": {"type": "integer", "minimum": 0},
-                    "path": {"type": "string"},
-                },
-                ["kind"],
-            ),
-            "fit": _block(
-                {
-                    "grid_lo": _POS,
-                    "grid_hi": _POS,
-                    "grid_points": {"type": "integer", "minimum": 3, "maximum": 512},
-                }
-            ),
-            "outputs": _out_schema("report"),
-        },
-        ["source"],
-    ),
-    "mc-validate": _doc_schema(
-        {
-            "market": _MARKET_SCHEMA,
-            "portfolio": _plain_portfolio_schema(_INT),
-            "tranches": _TRANCHES_SCHEMA,
-            "min_mass": _POS,
-            "mc": _MC_SCHEMA,
-            "quadrature": _QUAD_SCHEMA,
-            "outputs": _out_schema("report"),
-        },
-        ["portfolio"],
-    ),
-}
-
 _DEFAULT_MARKET = {
     "mu": 0.17,
     "rho": 0.35,
@@ -314,96 +137,26 @@ _DEFAULT_MARKET = {
     "t_mat": 1.0,
     "v0": 100.0,
 }
-_DEFAULT_GRID = {"n_cells": 101, "lo": 0.0, "hi": 1.0}
 
 
-def _field_defaults(cls, schema: dict) -> dict:
-    """The dataclass defaults of the fields a document may set."""
-    return {f.name: f.default for f in dataclasses.fields(cls) if f.name in schema["properties"]}
+def _with_field_defaults(cls, schema: dict) -> tuple:
+    """``schema`` paired with the dataclass defaults of the fields it lets
+    a document set."""
+    fields = dataclasses.fields(cls)
+    return schema, {f.name: f.default for f in fields if f.name in schema["properties"]}
 
 
-_DEFAULT_QUAD = _field_defaults(QuadratureSpec, _QUAD_SCHEMA)
-_DEFAULT_MC = _field_defaults(McConfig, _MC_SCHEMA)
+# blocks that several modes declare, each a (schema, default) pair
+_MARKET = (_MARKET_SCHEMA, _DEFAULT_MARKET)
+_GRID = (_GRID_SCHEMA, {"n_cells": 101, "lo": 0.0, "hi": 1.0})
+_QUAD = _with_field_defaults(QuadratureSpec, _QUAD_SCHEMA)
+_MC = _with_field_defaults(McConfig, _MC_SCHEMA)
 
-_MODE_DEFAULTS = {
-    "subordinated": {
-        "market": _DEFAULT_MARKET,
-        "grid": _DEFAULT_GRID,
-        "quadrature": _DEFAULT_QUAD,
-        "outputs": {"density": "subordinated_density_k{k}.csv"},
-    },
-    "nosub": {
-        "market": _DEFAULT_MARKET,
-        "portfolio": {"face": 75.0, "layout": "halves"},
-        "grid": _DEFAULT_GRID,
-        "quadrature": _DEFAULT_QUAD,
-        "outputs": {"density": "nosub_density_k{k}.csv"},
-    },
-    "nosub-multimarket": {
-        "face": 75.0,
-        "creditors": "per-market",
-        "tails": [],
-        "grid": _DEFAULT_GRID,
-        "quadrature": dict(_DEFAULT_QUAD, u_nodes=24),
-        "outputs": {"density": "multimarket_density.csv"},
-    },
-    "limit-subordinated": {
-        "market": _DEFAULT_MARKET,
-        "scan": {"n_scan": 96},
-        "grid": _DEFAULT_GRID,
-        "outputs": {"density": "limit_subordinated.csv"},
-    },
-    "limit-equal": {
-        "market": _DEFAULT_MARKET,
-        "grid": {"n_cells": 201, "lo": 1e-3, "hi": 1.0 - 1e-3},
-        "quadrature": _DEFAULT_QUAD,
-        "outputs": {"curve": "limit_equal_curve.csv"},
-    },
-    "limit-finite-vs-infinite": {
-        "market": _DEFAULT_MARKET,
-        "grid": _DEFAULT_GRID,
-        "quadrature": _DEFAULT_QUAD,
-        "outputs": {"density": "limit_finite_vs_infinite.csv"},
-    },
-    "limit-two-markets": {
-        "market_one": _DEFAULT_MARKET,
-        "market_two": _DEFAULT_MARKET,
-        "grid": _DEFAULT_GRID,
-        "quadrature": _DEFAULT_QUAD,
-        "outputs": {"density": "limit_two_markets.csv"},
-    },
-    "no-default": {
-        "market": _DEFAULT_MARKET,
-        "quadrature": _DEFAULT_QUAD,
-        "outputs": {"table": "no_default.csv"},
-    },
-    "correlation-sweep": {
-        "market": _DEFAULT_MARKET,
-        "portfolio": {"face": 75.0},
-        "method": "analytic",
-        "mc": _DEFAULT_MC,
-        "quadrature": _DEFAULT_QUAD,
-        "outputs": {"table": "correlation_sweep.csv"},
-    },
-    "calibrate": {
-        "source": {
-            "market": _DEFAULT_MARKET,
-            "k_assets": 20,
-            "m_samples": 5000,
-            "rng_seed": 0,
-        },
-        "fit": {"grid_lo": 1.0, "grid_hi": 128.0, "grid_points": 57},
-        "outputs": {"report": "calibration_report.json"},
-    },
-    "mc-validate": {
-        "market": _DEFAULT_MARKET,
-        "portfolio": {"face": 75.0, "layout": "halves"},
-        "min_mass": 1e-5,
-        "mc": _DEFAULT_MC,
-        "quadrature": _DEFAULT_QUAD,
-        "outputs": {"report": "mc_validation.json"},
-    },
-}
+
+def _outputs(**paths) -> tuple:
+    """The ``outputs`` block of a mode whose artifacts are ``paths``: each
+    key a required non-empty string, with ``paths`` as its default."""
+    return _block({k: {"type": "string", "minLength": 1} for k in paths}, paths), paths
 
 
 def _deep_merge(base, over):
@@ -508,16 +261,9 @@ def _schema_check(value, schema: dict, path=()):
                 _schema_check(value[key], sub, path + (key,))
 
 
-def resolve_scenario(doc: dict) -> dict:
-    """Validate a scenario document and fill defaults.
-
-    Merges the mode defaults under the document, checks it against the
-    mode schema, builds it with the mode function, dropping the jobs that
-    ``run_scenario`` runs, and rejects non-finite numbers.  Returns a new
-    fully populated document; raises ScenarioError with a JSON pointer for
-    schema violations, for domain errors (at the block that supplied the
-    value) and for non-finite numbers.
-    """
+def _resolve(doc: dict, out_dir: str = ""):
+    """The resolved document and the jobs of its one build, which write
+    under ``out_dir``; see :func:`resolve_scenario`."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object", pointer="/")
     mode = doc.get("mode")
@@ -530,15 +276,29 @@ def resolve_scenario(doc: dict) -> dict:
             f"unsupported schema_version {doc['schema_version']!r}",
             pointer="/schema_version",
         )
-    merged = _deep_merge(_MODE_DEFAULTS[mode], doc)
+    schema, defaults = _DOCUMENTS[mode]
+    merged = _deep_merge(defaults, doc)
     merged.setdefault("schema_version", SCHEMA_VERSION)
     merged.setdefault("id", "custom")
-    _schema_check(merged, _MODE_SCHEMAS[mode])
-    _BUILDERS[mode](merged)
+    _schema_check(merged, schema)
+    jobs = _MODES[mode].build(merged, out_dir)
     bad = _first_non_finite(merged)
     if bad is not None:
         raise ScenarioError("numbers must be finite", pointer=_pointer(bad))
-    return merged
+    return merged, jobs
+
+
+def resolve_scenario(doc: dict) -> dict:
+    """Validate a scenario document and fill defaults.
+
+    Merges the mode defaults under the document, checks it against the
+    mode schema, builds it with the mode function, dropping the jobs that
+    ``run_scenario`` runs, and rejects non-finite numbers.  Returns a new
+    fully populated document; raises ScenarioError with a JSON pointer for
+    schema violations, for domain errors (at the block that supplied the
+    value) and for non-finite numbers.
+    """
+    return _resolve(doc)[0]
 
 
 def validate_scenario(doc: dict) -> dict:
@@ -560,13 +320,14 @@ def validate_scenario(doc: dict) -> dict:
 # resolved document into the domain objects the mode needs and returns the
 # mode's jobs.  A job is a zero-argument callable that computes one
 # artifact, writes it under ``out_dir`` and returns its record; nothing is
-# computed outside a job.  resolve_scenario calls the mode function to
-# check the document and drops the jobs, and run_scenario runs them, so
-# ``validate`` accepts exactly what ``run`` builds.  A mode function adds
-# only the checks that no domain constructor makes, and makes them in a
-# fixed order, so a document with several faults is always rejected at the
-# same pointer.  Jobs look up the engine, limits, mc and calibration entry
-# points as module attributes when they run.
+# computed outside a job.  _resolve calls the mode function once per
+# document: resolve_scenario drops the jobs and run_scenario runs them, so
+# ``validate`` accepts exactly what ``run`` builds, and a run builds its
+# document once.  A mode function adds only the checks that no domain
+# constructor makes, and makes them in a fixed order, so a document with
+# several faults is always rejected at the same pointer.  Jobs look up the
+# engine, limits, mc and calibration entry points as module attributes when
+# they run.  The mode functions are declared in ``_MODES``, after them.
 
 
 def _build(pointer: str, make, *args, **kwargs):
@@ -732,12 +493,11 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
 
 def _check_ridge(tranches: SubordinationSpec, params: MarketParams, cells: dict):
     """Refuse what the senior/junior crossing solve refuses: f_senior = 0
-    or a junior face too thin to solve for, and a market whose z scan is
-    empty; and an N whose ridge is thinner than a cell of the grid, which
-    the crossings of the ridge and of the adaptive rule would miss."""
+    or a junior face too thin to solve for; and an N whose ridge is thinner
+    than a cell of the grid, which the crossings of the ridge and of the
+    adaptive rule would miss."""
     field = "f_senior" if tranches.f_senior == 0 else "f_junior"
     _build(f"/tranches/{field}", _check_ridge_faces, tranches)
-    _build("/market", _check_s_bracket, params)
     _build("/market", _check_ridge_support, tranches, params, **cells)
 
 
@@ -819,8 +579,8 @@ def _limit_subordinated(sc, out_dir=""):
     tranches = _build("/tranches", SubordinationSpec, **sc["tranches"])
     params = _build("/market", MarketParams, **sc["market"])
     cells, n_scan = _grid(sc), int(sc["scan"]["n_scan"])
-    _check_ridge(tranches, params, cells)
     _check_tranche_faces(tranches, params)
+    _check_ridge(tranches, params, cells)
     return [
         _grid_job(
             sc, _output(sc, "density", out_dir),
@@ -906,12 +666,35 @@ def _check_defaults(face: float, params: MarketParams, quad: QuadratureSpec):
     the smaller factor of the horizon variance rho^2 t_mat."""
     s, _ = _scale_rule(params.n_fluct, quad.z_nodes)
     v, _ = _normal_rule(quad.u_nodes)
-    if not np.any(plain_moments(0, s[:, None], v, face, params)[0][0]):
+    # a default boundary past the float range saturates Phi at 0 or 1
+    with np.errstate(over="ignore"):
+        defaults = plain_moments(0, s[:, None], v, face, params)[0][0]
+    if not np.any(defaults):
         raise ParameterError(
             "no node of the quadrature rule defaults at the horizon volatility rho "
             f"sqrt(t_mat) = {params.rho * math.sqrt(params.t_mat):.3g}, so the loss "
             "variances vanish and the correlation is undefined",
             field="rho" if params.rho**2 <= params.t_mat else "t_mat",
+        )
+
+
+# The largest chance that the samples of an mc sweep cell show no default
+# in one half, whose sampled loss variance would then vanish and leave the
+# correlation undefined.
+_SILENT_HALF_MAX = 1e-9
+
+
+def _check_sampled_defaults(k: int, face: float, params: MarketParams, quad, n_samples: int):
+    """Refuse an mc sweep cell of ``k`` obligors whose ``n_samples`` show no
+    default in one half with a chance, P(no default among k // 2)^n_samples,
+    above ``_SILENT_HALF_MAX``."""
+    chance = engine.no_default_probability(k // 2, face, params, quad) ** n_samples
+    if chance > _SILENT_HALF_MAX:
+        raise ScenarioError(
+            f"{n_samples} samples show no default in a half of {k // 2} obligors at "
+            f"c = {params.c:g} with probability {chance:.3g}, above {_SILENT_HALF_MAX:g}, "
+            "and the sampled loss correlation is then undefined; raise mc.n_samples",
+            pointer="/mc/n_samples",
         )
 
 
@@ -935,6 +718,7 @@ def _correlation_sweep(sc, out_dir=""):
                 seed = config.rng_seed + int(round(1000 * c)) * 1000 + k
                 cfg = dataclasses.replace(config, rng_seed=seed)
                 _check_sampling(scen, cfg, "/portfolio/k_values", "/portfolio/k_values")
+                _check_sampled_defaults(k, halves.f0, params, quad, cfg.n_samples)
             cells.append((c, k, scen, cfg))
 
     def job():
@@ -1080,20 +864,175 @@ def _mc_validate(sc, out_dir=""):
     return [job]
 
 
-# mode -> mode function; each returns the mode's jobs
-_BUILDERS = {
-    "subordinated": _subordinated,
-    "nosub": _nosub,
-    "nosub-multimarket": _multimarket,
-    "limit-subordinated": _limit_subordinated,
-    "limit-equal": _limit_equal,
-    "limit-finite-vs-infinite": _limit_fin_vs_inf,
-    "limit-two-markets": _limit_two_markets,
-    "no-default": _no_default,
-    "correlation-sweep": _correlation_sweep,
-    "calibrate": _calibrate,
-    "mc-validate": _mc_validate,
+class _Mode(NamedTuple):
+    """One scenario mode: its mode function, the blocks a document must
+    give, and its blocks in schema order, each a schema or a (schema,
+    default) pair.  A required block has no default, which would always
+    meet the requirement."""
+
+    build: Callable
+    required: tuple
+    blocks: dict
+
+
+def _mode(build, *required, **blocks) -> _Mode:
+    return _Mode(build, required, blocks)
+
+
+_MODES = {
+    "subordinated": _mode(
+        _subordinated, "portfolio", "tranches",
+        market=_MARKET,
+        portfolio=_block({"k_obligors": _K_ONE_OR_MANY}, ["k_obligors"]),
+        tranches=_TRANCHES_SCHEMA,
+        grid=_GRID,
+        quadrature=_QUAD,
+        outputs=_outputs(density="subordinated_density_k{k}.csv"),
+    ),
+    "nosub": _mode(
+        _nosub,
+        market=_MARKET,
+        portfolio=(_plain_portfolio_schema(_K_ONE_OR_MANY), {"face": 75.0, "layout": "halves"}),
+        grid=_GRID,
+        quadrature=_QUAD,
+        outputs=_outputs(density="nosub_density_k{k}.csv"),
+    ),
+    "nosub-multimarket": _mode(
+        _multimarket, "markets",
+        markets={
+            "type": "array",
+            "items": _block(dict(_MARKET_SCHEMA["properties"], k_obligors=_INT), ["k_obligors"]),
+        },
+        face=(_NUM, 75.0),
+        creditors=({"enum": ["total", "per-market"]}, "per-market"),
+        tails=({"type": "array", "items": _FRAC}, []),
+        grid=_GRID,
+        quadrature=(_QUAD_SCHEMA, dict(_QUAD[1], u_nodes=24)),
+        outputs=_outputs(density="multimarket_density.csv"),
+    ),
+    "limit-subordinated": _mode(
+        _limit_subordinated, "tranches",
+        market=_MARKET,
+        tranches=_TRANCHES_SCHEMA,
+        scan=(_block({"n_scan": {"type": "integer", "minimum": 16, "maximum": 1024}}),
+              {"n_scan": 96}),
+        grid=_GRID,
+        outputs=_outputs(density="limit_subordinated.csv"),
+    ),
+    "limit-equal": _mode(
+        _limit_equal, "face",
+        market=_MARKET,
+        face=_POS,
+        grid=(_GRID_SCHEMA, {"n_cells": 201, "lo": 1e-3, "hi": 1.0 - 1e-3}),
+        quadrature=_QUAD,
+        outputs=_outputs(curve="limit_equal_curve.csv"),
+    ),
+    "limit-finite-vs-infinite": _mode(
+        _limit_fin_vs_inf, "face", "r_one",
+        market=_MARKET,
+        face=_POS,
+        r_one={"type": "integer", "minimum": 2},
+        grid=_GRID,
+        quadrature=_QUAD,
+        outputs=_outputs(density="limit_finite_vs_infinite.csv"),
+    ),
+    "limit-two-markets": _mode(
+        _limit_two_markets, "face_one", "face_two",
+        market_one=_MARKET,
+        market_two=_MARKET,
+        face_one=_POS,
+        face_two=_POS,
+        grid=_GRID,
+        quadrature=_QUAD,
+        outputs=_outputs(density="limit_two_markets.csv"),
+    ),
+    "no-default": _mode(
+        _no_default, "face", "k_values",
+        market=_MARKET,
+        face=_POS,
+        k_values={"type": "array", "items": _POSINT, "minItems": 1},
+        mu_values={"type": "array", "items": _NUM, "minItems": 1},
+        quadrature=_QUAD,
+        outputs=_outputs(table="no_default.csv"),
+    ),
+    "correlation-sweep": _mode(
+        _correlation_sweep, "c_values",
+        market=_MARKET,
+        portfolio=(
+            _block(
+                {"k_values": {"type": "array", "items": _INT, "minItems": 1}, "face": _NUM},
+                ["k_values"],
+            ),
+            {"face": 75.0},
+        ),
+        c_values={"type": "array", "items": _NUM, "minItems": 1},
+        method=({"enum": ["analytic", "mc"]}, "analytic"),
+        mc=_MC,
+        quadrature=_QUAD,
+        outputs=_outputs(table="correlation_sweep.csv"),
+    ),
+    "calibrate": _mode(
+        _calibrate,
+        source=(
+            _block(
+                {
+                    "kind": {"enum": ["synthetic", "csv"]},
+                    "market": _MARKET_SCHEMA,
+                    "k_assets": {"type": "integer", "minimum": 1},
+                    "m_samples": {"type": "integer", "minimum": 10},
+                    "rng_seed": {"type": "integer", "minimum": 0},
+                    "path": {"type": "string"},
+                },
+                ["kind"],
+            ),
+            {"market": _DEFAULT_MARKET, "k_assets": 20, "m_samples": 5000, "rng_seed": 0},
+        ),
+        fit=(
+            _block(
+                {
+                    "grid_lo": _POS,
+                    "grid_hi": _POS,
+                    "grid_points": {"type": "integer", "minimum": 3, "maximum": 512},
+                }
+            ),
+            {"grid_lo": 1.0, "grid_hi": 128.0, "grid_points": 57},
+        ),
+        outputs=_outputs(report="calibration_report.json"),
+    ),
+    "mc-validate": _mode(
+        _mc_validate,
+        market=_MARKET,
+        portfolio=(_plain_portfolio_schema(_INT), {"face": 75.0, "layout": "halves"}),
+        tranches=_TRANCHES_SCHEMA,
+        min_mass=(_POS, 1e-5),
+        mc=_MC,
+        quadrature=_QUAD,
+        outputs=_outputs(report="mc_validation.json"),
+    ),
 }
+
+MODES = tuple(_MODES)
+
+
+def _document(entry: _Mode) -> tuple:
+    """The document schema and the defaults of a mode."""
+    props = {
+        # _resolve has already refused every other version
+        "schema_version": {},
+        "id": {"type": "string", "pattern": r"^[A-Za-z0-9_\-]+$"},
+        "title": {"type": "string"},
+        "mode": {"enum": list(MODES)},
+    }
+    defaults = {}
+    for key, block in entry.blocks.items():
+        if isinstance(block, tuple):
+            block, defaults[key] = block
+        props[key] = block
+    return _block(props, ["schema_version", "mode", *entry.required]), defaults
+
+
+# mode -> (document schema, defaults), derived once from _MODES
+_DOCUMENTS = {mode: _document(entry) for mode, entry in _MODES.items()}
 
 
 # Seconds per unit of work, fitted to the median time of every bundled op
@@ -1476,14 +1415,14 @@ def run_scenario(doc: dict, out_dir: str = ".") -> list:
     finished before it as ``partial_artifacts``.  An ``out_dir`` that
     cannot be made a directory raises ScenarioError before any job runs.
     """
-    sc = resolve_scenario(doc)
+    jobs = _resolve(doc, out_dir)[1]
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot use {out_dir!r} as the artifact directory: {exc}") from exc
     artifacts = []
     try:
-        for job in _BUILDERS[sc["mode"]](sc, out_dir):
+        for job in jobs:
             artifacts.append(job())
     except Exception as exc:
         exc.partial_artifacts = artifacts

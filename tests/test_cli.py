@@ -184,8 +184,8 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
         ("limit_two_markets_base", ["market_two.v0=1e300"], "/face_two"),
         # below the floor where the chi-square rule has positive nodes
         ("nosub_halves_k100", ["market.n_fluct=1e-300"], "/market/n_fluct"),
-        # the crossing solve's z scan ends at or below its lower end: the
-        # chi-square quantile is 0.0 at the floor and 1.6e-87 at 1e-12
+        # below the floor where the chi-square rule holds its first two
+        # moments (the crossing scan's z range was empty there)
         ("limit_subordinated_ridge", ["market.n_fluct=1.1102230246251568e-16"],
          "/market/n_fluct"),
         ("subordinated_k200",
@@ -211,6 +211,15 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
         # 0 and the correlation undefined
         ("correlation_sweep_full", ["market.rho=1e-9"], "/market/rho"),
         ("correlation_sweep_full", ["market.t_mat=1e-9"], "/market/t_mat"),
+        # 10,000 samples of 5 obligors see no default with probability ~1,
+        # and the sampled correlation is undefined
+        ("correlation_sweep_full", ['method="mc"', "market.rho=0.03", "mc.n_samples=10000"],
+         "/mc/n_samples"),
+        # a tranche face is checked before the ridge's support, whose
+        # kernels take log(face / v0); v0 / face underflowing to 0 leaves
+        # the ridge no support
+        ("limit_subordinated_ridge", ["market.v0=5e-324"], "/market/n_fluct"),
+        ("limit_subordinated_ridge", ["tranches.f_senior=5e-324"], "/tranches/f_senior"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):
@@ -220,6 +229,12 @@ def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer
         err = json.loads(capsys.readouterr().err)
         assert err["pointer"] == pointer
     assert not list(tmp_path.iterdir())
+
+
+def test_bundled_mc_sweep_is_accepted(capsys):
+    # at 200,000 samples no cell's half stays without a default with a
+    # chance above 1e-9
+    assert main(["validate", "correlation_sweep_full", "--set", 'method="mc"']) == EXIT_OK
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -41,22 +41,23 @@ def test_market_rejects_bad_values(kw):
 
 
 def test_n_fluct_floor_is_where_the_chi_square_rule_holds():
+    # from the floor up, the s rule's mean and second moment hold to 1e-10
+    # relative at every count; at 1.1e-6, just below it, they do not
     from portloss.params import N_FLUCT_MIN
-    from portloss.quadrature import chi2_nodes
+    from portloss.quadrature import _scale_rule
 
-    build = chi2_nodes  # builds a fresh rule each call
+    def moment_errors(n_fluct, count):
+        s, w = _scale_rule(n_fluct, count)
+        return abs(np.dot(w, s) - 1.0), abs(np.dot(w, s * s) / (1.0 + 2.0 / n_fluct) - 1.0)
+
     base = dict(mu=0.17, rho=0.35, c=0.28, t_mat=1.0, v0=100.0)
     assert MarketParams(n_fluct=N_FLUCT_MIN, **base).n_fluct == N_FLUCT_MIN
     for count in (8, 64, 512):
-        z, w = build(N_FLUCT_MIN, count)
-        assert np.all(z > 0.0) and np.all(np.isfinite(w))
-    below = math.nextafter(N_FLUCT_MIN, 0.0)
+        assert max(moment_errors(N_FLUCT_MIN, count)) <= 1e-10
+    assert max(moment_errors(1.1007944392684251e-06, 8)) > 1e-10
     with pytest.raises(ParameterError) as err:
-        MarketParams(n_fluct=below, **base)
+        MarketParams(n_fluct=math.nextafter(N_FLUCT_MIN, 0.0), **base)
     assert err.value.field == "n_fluct"
-    with np.errstate(all="ignore"):
-        z, w = build(below, 8)
-    assert not (np.all(z > 0.0) and np.all(np.isfinite(w)))
 
 
 def test_market_allows_negative_drift_and_real_n():

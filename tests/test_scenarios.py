@@ -1,6 +1,9 @@
 """Scenario documents: validation, defaults, overrides, and the runners."""
 
+import copy
 import json
+import math
+import warnings
 
 import pytest
 
@@ -8,9 +11,11 @@ from portloss import calibration, engine, limits, mc
 from portloss.errors import ScenarioError
 from portloss.grids import SCHEMA_VERSION, scenario_fingerprint
 from portloss.scenarios import (
+    _DOCUMENTS,
     _KEYWORDS,
-    _MODE_SCHEMAS,
+    _MODES,
     MODES,
+    _schema_check,
     apply_overrides,
     bundled_scenarios,
     estimate_cost,
@@ -218,8 +223,59 @@ def test_schemas_use_only_the_checker_keywords():
         for sub in subs + ([schema["items"]] if "items" in schema else []):
             walk(sub)
 
-    for schema in _MODE_SCHEMAS.values():
+    for schema, _ in _DOCUMENTS.values():
         walk(schema)
+
+
+def test_mode_table_defaults_fit_their_blocks():
+    # a default passes its block's schema, less the block's own required
+    # keys, which the document supplies; a required block has no default,
+    # since the merged default would always satisfy the requirement
+    for mode, entry in _MODES.items():
+        assert set(entry.required) <= set(entry.blocks), mode
+        for key, block in entry.blocks.items():
+            if isinstance(block, tuple):
+                schema, default = block
+                assert key not in entry.required, (mode, key)
+                _schema_check(default, dict(schema, required=[]), (mode, key))
+
+
+# every leaf of a resolved bundled document is set, in turn, to each value
+_LEAF_VALUES = [0, -1, 1e-9, 1e9, 1e300, -1e300, 0.5, 2.5, 7, "x", True, None, [], {}, [1, 2],
+                1.7e308, 5e-324, math.nan]
+
+
+def _leaves(node, path=()):
+    """Paths to the leaves of a JSON document: its scalars and its empty
+    lists and dicts, inside lists item by item."""
+    if not isinstance(node, (dict, list)) or not node:
+        yield path
+        return
+    for key, val in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _leaves(val, path + (key,))
+
+
+def test_validate_refuses_every_single_leaf_change_cleanly():
+    # 4,860 documents: validate accepts each or raises ScenarioError, with
+    # no other exception and no RuntimeWarning
+    count = 0
+    for doc in bundled_scenarios().values():
+        resolved = resolve_scenario(doc)
+        for path in _leaves(resolved):
+            for value in _LEAF_VALUES:
+                changed = copy.deepcopy(resolved)
+                node = changed
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    try:
+                        validate_scenario(changed)
+                    except ScenarioError:
+                        pass
+                count += 1
+    assert count == 4860
 
 
 def test_default_blocks_are_separate_copies():
@@ -365,6 +421,20 @@ def test_validate_computes_nothing(monkeypatch):
             monkeypatch.setattr(module, name, refuse)
     for sid, doc in bundled_scenarios().items():
         assert validate_scenario(doc)["valid"] is True, sid
+
+
+def test_run_builds_the_document_once(monkeypatch, tmp_path):
+    # the jobs come from the build that validated the document
+    calls = []
+    entry = _MODES["no-default"]
+
+    def counted(*args):
+        calls.append(args)
+        return entry.build(*args)
+
+    monkeypatch.setitem(_MODES, "no-default", entry._replace(build=counted))
+    run_scenario(bundled_scenarios()["no_default_k_scan"], out_dir=str(tmp_path))
+    assert len(calls) == 1
 
 
 def test_run_is_byte_identical(tmp_path):
