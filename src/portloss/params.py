@@ -40,13 +40,14 @@ class MarketParams:
         closer to their average.  Real, not restricted to integers, and at
         least ``N_FLUCT_MIN``.
     t_mat : float
-        Horizon in years.
+        Horizon in years.  The log-drift ``drift_adj * t_mat`` must lie
+        within +-``LOG_SCALE_MAX`` and the horizon variance
+        ``rho^2 t_mat`` at most ``LOG_SCALE_MAX``.
     v0 : float
         Initial asset value, currency units.  Against every face it meets
-        (a portfolio face, each nonzero tranche face), v0/face may be at
-        most ``V0_FACE_MAX`` = 1e30; see :func:`check_face_ratio`.  There
-        is no lower bound: down to v0/face = 1e-300 every bundled mode
-        runs and writes finite values.
+        (a portfolio face, each nonzero tranche face), v0/face must lie in
+        [``V0_FACE_MIN``, ``V0_FACE_MAX``] = [1e-300, 1e30]; see
+        :func:`check_face_ratio`.
     """
 
     mu: float
@@ -81,12 +82,33 @@ class MarketParams:
             raise ParameterError(
                 f"rho must give 0 < (1 - c) t_mat rho^2 < inf, got rho={self.rho}"
             )
+        # past LOG_SCALE_MAX a sampled asset value leaves the float range;
+        # each refusal names the larger factor of its product
+        variance, drift = self.rho * self.rho * self.t_mat, self.drift_adj * self.t_mat
+        if not variance <= LOG_SCALE_MAX:
+            raise ParameterError(
+                f"the horizon variance rho^2 t_mat = {variance:.6g} is above {LOG_SCALE_MAX:g}",
+                field="rho" if self.rho * self.rho > self.t_mat else "t_mat",
+            )
+        if not abs(drift) <= LOG_SCALE_MAX:
+            raise ParameterError(
+                f"the log-drift (mu - rho^2/2) t_mat = {drift:.6g} is outside +-{LOG_SCALE_MAX:g}",
+                field="mu" if abs(self.drift_adj) > self.t_mat else "t_mat",
+            )
 
     @property
     def drift_adj(self) -> float:
         """Risk-adjusted log drift (mu - rho^2/2) per year."""
         return self.mu - 0.5 * self.rho**2
 
+
+# A sampled log asset value is log v0 + nu T, nu T = (mu - rho^2/2) t_mat,
+# plus a return of variance about rho^2 t_mat s; its exp overflows past
+# 709.8.  Scanned from 10 to 1000 (40 points per decade) on every bundled
+# mode, mc-validate at 200,000 samples, the first overflow came at x = 531
+# for nu T = rho^2 t_mat = x, at 708 for nu T and at 7499 for rho^2 t_mat
+# alone, none for nu T = -x; the moment kernels held to nu T = 1e152.
+LOG_SCALE_MAX = 300.0
 
 # The second conditional moment carries (v0/face)^2 exp(2 z g/N - 2 sqrt(z)
 # B u + 2 nu T).  At the bundled market that exponent reaches 63 on the
@@ -97,16 +119,24 @@ class MarketParams:
 # without a word (exit 0) or, from about 1e156, raised OverflowError (exit 3).
 V0_FACE_MAX = 1e30
 
+# Down to v0/face = 1e-300 every bundled mode runs and writes finite values;
+# at v0 = 5e-324 the ratio is 0 and the default boundary log(face/v0) inf.
+V0_FACE_MIN = 1e-300
+
 
 def check_face_ratio(face: float, params: MarketParams) -> None:
     """Refuse a positive face against which v0/face exceeds
-    ``V0_FACE_MAX``: at the bundled market the moment kernels stay finite
-    on every quadrature rule the schema accepts up to about 1e36."""
+    ``V0_FACE_MAX`` (at the bundled market the moment kernels stay finite
+    on every quadrature rule the schema accepts up to about 1e36) or falls
+    below ``V0_FACE_MIN``."""
     if face > 0 and not params.v0 / face <= V0_FACE_MAX:
         raise ParameterError(
             f"v0/face must be at most {V0_FACE_MAX:g}, where the moment kernels stay "
             f"finite; got v0={params.v0:g} against face {face:g}"
         )
+    if face > 0 and not params.v0 / face >= V0_FACE_MIN:
+        raise ParameterError(f"v0/face must be at least {V0_FACE_MIN:g}; got v0={params.v0:g} "
+                             f"against face {face:g}")
 
 
 @dataclass(frozen=True)

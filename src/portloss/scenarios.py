@@ -8,7 +8,9 @@ its defaults all derive from that table.  Resolving a document merges the
 mode defaults under it, checks it against the mode schema and then builds
 it: the mode function turns the document into the domain objects it needs
 and returns its jobs, each a zero-argument callable that computes one
-artifact, writes it and returns its record.  The mode schemas are JSON
+artifact, writes it and returns its record, and its work, the cost report
+of ``validate``, counted from the objects it has just built.  A mode is
+costed in its mode function and nowhere else.  The mode schemas are JSON
 Schema dicts, checked by ``_schema_check``, which knows only the keywords
 they use and reports the first fault in a fixed order.  The schema states
 only types for a block that becomes a domain object, whose constructor
@@ -59,7 +61,6 @@ __all__ = [
     "MODES",
     "validate_scenario",
     "resolve_scenario",
-    "estimate_cost",
     "apply_overrides",
     "bundled_scenarios",
     "run_scenario",
@@ -262,8 +263,8 @@ def _schema_check(value, schema: dict, path=()):
 
 
 def _resolve(doc: dict, out_dir: str = ""):
-    """The resolved document and the jobs of its one build, which write
-    under ``out_dir``; see :func:`resolve_scenario`."""
+    """The resolved document and the jobs and work of its one build, whose
+    jobs write under ``out_dir``; see :func:`resolve_scenario`."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object", pointer="/")
     mode = doc.get("mode")
@@ -281,11 +282,11 @@ def _resolve(doc: dict, out_dir: str = ""):
     merged.setdefault("schema_version", SCHEMA_VERSION)
     merged.setdefault("id", "custom")
     _schema_check(merged, schema)
-    jobs = _MODES[mode].build(merged, out_dir)
+    jobs, work = _MODES[mode].build(merged, out_dir)
     bad = _first_non_finite(merged)
     if bad is not None:
         raise ScenarioError("numbers must be finite", pointer=_pointer(bad))
-    return merged, jobs
+    return merged, jobs, work
 
 
 def resolve_scenario(doc: dict) -> dict:
@@ -302,14 +303,15 @@ def resolve_scenario(doc: dict) -> dict:
 
 
 def validate_scenario(doc: dict) -> dict:
-    """Resolve the document and report its estimated cost without running."""
-    resolved = resolve_scenario(doc)
+    """Resolve the document and report, as its ``cost``, the work of the
+    build that validated it, without running."""
+    resolved, _, work = _resolve(doc)
     return {
         "valid": True,
         "id": resolved["id"],
         "mode": resolved["mode"],
         "fingerprint": scenario_fingerprint(resolved),
-        "cost": estimate_cost(resolved),
+        "cost": work,
     }
 
 
@@ -318,10 +320,11 @@ def validate_scenario(doc: dict) -> dict:
 #
 # Each mode is one function, ``_<mode>(sc, out_dir="")``: it turns a
 # resolved document into the domain objects the mode needs and returns the
-# mode's jobs.  A job is a zero-argument callable that computes one
-# artifact, writes it under ``out_dir`` and returns its record; nothing is
-# computed outside a job.  _resolve calls the mode function once per
-# document: resolve_scenario drops the jobs and run_scenario runs them, so
+# mode's jobs and its work (see :func:`_work`), counted from those objects.
+# A job is a zero-argument callable that computes one artifact, writes it
+# under ``out_dir`` and returns its record; nothing is computed outside a
+# job.  _resolve calls the mode function once per document:
+# resolve_scenario drops the jobs and run_scenario runs them, so
 # ``validate`` accepts exactly what ``run`` builds, and a run builds its
 # document once.  A mode function adds only the checks that no domain
 # constructor makes, and makes them in a fixed order, so a document with
@@ -339,6 +342,40 @@ def _build(pointer: str, make, *args, **kwargs):
     except (ParameterError, SamplerBudgetError, SingularCovarianceError) as exc:
         field = getattr(exc, "field", "")
         raise ScenarioError(str(exc), pointer=f"{pointer}/{field}" if field else pointer) from exc
+
+
+# Seconds per unit of work, fitted by least squares in log(estimate /
+# measured) to the median time of every bundled op in one 36 s benchmark
+# run per workload (perfbench, 2 CPUs): est/measured then ran 0.61-1.47
+# over the 14 ops.  No bundled op runs the adaptive rule, whose rate is
+# from an 81x81 grid at K = 2000.
+_FIXED_S = 0.0081  # resolve, quadrature rules, artifact provenance
+_WRITE_S = 2.3e-7  # one CSV row of a grid
+_TERM_S = 4e-10  # one mixture term: one grid point at one quadrature node
+_TABLE_S = 1.9e-7  # the moment kernels at one node of a node table
+_ADAPTIVE_CELL_S = 1e-3  # the crossing and u-root solves of one adaptive cell
+_SCAN_S = 6.8e-8  # one scan point of one ridge cell
+_ROOT_S = 6.7e-7  # one implicit u solve of a limit law at one (loss, z) pair
+_SAMPLE_S = 1.8e-8  # one obligor of one MC sample; x (1 + N/3) for the Wishart sampler
+_FIT_S = 1.1e-8  # one return sample at one fit grid point, per (K + 40) assets
+
+
+def _work(points, nodes, seconds, samples=0) -> dict:
+    """The cost report of a build: its evaluation points, quadrature nodes
+    per point and MC samples, and ``est_seconds``, the wall-clock guess
+    ``_FIXED_S`` plus ``seconds``, the time of the mode's dominant work."""
+    return {
+        "grid_points": int(points),
+        "quad_nodes_per_point": int(nodes),
+        "mc_samples": int(samples),
+        "est_seconds": round(_FIXED_S + seconds, 3),
+    }
+
+
+def _grid_s(points, nodes, node_s=_TERM_S) -> float:
+    """Seconds of ``points`` written grid points of ``nodes`` terms each,
+    at ``node_s`` seconds a term."""
+    return points * (nodes * node_s + _WRITE_S)
 
 
 def _check_increasing(block: dict, lo: str, hi: str, where: str, message: str):
@@ -475,11 +512,15 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
     asset values, rows x K, exceed the memory budget.  The estimate holds
     only a block of those values at a time, so this refusal is
     conservative; for the Wishart sampler it also bounds one sample's
-    K x N G block, since N <= rows."""
+    K x N G block, since N <= rows.  Returns the seconds the samples take,
+    ``_SAMPLE_S`` per obligor and sample, x (1 + N/3) for the Wishart
+    sampler."""
     rows = min(config.chunk_size, config.n_samples)
+    obligor_s = _SAMPLE_S
     if config.sampler == "wishart":
         _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct, rows)
         _build(k_pointer, _check_wishart_budget, scen.k_obligors)
+        obligor_s *= 1.0 + scen.params.n_fluct / 3.0
     if isinstance(scen, NoSubScenario):
         _build(k_pointer, _class_counts, scen)
         _build(counts_pointer, _whole_counts, scen)
@@ -489,6 +530,7 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
         "(lower mc.chunk_size to shrink it)",
         k_pointer,
     )
+    return config.n_samples * scen.k_obligors * obligor_s
 
 
 def _check_ridge(tranches: SubordinationSpec, params: MarketParams, cells: dict):
@@ -511,12 +553,20 @@ def _subordinated(sc, out_dir=""):
         for k in ks
     ]
     quad, cells = _quad(sc), _grid(sc)
+    nodes, points = quad.z_nodes * quad.u_nodes, len(ks) * cells["n_cells"] ** 2
+    seconds = 0.0
     if quad.mode == "adaptive":  # its crossing solve is the ridge's
         _check_ridge(tranches, params, cells)
-    return [
+        # each cell builds its own table of 10x16 z by 6x16 u nodes
+        # after a crossing and u-root solve
+        nodes = 160 * 96
+        seconds = _ADAPTIVE_CELL_S * points
+    seconds += len(ks) * nodes * _TABLE_S + _grid_s(points, nodes)
+    jobs = [
         _grid_job(sc, path, lambda s=scen: engine.density_grid_subordinated(s, quad, **cells))
         for path, scen in zip(_density_paths(sc, ks, out_dir), scens)
     ]
+    return jobs, _work(points, nodes, seconds)
 
 
 def _nosub(sc, out_dir=""):
@@ -525,10 +575,13 @@ def _nosub(sc, out_dir=""):
         _build("/portfolio/overlap", _check_grid, scen)
     paths = _density_paths(sc, [scen.k_obligors for scen in scens], out_dir)
     quad, cells = _quad(sc), _grid(sc)
-    return [
+    nodes = quad.z_nodes * quad.u_nodes
+    points = len(scens) * cells["n_cells"] ** scens[0].n_creditors
+    jobs = [
         _grid_job(sc, path, lambda s=scen: engine.density_grid_nosub(s, quad, **cells))
         for path, scen in zip(paths, scens)
     ]
+    return jobs, _work(points, nodes, len(scens) * nodes * _TABLE_S + _grid_s(points, nodes))
 
 
 def _multimarket(sc, out_dir=""):
@@ -572,7 +625,10 @@ def _multimarket(sc, out_dir=""):
             art["summary"] += " " + " ".join(stats)
         return art
 
-    return [job]
+    # a block's moments depend on (z, u_block) alone: z x u per block
+    table_s = params.beta * quad.z_nodes * quad.u_nodes * _TABLE_S
+    points = cells["n_cells"] ** scen.n_creditors
+    return [job], _work(points, nodes, table_s + _grid_s(points, nodes))
 
 
 def _limit_subordinated(sc, out_dir=""):
@@ -581,12 +637,12 @@ def _limit_subordinated(sc, out_dir=""):
     cells, n_scan = _grid(sc), int(sc["scan"]["n_scan"])
     _check_tranche_faces(tranches, params)
     _check_ridge(tranches, params, cells)
-    return [
-        _grid_job(
-            sc, _output(sc, "density", out_dir),
-            lambda: limits.limit_grid_subordinated(tranches, params, n_scan=n_scan, **cells),
-        )
-    ]
+    job = _grid_job(
+        sc, _output(sc, "density", out_dir),
+        lambda: limits.limit_grid_subordinated(tranches, params, n_scan=n_scan, **cells),
+    )
+    points = cells["n_cells"] ** 2
+    return [job], _work(points, n_scan, _grid_s(points, n_scan, _SCAN_S))
 
 
 def _limit_equal(sc, out_dir=""):
@@ -595,27 +651,28 @@ def _limit_equal(sc, out_dir=""):
     cells = _grid(sc)
     _build("/grid", _open_unit_centers, **cells)
     quad = _quad(sc)
-    return [
-        _grid_job(
-            sc, _output(sc, "curve", out_dir),
-            lambda: limits.limit_curve_equal_infinite(sc["face"], params, quad, **cells),
-            kind="density_curve",
-        )
-    ]
+    job = _grid_job(
+        sc, _output(sc, "curve", out_dir),
+        lambda: limits.limit_curve_equal_infinite(sc["face"], params, quad, **cells),
+        kind="density_curve",
+    )
+    points = cells["n_cells"]
+    return [job], _work(points, quad.z_nodes, _grid_s(points, quad.z_nodes, _ROOT_S))
 
 
 def _limit_fin_vs_inf(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
     _build("/face", check_face_ratio, sc["face"], params)
     quad, cells = _quad(sc), _grid(sc)
-    return [
-        _grid_job(
-            sc, _output(sc, "density", out_dir),
-            lambda: limits.limit_grid_finite_vs_infinite(
-                sc["r_one"], sc["face"], params, quad, **cells
-            ),
-        )
-    ]
+    job = _grid_job(
+        sc, _output(sc, "density", out_dir),
+        lambda: limits.limit_grid_finite_vs_infinite(
+            sc["r_one"], sc["face"], params, quad, **cells
+        ),
+    )
+    # one u solve per infinite side, loss and z node
+    n, nodes = cells["n_cells"], quad.z_nodes
+    return [job], _work(n**2, nodes, n * nodes * _ROOT_S + _grid_s(n**2, nodes))
 
 
 def _limit_two_markets(sc, out_dir=""):
@@ -626,23 +683,25 @@ def _limit_two_markets(sc, out_dir=""):
     _build("/face_one", check_face_ratio, sc["face_one"], one)
     _build("/face_two", check_face_ratio, sc["face_two"], two)
     quad, cells = _quad(sc), _grid(sc)
-    return [
-        _grid_job(
-            sc, _output(sc, "density", out_dir),
-            lambda: limits.limit_grid_two_markets(
-                sc["face_one"], sc["face_two"], one, two, quad, **cells
-            ),
-        )
-    ]
+    job = _grid_job(
+        sc, _output(sc, "density", out_dir),
+        lambda: limits.limit_grid_two_markets(
+            sc["face_one"], sc["face_two"], one, two, quad, **cells
+        ),
+    )
+    n, nodes = cells["n_cells"], quad.z_nodes
+    return [job], _work(n**2, nodes, 2 * n * nodes * _ROOT_S + _grid_s(n**2, nodes))
 
 
 def _no_default(sc, out_dir=""):
     base = _build("/market", MarketParams, **sc["market"])
     _build("/face", check_face_ratio, sc["face"], base)
-    markets = [
-        _build(f"/mu_values/{i}", dataclasses.replace, base, mu=mu)
-        for i, mu in enumerate(sc.get("mu_values", [base.mu]))
-    ]
+    markets = []
+    for i, mu in enumerate(sc.get("mu_values", [base.mu])):
+        try:
+            markets.append(dataclasses.replace(base, mu=mu))
+        except ParameterError as exc:  # whatever field it names, mu_values[i] changed
+            raise ScenarioError(str(exc), pointer=f"/mu_values/{i}") from exc
     quad, ks, path = _quad(sc), _k_list(sc["k_values"]), _output(sc, "table", out_dir)
 
     def job():
@@ -655,7 +714,8 @@ def _no_default(sc, out_dir=""):
         lo, hi = rows[-1][2], rows[0][2]
         return _artifact(path, "table", f"rows={len(rows)} p_nd range [{lo:.4g}, {hi:.4g}]")
 
-    return [job]
+    points, nodes = len(markets) * len(ks), quad.z_nodes * quad.u_nodes
+    return [job], _work(points, nodes, points * nodes * _TERM_S)
 
 
 def _check_defaults(face: float, params: MarketParams, quad: QuadratureSpec):
@@ -705,7 +765,7 @@ def _correlation_sweep(sc, out_dir=""):
     config = _mc_config(sc["mc"])
     quad, path = _quad(sc), _output(sc, "table", out_dir)
     # one (c, k, scenario, McConfig or None) cell per pair of c and k values
-    cells = []
+    cells, samples, seconds = [], 0, 0.0
     for i, c in enumerate(sc["c_values"]):
         params = _build(f"/c_values/{i}", dataclasses.replace, base, c=c)
         _build("/market", _check_defaults, halves.f0, params, quad)
@@ -717,9 +777,13 @@ def _correlation_sweep(sc, out_dir=""):
             if sc["method"] == "mc":
                 seed = config.rng_seed + int(round(1000 * c)) * 1000 + k
                 cfg = dataclasses.replace(config, rng_seed=seed)
-                _check_sampling(scen, cfg, "/portfolio/k_values", "/portfolio/k_values")
+                seconds += _check_sampling(scen, cfg, "/portfolio/k_values", "/portfolio/k_values")
                 _check_sampled_defaults(k, halves.f0, params, quad, cfg.n_samples)
+                samples += cfg.n_samples
             cells.append((c, k, scen, cfg))
+    nodes = quad.z_nodes * quad.u_nodes
+    if sc["method"] == "analytic":
+        seconds = len(cells) * nodes * _TABLE_S
 
     def job():
         rows = []
@@ -735,7 +799,7 @@ def _correlation_sweep(sc, out_dir=""):
             path, "table", f"rows={len(rows)} corr range [{min(corrs):.4f}, {max(corrs):.4f}]"
         )
 
-    return [job]
+    return [job], _work(len(cells), nodes, seconds, samples)
 
 
 def _calibrate(sc, out_dir=""):
@@ -790,7 +854,9 @@ def _calibrate(sc, out_dir=""):
         c_txt = "n/a" if c_hat is None else f"{c_hat:.4f}"
         return _artifact(path, "fit_report", f"n_hat={fit.n_hat:.3f} c_hat={c_txt}")
 
-    return [job]
+    # one return sample at one fit grid point, per (K + 40) assets
+    points = len(grid) * m
+    return [job], _work(points, k, points * (k + 40) * _FIT_S)
 
 
 def _mc_validate(sc, out_dir=""):
@@ -804,7 +870,7 @@ def _mc_validate(sc, out_dir=""):
             k_obligors=scen.k_obligors, tranches=tranches, params=params,
         )
     config = _mc_config(sc["mc"])
-    _check_sampling(scen, config, "/portfolio/k_obligors", "/portfolio/overlap")
+    sampling_s = _check_sampling(scen, config, "/portfolio/k_obligors", "/portfolio/overlap")
     quad, min_mass, path = _quad(sc), sc["min_mass"], _output(sc, "report", out_dir)
 
     def job():
@@ -861,11 +927,14 @@ def _mc_validate(sc, out_dir=""):
             f"agree={payload['agreement']}",
         )
 
-    return [job]
+    points, nodes = config.n_bins**2, quad.z_nodes * quad.u_nodes
+    seconds = nodes * (_TABLE_S + points * _TERM_S) + sampling_s
+    return [job], _work(points, nodes, seconds, config.n_samples)
 
 
 class _Mode(NamedTuple):
-    """One scenario mode: its mode function, the blocks a document must
+    """One scenario mode: its mode function, which returns the jobs and the
+    work of a build (see ``_work``), the blocks a document must
     give, and its blocks in schema order, each a schema or a (schema,
     default) pair.  A required block has no default, which would always
     meet the requirement."""
@@ -1033,108 +1102,6 @@ def _document(entry: _Mode) -> tuple:
 
 # mode -> (document schema, defaults), derived once from _MODES
 _DOCUMENTS = {mode: _document(entry) for mode, entry in _MODES.items()}
-
-
-# Seconds per unit of work, fitted to the median time of every bundled op
-# under the benchmark (perfbench, 2 CPUs); each lands within 3x of it.
-_FIXED_S = 0.008  # resolve, quadrature rules, artifact provenance
-_WRITE_S = 2e-6  # one CSV row of a grid
-_TERM_S = 7.5e-10  # one mixture term: one grid point at one quadrature node
-_TABLE_S = 7e-7  # the moment kernels at one node of a node table
-_ADAPTIVE_CELL_S = 1e-3  # the crossing and u-root solves of one adaptive cell
-_SCAN_S = 2e-7  # one scan point of one ridge cell
-_ROOT_S = 2e-6  # one implicit u solve of a limit law at one (loss, z) pair
-_SAMPLE_S = 3e-8  # one obligor of one MC sample; x (1 + N/3) for the Wishart sampler
-_FIT_S = 1.8e-8  # one return sample at one fit grid point, per (K + 40) assets
-
-
-def _sample_s(sc: dict) -> float:
-    """Seconds per obligor and MC sample of the document's sampler."""
-    if sc["mc"]["sampler"] == "wishart":
-        return _SAMPLE_S * (1.0 + sc["market"]["n_fluct"] / 3.0)
-    return _SAMPLE_S
-
-
-def estimate_cost(sc: dict) -> dict:
-    """Work estimate: evaluation points, quadrature nodes per point, MC
-    samples and a wall-clock guess.
-
-    The guess counts each mode's dominant work: mixture terms and node
-    tables for the finite grids, implicit solves for the limit laws,
-    samples x K (x N for the Wishart sampler) for Monte Carlo, and
-    samples x fit grid points, growing with K, for calibration.
-    """
-    mode = sc["mode"]
-    # sc is resolved, so each block its mode has is filled in; only the
-    # density and limit modes have a grid, and all but limit-subordinated
-    # and calibrate have a quadrature
-    n_cells = sc["grid"]["n_cells"] if "grid" in sc else 0
-    quad = sc.get("quadrature")
-    z_nodes = quad["z_nodes"] if quad else 0
-    nodes = z_nodes * quad["u_nodes"] if quad else 0
-    points = 0
-    mc_samples = 0
-    seconds = 0.0
-    if mode in ("subordinated", "nosub"):
-        ks = _k_list(sc["portfolio"]["k_obligors"])
-        two_d = mode == "subordinated" or sc["portfolio"]["layout"] != "single"
-        points = len(ks) * (n_cells ** 2 if two_d else n_cells)
-        if mode == "subordinated" and quad["mode"] == "adaptive":
-            # each cell builds its own table of 10x16 z by 6x16 u nodes
-            # after a crossing and u-root solve
-            nodes = 160 * 96
-            seconds = _ADAPTIVE_CELL_S * points
-        seconds += len(ks) * nodes * _TABLE_S + points * (nodes * _TERM_S + _WRITE_S)
-    elif mode == "nosub-multimarket":
-        beta = len(sc["markets"])
-        nodes = z_nodes * quad["u_nodes"] ** beta
-        points = n_cells ** 2 if (beta == 2 and sc["creditors"] == "per-market") else n_cells
-        # a block's moments depend on (z, u_block) alone: z x u per block
-        table_s = beta * z_nodes * quad["u_nodes"] * _TABLE_S
-        seconds = table_s + points * (nodes * _TERM_S + _WRITE_S)
-    elif mode == "limit-subordinated":
-        points = n_cells ** 2
-        nodes = sc["scan"]["n_scan"]
-        seconds = points * (nodes * _SCAN_S + _WRITE_S)
-    elif mode == "limit-equal":
-        points = n_cells
-        nodes = z_nodes
-        seconds = points * (nodes * _ROOT_S + _WRITE_S)
-    elif mode in ("limit-finite-vs-infinite", "limit-two-markets"):
-        points = n_cells ** 2
-        nodes = z_nodes
-        # one u solve per infinite side, loss and z node
-        sides = 2 if mode == "limit-two-markets" else 1
-        seconds = sides * n_cells * nodes * _ROOT_S + points * (nodes * _TERM_S + _WRITE_S)
-    elif mode == "no-default":
-        # mu_values has no default: without it the market's drift is used
-        points = len(sc["k_values"]) * len(sc.get("mu_values", [0]))
-        seconds = points * nodes * _TERM_S
-    elif mode == "correlation-sweep":
-        ks = _k_list(sc["portfolio"]["k_values"])
-        points = len(sc["c_values"]) * len(ks)
-        if sc["method"] == "mc":
-            mc_samples = points * sc["mc"]["n_samples"]
-            seconds = len(sc["c_values"]) * sc["mc"]["n_samples"] * sum(ks) * _sample_s(sc)
-        else:
-            seconds = points * nodes * _TABLE_S
-    elif mode == "calibrate":
-        src = sc["source"]
-        m, nodes = (_returns_csv_shape(src["path"]) if src["kind"] == "csv"
-                    else (src["m_samples"], src["k_assets"]))
-        points = sc["fit"]["grid_points"] * m
-        seconds = points * (nodes + 40) * _FIT_S
-    elif mode == "mc-validate":
-        points = sc["mc"]["n_bins"] ** 2
-        mc_samples = sc["mc"]["n_samples"]
-        k = sum(_k_list(sc["portfolio"]["k_obligors"]))
-        seconds = nodes * (_TABLE_S + points * _TERM_S) + mc_samples * k * _sample_s(sc)
-    return {
-        "grid_points": int(points),
-        "quad_nodes_per_point": int(nodes),
-        "mc_samples": int(mc_samples),
-        "est_seconds": round(_FIXED_S + seconds, 3),
-    }
 
 
 def _array_index(node: list, key: str, path: str) -> int:

@@ -216,10 +216,16 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
         ("correlation_sweep_full", ['method="mc"', "market.rho=0.03", "mc.n_samples=10000"],
          "/mc/n_samples"),
         # a tranche face is checked before the ridge's support, whose
-        # kernels take log(face / v0); v0 / face underflowing to 0 leaves
-        # the ridge no support
-        ("limit_subordinated_ridge", ["market.v0=5e-324"], "/market/n_fluct"),
+        # kernels take log(face / v0); v0 / face below its floor (here 0)
+        # is refused at the face
+        ("limit_subordinated_ridge", ["market.v0=5e-324"], "/tranches/f_senior"),
         ("limit_subordinated_ridge", ["tranches.f_senior=5e-324"], "/tranches/f_senior"),
+        # a log-drift or horizon variance past the float range of an asset
+        # value is refused at the field that carries it
+        ("nosub_halves_k100", ["market.mu=1e300"], "/market/mu"),
+        ("nosub_halves_k100", ["market.t_mat=1.7e308"], "/market/t_mat"),
+        ("limit_subordinated_ridge", ["market.mu=1e300"], "/market/mu"),
+        ("limit_subordinated_ridge", ["market.t_mat=1.7e308"], "/market/t_mat"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):

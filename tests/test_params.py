@@ -60,6 +60,52 @@ def test_n_fluct_floor_is_where_the_chi_square_rule_holds():
     assert err.value.field == "n_fluct"
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_log_drift_and_horizon_variance_stop_at_the_bound(sign):
+    # at rho = 0.35, t_mat = LOG_SCALE_MAX / rho^2 puts the horizon variance
+    # on the bound, and mu puts the log-drift on +-the bound
+    from portloss.params import LOG_SCALE_MAX
+
+    rho = 0.35
+    t_mat = LOG_SCALE_MAX / rho**2
+    mu = sign * LOG_SCALE_MAX / t_mat + 0.5 * rho**2
+    base = dict(rho=rho, c=0.28, n_fluct=6, v0=100.0)
+    p = MarketParams(mu=mu, t_mat=t_mat, **base)
+    assert abs(p.drift_adj * p.t_mat) <= LOG_SCALE_MAX
+    assert rho * rho * t_mat <= LOG_SCALE_MAX
+    # past the bound, each refusal names the larger factor of its product
+    for kw, field in [
+        (dict(mu=sign * 1e300, t_mat=1.0), "mu"),
+        (dict(mu=sign * 2.0, t_mat=200.0), "t_mat"),
+        (dict(mu=0.17, t_mat=1.7e308), "t_mat"),
+    ]:
+        with pytest.raises(ParameterError) as err:
+            MarketParams(**kw, **base)
+        assert err.value.field == field
+    with pytest.raises(ParameterError) as err:
+        MarketParams(mu=0.17, t_mat=1.0, **dict(base, rho=20.0))
+    assert err.value.field == "rho"
+
+
+def test_face_ratio_window():
+    from portloss.params import V0_FACE_MAX, V0_FACE_MIN, check_face_ratio
+
+    def market(v0):
+        return MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=6, t_mat=1.0, v0=v0)
+
+    for v0 in (V0_FACE_MIN, V0_FACE_MAX):
+        check_face_ratio(1.0, market(v0))
+        check_face_ratio(0.0, market(v0))
+    # just outside the window, and v0 / face underflowing to 0
+    for v0, face, bound in [
+        (V0_FACE_MAX, math.nextafter(1.0, 0.0), "at most"),
+        (V0_FACE_MIN, math.nextafter(1.0, 2.0), "at least"),
+        (5e-324, 37.0, "at least"),
+    ]:
+        with pytest.raises(ParameterError, match=f"v0/face must be {bound}"):
+            check_face_ratio(face, market(v0))
+
+
 def test_market_allows_negative_drift_and_real_n():
     p = MarketParams(mu=-0.05, rho=0.2, c=0.1, n_fluct=2.5, t_mat=0.5, v0=10.0)
     assert p.n_fluct == 2.5

@@ -18,7 +18,6 @@ from portloss.scenarios import (
     _schema_check,
     apply_overrides,
     bundled_scenarios,
-    estimate_cost,
     resolve_scenario,
     run_scenario,
     validate_scenario,
@@ -321,15 +320,72 @@ def test_overrides_list_index_and_errors():
 
 
 def test_estimate_cost_scales_with_samples():
-    base = resolve_scenario(bundled_scenarios()["mc_validate_halves_k100"])
+    base = bundled_scenarios()["mc_validate_halves_k100"]
     more = apply_overrides(base, ["mc.n_samples=400000"])
-    assert (estimate_cost(resolve_scenario(more))["mc_samples"]
-            == 2 * estimate_cost(base)["mc_samples"])
+    assert (validate_scenario(more)["cost"]["mc_samples"]
+            == 2 * validate_scenario(base)["cost"]["mc_samples"])
 
 
 def _est(sid, *sets):
     doc = apply_overrides(bundled_scenarios()[sid], list(sets))
-    return estimate_cost(resolve_scenario(doc))["est_seconds"]
+    return validate_scenario(doc)["cost"]["est_seconds"]
+
+
+def _returns_csv(tmp_path):
+    """A returns CSV of 300 samples of 7 assets under a header row."""
+    rows = ",".join(["0.01"] * 7) + "\n"
+    csv = tmp_path / "returns.csv"
+    csv.write_text("a,b,c,d,e,f,g\n" + rows * 300)
+    return str(csv)
+
+
+# (grid_points, quad_nodes_per_point, mc_samples) of each build's cost
+# report: the work counted from what the mode function built
+_COUNTED_WORK = {
+    "calibrate_synthetic_base": (285000, 20, 0),
+    "correlation_sweep_full": (20, 4096, 0),
+    "limit_equal_loss_curve": (201, 64, 0),
+    "limit_small_vs_large_r10": (3721, 64, 0),
+    "limit_subordinated_ridge": (3721, 96, 0),
+    "limit_two_markets_base": (3721, 64, 0),
+    "mc_validate_halves_k100": (400, 4096, 200000),
+    "multimarket_split_pair": (201, 36864, 0),
+    "no_default_k_scan": (21, 4096, 0),
+    "nosub_equal_halves_trio": (11163, 4096, 0),
+    "nosub_halves_k100": (6561, 4096, 0),
+    "subordinated_k200": (6561, 4096, 0),
+    "adaptive": (6561, 160 * 96, 0),
+    "csv": (57 * 300, 7, 0),
+    "mc_sweep": (20, 4096, 20 * 200000),
+}
+
+
+def test_each_build_reports_the_work_it_counted(tmp_path):
+    docs = bundled_scenarios()
+    docs["adaptive"] = apply_overrides(docs["subordinated_k200"], ['quadrature.mode="adaptive"'])
+    docs["csv"] = {"mode": "calibrate", "source": {"kind": "csv", "path": _returns_csv(tmp_path)}}
+    docs["mc_sweep"] = apply_overrides(docs["correlation_sweep_full"], ['method="mc"'])
+    got = {}
+    for name, doc in docs.items():
+        cost = validate_scenario(doc)["cost"]
+        got[name] = (cost["grid_points"], cost["quad_nodes_per_point"], cost["mc_samples"])
+    assert got == _COUNTED_WORK
+
+
+def test_validate_reads_a_returns_csv_once(tmp_path, monkeypatch):
+    import builtins
+
+    path, opened = _returns_csv(tmp_path), []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if str(file) == path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    validate_scenario({"mode": "calibrate", "source": {"kind": "csv", "path": path}})
+    assert len(opened) == 1
 
 
 def _step(sid, path, a, b, *sets):
@@ -378,10 +434,8 @@ def test_calibration_cost_scales_with_k_times_m_times_grid_points():
 def test_csv_calibration_cost_reads_the_file_shape(tmp_path):
     # 300 returns of 7 assets, priced at the file's shape and not at the
     # synthetic source's defaults
-    rows = ",".join(["0.01"] * 7) + "\n"
-    csv = tmp_path / "returns.csv"
-    csv.write_text("a,b,c,d,e,f,g\n" + rows * 300)
-    cost = validate_scenario({"mode": "calibrate", "source": {"kind": "csv", "path": str(csv)}})
+    csv = _returns_csv(tmp_path)
+    cost = validate_scenario({"mode": "calibrate", "source": {"kind": "csv", "path": csv}})
     assert cost["cost"]["grid_points"] == 57 * 300
     assert cost["cost"]["quad_nodes_per_point"] == 7
 
@@ -421,6 +475,26 @@ def test_validate_computes_nothing(monkeypatch):
             monkeypatch.setattr(module, name, refuse)
     for sid, doc in bundled_scenarios().items():
         assert validate_scenario(doc)["valid"] is True, sid
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_runs_at_the_market_bounds_warn_of_nothing(tmp_path, sign):
+    # log-drift +-LOG_SCALE_MAX with the horizon variance at LOG_SCALE_MAX,
+    # and v0/face at V0_FACE_MIN; this suite turns a RuntimeWarning into
+    # an error
+    from portloss.params import LOG_SCALE_MAX, V0_FACE_MIN
+
+    t_mat = LOG_SCALE_MAX / 0.35**2
+    market = f'market={{"mu":{sign * LOG_SCALE_MAX / t_mat + 0.35**2 / 2!r},"t_mat":{t_mat!r}}}'
+    floor = f'market={{"v0":{75 * V0_FACE_MIN!r}}}'
+    for sid, sets in [
+        ("nosub_halves_k100", ["grid.n_cells=8"]),
+        ("limit_equal_loss_curve", ["grid.n_cells=8"]),
+        ("mc_validate_halves_k100", ["mc.n_samples=20000"]),
+    ]:
+        for over in (market, floor):
+            doc = apply_overrides(bundled_scenarios()[sid], sets + [over])
+            assert run_scenario(doc, out_dir=str(tmp_path / sid))
 
 
 def test_run_builds_the_document_once(monkeypatch, tmp_path):

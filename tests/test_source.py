@@ -158,6 +158,7 @@ DOCUMENTED_API = {
     "mc.sample_wishart": "perfbench/micro.py times the random-covariance sampler",
     "mc.ks_compare": "acceptance 05 checks that the two samplers agree in law",
     "calibration.log_return_density": "the full return law whose N profile fit_n maximizes",
+    "scenarios.resolve_scenario": "perfbench resolves the bundled documents with it",
 }
 
 
