@@ -895,8 +895,8 @@ def tail_probability(
 
 
 def _analytic_pair_stats(scenario, quad):
-    """(means, second moments, cross moment) of the tracked loss pair using
-    the exact conditional decomposition."""
+    """(covariance, variance one, variance two) of the tracked loss pair
+    using the exact conditional decomposition."""
     w, means, cov = _node_table(scenario, quad)
     if len(means) != 2:
         raise ParameterError("loss_correlation needs a pair of tracked losses")
@@ -905,7 +905,7 @@ def _analytic_pair_stats(scenario, quad):
     s1 = float(np.dot(w, means[0] ** 2 + cov[0, 0]))
     s2 = float(np.dot(w, means[1] ** 2 + cov[1, 1]))
     cross = float(np.dot(w, means[0] * means[1] + cov[0, 1]))
-    return (e1, e2), (s1, s2), cross
+    return cross - e1 * e2, s1 - e1 * e1, s2 - e2 * e2
 
 
 def loss_correlation(
@@ -925,14 +925,12 @@ def loss_correlation(
     at working precision).
     """
     if method == "analytic":
-        (e1, e2), (s1, s2), cross = _analytic_pair_stats(scenario, quad)
-        v1 = s1 - e1 * e1
-        v2 = s2 - e2 * e2
-        if v1 <= 1e-300 or v2 <= 1e-300:
+        covariance, v1, v2 = _analytic_pair_stats(scenario, quad)
+        if v1 <= _VAR_FLOOR or v2 <= _VAR_FLOOR:
             raise UndefinedCorrelationError(
                 "a marginal loss variance vanishes; correlation is undefined"
             )
-        return float((cross - e1 * e2) / (math.sqrt(v1) * math.sqrt(v2)))
+        return float(covariance / (math.sqrt(v1) * math.sqrt(v2)))
     if method != "mc":
         raise ParameterError(f"method must be 'mc' or 'analytic', got {method!r}")
     from . import mc as _mc

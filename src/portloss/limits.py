@@ -68,7 +68,7 @@ from .errors import (
 from .engine import _mixture_density
 from .grids import DensityGrid, cell_centers
 from .moments import junior_mean_target, norm_pdf, plain_moments, senior_moments
-from .params import MarketParams, SubordinationSpec
+from .params import MarketParams, SubordinationSpec, distance_field
 from .quadrature import QuadratureSpec, _scale_rule, chi2_log_weight
 
 __all__ = [
@@ -388,27 +388,31 @@ def _check_ridge_support(faces: SubordinationSpec, params: MarketParams, n_cells
     the widest such move is below the cell width (hi - lo) / n_cells, the
     cell centres miss the ridge but for a row or two, and the grid would be
     zeros.  The test is on cells, not on a fixed N, since the support
-    narrows like 1/sqrt(N)."""
+    narrows like 1/sqrt(N).  A market that saturates the means, which then
+    do not move across the v bracket at s = 1 at any N, is refused at the
+    field :func:`distance_field` finds."""
     half = params.n_fluct / 2.0
     tiny = sys.float_info.min
-    s = np.array([[gammaincinv(half, tiny)], [gammainccinv(half, tiny)]]) / half
-    s = np.fmax(s, _s_bracket(params)[0])
+    ends = np.array([gammaincinv(half, tiny), gammainccinv(half, tiny)]) / half
+    s = np.append(np.fmax(ends, _s_bracket(params)[0]), 1.0)[:, None]
     v = np.linspace(-_V_HALF, _V_HALF, 97)
-    # a drift or horizon that sends the kernels past the float range
-    # saturates the means, which leaves the support as thin as it is
-    with np.errstate(over="ignore"):
-        width = max(
-            float(np.max(np.abs(np.diff(mean(s, v)[0], axis=0))))
-            for mean in (_senior_mean(faces, params), _junior_mean(faces, params))
-        )
+    means = [mean(s, v)[0] for mean in (_senior_mean(faces, params), _junior_mean(faces, params))]
+    width = max(float(np.max(np.abs(m[1] - m[0]))) for m in means)
     cell = (hi - lo) / n_cells
-    if not width >= cell:
+    if width >= cell:
+        return
+    if not any(np.ptp(m[2]) > 0.0 for m in means):
         raise ParameterError(
-            f"n_fluct = {params.n_fluct:.6g} leaves the ridge a support {width:.3g} wide, "
-            f"thinner than one grid cell of {cell:.3g}: a grid of cell-centre densities "
-            "would miss it",
-            field="n_fluct",
+            "the market saturates the senior and junior means: across the v bracket at "
+            "s = 1 neither moves, so the ridge has no support",
+            field=distance_field(faces.f_total, params),
         )
+    raise ParameterError(
+        f"n_fluct = {params.n_fluct:.6g} leaves the ridge a support {width:.3g} wide, "
+        f"thinner than one grid cell of {cell:.3g}: a grid of cell-centre densities "
+        "would miss it",
+        field="n_fluct",
+    )
 
 
 def _joint_newton(x, y, s, v, s_a, s_b, faces, params):

@@ -33,12 +33,12 @@ over a standard normal y, the firm's own shock.  Completing squares gives
 with E1 = exp(s g / 2 - sqrt(s) B v + nu T) and E2 = exp(2 s g -
 2 sqrt(s) B v + 2 nu T).
 
-On wide rules or in volatile markets the exponent of E1 or E2 can pass
-709, where exp overflows although the term (v0/f_div)^j E_j Phi(a_j) is
-finite.  Completing the square gives E_j phi(a_j) = (f_bound/v0)^j phi(a0),
-so there the term is (f_bound/f_div)^j phi(a0) Phi(a_j) / phi(a_j), the
-log-space product in closed form (:func:`_e_factors`); everywhere else the
-kernels take the direct product.
+Each term (v0/f_div)^j E_j Phi(a_j) takes its form from its own a_j
+(:func:`_term`).  Completing the square gives E_j phi(a_j) =
+(f_bound/v0)^j phi(a0), so below a_j = -30, where Phi(a_j) nears the
+subnormal range and E_j the overflow, the term is (f_bound/f_div)^j phi(a0)
+Phi(a_j) / phi(a_j); elsewhere it is the direct product, whose exponent
+a_j bounds.
 
 One pass of the kernel for one (payoff, boundary) pair gives every order
 0..j and, on request, the exact v- and s-slopes of orders 0 and 1, so each
@@ -95,53 +95,44 @@ def _natural(z, u, params: MarketParams):
     return np.asarray(z, dtype=float) / n, math.sqrt(n) * np.asarray(u, dtype=float)
 
 
-# exp overflows above log(DBL_MAX) ~ 709.78; the margin of e^9.78 ~ 1.8e4
-# covers rounding and the payoff factor, and a slope's larger multiplier of
-# E_j is passed to _e_factors as its ``factor``.
-_EXP_MAX = 700.0
+# Against a 50-digit closed form the kernels' largest error is the same
+# for any threshold from -30 to -10 and doubles at -33; past -37.6 a direct
+# exponent could overflow.  The lowest such threshold runs erfcx on the
+# fewest elements.
+_A_TAIL = -30.0
 
 
-def _e_factors(j, exponent, a_j, a0, ratio, bound_ratio, factor=1.0):
-    """The factors (E_j, Phi(a_j)) of the term ratio^j E_j Phi(a_j) of
-    kernel_j, with E_j = exp(exponent), and the mask of the elements where
-    they are rescaled (None where there are none).
-
-    Where the term can overflow, with exponent + j log max(1, ratio) +
-    log max(1, factor) above ``_EXP_MAX``, an element gets
-    (E_j phi(a_j), Phi(a_j) / phi(a_j)) instead, and phi(a_j) is 1 there
-    (:func:`_pdf`), so every term ratio^j E_j (alpha Phi(a_j) +
-    beta phi(a_j)) keeps its value.  Completing the square gives
-    E_j phi(a_j) = (f_bound / v0)^j phi(a0) exactly, so the rescaled
-    factors are finite wherever the term is: this is the log-space product
-    exp(j log ratio + x_j + log Phi(a_j)) in closed form.  ``factor``
-    bounds a larger multiplier of ratio^j E_j than the margin covers.  One
-    max per call, over the elements that are not NaN, decides whether any
-    element needs this; the other elements keep the direct factors, bit
-    for bit.
-    """
-    margin = j * math.log(max(1.0, ratio)) + math.log(max(1.0, factor))
-    if not np.fmax.reduce(exponent, axis=None, initial=-np.inf) + margin > _EXP_MAX:
+def _term(j, exponent, a_j, a0, face_ratio):
+    """The factors (T, P) of the term ratio^j E_j Phi(a_j) = T P of
+    kernel_j, with ratio = v0 / f_div, ``exponent`` = log(ratio^j E_j) and
+    face_ratio = f_bound / f_div, and the mask of the elements below ``_A_TAIL`` (None
+    where there are none).  Each element's form depends on its own a_j:
+    below ``_A_TAIL`` it is (face_ratio^j phi(a0), Phi(a_j) / phi(a_j)),
+    since ratio^j E_j phi(a_j) = face_ratio^j phi(a0) and phi(a_j) is 1
+    there (:func:`_pdf`); elsewhere it is (exp(exponent), Phi(a_j)), and
+    exponent = (a_j^2 - a0^2) / 2 + j log face_ratio is at most
+    _A_TAIL^2 / 2 + j log face_ratio."""
+    tail = a_j < _A_TAIL
+    if not tail.any():
         return np.exp(exponent), ndtr(a_j), None
-    big = exponent + margin > _EXP_MAX
-    e = np.where(big, bound_ratio**j * norm_pdf(a0), np.exp(np.where(big, 0.0, exponent)))
-    # Phi(a) / phi(a) = sqrt(pi / 2) erfcx(-a / sqrt(2)), taken where rescaled
-    mills = math.sqrt(0.5 * math.pi) * erfcx(np.where(big, a_j, 0.0) / -math.sqrt(2.0))
-    return e, np.where(big, mills, ndtr(a_j)), big
+    t = np.where(tail, face_ratio**j * norm_pdf(a0), np.exp(np.where(tail, 0.0, exponent)))
+    # Phi(a) / phi(a) = sqrt(pi / 2) erfcx(-a / sqrt(2)), taken in the tail
+    mills = math.sqrt(0.5 * math.pi) * erfcx(np.where(tail, a_j, 0.0) / -math.sqrt(2.0))
+    return t, np.where(tail, mills, ndtr(a_j)), tail
 
 
-def _pdf(a, big):
-    """phi(a), and 1 where :func:`_e_factors` rescaled."""
-    return norm_pdf(a) if big is None else np.where(big, 1.0, norm_pdf(a))
+def _pdf(a, tail):
+    """phi(a), and 1 where :func:`_term` took the completed-square form."""
+    return norm_pdf(a) if tail is None else np.where(tail, 1.0, norm_pdf(a))
 
 
 def _kernel(j, c_pay, f_div, f_bound, s, v, params: MarketParams, dv=False, ds=False):
     """Orders 0..j of the kernel from one pass at (s, v), as the triple
     (values, dv, ds): ``values`` lists kernel_0..kernel_j, and ``dv`` and
     ``ds``, when asked for, list d kernel_i / dv and d kernel_i / ds for
-    i = 0..min(j, 1) (None when not).  sqrt(s), a0, E1 and Phi(a1) serve
-    every order and slope; a slope's own terms are built only when it is
-    asked for.  A slope's multiplier of E1, sqrt(s) B + B / sqrt(g) for
-    ``dv`` and d(log E1)/ds for ``ds``, joins the E1 overflow test."""
+    i = 0..min(j, 1) (None when not).  sqrt(s), a0 and the factors of the
+    E1 term serve every order and slope; a slope's own terms are built only
+    when it is asked for."""
     if j not in (0, 1, 2):
         raise ParameterError(f"j must be 0, 1 or 2, got {j}")
     s = np.asarray(s, dtype=float)
@@ -163,30 +154,21 @@ def _kernel(j, c_pay, f_div, f_bound, s, v, params: MarketParams, dv=False, ds=F
         k_ds = [pdf0 * da0]
     if j == 0:
         return k, k_dv, k_ds
-    ratio, bound_ratio = params.v0 / f_div, f_bound / params.v0
+    log_scale, face_ratio = nu_t + math.log(params.v0 / f_div), f_bound / f_div
     a1 = a0 - root_g * sqs
-    factor = 0.0
+    t1, p1, tail = _term(1, 0.5 * s * g - sqs * b_coef * v + log_scale, a1, a0, face_ratio)
+    k.append(c_pay * k[0] - t1 * p1)
+    pdf1 = _pdf(a1, tail) if dv or ds else None
     if dv:
-        factor = b_coef * np.fmax.reduce(sqs, axis=None, initial=0.0) + slope_v
+        k_dv.append(c_pay * k_dv[0] - t1 * (-sqs * b_coef * p1 + pdf1 * slope_v))
     if ds:
         dx1 = 0.5 * g - b_coef * v / (2.0 * sqs)
-        factor = max(factor, np.fmax.reduce(np.abs(dx1), axis=None, initial=0.0))
-    e1, p1, big = _e_factors(
-        1, 0.5 * s * g - sqs * b_coef * v + nu_t, a1, a0, ratio, bound_ratio, factor,
-    )
-    k.append(c_pay * k[0] - ratio * e1 * p1)
-    pdf1 = _pdf(a1, big) if dv or ds else None
-    if dv:
-        k_dv.append(c_pay * k_dv[0] - ratio * e1 * (-sqs * b_coef * p1 + pdf1 * slope_v))
-    if ds:
         da1 = da0 - root_g / (2.0 * sqs)
-        k_ds.append(c_pay * k_ds[0] - ratio * (e1 * dx1 * p1 + e1 * pdf1 * da1))
+        k_ds.append(c_pay * k_ds[0] - t1 * (dx1 * p1 + pdf1 * da1))
     if j == 2:
-        e2, p2, _ = _e_factors(
-            2, 2.0 * s * g - 2.0 * sqs * b_coef * v + 2.0 * nu_t,
-            a0 - 2.0 * root_g * sqs, a0, ratio, bound_ratio,
-        )
-        k.append(-(c_pay**2) * k[0] + 2.0 * c_pay * k[1] + ratio**2 * e2 * p2)
+        t2, p2, _ = _term(2, 2.0 * s * g - 2.0 * sqs * b_coef * v + 2.0 * log_scale,
+                          a0 - 2.0 * root_g * sqs, a0, face_ratio)
+        k.append(-(c_pay**2) * k[0] + 2.0 * c_pay * k[1] + t2 * p2)
     return k, k_dv, k_ds
 
 

@@ -139,6 +139,20 @@ def check_face_ratio(face: float, params: MarketParams) -> None:
                              f"against face {face:g}")
 
 
+def distance_field(face: float, params: MarketParams) -> str:
+    """The field of ``params`` that puts a firm of face ``face`` out of reach
+    of default, or of solvency: in its distance to default (log(v0 / face)
+    + nu T) / (rho sqrt(t_mat)), the larger term of a numerator above 1 in
+    size (v0, or the log-drift's field as MarketParams names it), else the
+    smaller factor of rho^2 t_mat."""
+    log_ratio, drift = math.log(params.v0 / face), params.drift_adj * params.t_mat
+    if abs(log_ratio + drift) > 1.0:
+        if abs(log_ratio) >= abs(drift):
+            return "v0"
+        return "mu" if abs(params.drift_adj) > params.t_mat else "t_mat"
+    return "rho" if params.rho * params.rho <= params.t_mat else "t_mat"
+
+
 @dataclass(frozen=True)
 class MultiMarketParams:
     """A block-diagonal market structure: independent market blocks sharing

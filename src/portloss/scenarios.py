@@ -47,15 +47,15 @@ from .grids import (
 )
 from .limits import _check_ridge_faces, _check_ridge_support, _open_unit_centers
 from .mc import McConfig, _check_wishart_budget, _wishart_dof
-from .moments import plain_moments
 from .params import (
     MarketParams,
     MultiMarketParams,
     OverlapSpec,
     SubordinationSpec,
     check_face_ratio,
+    distance_field,
 )
-from .quadrature import QuadratureSpec, _normal_rule, _scale_rule
+from .quadrature import QuadratureSpec
 
 __all__ = [
     "MODES",
@@ -718,24 +718,19 @@ def _no_default(sc, out_dir=""):
     return [job], _work(points, nodes, points * nodes * _TERM_S)
 
 
-def _check_defaults(face: float, params: MarketParams, quad: QuadratureSpec):
-    """Refuse a market in which no node of the rule defaults: every
-    conditional moment is then exactly 0, so each creditor's loss variance
-    vanishes and their correlation is undefined.  The horizon volatility
-    rho sqrt(t_mat) shuts defaults off as it vanishes; the refusal names
-    the smaller factor of the horizon variance rho^2 t_mat."""
-    s, _ = _scale_rule(params.n_fluct, quad.z_nodes)
-    v, _ = _normal_rule(quad.u_nodes)
-    # a default boundary past the float range saturates Phi at 0 or 1
-    with np.errstate(over="ignore"):
-        defaults = plain_moments(0, s[:, None], v, face, params)[0][0]
-    if not np.any(defaults):
-        raise ParameterError(
-            "no node of the quadrature rule defaults at the horizon volatility rho "
-            f"sqrt(t_mat) = {params.rho * math.sqrt(params.t_mat):.3g}, so the loss "
-            "variances vanish and the correlation is undefined",
-            field="rho" if params.rho**2 <= params.t_mat else "t_mat",
-        )
+def _check_defaults(scens, quad: QuadratureSpec):
+    """Refuse a market in which a creditor's loss variance, as
+    :func:`engine.loss_correlation` finds it for a sweep cell in ``scens``,
+    is at or below its floor, so that the correlation is undefined, at the
+    field :func:`distance_field` finds."""
+    for scen in scens:
+        variance = min(engine._analytic_pair_stats(scen, quad)[1:])
+        if not variance > engine._VAR_FLOOR:
+            raise ParameterError(
+                f"a creditor's loss variance is {variance:.3g} at {scen.k_obligors} obligors, "
+                f"at or below {engine._VAR_FLOOR:g}, so the loss correlation is undefined",
+                field=distance_field(scen.obligor_face, scen.params),
+            )
 
 
 # The largest chance that the samples of an mc sweep cell show no default
@@ -764,12 +759,16 @@ def _correlation_sweep(sc, out_dir=""):
     _build("/portfolio/face", check_face_ratio, halves.f0, base)
     config = _mc_config(sc["mc"])
     quad, path = _quad(sc), _output(sc, "table", out_dir)
+    ks = _k_list(sc["portfolio"]["k_values"])
+    _build("/market", _check_defaults, [
+        _build("/portfolio/k_values", NoSubScenario, k_obligors=k, params=base, overlap=halves)
+        for k in ks
+    ], quad)
     # one (c, k, scenario, McConfig or None) cell per pair of c and k values
     cells, samples, seconds = [], 0, 0.0
     for i, c in enumerate(sc["c_values"]):
         params = _build(f"/c_values/{i}", dataclasses.replace, base, c=c)
-        _build("/market", _check_defaults, halves.f0, params, quad)
-        for k in _k_list(sc["portfolio"]["k_values"]):
+        for k in ks:
             scen = _build(
                 "/portfolio/k_values", NoSubScenario, k_obligors=k, params=params, overlap=halves
             )

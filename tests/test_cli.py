@@ -226,6 +226,17 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
         ("nosub_halves_k100", ["market.t_mat=1.7e308"], "/market/t_mat"),
         ("limit_subordinated_ridge", ["market.mu=1e300"], "/market/mu"),
         ("limit_subordinated_ridge", ["market.t_mat=1.7e308"], "/market/t_mat"),
+        # a creditor's loss variance at or below loss_correlation's floor of
+        # 1e-300 is refused at the field that moves the firms out of reach
+        # of default (these ran into exit 3)
+        ("correlation_sweep_full", ["market.v0=1e20"], "/market/v0"),
+        ("correlation_sweep_full", ["market.mu=40"], "/market/mu"),
+        ("correlation_sweep_full", ["market.mu=300"], "/market/mu"),
+        # a market that saturates the ridge's means is refused at its own
+        # field, not at n_fluct
+        ("limit_subordinated_ridge", ["market.mu=50"], "/market/mu"),
+        ("limit_subordinated_ridge", ["market.mu=-50"], "/market/mu"),
+        ("limit_subordinated_ridge", ["market.v0=3.8e-299"], "/market/v0"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):
@@ -249,6 +260,16 @@ def test_moment_exponents_past_the_exp_range_run_clean(tmp_path):
     # terms pass 709 at the outer nodes, where their products overflowed
     sets = ["market.n_fluct=1", "market.c=0.9", "market.rho=1.0", "quadrature.z_nodes=512"]
     overrides = [arg for s in sets for arg in ("--set", s)]
+    assert main(["run", "nosub_halves_k100", *overrides, "--out-dir", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moment_terms_at_the_v0_face_floor_run_clean(tmp_path):
+    # v0/face at V0_FACE_MIN: the squared bound ratio (face/v0)^2 of the
+    # E2 term's completed-square form overflowed as a float power (exit 3)
+    sets = ["market.v0=7.5e-299", "market.rho=3", "market.n_fluct=1", "grid.n_cells=5"]
+    overrides = [arg for s in sets for arg in ("--set", s)]
+    assert main(["validate", "nosub_halves_k100", *overrides]) == EXIT_OK
     assert main(["run", "nosub_halves_k100", *overrides, "--out-dir", str(tmp_path)]) == EXIT_OK
 
 

@@ -1,6 +1,7 @@
 """Infinite-portfolio limit densities: root solving, frozen values, and
 the grid builders against independent per-point references."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,9 @@ from portloss import (
     limit_grid_two_markets,
 )
 from portloss.limits import (
+    _check_ridge_support,
+    _junior_mean,
+    _senior_mean,
     _sub_v_roots,
     newton_bisect,
     solve_u_plain,
@@ -502,3 +506,28 @@ def test_z_bracket_without_scipy_stats():
     for n in (1, 2, 3.5, 6, 6.5, 12, 40, 100.25):
         params = MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=n, t_mat=1.0, v0=100.0)
         assert z_bracket(params)[1] == chi2.ppf(1.0 - 1e-10, n)
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [({}, None), ({"n_fluct": 3e7}, "n_fluct"),
+     ({"mu": 50.0}, "mu"), ({"mu": -50.0}, "mu"), ({"v0": 3.8e-299}, "v0")],
+)
+def test_ridge_refusal_tells_a_saturating_market_from_a_large_n(market, faces, change, field):
+    # in (s, v) the means do not depend on N, so at s = 1 they sweep the
+    # same range across the v bracket at every N; a market that saturates
+    # them leaves that range 0, and the refusal names its field
+    params = dataclasses.replace(market, **change)
+    v = np.linspace(-12.0, 12.0, 97)
+    spans = [float(np.ptp(mean(1.0, v)[0])) for mean in (_senior_mean(faces, params),
+                                                          _junior_mean(faces, params))]
+    if field in (None, "n_fluct"):
+        assert spans == pytest.approx([0.66, 1.0], abs=0.01)
+    else:
+        assert spans == [0.0, 0.0]
+    if field is None:
+        _check_ridge_support(faces, params, n_cells=61, lo=0.0, hi=0.6)
+        return
+    with pytest.raises(ParameterError) as err:
+        _check_ridge_support(faces, params, n_cells=61, lo=0.0, hi=0.6)
+    assert err.value.field == field

@@ -7,9 +7,10 @@ regressions in the kernel algebra.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
@@ -18,8 +19,12 @@ from scipy.stats import norm
 from portloss import MarketParams, ParameterError, QuadratureSpec, SubordinationSpec
 from portloss import moments
 from portloss.moments import (
+    _coeffs,
+    _kernel,
     _natural,
     _pass,
+    _pdf,
+    _term,
     junior_band_moments,
     junior_mean_target,
     junior_mean_target_du,
@@ -29,6 +34,7 @@ from portloss.moments import (
     senior_moments,
     tau,
 )
+from portloss.quadrature import _scale_rule
 
 # one representative (z, u) point, all four payoff/boundary pairs, j = 0, 1, 2
 FROZEN_TAU = {
@@ -165,9 +171,10 @@ def _separate_dv(j, c_pay, f_div, f_bound, s, v, par):
     d0 = norm_pdf(a0) * (b / root_g)
     if j == 0:
         return d0
-    e1 = np.exp(0.5 * s * g - sqs * b * v + par.drift_adj * par.t_mat)
     a1 = a0 - root_g * sqs
-    return c_pay * d0 - par.v0 / f_div * e1 * (-sqs * b * ndtr(a1) + norm_pdf(a1) * (b / root_g))
+    log_scale = par.drift_adj * par.t_mat + math.log(par.v0 / f_div)
+    t1, p1, tail = _term(1, 0.5 * s * g - sqs * b * v + log_scale, a1, a0, f_bound / f_div)
+    return c_pay * d0 - t1 * (-sqs * b * p1 + _pdf(a1, tail) * (b / root_g))
 
 
 @pytest.mark.parametrize("split", [(37.0, 38.0), (0.0, 75.0)])
@@ -237,7 +244,6 @@ def test_kernels_broadcast(faces, market):
 def _mp_kernel(j, z, u, face, params):
     """kernel_j of a plain payoff and its E_j term's exponent, at 60 digits
     from the closed forms of the module docstring."""
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     n, rho, c, t = (mp.mpf(x) for x in (params.n_fluct, params.rho, params.c, params.t_mat))
     g = (1 - c) * t * rho**2
@@ -256,7 +262,6 @@ def _mp_kernel(j, z, u, face, params):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernels_past_the_exp_range_match_mpmath():
-    mp = pytest.importorskip("mpmath")
     params = MarketParams(mu=0.17, rho=1.0, c=0.9, n_fluct=1.0, t_mat=1.0, v0=100.0)
     face = 75.0
     # E2's exponent alone passes 709 at the first point, both at the second
@@ -280,22 +285,128 @@ def test_kernels_past_the_exp_range_match_mpmath():
     assert mixed[0] == plain_moments(2, 1.0, 0.1, face, params)[0][2]
 
 
+# a market whose E1 and E2 exponents pass 709 on the s range below; there
+# a0 is about 3 v
+_STEEP = MarketParams(mu=0.17, rho=1.0, c=0.9, n_fluct=1.0, t_mat=1.0, v0=100.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_nan_lane_keeps_the_overflow_guard_of_its_neighbours():
-    # a limit solve passes NaN for a lost u root; the lane beside it, whose
-    # E1 exponent passes 709, must still take the log-space form
-    params = MarketParams(mu=0.17, rho=1.0, c=0.9, n_fluct=1.0, t_mat=1.0, v0=100.0)
-    face, z, u = 75.0, 8000.0, -6.0
-    assert _mp_kernel(1, z, u, face, params)[1] > 709
-    zz, uu = np.array([z, z]), np.array([np.nan, u])
-    for kernel in (
-        lambda z, u: plain_moments(1, z, u, face, params)[0][1],
-        lambda z, u: plain_moments(2, z, u, face, params)[0][2],
-        lambda z, u: plain_moments(1, z, u, face, params, dv=True)[1][1],
-        lambda z, u: plain_moments(1, z, u, face, params, ds=True)[2][1],
-    ):
-        got, want = kernel(zz, uu), kernel(z, u)
-        assert np.isnan(got[0]) and np.isfinite(want) and got[1] == want
+@given(st.lists(
+    st.tuples(st.floats(1e-3, 1e4), st.one_of(st.just(math.nan), st.floats(-14.0, 14.0))),
+    min_size=2, max_size=8,
+))
+@example([(8000.0, math.nan), (8000.0, -6.0), (2000.0, -8.0), (1.0, -13.3)])
+def test_each_element_of_a_batch_is_the_element_alone(points):
+    # a limit solve passes NaN for a lost v root, and each kernel term takes
+    # its form from its own a_j: values and both slopes of orders 0..2 of
+    # every family come out bit for bit as the element computed alone
+    s, v = (np.array(x) for x in zip(*points))
+    faces = SubordinationSpec(37.0, 38.0)
+    families = (
+        lambda s, v: plain_moments(2, s, v, 75.0, _STEEP, True, True),
+        lambda s, v: senior_moments(2, s, v, faces, _STEEP, True, True),
+        lambda s, v: junior_band_moments(2, s, v, faces, _STEEP, True, True),
+    )
+    for family in families:
+        batch = [x for part in family(s, v) for x in part]
+        for i in range(len(s)):
+            alone = [x for part in family(s[i], v[i]) for x in part]
+            for got, want in zip(batch, alone):
+                _assert_same_bits(got[i : i + 1], np.reshape(want, 1))
+
+
+# A point is redrawn where a0 sums terms more than this many times its own
+# size (or 1): the rounding of those terms, not the kernel forms, then sets
+# the error, which reached 7e-12 of kernel_0 on draws without this rule.
+_A0_CANCELLATION_MAX = 8.0
+
+
+def _gate_points(n, rng):
+    """``n`` seeded (market, (c_pay, f_div, f_bound), s, v, a0) across the
+    accepted market domain, with s up to the largest node of the 512-node
+    rule at N = 1, v on the limit solvers' bracket [-12, 12] and a0 in
+    [-40, 10]; each point takes one of the plain, senior, junior and
+    junior-on-senior payoff and boundary pairs."""
+    s_max = _scale_rule(1.0, 512)[0].max()
+    points = []
+    while len(points) < n:
+        t_mat = math.exp(rng.uniform(math.log(0.01), math.log(30.0)))
+        rho = math.sqrt(math.exp(rng.uniform(math.log(1e-4), math.log(299.0))) / t_mat)
+        drift = rng.uniform(-299.0, 299.0) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+        par = MarketParams(mu=drift / t_mat + 0.5 * rho**2, rho=rho, c=rng.uniform(0.0, 0.95),
+                           n_fluct=1.0, t_mat=t_mat, v0=100.0)
+        face = par.v0 * math.exp(rng.uniform(-69.0, 690.0) if rng.random() < 0.5
+                                 else rng.uniform(-3.0, 3.0))
+        f_j = rng.uniform(0.1, 0.9) * face
+        f_s = face - f_j
+        args = [(1.0, face, face), (1.0, f_s, f_s), (face / f_j, f_j, face),
+                (face / f_j, f_j, f_s)][rng.integers(4)]
+        if not all(1e-300 <= par.v0 / f <= 1e30 for f in (f_s, f_j, face)):
+            continue
+        g, b_coef, nu_t = _coeffs(par)
+        s = math.exp(rng.uniform(math.log(1e-6), math.log(s_max)))
+        log_bound = math.log(args[2] / par.v0)
+        fh, slope_v = (log_bound - nu_t) / math.sqrt(g * s), b_coef / math.sqrt(g)
+        lo, hi = max(-12.0, (-40.0 - fh) / slope_v), min(12.0, (10.0 - fh) / slope_v)
+        if not lo < hi:
+            continue
+        v = rng.uniform(lo, hi)
+        a0 = fh + slope_v * v
+        size = (abs(log_bound) + abs(nu_t)) / math.sqrt(g * s) + abs(slope_v * v)
+        if size > _A0_CANCELLATION_MAX * max(abs(a0), 1.0):
+            continue
+        points.append((par, args, s, v, a0))
+    return points
+
+
+def _mp_closed_form(c_pay, f_div, f_bound, s, v, par):
+    """kernel_0..2 and the (dv, ds) slopes of orders 0 and 1 at (s, v),
+    each as (value, scale), from the closed forms of the module docstring
+    at 50 digits: the float inputs and the market coefficients of
+    ``_coeffs`` are taken as exact.  A value's scale is
+    max(|kernel_j|, c_pay^j kernel_0), since the payoff is at most c_pay; an
+    order-0 slope's is its size and an order-1 slope's the largest of the
+    three terms it sums."""
+    f = mp.mpf
+    g, b_coef, nu_t = (f(x) for x in _coeffs(par))
+    s, v, c_pay = f(s), f(v), f(c_pay)
+    root_g, sqs = mp.sqrt(g), mp.sqrt(s)
+    fh = (mp.log(f(f_bound) / f(par.v0)) - nu_t) / (root_g * sqs)
+    slope_v = b_coef / root_g
+    a0 = fh + slope_v * v
+    a1, a2 = a0 - root_g * sqs, a0 - 2 * root_g * sqs
+    ratio = f(par.v0) / f(f_div)
+    t1 = ratio * mp.exp(s * g / 2 - sqs * b_coef * v + nu_t)
+    t2 = ratio**2 * mp.exp(2 * s * g - 2 * sqs * b_coef * v + 2 * nu_t)
+    k0 = mp.ncdf(a0)
+    k1 = c_pay * k0 - t1 * mp.ncdf(a1)
+    k2 = -c_pay**2 * k0 + 2 * c_pay * k1 + t2 * mp.ncdf(a2)
+    out = [(k, max(abs(k), c_pay**j * k0)) for j, k in enumerate((k0, k1, k2))]
+    # (d a0, d log E1, d a1) along v and along s
+    for da0, dx1, da1 in ((slope_v, -sqs * b_coef, slope_v),
+                          (-fh / (2 * s), g / 2 - b_coef * v / (2 * sqs),
+                           -fh / (2 * s) - root_g / (2 * sqs))):
+        d0 = mp.npdf(a0) * da0
+        terms = (c_pay * d0, t1 * dx1 * mp.ncdf(a1), t1 * mp.npdf(a1) * da1)
+        out += [(d0, abs(d0)), (terms[0] - terms[1] - terms[2], max(abs(t) for t in terms))]
+    return [(float(x), float(scale)) for x, scale in out]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernels_match_a_50_digit_closed_form():
+    # values within 1e-12 of their scale, or below 1e-300, and the slopes
+    # too: over twelve seeds of these draws orders 1 and 2 and the order-1
+    # slopes came within 4.1e-13, and order 0 and its slopes, which carry
+    # Phi's condition a0^2 at a0 near -40, within 6.7e-13
+    points = _gate_points(1500, np.random.default_rng(1706))
+    with mp.workdps(50):
+        for par, args, s, v, _ in points:
+            values, dv, ds = _kernel(2, *args, s, v, par, dv=True, ds=True)
+            got = [values[0], values[1], values[2], dv[0], dv[1], ds[0], ds[1]]
+            want = _mp_closed_form(*args, s, v, par)
+            for g, (w, scale) in zip(got, want):
+                assert abs(float(g) - w) <= max(1e-12 * scale, 1e-300), (par, args, s, v)
+    assert min(p[4] for p in points) < -39.0 and max(p[2] for p in points) > 2000.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +416,6 @@ def test_nan_lane_keeps_the_overflow_guard_of_its_neighbours():
 def _ref_kernel(j, c_pay, f_div, f_bound, s, v, par, dv=False):
     """kernel_j by the per-order formula; with ``dv`` (j in {0, 1}) the
     pairs (kernel_i, d kernel_i / dv) for i = 0..j."""
-    from portloss.moments import _coeffs, _e_factors, _pdf
-
     s = np.asarray(s, dtype=float)
     v = np.asarray(v, dtype=float)
     g, b_coef, nu_t = _coeffs(par)
@@ -318,26 +427,22 @@ def _ref_kernel(j, c_pay, f_div, f_bound, s, v, par, dv=False):
     d0 = norm_pdf(a0) * slope_v if dv else None
     if j == 0:
         return [(k0, d0)] if dv else k0
-    ratio, bound_ratio = par.v0 / f_div, f_bound / par.v0
+    log_scale, face_ratio = nu_t + math.log(par.v0 / f_div), f_bound / f_div
     a1 = a0 - root_g * sqs
-    e1, p1, big = _e_factors(1, 0.5 * s * g - sqs * b_coef * v + nu_t, a1, a0, ratio, bound_ratio)
-    k1 = c_pay * k0 - ratio * e1 * p1
+    t1, p1, tail = _term(1, 0.5 * s * g - sqs * b_coef * v + log_scale, a1, a0, face_ratio)
+    k1 = c_pay * k0 - t1 * p1
     if dv:
-        d1 = c_pay * d0 - ratio * e1 * (-sqs * b_coef * p1 + _pdf(a1, big) * slope_v)
+        d1 = c_pay * d0 - t1 * (-sqs * b_coef * p1 + _pdf(a1, tail) * slope_v)
         return [(k0, d0), (k1, d1)]
     if j == 1:
         return k1
-    e2, p2, _ = _e_factors(
-        2, 2.0 * s * g - 2.0 * sqs * b_coef * v + 2.0 * nu_t,
-        a0 - 2.0 * root_g * sqs, a0, ratio, bound_ratio,
-    )
-    return -(c_pay**2) * k0 + 2.0 * c_pay * k1 + ratio**2 * e2 * p2
+    t2, p2, _ = _term(2, 2.0 * s * g - 2.0 * sqs * b_coef * v + 2.0 * log_scale,
+                      a0 - 2.0 * root_g * sqs, a0, face_ratio)
+    return -(c_pay**2) * k0 + 2.0 * c_pay * k1 + t2 * p2
 
 
 def _ref_kernel_ds(j, c_pay, f_div, f_bound, s, v, par):
     """d kernel_j / ds (j in {0, 1}) by its own formula."""
-    from portloss.moments import _coeffs, _e_factors, _pdf
-
     s = np.asarray(s, dtype=float)
     v = np.asarray(v, dtype=float)
     g, b_coef, nu_t = _coeffs(par)
@@ -349,16 +454,12 @@ def _ref_kernel_ds(j, c_pay, f_div, f_bound, s, v, par):
     d0 = norm_pdf(a0) * da0
     if j == 0:
         return d0
-    ratio = par.v0 / f_div
     a1 = a0 - root_g * sqs
+    x1 = 0.5 * s * g - sqs * b_coef * v + (nu_t + math.log(par.v0 / f_div))
+    t1, p1, tail = _term(1, x1, a1, a0, f_bound / f_div)
     dx1 = 0.5 * g - b_coef * v / (2.0 * sqs)
-    e1, p1, big = _e_factors(
-        1, 0.5 * s * g - sqs * b_coef * v + nu_t, a1, a0, ratio,
-        f_bound / par.v0, np.fmax.reduce(np.abs(dx1), axis=None, initial=0.0),
-    )
-    de1 = e1 * dx1
     da1 = da0 - root_g / (2.0 * sqs)
-    return c_pay * d0 - ratio * (de1 * p1 + e1 * _pdf(a1, big) * da1)
+    return c_pay * d0 - t1 * (dx1 * p1 + _pdf(a1, tail) * da1)
 
 
 def _ref_family(args, s, v, par):
