@@ -11,12 +11,14 @@ correlation c is the mean off-diagonal of the sample correlation matrix.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, kve
 
 from .errors import FitError, ParameterError, SingularCovarianceError
+from .mc import _pool_size
 
 __all__ = [
     "ReturnSample",
@@ -251,7 +253,11 @@ def fit_n(
 
     The covariance is frozen at the sample estimate and the summed log
     density is maximized over N on a grid, then refined by Brent's method
-    on the grid triple around the grid maximum (:func:`_brent_max`).  A
+    on the grid triple around the grid maximum (:func:`_brent_max`).  The
+    grid points are evaluated on a thread pool sized as ``mc.estimate``
+    sizes its own, since ``kve`` releases the GIL; each point is computed
+    on its own and the profile is kept in grid order, so it does not
+    depend on the thread count.  Brent's steps run serially.  A
     maximum at the upper grid end is flagged as a boundary solution (data
     indistinguishable from the frozen-correlation N -> infinity member); a
     flat profile raises FitError.
@@ -273,7 +279,8 @@ def fit_n(
     q = np.einsum("mi,ij,mj->m", centered, inv, centered)
     if np.any(q <= 0):
         raise FitError("degenerate return vectors (zero Mahalanobis norm)")
-    profile = np.array([_profile_loglik(q, k, n) for n in grid])
+    with ThreadPoolExecutor(_pool_size(len(grid)), thread_name_prefix="portloss-fit") as pool:
+        profile = np.array(list(pool.map(lambda n: _profile_loglik(q, k, n), grid)))
     if not np.all(np.isfinite(profile)):
         raise FitError("log likelihood not finite on the grid")
     if float(np.ptp(profile)) < 1e-9 * max(1.0, abs(float(profile[0]))):

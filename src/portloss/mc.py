@@ -13,8 +13,10 @@ per chunk, on a thread pool of one thread per CPU, no more than there
 are chunks.  Within a chunk, samples are drawn, turned into asset values
 and reduced to losses a block at a time, in scratch buffers that the
 calling thread allocated once per pool thread: at most
-``_BLOCK_ELEMENTS`` = 2^17 values each, Wishart G blocks included, or
-one sample where a sample alone holds more.  Only the chunk's (m, B)
+``_BLOCK_ELEMENTS`` = 2^17 values each, Wishart G panels included, or
+one sample where a sample alone holds more.  Each chunk's stream is an
+SFC64 generator spawned from the seed and the chunk index; it feeds
+numpy's ziggurat normals faster than PCG64 does.  Only the chunk's (m, B)
 losses and (m,) default counts are held whole.  Block size changes
 no draw and no loss, and the partial statistics are reduced in chunk
 order, so results are bit-identical for a given McConfig whatever the
@@ -92,7 +94,7 @@ class McConfig:
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     )
 
 
@@ -100,7 +102,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 # samplers
 #
 # Each route draws its small per-sample variables first and then its
-# (m, K) idiosyncratic normals, or its (m, K, N) Wishart G blocks, a block
+# (m, K) idiosyncratic normals, or its (m, N, K) Wishart G panels, a block
 # of samples at a time from the same stream into caller-owned scratch;
 # one stream drawn in blocks gives the same numbers as one draw.  A route
 # is a generator of (first sample, returns) per block, and the caller
@@ -173,7 +175,7 @@ def _wishart_dof(n_fluct, rows: int) -> int:
     must be a positive integer for this sampler.  An N above the ``rows``
     samples of a chunk raises SamplerBudgetError: the memory refusal
     bounds a chunk's rows x K values, and N <= rows keeps one sample's
-    (K, N) G block, the least a block holds, within it.  The compound
+    (N, K) G panel, the least a block holds, within it.  The compound
     sampler has the same law."""
     n_int = int(n_fluct)
     if n_int != n_fluct or n_int < 1:
@@ -187,7 +189,7 @@ def _wishart_dof(n_fluct, rows: int) -> int:
 
 
 def _check_wishart_budget(k_obligors: int) -> None:
-    """The Wishart sampler draws a (K, N) block per sample, so it is
+    """The Wishart sampler draws an (N, K) panel per sample, so it is
     refused beyond ``_WISHART_K_BUDGET`` obligors; the compound sampler has
     the same law."""
     if k_obligors > _WISHART_K_BUDGET:
@@ -200,19 +202,20 @@ def _check_wishart_budget(k_obligors: int) -> None:
 def _wishart_blocks(params: MarketParams, rng, base: int, out, g):
     """Centered log-returns of ``base`` samples via an explicit Wishart
     covariance draw, len(out) samples at a time into ``out``; ``g`` is
-    (len(out), K, N) scratch for the samples' G blocks.
+    (len(out), N, K) scratch for the samples' G panels.
 
     W has independent columns of covariance Sigma/N, where Sigma is the
     mean return covariance rho^2 T [(1-c) I + c e e^T]; given W the return
-    is Gaussian with covariance W W^T.  Computed as Sigma^(1/2) G eta with
-    G a (K, N) standard normal block per sample; all of eta is drawn
-    before the first G block.
+    is Gaussian with covariance W W^T.  Computed as Sigma^(1/2) G^T eta
+    with G an (N, K) standard normal panel per sample, obligors along the
+    contiguous axis, so the contraction over N adds whole rows of G; all
+    of eta is drawn before the first panel.
     """
-    eta = rng.standard_normal((base, g.shape[2]))
+    eta = rng.standard_normal((base, g.shape[1]))
     for lo in range(0, base, len(out)):
         hi = min(lo + len(out), base)
         gb = rng.standard_normal(out=g[: hi - lo])
-        r = np.einsum("mkn,mn->mk", gb, eta[lo:hi], out=out[: hi - lo])
+        r = np.einsum("mnk,mn->mk", gb, eta[lo:hi], out=out[: hi - lo])
         _sigma_half_in_place(r, params)
         yield lo, r
 
@@ -241,7 +244,7 @@ def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
     rows = _block_rows(n, k_obligors, dof)
     r = np.empty((n, k_obligors))
     for lo, block in _wishart_blocks(
-        params, rng, n, np.empty((rows, k_obligors)), np.empty((rows, k_obligors, dof))
+        params, rng, n, np.empty((rows, k_obligors)), np.empty((rows, dof, k_obligors))
     ):
         r[lo : lo + len(block)] = block
     return _values_in_place(r, *_value_rows(block_market(params, k_obligors)))
@@ -367,7 +370,7 @@ def _labels(scenario):
 
 def _block_rows(rows: int, k: int, wishart_dof: int) -> int:
     """Samples per block: as many of ``rows`` as keep each block array,
-    (m, K) values or (m, K, N) G blocks, within ``_BLOCK_ELEMENTS``, and
+    (m, K) values or (m, N, K) G panels, within ``_BLOCK_ELEMENTS``, and
     one at least."""
     return min(rows, max(1, _BLOCK_ELEMENTS // (k * max(wishart_dof, 1))))
 
@@ -376,7 +379,7 @@ class _Scratch:
     """One worker slot's block buffers for chunks of up to ``rows``
     samples: the returns that become asset values, their antithetic
     mirror image, float and boolean loss scratch and, with a Wishart N,
-    the samples' G blocks; each holds one block of ``_block_rows``
+    the samples' (N, K) G panels; each holds one block of ``_block_rows``
     samples."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
@@ -385,7 +388,7 @@ class _Scratch:
         self.mirror = np.empty((m, k))
         self.spare = np.empty((m, k))
         self.mask = np.empty((m, k), dtype=bool)
-        self.g = np.empty((m, k, wishart_dof)) if wishart_dof else None
+        self.g = np.empty((m, wishart_dof, k)) if wishart_dof else None
 
 
 def _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf):
@@ -442,14 +445,15 @@ def _chunk_stats(scenario, cfg, chunk_index, m, scratch, pf, edges):
     return stats, losses
 
 
-def _pool_size(n_chunks: int) -> int:
-    """Chunk threads for ``estimate``: one per usable CPU and no more than
-    there are chunks."""
+def _pool_size(n_tasks: int) -> int:
+    """Threads for a pool of ``n_tasks`` independent tasks, the chunks of
+    ``estimate`` or the grid points of ``calibration.fit_n``: one per
+    usable CPU and no more than there are tasks."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_chunks))
+    return max(1, min(cpus, n_tasks))
 
 
 def estimate(scenario, config: McConfig = McConfig()) -> McRun:

@@ -123,6 +123,12 @@ V0_FACE_MAX = 1e30
 # at v0 = 5e-324 the ratio is 0 and the default boundary log(face/v0) inf.
 V0_FACE_MIN = 1e-300
 
+# The junior payoff scale c = f_total / f_junior enters the second moment
+# kernel as c^2 and 2 c kernel_1.  Shrunk `subordinated` and tranched
+# `mc-validate` runs at f_total = 1e130 ran clean up to c = 1e153 and
+# overflowed from 1e154 (a RuntimeWarning, then OverflowError, exit 3).
+JUNIOR_RATIO_MAX = 1e150
+
 
 def check_face_ratio(face: float, params: MarketParams) -> None:
     """Refuse a positive face against which v0/face exceeds
@@ -214,7 +220,8 @@ class SubordinationSpec:
     """Per-obligor split of the face value into a senior and a junior piece.
 
     The senior creditor is repaid first; the junior piece absorbs losses
-    until it is wiped out.
+    until it is wiped out.  f_total / f_junior is at most
+    ``JUNIOR_RATIO_MAX``.
     """
 
     f_senior: float
@@ -225,6 +232,12 @@ class SubordinationSpec:
             raise ParameterError(f"f_senior must be >= 0, got {self.f_senior}")
         if not (self.f_junior > 0):
             raise ParameterError(f"f_junior must be > 0, got {self.f_junior}")
+        if self.f_total / self.f_junior > JUNIOR_RATIO_MAX:
+            raise ParameterError(
+                f"f_total / f_junior must be at most {JUNIOR_RATIO_MAX:g}, where the junior "
+                f"moment kernels stay finite; got {self.f_total / self.f_junior:.6g}",
+                field="f_junior",
+            )
 
     @property
     def f_total(self) -> float:

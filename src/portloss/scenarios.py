@@ -347,8 +347,11 @@ def _build(pointer: str, make, *args, **kwargs):
 # Seconds per unit of work, fitted by least squares in log(estimate /
 # measured) to the median time of every bundled op in one 36 s benchmark
 # run per workload (perfbench, 2 CPUs): est/measured then ran 0.61-1.47
-# over the 14 ops.  No bundled op runs the adaptive rule, whose rate is
-# from an 81x81 grid at K = 2000.
+# over the 14 ops.  _SAMPLE_S, the Wishart factor and _FIT_S were refit
+# to the op medians of twelve 36 s `simulation` runs after the MC streams
+# moved to SFC64 and the fit's grid to a thread pool: est/measured
+# 0.96-1.04 on the three MC ops and the calibration.  No bundled op runs
+# the adaptive rule, whose rate is from an 81x81 grid at K = 2000.
 _FIXED_S = 0.0081  # resolve, quadrature rules, artifact provenance
 _WRITE_S = 2.3e-7  # one CSV row of a grid
 _TERM_S = 4e-10  # one mixture term: one grid point at one quadrature node
@@ -356,8 +359,8 @@ _TABLE_S = 1.9e-7  # the moment kernels at one node of a node table
 _ADAPTIVE_CELL_S = 1e-3  # the crossing and u-root solves of one adaptive cell
 _SCAN_S = 6.8e-8  # one scan point of one ridge cell
 _ROOT_S = 6.7e-7  # one implicit u solve of a limit law at one (loss, z) pair
-_SAMPLE_S = 1.8e-8  # one obligor of one MC sample; x (1 + N/3) for the Wishart sampler
-_FIT_S = 1.1e-8  # one return sample at one fit grid point, per (K + 40) assets
+_SAMPLE_S = 1.3e-8  # one obligor of one MC sample; x (1 + N)/1.8 for the Wishart sampler
+_FIT_S = 6e-9  # one return sample at one fit grid point, per (K + 40) assets
 
 
 def _work(points, nodes, seconds, samples=0) -> dict:
@@ -512,15 +515,16 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
     asset values, rows x K, exceed the memory budget.  The estimate holds
     only a block of those values at a time, so this refusal is
     conservative; for the Wishart sampler it also bounds one sample's
-    K x N G block, since N <= rows.  Returns the seconds the samples take,
-    ``_SAMPLE_S`` per obligor and sample, x (1 + N/3) for the Wishart
-    sampler."""
+    N x K G panel, since N <= rows.  Returns the seconds the samples take,
+    ``_SAMPLE_S`` per obligor and sample, x (1 + N)/1.8 for the Wishart
+    sampler, whose N normals per obligor cost about 0.55 compound samples
+    each (an N sweep from 1 to 48 at K = 100)."""
     rows = min(config.chunk_size, config.n_samples)
     obligor_s = _SAMPLE_S
     if config.sampler == "wishart":
         _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct, rows)
         _build(k_pointer, _check_wishart_budget, scen.k_obligors)
-        obligor_s *= 1.0 + scen.params.n_fluct / 3.0
+        obligor_s *= (1.0 + scen.params.n_fluct) / 1.8
     if isinstance(scen, NoSubScenario):
         _build(k_pointer, _class_counts, scen)
         _build(counts_pointer, _whole_counts, scen)

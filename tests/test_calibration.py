@@ -15,7 +15,8 @@ from portloss import (
     effective_correlation,
     fit_n,
 )
-from portloss.calibration import _log_bessel_part, _log_kv, log_return_density
+from portloss import calibration
+from portloss.calibration import _log_bessel_part, _log_kv, _profile_loglik, log_return_density
 from portloss.mc import sample_compound_returns
 
 
@@ -119,6 +120,25 @@ def test_fit_round_trip_frozen():
     assert fit.n_hat == pytest.approx(5.830981403750254, rel=1e-6)
     assert fit.converged and not fit.boundary and not fit.rank_deficient
     assert effective_correlation(np.cov(r.T)) == pytest.approx(0.28094965163489377, rel=1e-9)
+
+
+def test_fit_does_not_depend_on_the_thread_count(monkeypatch):
+    # the grid profile runs on a pool; one thread, then more threads than
+    # points, must give the serial profile and n_hat bit for bit
+    par = MarketParams(mu=0.17, rho=0.35, c=0.28, n_fluct=6, t_mat=1.0, v0=100.0)
+    sample = ReturnSample(sample_compound_returns(par, 20, 5000, np.random.default_rng(12345)))
+    grid = np.geomspace(1.0, 128.0, 57)
+    fits = []
+    for threads in (1, 8):
+        monkeypatch.setattr(calibration, "_pool_size", lambda n_tasks, t=threads: min(t, n_tasks))
+        fits.append(fit_n(sample, grid))
+    centered = sample.returns - sample.returns.mean(axis=0)
+    inv = np.linalg.inv(sample.sigma_hat)
+    q = np.einsum("mi,ij,mj->m", centered, inv, centered)
+    serial = tuple(_profile_loglik(q, 20, n) for n in grid)
+    for fit in fits:
+        assert fit.profile == serial
+        assert fit.n_hat == fits[0].n_hat and fit.loglik == fits[0].loglik
 
 
 def test_fit_flags_gaussian_data_as_boundary():

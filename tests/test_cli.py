@@ -148,6 +148,10 @@ _SCENARIO_WITH = {
         (["portfolio.k_obligors=1e300"], "/portfolio/k_obligors"),
         # a count of about 1e600 values, beyond float range
         (["source.k_assets=1e300"], "/source/k_assets"),
+        # f_total / f_junior = 1e158, whose square the junior kernels formed
+        # (OverflowError at run, exit 3); each v0/face is inside its window
+        (["grid.n_cells=5", "tranches.f_senior=1e130", "tranches.f_junior=1e-28"],
+         "/tranches/f_junior"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -298,8 +302,8 @@ def test_oversized_or_unreadable_returns_csv_rejected_by_validate(tmp_path, caps
 
 
 def test_vanishing_correlation_is_a_numeric_failure(tmp_path, capsys):
-    # each marginal variance passes its 1e-300 floor, but their product
-    # underflows; the sweep then refuses with the package's own error
+    # the swept cells at c = 0.8 and 0.9 have a marginal loss variance of
+    # exactly 0; the sweep then refuses with the package's own error
     out_dir = tmp_path / "out"
     rc = main(["run", "correlation_sweep_full", "--set", "portfolio.face=1e-9",
                "--out-dir", str(out_dir)])

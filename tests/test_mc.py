@@ -107,7 +107,7 @@ def test_wishart_covariances_fluctuate_around_mean(market, rng):
     rows = 4096
     r = np.empty((n, k))
     for lo, block in mc._wishart_blocks(
-            market, rng, n, np.empty((rows, k)), np.empty((rows, k, dof))):
+            market, rng, n, np.empty((rows, k)), np.empty((rows, dof, k))):
         r[lo : lo + len(block)] = block
     c, var = market.c, market.rho**2 * market.t_mat
     want = var * (np.full((k, k), c) + (1 - c) * np.eye(k))
@@ -123,7 +123,7 @@ def test_wishart_covariances_refuse_fractional_dof(market, rng):
 
 
 def test_wishart_refuses_n_above_the_chunk_rows(market):
-    # the memory refusal bounds rows x K, and so one sample's K x N G block
+    # the memory refusal bounds rows x K, and so one sample's N x K G panel
     wide = MarketParams(mu=market.mu, rho=market.rho, c=market.c, n_fluct=200,
                         t_mat=market.t_mat, v0=market.v0)
     cfg = dict(n_samples=10_000, sampler="wishart")
@@ -207,10 +207,10 @@ def _ref_wishart(params, k, m, rng, antithetic):
     n_int = int(params.n_fluct)
     base = m // 2 if antithetic else m
     eta = rng.standard_normal((base, n_int))
-    g = rng.standard_normal((base, k, n_int))
+    g = rng.standard_normal((base, n_int, k))
     if antithetic:
         eta, g = np.concatenate([eta, -eta]), np.concatenate([g, g])
-    x = np.einsum("mkn,mn->mk", g, eta)
+    x = np.einsum("mnk,mn->mk", g, eta)
     lam_perp = math.sqrt(1.0 - params.c)
     lam_e = math.sqrt(1.0 - params.c + params.c * k)
     y = lam_perp * x + (lam_e - lam_perp) * x.mean(axis=1, keepdims=True)
