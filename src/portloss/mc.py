@@ -1,26 +1,32 @@
 """Monte Carlo oracle for the fluctuating-correlation loss model.
 
-Two independent sampling routes generate terminal asset values: the
-compound route draws the scale variable and common factor directly
-(z ~ chi^2_N, u ~ N(0, z/N), idiosyncratic N(0,1)), while the Wishart
-route draws an explicit random covariance matrix W W^T around the mean
-covariance and Gaussian returns on top of it.  The two are equal in law;
-keeping both lets every analytic result be validated against a sampler
-that shares no code with the closed forms.
+Two independent sampling routes share the model's law.  The compound
+route draws the two mixing variables of each sample (z ~ chi^2_N and one
+common factor u ~ N(0, z/N) per market block), given which the obligors
+are independent: each holdings class c defaults D_c ~ Binomial(n_c,
+Phi(t_c)) times, and only the shocks of the defaulted obligors are drawn,
+from the normal law below the default threshold t_c, as Phi^-1(U
+Phi(t_c)).  The Wishart route draws an explicit random covariance matrix
+W W^T around the mean covariance and Gaussian returns of every obligor on
+top of it, and turns each obligor's asset value into its loss; it is the
+per-obligor check of the compound route.  ``sample_compound`` and
+``sample_compound_returns`` still give every obligor's value or return.
 
 Estimation is streamed in fixed-size chunks with one spawned RNG stream
 per chunk, on a thread pool of one thread per CPU, no more than there
-are chunks.  Within a chunk, samples are drawn, turned into asset values
-and reduced to losses a block at a time, in scratch buffers that the
-calling thread allocated once per pool thread: at most
-``_BLOCK_ELEMENTS`` = 2^17 values each, Wishart G panels included, or
-one sample where a sample alone holds more.  Each chunk's stream is an
-SFC64 generator spawned from the seed and the chunk index; it feeds
-numpy's ziggurat normals faster than PCG64 does.  Only the chunk's (m, B)
-losses and (m,) default counts are held whole.  Block size changes
-no draw and no loss, and the partial statistics are reduced in chunk
-order, so results are bit-identical for a given McConfig whatever the
-block size, thread count or scheduling.  Atom bookkeeping (zero-loss
+are chunks.  Within a chunk the per-sample variables (z, u and the
+default counts, or eta) are drawn first, and then the defaulted shocks,
+or the Wishart G panels and returns, a block of samples at a time, in
+scratch buffers that the calling thread allocated once per pool thread:
+at most ``_BLOCK_ELEMENTS`` = 2^17 values each, Wishart G panels
+included, or one sample where a sample alone holds more.  Each chunk's
+stream is an SFC64 generator spawned from the seed and the chunk index;
+it feeds numpy's ziggurat normals faster than PCG64 does.  Only the
+chunk's (m, B) losses and (m,) default counts are held whole.  Blocks
+take their draws from the stream in sample order, so the block size
+changes no draw and no loss, and the partial statistics are reduced in
+chunk order, so results are bit-identical for a given McConfig whatever
+the block size, thread count or scheduling.  Atom bookkeeping (zero-loss
 origin, wipeout lattice) classifies samples by integer default counts,
 never by floating-point equality of losses.
 """
@@ -35,6 +41,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .engine import SubordinatedScenario, _creditor_weights, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, UndefinedCorrelationError
@@ -64,6 +71,11 @@ class McConfig:
     ``chunk_size`` >= 128, and even ``n_samples`` and ``chunk_size`` with
     antithetic pairs.  Scenario documents state only the types, so an
     ``mc`` block is accepted exactly when this constructor accepts it.
+
+    With ``antithetic`` the second half of each chunk mirrors the first:
+    under the compound sampler a mirror row takes its row's (z, -u) and
+    draws its own default counts and shocks, in row order after the first
+    half; under the Wishart sampler it takes the negated returns.
     """
 
     n_samples: int = 200_000
@@ -109,26 +121,34 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 # consumes each block before the next is drawn over it.
 
 
-def _compound_blocks(markets: MultiMarketParams, rng, base: int, out):
-    """Centered log-returns of ``base`` samples, with a shared z and one
-    common factor per market block, drawn len(out) samples at a time into
-    ``out``."""
+def _mixing(markets: MultiMarketParams, rng, base: int):
+    """Scale and shift (base, beta) of every market block: given the
+    shared z ~ chi^2_N and the block's common factor u ~ N(0, z/N), an
+    obligor of block b has the centered log-return shift_b + scale_b eps
+    with an independent shock eps ~ N(0, 1)."""
     n = markets.n_fluct
     z = rng.chisquare(n, size=base)
     u = rng.standard_normal((base, markets.beta)) * np.sqrt(z / n)[:, None]
-    cols, col = [], 0
-    for idx, (mkt, k_l) in enumerate(markets.blocks):
-        scale = (mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n))[:, None]
-        shift = -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx : idx + 1]
-        cols.append((slice(col, col + k_l), scale, shift))
-        col += k_l
+    scale, shift = np.empty_like(u), np.empty_like(u)
+    for idx, (mkt, _) in enumerate(markets.blocks):
+        scale[:, idx] = mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n)
+        shift[:, idx] = -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx]
+    return scale, shift
+
+
+def _compound_blocks(markets: MultiMarketParams, rng, base: int, out):
+    """Centered log-returns of every obligor of ``base`` samples, with a
+    shared z and one common factor per market block, drawn len(out)
+    samples at a time into ``out``."""
+    scale, shift = _mixing(markets, rng, base)
+    bounds = np.cumsum([0] + [k_l for _, k_l in markets.blocks])
     for lo in range(0, base, len(out)):
         hi = min(lo + len(out), base)
         eps = rng.standard_normal(out=out[: hi - lo])
-        for cs, scale, shift in cols:
-            r = eps[:, cs]
-            r *= scale[lo:hi]
-            r += shift[lo:hi]
+        for idx in range(markets.beta):
+            r = eps[:, bounds[idx] : bounds[idx + 1]]
+            r *= scale[lo:hi, idx : idx + 1]
+            r += shift[lo:hi, idx : idx + 1]
         yield lo, eps
 
 
@@ -262,17 +282,41 @@ def _obligor_faces(scenario) -> np.ndarray:
 
 class _Portfolio:
     """What every block of one ``estimate`` shares, computed once: the
-    market blocks, the drift and v0 rows that turn returns into asset
-    values, and the tranche faces or else each obligor's face and the
-    creditor weights."""
+    market blocks, and how losses are formed from them.
+
+    For the compound route, one entry per holdings class (one class at
+    the f_total face for a tranched pool): its market block, its obligor
+    count and its default bound log(face/v0) - nu T, the log-return below
+    which an obligor defaults before the common factor's shift; and the
+    per-obligor weight (B, C) of each class in each creditor's loss.  For
+    the Wishart route, the drift and v0 rows that turn returns into asset
+    values, and each obligor's face and the creditor weights.  A tranched
+    pool keeps its tranches, the senior bound log(f_senior/f_total) (None
+    without a senior face) and the junior payoff scale f_total/f_junior.
+    """
 
     def __init__(self, scenario):
         self.markets = block_market(scenario.params, scenario.k_obligors)
         self.drift, self.v0 = _value_rows(self.markets)
         self.tranches = scenario.tranches if isinstance(scenario, SubordinatedScenario) else None
         if self.tranches is None:
+            _, classes, shares = scenario.holdings
+            self.counts = _whole_counts(scenario)
+            self.class_weights = shares / (shares * self.counts).sum(axis=1, keepdims=True)
             self.faces = _obligor_faces(scenario)
             self.weights = _creditor_weights(scenario)
+        else:
+            tr = self.tranches
+            classes = [(0, tr.f_total, scenario.k_obligors)]
+            self.counts = np.array([scenario.k_obligors])
+            self.senior_bound = math.log(tr.f_senior / tr.f_total) if tr.f_senior > 0 else None
+            self.junior_scale = tr.f_total / tr.f_junior
+        self.class_block = np.array([blk for blk, _, _ in classes])
+        mkts = [self.markets.blocks[blk][0] for blk, _, _ in classes]
+        self.bounds = np.array([
+            math.log(face / mkt.v0) - mkt.drift_adj * mkt.t_mat
+            for mkt, (_, face, _) in zip(mkts, classes)
+        ])
 
 
 def _portfolio_losses(r, pf: _Portfolio, spare, mask, losses, n_def, n_full):
@@ -306,6 +350,93 @@ def _portfolio_losses(r, pf: _Portfolio, spare, mask, losses, n_def, n_full):
     np.subtract(1.0, l_ob, out=l_ob)
     np.maximum(l_ob, 0.0, out=l_ob)
     np.einsum("mk,bk->mb", l_ob, pf.weights, out=losses)
+
+
+# ndtri(1) is inf; a shock drawn at a default probability no higher than
+# this stays finite (at most 8.2), and its law moves by at most 2^-53
+_P_SHOCK_MAX = float(np.nextafter(1.0, 0.0))
+
+
+def _conditional_losses(pf: _Portfolio, rng, m, antithetic, scratch, losses, n_def, n_full):
+    """Write the losses (m, B), default counts (m,) and, for a tranched
+    pool, senior-face counts (m,) of m compound samples.
+
+    The mixing variables come first: with antithetic pairs those of the
+    first m // 2 rows, and each mirror row of the second half takes its
+    row's (z, -u).  Given them, every row draws the default count of each
+    class, all rows in row order, and then, a block of rows at a time, a
+    uniform U in (0, 1] per defaulted obligor in row and class order.  Its
+    shock eps = Phi^-1(U Phi(t)) lies below the class threshold t = a /
+    scale, a the class bound less the row's shift, and the obligor loses
+    -expm1(scale eps - a).  Where z is 0 the scale is 0 and t is +-inf:
+    each class defaults all or none, with loss -expm1(-a).  A tranched
+    pool's one class defaults at f_total; shocks below the senior bound
+    are senior hits, whose junior loss is exactly 1.
+    """
+    base = m // 2 if antithetic else m
+    scale, shift = _mixing(pf.markets, rng, base)
+    if antithetic:
+        scale, shift = np.concatenate([scale, scale]), np.concatenate([shift, -shift])
+    scale = scale[:, pf.class_block]
+    a = pf.bounds - shift[:, pf.class_block]
+    with np.errstate(over="ignore"):  # a / scale past the float range is t = +-inf too
+        t = np.divide(a, scale, out=np.where(a > 0, np.inf, -np.inf), where=scale > 0)
+    p = ndtr(t)
+    counts = rng.binomial(pf.counts, p)
+    n_def[:] = counts.sum(axis=1)
+    np.minimum(p, _P_SHOCK_MAX, out=p)
+    n_cls = counts.shape[1]
+    step = len(scratch.values)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        cells = np.repeat(np.arange((hi - lo) * n_cls), counts[lo:hi].ravel())
+        x = rng.random(out=scratch.values.reshape(-1)[: len(cells)])
+        spare = scratch.spare.reshape(-1)[: len(cells)]
+        np.subtract(1.0, x, out=x)
+        x *= np.take(p[lo:hi].ravel(), cells, out=spare)
+        ndtri(x, out=x)
+        x *= np.take(scale[lo:hi].ravel(), cells, out=spare)
+        x -= np.take(a[lo:hi].ravel(), cells, out=spare)
+        np.minimum(x, 0.0, out=x)
+        mask = scratch.mask.reshape(-1)[: len(cells)]
+        _shock_losses(pf, cells, x, spare, mask, losses[lo:hi], n_full[lo:hi])
+
+
+def _shock_losses(pf: _Portfolio, cells, x, spare, mask, losses, n_full):
+    """Write the losses (rows, B) and, for a tranched pool, senior-face
+    counts (rows,) of a block of rows, from the cell (row * C + class) and
+    the log excess x = scale eps - a <= 0 of each defaulted obligor, in
+    row order.  ``x`` and ``spare`` are overwritten and ``mask`` is boolean
+    scratch, all of x's length.  Class loss sums are bincounts, sequential
+    in row order, and a tranched loss is its sum / K as a row mean is."""
+    rows = len(losses)
+
+    def cell_sum(w):
+        return np.bincount(cells, weights=w, minlength=rows * len(pf.bounds))
+
+    if pf.tranches is None:
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.einsum("mc,bc->mb", cell_sum(x).reshape(rows, -1), pf.class_weights, out=losses)
+        return
+    k = pf.counts[0]
+    senior = pf.senior_bound is not None
+    if senior:
+        hits = np.less(x, pf.senior_bound, out=mask)
+        n_full[:] = cell_sum(hits)
+        ls = np.subtract(x, pf.senior_bound, out=spare)
+        np.minimum(ls, 0.0, out=ls)
+        np.expm1(ls, out=ls)
+        np.negative(ls, out=ls)
+        losses[:, 0] = cell_sum(ls) / k
+    else:
+        losses[:, 0] = 0.0
+    np.expm1(x, out=x)
+    x *= -pf.junior_scale
+    np.minimum(x, 1.0, out=x)
+    if senior:
+        np.copyto(x, 1.0, where=hits)
+    losses[:, 1] = cell_sum(x) / k
 
 
 # ---------------------------------------------------------------------------
@@ -377,35 +508,37 @@ def _block_rows(rows: int, k: int, wishart_dof: int) -> int:
 
 class _Scratch:
     """One worker slot's block buffers for chunks of up to ``rows``
-    samples: the returns that become asset values, their antithetic
-    mirror image, float and boolean loss scratch and, with a Wishart N,
-    the samples' (N, K) G panels; each holds one block of ``_block_rows``
-    samples."""
+    samples, each holding one block of ``_block_rows`` samples: float and
+    boolean scratch for the block's values (the compound route's
+    defaulted shocks, at most K per sample, or the Wishart route's
+    returns) and, with a Wishart N, the returns' antithetic mirror image
+    and the samples' (N, K) G panels."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
         m = _block_rows(rows, k, wishart_dof)
         self.values = np.empty((m, k))
-        self.mirror = np.empty((m, k))
         self.spare = np.empty((m, k))
         self.mask = np.empty((m, k), dtype=bool)
+        self.mirror = np.empty((m, k)) if wishart_dof else None
         self.g = np.empty((m, wishart_dof, k)) if wishart_dof else None
 
 
 def _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf):
     """(losses (m, B), n_defaults (m,), n_full (m,)) of one chunk, drawn
     and evaluated one block of samples at a time.  With antithetic pairs
-    the blocks cover the first m // 2 samples, and each block's mirror
-    image, its negated returns, gives the same rows of the second half."""
+    the compound route mirrors the mixing variables of the first m // 2
+    samples (:func:`_conditional_losses`); the Wishart blocks cover the
+    first m // 2 samples, and each block's mirror image, its negated
+    returns, gives the same rows of the second half."""
     rng = _chunk_rng(cfg.rng_seed, chunk_index)
-    base = m // 2 if cfg.antithetic else m
-    if cfg.sampler == "wishart":
-        blocks = _wishart_blocks(scenario.params, rng, base, scratch.values, scratch.g)
-    else:
-        blocks = _compound_blocks(pf.markets, rng, base, scratch.values)
     losses = np.empty((m, len(_labels(scenario))))
     n_def = np.empty(m, dtype=np.int64)
     n_full = np.zeros(m, dtype=np.int64)
-    for lo, r in blocks:
+    if cfg.sampler == "compound":
+        _conditional_losses(pf, rng, m, cfg.antithetic, scratch, losses, n_def, n_full)
+        return losses, n_def, n_full
+    base = m // 2 if cfg.antithetic else m
+    for lo, r in _wishart_blocks(scenario.params, rng, base, scratch.values, scratch.g):
         rows = len(r)
         spare, mask = scratch.spare[:rows], scratch.mask[:rows]
         if base < m:

@@ -7,12 +7,14 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from portloss import (
     MarketParams,
     McConfig,
     MultiMarketParams,
     NoSubScenario,
+    OverlapSpec,
     ParameterError,
     SubordinatedScenario,
     SubordinationSpec,
@@ -21,11 +23,10 @@ from portloss import (
 from portloss import mc
 from portloss.engine import _creditor_weights
 from portloss.errors import SamplerBudgetError
+from portloss.params import N_FLUCT_MIN, block_market
 
 
 def _halves(market, k=50):
-    from portloss import OverlapSpec
-
     return NoSubScenario(k_obligors=k, params=market,
                          overlap=OverlapSpec(0.5, 0.0, 0.5, 75.0))
 
@@ -172,35 +173,69 @@ def test_wishart_budget_covers_tranched_pools(market):
 # reference formulas and against itself at other thread counts
 
 
-def _ref_compound_single(params, k, m, rng, antithetic):
-    base = m // 2 if antithetic else m
-    z = rng.chisquare(params.n_fluct, size=base)
-    u = rng.standard_normal(base) * np.sqrt(z / params.n_fluct)
-    eps = rng.standard_normal((base, k))
-    if antithetic:
-        z, u, eps = np.concatenate([z, z]), np.concatenate([u, -u]), np.concatenate([eps, -eps])
-    sq = params.rho * np.sqrt(z * (1.0 - params.c) * params.t_mat / params.n_fluct)
-    return -math.sqrt(params.c * params.t_mat) * params.rho * u[:, None] + sq[:, None] * eps
-
-
-def _ref_compound_multi(params, m, rng, antithetic):
-    n = params.n_fluct
+def _ref_mixing(markets, m, rng, antithetic):
+    """Per-row scale and shift (m, beta) of every block; mirror rows of
+    antithetic pairs take (z, -u)."""
+    n = markets.n_fluct
     base = m // 2 if antithetic else m
     z = rng.chisquare(n, size=base)
-    u = rng.standard_normal((base, params.beta)) * np.sqrt(z / n)[:, None]
-    eps = rng.standard_normal((base, params.k_total))
+    u = rng.standard_normal((base, markets.beta)) * np.sqrt(z / n)[:, None]
     if antithetic:
-        z, u, eps = np.concatenate([z, z]), np.concatenate([u, -u]), np.concatenate([eps, -eps])
-    out = np.empty((m, params.k_total))
-    col = 0
-    for idx, (mkt, k_l) in enumerate(params.blocks):
-        sq = mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n)
-        out[:, col : col + k_l] = (
-            -math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, idx : idx + 1]
-            + sq[:, None] * eps[:, col : col + k_l]
-        )
-        col += k_l
-    return out
+        z, u = np.concatenate([z, z]), np.concatenate([u, -u])
+    scale = np.column_stack(
+        [mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n) for mkt, _ in markets.blocks])
+    shift = np.column_stack(
+        [-math.sqrt(mkt.c * mkt.t_mat) * mkt.rho * u[:, b] for b, (mkt, _) in enumerate(markets.blocks)])
+    return scale, shift
+
+
+def _ref_conditional(markets, classes, m, rng, antithetic):
+    """Default counts (m, C), and the cell (row * C + class) and
+    log-return excess x = scale eps - a <= 0 of every defaulted obligor
+    in row and class order, drawn out of place in one piece: the counts
+    are Binomial(n_c, Phi(a / scale)) and eps = Phi^-1(U Phi(a / scale))
+    with U in (0, 1], a = log(face / v0) - nu T - shift."""
+    scale, shift = _ref_mixing(markets, m, rng, antithetic)
+    cols = [blk for blk, _, _ in classes]
+    bounds = np.array([math.log(face / markets.blocks[blk][0].v0)
+                       - markets.blocks[blk][0].drift_adj * markets.blocks[blk][0].t_mat
+                       for blk, face, _ in classes])
+    s, a = scale[:, cols], bounds - shift[:, cols]
+    t = np.full_like(a, -np.inf)
+    t[a > 0] = np.inf
+    pos = s > 0
+    t[pos] = a[pos] / s[pos]
+    p = ndtr(t)
+    counts = rng.binomial(np.array([n for _, _, n in classes]), p)
+    cells = np.repeat(np.arange(counts.size), counts.ravel())
+    u = 1.0 - rng.random(len(cells))
+    eps = ndtri(u * np.minimum(p, np.nextafter(1.0, 0.0)).ravel()[cells])
+    x = np.minimum(eps * s.ravel()[cells] - a.ravel()[cells], 0.0)
+    return counts, cells, x
+
+
+def _ref_compound(scenario, m, rng, antithetic, weighted_sum):
+    """Losses, default counts and senior-face counts of the conditional
+    compound route; ``weighted_sum(sums, wts)`` forms the creditor
+    losses from the per-class loss sums."""
+    markets = block_market(scenario.params, scenario.k_obligors)
+    if isinstance(scenario, SubordinatedScenario):
+        tr, k = scenario.tranches, scenario.k_obligors
+        counts, cells, x = _ref_conditional(markets, [(0, tr.f_total, k)], m, rng, antithetic)
+        h = math.log(tr.f_senior / tr.f_total)
+        hits = x < h
+        ls = -np.expm1(np.minimum(x - h, 0.0))
+        lj = np.where(hits, 1.0, np.minimum(-np.expm1(x) * (tr.f_total / tr.f_junior), 1.0))
+        losses = np.column_stack([np.bincount(cells, weights=ls, minlength=m) / k,
+                                  np.bincount(cells, weights=lj, minlength=m) / k])
+        return losses, counts[:, 0], np.bincount(cells[hits], minlength=m)
+    _, classes, shares = scenario.holdings
+    classes = [(blk, face, int(n)) for blk, face, n in classes]
+    counts, cells, x = _ref_conditional(markets, classes, m, rng, antithetic)
+    sums = np.bincount(cells, weights=-np.expm1(x), minlength=counts.size).reshape(counts.shape)
+    whole = np.array([n for _, _, n in classes])
+    wts = shares / (shares * whole).sum(axis=1, keepdims=True)
+    return weighted_sum(sums, wts), counts.sum(axis=1), np.zeros(m, dtype=np.int64)
 
 
 def _ref_wishart(params, k, m, rng, antithetic):
@@ -217,27 +252,15 @@ def _ref_wishart(params, k, m, rng, antithetic):
     return params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct) * y
 
 
-def _ref_values(r, params):
-    if isinstance(params, MultiMarketParams):
-        v = np.empty_like(r)
-        col = 0
-        for mkt, k_l in params.blocks:
-            v[:, col : col + k_l] = mkt.v0 * np.exp(mkt.drift_adj * mkt.t_mat + r[:, col : col + k_l])
-            col += k_l
-        return v
-    return params.v0 * np.exp(params.drift_adj * params.t_mat + r)
-
-
-def _ref_draw(scenario, cfg, ci, m):
+def _ref_chunk(scenario, cfg, ci, m, weighted_sum):
+    """Losses, default counts and senior-face counts of one chunk, out of
+    place; the Wishart route evaluates every obligor's asset value."""
     rng = mc._chunk_rng(cfg.rng_seed, ci)
+    if cfg.sampler == "compound":
+        return _ref_compound(scenario, m, rng, cfg.antithetic, weighted_sum)
     p = scenario.params
-    if cfg.sampler == "wishart":
-        r = _ref_wishart(p, scenario.k_obligors, m, rng, cfg.antithetic)
-    elif isinstance(p, MultiMarketParams):
-        r = _ref_compound_multi(p, m, rng, cfg.antithetic)
-    else:
-        r = _ref_compound_single(p, scenario.k_obligors, m, rng, cfg.antithetic)
-    return _ref_values(r, p)
+    r = _ref_wishart(p, scenario.k_obligors, m, rng, cfg.antithetic)
+    return _ref_losses(p.v0 * np.exp(p.drift_adj * p.t_mat + r), scenario, weighted_sum)
 
 
 def _ref_losses(v, scenario, weighted_sum):
@@ -304,14 +327,13 @@ def test_in_place_chunks_match_reference_formulas(market, case):
     portfolio = mc._Portfolio(scenario)
     for ci in range(n_chunks):
         m = min(cfg.chunk_size, n - ci * cfg.chunk_size)
-        v_ref = _ref_draw(scenario, cfg, ci, m)
         losses, n_def, n_full = mc._chunk_losses(scenario, cfg, ci, m, scratch, portfolio)
-        want, want_def, want_full = _ref_losses(v_ref, scenario, _einsum_sum)
+        want, want_def, want_full = _ref_chunk(scenario, cfg, ci, m, _einsum_sum)
         np.testing.assert_array_equal(losses, want)
         np.testing.assert_array_equal(n_def, want_def)
         np.testing.assert_array_equal(n_full, want_full)
         # the serial pipeline formed creditor losses with BLAS
-        blas, _, _ = _ref_losses(v_ref, scenario, _blas_sum)
+        blas, _, _ = _ref_chunk(scenario, cfg, ci, m, _blas_sum)
         np.testing.assert_allclose(losses, blas, rtol=1e-13, atol=0.0)
         sum1 += want.sum(axis=0)
         sum2 += want.T @ want
@@ -388,8 +410,139 @@ def test_pool_size_is_one_thread_per_cpu_and_chunk():
     for rows, k, dof in ((8192, 100, 0), (8192, 200, 0), (8192, 100, 6), (128, 500, 128),
                          (130, 10, 64), (2048, 500, 1000), (20_000, 3, 0)):
         scratch = mc._Scratch(rows, k, dof)
-        arrays = [scratch.values, scratch.mirror, scratch.spare, scratch.mask]
-        arrays += [scratch.g] if dof else []
+        arrays = [scratch.values, scratch.spare, scratch.mask]
+        arrays += [scratch.mirror, scratch.g] if dof else []
         for a in arrays:
             assert len(a) >= 1
             assert a.size <= max(mc._BLOCK_ELEMENTS, k * max(dof, 1))
+
+
+# ---------------------------------------------------------------------------
+# conditional compound route: exact atoms at its edges, and its law against
+# every obligor's loss
+
+
+def _edge_cases(market):
+    tiny = MarketParams(mu=market.mu, rho=market.rho, c=market.c, n_fluct=N_FLUCT_MIN,
+                        t_mat=market.t_mat, v0=market.v0)
+    halves = lambda mkt, face: NoSubScenario(
+        k_obligors=50, params=mkt, overlap=OverlapSpec(0.5, 0.0, 0.5, face))
+    tranched = lambda mkt, f_senior, f_junior: SubordinatedScenario(
+        k_obligors=40, tranches=SubordinationSpec(f_senior, f_junior), params=mkt)
+    # (scenario, True where every obligor defaults, False where none does,
+    # None otherwise); at N_FLUCT_MIN the chi-square z is 0 in all but
+    # about 0.04% of draws and tiny in the rest, so each class defaults
+    # all or none; the extreme faces send Phi(t) to exactly 0 or 1
+    return {
+        "n_min_none": (halves(tiny, 75.0), False),
+        "n_min_all": (halves(tiny, 150.0), True),
+        "n_min_tranched_all": (tranched(tiny, 150.0, 50.0), True),
+        "f_senior_zero": (tranched(market, 0.0, 75.0), None),
+        "p_zero": (halves(market, market.v0 * 1e-30), False),
+        "p_one": (halves(market, market.v0 * 1e300), True),
+        "p_zero_tranched": (tranched(market, market.v0 * 1e-31, market.v0 * 9e-31), False),
+        "p_one_tranched": (tranched(market, market.v0 * 1e299, market.v0 * 1e299), True),
+    }
+
+
+_EDGE_CASES = ("n_min_none", "n_min_all", "n_min_tranched_all", "f_senior_zero", "p_zero",
+               "p_one", "p_zero_tranched", "p_one_tranched")
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_conditional_route_edges_give_exact_atoms(market, case, antithetic):
+    """No warning (pytest turns RuntimeWarning into an error), and where
+    the default probability is 0 or 1 no sample or every sample defaults."""
+    scenario, defaults = _edge_cases(market)[case]
+    cfg = McConfig(n_samples=10_000, rng_seed=17, chunk_size=4096, antithetic=antithetic,
+                   keep_samples=True)
+    run = mc.estimate(scenario, cfg)
+    assert np.all((run.samples >= 0.0) & (run.samples <= 1.0))
+    tranched = isinstance(scenario, SubordinatedScenario)
+    if tranched:
+        assert run.subordination_violations == 0 and run.lattice_offenders == 0
+    if defaults is False:
+        assert run.p_no_default == 1.0
+        assert np.all(run.samples == 0.0)
+    elif defaults is True:
+        assert run.p_no_default == 0.0
+        # every asset value is below the senior face: the junior piece is
+        # wiped out and the senior one hit
+        if tranched:
+            np.testing.assert_array_equal(run.samples[:, 1], 1.0)
+            assert np.all(run.samples[:, 0] > 0.0)
+        else:
+            assert np.all(run.samples > 0.0)
+    else:  # f_senior = 0: no senior loss, and the junior piece is the whole face
+        np.testing.assert_array_equal(run.samples[:, 0], 0.0)
+        want = no_default_probability(40, 75.0, market)
+        assert abs(run.p_no_default - want) < 5.0 * max(run.p_no_default_se, 1e-4)
+
+
+def test_zero_scale_rows_default_all_or_none(market):
+    """Where z is 0 the scale is 0: each class defaults all or none."""
+    m = 4096
+    cfg = McConfig(n_samples=10_000, rng_seed=3)
+    z = mc._chunk_rng(cfg.rng_seed, 0).chisquare(N_FLUCT_MIN, size=m)
+    assert (z == 0.0).mean() > 0.99
+    for case, want in (("n_min_none", 0), ("n_min_all", 50)):
+        sc, _ = _edge_cases(market)[case]
+        _, n_def, _ = mc._chunk_losses(sc, cfg, 0, m, mc._Scratch(m, 50, 0), mc._Portfolio(sc))
+        np.testing.assert_array_equal(n_def[z == 0.0], want)
+
+
+def _per_obligor_losses(scenario, n, seed):
+    """Losses and default counts of n samples of every obligor's asset
+    value from ``sample_compound``, through the per-obligor loss formula."""
+    rng = np.random.default_rng(seed)
+    losses, n_def = [], []
+    for lo in range(0, n, 10_000):
+        v = mc.sample_compound(scenario.params, min(10_000, n - lo), rng, scenario.k_obligors)
+        got, d, _ = _ref_losses(v, scenario, _einsum_sum)
+        losses.append(got)
+        n_def.append(d)
+    return np.vstack(losses), np.concatenate(n_def)
+
+
+def _binomial_z(a, b, n_a, n_b):
+    """Two-sample binomial z of counts a out of n_a against b out of n_b."""
+    pool = (a + b) / (n_a + n_b)
+    return (a / n_a - b / n_b) / np.sqrt(pool * (1.0 - pool) * (1.0 / n_a + 1.0 / n_b))
+
+
+def _law_cases(market):
+    other = MarketParams(mu=0.1, rho=0.5, c=0.5, n_fluct=market.n_fluct, t_mat=1.0, v0=100.0)
+    return {
+        "halves_k100": _halves(market, 100),
+        "tranched_k200": SubordinatedScenario(
+            k_obligors=200, tranches=SubordinationSpec(37.0, 38.0), params=market),
+        "overlap": NoSubScenario(k_obligors=60, params=market,
+                                 overlap=OverlapSpec(0.3, 0.4, 0.25, 75.0)),
+        "two_markets": NoSubScenario(
+            k_obligors=30, params=MultiMarketParams(blocks=((market, 12), (other, 18))),
+            face=75.0, creditors=2),
+    }
+
+
+@pytest.mark.parametrize("case", ("halves_k100", "tranched_k200", "overlap", "two_markets"))
+def test_conditional_route_matches_per_obligor_losses(market, case):
+    """The joint law of the two tracked losses: cells of a 10 x 10 grid on
+    the pooled deciles of each loss, the no-default atom and the means."""
+    scenario = _law_cases(market)[case]
+    n = 100_000
+    run = mc.estimate(scenario, McConfig(n_samples=n, rng_seed=41, keep_samples=True))
+    want, want_def = _per_obligor_losses(scenario, n, seed=141)
+    got = run.samples
+    assert abs(_binomial_z(run.p_no_default * n, np.sum(want_def == 0), n, n)) <= 5.0
+    edges = [np.unique(np.quantile(np.concatenate([got[:, b], want[:, b]]), np.linspace(0, 1, 11)))
+             for b in range(2)]
+    h_got = np.histogram2d(got[:, 0], got[:, 1], bins=edges)[0]
+    h_want = np.histogram2d(want[:, 0], want[:, 1], bins=edges)[0]
+    assert h_got.sum() == h_want.sum() == n
+    cells = (h_got + h_want) / (2 * n) > 1e-3
+    assert cells.sum() >= 8
+    z = _binomial_z(h_got[cells], h_want[cells], n, n)
+    assert np.max(np.abs(z)) <= 5.0, z
+    se = np.sqrt(run.mean_se**2 + want.var(axis=0) / n)
+    assert np.all(np.abs(run.mean - want.mean(axis=0)) <= 5.0 * se)
