@@ -24,30 +24,32 @@ variance 2/N, and v = sqrt(N) u, a standard normal.  A root is then O(1)
 at every N, and its step tolerance is relative to it.  The senior/junior
 crossings of a subordinated grid are bracketed by an s scan of the v-root
 tables and then solved in (s, v) jointly, one 2x2 Newton system per
-(cell, crossing) lane; a lane that leaves its bracket or misses the
-residual tolerance falls back to an outer :func:`newton_bisect` in s whose
-inner v solves run on the lanes' current s.  A root's one verified pass
-also gives what is read at it: the crossing record keeps each cell's
-(s, v), mean Jacobians and separation slope.  Roots are searched on v in
-[-12, 12] and s in [1e-6 / N, Gamma quantile 1 - 1e-10]; outside these
-brackets the weights are below anything that could move a six-digit
-result, and the density is treated as exactly zero.  From the n_fluct
-floor up, that quantile is at least 13 / N, so the s bracket is never
-empty.  At large N the crossings gather on the curve s = 1, the ridge's support
-grows thinner than a grid cell, and a cell-centre grid of its density
-would miss it: :func:`_check_ridge_support` refuses such an N.
+(cell, crossing) lane.  A lane closes where both residuals are within
+tolerance and its step is below 1e-12 relative or failed to halve the one
+before it: like a :func:`newton_bisect` lane, it stops at the rounding
+floor of the means.  A root's one verified pass also gives what is read
+at it: the crossing record keeps each cell's (s, v), mean Jacobians and
+separation slope.  Roots are searched on v in [-12, 12] and s in
+[1e-6 / N, Gamma quantile 1 - 1e-10]; outside these brackets the weights
+are below anything that could move a six-digit result, and the density is
+treated as exactly zero.  From the n_fluct floor up, that quantile is at
+least 13 / N, so the s bracket is never empty.  At large N the crossings gather on the curve s = 1, the ridge's
+support grows thinner than a grid cell, and a cell-centre grid of its
+density would miss it: :func:`_check_ridge_support` refuses such an N.
 
 A lane whose target is out of reach holds NaN as its root and adds density
 0.  The one-point solvers raise NoRootError there instead; otherwise
 ``solve_u_senior`` and ``solve_u_plain`` return the u root as a float and
 ``solve_z0`` returns (z0, u0, separation_slope), all in the model's
 (z, u).  Losses out of range raise ParameterError.  ConvergenceError is
-raised when any lane exceeds the iteration budget or leaves a residual
-above 1e-10.  ``solve_z0`` and
-``density_limit_subordinated`` raise MultipleRootsError when the senior
-and junior roots cross at several z; the subordinated grid writes density
-0 with quality 1 for such a cell, and for a cell whose refinement loses a
-root.
+raised when a u-root lane exceeds the iteration budget or leaves a
+residual above 1e-10, and when ``solve_z0`` or
+``density_limit_subordinated`` meets a crossing that the joint solve
+cannot close: a density there is unknown, not 0.  Both raise
+MultipleRootsError when the senior and junior roots cross at several z.
+The subordinated grid writes density 0 with quality 1 for a cell with
+several crossings or an unclosed one, and the run's summary counts it
+among the flagged cells.
 """
 
 from __future__ import annotations
@@ -345,10 +347,10 @@ _NONE, _LOST, _MULTIPLE, _FOUND = range(4)
 class _Crossings(NamedTuple):
     """Per-cell outcome of the subordinated kernel, arrays of shape
     (len(xs), len(ys)).  ``status`` is _NONE (no bracketed crossing),
-    _LOST (a v root vanished during refinement), _MULTIPLE (several
-    distinct crossings, listed in ``roots`` by cell) or _FOUND.  Only a
-    found cell holds numbers: its crossing (s, v), the |dm/dv| of each
-    mean and the slope d/ds of v_senior(s) - v_junior(s) there."""
+    _LOST (the joint solve could not close a bracketed crossing), _MULTIPLE
+    (several distinct crossings, listed in ``roots`` by cell) or _FOUND.
+    Only a found cell holds numbers: its crossing (s, v), the |dm/dv| of
+    each mean and the slope d/ds of v_senior(s) - v_junior(s) there."""
 
     status: np.ndarray
     s: np.ndarray
@@ -419,21 +421,24 @@ def _joint_newton(x, y, s, v, s_a, s_b, faces, params):
     """Newton steps on (m_senior(s, v) - x, m_junior(s, v) - y) = 0, one 2x2
     system per crossing lane, from the start (s, v) inside (s_a, s_b).
 
-    Returns (s, v, slopes, ok).  A lane is ok when a step below 1e-12
-    relative in both s and v (the step tolerance of :func:`newton_bisect`)
-    lands on a point whose two residuals are at most ``_RESID_TOL``, and
-    every iterate stayed in [s_a, s_b] and in the v bracket.  A lane that
-    starts on a bracket end (an exact zero of the scanned gap), leaves the
-    brackets or is still open after ``_JOINT_STEPS`` steps is not ok.  An
-    ok lane's ``slopes`` column, dm_s/dv, dm_s/ds, dm_j/dv and dm_j/ds, is
-    from the pass that marked it, at its (s, v).  Each step evaluates only
-    the open lanes.
+    Returns (s, v, slopes, ok).  A step's size is the larger of |ds| / max(1,
+    |s|) and |dv| / max(1, |v|).  A lane is ok at a point whose two
+    residuals are at most ``_RESID_TOL`` where the step that reached it was
+    below 1e-12 or failed to halve the step before it: such a step is at
+    the rounding floor of the means.  Every iterate must stay in [s_a, s_b] and in the v bracket.  A
+    lane that starts on a bracket end (an exact zero of the scanned gap),
+    leaves the brackets or is still open after ``_JOINT_STEPS`` steps is not
+    ok.  An ok lane's ``slopes`` column, dm_s/dv, dm_s/ds, dm_j/dv and
+    dm_j/ds, is from the pass that marked it, at its (s, v).  Each step
+    evaluates only the open lanes.
     """
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
     s, v = s.copy(), v.copy()
     ok = np.zeros(s.shape, dtype=bool)
     slopes = np.full((4, *s.shape), np.nan)
-    small = np.zeros(s.shape, dtype=bool)  # the step that reached the point was below 1e-12
+    # the sizes of the step that reached each point and of the one before;
+    # NaN before the first step, which has nothing to halve
+    step, prev = np.full(s.shape, np.nan), np.full(s.shape, np.nan)
     lanes = np.flatnonzero((s_a < s) & (s < s_b))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(_JOINT_STEPS + 1):
@@ -441,7 +446,8 @@ def _joint_newton(x, y, s, v, s_a, s_b, faces, params):
             m_s, s_v, s_s = senior(sl, vl, dv=True, ds=True)
             m_j, j_v, j_s = junior(sl, vl, dv=True, ds=True)
             r_s, r_j = m_s - x[lanes], m_j - y[lanes]
-            done = small[lanes] & (np.abs(r_s) <= _RESID_TOL) & (np.abs(r_j) <= _RESID_TOL)
+            floor = (step[lanes] <= 1e-12) | (step[lanes] > 0.5 * prev[lanes])
+            done = floor & (np.abs(r_s) <= _RESID_TOL) & (np.abs(r_j) <= _RESID_TOL)
             ok[lanes[done]] = True
             slopes[:, lanes[done]] = s_v[done], s_s[done], j_v[done], j_s[done]
             lanes, sl, vl, r_s, r_j, s_v, j_v, s_s, j_s = (
@@ -452,37 +458,14 @@ def _joint_newton(x, y, s, v, s_a, s_b, faces, params):
             det = s_s * j_v - s_v * j_s
             ds, dv = (j_v * r_s - s_v * r_j) / det, (s_s * r_j - j_s * r_s) / det
             sl, vl = sl - ds, vl - dv
-            s[lanes], v[lanes] = sl, vl
-            small[lanes] = (np.abs(ds) <= 1e-12 * np.maximum(1.0, np.abs(sl))) & (
-                np.abs(dv) <= 1e-12 * np.maximum(1.0, np.abs(vl))
+            s[lanes], v[lanes], prev[lanes] = sl, vl, step[lanes]
+            step[lanes] = np.maximum(
+                np.abs(ds) / np.maximum(1.0, np.abs(sl)), np.abs(dv) / np.maximum(1.0, np.abs(vl))
             )
             # NaN iterates fail these tests too
             inside = (s_a[lanes] <= sl) & (sl <= s_b[lanes]) & (np.abs(vl) <= _V_HALF)
             lanes = lanes[inside]
     return s, v, slopes, ok
-
-
-def _nested_crossings(x, y, s_a, s_b, f_a, f_b, faces, params):
-    """The crossing s of each lane by a Newton solve in s on the bracket
-    [s_a, s_b] with gap values f_a, f_b at its ends: the gap v_senior(s) -
-    v_junior(s) comes from inner v solves at the lanes' current s.
-    Returns (s, v, slopes) as :func:`_joint_newton` does, v the mean of
-    the two v roots at s; s is NaN where a v root is lost."""
-    senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
-
-    def roots(s, x, y):
-        v_s, v_j = _sub_v_roots(x, y, s, faces, params)
-        slopes = (*senior(s, v_s, dv=True, ds=True)[1:], *junior(s, v_j, dv=True, ds=True)[1:])
-        return v_s, v_j, slopes
-
-    def sep(s, x, y):
-        v_s, v_j, slopes = roots(s, x, y)
-        return v_s - v_j, _dv_ds(*slopes[:2]) - _dv_ds(*slopes[2:])
-
-    s = newton_bisect(sep, s_a, s_b, f_a, f_b, args=(x, y))[0]
-    v_s, v_j, slopes = roots(s, x, y)
-    s[np.isnan(v_s) | np.isnan(v_j)] = np.nan
-    return s, 0.5 * (v_s + v_j), slopes
 
 
 def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
@@ -494,8 +477,8 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     lane solves m_senior = xs[i] and m_junior = ys[j] jointly in (s, v) by
     Newton steps (:func:`_joint_newton`), from the crossing interpolated in
     its bracket, and a found cell keeps the v and the slopes of the pass
-    that verified its root.  Lanes that fail the joint solve's tests fall
-    back to :func:`_nested_crossings`.
+    that verified its root.  A cell with a lane that the joint solve cannot
+    close is _LOST.
     """
     _check_ridge_faces(faces)
     s_lo, s_hi = _s_bracket(params)
@@ -521,11 +504,7 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     s_root, v_root, slopes, joined = _joint_newton(
         x, y, s_a + t * (s_b - s_a), v_a + t * (v_b - v_a), s_a, s_b, faces, params
     )
-    rest = ~joined
-    if rest.any():
-        s_root[rest], v_root[rest], slopes[:, rest] = _nested_crossings(
-            x[rest], y[rest], s_a[rest], s_b[rest], fa[rest], fb[rest], faces, params
-        )
+    s_root[~joined] = np.nan
 
     shape = (len(xs), len(ys))
     status = np.full(shape, _NONE)
@@ -566,6 +545,13 @@ def _single_crossing(l_senior, l_junior, faces, params, n_scan) -> _Crossings:
             f"({l_senior}, {l_junior}); uniqueness assumption violated",
             roots=roots,
         )
+    if status == _LOST:
+        raise ConvergenceError(
+            f"the crossing solve could not close the crossing of losses ({l_senior}, "
+            f"{l_junior}) to its residual tolerance {_RESID_TOL:g}",
+            best_estimate=math.nan,
+            error_bound=math.inf,
+        )
     if status != _FOUND:
         raise NoRootError(
             f"u roots never coincide for losses ({l_senior}, {l_junior}) on the "
@@ -588,7 +574,8 @@ def solve_z0(
     Scans the z bracket, refines every sign change of u_senior(z) -
     u_junior(z), and demands exactly one root: several roots raise
     MultipleRootsError (anomaly, never silently resolved), none raise
-    NoRootError (the limit density is zero at that loss pair).
+    NoRootError (the limit density is zero at that loss pair), and one
+    that the joint solve cannot close raises ConvergenceError.
     """
     cr = _single_crossing(l_senior, l_junior, faces, params, n_scan)
     n = params.n_fluct
@@ -628,8 +615,9 @@ def density_limit_subordinated(
 
     Both delta constraints collapse, leaving the (z, u) weight divided by
     the three Jacobian factors at the solved crossing point.  Zero where
-    the losses cannot be realized; near-singular Jacobians are reported
-    through the grid quality flag, never clipped.
+    the losses cannot be realized; a crossing that the joint solve cannot
+    close raises ConvergenceError rather than reading 0.  Near-singular
+    Jacobians are reported through the grid quality flag, never clipped.
     """
     if not (0.0 <= l_senior <= 1.0 and 0.0 <= l_junior <= 1.0):
         raise ParameterError("loss fractions must lie in [0, 1]")

@@ -229,9 +229,9 @@ class SubordinationSpec:
 
     def __post_init__(self):
         if self.f_senior < 0:
-            raise ParameterError(f"f_senior must be >= 0, got {self.f_senior}")
+            raise ParameterError(f"f_senior must be >= 0, got {self.f_senior}", field="f_senior")
         if not (self.f_junior > 0):
-            raise ParameterError(f"f_junior must be > 0, got {self.f_junior}")
+            raise ParameterError(f"f_junior must be > 0, got {self.f_junior}", field="f_junior")
         if self.f_total / self.f_junior > JUNIOR_RATIO_MAX:
             raise ParameterError(
                 f"f_total / f_junior must be at most {JUNIOR_RATIO_MAX:g}, where the junior "

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from portloss import (
     ConvergenceError,
@@ -114,6 +116,7 @@ def test_limit_subordinated_junior_face_floor(market):
     at_floor = SubordinationSpec(f_senior=60.0, f_junior=60.0 * 1e-5 / (1.0 - 1e-5))
     grid = limit_grid_subordinated(at_floor, market, n_cells=8, lo=0.0, hi=0.6)
     assert np.all(np.isfinite(grid.values)) and grid.values.max() > 0.0
+    assert not grid.quality.any()
     thin = SubordinationSpec(f_senior=60.0, f_junior=60.0 * 3e-6 / (1.0 - 3e-6))
     with pytest.raises(ParameterError):
         limit_grid_subordinated(thin, market, n_cells=8, lo=0.0, hi=0.6)
@@ -407,47 +410,6 @@ def test_newton_bisect_budget_reports_an_open_lane():
     assert lanes.value.error_bound == one.value.error_bound > 0.0
 
 
-def test_joint_crossings_match_nested_fallback(market, faces, monkeypatch):
-    from portloss import limits
-    from portloss.grids import cell_centers
-
-    centers = cell_centers(21, 0.0, 0.6)
-    # (s, v) points at which the crossing solve evaluates the senior mean
-    # with its v-slope
-    points = []
-    senior_moments = limits.senior_moments
-
-    def counted(k, s, v, faces, params, dv=False, ds=False):
-        if dv:
-            points.append(np.broadcast(s, v).size)
-        return senior_moments(k, s, v, faces, params, dv, ds)
-
-    monkeypatch.setattr(limits, "senior_moments", counted)
-
-    def solve():
-        points.clear()
-        cr = limits._sub_crossings(centers, centers, faces, market, 96)
-        evaluated = sum(points)
-        return cr, evaluated, limit_grid_subordinated(faces, market, n_cells=21, lo=0.0, hi=0.6)
-
-    joint, joint_points, joint_grid = solve()
-    # every lane fails the joint solve and takes the nested one
-    monkeypatch.setattr(
-        limits, "_joint_newton",
-        lambda x, y, s, v, s_a, s_b, faces, params: (
-            s, v, np.full((4, *s.shape), np.nan), np.zeros(s.shape, dtype=bool)
-        ),
-    )
-    nested, nested_points, nested_grid = solve()
-    assert np.array_equal(joint.status, nested.status)
-    assert np.count_nonzero(joint.status == limits._FOUND) > 10
-    assert np.array_equal(joint_grid.quality, nested_grid.quality)
-    assert joint_points < nested_points
-    found = joint.status == limits._FOUND
-    np.testing.assert_allclose(joint.s[found], nested.s[found], rtol=1e-10)
-    np.testing.assert_allclose(joint_grid.values, nested_grid.values, rtol=1e-10, atol=0.0)
-
-
 def test_crossing_record_matches_separate_u_solves(market, faces):
     # the record's v, Jacobians and slope come from the joint Newton pass
     # that verified each root; the same numbers by separate v solves at s0,
@@ -480,6 +442,52 @@ def test_crossing_record_matches_separate_u_solves(market, faces):
     for field, ref in want.items():
         np.testing.assert_allclose(getattr(cr, field)[found], ref, rtol=1e-12, atol=0.0,
                                    err_msg=field)
+
+
+def test_unclosed_crossings_are_flagged_not_zero():
+    # in this thin-junior market the joint solve leaves a few crossing lanes
+    # far out in v without a root; the grid flags those cells with density
+    # 0, and the pointwise density refuses them rather than reading 0
+    params = MarketParams(mu=0.06, rho=0.28, c=0.88, n_fluct=3.24, t_mat=2.0, v0=100.0)
+    thin = SubordinationSpec(f_senior=39.3, f_junior=0.78)
+    grid = limit_grid_subordinated(thin, params, n_cells=31, lo=0.0, hi=1.0)
+    flagged = grid.quality > 0
+    assert np.count_nonzero(flagged) > 0 and np.all(grid.values[flagged] == 0.0)
+    (i, j), (xs, ys) = np.argwhere(flagged)[0], grid.axes
+    with pytest.raises(ConvergenceError):
+        density_limit_subordinated(float(xs[i]), float(ys[j]), thin, params)
+
+
+@seed(31)
+@settings(max_examples=40)
+@given(
+    mu=st.floats(-0.1, 0.3),
+    rho=st.floats(0.1, 0.6),
+    c=st.floats(0.0, 0.95),
+    log_n=st.floats(0.0, math.log(300.0)),
+    t_mat=st.floats(0.5, 3.0),
+    f_senior=st.floats(5.0, 80.0),
+    log_share=st.floats(math.log(1.01e-5), math.log(0.9)),
+)
+def test_found_crossings_meet_the_separate_v_roots(mu, rho, c, log_n, t_mat, f_senior, log_share):
+    # a crossing closed at the rounding floor of the means is still a root:
+    # the separate senior and junior v roots at its s agree to within four
+    # times the junior mean's rounding error over its Jacobian plus the v
+    # root tolerance
+    from portloss import limits
+    from portloss.grids import cell_centers
+
+    params = MarketParams(mu=mu, rho=rho, c=c, n_fluct=math.exp(log_n), t_mat=t_mat, v0=100.0)
+    share = math.exp(log_share)
+    tranches = SubordinationSpec(f_senior=f_senior, f_junior=f_senior * share / (1.0 - share))
+    centers = cell_centers(12, 0.0, 1.0)
+    cr = limits._sub_crossings(centers, centers, tranches, params, 96)
+    found = cr.status == limits._FOUND
+    fi, fj = np.nonzero(found)
+    v_s, v_j = _sub_v_roots(centers[fi], centers[fj], cr.s[found], tranches, params)
+    v, jac_j = cr.v[found], cr.jac_junior[found]
+    floor = tranches.f_total / tranches.f_junior * 2.2e-16 / jac_j + 1e-12 * np.maximum(1.0, np.abs(v))
+    assert np.all(np.abs(v_s - v_j) <= 4.0 * floor)
 
 
 def test_z_bracket_without_scipy_stats():

@@ -170,11 +170,12 @@ _MC_DOC = {"mode": "mc-validate", "portfolio": {"k_obligors": 100}}
         ({"mc": {"n_bins": 1001}}, "/mc"),
         ({"mc": {"rng_seed": -1}}, "/mc"),
         ({"market": {"c": 1.0}}, "/market"),
-        ({"tranches": {"f_senior": 37.0, "f_junior": 0.0}}, "/tranches"),
+        ({"tranches": {"f_senior": 37.0, "f_junior": 0.0}}, "/tranches/f_junior"),
         ({"portfolio": {"k_obligors": 100, "layout": "overlap",
                         "overlap": {"r1": 0.6, "r12": 0.5, "gamma": 0.5, "f0": 75.0}}},
          "/portfolio/overlap"),
         ({"portfolio": {"k_obligors": 0, "layout": "single"}}, "/portfolio"),
+        ({"tranches": {"f_senior": -1.0, "f_junior": 1.0}}, "/tranches/f_senior"),
     ],
 )
 def test_constructor_ranges_reject_at_the_block(block, pointer):
