@@ -477,8 +477,11 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     lane solves m_senior = xs[i] and m_junior = ys[j] jointly in (s, v) by
     Newton steps (:func:`_joint_newton`), from the crossing interpolated in
     its bracket, and a found cell keeps the v and the slopes of the pass
-    that verified its root.  A cell with a lane that the joint solve cannot
-    close is _LOST.
+    that verified its root.  Counting its lanes decides a cell: none is
+    _NONE, one the joint solve cannot close makes it _LOST, and several
+    closed ones make it _MULTIPLE.  An exact zero of the scanned gap flags
+    the lanes on both sides of its node, which start on their bracket ends
+    and so are never closed: the cell is _LOST.
     """
     _check_ridge_faces(faces)
     s_lo, s_hi = _s_bracket(params)
@@ -506,25 +509,19 @@ def _sub_crossings(xs, ys, faces, params, n_scan) -> _Crossings:
     )
     s_root[~joined] = np.nan
 
-    shape = (len(xs), len(ys))
-    status = np.full(shape, _NONE)
+    shape, n_cells = (len(xs), len(ys)), len(xs) * len(ys)
+    cell = li * len(ys) + lj
+    lanes_in = np.bincount(cell, minlength=n_cells)
+    lost_in = np.bincount(cell[~joined], minlength=n_cells)
+    status = np.select(
+        [lost_in > 0, lanes_in > 1, lanes_in == 1], [_LOST, _MULTIPLE, _FOUND], _NONE
+    ).reshape(shape)
     source = np.zeros(shape, dtype=int)  # the lane of a found cell's root
-    kept, roots = {}, {}
-    for n, (i, j, s) in enumerate(zip(li, lj, s_root)):
-        cell = kept.setdefault((i, j), [])
-        if np.isnan(s):
-            status[i, j] = _LOST
-        # an exact zero at a scan node flags both neighbours; keep one
-        elif not cell or abs(s - s_root[cell[-1]]) > 1e-9 * (s_hi - s_lo):
-            cell.append(n)
-    for (i, j), cell in kept.items():
-        if status[i, j] == _LOST:
-            continue
-        if len(cell) > 1:
-            status[i, j] = _MULTIPLE
-            roots[(i, j)] = tuple(params.n_fluct * s_root[cell])
-        else:
-            status[i, j], source[i, j] = _FOUND, cell[0]
+    source.flat[cell] = np.arange(len(cell))
+    roots = {
+        divmod(int(c), len(ys)): tuple(params.n_fluct * s_root[cell == c])
+        for c in np.flatnonzero(status == _MULTIPLE)
+    }
 
     found = status == _FOUND
     sep = _dv_ds(*slopes[:2]) - _dv_ds(*slopes[2:])

@@ -67,21 +67,15 @@ class McConfig:
     included, in the resolved scenario document it embeds.
 
     The constructor owns every range: ``n_samples`` >= 10000 (fewer draws
-    are not acceptance-grade), ``rng_seed`` >= 0, ``n_bins`` in [2, 1000],
-    ``chunk_size`` >= 128, and even ``n_samples`` and ``chunk_size`` with
-    antithetic pairs.  Scenario documents state only the types, so an
-    ``mc`` block is accepted exactly when this constructor accepts it.
-
-    With ``antithetic`` the second half of each chunk mirrors the first:
-    under the compound sampler a mirror row takes its row's (z, -u) and
-    draws its own default counts and shocks, in row order after the first
-    half; under the Wishart sampler it takes the negated returns.
+    are not acceptance-grade), ``rng_seed`` >= 0, ``n_bins`` in [2, 1000]
+    and ``chunk_size`` >= 128.  Scenario documents state only the types,
+    so an ``mc`` block is accepted exactly when this constructor accepts
+    it.  Every sample is an independent draw.
     """
 
     n_samples: int = 200_000
     rng_seed: int = 0
     sampler: str = "compound"
-    antithetic: bool = False
     n_bins: int = 50
     chunk_size: int = 8192
     keep_samples: bool = False
@@ -100,8 +94,6 @@ class McConfig:
             raise ParameterError(f"n_bins must be an integer in [2, 1000], got {self.n_bins}")
         if not (isinstance(self.chunk_size, (int, np.integer)) and self.chunk_size >= 128):
             raise ParameterError(f"chunk_size must be an integer >= 128, got {self.chunk_size}")
-        if self.antithetic and (self.n_samples % 2 or self.chunk_size % 2):
-            raise ParameterError("antithetic sampling needs even n_samples and chunk_size")
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -114,21 +106,21 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 # samplers
 #
 # Each route draws its small per-sample variables first and then its
-# (m, K) idiosyncratic normals, or its (m, N, K) Wishart G panels, a block
-# of samples at a time from the same stream into caller-owned scratch;
-# one stream drawn in blocks gives the same numbers as one draw.  A route
-# is a generator of (first sample, returns) per block, and the caller
-# consumes each block before the next is drawn over it.
+# (m, K) idiosyncratic normals, or its (m, N, K) Wishart G panels.  The
+# Wishart route draws them a block of samples at a time from the same
+# stream into caller-owned scratch, which gives the same numbers as one
+# draw: it is a generator of (first sample, returns) per block, and the
+# caller consumes each block before the next is drawn over it.
 
 
-def _mixing(markets: MultiMarketParams, rng, base: int):
-    """Scale and shift (base, beta) of every market block: given the
+def _mixing(markets: MultiMarketParams, rng, m: int):
+    """Scale and shift (m, beta) of every market block: given the
     shared z ~ chi^2_N and the block's common factor u ~ N(0, z/N), an
     obligor of block b has the centered log-return shift_b + scale_b eps
     with an independent shock eps ~ N(0, 1)."""
     n = markets.n_fluct
-    z = rng.chisquare(n, size=base)
-    u = rng.standard_normal((base, markets.beta)) * np.sqrt(z / n)[:, None]
+    z = rng.chisquare(n, size=m)
+    u = rng.standard_normal((m, markets.beta)) * np.sqrt(z / n)[:, None]
     scale, shift = np.empty_like(u), np.empty_like(u)
     for idx, (mkt, _) in enumerate(markets.blocks):
         scale[:, idx] = mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n)
@@ -136,20 +128,17 @@ def _mixing(markets: MultiMarketParams, rng, base: int):
     return scale, shift
 
 
-def _compound_blocks(markets: MultiMarketParams, rng, base: int, out):
-    """Centered log-returns of every obligor of ``base`` samples, with a
-    shared z and one common factor per market block, drawn len(out)
-    samples at a time into ``out``."""
-    scale, shift = _mixing(markets, rng, base)
+def _compound_returns(markets: MultiMarketParams, rng, n: int):
+    """Centered log-returns (n, K) of every obligor of n samples, with a
+    shared z and one common factor per market block."""
+    scale, shift = _mixing(markets, rng, n)
     bounds = np.cumsum([0] + [k_l for _, k_l in markets.blocks])
-    for lo in range(0, base, len(out)):
-        hi = min(lo + len(out), base)
-        eps = rng.standard_normal(out=out[: hi - lo])
-        for idx in range(markets.beta):
-            r = eps[:, bounds[idx] : bounds[idx + 1]]
-            r *= scale[lo:hi, idx : idx + 1]
-            r += shift[lo:hi, idx : idx + 1]
-        yield lo, eps
+    eps = rng.standard_normal((n, markets.k_total))
+    for idx in range(markets.beta):
+        r = eps[:, bounds[idx] : bounds[idx + 1]]
+        r *= scale[:, idx : idx + 1]
+        r += shift[:, idx : idx + 1]
+    return eps
 
 
 def _value_rows(markets: MultiMarketParams):
@@ -167,12 +156,6 @@ def _values_in_place(r, drift, v0):
     return r
 
 
-def _one_block(blocks):
-    """The returns of a route whose scratch holds all its samples."""
-    (_, r), = blocks
-    return r
-
-
 def sample_compound(params, n: int, rng, k_obligors: Optional[int] = None):
     """Terminal asset values (n, K) via the compound representation.
 
@@ -180,14 +163,13 @@ def sample_compound(params, n: int, rng, k_obligors: Optional[int] = None):
     params carry their own block sizes.
     """
     markets = block_market(params, k_obligors)
-    r = _one_block(_compound_blocks(markets, rng, n, np.empty((n, markets.k_total))))
-    return _values_in_place(r, *_value_rows(markets))
+    return _values_in_place(_compound_returns(markets, rng, n), *_value_rows(markets))
 
 
 def sample_compound_returns(params: MarketParams, k: int, n: int, rng):
     """Centered log-returns (n, k) for one market; the calibration module
     fits on exactly these."""
-    return _one_block(_compound_blocks(block_market(params, k), rng, n, np.empty((n, k))))
+    return _compound_returns(block_market(params, k), rng, n)
 
 
 def _wishart_dof(n_fluct, rows: int) -> int:
@@ -357,26 +339,21 @@ def _portfolio_losses(r, pf: _Portfolio, spare, mask, losses, n_def, n_full):
 _P_SHOCK_MAX = float(np.nextafter(1.0, 0.0))
 
 
-def _conditional_losses(pf: _Portfolio, rng, m, antithetic, scratch, losses, n_def, n_full):
+def _conditional_losses(pf: _Portfolio, rng, m, scratch, losses, n_def, n_full):
     """Write the losses (m, B), default counts (m,) and, for a tranched
     pool, senior-face counts (m,) of m compound samples.
 
-    The mixing variables come first: with antithetic pairs those of the
-    first m // 2 rows, and each mirror row of the second half takes its
-    row's (z, -u).  Given them, every row draws the default count of each
-    class, all rows in row order, and then, a block of rows at a time, a
-    uniform U in (0, 1] per defaulted obligor in row and class order.  Its
-    shock eps = Phi^-1(U Phi(t)) lies below the class threshold t = a /
+    The mixing variables (z, u) of all m rows come first.  Given them,
+    every row draws the default count of each class, all rows in row
+    order, and then, a block of rows at a time, a uniform U in (0, 1] per
+    defaulted obligor in row and class order.  Its shock eps = Phi^-1(U Phi(t)) lies below the class threshold t = a /
     scale, a the class bound less the row's shift, and the obligor loses
     -expm1(scale eps - a).  Where z is 0 the scale is 0 and t is +-inf:
     each class defaults all or none, with loss -expm1(-a).  A tranched
     pool's one class defaults at f_total; shocks below the senior bound
     are senior hits, whose junior loss is exactly 1.
     """
-    base = m // 2 if antithetic else m
-    scale, shift = _mixing(pf.markets, rng, base)
-    if antithetic:
-        scale, shift = np.concatenate([scale, scale]), np.concatenate([shift, -shift])
+    scale, shift = _mixing(pf.markets, rng, m)
     scale = scale[:, pf.class_block]
     a = pf.bounds - shift[:, pf.class_block]
     with np.errstate(over="ignore"):  # a / scale past the float range is t = +-inf too
@@ -447,8 +424,7 @@ def _shock_losses(pf: _Portfolio, cells, x, spare, mask, losses, n_full):
 class McRun:
     """Estimates and diagnostics from one simulation run.
 
-    Standard errors are sample std / sqrt(n) over independent draws; with
-    antithetic pairing they use pair averages as the independent unit.
+    Standard errors are sample std / sqrt(n) over the n independent draws.
     Atom masses are sample fractions classified by default counts.
     """
 
@@ -511,42 +487,33 @@ class _Scratch:
     samples, each holding one block of ``_block_rows`` samples: float and
     boolean scratch for the block's values (the compound route's
     defaulted shocks, at most K per sample, or the Wishart route's
-    returns) and, with a Wishart N, the returns' antithetic mirror image
-    and the samples' (N, K) G panels."""
+    returns) and, with a Wishart N, the samples' (N, K) G panels."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
         m = _block_rows(rows, k, wishart_dof)
         self.values = np.empty((m, k))
         self.spare = np.empty((m, k))
         self.mask = np.empty((m, k), dtype=bool)
-        self.mirror = np.empty((m, k)) if wishart_dof else None
         self.g = np.empty((m, wishart_dof, k)) if wishart_dof else None
 
 
 def _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf):
     """(losses (m, B), n_defaults (m,), n_full (m,)) of one chunk, drawn
-    and evaluated one block of samples at a time.  With antithetic pairs
-    the compound route mirrors the mixing variables of the first m // 2
-    samples (:func:`_conditional_losses`); the Wishart blocks cover the
-    first m // 2 samples, and each block's mirror image, its negated
-    returns, gives the same rows of the second half."""
+    and evaluated one block of samples at a time, by the compound route
+    (:func:`_conditional_losses`) or the Wishart blocks."""
     rng = _chunk_rng(cfg.rng_seed, chunk_index)
     losses = np.empty((m, len(_labels(scenario))))
     n_def = np.empty(m, dtype=np.int64)
     n_full = np.zeros(m, dtype=np.int64)
     if cfg.sampler == "compound":
-        _conditional_losses(pf, rng, m, cfg.antithetic, scratch, losses, n_def, n_full)
+        _conditional_losses(pf, rng, m, scratch, losses, n_def, n_full)
         return losses, n_def, n_full
-    base = m // 2 if cfg.antithetic else m
-    for lo, r in _wishart_blocks(scenario.params, rng, base, scratch.values, scratch.g):
+    for lo, r in _wishart_blocks(scenario.params, rng, m, scratch.values, scratch.g):
         rows = len(r)
-        spare, mask = scratch.spare[:rows], scratch.mask[:rows]
-        if base < m:
-            mirror = np.negative(r, out=scratch.mirror[:rows])
-            out = slice(base + lo, base + lo + rows)
-            _portfolio_losses(mirror, pf, spare, mask, losses[out], n_def[out], n_full[out])
         out = slice(lo, lo + rows)
-        _portfolio_losses(r, pf, spare, mask, losses[out], n_def[out], n_full[out])
+        _portfolio_losses(
+            r, pf, scratch.spare[:rows], scratch.mask[:rows], losses[out], n_def[out], n_full[out]
+        )
     return losses, n_def, n_full
 
 
@@ -554,13 +521,11 @@ def _chunk_stats(scenario, cfg, chunk_index, m, scratch, pf, edges):
     """Partial statistics of one chunk, as a dict of summable counts and
     sums, and its losses (m, B)."""
     losses, n_def, n_full = _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf)
-    pa = 0.5 * (losses[: m // 2] + losses[m // 2 :]) if cfg.antithetic else losses
     b = losses.shape[1]
     stats = {
         "sum1": losses.sum(axis=0),
         "sum2": np.einsum("mb,mc->bc", losses, losses),
-        "pair_sum": pa.sum(axis=0),
-        "pair_sumsq": (pa * pa).sum(axis=0),
+        "sumsq": (losses * losses).sum(axis=0),
         "hist1": np.array([np.histogram(col, bins=edges)[0] for col in losses.T]),
         "n_origin": int((n_def == 0).sum()),
         "n_sub_viol": 0,
@@ -639,16 +604,13 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
         pool.shutdown(cancel_futures=True)
     mean = totals["sum1"] / n
     cov = totals["sum2"] / n - np.outer(mean, mean)
-    n_units = n // 2 if config.antithetic else n
-    unit_mean = totals["pair_sum"] / n_units
-    unit_var = np.maximum(totals["pair_sumsq"] / n_units - unit_mean**2, 0.0)
-    mean_se = np.sqrt(unit_var / n_units)
+    mean_se = np.sqrt(np.maximum(totals["sumsq"] / n - mean**2, 0.0) / n)
     corr = corr_se = None
     if b == 2:
         v1, v2 = cov[0, 0], cov[1, 1]
         if v1 > 0.0 and v2 > 0.0:
             corr = float(cov[0, 1] / (math.sqrt(v1) * math.sqrt(v2)))
-            corr_se = (1.0 - corr**2) / math.sqrt(n_units)
+            corr_se = (1.0 - corr**2) / math.sqrt(n)
     p_nd = totals["n_origin"] / n
     return McRun(
         config=config,

@@ -104,7 +104,6 @@ _MC_SCHEMA = _block(
         "n_samples": _INT,
         "rng_seed": _INT,
         "sampler": {"enum": ["compound", "wishart"]},
-        "antithetic": {"type": "boolean"},
         "n_bins": _INT,
         "chunk_size": _INT,
     }
@@ -402,15 +401,17 @@ def _filled_market(block: dict) -> dict:
 
 
 def _quad(sc: dict) -> QuadratureSpec:
-    return _build("/quadrature", QuadratureSpec, **sc["quadrature"])
-
-
-def _mc_config(block: dict) -> McConfig:
-    """The McConfig of an ``mc`` block.  It is built once without
-    antithetic pairs first, so that a failure only the pairing causes is
-    reported at ``/mc/antithetic``."""
-    _build("/mc", McConfig, **dict(block, antithetic=False))
-    return _build("/mc/antithetic", McConfig, **block)
+    """The QuadratureSpec of a mode that runs the fixed rule only, which is
+    every mode but subordinated: the adaptive rule is refused at
+    ``/quadrature/mode`` rather than replaced by the fixed one."""
+    quad = _build("/quadrature", QuadratureSpec, **sc["quadrature"])
+    if quad.mode == "adaptive":
+        raise ScenarioError(
+            f"mode {sc['mode']!r} runs the fixed rule only; quadrature.mode "
+            "'adaptive' applies to the subordinated mode",
+            pointer="/quadrature/mode",
+        )
+    return quad
 
 
 def _grid(sc: dict) -> dict:
@@ -564,7 +565,8 @@ def _subordinated(sc, out_dir=""):
         _build("/portfolio", SubordinatedScenario, k_obligors=k, tranches=tranches, params=params)
         for k in ks
     ]
-    quad, cells = _quad(sc), _grid(sc)
+    quad = _build("/quadrature", QuadratureSpec, **sc["quadrature"])
+    cells = _grid(sc)
     nodes, points = quad.z_nodes * quad.u_nodes, len(ks) * cells["n_cells"] ** 2
     seconds = 0.0
     if quad.mode == "adaptive":  # its crossing solve is the ridge's
@@ -769,7 +771,7 @@ def _correlation_sweep(sc, out_dir=""):
     base = _build("/market", MarketParams, **sc["market"])
     halves = _halves(sc["portfolio"]["face"], "/portfolio/face")
     _build("/portfolio/face", check_face_ratio, halves.f0, base)
-    config = _mc_config(sc["mc"])
+    config = _build("/mc", McConfig, **sc["mc"])
     quad, path = _quad(sc), _output(sc, "table", out_dir)
     ks = _k_list(sc["portfolio"]["k_values"])
     _build("/market", _check_defaults, [
@@ -880,7 +882,7 @@ def _mc_validate(sc, out_dir=""):
             "/portfolio", SubordinatedScenario,
             k_obligors=scen.k_obligors, tranches=tranches, params=params,
         )
-    config = _mc_config(sc["mc"])
+    config = _build("/mc", McConfig, **sc["mc"])
     sampling_s = _check_sampling(scen, config, "/portfolio/k_obligors", "/portfolio/overlap")
     quad, min_mass, path = _quad(sc), sc["min_mass"], _output(sc, "report", out_dir)
 

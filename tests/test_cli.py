@@ -241,6 +241,8 @@ def test_rejected_before_run_with_pointer(tmp_path, capsys, sets, pointer):
         ("limit_subordinated_ridge", ["market.mu=50"], "/market/mu"),
         ("limit_subordinated_ridge", ["market.mu=-50"], "/market/mu"),
         ("limit_subordinated_ridge", ["market.v0=3.8e-299"], "/market/v0"),
+        # the fixed-rule modes refuse the adaptive rule they would not run
+        ("nosub_halves_k100", ['quadrature.mode="adaptive"'], "/quadrature/mode"),
     ],
 )
 def test_built_before_run_with_pointer(tmp_path, capsys, scenario, sets, pointer):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from portloss import (
     ConvergenceError,
     MarketParams,
+    MultipleRootsError,
     NoRootError,
     ParameterError,
     QuadratureSpec,
@@ -456,6 +457,41 @@ def test_unclosed_crossings_are_flagged_not_zero():
     (i, j), (xs, ys) = np.argwhere(flagged)[0], grid.axes
     with pytest.raises(ConvergenceError):
         density_limit_subordinated(float(xs[i]), float(ys[j]), thin, params)
+
+
+def test_several_closed_crossings_are_reported_not_resolved(market, faces, monkeypatch):
+    # no market of the model is known to cross twice, so the v tables are
+    # stubbed: the senior table of loss 0.4 is the parabola (u - 0.3)(u -
+    # 0.7) in the scan position u in [0, 1], and the junior table of loss
+    # 0.5 is 0, so cell (1, 2) has two bracketed sign changes; every other
+    # pair of tables keeps apart.  The stubbed joint solve closes each lane
+    # at its start.
+    from portloss import limits
+
+    def v_roots(l_senior, l_junior, s, faces, params):
+        u = (s - s[0]) / (s[-1] - s[0])
+        v_s = np.where(l_senior == 0.4, (u - 0.3) * (u - 0.7), 1.0)
+        return v_s, np.where(l_junior == 0.5, 0.0, -1.0) + 0.0 * s
+
+    starts = []
+
+    def joint_newton(x, y, s, v, s_a, s_b, faces, params):
+        starts.append(s)
+        return s.copy(), v.copy(), np.ones((4, *s.shape)), np.ones(s.shape, dtype=bool)
+
+    monkeypatch.setattr(limits, "_sub_v_roots", v_roots)
+    monkeypatch.setattr(limits, "_joint_newton", joint_newton)
+    cr = limits._sub_crossings([0.2, 0.4], [0.1, 0.3, 0.5], faces, market, 96)
+    want = np.full((2, 3), limits._NONE)
+    want[1, 2] = limits._MULTIPLE
+    np.testing.assert_array_equal(cr.status, want)
+    (lanes,) = starts
+    assert len(lanes) == 2 and lanes[0] != lanes[1]
+    assert cr.roots == {(1, 2): tuple(market.n_fluct * lanes)}
+    assert np.all(np.isnan(cr.s))
+    with pytest.raises(MultipleRootsError) as err:
+        density_limit_subordinated(0.4, 0.5, faces, market)
+    assert err.value.roots == cr.roots[(1, 2)]
 
 
 @seed(31)

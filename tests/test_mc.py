@@ -33,8 +33,6 @@ def _halves(market, k=50):
 
 def test_config_validation(market):
     with pytest.raises(ParameterError):
-        McConfig(n_samples=20_001, antithetic=True)  # needs pairs
-    with pytest.raises(ParameterError):
         McConfig(sampler="quasi")
     # small sample counts are rejected
     with pytest.raises(ParameterError):
@@ -79,16 +77,6 @@ def test_no_default_fraction_matches_analytic(market):
     run = mc.estimate(sc, McConfig(n_samples=100_000, rng_seed=2))
     want = no_default_probability(50, 75.0, market)
     assert abs(run.p_no_default - want) < 3.5 * run.p_no_default_se
-
-
-def test_antithetic_runs_and_matches_distribution(market):
-    sc = _halves(market)
-    plain = mc.estimate(sc, McConfig(n_samples=100_000, rng_seed=3))
-    anti = mc.estimate(sc, McConfig(n_samples=100_000, rng_seed=3, antithetic=True))
-    # same law: means within combined standard errors
-    for b in range(2):
-        d = abs(plain.mean[b] - anti.mean[b])
-        assert d < 4.0 * (plain.mean_se[b] + anti.mean_se[b])
 
 
 def test_subordinated_run_orders_tranches(market):
@@ -173,15 +161,11 @@ def test_wishart_budget_covers_tranched_pools(market):
 # reference formulas and against itself at other thread counts
 
 
-def _ref_mixing(markets, m, rng, antithetic):
-    """Per-row scale and shift (m, beta) of every block; mirror rows of
-    antithetic pairs take (z, -u)."""
+def _ref_mixing(markets, m, rng):
+    """Per-row scale and shift (m, beta) of every block."""
     n = markets.n_fluct
-    base = m // 2 if antithetic else m
-    z = rng.chisquare(n, size=base)
-    u = rng.standard_normal((base, markets.beta)) * np.sqrt(z / n)[:, None]
-    if antithetic:
-        z, u = np.concatenate([z, z]), np.concatenate([u, -u])
+    z = rng.chisquare(n, size=m)
+    u = rng.standard_normal((m, markets.beta)) * np.sqrt(z / n)[:, None]
     scale = np.column_stack(
         [mkt.rho * np.sqrt(z * (1.0 - mkt.c) * mkt.t_mat / n) for mkt, _ in markets.blocks])
     shift = np.column_stack(
@@ -189,13 +173,13 @@ def _ref_mixing(markets, m, rng, antithetic):
     return scale, shift
 
 
-def _ref_conditional(markets, classes, m, rng, antithetic):
+def _ref_conditional(markets, classes, m, rng):
     """Default counts (m, C), and the cell (row * C + class) and
     log-return excess x = scale eps - a <= 0 of every defaulted obligor
     in row and class order, drawn out of place in one piece: the counts
     are Binomial(n_c, Phi(a / scale)) and eps = Phi^-1(U Phi(a / scale))
     with U in (0, 1], a = log(face / v0) - nu T - shift."""
-    scale, shift = _ref_mixing(markets, m, rng, antithetic)
+    scale, shift = _ref_mixing(markets, m, rng)
     cols = [blk for blk, _, _ in classes]
     bounds = np.array([math.log(face / markets.blocks[blk][0].v0)
                        - markets.blocks[blk][0].drift_adj * markets.blocks[blk][0].t_mat
@@ -214,14 +198,14 @@ def _ref_conditional(markets, classes, m, rng, antithetic):
     return counts, cells, x
 
 
-def _ref_compound(scenario, m, rng, antithetic, weighted_sum):
+def _ref_compound(scenario, m, rng, weighted_sum):
     """Losses, default counts and senior-face counts of the conditional
     compound route; ``weighted_sum(sums, wts)`` forms the creditor
     losses from the per-class loss sums."""
     markets = block_market(scenario.params, scenario.k_obligors)
     if isinstance(scenario, SubordinatedScenario):
         tr, k = scenario.tranches, scenario.k_obligors
-        counts, cells, x = _ref_conditional(markets, [(0, tr.f_total, k)], m, rng, antithetic)
+        counts, cells, x = _ref_conditional(markets, [(0, tr.f_total, k)], m, rng)
         h = math.log(tr.f_senior / tr.f_total)
         hits = x < h
         ls = -np.expm1(np.minimum(x - h, 0.0))
@@ -231,20 +215,17 @@ def _ref_compound(scenario, m, rng, antithetic, weighted_sum):
         return losses, counts[:, 0], np.bincount(cells[hits], minlength=m)
     _, classes, shares = scenario.holdings
     classes = [(blk, face, int(n)) for blk, face, n in classes]
-    counts, cells, x = _ref_conditional(markets, classes, m, rng, antithetic)
+    counts, cells, x = _ref_conditional(markets, classes, m, rng)
     sums = np.bincount(cells, weights=-np.expm1(x), minlength=counts.size).reshape(counts.shape)
     whole = np.array([n for _, _, n in classes])
     wts = shares / (shares * whole).sum(axis=1, keepdims=True)
     return weighted_sum(sums, wts), counts.sum(axis=1), np.zeros(m, dtype=np.int64)
 
 
-def _ref_wishart(params, k, m, rng, antithetic):
+def _ref_wishart(params, k, m, rng):
     n_int = int(params.n_fluct)
-    base = m // 2 if antithetic else m
-    eta = rng.standard_normal((base, n_int))
-    g = rng.standard_normal((base, n_int, k))
-    if antithetic:
-        eta, g = np.concatenate([eta, -eta]), np.concatenate([g, g])
+    eta = rng.standard_normal((m, n_int))
+    g = rng.standard_normal((m, n_int, k))
     x = np.einsum("mnk,mn->mk", g, eta)
     lam_perp = math.sqrt(1.0 - params.c)
     lam_e = math.sqrt(1.0 - params.c + params.c * k)
@@ -257,9 +238,9 @@ def _ref_chunk(scenario, cfg, ci, m, weighted_sum):
     place; the Wishart route evaluates every obligor's asset value."""
     rng = mc._chunk_rng(cfg.rng_seed, ci)
     if cfg.sampler == "compound":
-        return _ref_compound(scenario, m, rng, cfg.antithetic, weighted_sum)
+        return _ref_compound(scenario, m, rng, weighted_sum)
     p = scenario.params
-    r = _ref_wishart(p, scenario.k_obligors, m, rng, cfg.antithetic)
+    r = _ref_wishart(p, scenario.k_obligors, m, rng)
     return _ref_losses(p.v0 * np.exp(p.drift_adj * p.t_mat + r), scenario, weighted_sum)
 
 
@@ -288,8 +269,8 @@ def _einsum_sum(l_ob, wts):
     return np.einsum("mk,bk->mb", l_ob, wts)
 
 
-_PIPELINE_CASES = ("compound", "wishart", "tranched_k200", "tranched_wishart", "antithetic",
-                   "antithetic_wishart", "keep_samples", "multimarket")
+_PIPELINE_CASES = ("compound", "wishart", "tranched_k200", "tranched_wishart", "keep_samples",
+                   "multimarket")
 
 
 def _pipeline_cases(market):
@@ -304,10 +285,8 @@ def _pipeline_cases(market):
         "wishart": (halves, McConfig(rng_seed=22, sampler="wishart", **cfg)),
         "tranched_k200": (tranched, McConfig(rng_seed=23, **cfg)),
         "tranched_wishart": (tranched, McConfig(rng_seed=24, sampler="wishart", **cfg)),
-        "antithetic": (halves, McConfig(rng_seed=25, antithetic=True, **cfg)),
-        "antithetic_wishart": (halves, McConfig(rng_seed=26, sampler="wishart", antithetic=True, **cfg)),
         "keep_samples": (tranched, McConfig(rng_seed=27, keep_samples=True, **cfg)),
-        "multimarket": (multi, McConfig(rng_seed=28, antithetic=True, **cfg)),
+        "multimarket": (multi, McConfig(rng_seed=28, **cfg)),
     }
 
 
@@ -411,7 +390,7 @@ def test_pool_size_is_one_thread_per_cpu_and_chunk():
                          (130, 10, 64), (2048, 500, 1000), (20_000, 3, 0)):
         scratch = mc._Scratch(rows, k, dof)
         arrays = [scratch.values, scratch.spare, scratch.mask]
-        arrays += [scratch.mirror, scratch.g] if dof else []
+        arrays += [scratch.g] if dof else []
         for a in arrays:
             assert len(a) >= 1
             assert a.size <= max(mc._BLOCK_ELEMENTS, k * max(dof, 1))
@@ -449,14 +428,12 @@ _EDGE_CASES = ("n_min_none", "n_min_all", "n_min_tranched_all", "f_senior_zero",
                "p_one", "p_zero_tranched", "p_one_tranched")
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("case", _EDGE_CASES)
-def test_conditional_route_edges_give_exact_atoms(market, case, antithetic):
+def test_conditional_route_edges_give_exact_atoms(market, case):
     """No warning (pytest turns RuntimeWarning into an error), and where
     the default probability is 0 or 1 no sample or every sample defaults."""
     scenario, defaults = _edge_cases(market)[case]
-    cfg = McConfig(n_samples=10_000, rng_seed=17, chunk_size=4096, antithetic=antithetic,
-                   keep_samples=True)
+    cfg = McConfig(n_samples=10_000, rng_seed=17, chunk_size=4096, keep_samples=True)
     run = mc.estimate(scenario, cfg)
     assert np.all((run.samples >= 0.0) & (run.samples <= 1.0))
     tranched = isinstance(scenario, SubordinatedScenario)

@@ -57,12 +57,12 @@ def test_bundled_set_is_complete_and_valid():
 # scenario layer must leave every one of them unchanged
 BUNDLED_FINGERPRINTS = {
     "calibrate_synthetic_base": "6c7d015fd9c656d2",
-    "correlation_sweep_full": "21eaf342eef12072",
+    "correlation_sweep_full": "7983746ed415d0f6",
     "limit_equal_loss_curve": "379e14d31bebaaef",
     "limit_small_vs_large_r10": "11b45571dca97e03",
     "limit_subordinated_ridge": "4e93f3b2321f9cb7",
     "limit_two_markets_base": "7ea3176ad9fabedd",
-    "mc_validate_halves_k100": "4cef051549ac8826",
+    "mc_validate_halves_k100": "e6cc468a9875b7f0",
     "multimarket_split_pair": "4597062a685604e7",
     "no_default_k_scan": "2e4143b834f5aae7",
     "nosub_equal_halves_trio": "9bdd46c7f8171f17",
@@ -128,8 +128,9 @@ def test_fingerprint_stable_under_output_renames():
         ({"mode": "subordinated", "portfolio": {"k_obligors": 10},
           "tranches": {"f_senior": 37.0, "f_junior": 38.0},
           "grid": {"lo": 0.5, "hi": 0.5}}, "/grid/hi"),
+        # antithetic sampling is retired: its key is an unknown property
         ({"mode": "mc-validate", "portfolio": {"k_obligors": 100},
-          "mc": {"antithetic": True, "n_samples": 200_001}}, "/mc/antithetic"),
+          "mc": {"antithetic": True, "n_samples": 200_001}}, "/mc"),
         ({"mode": "calibrate", "source": {"kind": "csv"}}, "/source/path"),
         # the schema check: a bool is not a number
         ({"mode": "nosub", "portfolio": {"k_obligors": 10}, "market": {"mu": True}},
@@ -149,6 +150,13 @@ def test_fingerprint_stable_under_output_renames():
           "quadrature": {"mode": "x"}, "grid": {"n_cells": 2.5}}, "/grid/n_cells"),
         ({"mode": "nosub", "portfolio": {"k_obligors": 10},
           "market": {"mu": "x", "bogus": 1}}, "/market"),
+        # only the subordinated mode runs the adaptive rule; the others
+        # refuse it rather than run the fixed rule
+        ({"mode": "nosub", "portfolio": {"k_obligors": 10},
+          "quadrature": {"mode": "adaptive"}}, "/quadrature/mode"),
+        ({"mode": "mc-validate", "portfolio": {"k_obligors": 100},
+          "tranches": {"f_senior": 37.0, "f_junior": 38.0},
+          "quadrature": {"mode": "adaptive"}}, "/quadrature/mode"),
     ],
 )
 def test_rejections_carry_a_pointer(doc, fragment):
@@ -256,7 +264,7 @@ def _leaves(node, path=()):
 
 
 def test_validate_refuses_every_single_leaf_change_cleanly():
-    # 4,860 documents: validate accepts each or raises ScenarioError, with
+    # 4,824 documents: validate accepts each or raises ScenarioError, with
     # no other exception and no RuntimeWarning
     count = 0
     for doc in bundled_scenarios().values():
@@ -275,7 +283,7 @@ def test_validate_refuses_every_single_leaf_change_cleanly():
                     except ScenarioError:
                         pass
                 count += 1
-    assert count == 4860
+    assert count == 4824
 
 
 def test_default_blocks_are_separate_copies():
