@@ -9,26 +9,35 @@ from the normal law below the default threshold t_c, as Phi^-1(U
 Phi(t_c)).  The Wishart route draws an explicit random covariance matrix
 W W^T around the mean covariance and Gaussian returns of every obligor on
 top of it, and turns each obligor's asset value into its loss; it is the
-per-obligor check of the compound route.  ``sample_compound`` and
+per-obligor check of the compound route.  As in a non-stationary market,
+whose covariance is fixed within an epoch while the random-matrix
+ensemble stands for the covariances of successive epochs, one drawn
+covariance serves an epoch of ``_WISHART_EPOCH`` consecutive samples of a
+chunk: each sample has the model's law, but the samples of one epoch are
+dependent, so the Wishart route's standard errors, and the design
+effects it reports, treat the epoch as the independent unit.  Compound
+samples are independent draws.  ``sample_compound`` and
 ``sample_compound_returns`` still give every obligor's value or return.
 
 Estimation is streamed in fixed-size chunks with one spawned RNG stream
 per chunk, on a thread pool of one thread per CPU, no more than there
 are chunks.  Within a chunk the per-sample variables (z, u and the
 default counts, or eta) are drawn first, and then the defaulted shocks,
-or the Wishart G panels and returns, a block of samples at a time, in
-scratch buffers that the calling thread allocated once per pool thread:
-at most ``_BLOCK_ELEMENTS`` = 2^17 values each, Wishart G panels
-included, or one sample where a sample alone holds more.  Each chunk's
-stream is an SFC64 generator spawned from the seed and the chunk index;
-it feeds numpy's ziggurat normals faster than PCG64 does.  Only the
-chunk's (m, B) losses and (m,) default counts are held whole.  Blocks
-take their draws from the stream in sample order, so the block size
-changes no draw and no loss, and the partial statistics are reduced in
-chunk order, so results are bit-identical for a given McConfig whatever
-the block size, thread count or scheduling.  Atom bookkeeping (zero-loss
-origin, wipeout lattice) classifies samples by integer default counts,
-never by floating-point equality of losses.
+or the Wishart G panels epoch by epoch and the returns, a block of
+samples at a time, in scratch buffers that the calling thread allocated
+once per pool thread: at most ``_BLOCK_ELEMENTS`` = 2^17 values each,
+or one sample where a sample alone holds more.  A Wishart block's
+returns and G panels share that budget, and the block holds whole
+epochs, or lies within one.  Each
+chunk's stream is an SFC64 generator spawned from the seed and the chunk
+index; it feeds numpy's ziggurat normals faster than PCG64 does.  Only
+the chunk's (m, B) losses and (m,) default counts are held whole.
+Blocks take their draws from the stream in sample and epoch order, so
+the block size changes no draw and no loss, and the partial statistics
+are reduced in chunk order, so results are bit-identical for a given
+McConfig whatever the block size, thread count or scheduling.  Atom
+bookkeeping (zero-loss origin, wipeout lattice) classifies samples by
+integer default counts, never by floating-point equality of losses.
 """
 
 from __future__ import annotations
@@ -59,6 +68,14 @@ __all__ = [
 
 _WISHART_K_BUDGET = 500
 _BLOCK_ELEMENTS = 2**17  # values per block array of a chunk's scratch: 1 MiB
+# Wishart samples per drawn covariance; at 8 the between-epoch variance of
+# a well-filled cell count is 1.03-1.09 times its binomial variance
+_WISHART_EPOCH = 8
+
+
+def _epochs(rows: int) -> int:
+    """Wishart epochs of ``rows`` consecutive samples that start an epoch."""
+    return -(-rows // _WISHART_EPOCH)
 
 
 @dataclass(frozen=True)
@@ -70,7 +87,9 @@ class McConfig:
     are not acceptance-grade), ``rng_seed`` >= 0, ``n_bins`` in [2, 1000]
     and ``chunk_size`` >= 128.  Scenario documents state only the types,
     so an ``mc`` block is accepted exactly when this constructor accepts
-    it.  Every sample is an independent draw.
+    it.  Compound samples are independent draws; Wishart samples come in
+    epochs of ``_WISHART_EPOCH`` that share one drawn covariance, each
+    sample with the same law.
     """
 
     n_samples: int = 200_000
@@ -176,7 +195,7 @@ def _wishart_dof(n_fluct, rows: int) -> int:
     """Columns of the Wishart factor W: the fluctuation strength, which
     must be a positive integer for this sampler.  An N above the ``rows``
     samples of a chunk raises SamplerBudgetError: the memory refusal
-    bounds a chunk's rows x K values, and N <= rows keeps one sample's
+    bounds a chunk's rows x K values, and N <= rows keeps one epoch's
     (N, K) G panel, the least a block holds, within it.  The compound
     sampler has the same law."""
     n_int = int(n_fluct)
@@ -191,9 +210,10 @@ def _wishart_dof(n_fluct, rows: int) -> int:
 
 
 def _check_wishart_budget(k_obligors: int) -> None:
-    """The Wishart sampler draws an (N, K) panel per sample, so it is
-    refused beyond ``_WISHART_K_BUDGET`` obligors; the compound sampler has
-    the same law."""
+    """The Wishart sampler draws an (N, K) panel per epoch and every
+    obligor's return per sample, so it is refused beyond
+    ``_WISHART_K_BUDGET`` obligors; the compound sampler has the same
+    law."""
     if k_obligors > _WISHART_K_BUDGET:
         raise SamplerBudgetError(
             f"K = {k_obligors} exceeds the Wishart budget of {_WISHART_K_BUDGET}; "
@@ -202,22 +222,40 @@ def _check_wishart_budget(k_obligors: int) -> None:
 
 
 def _wishart_blocks(params: MarketParams, rng, base: int, out, g):
-    """Centered log-returns of ``base`` samples via an explicit Wishart
-    covariance draw, len(out) samples at a time into ``out``; ``g`` is
-    (len(out), N, K) scratch for the samples' G panels.
+    """Centered log-returns of ``base`` samples via explicit Wishart
+    covariance draws, len(out) samples at a time into ``out``; ``g`` is
+    scratch for the G panels of a block's epochs, ``_epochs(len(out))``
+    of shape (N, K).
 
     W has independent columns of covariance Sigma/N, where Sigma is the
     mean return covariance rho^2 T [(1-c) I + c e e^T]; given W the return
-    is Gaussian with covariance W W^T.  Computed as Sigma^(1/2) G^T eta
-    with G an (N, K) standard normal panel per sample, obligors along the
-    contiguous axis, so the contraction over N adds whole rows of G; all
-    of eta is drawn before the first panel.
+    is Gaussian with covariance W W^T.  One covariance serves an epoch of
+    ``_WISHART_EPOCH`` consecutive samples, the last epoch of ``base``
+    shorter when ``base`` is not a multiple of it: each return is
+    Sigma^(1/2) G^T eta with G the epoch's (N, K) standard normal panel,
+    obligors along the contiguous axis, and eta the sample's own N
+    normals.  All of eta is drawn first, then the panels in epoch order:
+    a block of whole epochs draws all its panels, and a block within an
+    epoch (``_block_rows`` gives one or the other) draws the panel if it
+    starts the epoch and reuses it otherwise.  Each sample's law is that
+    of an independent draw.
     """
     eta = rng.standard_normal((base, g.shape[1]))
     for lo in range(0, base, len(out)):
         hi = min(lo + len(out), base)
-        gb = rng.standard_normal(out=g[: hi - lo])
-        r = np.einsum("mnk,mn->mk", gb, eta[lo:hi], out=out[: hi - lo])
+        if lo % _WISHART_EPOCH == 0:
+            rng.standard_normal(out=g[: _epochs(hi - lo)])
+        r = out[: hi - lo]
+        n_full = len(r) // _WISHART_EPOCH
+        whole = n_full * _WISHART_EPOCH
+        np.einsum(
+            "emn,enk->emk",
+            eta[lo : lo + whole].reshape(n_full, _WISHART_EPOCH, g.shape[1]),
+            g[:n_full],
+            out=r[:whole].reshape(n_full, _WISHART_EPOCH, g.shape[2]),
+        )
+        if whole < len(r):
+            np.einsum("mn,nk->mk", eta[lo + whole : hi], g[n_full], out=r[whole:])
         _sigma_half_in_place(r, params)
         yield lo, r
 
@@ -246,7 +284,7 @@ def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
     rows = _block_rows(n, k_obligors, dof)
     r = np.empty((n, k_obligors))
     for lo, block in _wishart_blocks(
-        params, rng, n, np.empty((rows, k_obligors)), np.empty((rows, dof, k_obligors))
+        params, rng, n, np.empty((rows, k_obligors)), np.empty((_epochs(rows), dof, k_obligors))
     ):
         r[lo : lo + len(block)] = block
     return _values_in_place(r, *_value_rows(block_market(params, k_obligors)))
@@ -424,7 +462,15 @@ def _shock_losses(pf: _Portfolio, cells, x, spare, mask, losses, n_full):
 class McRun:
     """Estimates and diagnostics from one simulation run.
 
-    Standard errors are sample std / sqrt(n) over the n independent draws.
+    Standard errors of the means are sample std / sqrt(n) for compound
+    runs, whose n draws are independent.  A Wishart run draws one
+    covariance per epoch of ``epoch_samples`` samples, so its ``mean_se``
+    comes from the variance between epochs, and ``corr_se`` uses the
+    effective count n / deff, deff the largest design effect of the means.
+    ``p_no_default_se`` is binomial; ``design_effect`` gives the factor by
+    which a count's variance grows, from the between-epoch sums of
+    squares ``cell_cluster_ss`` (of the compared histogram's cells) and
+    ``no_default_cluster_ss``.  Each design effect is floored at 1.
     Atom masses are sample fractions classified by default counts.
     """
 
@@ -443,6 +489,25 @@ class McRun:
     subordination_violations: int
     lattice_offenders: int
     samples: Optional[np.ndarray] = None
+    epoch_samples: int = 1
+    cell_cluster_ss: Optional[np.ndarray] = None
+    no_default_cluster_ss: Optional[float] = None
+
+    def design_effect(self, cells=None) -> float:
+        """Between-epoch variance of a count over its binomial variance,
+        floored at 1: of the no-default count, or pooled over the cells of
+        the compared histogram (``hist_2d``, else ``hist_1d[0]``) that the
+        boolean mask ``cells`` selects.  1 for independent samples, and
+        where the selected counts have no binomial variance."""
+        if self.epoch_samples == 1:
+            return 1.0
+        if cells is None:
+            ss, share = self.no_default_cluster_ss, self.p_no_default
+        else:
+            hist = self.hist_2d if self.hist_2d is not None else self.hist_1d[0]
+            ss, share = self.cell_cluster_ss[cells], hist[cells]
+        binomial = self.n * float(np.sum(share * (1.0 - share)))
+        return max(1.0, float(np.sum(ss)) / binomial) if binomial > 0.0 else 1.0
 
     def loss_correlation(self) -> float:
         if self.corr is None:
@@ -476,10 +541,16 @@ def _labels(scenario):
 
 
 def _block_rows(rows: int, k: int, wishart_dof: int) -> int:
-    """Samples per block: as many of ``rows`` as keep each block array,
-    (m, K) values or (m, N, K) G panels, within ``_BLOCK_ELEMENTS``, and
-    one at least."""
-    return min(rows, max(1, _BLOCK_ELEMENTS // (k * max(wishart_dof, 1))))
+    """Samples per block: as many of ``rows`` as keep a block's (m, K)
+    values within ``_BLOCK_ELEMENTS``, and one at least.  With a Wishart
+    N the block's returns and the (N, K) G panels of its epochs share
+    that budget, (1 + N / M) K values per sample, and a block below
+    ``rows`` holds whole epochs, or one sample where that is over the
+    budget, so that no block crosses an epoch boundary mid-block."""
+    if not wishart_dof:
+        return min(rows, max(1, _BLOCK_ELEMENTS // k))
+    m = _BLOCK_ELEMENTS * _WISHART_EPOCH // (k * (_WISHART_EPOCH + wishart_dof))
+    return min(rows, max(1, m - m % _WISHART_EPOCH))
 
 
 class _Scratch:
@@ -487,14 +558,15 @@ class _Scratch:
     samples, each holding one block of ``_block_rows`` samples: float and
     boolean scratch for the block's values (the compound route's
     defaulted shocks, at most K per sample, or the Wishart route's
-    returns) and, with a Wishart N, the samples' (N, K) G panels."""
+    returns) and, with a Wishart N, the (N, K) G panels of the block's
+    epochs, one per ``_WISHART_EPOCH`` samples."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
         m = _block_rows(rows, k, wishart_dof)
         self.values = np.empty((m, k))
         self.spare = np.empty((m, k))
         self.mask = np.empty((m, k), dtype=bool)
-        self.g = np.empty((m, wishart_dof, k)) if wishart_dof else None
+        self.g = np.empty((_epochs(m), wishart_dof, k)) if wishart_dof else None
 
 
 def _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf):
@@ -540,7 +612,41 @@ def _chunk_stats(scenario, cfg, chunk_index, m, scratch, pf, edges):
         on_lattice = (n_def - n_full) == 0
         expected = n_full / scenario.k_obligors
         stats["n_lattice_bad"] = int((on_lattice & (losses[:, 1] != expected)).sum())
+    if cfg.sampler == "wishart":
+        stats.update(_epoch_stats(losses, n_def, edges))
     return stats, losses
+
+
+def _epoch_stats(losses, n_def, edges) -> dict:
+    """Sums over the Wishart epochs of one chunk, from which ``estimate``
+    forms between-epoch variances: ``ep_mm``, the sum of m_e^2 over the
+    epoch sizes m_e, and over the epochs' sums y_e of the losses, of the
+    no-default indicator and of each compared cell's indicator, the sums
+    of y_e^2 and of m_e y_e.  The compared cells are those of ``hist2``
+    with two losses, else the first loss's bins.  Cell counts come from
+    the chunk's unique (epoch, cell) keys, so the work is O(m + cells)."""
+    m, b = losses.shape
+    starts = np.arange(0, m, _WISHART_EPOCH)
+    size = np.diff(starts, append=m)
+    n_bins = len(edges) - 1
+    # np.histogram's bins: [e_i, e_i+1), the last closed
+    axes = 2 if b == 2 else 1
+    bins = np.minimum(np.searchsorted(edges, losses[:, :axes], "right") - 1, n_bins - 1)
+    cell = bins[:, 0] * n_bins + bins[:, 1] if axes == 2 else bins[:, 0]
+    n_cells = n_bins**axes
+    keys, y = np.unique(np.repeat(np.arange(len(size)) * n_cells, size) + cell, return_counts=True)
+    cells, y_m = keys % n_cells, y * size[keys // n_cells]
+    sums = np.add.reduceat(losses, starts)
+    n_nd = np.add.reduceat((n_def == 0).astype(np.int64), starts)
+    return {
+        "ep_mm": int(size @ size),
+        "ep_loss_sq": np.einsum("eb,eb->b", sums, sums),
+        "ep_loss_m": np.einsum("e,eb->b", size, sums),
+        "ep_nd_sq": int(n_nd @ n_nd),
+        "ep_nd_m": int(size @ n_nd),
+        "ep_cell_sq": np.bincount(cells, weights=y * y, minlength=n_cells),
+        "ep_cell_m": np.bincount(cells, weights=y_m, minlength=n_cells),
+    }
 
 
 def _pool_size(n_tasks: int) -> int:
@@ -604,14 +710,34 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
         pool.shutdown(cancel_futures=True)
     mean = totals["sum1"] / n
     cov = totals["sum2"] / n - np.outer(mean, mean)
-    mean_se = np.sqrt(np.maximum(totals["sumsq"] / n - mean**2, 0.0) / n)
+    var = np.maximum(totals["sumsq"] / n - mean**2, 0.0)
+    mean_se = np.sqrt(var / n)
+    p_nd = totals["n_origin"] / n
+    epoch = {}
+    deff = 1.0
+    if config.sampler == "wishart":
+        def cluster_ss(key, share):
+            """Sum over epochs of (y_e - m_e share)^2, y_e the epochs' sums."""
+            sq, m_y = totals[f"ep_{key}_sq"], totals[f"ep_{key}_m"]
+            return np.maximum(sq - 2.0 * share * m_y + share**2 * totals["ep_mm"], 0.0)
+
+        # the means' design effects, floored at 1
+        deff_mean = np.divide(cluster_ss("loss", mean), n * var, out=np.ones(b), where=var > 0.0)
+        np.maximum(deff_mean, 1.0, out=deff_mean)
+        mean_se *= np.sqrt(deff_mean)
+        deff = float(deff_mean.max())
+        hist = totals["hist2"] if b == 2 else totals["hist1"][0]
+        epoch = {
+            "epoch_samples": _WISHART_EPOCH,
+            "cell_cluster_ss": cluster_ss("cell", hist.ravel() / n).reshape(hist.shape),
+            "no_default_cluster_ss": float(cluster_ss("nd", p_nd)),
+        }
     corr = corr_se = None
     if b == 2:
         v1, v2 = cov[0, 0], cov[1, 1]
         if v1 > 0.0 and v2 > 0.0:
             corr = float(cov[0, 1] / (math.sqrt(v1) * math.sqrt(v2)))
-            corr_se = (1.0 - corr**2) / math.sqrt(n)
-    p_nd = totals["n_origin"] / n
+            corr_se = (1.0 - corr**2) / math.sqrt(n / deff)
     return McRun(
         config=config,
         labels=labels,
@@ -628,12 +754,16 @@ def estimate(scenario, config: McConfig = McConfig()) -> McRun:
         subordination_violations=totals["n_sub_viol"],
         lattice_offenders=totals["n_lattice_bad"],
         samples=None if kept is None else np.vstack(kept),
+        **epoch,
     )
 
 
 def ks_compare(scenario, n: int = 100_000, seed: int = 0, n_bins: int = 50) -> dict:
     """Two-sample Kolmogorov-Smirnov comparison of the compound and
-    Wishart samplers on the same scenario; one statistic per creditor."""
+    Wishart samplers on the same scenario; one statistic per creditor.
+    The Wishart samples come in epochs of ``_WISHART_EPOCH`` that share a
+    covariance, so the p-value, which takes every sample as independent,
+    leans slightly low."""
     from scipy.stats import ks_2samp
 
     out = {}

@@ -46,7 +46,7 @@ from .grids import (
     write_csv,
 )
 from .limits import _check_ridge_faces, _check_ridge_support, _open_unit_centers
-from .mc import McConfig, _check_wishart_budget, _wishart_dof
+from .mc import _WISHART_EPOCH, McConfig, _check_wishart_budget, _wishart_dof
 from .params import (
     MarketParams,
     MultiMarketParams,
@@ -351,9 +351,13 @@ def _build(pointer: str, make, *args, **kwargs):
 # measured 1.01).  _SAMPLE_S and the Wishart factor were refit to the
 # untraced op medians of three 36 s `simulation` runs after the compound
 # sampler began to draw only the defaulted shocks: est/measured 0.92 on
-# the halves, 1.08 on the tranched K = 200 and 0.99 on the Wishart
-# mc-validate op.  No bundled op runs the adaptive rule, whose rate is
-# from an 81x81 grid at K = 2000.
+# the halves and 1.08 on the tranched K = 200 mc-validate op.  The
+# Wishart bill, 1.1 (1 + N / M) _SAMPLE_S per obligor and sample, was
+# refit the same way after one drawn covariance came to serve an epoch of
+# M = 8 samples; that host ran about 1.5 times slower, so its one factor
+# was fitted to the halves op, which bills the same _SAMPLE_S (est/
+# measured 0.68 on both there).  No bundled op runs the adaptive rule,
+# whose rate is from an 81x81 grid at K = 2000.
 _FIXED_S = 0.0081  # resolve, quadrature rules, artifact provenance
 _WRITE_S = 2.3e-7  # one CSV row of a grid
 _TERM_S = 4e-10  # one mixture term: one grid point at one quadrature node
@@ -361,7 +365,7 @@ _TABLE_S = 1.9e-7  # the moment kernels at one node of a node table
 _ADAPTIVE_CELL_S = 1e-3  # the crossing and u-root solves of one adaptive cell
 _SCAN_S = 6.8e-8  # one scan point of one ridge cell
 _ROOT_S = 6.7e-7  # one implicit u solve of a limit law at one (loss, z) pair
-_SAMPLE_S = 5.8e-9  # one obligor of one MC sample; x 1.2 (1 + N) for the Wishart sampler
+_SAMPLE_S = 5.8e-9  # one obligor of one MC sample; x 1.1 (1 + N / M) for the Wishart sampler
 _FIT_S = 6e-9  # one return sample at one fit grid point, per (K + 40) assets
 
 
@@ -520,20 +524,21 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
     only a block of those values at a time, so this refusal is
     conservative: the compound sampler holds a block's defaulted shocks,
     at most its samples x K, and for the Wishart sampler it also bounds
-    one sample's N x K G panel, since N <= rows.  Returns the seconds the
+    one epoch's N x K G panel, since N <= rows.  Returns the seconds the
     samples take, ``_SAMPLE_S`` per obligor and sample.  The compound
     sampler draws each class's default count and then only the defaulted
     shocks, so its true cost follows the default rate; the rate is fitted
     at the bundled market, where about 0.1 of the obligors default.  The
-    Wishart sampler draws an (N, K) panel of normals per sample and turns
-    every obligor's value into a loss; it costs 1.2 (1 + N) times as
-    much, its time linear in 1 + N (an N sweep from 1 to 48 at K = 100)."""
+    Wishart sampler draws an (N, K) panel of normals per epoch of
+    ``_WISHART_EPOCH`` = M samples and turns every obligor's value into
+    a loss: per obligor and sample, N / M panel normals and the loss, at
+    1.1 ``_SAMPLE_S`` each."""
     rows = min(config.chunk_size, config.n_samples)
     obligor_s = _SAMPLE_S
     if config.sampler == "wishart":
         _build("/market/n_fluct", _wishart_dof, scen.params.n_fluct, rows)
         _build(k_pointer, _check_wishart_budget, scen.k_obligors)
-        obligor_s *= 1.2 * (1.0 + scen.params.n_fluct)
+        obligor_s *= 1.1 * (1.0 + scen.params.n_fluct / _WISHART_EPOCH)
     if isinstance(scen, NoSubScenario):
         _build(k_pointer, _class_counts, scen)
         _build(counts_pointer, _whole_counts, scen)
@@ -872,6 +877,11 @@ def _calibrate(sc, out_dir=""):
     return [job], _work(points, k, points * (k + 40) * _FIT_S)
 
 
+# expected count from which a count's between-epoch variance is used; a
+# cell's own is noise at small counts, where one empty cell read |z| = sqrt(n)
+_WELL_FILLED = 200
+
+
 def _mc_validate(sc, out_dir=""):
     params = _build("/market", MarketParams, **sc["market"])
     (scen,) = _plain_scenarios(sc, params)
@@ -905,14 +915,21 @@ def _mc_validate(sc, out_dir=""):
             interior[:, 0] = False
         n = config.n_samples
         compare = interior & (analytic > min_mass)
-        se = np.sqrt(np.maximum(analytic * (1.0 - analytic), 1e-30) / n)
-        z = np.zeros_like(analytic)
-        z[compare] = (p_mc[compare] - analytic[compare]) / se[compare]
-        max_abs_z = float(np.max(np.abs(z))) if np.any(compare) else 0.0
+        # samples of one Wishart epoch are dependent: standard errors grow
+        # by the design effect pooled over the well-filled compared cells,
+        # and by the atom's own where the no-default count is well filled
+        pooled = compare & (analytic * n >= _WELL_FILLED)
+        deff = run.design_effect(pooled)
         p_nd = engine.no_default_probability(
             scen.k_obligors, scen.obligor_face, scen.params, quad
         )
-        z_nd = (run.p_no_default - p_nd) / max(run.p_no_default_se, 1e-15)
+        deff_nd = run.design_effect() if min(p_nd, 1.0 - p_nd) * n >= _WELL_FILLED else deff
+        se = np.sqrt(np.maximum(analytic * (1.0 - analytic), 1e-30) / n) * math.sqrt(deff)
+        z = np.zeros_like(analytic)
+        z[compare] = (p_mc[compare] - analytic[compare]) / se[compare]
+        max_abs_z = float(np.max(np.abs(z))) if np.any(compare) else 0.0
+        se_nd = max(run.p_no_default_se, 1e-15) * math.sqrt(deff_nd)
+        z_nd = (run.p_no_default - p_nd) / se_nd
         payload = {
             "n_samples": n,
             "n_cells_compared": int(np.sum(compare)),
@@ -924,21 +941,25 @@ def _mc_validate(sc, out_dir=""):
             "no_default": {
                 "analytic": p_nd,
                 "mc": run.p_no_default,
-                "mc_se": run.p_no_default_se,
+                "mc_se": run.p_no_default_se * math.sqrt(deff_nd),
                 "z": float(z_nd),
             },
             "loss_correlation_mc": run.corr,
             "loss_correlation_mc_se": run.corr_se,
             "subordination_violations": run.subordination_violations,
             "agreement": bool(max_abs_z <= 5.0 and abs(z_nd) <= 5.0),
+            "epoch_samples": run.epoch_samples,
+            "design_effect": None if run.epoch_samples == 1 else {
+                "cells": deff,
+                "pooled_over": np.argwhere(pooled).tolist(),
+                "no_default": deff_nd,
+            },
         }
         _write_json(payload, sc, path)
-        return _artifact(
-            path,
-            "agreement_report",
-            f"max|z|={max_abs_z:.2f} over {int(np.sum(compare))} cells "
-            f"agree={payload['agreement']}",
-        )
+        summary = f"max|z|={max_abs_z:.2f} over {int(np.sum(compare))} cells "
+        if run.epoch_samples > 1:
+            summary += f"deff={deff:.3f} "
+        return _artifact(path, "agreement_report", summary + f"agree={payload['agreement']}")
 
     points, nodes = config.n_bins**2, quad.z_nodes * quad.u_nodes
     seconds = nodes * (_TABLE_S + points * _TERM_S) + sampling_s

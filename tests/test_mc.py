@@ -223,10 +223,12 @@ def _ref_compound(scenario, m, rng, weighted_sum):
 
 
 def _ref_wishart(params, k, m, rng):
+    """Returns of one chunk of m samples: all of eta first, then one G
+    panel per epoch of ``mc._WISHART_EPOCH`` rows, the last epoch shorter."""
     n_int = int(params.n_fluct)
     eta = rng.standard_normal((m, n_int))
-    g = rng.standard_normal((m, n_int, k))
-    x = np.einsum("mnk,mn->mk", g, eta)
+    g = rng.standard_normal((-(-m // mc._WISHART_EPOCH), n_int, k))
+    x = np.einsum("mnk,mn->mk", g[np.arange(m) // mc._WISHART_EPOCH], eta)
     lam_perp = math.sqrt(1.0 - params.c)
     lam_e = math.sqrt(1.0 - params.c + params.c * k)
     y = lam_perp * x + (lam_e - lam_perp) * x.mean(axis=1, keepdims=True)
@@ -394,6 +396,65 @@ def test_pool_size_is_one_thread_per_cpu_and_chunk():
         for a in arrays:
             assert len(a) >= 1
             assert a.size <= max(mc._BLOCK_ELEMENTS, k * max(dof, 1))
+
+
+# ---------------------------------------------------------------------------
+# Wishart epochs: the between-epoch variances behind the design effect
+
+
+@pytest.mark.parametrize("repeat", [mc._WISHART_EPOCH, 1])
+def test_design_effect_reads_the_repeat_count(market, monkeypatch, repeat):
+    """Each independent draw repeated ``repeat`` times inside an epoch: an
+    epoch of M copies has exactly M times the binomial variance, so every
+    design effect reads M, and independent draws read 1."""
+
+    def chunk_losses(scenario, cfg, ci, m, scratch, pf):
+        draws = np.random.default_rng(ci).random((-(-m // repeat), 2))
+        losses = np.repeat(draws, repeat, axis=0)[:m]
+        return losses, (losses[:, 0] > 0.3).astype(np.int64), np.zeros(m, dtype=np.int64)
+
+    monkeypatch.setattr(mc, "_chunk_losses", chunk_losses)
+    n = 200_000  # chunks of 8192 samples and a last of 3392: whole epochs
+    run = mc.estimate(_halves(market, 100), McConfig(n_samples=n, n_bins=10, sampler="wishart"))
+    assert run.epoch_samples == mc._WISHART_EPOCH
+    iid_se = np.sqrt(np.diag(run.cov) / n)
+    every = np.ones((10, 10), dtype=bool)
+    if repeat > 1:
+        assert run.design_effect(every) == pytest.approx(repeat, rel=1e-9)
+        assert run.design_effect() == pytest.approx(repeat, rel=1e-9)
+        np.testing.assert_allclose(run.mean_se, math.sqrt(repeat) * iid_se, rtol=1e-9)
+        want = (1.0 - run.corr**2) / math.sqrt(n / repeat)
+        assert run.corr_se == pytest.approx(want, rel=1e-9)
+    else:
+        assert run.design_effect(every) == pytest.approx(1.0, abs=0.05)
+        assert run.design_effect() == pytest.approx(1.0, abs=0.05)
+        np.testing.assert_allclose(run.mean_se, iid_se, rtol=0.05)
+    assert run.design_effect(every) >= 1.0 and run.design_effect() >= 1.0
+
+
+def test_wishart_short_epochs_are_counted(market):
+    """10,003 samples in chunks of 1001: every chunk ends on a short epoch,
+    of 1 sample or, in the last chunk, 2.  The between-epoch sums of
+    squares match a brute-force sum over those epochs."""
+    n, rows, e = 10_003, 1001, mc._WISHART_EPOCH
+    cfg = McConfig(n_samples=n, chunk_size=rows, rng_seed=3, sampler="wishart", keep_samples=True)
+    run = mc.estimate(_halves(market, 100), cfg)
+    assert run.n == n and run.samples.shape == (n, 2)
+    starts = [lo for c in range(0, n, rows) for lo in range(c, min(c + rows, n), e)]
+    sizes = np.diff(starts + [n])
+    assert sorted(set(sizes)) == [1, 2, e] and (sizes < e).sum() == 10
+    edges = np.linspace(0.0, 1.0, cfg.n_bins + 1)
+    p_cell = run.hist_2d
+    ss_cell = np.zeros_like(p_cell)
+    ss_loss = np.zeros(2)
+    for lo, size in zip(starts, sizes):
+        x = run.samples[lo : lo + size]
+        y = np.histogram2d(x[:, 0], x[:, 1], bins=(edges, edges))[0]
+        ss_cell += (y - size * p_cell) ** 2
+        ss_loss += (x.sum(axis=0) - size * run.mean) ** 2
+    np.testing.assert_allclose(run.cell_cluster_ss, ss_cell, rtol=1e-9, atol=1e-9)
+    iid = np.diag(run.cov) * n
+    np.testing.assert_allclose(run.mean_se, np.sqrt(np.maximum(ss_loss, iid)) / n, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from portloss import calibration, engine, limits, mc
@@ -414,11 +415,14 @@ def test_mc_cost_scales_with_samples_times_k():
 
 def test_wishart_cost_scales_with_n_fluct_times_samples_times_k():
     sid, n, wishart = "mc_validate_halves_k100", "market.n_fluct", 'mc.sampler="wishart"'
-    step = _step(sid, n, 6, 12, wishart)
+    # at 2e6 samples a step is about 1 s, so est_seconds' rounding to 1 ms
+    # stays far inside the tolerance
+    big = "mc.n_samples=2000000"
+    step = _step(sid, n, 6, 12, wishart, big)
     assert step > 0
-    assert _step(sid, n, 12, 18, wishart) == pytest.approx(step, rel=1e-2)
-    assert _step(sid, n, 6, 12, wishart, "mc.n_samples=400000") == pytest.approx(2 * step, rel=1e-2)
-    assert _step(sid, n, 6, 12, wishart, "portfolio.k_obligors=200") == pytest.approx(
+    assert _step(sid, n, 12, 18, wishart, big) == pytest.approx(step, rel=1e-2)
+    assert _step(sid, n, 6, 12, wishart, "mc.n_samples=4000000") == pytest.approx(2 * step, rel=1e-2)
+    assert _step(sid, n, 6, 12, wishart, big, "portfolio.k_obligors=200") == pytest.approx(
         2 * step, rel=1e-2
     )
     # the compound sampler's cost does not depend on N
@@ -568,6 +572,40 @@ def test_mc_validate_runner_agrees(tmp_path):
     assert rep["subordination_violations"] == 0
     assert abs(rep["no_default"]["z"]) <= 5.0
     assert env["fingerprint"] == scenario_fingerprint(env["scenario"])
+    # compound samples are independent: no design effect
+    assert rep["epoch_samples"] == 1 and rep["design_effect"] is None
+    assert "deff" not in arts[0]["summary"]
+
+
+def test_mc_validate_inflates_wishart_z_by_the_design_effect(tmp_path, monkeypatch):
+    """A Wishart run's cell z is the binomial z over sqrt(deff), deff pooled
+    over the compared cells with an expected count of at least 200, and
+    the no-default z is over the atom's own design effect, which is well
+    filled here."""
+    seen = {}
+    estimate, cell_masses = mc.estimate, engine.nosub_cell_masses
+    monkeypatch.setattr(mc, "estimate", lambda *a: seen.setdefault("run", estimate(*a)))
+    monkeypatch.setattr(
+        engine, "nosub_cell_masses", lambda *a: seen.setdefault("analytic", cell_masses(*a)))
+    doc = apply_overrides(bundled_scenarios()["mc_validate_halves_k100"],
+                          ['mc.sampler="wishart"', "mc.n_samples=40000"])
+    (art,) = run_scenario(doc, out_dir=str(tmp_path))
+    rep = json.loads((tmp_path / "mc_validation.json").read_text())["report"]
+    run, analytic = seen["run"], seen["analytic"]
+    n = run.n
+    compare = analytic > rep["min_mass"]
+    compare[0] = compare[:, 0] = False
+    z = (run.hist_2d - analytic)[compare] / np.sqrt(analytic * (1.0 - analytic) / n)[compare]
+    pooled = compare & (analytic * n >= 200)
+    deff, deff_nd = run.design_effect(pooled), run.design_effect()
+    assert rep["epoch_samples"] == mc._WISHART_EPOCH
+    assert rep["design_effect"] == {
+        "cells": deff, "pooled_over": np.argwhere(pooled).tolist(), "no_default": deff_nd}
+    assert deff > 1.0 and deff_nd > 1.0
+    assert rep["max_abs_z"] == pytest.approx(np.max(np.abs(z)) / math.sqrt(deff), rel=1e-12)
+    z_nd = (run.p_no_default - rep["no_default"]["analytic"]) / run.p_no_default_se
+    assert rep["no_default"]["z"] == pytest.approx(z_nd / math.sqrt(deff_nd), rel=1e-12)
+    assert f"deff={deff:.3f}" in art["summary"]
 
 
 def test_calibrate_runner_report(tmp_path):
