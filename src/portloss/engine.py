@@ -798,12 +798,6 @@ def _whole_counts(scenario: NoSubScenario) -> np.ndarray:
     return whole.astype(int)
 
 
-def _creditor_weights(scenario: NoSubScenario) -> np.ndarray:
-    """Per-firm portfolio weights, shape (creditors, k_obligors)."""
-    per_firm = np.repeat(scenario.holdings.shares, _whole_counts(scenario), axis=1)
-    return per_firm / per_firm.sum(axis=1, keepdims=True)
-
-
 def _check_grid(scenario: NoSubScenario):
     """Refuse a scenario that has no density grid: more than 2 creditors,
     or a creditor pair whose Gram matrix W diag(1/count) W^T, the

@@ -8,16 +8,18 @@ Phi(t_c)) times, and only the shocks of the defaulted obligors are drawn,
 from the normal law below the default threshold t_c, as Phi^-1(U
 Phi(t_c)).  The Wishart route draws an explicit random covariance matrix
 W W^T around the mean covariance and Gaussian returns of every obligor on
-top of it, and turns each obligor's asset value into its loss; it is the
-per-obligor check of the compound route.  As in a non-stationary market,
-whose covariance is fixed within an epoch while the random-matrix
-ensemble stands for the covariances of successive epochs, one drawn
-covariance serves an epoch of ``_WISHART_EPOCH`` consecutive samples of a
-chunk: each sample has the model's law, but the samples of one epoch are
-dependent, so the Wishart route's standard errors, and the design
-effects it reports, treat the epoch as the independent unit.  Compound
-samples are independent draws.  ``sample_compound`` and
-``sample_compound_returns`` still give every obligor's value or return.
+top of it, the per-obligor check of the compound route.  Both routes
+read losses through one payoff of each obligor's log excess x =
+min(r - b, 0), r its centered log-return and b = log(face/v0) - nu T its
+class's default bound.  As in a non-stationary market, whose covariance
+is fixed within an epoch while the random-matrix ensemble stands for the
+covariances of successive epochs, one drawn covariance serves an epoch
+of ``_WISHART_EPOCH`` consecutive samples of a chunk: each sample has
+the model's law, but the samples of one epoch are dependent, so the
+Wishart route's standard errors, and the design effects it reports,
+treat the epoch as the independent unit.  Compound samples are
+independent draws.  The public samplers still give every obligor's
+value or return.
 
 Estimation is streamed in fixed-size chunks with one spawned RNG stream
 per chunk, on a thread pool of one thread per CPU, no more than there
@@ -31,7 +33,8 @@ returns and G panels share that budget, and the block holds whole
 epochs, or lies within one.  Each
 chunk's stream is an SFC64 generator spawned from the seed and the chunk
 index; it feeds numpy's ziggurat normals faster than PCG64 does.  Only
-the chunk's (m, B) losses and (m,) default counts are held whole.
+the chunk's (m, B) losses and (m,) default counts are held whole; the
+histograms and the epoch sums read one binning of the losses.
 Blocks take their draws from the stream in sample and epoch order, so
 the block size changes no draw and no loss, and the partial statistics
 are reduced in chunk order, so results are bit-identical for a given
@@ -52,7 +55,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .engine import SubordinatedScenario, _creditor_weights, _whole_counts
+from .engine import SubordinatedScenario, _whole_counts
 from .errors import ParameterError, SamplerBudgetError, UndefinedCorrelationError
 from .params import MarketParams, MultiMarketParams, block_market
 
@@ -125,8 +128,8 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 # samplers
 #
 # Each route draws its small per-sample variables first and then its
-# (m, K) idiosyncratic normals, or its (m, N, K) Wishart G panels.  The
-# Wishart route draws them a block of samples at a time from the same
+# defaulted shocks, or its Wishart G panels and returns.  The Wishart
+# route draws them a block of samples at a time from the same
 # stream into caller-owned scratch, which gives the same numbers as one
 # draw: it is a generator of (first sample, returns) per block, and the
 # caller consumes each block before the next is drawn over it.
@@ -232,19 +235,19 @@ def _wishart_blocks(params: MarketParams, rng, base: int, out, g):
     is Gaussian with covariance W W^T.  One covariance serves an epoch of
     ``_WISHART_EPOCH`` consecutive samples, the last epoch of ``base``
     shorter when ``base`` is not a multiple of it: each return is
-    Sigma^(1/2) G^T eta with G the epoch's (N, K) standard normal panel,
-    obligors along the contiguous axis, and eta the sample's own N
-    normals.  All of eta is drawn first, then the panels in epoch order:
-    a block of whole epochs draws all its panels, and a block within an
-    epoch (``_block_rows`` gives one or the other) draws the panel if it
-    starts the epoch and reuses it otherwise.  Each sample's law is that
-    of an independent draw.
+    (Sigma^(1/2) G^T / sqrt(N)) eta with G the epoch's (N, K) standard
+    normal panel, mapped once when drawn, obligors along the contiguous
+    axis, and eta the sample's own N normals.  All of eta is drawn
+    first, then the panels in epoch order: a block of whole epochs draws
+    all its panels, and a block within an epoch (``_block_rows`` gives
+    one or the other) draws the panel if it starts the epoch and reuses
+    it otherwise.  Each sample's law is that of an independent draw.
     """
     eta = rng.standard_normal((base, g.shape[1]))
     for lo in range(0, base, len(out)):
         hi = min(lo + len(out), base)
         if lo % _WISHART_EPOCH == 0:
-            rng.standard_normal(out=g[: _epochs(hi - lo)])
+            _sigma_half_in_place(rng.standard_normal(out=g[: _epochs(hi - lo)]), params)
         r = out[: hi - lo]
         n_full = len(r) // _WISHART_EPOCH
         whole = n_full * _WISHART_EPOCH
@@ -256,18 +259,17 @@ def _wishart_blocks(params: MarketParams, rng, base: int, out, g):
         )
         if whole < len(r):
             np.einsum("mn,nk->mk", eta[lo + whole : hi], g[n_full], out=r[whole:])
-        _sigma_half_in_place(r, params)
         yield lo, r
 
 
 def _sigma_half_in_place(x, params: MarketParams):
     """Map x to Sigma^(1/2) x / sqrt(N) in place, with Sigma acting on
-    axis 1, the obligor axis: sqrt(1-c) off the uniform direction and
-    sqrt(1-c+cK) along it, times rho sqrt(T)."""
-    k = x.shape[1]
+    the last axis, the obligor axis of a stack of G panels: sqrt(1-c) off
+    the uniform direction and sqrt(1-c+cK) along it, times rho sqrt(T)."""
+    k = x.shape[-1]
     lam_perp = math.sqrt(1.0 - params.c)
     lam_e = math.sqrt(1.0 - params.c + params.c * k)
-    proj = x.mean(axis=1, keepdims=True)
+    proj = x.mean(axis=-1, keepdims=True)
     x *= lam_perp
     x += (lam_e - lam_perp) * proj
     x *= params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct)
@@ -294,43 +296,34 @@ def sample_wishart(params: MarketParams, n: int, rng, k_obligors: int):
 # loss evaluation
 
 
-def _obligor_faces(scenario) -> np.ndarray:
-    """Face of each obligor of a plain scenario, shape (k_obligors,)."""
-    faces = [face for _, face, _ in scenario.holdings.classes]
-    return np.repeat(np.asarray(faces, dtype=float), _whole_counts(scenario))
-
-
 class _Portfolio:
     """What every block of one ``estimate`` shares, computed once: the
     market blocks, and how losses are formed from them.
 
-    For the compound route, one entry per holdings class (one class at
-    the f_total face for a tranched pool): its market block, its obligor
-    count and its default bound log(face/v0) - nu T, the log-return below
-    which an obligor defaults before the common factor's shift; and the
-    per-obligor weight (B, C) of each class in each creditor's loss.  For
-    the Wishart route, the drift and v0 rows that turn returns into asset
-    values, and each obligor's face and the creditor weights.  A tranched
-    pool keeps its tranches, the senior bound log(f_senior/f_total) (None
-    without a senior face) and the junior payoff scale f_total/f_junior.
+    One entry per holdings class (one class at the f_total face for a
+    tranched pool): its market block, its obligor count, the index of
+    its first obligor (the obligors of a class are contiguous, class by
+    class) and its default bound log(face/v0) - nu T, the log-return
+    below which an obligor defaults; and the weight (B, C) of a class's
+    loss sum in each creditor's loss.  A tranched pool keeps its
+    tranches, the senior bound log(f_senior/f_total) (None without a
+    senior face) and the junior payoff scale f_total/f_junior.
     """
 
     def __init__(self, scenario):
         self.markets = block_market(scenario.params, scenario.k_obligors)
-        self.drift, self.v0 = _value_rows(self.markets)
         self.tranches = scenario.tranches if isinstance(scenario, SubordinatedScenario) else None
         if self.tranches is None:
             _, classes, shares = scenario.holdings
             self.counts = _whole_counts(scenario)
             self.class_weights = shares / (shares * self.counts).sum(axis=1, keepdims=True)
-            self.faces = _obligor_faces(scenario)
-            self.weights = _creditor_weights(scenario)
         else:
             tr = self.tranches
             classes = [(0, tr.f_total, scenario.k_obligors)]
             self.counts = np.array([scenario.k_obligors])
             self.senior_bound = math.log(tr.f_senior / tr.f_total) if tr.f_senior > 0 else None
             self.junior_scale = tr.f_total / tr.f_junior
+        self.starts = np.cumsum(self.counts) - self.counts
         self.class_block = np.array([blk for blk, _, _ in classes])
         mkts = [self.markets.blocks[blk][0] for blk, _, _ in classes]
         self.bounds = np.array([
@@ -339,37 +332,41 @@ class _Portfolio:
         ])
 
 
-def _portfolio_losses(r, pf: _Portfolio, spare, mask, losses, n_def, n_full):
-    """Write the losses (m, B), default counts (m,) and, for subordinated
-    scenarios, senior-face counts (m,) of the m samples whose centered
-    log-returns are ``r``.
-
-    Works in place: ``r`` is overwritten, and ``spare`` (float) and
-    ``mask`` (bool) are scratch of the same shape.  n_full counts obligors
-    whose value fell below the senior face; it is left as given otherwise.
+def _excess_losses(pf: _Portfolio, x, class_sum, spare, mask, losses, n_full):
+    """Write the losses (rows, B) and, for a tranched pool, senior-hit
+    counts (rows,) of a block of rows from its obligors' log excesses
+    x <= 0, the one payoff of both routes; ``class_sum(w)`` sums values
+    laid out as x into (rows, C) class sums.  ``x`` and ``spare`` are
+    overwritten and ``mask`` is boolean scratch, all of x's shape.  An
+    obligor loses -expm1(x) = (1 - V/F)^+, and a plain loss weighs the
+    class sums.  A tranched loss is a class sum / K, as a row mean is, of
+    -expm1(min(x - h, 0)) at the senior bound h, and of
+    min(-expm1(x) f_total/f_junior, 1), exactly 1 for a senior hit x < h.
     The weighted sums use einsum, not BLAS: BLAS worker threads keep
-    spinning after each call and take cores from the chunk threads.
-    """
-    v = _values_in_place(r, pf.drift, pf.v0)
-    tr = pf.tranches
-    if tr is not None:
-        if tr.f_senior > 0:
-            n_full[:] = np.less(v, tr.f_senior, out=mask).sum(axis=1)
-            ls = np.divide(v, tr.f_senior, out=spare)
-            np.subtract(1.0, ls, out=ls)
-            losses[:, 0] = np.maximum(ls, 0.0, out=ls).mean(axis=1)
-        else:
-            losses[:, 0] = 0.0
-        n_def[:] = np.less(v, tr.f_total, out=mask).sum(axis=1)
-        lj = np.subtract(tr.f_total, v, out=v)
-        lj /= tr.f_junior
-        losses[:, 1] = np.clip(lj, 0.0, 1.0, out=lj).mean(axis=1)
+    spinning after each call and take cores from the chunk threads."""
+    if pf.tranches is None:
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.einsum("mc,bc->mb", class_sum(x), pf.class_weights, out=losses)
         return
-    n_def[:] = np.less(v, pf.faces, out=mask).sum(axis=1)
-    l_ob = np.divide(v, pf.faces, out=v)
-    np.subtract(1.0, l_ob, out=l_ob)
-    np.maximum(l_ob, 0.0, out=l_ob)
-    np.einsum("mk,bk->mb", l_ob, pf.weights, out=losses)
+    k = pf.counts[0]
+    senior = pf.senior_bound is not None
+    if senior:
+        hits = np.less(x, pf.senior_bound, out=mask)
+        n_full[:] = class_sum(hits)[:, 0]
+        ls = np.subtract(x, pf.senior_bound, out=spare)
+        np.minimum(ls, 0.0, out=ls)
+        np.expm1(ls, out=ls)
+        np.negative(ls, out=ls)
+        losses[:, 0] = class_sum(ls)[:, 0] / k
+    else:
+        losses[:, 0] = 0.0
+    np.expm1(x, out=x)
+    x *= -pf.junior_scale
+    np.minimum(x, 1.0, out=x)
+    if senior:
+        np.copyto(x, 1.0, where=hits)
+    losses[:, 1] = class_sum(x)[:, 0] / k
 
 
 # ndtri(1) is inf; a shock drawn at a default probability no higher than
@@ -384,12 +381,13 @@ def _conditional_losses(pf: _Portfolio, rng, m, scratch, losses, n_def, n_full):
     The mixing variables (z, u) of all m rows come first.  Given them,
     every row draws the default count of each class, all rows in row
     order, and then, a block of rows at a time, a uniform U in (0, 1] per
-    defaulted obligor in row and class order.  Its shock eps = Phi^-1(U Phi(t)) lies below the class threshold t = a /
-    scale, a the class bound less the row's shift, and the obligor loses
-    -expm1(scale eps - a).  Where z is 0 the scale is 0 and t is +-inf:
-    each class defaults all or none, with loss -expm1(-a).  A tranched
-    pool's one class defaults at f_total; shocks below the senior bound
-    are senior hits, whose junior loss is exactly 1.
+    defaulted obligor in row and class order.  Its shock eps =
+    Phi^-1(U Phi(t)) lies below the class threshold t = a / scale, a the
+    class bound less the row's shift, and its log excess is x = scale eps
+    - a.  Where z is 0 the scale is 0 and t is +-inf: each class defaults
+    all or none, with x = -a.  A tranched pool's one class defaults at
+    f_total.  The class sums of a block are bincounts over the cells (row
+    * C + class) of its defaulted obligors, sequential in row order.
     """
     scale, shift = _mixing(pf.markets, rng, m)
     scale = scale[:, pf.class_block]
@@ -413,45 +411,35 @@ def _conditional_losses(pf: _Portfolio, rng, m, scratch, losses, n_def, n_full):
         x *= np.take(scale[lo:hi].ravel(), cells, out=spare)
         x -= np.take(a[lo:hi].ravel(), cells, out=spare)
         np.minimum(x, 0.0, out=x)
+
+        def class_sum(w):
+            return np.bincount(cells, weights=w, minlength=(hi - lo) * n_cls).reshape(-1, n_cls)
+
         mask = scratch.mask.reshape(-1)[: len(cells)]
-        _shock_losses(pf, cells, x, spare, mask, losses[lo:hi], n_full[lo:hi])
+        _excess_losses(pf, x, class_sum, spare, mask, losses[lo:hi], n_full[lo:hi])
 
 
-def _shock_losses(pf: _Portfolio, cells, x, spare, mask, losses, n_full):
-    """Write the losses (rows, B) and, for a tranched pool, senior-face
-    counts (rows,) of a block of rows, from the cell (row * C + class) and
-    the log excess x = scale eps - a <= 0 of each defaulted obligor, in
-    row order.  ``x`` and ``spare`` are overwritten and ``mask`` is boolean
-    scratch, all of x's length.  Class loss sums are bincounts, sequential
-    in row order, and a tranched loss is its sum / K as a row mean is."""
-    rows = len(losses)
+def _wishart_losses(pf: _Portfolio, params, rng, m, scratch, losses, n_def, n_full):
+    """Write the losses (m, B), default counts (m,) and, for a tranched
+    pool, senior-face counts (m,) of m Wishart samples, a block of
+    returns r (:func:`_wishart_blocks`) at a time: every obligor's log
+    excess is x = min(r - b, 0) over its class bound b, it defaults
+    where x < 0, and the class sums of a row add up its contiguous class
+    runs.  A class without a whole obligor sums to 0."""
+    bounds = np.repeat(pf.bounds, pf.counts)
+    held = pf.counts > 0
 
-    def cell_sum(w):
-        return np.bincount(cells, weights=w, minlength=rows * len(pf.bounds))
+    def class_sum(w):
+        sums = np.zeros((len(w), len(held)))
+        sums[:, held] = np.add.reduceat(w, pf.starts[held], axis=1)
+        return sums
 
-    if pf.tranches is None:
-        np.expm1(x, out=x)
-        np.negative(x, out=x)
-        np.einsum("mc,bc->mb", cell_sum(x).reshape(rows, -1), pf.class_weights, out=losses)
-        return
-    k = pf.counts[0]
-    senior = pf.senior_bound is not None
-    if senior:
-        hits = np.less(x, pf.senior_bound, out=mask)
-        n_full[:] = cell_sum(hits)
-        ls = np.subtract(x, pf.senior_bound, out=spare)
-        np.minimum(ls, 0.0, out=ls)
-        np.expm1(ls, out=ls)
-        np.negative(ls, out=ls)
-        losses[:, 0] = cell_sum(ls) / k
-    else:
-        losses[:, 0] = 0.0
-    np.expm1(x, out=x)
-    x *= -pf.junior_scale
-    np.minimum(x, 1.0, out=x)
-    if senior:
-        np.copyto(x, 1.0, where=hits)
-    losses[:, 1] = cell_sum(x) / k
+    for lo, r in _wishart_blocks(params, rng, m, scratch.values, scratch.g):
+        out = slice(lo, lo + len(r))
+        x = np.minimum(np.subtract(r, bounds, out=r), 0.0, out=r)
+        mask = scratch.mask[: len(r)]
+        n_def[out] = np.less(x, 0.0, out=mask).sum(axis=1)
+        _excess_losses(pf, x, class_sum, scratch.spare[: len(r)], mask, losses[out], n_full[out])
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +546,8 @@ class _Scratch:
     samples, each holding one block of ``_block_rows`` samples: float and
     boolean scratch for the block's values (the compound route's
     defaulted shocks, at most K per sample, or the Wishart route's
-    returns) and, with a Wishart N, the (N, K) G panels of the block's
-    epochs, one per ``_WISHART_EPOCH`` samples."""
+    returns, then log excesses) and, with a Wishart N, the (N, K) G
+    panels of the block's epochs, one per ``_WISHART_EPOCH`` samples."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
         m = _block_rows(rows, k, wishart_dof)
@@ -572,68 +560,78 @@ class _Scratch:
 def _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf):
     """(losses (m, B), n_defaults (m,), n_full (m,)) of one chunk, drawn
     and evaluated one block of samples at a time, by the compound route
-    (:func:`_conditional_losses`) or the Wishart blocks."""
+    (:func:`_conditional_losses`) or the Wishart one
+    (:func:`_wishart_losses`)."""
     rng = _chunk_rng(cfg.rng_seed, chunk_index)
     losses = np.empty((m, len(_labels(scenario))))
     n_def = np.empty(m, dtype=np.int64)
     n_full = np.zeros(m, dtype=np.int64)
     if cfg.sampler == "compound":
         _conditional_losses(pf, rng, m, scratch, losses, n_def, n_full)
-        return losses, n_def, n_full
-    for lo, r in _wishart_blocks(scenario.params, rng, m, scratch.values, scratch.g):
-        rows = len(r)
-        out = slice(lo, lo + rows)
-        _portfolio_losses(
-            r, pf, scratch.spare[:rows], scratch.mask[:rows], losses[out], n_def[out], n_full[out]
-        )
+    else:
+        _wishart_losses(pf, scenario.params, rng, m, scratch, losses, n_def, n_full)
     return losses, n_def, n_full
+
+
+def _histograms(losses, edges):
+    """Bin a chunk's losses (m, B) once on ``edges`` from 0 to 1: each
+    sample's cell (m,) in the compared histogram, i * bins + j with two
+    losses, else the first loss's bin; the counts ``hist1`` (B, bins) and,
+    with two losses, ``hist2`` (bins, bins), else None.  A loss falls in
+    the bin [e_i, e_i+1), the last bin closed: np.histogram's and
+    np.histogram2d's rule.  Losses lie in [0, 1]; a value outside, which
+    only rounding could yield, counts in the nearest end bin, where
+    np.histogram would drop it."""
+    b, n_bins = losses.shape[1], len(edges) - 1
+    bins = np.searchsorted(edges, losses, "right") - 1
+    np.clip(bins, 0, n_bins - 1, out=bins)
+    hist1 = np.bincount((bins + n_bins * np.arange(b)).ravel(), minlength=b * n_bins)
+    hist1 = hist1.reshape(b, n_bins)
+    if b != 2:
+        return bins[:, 0], hist1, None
+    cell = bins[:, 0] * n_bins + bins[:, 1]
+    return cell, hist1, np.bincount(cell, minlength=n_bins**2).reshape(n_bins, n_bins)
 
 
 def _chunk_stats(scenario, cfg, chunk_index, m, scratch, pf, edges):
     """Partial statistics of one chunk, as a dict of summable counts and
-    sums, and its losses (m, B)."""
+    sums, and its losses (m, B), binned once for the histograms and the
+    Wishart epoch sums alike."""
     losses, n_def, n_full = _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf)
-    b = losses.shape[1]
+    cell, hist1, hist2 = _histograms(losses, edges)
     stats = {
         "sum1": losses.sum(axis=0),
         "sum2": np.einsum("mb,mc->bc", losses, losses),
         "sumsq": (losses * losses).sum(axis=0),
-        "hist1": np.array([np.histogram(col, bins=edges)[0] for col in losses.T]),
+        "hist1": hist1,
         "n_origin": int((n_def == 0).sum()),
         "n_sub_viol": 0,
         "n_lattice_bad": 0,
     }
-    if b == 2:
-        stats["hist2"] = np.histogram2d(
-            losses[:, 0], losses[:, 1], bins=(edges, edges)
-        )[0].astype(np.int64)
+    if hist2 is not None:
+        stats["hist2"] = hist2
     if isinstance(scenario, SubordinatedScenario):
         stats["n_sub_viol"] = int((losses[:, 0] > losses[:, 1]).sum())
         on_lattice = (n_def - n_full) == 0
         expected = n_full / scenario.k_obligors
         stats["n_lattice_bad"] = int((on_lattice & (losses[:, 1] != expected)).sum())
     if cfg.sampler == "wishart":
-        stats.update(_epoch_stats(losses, n_def, edges))
+        n_cells = hist1.shape[1] if hist2 is None else hist2.size
+        stats.update(_epoch_stats(losses, n_def, cell, n_cells))
     return stats, losses
 
 
-def _epoch_stats(losses, n_def, edges) -> dict:
+def _epoch_stats(losses, n_def, cell, n_cells) -> dict:
     """Sums over the Wishart epochs of one chunk, from which ``estimate``
     forms between-epoch variances: ``ep_mm``, the sum of m_e^2 over the
     epoch sizes m_e, and over the epochs' sums y_e of the losses, of the
     no-default indicator and of each compared cell's indicator, the sums
-    of y_e^2 and of m_e y_e.  The compared cells are those of ``hist2``
-    with two losses, else the first loss's bins.  Cell counts come from
-    the chunk's unique (epoch, cell) keys, so the work is O(m + cells)."""
-    m, b = losses.shape
+    of y_e^2 and of m_e y_e.  ``cell`` is each sample's cell, of
+    ``n_cells``, in the compared histogram (:func:`_histograms`); cell
+    counts come from the chunk's unique (epoch, cell) keys, in O(m)."""
+    m = len(losses)
     starts = np.arange(0, m, _WISHART_EPOCH)
     size = np.diff(starts, append=m)
-    n_bins = len(edges) - 1
-    # np.histogram's bins: [e_i, e_i+1), the last closed
-    axes = 2 if b == 2 else 1
-    bins = np.minimum(np.searchsorted(edges, losses[:, :axes], "right") - 1, n_bins - 1)
-    cell = bins[:, 0] * n_bins + bins[:, 1] if axes == 2 else bins[:, 0]
-    n_cells = n_bins**axes
     keys, y = np.unique(np.repeat(np.arange(len(size)) * n_cells, size) + cell, return_counts=True)
     cells, y_m = keys % n_cells, y * size[keys // n_cells]
     sums = np.add.reduceat(losses, starts)

@@ -34,6 +34,7 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import gammaincc
 
 from . import calibration, engine, limits, mc
 from .engine import NoSubScenario, SubordinatedScenario, _check_grid, _class_counts, _whole_counts
@@ -928,14 +929,18 @@ def _mc_validate(sc, out_dir=""):
         z = np.zeros_like(analytic)
         z[compare] = (p_mc[compare] - analytic[compare]) / se[compare]
         max_abs_z = float(np.max(np.abs(z))) if np.any(compare) else 0.0
+        # sum of z^2 against chi^2 with a degree of freedom per compared cell
+        chi2, dof = float(np.sum(z[compare] ** 2)), int(np.sum(compare))
+        chi2_p = float(gammaincc(dof / 2, chi2 / 2)) if dof else 1.0
         se_nd = max(run.p_no_default_se, 1e-15) * math.sqrt(deff_nd)
         z_nd = (run.p_no_default - p_nd) / se_nd
         payload = {
             "n_samples": n,
-            "n_cells_compared": int(np.sum(compare)),
+            "n_cells_compared": dof,
             "min_mass": min_mass,
             "max_abs_z": max_abs_z,
             "mean_abs_z": float(np.mean(np.abs(z[compare]))) if np.any(compare) else 0.0,
+            "chi2": {"stat": chi2, "dof": dof, "p_value": chi2_p},
             "analytic_mass_compared": float(np.sum(analytic[compare])),
             "mc_mass_compared": float(np.sum(p_mc[compare])),
             "no_default": {
@@ -956,7 +961,7 @@ def _mc_validate(sc, out_dir=""):
             },
         }
         _write_json(payload, sc, path)
-        summary = f"max|z|={max_abs_z:.2f} over {int(np.sum(compare))} cells "
+        summary = f"max|z|={max_abs_z:.2f} over {dof} cells "
         if run.epoch_samples > 1:
             summary += f"deff={deff:.3f} "
         return _artifact(path, "agreement_report", summary + f"agree={payload['agreement']}")

@@ -21,7 +21,6 @@ from portloss import (
     no_default_probability,
 )
 from portloss import mc
-from portloss.engine import _creditor_weights
 from portloss.errors import SamplerBudgetError
 from portloss.params import N_FLUCT_MIN, block_market
 
@@ -224,31 +223,70 @@ def _ref_compound(scenario, m, rng, weighted_sum):
 
 def _ref_wishart(params, k, m, rng):
     """Returns of one chunk of m samples: all of eta first, then one G
-    panel per epoch of ``mc._WISHART_EPOCH`` rows, the last epoch shorter."""
+    panel per epoch of ``mc._WISHART_EPOCH`` rows, the last epoch shorter,
+    each panel mapped to Sigma^(1/2) G / sqrt(N) along its obligor axis."""
     n_int = int(params.n_fluct)
     eta = rng.standard_normal((m, n_int))
     g = rng.standard_normal((-(-m // mc._WISHART_EPOCH), n_int, k))
-    x = np.einsum("mnk,mn->mk", g[np.arange(m) // mc._WISHART_EPOCH], eta)
     lam_perp = math.sqrt(1.0 - params.c)
     lam_e = math.sqrt(1.0 - params.c + params.c * k)
-    y = lam_perp * x + (lam_e - lam_perp) * x.mean(axis=1, keepdims=True)
-    return params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct) * y
+    g = lam_perp * g + (lam_e - lam_perp) * g.mean(axis=2, keepdims=True)
+    g *= params.rho * math.sqrt(params.t_mat) / math.sqrt(params.n_fluct)
+    return np.einsum("mnk,mn->mk", g[np.arange(m) // mc._WISHART_EPOCH], eta)
+
+
+def _class_rows(scenario):
+    """Each obligor's default bound log(face / v0) - nu T (K,), and the
+    first obligor of each class, whose obligors are contiguous."""
+    p = scenario.params
+    if isinstance(scenario, SubordinatedScenario):
+        faces, counts = [scenario.tranches.f_total], [scenario.k_obligors]
+    else:
+        faces = [face for _, face, _ in scenario.holdings.classes]
+        counts = [int(round(n)) for _, _, n in scenario.holdings.classes]
+    bounds = np.log(np.array(faces) / p.v0) - p.drift_adj * p.t_mat
+    return np.repeat(bounds, counts), np.cumsum(counts) - counts
 
 
 def _ref_chunk(scenario, cfg, ci, m, weighted_sum):
     """Losses, default counts and senior-face counts of one chunk, out of
-    place; the Wishart route evaluates every obligor's asset value."""
+    place; the Wishart route reads every obligor's log excess over its
+    bound."""
     rng = mc._chunk_rng(cfg.rng_seed, ci)
     if cfg.sampler == "compound":
         return _ref_compound(scenario, m, rng, weighted_sum)
-    p = scenario.params
-    r = _ref_wishart(p, scenario.k_obligors, m, rng)
-    return _ref_losses(p.v0 * np.exp(p.drift_adj * p.t_mat + r), scenario, weighted_sum)
+    r = _ref_wishart(scenario.params, scenario.k_obligors, m, rng)
+    bounds, starts = _class_rows(scenario)
+    return _ref_losses(np.minimum(r - bounds, 0.0), starts, scenario, weighted_sum)
 
 
-def _ref_losses(v, scenario, weighted_sum):
-    """Losses and default counts as the serial pipeline computed them;
-    ``weighted_sum(l_ob, wts)`` forms the creditor losses."""
+def _ref_losses(x, starts, scenario, weighted_sum):
+    """Losses, default counts and senior-face counts of rows of log
+    excesses x = min(r - b, 0), every obligor's; a class sums its
+    contiguous run of obligors from ``starts``, and
+    ``weighted_sum(sums, wts)`` forms the creditor losses."""
+    if isinstance(scenario, SubordinatedScenario):
+        tr, k = scenario.tranches, scenario.k_obligors
+        h = math.log(tr.f_senior / tr.f_total)
+        hits = x < h
+        ls = -np.expm1(np.minimum(x - h, 0.0))
+        lj = np.where(hits, 1.0, np.minimum(-np.expm1(x) * (tr.f_total / tr.f_junior), 1.0))
+        losses = np.column_stack([np.add.reduceat(ls, starts, axis=1)[:, 0] / k,
+                                  np.add.reduceat(lj, starts, axis=1)[:, 0] / k])
+        return losses, (x < 0.0).sum(axis=1), hits.sum(axis=1)
+    _, classes, shares = scenario.holdings
+    whole = np.array([int(round(n)) for _, _, n in classes])
+    sums = np.add.reduceat(-np.expm1(x), starts, axis=1)
+    wts = shares / (shares * whole).sum(axis=1, keepdims=True)
+    return weighted_sum(sums, wts), (x < 0.0).sum(axis=1), np.zeros(len(x), dtype=np.int64)
+
+
+def _value_losses(v, scenario):
+    """Losses, default counts and senior-face counts of rows of asset
+    values v, every obligor's, by the asset-value payoffs: (1 - V/F)^+
+    weighed by each creditor's per-obligor portfolio weight, and for a
+    tranched pool the row means of (1 - V/f_s)^+ and
+    clip((f_t - V)/f_j, 0, 1)."""
     if isinstance(scenario, SubordinatedScenario):
         tr = scenario.tranches
         ls = np.maximum(1.0 - v / tr.f_senior, 0.0)
@@ -256,11 +294,14 @@ def _ref_losses(v, scenario, weighted_sum):
         lj = np.clip((tr.f_total - v) / tr.f_junior, 0.0, 1.0)
         n_def = (v < tr.f_total).sum(axis=1)
         return np.column_stack([ls.mean(axis=1), lj.mean(axis=1)]), n_def, n_full
-    faces = mc._obligor_faces(scenario)
-    l_ob = np.maximum(1.0 - v / faces[None, :], 0.0)
-    n_def = (v < faces[None, :]).sum(axis=1)
-    losses = weighted_sum(l_ob, _creditor_weights(scenario))
-    return losses, n_def, np.zeros(v.shape[0], dtype=np.int64)
+    _, classes, shares = scenario.holdings
+    counts = [int(round(n)) for _, _, n in classes]
+    faces = np.repeat([face for _, face, _ in classes], counts)
+    per_obligor = np.repeat(shares, counts, axis=1)
+    per_obligor /= per_obligor.sum(axis=1, keepdims=True)
+    l_ob = np.maximum(1.0 - v / faces, 0.0)
+    losses = np.einsum("mk,bk->mb", l_ob, per_obligor)
+    return losses, (v < faces).sum(axis=1), np.zeros(len(v), dtype=np.int64)
 
 
 def _blas_sum(l_ob, wts):
@@ -329,6 +370,70 @@ def test_in_place_chunks_match_reference_formulas(market, case):
     # the b x b moment moved from BLAS to einsum: tolerance set beforehand
     np.testing.assert_allclose(run.cov, cov, rtol=1e-13, atol=0.0)
     assert run.corr == pytest.approx(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]), rel=1e-13)
+
+
+@pytest.mark.parametrize("case", ("wishart", "tranched_wishart", "empty_class"))
+def test_wishart_losses_match_asset_value_payoffs(market, case):
+    """The log-excess losses of every Wishart chunk against the
+    asset-value payoffs of the same returns, V = v0 exp(nu T + r): losses
+    to rtol 1e-12, with atol 1e-15 for the rounding of 1 - V/F itself near
+    a zero loss, and the default and senior-hit counts exactly.  An
+    obligor within 1e-12 of a bound, where the two forms could round to
+    different sides of it, is counted and reported, not skipped.  In
+    ``empty_class`` the third class, of 1 - 0.7 - 0.3 > 0 obligors in
+    floating point, holds no whole obligor."""
+    if case == "empty_class":
+        scenario = NoSubScenario(k_obligors=100, params=market,
+                                 overlap=OverlapSpec(0.7, 0.3, 0.5, 75.0))
+        assert [round(n) for _, _, n in scenario.holdings.classes] == [70, 30, 0]
+        cfg = McConfig(n_samples=10_000, chunk_size=2048, rng_seed=25, sampler="wishart")
+    else:
+        scenario, cfg = _pipeline_cases(market)[case]
+    k, p = scenario.k_obligors, scenario.params
+    bounds, _ = _class_rows(scenario)
+    if isinstance(scenario, SubordinatedScenario):
+        tr = scenario.tranches
+        bounds = np.stack([bounds, bounds + math.log(tr.f_senior / tr.f_total)])
+    scratch, portfolio = mc._Scratch(cfg.chunk_size, k, int(p.n_fluct)), mc._Portfolio(scenario)
+    near = 0
+    for ci in range(-(-cfg.n_samples // cfg.chunk_size)):
+        m = min(cfg.chunk_size, cfg.n_samples - ci * cfg.chunk_size)
+        losses, n_def, n_full = mc._chunk_losses(scenario, cfg, ci, m, scratch, portfolio)
+        r = _ref_wishart(p, k, m, mc._chunk_rng(cfg.rng_seed, ci))
+        near += int(np.sum(np.abs(r[..., None, :] - bounds) <= 1e-12))
+        msg = f"chunk {ci}; {near} obligors so far within 1e-12 of a bound"
+        want, want_def, want_full = _value_losses(p.v0 * np.exp(p.drift_adj * p.t_mat + r), scenario)
+        np.testing.assert_allclose(losses, want, rtol=1e-12, atol=1e-15, err_msg=msg)
+        np.testing.assert_array_equal(n_def, want_def, err_msg=msg)
+        np.testing.assert_array_equal(n_full, want_full, err_msg=msg)
+    print(f"{case}: {near} obligors within 1e-12 of a bound")
+
+
+@pytest.mark.parametrize("n_bins", [20, 50])
+def test_one_binning_follows_the_histogram_rule(n_bins):
+    """Losses on every edge, one ulp below every edge above 0 (one below 0
+    lies outside [0, 1]), 0.0 and 1.0: the one binning gives np.histogram's
+    and np.histogram2d's counts, and its cell index counts to hist2, or
+    to the first loss's bins with one loss."""
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    values = np.concatenate([edges, np.nextafter(edges[1:], 0.0), [0.0, 1.0]])
+    losses = np.column_stack([values, values[::-1], np.random.default_rng(0).permutation(values)])
+    _, hist1, hist2 = mc._histograms(losses, edges)
+    assert hist2 is None
+    for b in range(3):
+        np.testing.assert_array_equal(hist1[b], np.histogram(losses[:, b], bins=edges)[0])
+    for cols in ((0, 1), (0, 2)):
+        pair = losses[:, cols]
+        cell, hist1, hist2 = mc._histograms(pair, edges)
+        want = np.histogram2d(pair[:, 0], pair[:, 1], bins=(edges, edges))[0]
+        np.testing.assert_array_equal(hist2, want)
+        np.testing.assert_array_equal(hist1, [want.sum(axis=1), want.sum(axis=0)])
+        np.testing.assert_array_equal(np.bincount(cell, minlength=n_bins**2), hist2.ravel())
+    cell, hist1, _ = mc._histograms(losses[:, :1], edges)
+    np.testing.assert_array_equal(np.bincount(cell, minlength=n_bins), hist1[0])
+    # outside [0, 1], which only rounding could give: the nearest end bin
+    _, hist1, _ = mc._histograms(np.array([[np.nextafter(0.0, -1.0)], [np.nextafter(1.0, 2.0)]]), edges)
+    assert hist1[0, 0] == hist1[0, -1] == 1 and hist1.sum() == 2
 
 
 def test_thread_count_does_not_change_results(market, monkeypatch, assert_same_run):
@@ -537,7 +642,7 @@ def _per_obligor_losses(scenario, n, seed):
     losses, n_def = [], []
     for lo in range(0, n, 10_000):
         v = mc.sample_compound(scenario.params, min(10_000, n - lo), rng, scenario.k_obligors)
-        got, d, _ = _ref_losses(v, scenario, _einsum_sum)
+        got, d, _ = _value_losses(v, scenario)
         losses.append(got)
         n_def.append(d)
     return np.vstack(losses), np.concatenate(n_def)

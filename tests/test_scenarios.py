@@ -606,6 +606,24 @@ def test_mc_validate_inflates_wishart_z_by_the_design_effect(tmp_path, monkeypat
     z_nd = (run.p_no_default - rep["no_default"]["analytic"]) / run.p_no_default_se
     assert rep["no_default"]["z"] == pytest.approx(z_nd / math.sqrt(deff_nd), rel=1e-12)
     assert f"deff={deff:.3f}" in art["summary"]
+    assert rep["chi2"]["stat"] == pytest.approx(np.sum(z**2) / deff, rel=1e-12)
+
+
+def test_mc_validate_reports_chi_square_over_compared_cells(tmp_path):
+    """Sum of z^2 over the compared cells, one degree of freedom per cell,
+    and its upper-tail p-value, that of scipy.stats.chi2; the agreement
+    rule does not read it."""
+    from scipy.stats import chi2
+
+    doc = apply_overrides(bundled_scenarios()["mc_validate_halves_k100"],
+                          ["mc.n_samples=20000", "mc.n_bins=20"])
+    run_scenario(doc, out_dir=str(tmp_path))
+    rep = json.loads((tmp_path / "mc_validation.json").read_text())["report"]
+    stat, dof, p_value = rep["chi2"]["stat"], rep["chi2"]["dof"], rep["chi2"]["p_value"]
+    assert dof == rep["n_cells_compared"] > 0
+    assert rep["max_abs_z"] ** 2 <= stat <= dof * rep["max_abs_z"] ** 2
+    assert 0.0 < p_value < 1.0
+    assert p_value == pytest.approx(chi2.sf(stat, dof), rel=1e-12)
 
 
 def test_calibrate_runner_report(tmp_path):
