@@ -417,6 +417,13 @@ def _check_ridge_support(faces: SubordinationSpec, params: MarketParams, n_cells
     )
 
 
+def _edge_share(p, d, lo, hi):
+    """The share of the step from p to p - d to take: 1 where p - d stays in
+    [lo, hi], else half the share that reaches the edge; NaN for a NaN step."""
+    reach = np.maximum((p - lo) / d, (p - hi) / d)
+    return np.where((d == 0.0) | (reach >= 1.0), 1.0, 0.5 * np.maximum(reach, 0.0))
+
+
 def _joint_newton(x, y, s, v, s_a, s_b, faces, params):
     """Newton steps on (m_senior(s, v) - x, m_junior(s, v) - y) = 0, one 2x2
     system per crossing lane, from the start (s, v) inside (s_a, s_b).
@@ -425,12 +432,12 @@ def _joint_newton(x, y, s, v, s_a, s_b, faces, params):
     |s|) and |dv| / max(1, |v|).  A lane is ok at a point whose two
     residuals are at most ``_RESID_TOL`` where the step that reached it was
     below 1e-12 or failed to halve the step before it: such a step is at
-    the rounding floor of the means.  Every iterate must stay in [s_a, s_b] and in the v bracket.  A
-    lane that starts on a bracket end (an exact zero of the scanned gap),
-    leaves the brackets or is still open after ``_JOINT_STEPS`` steps is not
-    ok.  An ok lane's ``slopes`` column, dm_s/dv, dm_s/ds, dm_j/dv and
-    dm_j/ds, is from the pass that marked it, at its (s, v).  Each step
-    evaluates only the open lanes.
+    the rounding floor of the means.  A step out of [s_a, s_b] or the v
+    bracket goes half the way to its edge.  A lane that starts on a bracket
+    end (an exact zero of the scanned gap), cannot move or is still open
+    after ``_JOINT_STEPS`` steps is not ok.  An ok lane's ``slopes`` column,
+    dm_s/dv, dm_s/ds, dm_j/dv and dm_j/ds, is from the pass that marked it,
+    at its (s, v).  Each step evaluates only the open lanes.
     """
     senior, junior = _senior_mean(faces, params), _junior_mean(faces, params)
     s, v = s.copy(), v.copy()
@@ -457,14 +464,17 @@ def _joint_newton(x, y, s, v, s_a, s_b, faces, params):
                 break
             det = s_s * j_v - s_v * j_s
             ds, dv = (j_v * r_s - s_v * r_j) / det, (s_s * r_j - j_s * r_s) / det
-            sl, vl = sl - ds, vl - dv
+            # a step out of the brackets goes half the way to their edge
+            cut = np.minimum(
+                _edge_share(sl, ds, s_a[lanes], s_b[lanes]), _edge_share(vl, dv, -_V_HALF, _V_HALF)
+            )
+            sl, vl = sl - cut * ds, vl - cut * dv
             s[lanes], v[lanes], prev[lanes] = sl, vl, step[lanes]
-            step[lanes] = np.maximum(
+            step[lanes] = cut * np.maximum(
                 np.abs(ds) / np.maximum(1.0, np.abs(sl)), np.abs(dv) / np.maximum(1.0, np.abs(vl))
             )
-            # NaN iterates fail these tests too
-            inside = (s_a[lanes] <= sl) & (sl <= s_b[lanes]) & (np.abs(vl) <= _V_HALF)
-            lanes = lanes[inside]
+            # a lane that cannot move, or whose step is NaN, is dropped
+            lanes = lanes[cut > 0.0]
     return s, v, slopes, ok
 
 

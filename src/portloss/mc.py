@@ -8,18 +8,21 @@ Phi(t_c)) times, and only the shocks of the defaulted obligors are drawn,
 from the normal law below the default threshold t_c, as Phi^-1(U
 Phi(t_c)).  The Wishart route draws an explicit random covariance matrix
 W W^T around the mean covariance and Gaussian returns of every obligor on
-top of it, the per-obligor check of the compound route.  Both routes
-read losses through one payoff of each obligor's log excess x =
-min(r - b, 0), r its centered log-return and b = log(face/v0) - nu T its
-class's default bound.  As in a non-stationary market, whose covariance
-is fixed within an epoch while the random-matrix ensemble stands for the
-covariances of successive epochs, one drawn covariance serves an epoch
-of ``_WISHART_EPOCH`` consecutive samples of a chunk: each sample has
-the model's law, but the samples of one epoch are dependent, so the
-Wishart route's standard errors, and the design effects it reports,
-treat the epoch as the independent unit.  Compound samples are
-independent draws.  The public samplers still give every obligor's
-value or return.
+top of it, the per-obligor check of the compound route.  The routes
+differ only in how they find a block's defaulted obligors: the compound
+route draws them, and the Wishart route tests every return against its
+class bound.  Both hand them, as the same sparse block, to one
+evaluation step, which reads default counts, class sums and losses from
+each one's log excess x = min(r - b, 0), r its centered log-return and
+b = log(face/v0) - nu T its class's default bound.  As in a
+non-stationary market, whose covariance is fixed within an epoch while
+the random-matrix ensemble stands for the covariances of successive
+epochs, one drawn covariance serves an epoch of ``_WISHART_EPOCH``
+consecutive samples of a chunk: each sample has the model's law, but the
+samples of one epoch are dependent, so the Wishart route's standard
+errors, and the design effects it reports, treat the epoch as the
+independent unit.  Compound samples are independent draws.  The public
+samplers still give every obligor's value or return.
 
 Estimation is streamed in fixed-size chunks with one spawned RNG stream
 per chunk, on a thread pool of one thread per CPU, no more than there
@@ -301,13 +304,13 @@ class _Portfolio:
     market blocks, and how losses are formed from them.
 
     One entry per holdings class (one class at the f_total face for a
-    tranched pool): its market block, its obligor count, the index of
-    its first obligor (the obligors of a class are contiguous, class by
-    class) and its default bound log(face/v0) - nu T, the log-return
-    below which an obligor defaults; and the weight (B, C) of a class's
-    loss sum in each creditor's loss.  A tranched pool keeps its
-    tranches, the senior bound log(f_senior/f_total) (None without a
-    senior face) and the junior payoff scale f_total/f_junior.
+    tranched pool): its market block, its obligor count (the obligors of
+    a class are contiguous, class by class) and its default bound
+    log(face/v0) - nu T, the log-return below which an obligor defaults;
+    and the weight (B, C) of a class's loss sum in each creditor's
+    loss.  A tranched pool keeps its tranches, the senior bound
+    log(f_senior/f_total) (-inf without a senior face) and the junior
+    payoff scale f_total/f_junior.
     """
 
     def __init__(self, scenario):
@@ -321,9 +324,8 @@ class _Portfolio:
             tr = self.tranches
             classes = [(0, tr.f_total, scenario.k_obligors)]
             self.counts = np.array([scenario.k_obligors])
-            self.senior_bound = math.log(tr.f_senior / tr.f_total) if tr.f_senior > 0 else None
+            self.senior_bound = math.log(tr.f_senior / tr.f_total) if tr.f_senior > 0 else -math.inf
             self.junior_scale = tr.f_total / tr.f_junior
-        self.starts = np.cumsum(self.counts) - self.counts
         self.class_block = np.array([blk for blk, _, _ in classes])
         mkts = [self.markets.blocks[blk][0] for blk, _, _ in classes]
         self.bounds = np.array([
@@ -332,41 +334,45 @@ class _Portfolio:
         ])
 
 
-def _excess_losses(pf: _Portfolio, x, class_sum, spare, mask, losses, n_full):
-    """Write the losses (rows, B) and, for a tranched pool, senior-hit
-    counts (rows,) of a block of rows from its obligors' log excesses
-    x <= 0, the one payoff of both routes; ``class_sum(w)`` sums values
-    laid out as x into (rows, C) class sums.  ``x`` and ``spare`` are
-    overwritten and ``mask`` is boolean scratch, all of x's shape.  An
-    obligor loses -expm1(x) = (1 - V/F)^+, and a plain loss weighs the
-    class sums.  A tranched loss is a class sum / K, as a row mean is, of
-    -expm1(min(x - h, 0)) at the senior bound h, and of
+def _excess_losses(pf: _Portfolio, cells, x, scratch, losses, n_def, n_full):
+    """Write the losses (rows, B), default counts (rows,) and, for a
+    tranched pool, senior-hit counts (rows,) of a block of rows from its
+    defaulted obligors alone, the one evaluation step of both routes:
+    their log excesses x <= 0 in row and obligor order, and their cells
+    row * C + class.  ``x`` is overwritten, and so are the spare and mask
+    buffers of the block's ``scratch``.  A row's default count and its
+    class sums are bincounts over the cells, each class summed in obligor
+    order.  An obligor loses -expm1(x) = (1 - V/F)^+, and a plain loss
+    weighs the class sums.  A tranched loss is a class sum / K, as a row
+    mean is, of -expm1(min(x - h, 0)) at the senior bound h, and of
     min(-expm1(x) f_total/f_junior, 1), exactly 1 for a senior hit x < h.
     The weighted sums use einsum, not BLAS: BLAS worker threads keep
     spinning after each call and take cores from the chunk threads."""
+    rows, n_cls = len(losses), len(pf.counts)
+    n_def[:] = np.bincount(cells, minlength=rows * n_cls).reshape(rows, n_cls).sum(axis=1)
+
+    def cell_sums(w):
+        return np.bincount(cells, weights=w, minlength=rows * n_cls).reshape(rows, n_cls)
+
     if pf.tranches is None:
         np.expm1(x, out=x)
         np.negative(x, out=x)
-        np.einsum("mc,bc->mb", class_sum(x), pf.class_weights, out=losses)
+        np.einsum("mc,bc->mb", cell_sums(x), pf.class_weights, out=losses)
         return
     k = pf.counts[0]
-    senior = pf.senior_bound is not None
-    if senior:
-        hits = np.less(x, pf.senior_bound, out=mask)
-        n_full[:] = class_sum(hits)[:, 0]
-        ls = np.subtract(x, pf.senior_bound, out=spare)
-        np.minimum(ls, 0.0, out=ls)
-        np.expm1(ls, out=ls)
-        np.negative(ls, out=ls)
-        losses[:, 0] = class_sum(ls)[:, 0] / k
-    else:
-        losses[:, 0] = 0.0
+    spare, mask = (a.reshape(-1)[: len(x)] for a in (scratch.spare, scratch.mask))
+    hits = np.less(x, pf.senior_bound, out=mask)
+    n_full[:] = cell_sums(hits)[:, 0]
+    ls = np.subtract(x, pf.senior_bound, out=spare)
+    np.minimum(ls, 0.0, out=ls)
+    np.expm1(ls, out=ls)
+    np.negative(ls, out=ls)
+    losses[:, 0] = cell_sums(ls)[:, 0] / k
     np.expm1(x, out=x)
     x *= -pf.junior_scale
     np.minimum(x, 1.0, out=x)
-    if senior:
-        np.copyto(x, 1.0, where=hits)
-    losses[:, 1] = class_sum(x)[:, 0] / k
+    np.copyto(x, 1.0, where=hits)
+    losses[:, 1] = cell_sums(x)[:, 0] / k
 
 
 # ndtri(1) is inf; a shock drawn at a default probability no higher than
@@ -374,9 +380,9 @@ def _excess_losses(pf: _Portfolio, x, class_sum, spare, mask, losses, n_full):
 _P_SHOCK_MAX = float(np.nextafter(1.0, 0.0))
 
 
-def _conditional_losses(pf: _Portfolio, rng, m, scratch, losses, n_def, n_full):
-    """Write the losses (m, B), default counts (m,) and, for a tranched
-    pool, senior-face counts (m,) of m compound samples.
+def _conditional_defaults(pf: _Portfolio, rng, m, scratch):
+    """The defaulted obligors of m compound samples, a block of rows at a
+    time: (rows, cells, x) for :func:`_excess_losses`.
 
     The mixing variables (z, u) of all m rows come first.  Given them,
     every row draws the default count of each class, all rows in row
@@ -386,8 +392,7 @@ def _conditional_losses(pf: _Portfolio, rng, m, scratch, losses, n_def, n_full):
     class bound less the row's shift, and its log excess is x = scale eps
     - a.  Where z is 0 the scale is 0 and t is +-inf: each class defaults
     all or none, with x = -a.  A tranched pool's one class defaults at
-    f_total.  The class sums of a block are bincounts over the cells (row
-    * C + class) of its defaulted obligors, sequential in row order.
+    f_total.
     """
     scale, shift = _mixing(pf.markets, rng, m)
     scale = scale[:, pf.class_block]
@@ -396,7 +401,6 @@ def _conditional_losses(pf: _Portfolio, rng, m, scratch, losses, n_def, n_full):
         t = np.divide(a, scale, out=np.where(a > 0, np.inf, -np.inf), where=scale > 0)
     p = ndtr(t)
     counts = rng.binomial(pf.counts, p)
-    n_def[:] = counts.sum(axis=1)
     np.minimum(p, _P_SHOCK_MAX, out=p)
     n_cls = counts.shape[1]
     step = len(scratch.values)
@@ -410,36 +414,21 @@ def _conditional_losses(pf: _Portfolio, rng, m, scratch, losses, n_def, n_full):
         ndtri(x, out=x)
         x *= np.take(scale[lo:hi].ravel(), cells, out=spare)
         x -= np.take(a[lo:hi].ravel(), cells, out=spare)
-        np.minimum(x, 0.0, out=x)
-
-        def class_sum(w):
-            return np.bincount(cells, weights=w, minlength=(hi - lo) * n_cls).reshape(-1, n_cls)
-
-        mask = scratch.mask.reshape(-1)[: len(cells)]
-        _excess_losses(pf, x, class_sum, spare, mask, losses[lo:hi], n_full[lo:hi])
+        yield slice(lo, hi), cells, np.minimum(x, 0.0, out=x)
 
 
-def _wishart_losses(pf: _Portfolio, params, rng, m, scratch, losses, n_def, n_full):
-    """Write the losses (m, B), default counts (m,) and, for a tranched
-    pool, senior-face counts (m,) of m Wishart samples, a block of
-    returns r (:func:`_wishart_blocks`) at a time: every obligor's log
-    excess is x = min(r - b, 0) over its class bound b, it defaults
-    where x < 0, and the class sums of a row add up its contiguous class
-    runs.  A class without a whole obligor sums to 0."""
+def _wishart_defaults(pf: _Portfolio, rng, m, scratch):
+    """The defaulted obligors of m Wishart samples of the one market, a
+    block of returns r (:func:`_wishart_blocks`) at a time: (rows, cells,
+    x) for :func:`_excess_losses`.  An obligor defaults where its return
+    lies below its class bound b, with log excess x = r - b < 0."""
     bounds = np.repeat(pf.bounds, pf.counts)
-    held = pf.counts > 0
-
-    def class_sum(w):
-        sums = np.zeros((len(w), len(held)))
-        sums[:, held] = np.add.reduceat(w, pf.starts[held], axis=1)
-        return sums
-
-    for lo, r in _wishart_blocks(params, rng, m, scratch.values, scratch.g):
-        out = slice(lo, lo + len(r))
-        x = np.minimum(np.subtract(r, bounds, out=r), 0.0, out=r)
-        mask = scratch.mask[: len(r)]
-        n_def[out] = np.less(x, 0.0, out=mask).sum(axis=1)
-        _excess_losses(pf, x, class_sum, scratch.spare[: len(r)], mask, losses[out], n_full[out])
+    obligor_class = np.repeat(np.arange(len(pf.counts)), pf.counts)
+    for lo, r in _wishart_blocks(pf.markets.blocks[0][0], rng, m, scratch.values, scratch.g):
+        idx = np.flatnonzero(np.less(r, bounds, out=scratch.mask[: len(r)]))
+        row, obligor = np.divmod(idx, len(bounds))
+        cells = row * len(pf.counts) + obligor_class[obligor]
+        yield slice(lo, lo + len(r)), cells, r.reshape(-1)[idx] - bounds[obligor]
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +535,8 @@ class _Scratch:
     samples, each holding one block of ``_block_rows`` samples: float and
     boolean scratch for the block's values (the compound route's
     defaulted shocks, at most K per sample, or the Wishart route's
-    returns, then log excesses) and, with a Wishart N, the (N, K) G
-    panels of the block's epochs, one per ``_WISHART_EPOCH`` samples."""
+    returns) and, with a Wishart N, the (N, K) G panels of the block's
+    epochs, one per ``_WISHART_EPOCH`` samples."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
         m = _block_rows(rows, k, wishart_dof)
@@ -558,18 +547,18 @@ class _Scratch:
 
 
 def _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf):
-    """(losses (m, B), n_defaults (m,), n_full (m,)) of one chunk, drawn
-    and evaluated one block of samples at a time, by the compound route
-    (:func:`_conditional_losses`) or the Wishart one
-    (:func:`_wishart_losses`)."""
+    """(losses (m, B), n_defaults (m,), n_full (m,)) of one chunk, a block
+    of samples at a time: the compound route
+    (:func:`_conditional_defaults`) or the Wishart one
+    (:func:`_wishart_defaults`) finds each block's defaulted obligors, and
+    :func:`_excess_losses` evaluates them."""
     rng = _chunk_rng(cfg.rng_seed, chunk_index)
     losses = np.empty((m, len(_labels(scenario))))
     n_def = np.empty(m, dtype=np.int64)
     n_full = np.zeros(m, dtype=np.int64)
-    if cfg.sampler == "compound":
-        _conditional_losses(pf, rng, m, scratch, losses, n_def, n_full)
-    else:
-        _wishart_losses(pf, scenario.params, rng, m, scratch, losses, n_def, n_full)
+    route = _conditional_defaults if cfg.sampler == "compound" else _wishart_defaults
+    for out, cells, x in route(pf, rng, m, scratch):
+        _excess_losses(pf, cells, x, scratch, losses[out], n_def[out], n_full[out])
     return losses, n_def, n_full
 
 

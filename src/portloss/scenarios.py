@@ -531,9 +531,9 @@ def _check_sampling(scen, config: McConfig, k_pointer: str, counts_pointer: str)
     shocks, so its true cost follows the default rate; the rate is fitted
     at the bundled market, where about 0.1 of the obligors default.  The
     Wishart sampler draws an (N, K) panel of normals per epoch of
-    ``_WISHART_EPOCH`` = M samples and turns every obligor's value into
-    a loss: per obligor and sample, N / M panel normals and the loss, at
-    1.1 ``_SAMPLE_S`` each."""
+    ``_WISHART_EPOCH`` = M samples and every obligor's return, which it
+    tests against the default bound: per obligor and sample, N / M panel
+    normals and the return, at 1.1 ``_SAMPLE_S`` each."""
     rows = min(config.chunk_size, config.n_samples)
     obligor_s = _SAMPLE_S
     if config.sampler == "wishart":

@@ -447,8 +447,8 @@ def test_crossing_record_matches_separate_u_solves(market, faces):
 
 def test_unclosed_crossings_are_flagged_not_zero():
     # in this thin-junior market the joint solve leaves a few crossing lanes
-    # far out in v without a root; the grid flags those cells with density
-    # 0, and the pointwise density refuses them rather than reading 0
+    # open (see the next test); the grid flags those cells with density 0,
+    # and the pointwise density refuses them rather than reading 0
     params = MarketParams(mu=0.06, rho=0.28, c=0.88, n_fluct=3.24, t_mat=2.0, v0=100.0)
     thin = SubordinationSpec(f_senior=39.3, f_junior=0.78)
     grid = limit_grid_subordinated(thin, params, n_cells=31, lo=0.0, hi=1.0)
@@ -457,6 +457,29 @@ def test_unclosed_crossings_are_flagged_not_zero():
     (i, j), (xs, ys) = np.argwhere(flagged)[0], grid.axes
     with pytest.raises(ConvergenceError):
         density_limit_subordinated(float(xs[i]), float(ys[j]), thin, params)
+
+
+def test_steps_cut_into_the_brackets_close_more_crossings():
+    # the market of the test above: 5 of its 168 crossing lanes take an
+    # undamped Newton step out of their brackets.  With each such step cut
+    # back to half the way to the bracket edge, 2 of them close.  Of the
+    # other 3, one still oscillates after _JOINT_STEPS steps, one is pushed
+    # towards the s_b edge at every step, and one meets the closing rule
+    # only one step later
+    from portloss import limits
+
+    params = MarketParams(mu=0.06, rho=0.28, c=0.88, n_fluct=3.24, t_mat=2.0, v0=100.0)
+    thin = SubordinationSpec(f_senior=39.3, f_junior=0.78)
+    grid = limit_grid_subordinated(thin, params, n_cells=31, lo=0.0, hi=1.0)
+    assert np.count_nonzero(grid.quality > 0) == 3
+    cr = limits._sub_crossings(*grid.axes, thin, params, 96)
+    found = cr.status == limits._FOUND
+    xs, ys = np.meshgrid(*grid.axes, indexing="ij")
+    s, v = cr.s[found], cr.v[found]
+    for mean, target in ((limits._senior_mean, xs), (limits._junior_mean, ys)):
+        resid = mean(thin, params)(s, v)[0] - target[found]
+        assert np.max(np.abs(resid)) <= limits._RESID_TOL
+    assert np.all((np.abs(v) <= limits._V_HALF) & (s > 0.0))
 
 
 def test_several_closed_crossings_are_reported_not_resolved(market, faces, monkeypatch):

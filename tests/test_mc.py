@@ -22,7 +22,7 @@ from portloss import (
 )
 from portloss import mc
 from portloss.errors import SamplerBudgetError
-from portloss.params import N_FLUCT_MIN, block_market
+from portloss.params import N_FLUCT_MIN, block_market, check_face_ratio
 
 
 def _halves(market, k=50):
@@ -260,23 +260,33 @@ def _ref_chunk(scenario, cfg, ci, m, weighted_sum):
     return _ref_losses(np.minimum(r - bounds, 0.0), starts, scenario, weighted_sum)
 
 
+def _class_sums(w, starts):
+    """Sums (rows, C) of the contiguous class runs of the columns of w that
+    start at ``starts``, each added one obligor after another, the order
+    in which the program adds a class; an empty run sums to 0."""
+    ends = np.append(starts[1:], w.shape[1])
+    return np.column_stack([np.cumsum(w[:, lo:hi], axis=1)[:, -1] if hi > lo else np.zeros(len(w))
+                            for lo, hi in zip(starts, ends)])
+
+
 def _ref_losses(x, starts, scenario, weighted_sum):
     """Losses, default counts and senior-face counts of rows of log
     excesses x = min(r - b, 0), every obligor's; a class sums its
-    contiguous run of obligors from ``starts``, and
-    ``weighted_sum(sums, wts)`` forms the creditor losses."""
+    contiguous run of obligors from ``starts`` in obligor order
+    (:func:`_class_sums`), and ``weighted_sum(sums, wts)`` forms the
+    creditor losses."""
     if isinstance(scenario, SubordinatedScenario):
         tr, k = scenario.tranches, scenario.k_obligors
         h = math.log(tr.f_senior / tr.f_total)
         hits = x < h
         ls = -np.expm1(np.minimum(x - h, 0.0))
         lj = np.where(hits, 1.0, np.minimum(-np.expm1(x) * (tr.f_total / tr.f_junior), 1.0))
-        losses = np.column_stack([np.add.reduceat(ls, starts, axis=1)[:, 0] / k,
-                                  np.add.reduceat(lj, starts, axis=1)[:, 0] / k])
+        losses = np.column_stack([_class_sums(ls, starts)[:, 0] / k,
+                                  _class_sums(lj, starts)[:, 0] / k])
         return losses, (x < 0.0).sum(axis=1), hits.sum(axis=1)
     _, classes, shares = scenario.holdings
     whole = np.array([int(round(n)) for _, _, n in classes])
-    sums = np.add.reduceat(-np.expm1(x), starts, axis=1)
+    sums = _class_sums(-np.expm1(x), starts)
     wts = shares / (shares * whole).sum(axis=1, keepdims=True)
     return weighted_sum(sums, wts), (x < 0.0).sum(axis=1), np.zeros(len(x), dtype=np.int64)
 
@@ -407,6 +417,39 @@ def test_wishart_losses_match_asset_value_payoffs(market, case):
         np.testing.assert_array_equal(n_def, want_def, err_msg=msg)
         np.testing.assert_array_equal(n_full, want_full, err_msg=msg)
     print(f"{case}: {near} obligors within 1e-12 of a bound")
+
+
+@pytest.mark.parametrize("pool", ("halves", "tranched"))
+@pytest.mark.parametrize("v0_face", (1e29, 1e-299))
+def test_wishart_empty_and_full_blocks_match_asset_value_payoffs(market, pool, v0_face):
+    """Faces at the two ends of check_face_ratio's range, where no obligor
+    defaults (v0/face = 1e29: every block hands the evaluation step no
+    obligor) or every one does (1e-299: every obligor, and every senior
+    face at f_senior = f_junior); the losses and counts of every Wishart
+    chunk against the asset-value payoffs, as in the test above."""
+    face = market.v0 / v0_face
+    check_face_ratio(face, market)
+    if pool == "halves":
+        scenario = NoSubScenario(k_obligors=100, params=market,
+                                 overlap=OverlapSpec(0.5, 0.0, 0.5, face))
+    else:
+        scenario = SubordinatedScenario(k_obligors=100, params=market,
+                                        tranches=SubordinationSpec(face / 2, face / 2))
+    cfg = McConfig(n_samples=10_000, chunk_size=4096, rng_seed=26, sampler="wishart")
+    k, p = scenario.k_obligors, scenario.params
+    scratch, portfolio = mc._Scratch(cfg.chunk_size, k, int(p.n_fluct)), mc._Portfolio(scenario)
+    for ci in range(-(-cfg.n_samples // cfg.chunk_size)):
+        m = min(cfg.chunk_size, cfg.n_samples - ci * cfg.chunk_size)
+        losses, n_def, n_full = mc._chunk_losses(scenario, cfg, ci, m, scratch, portfolio)
+        r = _ref_wishart(p, k, m, mc._chunk_rng(cfg.rng_seed, ci))
+        want, want_def, want_full = _value_losses(p.v0 * np.exp(p.drift_adj * p.t_mat + r), scenario)
+        np.testing.assert_allclose(losses, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(n_def, want_def)
+        np.testing.assert_array_equal(n_full, want_full)
+        if v0_face > 1.0:
+            assert np.all(n_def == 0) and np.all(losses == 0.0)
+        else:
+            assert np.all(n_def == k) and np.all(n_full == (k if pool == "tranched" else 0))
 
 
 @pytest.mark.parametrize("n_bins", [20, 50])
