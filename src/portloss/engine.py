@@ -31,32 +31,33 @@ the total mass, moves by at most 1e-14, and so do the means and second
 moments of losses in [0, 1].  At the default 64 x 64 rule about a quarter
 of the nodes remain.
 
-Two kernels read a table: :func:`_mixture_density` for every density -
-a 1-D or 2-D grid, or the one point of :func:`density_subordinated`,
-fixed rule or adaptive - and :func:`_cell_masses` for every cell mass.
-The density kernel takes one 1-D array of loss values per tracked loss,
-one or two of them, and returns the density on their cartesian product;
-a point is a call with one-element axes.  The adaptive rule of a
-tranched scenario builds one small table per grid cell, localized where
-the slice means cross that cell, in the same format; all cells of a
-grid share one batched crossing solve (:func:`_adaptive_density`).
-Moments and correlations read the table directly.
+One kernel, :func:`_mixture`, reads a table for every density - a 1-D
+or 2-D grid, or the one point of :func:`density_subordinated`, fixed rule
+or adaptive - and for every cell mass.  It reads each axis through an
+axis law, and the two uses differ only in that law: a normal density at
+points (:class:`_DensityLaw`), or a normal probability between
+consecutive edges (:class:`_MassLaw`).  A point is a density law of one
+point.  The adaptive rule of a tranched scenario builds one small table
+per grid cell, localized where the slice means cross that cell, in the
+same format; all cells of a grid share one batched crossing solve
+(:func:`_adaptive_density`).  Moments and correlations read the table
+directly.
 
-Both kernels sum the same slices and differ only in the per-axis factor:
-a normal density at a point, or a normal probability between two edges.
 A single loss is its per-slice factors contracted with w.  A pair
-is split once, by :func:`_split`, as w phi(x) phi(y | x), where
+is split once, in :func:`_mixture`, as w phi(x) phi(y | x), where
 phi(y | x) is centred on my + slope (x - mx) with slope = cov_xy / var_x;
 the table itself fixes the split, never the scenario.  Slices of slope
 exactly 0 are separable: disjoint creditors, whose losses are independent
 given (z, u), and slices that are a point mass in x.  They are
 w phi(x) phi(y), so all of them together are one matrix product of
-per-axis factors, (w phi_x) phi_y^T or P_x^T (w P_y): (nx + ny) factors
+per-axis factors, (w phi_x) phi_y^T or (w P_x) P_y^T: (nx + ny) factors
 per slice instead of nx ny.  Every other slice - tranched and
-overlapping layouts - takes a coupled loop.  For densities the x factor
-is computed once per (x, node), and each x row evaluates the conditional
-slices over all y only for the nodes whose x factor is nonzero; for cell
-masses each (slice, x cell) pair of nonzero x mass is integrated.
+overlapping layouts - takes one row loop (:func:`_coupled_rows`).  For
+each output row the x law gives the slices that reach it, with their
+x positions and weights - the point itself and the slice's weighted
+density there, or ``_GL_POINTS`` nodes inside the cell and their share
+of the slice's weighted cell probability - and the y law gives the
+conditional slices' factors over all of y.
 
 Every mixture exponential goes through :func:`_floored_exp`: exp(e) for
 e above ``_EXP_FLOOR`` = -707 and exactly 0 at or below it.  numpy's exp
@@ -68,10 +69,10 @@ exponent, so weighted factors stay out of the subnormal range too.  A
 dropped factor is below e^-707 ~ 1e-307, so a density moves by at most
 that times the peak of the factor it multiplies, per node.
 
-Both kernels work in blocks: each intermediate holds at most
+The kernel works in blocks: each intermediate holds at most
 ``_CHUNK_ELEMENTS`` = 2**15 float64 values (256 KiB), or a single row
 where one row is larger, so peak memory is a few blocks whatever the grid
-and rule size.  A kernel keeps a handful of intermediates live at once,
+and rule size.  The kernel keeps a handful of intermediates live at once,
 and at this size they fit a core's L2 cache together (2 MiB on the
 2-CPU Xeon the benchmark ran on); 2 MiB blocks spilled every pass to L3.
 
@@ -419,10 +420,8 @@ def _leggauss(count: int):
 
 
 def norm_cdf_safe(x, mean, sigma):
-    """Normal CDF that degrades to a unit step when sigma == 0."""
-    sigma = np.asarray(sigma, dtype=float)
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
+    """Normal CDF of float arrays that degrades to a unit step when
+    sigma == 0."""
     pos = sigma > 0.0
     denom = np.where(pos, sigma, 1.0)
     with np.errstate(invalid="ignore"):
@@ -442,189 +441,173 @@ def _floored_exp(e):
     return e
 
 
-def _separable_sum(out, n, x_factors, y_factors):
-    """Add sum_k fx_k fy_k^T into ``out`` for n slices that factor per
-    axis.  ``x_factors(nodes)`` and ``y_factors(nodes)`` return the factors
-    of a slice of the nodes along each axis, shape (axis length, nodes),
-    the x factors weighted; each block of nodes is one matrix product,
-    added in row blocks."""
+def _separable_sum(out, x_law, y_law, fx, fy):
+    """Add sum_k fx_k fy_k^T into ``out`` for slices that factor per axis,
+    from the axis tables of their weighted x factors and of their y
+    factors; each block of nodes is one matrix product, added in row
+    blocks."""
     nodes = _block_rows(max(out.shape) + 1)
     rows = _block_rows(out.shape[1])
-    for s in range(0, n, nodes):
-        sl = slice(s, s + nodes)
-        fx = x_factors(sl)
-        fy = y_factors(sl).T
+    for s in range(0, fx.shape[1], nodes):
+        ax = x_law.factors(fx[:, s : s + nodes])
+        ay = y_law.factors(fy[:, s : s + nodes]).T
         for r in range(0, len(out), rows):
-            out[r : r + rows] += fx[r : r + rows] @ fy
+            out[r : r + rows] += ax[r : r + rows] @ ay
     return out
 
 
-def _split(cov):
-    """Each slice of a pair table as w phi(x) phi(y | x): the slope
-    cov_xy / var_x of the conditional mean, 0 where var_x is at or below
-    ``_VAR_FLOOR`` (a point mass in x) or NaN, and the conditional
-    variance var_y - slope cov_xy."""
-    wide = cov[0, 0] > _VAR_FLOOR
-    slope = np.where(wide, cov[0, 1] / np.where(wide, cov[0, 0], 1.0), 0.0)
-    return slope, cov[1, 1] - slope * cov[0, 1]
+class _DensityLaw:
+    """Normal densities at ``points`` along one axis.
+
+    A slice's constants are (mean, 1 / (2 var), log w - log sqrt(2 pi
+    var)): a weight enters as log w in the exponent, so a zero weight
+    gives factors of exactly 0.  Slices with a variance at or below
+    ``_VAR_FLOOR`` are delta slices, which a density cannot represent:
+    they are dropped, so they add exactly 0 whatever their means (NaN
+    included)."""
+
+    def __init__(self, points):
+        self.points = np.atleast_1d(np.asarray(points, dtype=float))
+        self.size = len(self.points)
+
+    @staticmethod
+    def keep(var):
+        return var > _VAR_FLOOR
+
+    @staticmethod
+    def axis(mean, var, w=None):
+        """Per-slice constants (3, slices), built once per kernel call."""
+        with np.errstate(divide="ignore"):
+            log_w = 0.0 if w is None else np.log(w)
+        return np.stack([mean, 0.5 / var, log_w - 0.5 * np.log(2.0 * math.pi * var)])
+
+    def factors(self, axis, lo=0, hi=None):
+        """Factors (points lo:hi, slices), through :func:`_floored_exp`."""
+        mean, half_prec, log_norm = axis
+        e = self.points[lo:hi, None] - mean
+        e *= e
+        e *= half_prec
+        return _floored_exp(np.subtract(log_norm, e, out=e))
+
+    def rows(self, axis):
+        """Per point: its index, the slices of nonzero factor there, the
+        point, and those factors (live, 1)."""
+        rows = _block_rows(axis.shape[1])
+        for s in range(0, self.size, rows):
+            ax = self.factors(axis, s, s + rows)
+            for i in range(len(ax)):
+                live = np.flatnonzero(ax[i])
+                yield s + i, live, self.points[s + i], ax[i, live, None]
 
 
-def _cell_probs(edges, mean, sd):
-    """Per-slice cell probabilities, shape (cells, nodes)."""
-    return np.diff(norm_cdf_safe(edges[:, None], mean, sd), axis=0)
+class _MassLaw:
+    """Normal probabilities of the cells between consecutive ``edges``
+    along one axis; outermost edges may be +-inf.
+
+    A slice's constants are (mean, sd, w), and a delta slice is kept as a
+    unit step.  A slice's cell probabilities add up to its probability of
+    the whole axis, so total mass is conserved by construction."""
+
+    def __init__(self, edges):
+        self.edges = np.asarray(edges, dtype=float)
+        self.size = len(self.edges) - 1
+
+    @staticmethod
+    def keep(var):
+        return np.ones(var.shape, dtype=bool)
+
+    @staticmethod
+    def axis(mean, var, w=None):
+        w = np.ones_like(mean) if w is None else w
+        return np.stack([mean, np.sqrt(np.maximum(var, 0.0)), w])
+
+    def factors(self, axis, lo=0, hi=None):
+        """Weighted cell probabilities (cells lo:hi, slices)."""
+        edges = self.edges[lo : self.size + 1 if hi is None else hi + 1]
+        mean, sd, w = axis
+        return np.diff(norm_cdf_safe(edges[:, None], mean, sd), axis=0) * w
+
+    def rows(self, axis):
+        """Per cell: its index, the slices of nonzero weighted probability
+        there, their ``_GL_POINTS`` Gauss-Legendre nodes in the cell, and
+        the nodes' weights (live, ``_GL_POINTS``).  The nodes come from the
+        probability-space substitution t = Phi((x - mean) / sd), which
+        turns a slice of any width into a smooth integrand on the cell's
+        t interval."""
+        tq, twq = _leggauss(_GL_POINTS)
+        tq, twq = 0.5 * (tq + 1.0), 0.5 * twq
+        mean, sd, w = axis
+        rows = _block_rows(axis.shape[1])
+        for s in range(0, self.size, rows):
+            t_edges = norm_cdf_safe(self.edges[s : s + rows + 1, None], mean, sd)
+            p_cell = np.diff(t_edges, axis=0)
+            for i in range(len(p_cell)):
+                mass = w * p_cell[i]
+                live = np.flatnonzero(mass)
+                t_nodes = t_edges[i, live, None] + p_cell[i, live, None] * tq
+                x = mean[live, None] + sd[live, None] * ndtri(np.clip(t_nodes, 1e-300, 1.0 - 1e-16))
+                yield s + i, live, x, mass[live, None] * twq
 
 
-def _cell_masses(table, edges_one, edges_two):
-    """Exact cell masses of a node table: 1-D for one tracked loss,
-    otherwise 2-D over the first two.
+def _mixture(table, x_law, y_law=None):
+    """The mixture of a node table's slices on one or two axes, each read
+    through an axis law: densities at points (:class:`_DensityLaw`) or
+    cell probabilities (:class:`_MassLaw`).  A table of one tracked loss
+    gives a 1-D result of ``x_law.size``; otherwise the first two tracked
+    losses give (``x_law.size``, ``y_law.size``), and ``y_law`` defaults
+    to ``x_law``.
 
-    A single loss is its per-slice cell probabilities contracted with w.
-    Of a pair, the slices whose slope from :func:`_split` is exactly 0
-    (independent axes, or a point mass in x) are the product of their
-    per-axis cell probabilities, so they add up as one matrix product
-    P_x^T (w P_y); every other slice is integrated per x cell by
-    :func:`_coupled_cell_masses`.  Either way the column totals per slice
-    are its x-cell probabilities, so total mass is conserved by
-    construction.  Outermost edges may be +-inf to capture everything.
+    A single loss is its per-slice factors contracted with w.  Each slice
+    of a pair is w phi(x) phi(y | x), with the slope cov_xy / var_x of the
+    conditional mean, 0 where var_x is at or below ``_VAR_FLOOR`` (a
+    point mass in x) or NaN, and the conditional variance var_y - slope
+    cov_xy.  The slices of slope exactly 0 are one matrix product of
+    per-axis factors (:func:`_separable_sum`), and every other slice goes
+    through the row loop of :func:`_coupled_rows`.  The x axis carries the
+    weights, and the y axis the conditional slices.
     """
     w, means, cov = table
-    edges_x = np.asarray(edges_one, dtype=float)
-    sx = np.sqrt(cov[0, 0])
     if len(means) == 1:
-        out = np.zeros(len(edges_x) - 1)
-        nodes = _block_rows(len(edges_x))
-        for s in range(0, len(w), nodes):
-            n = slice(s, s + nodes)
-            out += _cell_probs(edges_x, means[0, n], sx[n]) @ w[n]
-        return out
-    edges_y = np.asarray(edges_two, dtype=float)
-    slope, vc = _split(cov)
-    sc = np.sqrt(np.maximum(vc, 0.0))
-    out = np.zeros((len(edges_x) - 1, len(edges_y) - 1))
-    sep = slope == 0.0
-    if sep.any():
-        ws, mxs, sxs, mys, scs = (a[sep] for a in (w, means[0], sx, means[1], sc))
-        _separable_sum(out, len(ws), lambda n: _cell_probs(edges_x, mxs[n], sxs[n]) * ws[n],
-                       lambda n: _cell_probs(edges_y, mys[n], scs[n]))
-    if not sep.all():
-        _coupled_cell_masses(out, *(a[~sep] for a in (w, means[0], sx, means[1], slope, sc)),
-                             edges_x, edges_y)
-    return out
-
-
-def _coupled_cell_masses(out, w, mx, sx, my, slope, sc, edges_x, edges_y):
-    """Add the cell masses of correlated slices into ``out``.
-
-    Per slice the x integral is substituted into probability space
-    t = Phi((x - mean)/sigma), which turns any slice, however narrow, into a
-    smooth integrand on [0, 1]; the y direction is then a difference of
-    conditional CDFs at ``_GL_POINTS`` in-cell nodes.  The x-cell
-    probabilities are computed for every slice; the in-cell nodes and
-    conditional y CDFs only for the (slice, x cell) pairs of nonzero mass
-    w p_cell, in blocks of pairs, each block added into the x rows it
-    reaches.  A skipped pair contributes exactly 0.
-    """
-    tq, twq = _leggauss(_GL_POINTS)
-    tq = 0.5 * (tq + 1.0)
-    twq = 0.5 * twq
-    nodes = _block_rows(len(edges_x))
-    pairs = _block_rows(_GL_POINTS * len(edges_y))
-    for s in range(0, len(w), nodes):
-        t_edges = norm_cdf_safe(edges_x, mx[s : s + nodes, None], sx[s : s + nodes, None])
-        p_cell = np.diff(t_edges, axis=1)
-        node, cell = np.nonzero(w[s : s + nodes, None] * p_cell)
-        t_lo, p_cell = t_edges[node, cell], p_cell[node, cell]
-        node += s
-        mass = w[node] * p_cell
-        for b in range(0, len(node), pairs):
-            k, x = node[b : b + pairs, None], cell[b : b + pairs]
-            t_nodes = t_lo[b : b + pairs, None] + p_cell[b : b + pairs, None] * tq
-            x_nodes = mx[k] + sx[k] * ndtri(np.clip(t_nodes, 1e-300, 1.0 - 1e-16))
-            mu_c = my[k] + slope[k] * (x_nodes - mx[k])
-            # (pairs, q, y edges) conditional CDFs
-            y_cdf = norm_cdf_safe(edges_y, mu_c[..., None], sc[k, None])
-            np.add.at(out, x, np.einsum(
-                "pq,pqy->py", mass[b : b + pairs, None] * twq, np.diff(y_cdf, axis=-1)
-            ))
-    return out
-
-
-def _gauss_axis(mean, var, log_scale=0.0):
-    """Per-slice constants of normal factors along one axis, stacked
-    (3, slices): the means, 1 / (2 var) and log_scale - log sqrt(2 pi var).
-    A kernel builds them once per call for all its slices."""
-    return np.stack([mean, 0.5 / var, log_scale - 0.5 * np.log(2.0 * math.pi * var)])
-
-
-def _gauss_factors(points, axis):
-    """Normal factors per (point, slice) of a :func:`_gauss_axis` table,
-    shape (points, slices), through :func:`_floored_exp`."""
-    mean, half_prec, log_norm = axis
-    e = points[:, None] - mean
-    e *= e
-    e *= half_prec
-    return _floored_exp(np.subtract(log_norm, e, out=e))
-
-
-def _mixture_density(axes, w, means, cov):
-    """Mixture density on the cartesian product of ``axes``, one 1-D array
-    of loss values per tracked loss, one or two of them; returns shape
-    ``tuple(len(a) for a in axes)``.
-
-    A single loss is its factor table contracted with w.  A pair is split
-    by :func:`_split` into separable slices, one matrix product of
-    per-axis factors (w phi_x) phi_y^T, and coupled ones, the row loop of
-    :func:`_coupled_pair_density`; w enters each x factor as log w in its
-    exponent, so a zero weight gives factors of exactly 0.  Slices with a
-    variance or a conditional variance at or below ``_VAR_FLOOR`` are
-    delta slices that a density cannot represent; they are dropped from
-    the table first, so they add exactly 0 whatever their means (NaN
-    included).
-    """
-    axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
-    out = np.zeros(tuple(len(a) for a in axes))
-    if len(axes) == 1:
-        keep = cov[0, 0] > _VAR_FLOOR
-        fx, w = _gauss_axis(means[0, keep], cov[0, 0, keep]), w[keep]
+        keep = x_law.keep(cov[0, 0])
+        fx, w = x_law.axis(means[0, keep], cov[0, 0, keep]), w[keep]
+        out = np.zeros(x_law.size)
         rows = _block_rows(len(w))
         for s in range(0, len(out), rows):
-            out[s : s + rows] = _gauss_factors(axes[0][s : s + rows], fx) @ w
+            out[s : s + rows] = x_law.factors(fx, s, s + rows) @ w
         return out
-    slope, vc = _split(cov)
-    keep = (cov[0, 0] > _VAR_FLOOR) & (vc > _VAR_FLOOR)
-    with np.errstate(divide="ignore"):
-        fx = _gauss_axis(means[0, keep], cov[0, 0, keep], np.log(w[keep]))
-    fy, slope = _gauss_axis(means[1, keep], vc[keep]), slope[keep]
+    y_law = x_law if y_law is None else y_law
+    wide = cov[0, 0] > _VAR_FLOOR
+    slope = np.where(wide, cov[0, 1] / np.where(wide, cov[0, 0], 1.0), 0.0)
+    vc = cov[1, 1] - slope * cov[0, 1]
+    keep = x_law.keep(cov[0, 0]) & y_law.keep(vc)
+    fx = x_law.axis(means[0, keep], cov[0, 0, keep], w[keep])
+    fy, slope = y_law.axis(means[1, keep], vc[keep]), slope[keep]
+    out = np.zeros((x_law.size, y_law.size))
     sep = slope == 0.0
     if sep.any():
-        fxs, fys = fx[:, sep], fy[:, sep]
-        _separable_sum(out, fxs.shape[1], lambda n: _gauss_factors(axes[0], fxs[:, n]),
-                       lambda n: _gauss_factors(axes[1], fys[:, n]))
+        _separable_sum(out, x_law, y_law, fx[:, sep], fy[:, sep])
     if not sep.all():
-        _coupled_pair_density(out, *axes, fx[:, ~sep], fy[:, ~sep], slope[~sep])
+        _coupled_rows(out, x_law, y_law, fx[:, ~sep], fy[:, ~sep], slope[~sep])
     return out
 
 
-def _coupled_pair_density(out, xs, ys, fx, fy, slope):
-    """Add the density of correlated slices on xs x ys into ``out``, from
-    the :func:`_gauss_axis` tables of their weighted x factors and of
-    their conditional slices.  The x factors w phi(x) come once per
-    (x, node); each x row then contracts its nonzero factors with the
-    conditional slices phi(y | x), centred on my + slope (x - mx), over
-    all of ys."""
-    rows = _block_rows(len(slope))
-    for s in range(0, len(xs), rows):
-        ax = _gauss_factors(xs[s : s + rows], fx)
-        for i in range(len(ax)):
-            live = np.flatnonzero(ax[i])
-            if not len(live):
-                continue
-            cond = fy.take(live, axis=1)
-            cond[0] += slope[live] * (xs[s + i] - fx[0, live])
-            ax_live = ax[i, live]
-            cols = _block_rows(len(live))
-            for t in range(0, len(ys), cols):
-                out[s + i, t : t + cols] += _gauss_factors(ys[t : t + cols], cond) @ ax_live
+def _coupled_rows(out, x_law, y_law, fx, fy, slope):
+    """Add correlated slices into ``out``, one output row at a time, from
+    the axis tables of their weighted x factors and of their conditional
+    slices.  For each row the x law gives the slices that reach it, their
+    x positions (the point itself, or nodes inside the cell) and their
+    weights; the y law gives the conditional slices' factors, centred on
+    my + slope (x - mx), over all of the y axis, a block of y at a time."""
+    for i, live, x, wts in x_law.rows(fx):
+        if not len(live):
+            continue
+        centre = fy[0, live, None] + slope[live, None] * (x - fx[0, live, None])
+        cond = fy.take(np.repeat(live, centre.shape[1]), axis=1)
+        cond[0] = centre.ravel()
+        wts = wts.ravel()
+        cols = _block_rows(len(wts))
+        for t in range(0, y_law.size, cols):
+            out[i, t : t + cols] += y_law.factors(cond, t, t + cols) @ wts
     return out
 
 
@@ -707,13 +690,14 @@ def _adaptive_density(xs, ys, scenario, quad):
             w = ws[:, None] * wv * np.exp(log_wt)
         s = np.broadcast_to(s[:, None], v.shape)
         table = _moment_terms(s.ravel(), v.ravel(), scenario)
-        vals[i, j] = _mixture_density((xs[i : i + 1], ys[j : j + 1]), w.ravel(), *table)[0, 0]
+        vals[i, j] = _mixture((w.ravel(), *table), _DensityLaw(xs[i : i + 1]),
+                              _DensityLaw(ys[j : j + 1]))[0, 0]
 
     dense = np.ones(vals.shape, dtype=bool)
     dense[ci, cj] = False
     if dense.any():
         rule = QuadratureSpec(z_nodes=max(quad.z_nodes, 128), u_nodes=max(quad.u_nodes, 128))
-        vals[dense] = _mixture_density((xs, ys), *_node_table(scenario, rule))[dense]
+        vals[dense] = _mixture(_node_table(scenario, rule), _DensityLaw(xs), _DensityLaw(ys))[dense]
     return vals
 
 
@@ -732,7 +716,7 @@ def density_subordinated(
     x, y = _as_point((l_senior, l_junior), 2)[:, None]
     if quad.mode == "adaptive":
         return float(_adaptive_density(x, y, scenario, quad)[0, 0])
-    return float(_mixture_density((x, y), *_node_table(scenario, quad))[0, 0])
+    return float(_mixture(_node_table(scenario, quad), _DensityLaw(x), _DensityLaw(y))[0, 0])
 
 
 def subordinated_cell_masses(
@@ -746,7 +730,7 @@ def subordinated_cell_masses(
     Outermost edges may be +-inf; with edges (-inf, ..., +inf) on both axes
     the masses sum to 1 within ``_PRUNE_MASS``.
     """
-    return _cell_masses(_node_table(scenario, quad), edges_senior, edges_junior)
+    return _mixture(_node_table(scenario, quad), _MassLaw(edges_senior), _MassLaw(edges_junior))
 
 
 def density_grid_subordinated(
@@ -765,7 +749,7 @@ def density_grid_subordinated(
     if quad.mode == "adaptive":
         vals = _adaptive_density(centers, centers, scenario, quad)
     else:
-        vals = _mixture_density((centers, centers), *_node_table(scenario, quad))
+        vals = _mixture(_node_table(scenario, quad), _DensityLaw(centers))
     return DensityGrid(axes=(centers, centers), values=vals)
 
 
@@ -825,9 +809,8 @@ def nosub_cell_masses(
 ) -> np.ndarray:
     """Cell masses of the continuous approximation for a plain scenario;
     1-D when the scenario has a single creditor."""
-    if edges_two is None:
-        edges_two = edges_one
-    return _cell_masses(_node_table(scenario, quad), edges_one, edges_two)
+    return _mixture(_node_table(scenario, quad), _MassLaw(edges_one),
+                    None if edges_two is None else _MassLaw(edges_two))
 
 
 def density_grid_nosub(
@@ -841,7 +824,7 @@ def density_grid_nosub(
     centers = cell_centers(n_cells, lo, hi)
     _check_grid(scenario)
     b = scenario.n_creditors
-    vals = _mixture_density((centers,) * b, *_node_table(scenario, quad))
+    vals = _mixture(_node_table(scenario, quad), _DensityLaw(centers))
     return DensityGrid(axes=(centers,) * b, values=vals)
 
 
@@ -879,13 +862,10 @@ def tail_probability(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """P(total portfolio loss > threshold) for a single-creditor scenario,
-    computed as a mixture of Gaussian tail masses."""
+    computed as the mixture's mass in the cell [threshold, inf)."""
     if scenario.n_creditors != 1:
         raise ParameterError("tail_probability applies to single-creditor scenarios")
-    w, means, cov = _node_table(scenario, quad)
-    sx = np.sqrt(cov[0, 0])
-    tail = 1.0 - norm_cdf_safe(threshold, means[0], sx)
-    return float(np.dot(w, tail))
+    return float(_mixture(_node_table(scenario, quad), _MassLaw([threshold, np.inf]))[0])
 
 
 def _analytic_pair_stats(scenario, quad):
@@ -956,7 +936,7 @@ def mass_accounting(
     edges_ext = np.linspace(0.0, 1.0, n_cells + 1)
     edges_ext[0] = -np.inf
     edges_ext[-1] = np.inf
-    masses = _cell_masses(_node_table(scenario, quad), edges_ext, edges_ext)
+    masses = _mixture(_node_table(scenario, quad), _MassLaw(edges_ext))
     if masses.ndim == 1:
         origin = float(masses[0])
         away = float(masses[1:].sum())

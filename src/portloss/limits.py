@@ -67,7 +67,7 @@ from .errors import (
     NoRootError,
     ParameterError,
 )
-from .engine import _mixture_density
+from .engine import _DensityLaw, _mixture
 from .grids import DensityGrid, cell_centers
 from .moments import junior_mean_target, norm_pdf, plain_moments, senior_moments
 from .params import MarketParams, SubordinationSpec, distance_field
@@ -714,7 +714,7 @@ def limit_grid_finite_vs_infinite(
     vals = np.empty((len(centers), len(w_eff)))
     # one infinite-side loss at a time, so that no array is sized cells x s
     for j in range(len(w_eff)):
-        vals[:, j] = _mixture_density((centers,), w_eff[j], m1[j][None], var[j][None, None])
+        vals[:, j] = _mixture((w_eff[j], m1[j][None], var[j][None, None]), _DensityLaw(centers))
     return DensityGrid(axes=(centers, centers), values=vals)
 
 

@@ -346,8 +346,10 @@ def _excess_losses(pf: _Portfolio, cells, x, scratch, losses, n_def, n_full):
     weighs the class sums.  A tranched loss is a class sum / K, as a row
     mean is, of -expm1(min(x - h, 0)) at the senior bound h, and of
     min(-expm1(x) f_total/f_junior, 1), exactly 1 for a senior hit x < h.
-    The weighted sums use einsum, not BLAS: BLAS worker threads keep
-    spinning after each call and take cores from the chunk threads."""
+    The senior sum reads the hits alone: every other term is -expm1(0) =
+    -0.0, which adds nothing to a sum.  The weighted sums use einsum, not
+    BLAS: BLAS worker threads keep spinning after each call and take cores
+    from the chunk threads."""
     rows, n_cls = len(losses), len(pf.counts)
     n_def[:] = np.bincount(cells, minlength=rows * n_cls).reshape(rows, n_cls).sum(axis=1)
 
@@ -360,18 +362,18 @@ def _excess_losses(pf: _Portfolio, cells, x, scratch, losses, n_def, n_full):
         np.einsum("mc,bc->mb", cell_sums(x), pf.class_weights, out=losses)
         return
     k = pf.counts[0]
-    spare, mask = (a.reshape(-1)[: len(x)] for a in (scratch.spare, scratch.mask))
-    hits = np.less(x, pf.senior_bound, out=mask)
-    n_full[:] = cell_sums(hits)[:, 0]
-    ls = np.subtract(x, pf.senior_bound, out=spare)
-    np.minimum(ls, 0.0, out=ls)
+    hits = np.flatnonzero(np.less(x, pf.senior_bound, out=scratch.mask.reshape(-1)[: len(x)]))
+    hit_rows = cells[hits]  # a tranched pool is one class
+    n_full[:] = np.bincount(hit_rows, minlength=rows)
+    ls = np.take(x, hits, out=scratch.spare.reshape(-1)[: len(hits)])
+    ls -= pf.senior_bound
     np.expm1(ls, out=ls)
     np.negative(ls, out=ls)
-    losses[:, 0] = cell_sums(ls)[:, 0] / k
+    losses[:, 0] = np.bincount(hit_rows, weights=ls, minlength=rows) / k
     np.expm1(x, out=x)
     x *= -pf.junior_scale
     np.minimum(x, 1.0, out=x)
-    np.copyto(x, 1.0, where=hits)
+    x[hits] = 1.0
     losses[:, 1] = cell_sums(x)[:, 0] / k
 
 
@@ -421,14 +423,20 @@ def _wishart_defaults(pf: _Portfolio, rng, m, scratch):
     """The defaulted obligors of m Wishart samples of the one market, a
     block of returns r (:func:`_wishart_blocks`) at a time: (rows, cells,
     x) for :func:`_excess_losses`.  An obligor defaults where its return
-    lies below its class bound b, with log excess x = r - b < 0."""
+    lies below its class bound b, with log excess x = r - b < 0.  Its
+    cell, obligor and x are written into the slot's scratch; a block
+    allocates only the flat indices of its defaults."""
     bounds = np.repeat(pf.bounds, pf.counts)
     obligor_class = np.repeat(np.arange(len(pf.counts)), pf.counts)
     for lo, r in _wishart_blocks(pf.markets.blocks[0][0], rng, m, scratch.values, scratch.g):
         idx = np.flatnonzero(np.less(r, bounds, out=scratch.mask[: len(r)]))
-        row, obligor = np.divmod(idx, len(bounds))
-        cells = row * len(pf.counts) + obligor_class[obligor]
-        yield slice(lo, lo + len(r)), cells, r.reshape(-1)[idx] - bounds[obligor]
+        n = len(idx)
+        x = np.take(r.reshape(-1), idx, out=scratch.excess[:n])
+        cells, obligor = np.divmod(idx, len(bounds), out=(scratch.cells[:n], scratch.obligor[:n]))
+        x -= np.take(bounds, obligor, out=scratch.spare.reshape(-1)[:n])
+        cells *= len(pf.counts)
+        cells += np.take(obligor_class, obligor, out=idx)
+        yield slice(lo, lo + len(r)), cells, x
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +544,20 @@ class _Scratch:
     boolean scratch for the block's values (the compound route's
     defaulted shocks, at most K per sample, or the Wishart route's
     returns) and, with a Wishart N, the (N, K) G panels of the block's
-    epochs, one per ``_WISHART_EPOCH`` samples."""
+    epochs, one per ``_WISHART_EPOCH`` samples, and the log excesses,
+    cells and obligors of the block's defaulted obligors, at most K per
+    sample, so that no block allocates arrays of its default count."""
 
     def __init__(self, rows: int, k: int, wishart_dof: int):
         m = _block_rows(rows, k, wishart_dof)
         self.values = np.empty((m, k))
         self.spare = np.empty((m, k))
         self.mask = np.empty((m, k), dtype=bool)
-        self.g = np.empty((_epochs(m), wishart_dof, k)) if wishart_dof else None
+        self.g = self.excess = self.cells = self.obligor = None
+        if wishart_dof:
+            self.g = np.empty((_epochs(m), wishart_dof, k))
+            self.excess = np.empty(m * k)
+            self.cells, self.obligor = np.empty((2, m * k), dtype=np.int64)
 
 
 def _chunk_losses(scenario, cfg, chunk_index, m, scratch, pf):

@@ -30,6 +30,7 @@ from portloss import (
 )
 from portloss import mc
 from portloss.engine import gaussian_moment_terms
+from portloss.grids import cell_centers
 
 
 def _alphas(overlap: OverlapSpec):
@@ -385,6 +386,20 @@ def test_multimarket_total_density_normalizes(market, quad):
 # ---------------------------------------------------------------------------
 # mixture kernel
 
+def _density(axes, w, means, cov):
+    """The mixture density of a node table on the cartesian product of
+    ``axes``, one array of points per axis."""
+    from portloss.engine import _DensityLaw, _mixture
+
+    return _mixture((w, means, cov), *(_DensityLaw(a) for a in axes))
+
+
+def _masses(table, edges_x, edges_y):
+    """The cell masses of a node table between ``edges_x`` and ``edges_y``."""
+    from portloss.engine import _MassLaw, _mixture
+
+    return _mixture(table, _MassLaw(edges_x), _MassLaw(edges_y))
+
 def _per_point_density(point, w, means, cov):
     """Reference: one np.dot over the packed node table per point."""
     if len(point) == 2:
@@ -495,7 +510,7 @@ def test_multimarket_table_matches_the_flat_tensor(market, beta, creditors):
 
 
 def test_1d_kernel_drops_degenerate_slices_with_nan_means(market, quad):
-    from portloss.engine import _mixture_density, _node_table
+    from portloss.engine import _node_table
 
     multi = NoSubScenario(k_obligors=40, face=75.0, creditors=1,
                           params=MultiMarketParams(((market, 20), (market, 20))))
@@ -507,7 +522,7 @@ def test_1d_kernel_drops_degenerate_slices_with_nan_means(market, quad):
     cov[0, 0, ::14] = 0.0
     cov[0, 0, 7::14] = np.nan
     xs = np.linspace(0.0, 0.6, 121)
-    got = _mixture_density((xs,), w, means, cov)
+    got = _density((xs,), w, means, cov)
     want = np.array([_per_point_density((x,), w, means, cov) for x in xs])
     assert not np.any(np.isnan(got)) and np.all(want > 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -515,7 +530,7 @@ def test_1d_kernel_drops_degenerate_slices_with_nan_means(market, quad):
 
 @pytest.mark.parametrize("layout", ["tranched", "disjoint"])
 def test_pair_kernels_share_one_degenerate_slice_policy(market, faces, halves, quad, layout):
-    from portloss.engine import _PRUNE_MASS, _cell_masses, _mixture_density, _node_table
+    from portloss.engine import _PRUNE_MASS, _node_table
 
     if layout == "tranched":
         sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
@@ -540,13 +555,13 @@ def test_pair_kernels_share_one_degenerate_slice_policy(market, faces, halves, q
     edges = np.linspace(0.0, 1.0, 21)
     edges[0], edges[-1] = -np.inf, np.inf
     # a degenerate slice is a step in the cell masses, which keep its mass
-    assert abs(_cell_masses((w, means, cov), edges, edges).sum() - 1.0) <= _PRUNE_MASS
+    assert abs(_masses((w, means, cov), edges, edges).sum() - 1.0) <= _PRUNE_MASS
     # and the density drops it, whatever its means
     means[:, point[::2]] = np.nan
     means[0, cond[::2]] = np.nan
     kept = ~degenerate
     xs, ys = np.linspace(0.0, 0.6, 19), np.linspace(0.01, 0.5, 17)
-    got = _mixture_density((xs, ys), w, means, cov)
+    got = _density((xs, ys), w, means, cov)
     want = np.array([[_per_point_density((x, y), w[kept], means[:, kept], cov[:, :, kept])
                       for y in ys] for x in xs])
     assert not np.any(np.isnan(got)) and want.max() > 0.0
@@ -580,11 +595,11 @@ def test_pruned_cell_masses_normalize(market, faces, quad):
 
 
 def test_pruned_grid_matches_unpruned(market, faces, quad):
-    from portloss.engine import _mixture_density, _unpruned_table
+    from portloss.engine import _unpruned_table
 
     sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
     grid = density_grid_subordinated(sc, quad, n_cells=81, lo=0.0, hi=0.8)
-    want = _mixture_density(grid.axes, *_unpruned_table(sc, quad))
+    want = _density(grid.axes, *_unpruned_table(sc, quad))
     peak = want.max()
     big = want > 1e-6 * peak
     np.testing.assert_allclose(grid.values[big], want[big], rtol=1e-6, atol=0.0)
@@ -597,13 +612,13 @@ def test_pair_kernel_chunking_and_unequal_axes(market, faces, quad, monkeypatch)
     sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
     table = engine._node_table(sc, quad)
     xs, ys = np.linspace(0.0, 0.05, 7), np.linspace(0.02, 0.4, 23)
-    whole = engine._mixture_density((xs, ys), *table)
+    whole = _density((xs, ys), *table)
     assert whole.shape == (7, 23)
     # a budget of a few node rows splits both the x rows and the y columns
     monkeypatch.setattr(engine, "_CHUNK_ELEMENTS", 3.0 * len(table[0]))
-    np.testing.assert_allclose(engine._mixture_density((xs, ys), *table), whole,
+    np.testing.assert_allclose(_density((xs, ys), *table), whole,
                                rtol=1e-13, atol=0.0)
-    point = engine._mixture_density((xs[3:4], ys[5:6]), *table)
+    point = _density((xs[3:4], ys[5:6]), *table)
     assert point[0, 0] == pytest.approx(whole[3, 5], rel=1e-13)
 
 
@@ -651,7 +666,7 @@ def _awkward_table(rng, n=400):
 @pytest.mark.parametrize("outer", [np.inf, 1.0])
 @pytest.mark.parametrize("shape", [(20, 20), (50, 13)])
 def test_cell_masses_match_the_dense_reference(outer, shape):
-    from portloss.engine import _cell_masses, norm_cdf_safe
+    from portloss.engine import norm_cdf_safe
 
     table = _awkward_table(np.random.default_rng(7))
     edges_x, edges_y = (np.linspace(0.0, 1.0, n + 1) for n in shape)
@@ -661,7 +676,7 @@ def test_cell_masses_match_the_dense_reference(outer, shape):
     x_mass = w[:, None] * np.diff(norm_cdf_safe(edges_x, mean_x[:, None], np.sqrt(var_x)[:, None]))
     assert np.mean(x_mass == 0.0) > 0.5  # most pairs are skipped
     packed = (w, np.stack([mean_x, mean_y]), np.array([[var_x, cov], [cov, var_y]]))
-    got = _cell_masses(packed, edges_x, edges_y)
+    got = _masses(packed, edges_x, edges_y)
     want = _dense_cell_masses(*table, edges_x, edges_y)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
     assert abs(got.sum() - want.sum()) <= 1e-14
@@ -670,7 +685,7 @@ def test_cell_masses_match_the_dense_reference(outer, shape):
 
 
 def test_cell_masses_match_the_dense_reference_on_node_tables(market, faces, halves, quad):
-    from portloss.engine import _cell_masses, _node_table
+    from portloss.engine import _node_table
 
     edges = np.linspace(0.0, 1.0, 51)
     edges[-1] = np.inf
@@ -678,7 +693,7 @@ def test_cell_masses_match_the_dense_reference_on_node_tables(market, faces, hal
                NoSubScenario(k_obligors=100, params=market, overlap=halves)):
         w, means, cov = _node_table(sc, quad)
         table = (w, means[0], cov[0, 0], means[1], cov[1, 1], cov[0, 1])
-        got = _cell_masses((w, means, cov), edges, edges)
+        got = _masses((w, means, cov), edges, edges)
         np.testing.assert_allclose(got, _dense_cell_masses(*table, edges, edges),
                                    rtol=0.0, atol=1e-14)
 
@@ -701,7 +716,7 @@ _BLOCK_BYTES = 8 * 2**18  # a cache-sized kernel block of float64 values
 @pytest.mark.parametrize("kernel", ["1-D multimarket", "2-D pair", "cell masses 50x50",
                                     "separable pair", "separable cell masses"])
 def test_kernels_hold_a_few_blocks_at_a_time(market, faces, halves, kernel):
-    from portloss.engine import _cell_masses, _mixture_density, _node_table
+    from portloss.engine import _node_table
 
     if kernel == "1-D multimarket":
         # the bundled two-market total loss: about 10^4 nodes at 201 cells
@@ -721,9 +736,9 @@ def test_kernels_hold_a_few_blocks_at_a_time(market, faces, halves, kernel):
     edges = np.linspace(0.0, 1.0, 51)
     edges[0], edges[-1] = -np.inf, np.inf
     if "cell masses" in kernel:
-        call = lambda: _cell_masses(table, edges, edges)  # noqa: E731
+        call = lambda: _masses(table, edges, edges)  # noqa: E731
     else:
-        call = lambda: _mixture_density(axes, *table)  # noqa: E731
+        call = lambda: _density(axes, *table)  # noqa: E731
     call()  # caches warm
     assert _traced_peak(call) <= 6 * _BLOCK_BYTES
 
@@ -741,7 +756,7 @@ def _coupled_twin(cov, zero):
 
 @pytest.mark.parametrize("mixed", [False, True])
 def test_separable_and_coupled_paths_give_one_law(market, halves, quad, mixed):
-    from portloss.engine import _cell_masses, _mixture_density, _node_table
+    from portloss.engine import _node_table
 
     w, means, cov = _node_table(NoSubScenario(k_obligors=100, params=market, overlap=halves), quad)
     assert np.all(cov[0, 1] == 0.0)
@@ -752,8 +767,8 @@ def test_separable_and_coupled_paths_give_one_law(market, halves, quad, mixed):
     xs, ys = np.linspace(0.0, 0.6, 41), np.linspace(0.01, 0.5, 37)
     edges = np.linspace(0.0, 1.0, 21)
     edges[0], edges[-1] = -np.inf, np.inf
-    for call in (lambda c: _mixture_density((xs, ys), w, means, c),
-                 lambda c: _cell_masses((w, means, c), edges, edges)):
+    for call in (lambda c: _density((xs, ys), w, means, c),
+                 lambda c: _masses((w, means, c), edges, edges)):
         got, want = call(cov), call(twin)
         assert np.all(want > 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -762,7 +777,7 @@ def test_separable_and_coupled_paths_give_one_law(market, halves, quad, mixed):
 def test_zero_weights_add_exactly_nothing_without_warnings(market, faces, halves, quad):
     import warnings
 
-    from portloss.engine import _mixture_density, _node_table
+    from portloss.engine import _node_table
 
     xs, ys = np.linspace(0.0, 0.6, 31), np.linspace(0.01, 0.5, 29)
     for sc in (SubordinatedScenario(k_obligors=200, tranches=faces, params=market),
@@ -773,8 +788,8 @@ def test_zero_weights_add_exactly_nothing_without_warnings(market, faces, halves
         kept = w > 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _mixture_density((xs, ys), w, means, cov)
-        want = _mixture_density((xs, ys), w[kept], means[:, kept], cov[:, :, kept])
+            got = _density((xs, ys), w, means, cov)
+        want = _density((xs, ys), w[kept], means[:, kept], cov[:, :, kept])
         assert want.max() > 0.0
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -785,8 +800,7 @@ def test_disjoint_grids_never_take_the_coupled_loops(market, faces, halves, quad
     def refuse(*args, **kwargs):
         raise AssertionError("a disjoint table reached a coupled loop")
 
-    monkeypatch.setattr(engine, "_coupled_pair_density", refuse)
-    monkeypatch.setattr(engine, "_coupled_cell_masses", refuse)
+    monkeypatch.setattr(engine, "_coupled_rows", refuse)
     pair = NoSubScenario(k_obligors=100, params=market, overlap=halves)
     edges = np.linspace(0.0, 1.0, 21)
     edges[0], edges[-1] = -np.inf, np.inf
@@ -796,3 +810,100 @@ def test_disjoint_grids_never_take_the_coupled_loops(market, faces, halves, quad
     sub = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
     with pytest.raises(AssertionError, match="coupled loop"):
         density_grid_subordinated(sub, quad, n_cells=4)
+
+
+# ---------------------------------------------------------------------------
+# the coupled row loop against the two loops it replaced
+
+def _ref_coupled_density(out, xs, ys, fx, fy, slope):
+    """Reference: the coupled density loop as it stood before densities and
+    cell masses shared one kernel."""
+    from portloss.engine import _block_rows, _DensityLaw
+
+    def _gauss_factors(points, axis):
+        return _DensityLaw(points).factors(axis)
+
+    rows = _block_rows(len(slope))
+    for s in range(0, len(xs), rows):
+        ax = _gauss_factors(xs[s : s + rows], fx)
+        for i in range(len(ax)):
+            live = np.flatnonzero(ax[i])
+            if not len(live):
+                continue
+            cond = fy.take(live, axis=1)
+            cond[0] += slope[live] * (xs[s + i] - fx[0, live])
+            ax_live = ax[i, live]
+            cols = _block_rows(len(live))
+            for t in range(0, len(ys), cols):
+                out[s + i, t : t + cols] += _gauss_factors(ys[t : t + cols], cond) @ ax_live
+    return out
+
+
+def _ref_coupled_masses(out, w, mx, sx, my, slope, sc, edges_x, edges_y):
+    """Reference: the coupled cell-mass loop as it stood before densities
+    and cell masses shared one kernel, over blocks of (slice, x cell)
+    pairs of nonzero mass."""
+    from scipy.special import ndtri
+
+    from portloss.engine import _GL_POINTS, _block_rows, _leggauss, norm_cdf_safe
+
+    tq, twq = _leggauss(_GL_POINTS)
+    tq = 0.5 * (tq + 1.0)
+    twq = 0.5 * twq
+    nodes = _block_rows(len(edges_x))
+    pairs = _block_rows(_GL_POINTS * len(edges_y))
+    for s in range(0, len(w), nodes):
+        t_edges = norm_cdf_safe(edges_x, mx[s : s + nodes, None], sx[s : s + nodes, None])
+        p_cell = np.diff(t_edges, axis=1)
+        node, cell = np.nonzero(w[s : s + nodes, None] * p_cell)
+        t_lo, p_cell = t_edges[node, cell], p_cell[node, cell]
+        node += s
+        mass = w[node] * p_cell
+        for b in range(0, len(node), pairs):
+            k, x = node[b : b + pairs, None], cell[b : b + pairs]
+            t_nodes = t_lo[b : b + pairs, None] + p_cell[b : b + pairs, None] * tq
+            x_nodes = mx[k] + sx[k] * ndtri(np.clip(t_nodes, 1e-300, 1.0 - 1e-16))
+            mu_c = my[k] + slope[k] * (x_nodes - mx[k])
+            y_cdf = norm_cdf_safe(edges_y, mu_c[..., None], sc[k, None])
+            np.add.at(out, x, np.einsum(
+                "pq,pqy->py", mass[b : b + pairs, None] * twq, np.diff(y_cdf, axis=-1)
+            ))
+    return out
+
+
+def _ref_coupled_rows(out, x_law, y_law, fx, fy, slope):
+    """The reference loop that matches the laws of a kernel call."""
+    from portloss.engine import _DensityLaw
+
+    if isinstance(x_law, _DensityLaw):
+        return _ref_coupled_density(out, x_law.points, y_law.points, fx, fy, slope)
+    (mx, sx, w), (my, sc, _) = fx, fy
+    return _ref_coupled_masses(out, w, mx, sx, my, slope, sc, x_law.edges, y_law.edges)
+
+
+@pytest.mark.parametrize("layout", ["tranched", "overlap"])
+def test_coupled_rows_match_the_two_loops_they_replaced(market, faces, quad, layout, monkeypatch):
+    from portloss import engine
+
+    if layout == "tranched":
+        sc = SubordinatedScenario(k_obligors=200, tranches=faces, params=market)
+    else:
+        sc = NoSubScenario(k_obligors=100, params=market,
+                           overlap=OverlapSpec(r1=0.3, r12=0.4, gamma=0.5, f0=75.0))
+    table = engine._node_table(sc, quad)
+    assert np.all(table[2][0, 1] != 0.0)
+    xs, ys = cell_centers(81, 0.0, 0.8), np.linspace(0.01, 0.5, 37)
+    # the mc-validate edges, and the audit's open ones
+    closed = np.linspace(0.0, 1.0, 21)
+    closed[-1] = np.inf
+    open_ = np.linspace(0.0, 1.0, 51)
+    open_[0], open_[-1] = -np.inf, np.inf
+    got = [_density((xs, ys), *table)] + [_masses(table, e, e) for e in (closed, open_)]
+    monkeypatch.setattr(engine, "_coupled_rows", _ref_coupled_rows)
+    want = [_density((xs, ys), *table)] + [_masses(table, e, e) for e in (closed, open_)]
+    assert want[0].max() > 0.0
+    np.testing.assert_array_equal(got[0], want[0])
+    # masses are summed in another order: the open cells reach 0.56, where
+    # a reordered sum over hundreds of slices moves by up to 1.1e-15
+    np.testing.assert_allclose(got[1], want[1], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=2e-15)

@@ -540,7 +540,7 @@ def test_pool_size_is_one_thread_per_cpu_and_chunk():
                          (130, 10, 64), (2048, 500, 1000), (20_000, 3, 0)):
         scratch = mc._Scratch(rows, k, dof)
         arrays = [scratch.values, scratch.spare, scratch.mask]
-        arrays += [scratch.g] if dof else []
+        arrays += [scratch.g, scratch.excess, scratch.cells, scratch.obligor] if dof else []
         for a in arrays:
             assert len(a) >= 1
             assert a.size <= max(mc._BLOCK_ELEMENTS, k * max(dof, 1))
